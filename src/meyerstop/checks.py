@@ -134,8 +134,8 @@ def check_projection_duality(lattice, meyer, process) -> str | None:
     return None
 
 
-def check_fatou(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
-    report = check_projection_fatou(lattice, meyer, process, guard)
+def check_fatou(lattice, meyer, process) -> str | None:
+    report = check_projection_fatou(lattice, meyer, process)
     if report.ok:
         return None
     return report.violations[0]

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import checks
-from .enumeration import DEFAULT_GUARD, EnumerationGuardError, count_stopping_times
+from .enumeration import DEFAULT_GUARD, EnumerationGuardError
 from .lattice import (
     AT,
     Instant,
@@ -78,15 +78,13 @@ def _fmt(x) -> str:
 
 def _proc_doc(lattice, process) -> dict:
     return {
-        lattice.path_ids[p]: [_fmt(v) for v in process.values[p]]
-        for p in range(lattice.n_paths)
+        pid: [_fmt(v) for v in row]
+        for pid, row in zip(lattice.path_ids, process.values)
     }
 
 
 def _time_doc(lattice, T: RandomInstant) -> dict:
-    return {
-        lattice.path_ids[p]: repr(T.assignment[p]) for p in range(lattice.n_paths)
-    }
+    return {pid: repr(u) for pid, u in zip(lattice.path_ids, T.assignment)}
 
 
 def _pick_process(scenario: Scenario, name: str | None):
@@ -180,6 +178,7 @@ def run_command(
         delta_value = expected_value(lattice, ds.T.value_of(proc))
         sigma_value = expected_value(lattice, sigma_form.value_of(proc))
         ok = value_at_root == delta_value == sigma_value
+        ids = lattice.path_ids
         doc = {
             "command": "stop",
             "process": name,
@@ -192,9 +191,9 @@ def run_command(
                 "time": _time_doc(lattice, ss.T),
                 "reading": _time_doc(lattice, sigma_form),
                 "value": _fmt(sigma_value),
-                "k_minus": sorted(lattice.path_ids[p] for p in ss.k_minus),
-                "k_on": sorted(lattice.path_ids[p] for p in ss.k_on),
-                "k_plus": sorted(lattice.path_ids[p] for p in ss.k_plus),
+                "k_minus": sorted(ids[p] for p in ss.k_minus),
+                "k_on": sorted(ids[p] for p in ss.k_on),
+                "k_plus": sorted(ids[p] for p in ss.k_plus),
             },
             "relaxation_exact": ok,
         }
@@ -253,7 +252,7 @@ def run_command(
             "command": "oracle",
             "process": name,
             "value": _fmt(brute.value),
-            "stopping_time_count": count_stopping_times(lattice, meyer, Kind.LAMBDA),
+            "stopping_time_count": brute.stopping_time_count,
             "optimizers": [_time_doc(lattice, T) for T in brute.optimizers],
         }
         return doc, OK
@@ -291,7 +290,7 @@ def _suite_checks(scenario: Scenario, guard: int):
         )
         items.append(
             (f"projection/fatou[{name}]",
-             lambda p=proc: checks.check_fatou(lattice, meyer, p, guard))
+             lambda p=proc: checks.check_fatou(lattice, meyer, p))
         )
         if checks.is_reward(lattice, meyer, proc):
             items.extend(

@@ -41,6 +41,10 @@ class LatticeError(ValueError):
     """An operation was applied to structurally unusable input."""
 
 
+class InvariantError(RuntimeError):
+    """A result broke an identity that holds by construction: a defect."""
+
+
 @dataclass(frozen=True)
 class Instant:
     """A point of the time chain: grid point (epoch, AT) or interval (epoch, INT)."""

@@ -1,12 +1,13 @@
 """Snell envelopes, compensator decomposition, and optimal divided stops.
 
 The envelope is a backward recursion over the instant chain; everything it
-claims is verified against `snell_brute_force`, which enumerates every
-stopping time outright.  The decomposition splits the envelope's
-supermartingale losses into a predictable part A (jumps into grid points,
-plus a final jump at TERMINAL when the last interval value is positive) and
-an on-time part B (jumps at grid points); both drive the second optimal
-stop construction.
+claims is verified against `snell_brute_force`, which maximizes E[Z_T] over
+every Lambda-stopping time by a memoized recursion over stopping decisions
+that shares nothing with the envelope's conditional expectations.  The
+decomposition splits the envelope's supermartingale losses into a
+predictable part A (jumps into grid points, plus a final jump at TERMINAL
+when the last interval value is positive) and an on-time part B (jumps at
+grid points); both drive the second optimal stop construction.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .lattice import (
     DividedQuadruple,
     FilteredLattice,
     Instant,
+    InvariantError,
     Kind,
     LatticeError,
     LatticeProcess,
@@ -80,6 +82,7 @@ def snell_envelope(
 class BruteForceResult:
     value: Fraction
     optimizers: tuple[RandomInstant, ...]
+    stopping_time_count: int
 
 
 def snell_brute_force(
@@ -88,19 +91,25 @@ def snell_brute_force(
     process: LatticeProcess,
     guard: int | None = DEFAULT_GUARD,
 ) -> BruteForceResult:
-    """Maximize E[Z_T] by enumerating every Lambda-stopping time."""
+    """Maximize E[Z_T] over every Lambda-stopping time, exactly.
+
+    The maximum comes from a recursion over (instant, active paths) states,
+    independent of the envelope; the optimizers are every stopping time
+    that attains it, and the count is the number of Lambda-stopping times.
+    """
     require_reward(lattice, meyer, process)
     probs = lattice.probabilities
     weights = [
         [probs[p] * v for v in process.values[p]] for p in range(lattice.n_paths)
     ]
     terminal = [probs[p] * process.terminal[p] for p in range(lattice.n_paths)]
-    value, argmax = maximize_over_stopping_times(
+    value, argmax, count = maximize_over_stopping_times(
         lattice, meyer, weights, terminal, Kind.LAMBDA, guard=guard
     )
     return BruteForceResult(
         value=value,
         optimizers=tuple(RandomInstant.from_indices(lattice, t) for t in argmax),
+        stopping_time_count=count,
     )
 
 
@@ -249,7 +258,8 @@ def mertens_decompose(
         delta_b=tuple(delta_b),
         a_terminal_jump=tuple(a_terminal_jump),
     )
-    assert is_lambda_martingale(lattice, meyer, decomp.m), "decomposition lost the martingale"
+    if not is_lambda_martingale(lattice, meyer, decomp.m):
+        raise InvariantError("decomposition lost the martingale")
     return decomp
 
 

@@ -6,8 +6,10 @@ the monotone-mode half of criterion 8, whose bound is 1e-7 absolute.
 Instance families (all pure functions of their seeds):
   main_family   - 500 instances, epochs 1..4, up to 12 paths, all regimes;
                   4-epoch instances cap at 8 paths so the 10^6 enumeration
-                  guard always holds, and two deliberately heavy 4-epoch
-                  optional-extreme instances are added on top.
+                  guard always holds.  Two 4-epoch optional-extreme
+                  instances (1603 and 173 stopping times) and three 9-path
+                  instances near the guard (318 663, 374 171 and 743 507
+                  stopping times) are added on top.
   small_family  - 60 instances, epochs 1..3, up to 6 paths: the fully
                   enumerable family for divided-stop and Fatou oracles.
   cert_family   - 100 instances, epochs 1..3, up to 6 paths (criterion 4).
@@ -43,6 +45,7 @@ from meyerstop.representation import (
 )
 from meyerstop.scenario import (
     OPTIONAL_EXTREME,
+    RANDOM_BETWEEN,
     REGIMES,
     RandomInstanceParams,
     generate_instance,
@@ -69,11 +72,19 @@ def main_family():
                 regime=REGIMES[seed % 3],
             )
         )
-    # two heavyweight instances near the enumeration guard
+    # two 4-epoch optional-extreme instances (1603 and 173 stopping times)
     for seed in (77, 78):
         yield generate_instance(
             RandomInstanceParams(
                 seed=seed, epochs=4, max_paths=8, regime=OPTIONAL_EXTREME
+            )
+        )
+    # three instances near the 10^6 enumeration guard
+    # (318 663, 374 171 and 743 507 stopping times)
+    for seed in (7, 4, 3):
+        yield generate_instance(
+            RandomInstanceParams(
+                seed=seed, epochs=4, max_paths=9, regime=RANDOM_BETWEEN
             )
         )
 
@@ -230,7 +241,7 @@ def test_criterion_6_projection_laws():
         6,
         towers >= 500 and fatou == 60,
         f"tower + duality on {towers} instances; Fatou chains at every "
-        f"enumerated stopping time on {fatou} instances",
+        f"(path, instant) cell on {fatou} instances",
     )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import meyerstop.projection as projection_module
 from meyerstop.checks import (
     check_projection_duality,
     check_projection_tower,
@@ -16,6 +17,7 @@ from meyerstop.lattice import (
     INT,
     TERMINAL,
     Instant,
+    InvariantError,
     Kind,
     LatticeError,
     LatticeProcess,
@@ -188,6 +190,49 @@ def test_fatou_chains_on_measurable_and_deterministic(chain, branch):
     assert check_projection_fatou(lattice2, meyer2, Z2).ok
 
 
+def _bumped(process, p, idx):
+    rows = [list(row) for row in process.values]
+    rows[p][idx] += 1
+    return LatticeProcess(values=tuple(map(tuple, rows)), terminal=process.terminal)
+
+
+@pytest.mark.parametrize(
+    "kind, chain_name",
+    [
+        (Kind.OPTIONAL, "optional"),
+        (Kind.PREDICTABLE, "predictable"),
+        (Kind.LAMBDA, "optional"),
+    ],
+)
+def test_fatou_reports_a_corrupted_projection(kind, chain_name, branch, monkeypatch):
+    lattice, meyer = branch
+    Z = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
+    assert check_projection_fatou(lattice, meyer, Z).ok
+
+    def corrupted(lat, mey, process, k):
+        out = project(lat, mey, process, k)
+        return _bumped(out, 0, 1) if k is kind else out
+
+    monkeypatch.setattr(projection_module, "project", corrupted)
+    report = check_projection_fatou(lattice, meyer, Z)
+    assert not report.ok
+    assert report.violations[0].startswith(f"{chain_name} chain fails at path 0")
+
+
+def test_fatou_reports_a_liminf_above_the_limsup(branch, monkeypatch):
+    # the outer terms read both envelopes, so Z_* > Z^* breaks the chain
+    lattice, meyer = branch
+    Z = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
+
+    def corrupted(lat, process, side, mode):
+        out = envelope(lat, process, side, mode)
+        return _bumped(out, 0, 1) if mode is Mode.INF else out
+
+    monkeypatch.setattr(projection_module, "envelope", corrupted)
+    report = check_projection_fatou(lattice, meyer, Z)
+    assert {v.split()[0] for v in report.violations} == {"optional", "predictable"}
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fatou_chains_raw_seeded(seed):
     sc = generate_instance(
@@ -224,6 +269,20 @@ def test_approximating_witness(chain, three_path_meyer):
     assert not is_lambda_stopping_time(lattice3, meyer3, bad, Kind.PREDICTABLE)
     with pytest.raises(LatticeError, match="predictable"):
         approximating_witness(lattice3, meyer3, Z3, bad, Side.LEFT)
+
+
+def test_approximating_witness_reports_a_missed_envelope(chain, monkeypatch):
+    lattice, meyer = chain
+    Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
+    T = RandomInstant.constant(lattice, Instant(1, AT))
+
+    def missed(lat, process, side, mode):
+        return _bumped(envelope(lat, process, side, mode), 0, 2)
+
+    monkeypatch.setattr(projection_module, "envelope", missed)
+    for side in Side:
+        with pytest.raises(InvariantError, match="witness"):
+            approximating_witness(lattice, meyer, Z, T, side)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -5,16 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+import meyerstop.snell as snell_module
 from meyerstop.enumeration import (
     EnumerationGuardError,
     count_stopping_times,
     enumerate_stopping_times,
+    iter_stopping_index_tuples,
+    maximize_over_stopping_times,
 )
 from meyerstop.lattice import (
     AT,
     INT,
     TERMINAL,
     Instant,
+    InvariantError,
     Kind,
     LatticeError,
     LatticeProcess,
@@ -40,7 +44,7 @@ from meyerstop.snell import (
     snell_brute_force,
     snell_envelope,
 )
-from meyerstop.scenario import RandomInstanceParams, generate_instance
+from meyerstop.scenario import REGIMES, RandomInstanceParams, generate_instance
 
 ZERO = Instant(0, AT)
 
@@ -410,3 +414,104 @@ def test_enumeration_count_matches_iteration(kind, three_path_meyer):
 
     for T in times:
         assert is_lambda_stopping_time(lattice, meyer, T, kind)
+
+
+def plain_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
+    """E[Z_T] maximized by visiting every stopping time T >= lower, with its
+    maximizers; `lower` filters the unrestricted iteration."""
+    probs = lattice.probabilities
+    n = lattice.n_instants
+    low = (0,) * lattice.n_paths if lower is None else lower.indices(lattice)
+    best, argmax = None, []
+    for idx in iter_stopping_index_tuples(lattice, meyer, kind):
+        if any(i < lo for i, lo in zip(idx, low)):
+            continue
+        value = sum(
+            (
+                probs[p] * (process.terminal[p] if i == n else process.values[p][i])
+                for p, i in enumerate(idx)
+            ),
+            Fraction(0),
+        )
+        if best is None or value > best:
+            best, argmax = value, [idx]
+        elif value == best:
+            argmax.append(idx)
+    return best, sorted(argmax)
+
+
+def memoized_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
+    probs = lattice.probabilities
+    weights = [
+        [probs[p] * v for v in process.values[p]] for p in range(lattice.n_paths)
+    ]
+    terminal = [probs[p] * process.terminal[p] for p in range(lattice.n_paths)]
+    value, argmax, count = maximize_over_stopping_times(
+        lattice, meyer, weights, terminal, kind, lower
+    )
+    assert count == count_stopping_times(lattice, meyer, kind, lower)
+    return value, argmax
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_memoized_oracle_matches_plain_maximization(seed):
+    sc = generate_instance(
+        RandomInstanceParams(
+            seed=seed,
+            epochs=1 + seed % 3,
+            max_paths=2 + seed % 5,
+            regime=REGIMES[seed % 3],
+        )
+    )
+    lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+    rng = random.Random(seed)
+    times = list(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA))
+    lowers = [None, RandomInstant.from_indices(lattice, rng.choice(times))]
+    raw = LatticeProcess.from_rows(
+        [
+            [
+                Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                for _ in range(lattice.n_instants)
+            ]
+            for _ in range(lattice.n_paths)
+        ],
+        terminal=[rng.randint(0, 6) for _ in range(lattice.n_paths)],
+    )
+    for lower in lowers:
+        for kind in Kind:
+            for process in (Z, raw):
+                assert memoized_maximum(lattice, meyer, process, kind, lower) == (
+                    plain_maximum(lattice, meyer, process, kind, lower)
+                )
+        brute = snell_brute_force(lattice, meyer, Z)
+        assert brute.stopping_time_count == len(times)
+        assert [T.indices(lattice) for T in brute.optimizers] == plain_maximum(
+            lattice, meyer, Z
+        )[1]
+
+
+def test_memoized_oracle_all_ties(chain, three_path_meyer):
+    # a constant reward ties every time that never reaches TERMINAL
+    for lattice, meyer in (chain, three_path_meyer):
+        const = LatticeProcess.from_rows([[2] * lattice.n_instants] * lattice.n_paths)
+        value, argmax = memoized_maximum(lattice, meyer, const)
+        assert (value, argmax) == plain_maximum(lattice, meyer, const)
+        finite = [
+            idx
+            for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA)
+            if lattice.n_instants not in idx
+        ]
+        assert value == 2 and argmax == sorted(finite)
+    lattice, meyer = chain
+    n_times = count_stopping_times(lattice, meyer, Kind.LAMBDA)
+    const = LatticeProcess.from_rows([[2, 2, 2, 2]])
+    assert len(memoized_maximum(lattice, meyer, const)[1]) == n_times - 1
+
+
+def test_mertens_reports_a_lost_martingale(chain, monkeypatch):
+    lattice, meyer = chain
+    Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
+    zbar = snell_envelope(lattice, meyer, Z)
+    monkeypatch.setattr(snell_module, "is_lambda_martingale", lambda *a: False)
+    with pytest.raises(InvariantError, match="martingale"):
+        mertens_decompose(lattice, meyer, zbar)
