@@ -24,6 +24,7 @@ from .lattice import (
     field_at_time,
     field_partitions,
     conditional_expectation,
+    from_divided_quadruple,
     is_measurable,
     validate_divided,
     validate_lattice,
@@ -45,13 +46,13 @@ from .representation import (
 )
 from .snell import (
     PreconditionError,
-    check_optimality,
     delta_stop,
     enumerate_divided_stops,
     expected_value,
     is_lambda_martingale,
     is_lambda_supermartingale,
     lambda_entry_time,
+    martingale_reach,
     mertens_decompose,
     sigma_stop,
     smallest_largest_optimal,
@@ -223,12 +224,6 @@ def check_mertens(lattice, meyer, process) -> str | None:
     return None
 
 
-def _as_instant_form(lattice, meyer, q):
-    from .lattice import from_divided_quadruple
-
-    return from_divided_quadruple(lattice, q)
-
-
 def check_delta(
     lattice, meyer, process, starts, guard=DEFAULT_GUARD
 ) -> str | None:
@@ -245,6 +240,7 @@ def check_delta(
     ]
     lam_star = max(ratios) if ratios else Fraction(0)
     lam = (1 + lam_star) / 2
+    decomp = mertens_decompose(lattice, meyer, zbar)
 
     for S in starts:
         ds = delta_stop(lattice, meyer, process, S, zbar)
@@ -270,7 +266,6 @@ def check_delta(
         ent = lambda_entry_time(lattice, meyer, process, zbar, Fraction(1, 2), S)
         if expected_value(lattice, ent.value_of(zbar)) != env_at_s:
             return f"E[Zbar] not preserved at the 1/2-entry time from {S.assignment}"
-        decomp = mertens_decompose(lattice, meyer, zbar)
         if ent.value_of(decomp.a) != S.value_of(decomp.a):
             return f"A moves before the 1/2-entry time from {S.assignment}"
         try:
@@ -279,9 +274,7 @@ def check_delta(
             continue
         best = None
         for q in stops:
-            v = expected_value(
-                lattice, _as_instant_form(lattice, meyer, q).value_of(process)
-            )
+            v = expected_value(lattice, from_divided_quadruple(lattice, q).value_of(process))
             if best is None or v > best:
                 best = v
         if best != env_at_s:
@@ -297,7 +290,7 @@ def check_sigma(lattice, meyer, process, starts) -> str | None:
         report = validate_divided(lattice, meyer, ss.quadruple)
         if not report.ok:
             return f"sigma quadruple invalid from {S.assignment}: {report.problems[0]}"
-        form = _as_instant_form(lattice, meyer, ss.quadruple)
+        form = from_divided_quadruple(lattice, ss.quadruple)
         if form.value_of(zbar) != form.value_of(process):
             return f"Zbar != Z at sigma from {S.assignment}"
         if expected_value(lattice, form.value_of(process)) != expected_value(
@@ -308,16 +301,29 @@ def check_sigma(lattice, meyer, process, starts) -> str | None:
 
 
 def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
-    """Certificate verdict iff brute-force optimality, for every stopping time."""
+    """Certificate verdict iff brute-force optimality, for every stopping time.
+
+    The certificate of `check_optimality` holds at U iff, on every path,
+    the reward touches the envelope at U and U is within the envelope's
+    martingale reach; both are read from per-(path, index) tables.
+    """
     zbar = snell_envelope(lattice, meyer, process)
     brute = snell_brute_force(lattice, meyer, process, guard)
+    reach = martingale_reach(lattice, meyer, zbar)
+    probs = lattice.probabilities
+    holds, worth = [], []
+    for p in range(lattice.n_paths):
+        z = process.values[p] + (process.terminal[p],)
+        env = zbar.values[p] + (zbar.terminal[p],)
+        holds.append([z[i] == env[i] and i <= reach[p] for i in range(len(z))])
+        worth.append([probs[p] * v for v in z])
     for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, guard=guard):
-        U = RandomInstant.from_indices(lattice, idx)
-        cert = check_optimality(lattice, meyer, process, U, zbar)
-        achieved = expected_value(lattice, U.value_of(process))
-        if cert.optimal != (achieved == brute.value):
+        optimal = all(holds[p][i] for p, i in enumerate(idx))
+        achieved = sum((worth[p][i] for p, i in enumerate(idx)), Fraction(0))
+        if optimal != (achieved == brute.value):
+            U = RandomInstant.from_indices(lattice, idx)
             return (
-                f"certificate says {cert.optimal} but value {achieved} vs "
+                f"certificate says {optimal} but value {achieved} vs "
                 f"optimum {brute.value} at {U.assignment}"
             )
     return None
@@ -338,7 +344,7 @@ def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
     lo = ds.T.indices(lattice)
-    hi = _as_instant_form(lattice, meyer, ss.quadruple).indices(lattice)
+    hi = from_divided_quadruple(lattice, ss.quadruple).indices(lattice)
     for U in result.all_optimal:
         ui = U.indices(lattice)
         if not all(lo[p] <= ui[p] <= hi[p] for p in range(lattice.n_paths)):

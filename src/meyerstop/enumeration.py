@@ -222,6 +222,15 @@ def maximize_over_stopping_times(
     all maximizers in canonical (index-tuple) order, and the number of
     stopping times.
     """
+    value, maximizers, total = _maximum(
+        lattice, meyer, weights, terminal_weights, kind, lower, guard
+    )
+    return value, maximizers(), total
+
+
+def _maximum(lattice, meyer, weights, terminal_weights, kind, lower, guard):
+    """`maximize_over_stopping_times` with the maximizers left to a call of
+    the returned walk, so a caller that reads only the value never walks."""
     total = count_stopping_times(lattice, meyer, kind, lower)
     _check_guard(total, guard)
     den = math.lcm(
@@ -241,4 +250,4 @@ def maximize_over_stopping_times(
 
     full = _scope_mask(lattice, None)
     top = best(0, full)
-    return Fraction(top, den), sorted(_walk(steps, full, attains)), total
+    return Fraction(top, den), lambda: sorted(_walk(steps, full, attains)), total

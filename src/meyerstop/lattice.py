@@ -579,24 +579,20 @@ def to_divided_quadruple(
     """
     if not is_lambda_stopping_time(lattice, meyer, T, Kind.LAMBDA):
         raise LatticeError("to_divided_quadruple expects a Lambda-stopping time")
-    at_values: list[TimePoint] = []
-    w: set[int] = set()
-    w_plus: set[int] = set()
-    for p, u in enumerate(T.assignment):
-        if isinstance(u, _Terminal):
-            at_values.append(TERMINAL)
-            w.add(p)
-        elif u.tag == AT:
-            at_values.append(u)
-            w.add(p)
-        else:
-            at_values.append(Instant(u.epoch, AT))
-            w_plus.add(p)
+    return _canonical_quadruple(lattice, T.indices(lattice))
+
+
+def _canonical_quadruple(lattice: FilteredLattice, idx: Sequence[int]) -> DividedQuadruple:
+    """`to_divided_quadruple` of the index tuple `idx`, which must already
+    be a Lambda-stopping time; n_instants, which is even, stands for TERMINAL."""
+    n = lattice.n_instants
     return DividedQuadruple(
-        T=RandomInstant(assignment=tuple(at_values)),
+        T=RandomInstant(
+            assignment=tuple(TERMINAL if i >= n else Instant(i // 2, AT) for i in idx)
+        ),
         w_minus=frozenset(),
-        w=frozenset(w),
-        w_plus=frozenset(w_plus),
+        w=frozenset(p for p, i in enumerate(idx) if i % 2 == 0),
+        w_plus=frozenset(p for p, i in enumerate(idx) if i % 2 == 1),
     )
 
 

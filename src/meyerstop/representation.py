@@ -17,6 +17,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
@@ -277,37 +278,38 @@ def solve_representation(
             lower = RandomInstant.from_indices(
                 lattice, [u + 1 if p in block else n for p in range(lattice.n_paths)]
             )
+
+            @cache
+            def share(p: int, stop: int) -> tuple:
+                """Path p's part of the window [u, stop): its weighted X at u
+                and at the stop, and its g-terms, affine ones summed into one."""
+                terms = [
+                    (probs[p] * m, g.a[p][w], g.b[p][w]) if affine
+                    else (probs[p] * m, g.funcs[p][w])
+                    for w in range(u, min(stop, n))
+                    if (m := mu.mass[p][w]) != 0
+                ]
+                if affine and terms:
+                    total_a = sum(c * a for c, a, _b in terms)
+                    terms = [(1, total_a, sum(c * b for c, _a, b in terms))]
+                there = probs[p] * X.values[p][stop] if stop < n else None
+                return probs[p] * X.values[p][u], there, terms
+
             best = None
             for cand in iter_stopping_index_tuples(
                 lattice, meyer, Kind.LAMBDA, lower=lower, scope=block, guard=guard
             ):
-                if affine:
-                    terms = []
-                else:
-                    terms_m = []
+                terms = []
                 rhs = Fraction(0)
-                weight_seen = False
                 for p in block:
-                    stop = cand[p]
-                    rhs += probs[p] * X.values[p][u]
-                    if stop < n:
-                        rhs -= probs[p] * X.values[p][stop]
-                    for w in range(u, min(stop, n)):
-                        m = mu.mass[p][w]
-                        if m == 0:
-                            continue
-                        weight_seen = True
-                        if affine:
-                            terms.append((probs[p] * m, g.a[p][w], g.b[p][w]))
-                        else:
-                            terms_m.append((probs[p] * m, g.funcs[p][w]))
-                if not weight_seen:
+                    here, there, part = share(p, cand[p])
+                    rhs += here
+                    if there is not None:
+                        rhs -= there
+                    terms += part
+                if not terms:
                     continue
-                root = g_root(
-                    terms if affine else terms_m,
-                    rhs,
-                    None if affine else g.tolerance,
-                )
+                root = g_root(terms, rhs, None if affine else g.tolerance)
                 if best is None or root < best:
                     best = root
             if best is None:
@@ -403,18 +405,23 @@ def stopping_value(
                 )
     if X is None:
         X = problem.X if problem.X is not None else forward_evaluate(problem)
-    probs = lattice.probabilities
-    n = lattice.n_instants
     total = Fraction(0)
     for p, (read, cutoff) in enumerate(_accrual_cutoffs(lattice, tau)):
-        reward = X.terminal[p] if read >= n else X.values[p][read]
-        accrued = reward
-        for w in range(cutoff):
-            m = problem.mu.mass[p][w]
-            if m != 0:
-                accrued += problem.g.value(p, w, ell) * m
-        total += probs[p] * accrued
+        total += _path_value(problem, X, ell, p, read, cutoff)
     return total
+
+
+def _path_value(
+    problem: RepresentationProblem, X: LatticeProcess, ell, p: int, read: int, cutoff: int
+):
+    """Path p's term of `stopping_value`: its probability times the reading
+    of X at `read` plus the g(ell)-mass accrued before `cutoff`."""
+    accrued = X.terminal[p] if read >= problem.lattice.n_instants else X.values[p][read]
+    for w in range(cutoff):
+        m = problem.mu.mass[p][w]
+        if m != 0:
+            accrued += problem.g.value(p, w, ell) * m
+    return problem.lattice.probabilities[p] * accrued
 
 
 @dataclass(frozen=True)
@@ -487,7 +494,10 @@ def universal_signal_check(
     Requires a nonnegative representable X that is left-USC in expectation
     (named error otherwise); verifies the implied right-USC, then compares
     both level-passage variants against the enumerated divided-stop optimum
-    at each grid level, in grid order.  Grid points may be evaluated
+    at each grid level, in grid order.  Each stop's (reading, cutoff)
+    pairs are found once; at each level a path's weighted value per pair is
+    computed once and summed per stop in `stopping_value`'s order, so float
+    (monotone g) values match it bit for bit.  Grid points may be evaluated
     concurrently; the report order never depends on scheduling.
     """
     lattice, meyer = problem.lattice, problem.meyer
@@ -497,26 +507,23 @@ def universal_signal_check(
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
     stops = enumerate_divided_stops(lattice, meyer, guard=guard)
+    # an id per distinct (path, reading, cutoff); each stop as its ids in path order
+    pairs: dict[tuple[int, int, int], int] = {}
+    keyed = [
+        [pairs.setdefault((p, *cut), len(pairs)) for p, cut in enumerate(cuts)]
+        for cuts in (_accrual_cutoffs(lattice, q) for q in stops)
+    ]
 
     def evaluate(ell) -> SignalRow:
-        v1 = stopping_value(
-            problem,
-            ell,
-            level_passage(lattice, meyer, L, ell, 1).quadruple,
-            X=X,
-            validate=False,
+        v1, v2 = (
+            stopping_value(problem, ell, passage.quadruple, X=X, validate=False)
+            for passage in (level_passage(lattice, meyer, L, ell, v) for v in (1, 2))
         )
-        v2 = stopping_value(
-            problem,
-            ell,
-            level_passage(lattice, meyer, L, ell, 2).quadruple,
-            X=X,
-            validate=False,
-        )
+        level = [_path_value(problem, X, ell, *pair) for pair in pairs]
         best = None
         count = 0
-        for q in stops:
-            val = stopping_value(problem, ell, q, X=X, validate=False)
+        for keys in keyed:
+            val = sum((level[k] for k in keys), Fraction(0))
             if best is None or val > best:
                 best, count = val, 1
             elif val == best:

@@ -12,13 +12,15 @@ grid points); both drive the second optimal stop construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .enumeration import (
     DEFAULT_GUARD,
+    _maximum,
     iter_stopping_index_tuples,
-    maximize_over_stopping_times,
 )
 from .lattice import (
     AT,
@@ -34,6 +36,7 @@ from .lattice import (
     TERMINAL,
     TimePoint,
     _Terminal,
+    _canonical_quadruple,
     conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
@@ -80,9 +83,15 @@ def snell_envelope(
 
 @dataclass(frozen=True)
 class BruteForceResult:
+    """The optimizers are built from `maximizers` on first read."""
+
     value: Fraction
-    optimizers: tuple[RandomInstant, ...]
     stopping_time_count: int
+    maximizers: Callable[[], list[RandomInstant]] = field(repr=False, compare=False)
+
+    @cached_property
+    def optimizers(self) -> tuple[RandomInstant, ...]:
+        return tuple(self.maximizers())
 
 
 def snell_brute_force(
@@ -103,13 +112,13 @@ def snell_brute_force(
         [probs[p] * v for v in process.values[p]] for p in range(lattice.n_paths)
     ]
     terminal = [probs[p] * process.terminal[p] for p in range(lattice.n_paths)]
-    value, argmax, count = maximize_over_stopping_times(
-        lattice, meyer, weights, terminal, Kind.LAMBDA, guard=guard
+    value, argmax, count = _maximum(
+        lattice, meyer, weights, terminal, Kind.LAMBDA, None, guard
     )
     return BruteForceResult(
         value=value,
-        optimizers=tuple(RandomInstant.from_indices(lattice, t) for t in argmax),
         stopping_time_count=count,
+        maximizers=lambda: [RandomInstant.from_indices(lattice, t) for t in argmax()],
     )
 
 
@@ -125,7 +134,8 @@ def is_lambda_supermartingale(
 ) -> bool:
     """Each instant value dominates its conditional continuation, including
     the step into TERMINAL."""
-    return _martingale_check(lattice, meyer, process, strict_equality=False)
+    breaks = _first_breaks(lattice, meyer, process, lambda here, cont: here < cont)
+    return all(i == lattice.n_instants for i in breaks)
 
 
 def is_lambda_martingale(
@@ -133,26 +143,38 @@ def is_lambda_martingale(
     meyer: MeyerStructure,
     process: LatticeProcess,
 ) -> bool:
-    return _martingale_check(lattice, meyer, process, strict_equality=True)
+    return all(i == lattice.n_instants for i in martingale_reach(lattice, meyer, process))
 
 
-def _martingale_check(lattice, meyer, process, strict_equality: bool) -> bool:
+def martingale_reach(
+    lattice: FilteredLattice,
+    meyer: MeyerStructure,
+    zbar: LatticeProcess,
+) -> tuple[int, ...]:
+    """Per path, the first instant index whose Lambda-atom has
+    Zbar != E[Zbar next | atom], or n_instants if there is none.
+
+    For a Lambda-stopping time U, the stopped process Zbar^U is a
+    Lambda-martingale iff U <= reach on every path: each atom before U lies
+    in {U > i}, where Zbar^U moves like Zbar, because the Lambda fields
+    increase along the chain; atoms inside {U <= i} are frozen.
+    """
+    return _first_breaks(lattice, meyer, zbar, lambda here, cont: here != cont)
+
+
+def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
+    """Per path, the first instant index where `broken(value, continuation)`."""
     _require_lambda(lattice, meyer, process)
     n = lattice.n_instants
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
-    for idx in range(n):
-        nxt = (
-            process.terminal if idx == n - 1 else process.slice_at(idx + 1)
-        )
+    first = [n] * lattice.n_paths
+    for idx in range(n - 1, -1, -1):
+        nxt = process.terminal if idx == n - 1 else process.slice_at(idx + 1)
         cont = conditional_expectation(lattice, nxt, fields[idx])
         for p in range(lattice.n_paths):
-            here = process.values[p][idx]
-            if strict_equality:
-                if here != cont[p]:
-                    return False
-            elif here < cont[p]:
-                return False
-    return True
+            if broken(process.values[p][idx], cont[p]):
+                first[p] = idx
+    return tuple(first)
 
 
 @dataclass(frozen=True)
@@ -449,15 +471,14 @@ def check_optimality(
     zbar: LatticeProcess | None = None,
 ) -> OptimalityCertificate:
     """Certificate: reward touches the envelope at U, and the stopped
-    envelope stays a martingale."""
+    envelope stays a martingale (U within the envelope's martingale reach)."""
     if not is_lambda_stopping_time(lattice, meyer, U, Kind.LAMBDA):
         raise LatticeError("candidate is not a Lambda-stopping time")
     if zbar is None:
         zbar = snell_envelope(lattice, meyer, process)
     condition_i = U.value_of(process) == U.value_of(zbar)
-    condition_ii = is_lambda_martingale(
-        lattice, meyer, stopped_process(lattice, zbar, U)
-    )
+    reach = martingale_reach(lattice, meyer, zbar)
+    condition_ii = all(u <= r for u, r in zip(U.indices(lattice), reach))
     return OptimalityCertificate(
         candidate=U, condition_i=condition_i, condition_ii=condition_ii
     )
@@ -475,13 +496,12 @@ def enumerate_divided_stops(
     Lambda-stopping times in instant form: grid stops sit in the on-time
     part and interval stops in the just-after part of their grid point.
     """
-    out = []
-    for idx in sorted(
-        iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, lower=from_S, guard=guard)
-    ):
-        T = RandomInstant.from_indices(lattice, idx)
-        out.append(to_divided_quadruple(lattice, meyer, T))
-    return out
+    return [
+        _canonical_quadruple(lattice, idx)
+        for idx in sorted(
+            iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, lower=from_S, guard=guard)
+        )
+    ]
 
 
 class PreconditionError(ValueError):

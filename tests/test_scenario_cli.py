@@ -233,3 +233,27 @@ def test_suite_is_green_on_generated_instances():
         sc = generate_instance(RandomInstanceParams(seed=seed, epochs=2, max_paths=5))
         doc, status = run_suite(sc)
         assert status == 0 and doc["failed"] == 0
+
+
+def test_golden_suite_seed62():
+    # the 745-stopping-time lattice: every suite check, certificates and
+    # the universal-signal rows included
+    sc = generate_instance(
+        RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
+    )
+    doc, status = run_suite(sc)
+    assert status == 0
+    assert render_machine(doc) == (GOLDEN / "seed62_suite.json").read_text(
+        encoding="utf-8"
+    )
+
+
+def test_golden_represent_odd_power():
+    # the monotone root-finder's float bits are part of the contract
+    sc = load("odd_power.scn")
+    assert sc.g_spec["kind"] == "odd_power" and sc.reward == "X"
+    doc, status = run_command(sc, "represent")
+    assert status == 0 and doc["direction"] == "solve"
+    assert render_machine(doc) == (GOLDEN / "odd_power_represent.json").read_text(
+        encoding="utf-8"
+    )
