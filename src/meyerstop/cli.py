@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import checks
@@ -28,6 +27,7 @@ from .lattice import (
     RandomInstant,
     validate_lattice,
 )
+from .parallel import ordered_map
 from .projection import project
 from .representation import (
     RepresentationError,
@@ -328,8 +328,8 @@ def _suite_checks(scenario: Scenario, guard: int):
 
 
 def run_suite(scenario: Scenario, jobs: int = 1, guard: int = DEFAULT_GUARD) -> tuple[dict, int]:
-    """Run every applicable named property; output order never depends on
-    scheduling."""
+    """Run every applicable named property, on up to `jobs` worker
+    processes; output order never depends on scheduling."""
     items = _suite_checks(scenario, guard)
 
     def run_one(item):
@@ -344,11 +344,7 @@ def run_suite(scenario: Scenario, jobs: int = 1, guard: int = DEFAULT_GUARD) -> 
             return {"property": name, "status": "SKIP", "detail": message[5:].strip()}
         return {"property": name, "status": "FAIL", "detail": message}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, items))
-    else:
-        rows = [run_one(item) for item in items]
+    rows = ordered_map(run_one, items, jobs)
     failed = [r for r in rows if r["status"] == "FAIL"]
     doc = {
         "command": "suite",
@@ -410,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="seed for generated scenarios")
     parser.add_argument("--format", choices=("table", "machine"), default="table")
     parser.add_argument("--strict", action="store_true", help="reject unknown scenario fields")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for suite/signal")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for suite/signal")
     parser.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration size guard")
     parser.add_argument("--out", help="write the report here instead of stdout")
     args = parser.parse_args(argv)

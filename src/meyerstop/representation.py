@@ -14,10 +14,9 @@ bisection and floats inside the root-finder only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from math import lcm
 from typing import Callable, Sequence
 
 from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
@@ -38,6 +37,7 @@ from .lattice import (
     to_divided_quadruple,
     validate_divided,
 )
+from .parallel import ordered_map
 from .snell import PreconditionError, enumerate_divided_stops
 from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
@@ -279,38 +279,43 @@ def solve_representation(
                 lattice, [u + 1 if p in block else n for p in range(lattice.n_paths)]
             )
 
-            @cache
-            def share(p: int, stop: int) -> tuple:
-                """Path p's part of the window [u, stop): its weighted X at u
-                and at the stop, and its g-terms, affine ones summed into one."""
-                terms = [
-                    (probs[p] * m, g.a[p][w], g.b[p][w]) if affine
-                    else (probs[p] * m, g.funcs[p][w])
-                    for w in range(u, min(stop, n))
-                    if (m := mu.mass[p][w]) != 0
-                ]
-                if affine and terms:
-                    total_a = sum(c * a for c, a, _b in terms)
-                    terms = [(1, total_a, sum(c * b for c, _a, b in terms))]
-                there = probs[p] * X.values[p][stop] if stop < n else None
-                return probs[p] * X.values[p][u], there, terms
+            # Path p's share of the window [u, stop), per stop: its weighted X
+            # at u and at the stop, and its g-terms.  Affine shares are
+            # (here - there - sum c*a, sum c*b) over one common denominator.
+            shares = {}
+            for p in block:
+                row = shares[p] = [None] * (n + 1)
+                here = probs[p] * X.values[p][u]
+                acc_a, acc_b, terms = Fraction(0), Fraction(0), []
+                for stop in range(u + 1, n + 1):
+                    if (m := mu.mass[p][stop - 1]) != 0:
+                        c, w = probs[p] * m, stop - 1
+                        if affine:
+                            acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
+                        else:
+                            terms = terms + [(c, g.funcs[p][w])]
+                    there = probs[p] * X.values[p][stop] if stop < n else 0
+                    row[stop] = (here - there - acc_a, acc_b) if affine else (here, there, terms)
+            if affine:
+                cells = [(r, stop) for r in shares.values() for stop in range(u + 1, n + 1)]
+                scale = lcm(*(v.denominator for r, stop in cells for v in r[stop]))
+                for r, stop in cells:
+                    r[stop] = tuple(v.numerator * (scale // v.denominator) for v in r[stop])
 
-            best = None
+            best = None  # a root (num, den); den == 0 marks a window without mass
             for cand in iter_stopping_index_tuples(
                 lattice, meyer, Kind.LAMBDA, lower=lower, scope=block, guard=guard
             ):
-                terms = []
-                rhs = Fraction(0)
-                for p in block:
-                    here, there, part = share(p, cand[p])
-                    rhs += here
-                    if there is not None:
-                        rhs -= there
-                    terms += part
-                if not terms:
-                    continue
-                root = g_root(terms, rhs, None if affine else g.tolerance)
-                if best is None or root < best:
+                parts = [shares[p][cand[p]] for p in block]
+                if affine:
+                    root = sum(a for a, _ in parts), sum(b for _, b in parts)
+                else:  # bisected, as (root, 1); float X keeps its summation order
+                    rhs = Fraction(0)
+                    for here, there, _ in parts:
+                        rhs = rhs + here - there
+                    terms = [t for *_, part in parts for t in part]
+                    root = (g_root(terms, rhs, g.tolerance), 1) if terms else (0, 0)
+                if root[1] and (best is None or root[0] * best[1] < best[0] * root[1]):
                     best = root
             if best is None:
                 atom_x = sum(probs[p] * X.values[p][u] for p in block)
@@ -319,7 +324,8 @@ def solve_representation(
                         "X not representable with this (g, mu): "
                         f"mass exhausted before instant index {u} but X is nonzero"
                     )
-                best = Fraction(0)
+                best = (Fraction(0), 1)
+            best = Fraction(*best) if affine else best[0]
             for p in block:
                 columns[u][p] = best
 
@@ -487,7 +493,7 @@ def universal_signal_check(
     problem: RepresentationProblem,
     ell_grid: Sequence,
     guard: int | None = DEFAULT_GUARD,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> SignalReport:
     """Level-passage stops of L attain every accrual-adjusted optimum.
 
@@ -498,7 +504,8 @@ def universal_signal_check(
     pairs are found once; at each level a path's weighted value per pair is
     computed once and summed per stop in `stopping_value`'s order, so float
     (monotone g) values match it bit for bit.  Grid points may be evaluated
-    concurrently; the report order never depends on scheduling.
+    on up to `jobs` worker processes; the report order never depends on
+    scheduling.
     """
     lattice, meyer = problem.lattice, problem.meyer
     X = problem.X if problem.X is not None else forward_evaluate(problem)
@@ -536,9 +543,5 @@ def universal_signal_check(
             optimizer_count=count,
         )
 
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(evaluate, ell_grid))
-    else:
-        rows = tuple(evaluate(ell) for ell in ell_grid)
+    rows = tuple(ordered_map(evaluate, ell_grid, jobs))
     return SignalReport(rows=rows, right_usc_holds=right_ok)

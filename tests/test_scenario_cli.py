@@ -128,11 +128,12 @@ def test_golden_signal_chain():
             for q in enumerate_divided_stops(sc.lattice, sc.meyer)
         )
         assert best == Fraction(10)
-    doc, status = run_command(sc, "signal")
-    assert status == 0
-    assert render_machine(doc) == (GOLDEN / "signal_chain_signal.json").read_text(
-        encoding="utf-8"
-    )
+    for jobs in (1, 2):
+        doc, status = run_command(sc, "signal", jobs=jobs)
+        assert status == 0
+        assert render_machine(doc) == (GOLDEN / "signal_chain_signal.json").read_text(
+            encoding="utf-8"
+        ), jobs
 
 
 def test_cli_validate_broken_file(tmp_path, capsys):
@@ -185,19 +186,43 @@ def test_suite_byte_identical_across_jobs():
 
 
 def test_suite_failure_exit_code(monkeypatch):
-    # force one property to fail and confirm the exit-status contract
+    # force one property to fail and confirm the exit-status contract, also
+    # when the rows run in worker processes
     from meyerstop import checks
 
     sc = load("branch.scn")
     monkeypatch.setattr(
         checks, "check_snell_oracle", lambda *a, **k: "forced mismatch"
     )
-    doc, status = run_suite(sc)
-    assert status == 2
-    assert any(
-        row["status"] == "FAIL" and row["detail"] == "forced mismatch"
-        for row in doc["checks"]
-    )
+    for jobs in (1, 2):
+        doc, status = run_suite(sc, jobs=jobs)
+        assert status == 2
+        assert any(
+            row["status"] == "FAIL" and row["detail"] == "forced mismatch"
+            for row in doc["checks"]
+        )
+
+
+def test_suite_error_is_the_same_across_jobs(monkeypatch, capsys):
+    # two rows raise; the first in canonical order wins whatever the schedule
+    from meyerstop import checks
+    from meyerstop.lattice import LatticeError
+
+    def raising(message):
+        def check(*args, **kwargs):
+            raise LatticeError(message)
+
+        return check
+
+    monkeypatch.setattr(checks, "check_snell_oracle", raising("first"))
+    monkeypatch.setattr(checks, "check_mertens", raising("second"))
+    sc = load("branch.scn")
+    for jobs in (1, 2):
+        with pytest.raises(LatticeError, match="^first$"):
+            run_suite(sc, jobs=jobs)
+        argv = ["suite", "--scenario", str(FIXTURES / "branch.scn"), "--jobs", str(jobs)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: first\n"
 
 
 def test_represent_solves_reward_scenario(tmp_path, capsys):
@@ -237,15 +262,16 @@ def test_suite_is_green_on_generated_instances():
 
 def test_golden_suite_seed62():
     # the 745-stopping-time lattice: every suite check, certificates and
-    # the universal-signal rows included
+    # the universal-signal rows included, in-process and in worker processes
     sc = generate_instance(
         RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
     )
-    doc, status = run_suite(sc)
-    assert status == 0
-    assert render_machine(doc) == (GOLDEN / "seed62_suite.json").read_text(
-        encoding="utf-8"
-    )
+    for jobs in (1, 2, 4):
+        doc, status = run_suite(sc, jobs=jobs)
+        assert status == 0
+        assert render_machine(doc) == (GOLDEN / "seed62_suite.json").read_text(
+            encoding="utf-8"
+        ), jobs
 
 
 def test_golden_represent_odd_power():
