@@ -24,6 +24,7 @@ from .lattice import (
     field_at_time,
     field_partitions,
     conditional_expectation,
+    divided_value,
     from_divided_quadruple,
     is_measurable,
     validate_divided,
@@ -46,6 +47,7 @@ from .representation import (
 )
 from .snell import (
     PreconditionError,
+    _smallest_largest,
     delta_stop,
     enumerate_divided_stops,
     expected_value,
@@ -55,7 +57,6 @@ from .snell import (
     martingale_reach,
     mertens_decompose,
     sigma_stop,
-    smallest_largest_optimal,
     snell_brute_force,
     snell_envelope,
 )
@@ -274,7 +275,7 @@ def check_delta(
             continue
         best = None
         for q in stops:
-            v = expected_value(lattice, from_divided_quadruple(lattice, q).value_of(process))
+            v = expected_value(lattice, divided_value(lattice, process, q))
             if best is None or v > best:
                 best = v
         if best != env_at_s:
@@ -333,14 +334,14 @@ def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
     """Optional-regime instances: delta and sigma bracket every optimal time
     and match the entry-time characterizations exactly."""
     try:
-        result = smallest_largest_optimal(lattice, meyer, process, guard)
+        result, zbar, decomp = _smallest_largest(lattice, meyer, process, guard)
     except PreconditionError as exc:
         return f"SKIP: {exc}"
     zero = RandomInstant.constant(lattice, Instant(0, AT))
-    ds = delta_stop(lattice, meyer, process, zero)
+    ds = delta_stop(lattice, meyer, process, zero, zbar)
     if result.smallest != ds.T:
         return "smallest optimal time differs from the delta entry time"
-    ss = sigma_stop(lattice, meyer, process, zero)
+    ss = sigma_stop(lattice, meyer, process, zero, zbar, decomp)
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
     lo = ds.T.indices(lattice)

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import total_ordering
+from typing import Callable, Iterable, Sequence
 
 AT = "AT"
 INT = "INT"
@@ -45,8 +46,19 @@ class InvariantError(RuntimeError):
     """A result broke an identity that holds by construction: a defect."""
 
 
+@total_ordering
+class _TimeOrder:
+    """The total order of the time chain on `_key()`: instants by index,
+    then TERMINAL."""
+
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, _TimeOrder):
+            return self._key() < other._key()
+        return NotImplemented
+
+
 @dataclass(frozen=True)
-class Instant:
+class Instant(_TimeOrder):
     """A point of the time chain: grid point (epoch, AT) or interval (epoch, INT)."""
 
     epoch: int
@@ -70,31 +82,11 @@ class Instant:
     def _key(self) -> tuple[int, int]:
         return (0, self.index)
 
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return self._key() < other._key()
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return self._key() >= other._key()
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"({self.epoch},{self.tag})"
 
 
-class _Terminal:
+class _Terminal(_TimeOrder):
     """The distinguished instant after every epoch (the time-infinity slot)."""
 
     _instance: "_Terminal | None" = None
@@ -106,26 +98,6 @@ class _Terminal:
 
     def _key(self) -> tuple[int, int]:
         return (1, 0)
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return other is self
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return other is not self
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (Instant, _Terminal)):
-            return True
-        return NotImplemented
 
     def __repr__(self) -> str:
         return "TERMINAL"
@@ -319,7 +291,6 @@ def sigma_field_at(
     """The information partition governing instant `u` under `kind`."""
     if u is TERMINAL or isinstance(u, _Terminal):
         raise LatticeError("sigma_field_at is undefined at TERMINAL")
-    assert isinstance(u, Instant)
     if u.epoch > lattice.epoch_count:
         raise LatticeError(f"instant {u} beyond epoch_count {lattice.epoch_count}")
     if u.tag == INT:
@@ -543,12 +514,8 @@ def section_witness(
     for idx, paths in slices.items():
         if not is_union_of_atoms(frozenset(paths), fields[idx]):
             raise LatticeError(f"not a Lambda-set: slice at index {idx} is not a union of atoms")
-    best: list[TimePoint] = [TERMINAL] * lattice.n_paths
-    for idx in sorted(slices):
-        for p in slices[idx]:
-            if isinstance(best[p], _Terminal):
-                best[p] = lattice.instant_at(idx)
-    return RandomInstant(assignment=tuple(best))
+    hits = _first_hits(lattice, (0,) * lattice.n_paths, lambda p, i: p in slices.get(i, ()))
+    return RandomInstant.from_indices(lattice, hits)
 
 
 @dataclass(frozen=True)
@@ -596,33 +563,51 @@ def _canonical_quadruple(lattice: FilteredLattice, idx: Sequence[int]) -> Divide
     )
 
 
+def _first_hits(
+    lattice: FilteredLattice, lower: Sequence[int], hit: Callable[[int, int], bool]
+) -> tuple[int, ...]:
+    """Per path p, the first instant index i >= lower[p] with hit(p, i), or
+    n_instants (TERMINAL) if there is none: the debut after `lower` of a set
+    of (path, instant) cells, which is how every stopping rule here reads."""
+    n = lattice.n_instants
+    return tuple(
+        next((i for i in range(low, n) if hit(p, i)), n) for p, low in enumerate(lower)
+    )
+
+
+def _divided_readings(lattice: FilteredLattice, q: DividedQuadruple) -> tuple[int, ...]:
+    """Per path, the instant index that `from_divided_quadruple` reads, with
+    n_instants for TERMINAL; accrual cutoffs are read from it as well."""
+    out = []
+    for p, i in enumerate(q.T.indices(lattice)):
+        if p in q.w_minus:
+            if i < 2:
+                raise LatticeError("w_minus may not contain a path stopped at epoch 0")
+            i = 2 * (i // 2) - 1
+        elif p in q.w_plus:
+            if i == lattice.n_instants:
+                raise LatticeError("w_plus may not contain a TERMINAL path")
+            i = 2 * (i // 2) + 1
+        out.append(i)
+    return tuple(out)
+
+
 def from_divided_quadruple(lattice: FilteredLattice, q: DividedQuadruple) -> RandomInstant:
     """Instant form of a quadruple: w_minus at epoch k reads (k-1, INT),
     w reads (k, AT), w_plus reads (k, INT); at TERMINAL, w_minus reads the
     last interval and w reads TERMINAL."""
-    out: list[TimePoint] = []
-    for p, u in enumerate(q.T.assignment):
-        if p in q.w_minus:
-            if isinstance(u, _Terminal):
-                out.append(Instant(lattice.epoch_count, INT))
-            elif u.epoch == 0:
-                raise LatticeError("w_minus may not contain a path stopped at epoch 0")
-            else:
-                out.append(Instant(u.epoch - 1, INT))
-        elif p in q.w_plus:
-            if isinstance(u, _Terminal):
-                raise LatticeError("w_plus may not contain a TERMINAL path")
-            out.append(Instant(u.epoch, INT))
-        else:
-            out.append(u)
-    return RandomInstant(assignment=tuple(out))
+    return RandomInstant.from_indices(lattice, _divided_readings(lattice, q))
 
 
 def divided_value(
     lattice: FilteredLattice, process: LatticeProcess, q: DividedQuadruple
 ) -> tuple[Fraction, ...]:
     """Per-path reading of a process at a divided stop (left / at / right)."""
-    return from_divided_quadruple(lattice, q).value_of(process)
+    n = lattice.n_instants
+    return tuple(
+        process.terminal[p] if i == n else process.values[p][i]
+        for p, i in enumerate(_divided_readings(lattice, q))
+    )
 
 
 def validate_divided(

@@ -243,7 +243,6 @@ def check_usc_sequence_equivalence(
     """
     require_reward(lattice, meyer, process)
     probs = lattice.probabilities
-    n = lattice.n_instants
 
     right_env = envelope(lattice, process, Side.RIGHT, Mode.SUP)
     right_seq = True
@@ -270,18 +269,8 @@ def check_usc_sequence_equivalence(
     left_where = None
     for idx in iter_stopping_index_tuples(lattice, meyer, Kind.PREDICTABLE, guard=guard):
         T = RandomInstant.from_indices(lattice, idx)
-        on_time = sum(
-            (probs[p] * process.at(p, u) for p, u in enumerate(T.assignment)),
-            Fraction(0),
-        )
-        announced = Fraction(0)
-        for p, u in enumerate(T.assignment):
-            if isinstance(u, _Terminal):
-                announced += probs[p] * process.values[p][n - 1]
-            elif u == Instant(0, AT):
-                announced += probs[p] * process.values[p][u.index]
-            else:
-                announced += probs[p] * left_env.values[p][u.index]
+        on_time = sum((c * v for c, v in zip(probs, T.value_of(process))), Fraction(0))
+        announced = sum((c * v for c, v in zip(probs, T.value_of(left_env))), Fraction(0))
         if on_time < announced:
             left_seq = False
             left_where = T

@@ -28,9 +28,8 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
-    TERMINAL,
-    TimePoint,
-    _Terminal,
+    _divided_readings,
+    _first_hits,
     field_partitions,
     is_lambda_stopping_time,
     is_measurable,
@@ -365,29 +364,10 @@ def _accrual_cutoffs(
     mass but not the interval mass; a just-before stop includes the
     previous interval mass.
     """
-    n = lattice.n_instants
-    out: list[tuple[int, int]] = []
     if isinstance(tau, RandomInstant):
-        for u in tau.assignment:
-            if isinstance(u, _Terminal):
-                out.append((n, n))
-            else:
-                out.append((u.index, u.index))
-        return out
-    for p, u in enumerate(tau.T.assignment):
-        if p in tau.w_minus:
-            if isinstance(u, _Terminal):
-                out.append((n - 1, n))
-            else:
-                out.append((u.index - 1, u.index))
-        elif p in tau.w_plus:
-            out.append((u.index + 1, u.index + 1))
-        else:
-            if isinstance(u, _Terminal):
-                out.append((n, n))
-            else:
-                out.append((u.index, u.index))
-    return out
+        return [(i, i) for i in tau.indices(lattice)]
+    reads = _divided_readings(lattice, tau)
+    return [(r, r + 1 if p in tau.w_minus else r) for p, r in enumerate(reads)]
 
 
 def stopping_value(
@@ -450,19 +430,13 @@ def level_passage(
         raise LatticeError("variant must be 1 or 2")
     if not is_measurable(lattice, meyer, L, Kind.LAMBDA):
         raise LatticeError("signal process is not Lambda-measurable")
-    n = lattice.n_instants
-    out: list[TimePoint] = []
-    for p in range(lattice.n_paths):
-        running = None
-        hit: TimePoint = TERMINAL
-        for idx in range(n):
-            v = L.values[p][idx]
-            running = v if running is None or v > running else running
-            if (variant == 1 and running >= ell) or (variant == 2 and running > ell):
-                hit = lattice.instant_at(idx)
-                break
-        out.append(hit)
-    T = RandomInstant(assignment=tuple(out))
+    # the running supremum of L first reaches the level where L itself does
+    hits = _first_hits(
+        lattice,
+        (0,) * lattice.n_paths,
+        lambda p, i: L.values[p][i] >= ell if variant == 1 else L.values[p][i] > ell,
+    )
+    T = RandomInstant.from_indices(lattice, hits)
     return LevelPassage(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 

@@ -7,7 +7,14 @@ that shares nothing with the envelope's conditional expectations.  The
 decomposition splits the envelope's supermartingale losses into a
 predictable part A (jumps into grid points, plus a final jump at TERMINAL
 when the last interval value is positive) and an on-time part B (jumps at
-grid points); both drive the second optimal stop construction.
+grid points); both drive the second optimal stop construction.  It checks
+its input through its own jumps and leaves its output to the suite's
+mertens/identities row.
+
+Every stop here (the lambda-entry times, the delta touch time, the sigma
+compensator time, the smallest and largest optimal times) is the debut
+after S of a set of (path, instant) cells, found by the one index scan
+`lattice._first_hits` and turned into a `RandomInstant` only at the end.
 """
 
 from __future__ import annotations
@@ -27,16 +34,13 @@ from .lattice import (
     DividedQuadruple,
     FilteredLattice,
     Instant,
-    InvariantError,
     Kind,
     LatticeError,
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
-    TERMINAL,
-    TimePoint,
-    _Terminal,
     _canonical_quadruple,
+    _first_hits,
     conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
@@ -166,15 +170,17 @@ def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
     """Per path, the first instant index where `broken(value, continuation)`."""
     _require_lambda(lattice, meyer, process)
     n = lattice.n_instants
-    fields = field_partitions(lattice, meyer, Kind.LAMBDA)
-    first = [n] * lattice.n_paths
-    for idx in range(n - 1, -1, -1):
-        nxt = process.terminal if idx == n - 1 else process.slice_at(idx + 1)
-        cont = conditional_expectation(lattice, nxt, fields[idx])
-        for p in range(lattice.n_paths):
-            if broken(process.values[p][idx], cont[p]):
-                first[p] = idx
-    return tuple(first)
+    conts = [
+        conditional_expectation(
+            lattice, process.terminal if idx == n - 1 else process.slice_at(idx + 1), part
+        )
+        for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+    ]
+    return _first_hits(
+        lattice,
+        (0,) * lattice.n_paths,
+        lambda p, i: broken(process.values[p][i], conts[i][p]),
+    )
 
 
 @dataclass(frozen=True)
@@ -208,9 +214,15 @@ def mertens_decompose(
         delta B at (k,AT) = Zbar at (k,AT)    - E[Zbar at (k,INT) | G_k]
     with delta A at (0,AT) = 0 and a final predictable jump of A at TERMINAL
     equal to Zbar at (K,INT).  M = Zbar + A + B_- is then a Lambda-martingale.
+
+    For a Lambda-measurable input that is nonnegative with terminal 0, the
+    supermartingale inequality at (k,AT) is delta B >= 0, at (k,INT) it is
+    delta A at k+1 >= 0, and at (K,INT) it is nonnegativity; so the jumps
+    check the input, and LatticeError means it is not such a
+    supermartingale.  The result is not re-verified here: the suite's
+    mertens/identities row checks it.
     """
-    if not is_lambda_supermartingale(lattice, meyer, zbar):
-        raise LatticeError("input is not a Lambda-supermartingale")
+    _require_lambda(lattice, meyer, zbar)
     if any(v < 0 for row in zbar.values for v in row) or any(
         t != 0 for t in zbar.terminal
     ):
@@ -271,7 +283,7 @@ def mertens_decompose(
         bs_rows.append(tuple(bs_row))
         m_rows.append(tuple(m_row))
 
-    decomp = MertensDecomposition(
+    return MertensDecomposition(
         m=LatticeProcess(values=tuple(m_rows), terminal=tuple(m_term)),
         a=LatticeProcess(values=tuple(a_rows), terminal=tuple(a_term)),
         b=LatticeProcess(values=tuple(b_rows), terminal=tuple(b_term)),
@@ -280,9 +292,6 @@ def mertens_decompose(
         delta_b=tuple(delta_b),
         a_terminal_jump=tuple(a_terminal_jump),
     )
-    if not is_lambda_martingale(lattice, meyer, decomp.m):
-        raise InvariantError("decomposition lost the martingale")
-    return decomp
 
 
 def lambda_entry_time(
@@ -296,17 +305,12 @@ def lambda_entry_time(
     """First instant at or after S where lam * Zbar <= Z, per path."""
     if not (0 < lam < 1):
         raise LatticeError(f"lambda must lie in (0,1), got {lam}")
-    n = lattice.n_instants
-    lower = S.indices(lattice)
-    out: list[TimePoint] = []
-    for p in range(lattice.n_paths):
-        hit: TimePoint = TERMINAL
-        for idx in range(lower[p], n):
-            if lam * zbar.values[p][idx] <= process.values[p][idx]:
-                hit = lattice.instant_at(idx)
-                break
-        out.append(hit)
-    return RandomInstant(assignment=tuple(out))
+    hits = _first_hits(
+        lattice,
+        S.indices(lattice),
+        lambda p, i: lam * zbar.values[p][i] <= process.values[p][i],
+    )
+    return RandomInstant.from_indices(lattice, hits)
 
 
 @dataclass(frozen=True)
@@ -330,17 +334,10 @@ def delta_stop(
     """
     if zbar is None:
         zbar = snell_envelope(lattice, meyer, process)
-    n = lattice.n_instants
-    lower = S.indices(lattice)
-    out: list[TimePoint] = []
-    for p in range(lattice.n_paths):
-        hit: TimePoint = TERMINAL
-        for idx in range(lower[p], n):
-            if zbar.values[p][idx] == process.values[p][idx]:
-                hit = lattice.instant_at(idx)
-                break
-        out.append(hit)
-    T = RandomInstant(assignment=tuple(out))
+    hits = _first_hits(
+        lattice, S.indices(lattice), lambda p, i: zbar.values[p][i] == process.values[p][i]
+    )
+    T = RandomInstant.from_indices(lattice, hits)
     return DeltaStop(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 
@@ -373,52 +370,31 @@ def sigma_stop(
         zbar = snell_envelope(lattice, meyer, process)
     if decomp is None:
         decomp = mertens_decompose(lattice, meyer, zbar)
-    n = lattice.n_instants
-    lower = S.indices(lattice)
     a, b, bs = decomp.a, decomp.b, decomp.b_shifted
-
-    t_vals: list[TimePoint] = []
+    # readings at S, TERMINAL included: nothing grows after a TERMINAL S
+    a_at_s, b_minus_at_s = S.value_of(a), S.value_of(bs)
+    base = [x + y for x, y in zip(a_at_s, b_minus_at_s)]
+    hits = _first_hits(
+        lattice, S.indices(lattice), lambda p, i: a.values[p][i] + b.values[p][i] > base[p]
+    )
+    T = RandomInstant.from_indices(lattice, hits)
+    a_at_t, b_at_t = T.value_of(a), T.value_of(b)
     k_minus: set[int] = set()
     k_on: set[int] = set()
     k_plus: set[int] = set()
     w_on: set[int] = set()
     w_plus: set[int] = set()
-    for p in range(lattice.n_paths):
-        if lower[p] >= n:
-            # S is already TERMINAL: nothing can grow afterwards.
-            t_vals.append(TERMINAL)
-            k_plus.add(p)
-            w_on.add(p)
-            continue
-        base = a.values[p][lower[p]] + bs.values[p][lower[p]]
-        a_at_s = a.values[p][lower[p]]
-        b_minus_at_s = bs.values[p][lower[p]]
-        hit: TimePoint = TERMINAL
-        for idx in range(lower[p], n):
-            if a.values[p][idx] + b.values[p][idx] > base:
-                hit = lattice.instant_at(idx)
-                break
-        t_vals.append(hit)
-        if isinstance(hit, _Terminal):
-            a_at_t = a.terminal[p]
-            b_at_t = b.terminal[p]
-        else:
-            a_at_t = a.values[p][hit.index]
-            b_at_t = b.values[p][hit.index]
-        if a_at_t > a_at_s:
+    for p, i in enumerate(hits):
+        if a_at_t[p] > a_at_s[p]:
             k_minus.add(p)
-            continue
-        if b_at_t > b_minus_at_s:
+        elif b_at_t[p] > b_minus_at_s[p]:
             k_on.add(p)
             w_on.add(p)
-            continue
-        k_plus.add(p)
-        if isinstance(hit, _Terminal):
-            w_on.add(p)  # Def 2.37 (iii) forbids the just-after part at TERMINAL
         else:
-            w_plus.add(p)
+            k_plus.add(p)
+            # Def 2.37 (iii) forbids the just-after part at TERMINAL
+            (w_on if i == lattice.n_instants else w_plus).add(p)
 
-    T = RandomInstant(assignment=tuple(t_vals))
     quadruple = DividedQuadruple(
         T=T,
         w_minus=frozenset(k_minus),
@@ -526,6 +502,11 @@ def smallest_largest_optimal(
 
     Every optimal stopping time is sandwiched between the two pathwise.
     """
+    return _smallest_largest(lattice, meyer, process, guard)[0]
+
+
+def _smallest_largest(lattice, meyer, process, guard):
+    """`smallest_largest_optimal`, with the envelope and decomposition it built."""
     from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
     if tuple(meyer.meyer_fields) != tuple(lattice.filtration):
@@ -539,28 +520,17 @@ def smallest_largest_optimal(
 
     zbar = snell_envelope(lattice, meyer, process)
     decomp = mertens_decompose(lattice, meyer, zbar)
-    n = lattice.n_instants
 
     smallest = delta_stop(
         lattice, meyer, process, RandomInstant.constant(lattice, Instant(0, AT)), zbar
     ).T
 
-    largest_vals: list[TimePoint] = []
-    for p in range(lattice.n_paths):
-        first_active = None
-        for idx in range(n):
-            if decomp.m.values[p][idx] != zbar.values[p][idx]:
-                first_active = idx
-                break
-        if first_active is None:
-            largest_vals.append(TERMINAL)
-            continue
-        # An interval activation means the set is entered right after the
-        # grid point, so the entry time is the grid point itself.
-        if first_active % 2 == 1:
-            first_active -= 1
-        largest_vals.append(lattice.instant_at(first_active))
-    largest = RandomInstant(assignment=tuple(largest_vals))
+    active = _first_hits(
+        lattice, (0,) * lattice.n_paths, lambda p, i: decomp.m.values[p][i] != zbar.values[p][i]
+    )
+    # An interval activation means the set is entered right after the grid
+    # point, so the entry time is the grid point itself; n_instants is even.
+    largest = RandomInstant.from_indices(lattice, [i - i % 2 for i in active])
 
     cert_small = check_optimality(lattice, meyer, process, smallest, zbar)
     cert_large = check_optimality(lattice, meyer, process, largest, zbar)
@@ -574,6 +544,5 @@ def smallest_largest_optimal(
         ui = U.indices(lattice)
         if not all(lo[p] <= ui[p] <= hi[p] for p in range(lattice.n_paths)):
             raise LatticeError(f"optimal time {U.assignment} escapes the sandwich")
-    return SmallestLargest(
-        smallest=smallest, largest=largest, all_optimal=brute.optimizers
-    )
+    result = SmallestLargest(smallest=smallest, largest=largest, all_optimal=brute.optimizers)
+    return result, zbar, decomp

@@ -20,15 +20,19 @@ from meyerstop import checks, enumeration, representation
 from meyerstop.enumeration import iter_stopping_index_tuples
 from meyerstop.lattice import (
     AT,
+    INT,
     TERMINAL,
     DividedQuadruple,
     Instant,
     Kind,
+    LatticeError,
     LatticeProcess,
     RandomInstant,
     conditional_expectation,
     field_partitions,
+    from_divided_quadruple,
     is_lambda_stopping_time,
+    is_measurable,
     to_divided_quadruple,
     validate_divided,
 )
@@ -36,6 +40,7 @@ from meyerstop.representation import (
     RepresentationError,
     forward_evaluate,
     g_root,
+    level_passage,
     solve_representation,
     stopping_value,
     universal_signal_check,
@@ -49,10 +54,14 @@ from meyerstop.scenario import (
 from meyerstop.snell import (
     PreconditionError,
     check_optimality,
+    delta_stop,
     enumerate_divided_stops,
     is_lambda_martingale,
+    lambda_entry_time,
     martingale_reach,
     mertens_decompose,
+    sigma_stop,
+    smallest_largest_optimal,
     snell_brute_force,
     snell_envelope,
     stopped_process,
@@ -384,3 +393,338 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
     assert len(brute.optimizers) > 100
     assert len(built) == len(brute.optimizers) and len(walks) == 1
     assert brute.optimizers is brute.optimizers
+
+
+# (e) first-hit stops and divided-stop readings ------------------------------
+#
+# Every stopping rule is now one debut scan (`lattice._first_hits`) and every
+# divided stop one reading rule (`lattice._divided_readings`).  The oracles
+# are the per-rule loops and the reading ladders those replaced.
+
+
+def plain_entry(lattice, S, hit):
+    """Per path, the first instant at or after S where hit(p, idx)."""
+    n, lower = lattice.n_instants, S.indices(lattice)
+    out = []
+    for p in range(lattice.n_paths):
+        found = TERMINAL
+        for idx in range(lower[p], n):
+            if hit(p, idx):
+                found = lattice.instant_at(idx)
+                break
+        out.append(found)
+    return RandomInstant(assignment=tuple(out))
+
+
+def plain_sigma(lattice, decomp, S):
+    """First growth of A + B past A_S + B_{S-}, with the growth attribution."""
+    n, lower = lattice.n_instants, S.indices(lattice)
+    a, b, bs = decomp.a, decomp.b, decomp.b_shifted
+    times, k_minus, k_on, k_plus, w_on, w_plus = [], set(), set(), set(), set(), set()
+    for p in range(lattice.n_paths):
+        if lower[p] >= n:
+            times.append(TERMINAL)
+            k_plus.add(p)
+            w_on.add(p)
+            continue
+        base = a.values[p][lower[p]] + bs.values[p][lower[p]]
+        hit = TERMINAL
+        for idx in range(lower[p], n):
+            if a.values[p][idx] + b.values[p][idx] > base:
+                hit = lattice.instant_at(idx)
+                break
+        times.append(hit)
+        if hit is TERMINAL:
+            a_t, b_t = a.terminal[p], b.terminal[p]
+        else:
+            a_t, b_t = a.values[p][hit.index], b.values[p][hit.index]
+        if a_t > a.values[p][lower[p]]:
+            k_minus.add(p)
+        elif b_t > bs.values[p][lower[p]]:
+            k_on.add(p)
+            w_on.add(p)
+        else:
+            k_plus.add(p)
+            (w_on if hit is TERMINAL else w_plus).add(p)
+    T = RandomInstant(assignment=tuple(times))
+    sets = tuple(frozenset(x) for x in (k_minus, k_on, k_plus, w_on, w_plus))
+    return T, sets
+
+
+def plain_passage(lattice, L, ell, variant):
+    """First instant where the running maximum of L reaches / exceeds ell."""
+    out = []
+    for p in range(lattice.n_paths):
+        running, hit = None, TERMINAL
+        for idx in range(lattice.n_instants):
+            v = L.values[p][idx]
+            running = v if running is None or v > running else running
+            if (variant == 1 and running >= ell) or (variant == 2 and running > ell):
+                hit = lattice.instant_at(idx)
+                break
+        out.append(hit)
+    return RandomInstant(assignment=tuple(out))
+
+
+def plain_largest(lattice, m, zbar):
+    """Entry of {M != Zbar}, an interval entry read at its grid point."""
+    out = []
+    for p in range(lattice.n_paths):
+        first = None
+        for idx in range(lattice.n_instants):
+            if m.values[p][idx] != zbar.values[p][idx]:
+                first = idx
+                break
+        if first is None:
+            out.append(TERMINAL)
+        else:
+            out.append(lattice.instant_at(first - first % 2))
+    return RandomInstant(assignment=tuple(out))
+
+
+def plain_reading(lattice, q):
+    """Instant form of a quadruple, by the per-part ladder."""
+    out = []
+    for p, u in enumerate(q.T.assignment):
+        if p in q.w_minus:
+            out.append(Instant(lattice.epoch_count, INT) if u is TERMINAL else Instant(u.epoch - 1, INT))
+        elif p in q.w_plus:
+            out.append(Instant(u.epoch, INT))
+        else:
+            out.append(u)
+    return RandomInstant(assignment=tuple(out))
+
+
+def plain_cutoffs(lattice, tau):
+    """(reading index, accrual cutoff index) per path, by the isinstance ladder."""
+    n = lattice.n_instants
+    if isinstance(tau, RandomInstant):
+        return [(n, n) if u is TERMINAL else (u.index, u.index) for u in tau.assignment]
+    out = []
+    for p, u in enumerate(tau.T.assignment):
+        if p in tau.w_minus:
+            out.append((n - 1, n) if u is TERMINAL else (u.index - 1, u.index))
+        elif p in tau.w_plus:
+            out.append((u.index + 1, u.index + 1))
+        else:
+            out.append((n, n) if u is TERMINAL else (u.index, u.index))
+    return out
+
+
+def test_first_hit_stops_match_the_scans_they_replace():
+    seen = {"w_minus": 0, "w_plus": 0, "terminal S": 0, "entry differs": 0}
+    for seed, sc in small_family():
+        lattice, meyer = sc.lattice, sc.meyer
+        zero = RandomInstant.constant(lattice, Instant(0, AT))
+        starts = [zero] + [
+            RandomInstant.from_indices(lattice, idx)
+            for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA)
+        ]
+        Z = sc.processes["Z"]
+        zbar = snell_envelope(lattice, meyer, Z)
+        decomp = mertens_decompose(lattice, meyer, zbar)
+        for S in starts:
+            touch = plain_entry(lattice, S, lambda p, i: zbar.values[p][i] == Z.values[p][i])
+            ds = delta_stop(lattice, meyer, Z, S, zbar)
+            assert ds.T == touch, (seed, S)
+            for lam in (Fraction(1, 2), Fraction(9, 10)):
+                entry = plain_entry(
+                    lattice, S, lambda p, i: lam * zbar.values[p][i] <= Z.values[p][i]
+                )
+                assert lambda_entry_time(lattice, meyer, Z, zbar, lam, S) == entry, (seed, S)
+                seen["entry differs"] += entry != touch
+            T, sets = plain_sigma(lattice, decomp, S)
+            ss = sigma_stop(lattice, meyer, Z, S, zbar, decomp)
+            q = ss.quadruple
+            assert ss.T == q.T == T, (seed, S)
+            assert (ss.k_minus, ss.k_on, ss.k_plus, q.w, q.w_plus) == sets, (seed, S)
+            assert q.w_minus == ss.k_minus
+            for stop in (S, ds.quadruple, q):
+                cuts = representation._accrual_cutoffs(lattice, stop)
+                assert cuts == plain_cutoffs(lattice, stop), (seed, stop)
+            for stop in (ds.quadruple, q):
+                assert from_divided_quadruple(lattice, stop) == plain_reading(lattice, stop)
+            seen["w_minus"] += bool(q.w_minus)
+            seen["w_plus"] += bool(q.w_plus or ds.quadruple.w_plus)
+            seen["terminal S"] += TERMINAL in S.assignment
+        for q in enumerate_divided_stops(lattice, meyer)[::7]:
+            assert representation._accrual_cutoffs(lattice, q) == plain_cutoffs(lattice, q)
+            assert from_divided_quadruple(lattice, q) == plain_reading(lattice, q)
+    assert all(v > 100 for v in seen.values()), seen
+
+
+def test_level_passage_matches_the_running_maximum():
+    compared = {1: 0, 2: 0}
+    for seed, sc in small_family():
+        lattice, meyer, L = sc.lattice, sc.meyer, sc.processes["L"]
+        values = sorted({v for row in L.values for v in row})
+        between = [(x + y) / 2 for x, y in zip(values, values[1:])]
+        for ell in [values[0] - 1, *values, *between, values[-1] + 1]:
+            for variant in (1, 2):
+                passage = level_passage(lattice, meyer, L, ell, variant)
+                plain = plain_passage(lattice, L, ell, variant)
+                assert passage.T == plain, (seed, ell, variant)
+                assert passage.quadruple == to_divided_quadruple(lattice, meyer, plain)
+                compared[variant] += 1
+    assert min(compared.values()) > 500, compared
+
+
+def usc_reward(rng, lattice):
+    """A reward on an optional lattice that is right- and left-USC in
+    expectation: built backwards, each interval value at most the predictable
+    average of the next grid value, each grid value at least its interval's."""
+    n, K = lattice.n_instants, lattice.epoch_count
+    cols = [[Fraction(0)] * lattice.n_paths for _ in range(n)]
+    for k in range(K, -1, -1):
+        at, part = 2 * k, lattice.filtration[k]
+        if k < K:
+            cap = conditional_expectation(lattice, cols[at + 2], part)
+            for atom in part:
+                share = Fraction(rng.choice((0, 1, 1, 2)), 2)
+                for p in atom:
+                    cols[at + 1][p] = share * cap[p]
+        for atom in part:
+            extra = rng.choice((0, 0, 1, 2, 3))
+            for p in atom:
+                cols[at][p] = cols[at + 1][p] + extra
+    return LatticeProcess.from_rows([[col[p] for col in cols] for p in range(lattice.n_paths)])
+
+
+def test_largest_optimal_time_matches_the_entry_loop():
+    parities = {0: 0, 1: 0, "terminal": 0}
+    for seed in range(40):
+        sc = generate_instance(
+            RandomInstanceParams(
+                seed=seed, epochs=1 + seed % 3, max_paths=2 + seed % 5, regime=OPTIONAL_EXTREME
+            )
+        )
+        lattice, meyer = sc.lattice, sc.meyer
+        rng = random.Random(seed)
+        for _ in range(4):
+            Z = usc_reward(rng, lattice)
+            result = smallest_largest_optimal(lattice, meyer, Z)
+            zbar = snell_envelope(lattice, meyer, Z)
+            m = mertens_decompose(lattice, meyer, zbar).m
+            assert result.largest == plain_largest(lattice, m, zbar), seed
+            for p in range(lattice.n_paths):
+                diff = [i for i in range(lattice.n_instants) if m.values[p][i] != zbar.values[p][i]]
+                parities[diff[0] % 2 if diff else "terminal"] += 1
+    # left-USC in expectation leaves A no jump before TERMINAL, so {M != Zbar}
+    # is first met at an interval instant, where B jumps, or never
+    assert parities[0] == 0 and min(parities[1], parities["terminal"]) > 20, parities
+
+
+def test_a_just_before_stop_at_epoch_zero_has_no_reading():
+    sc = generate_instance(RandomInstanceParams(seed=8, epochs=2, max_paths=4))
+    lattice, problem = sc.lattice, sc.build_problem()
+    everyone = frozenset(range(lattice.n_paths))
+    q = DividedQuadruple(
+        T=RandomInstant.constant(lattice, Instant(0, AT)),
+        w_minus=everyone,
+        w=frozenset(),
+        w_plus=frozenset(),
+    )
+    with pytest.raises(LatticeError, match="epoch 0"):
+        stopping_value(problem, Fraction(0), q, validate=False)
+    with pytest.raises(LatticeError, match="epoch 0"):
+        from_divided_quadruple(lattice, q)
+
+
+# (f) mertens_decompose checks its input through its jumps -------------------
+
+
+def plain_is_supermartingale(lattice, meyer, process) -> bool:
+    """Each instant slice dominates its conditional continuation, TERMINAL included."""
+    n = lattice.n_instants
+    for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
+        nxt = process.terminal if idx == n - 1 else process.slice_at(idx + 1)
+        cont = conditional_expectation(lattice, nxt, part)
+        if any(v < c for v, c in zip(process.slice_at(idx), cont)):
+            return False
+    return True
+
+
+def input_fault(lattice, meyer, z):
+    """Why the input pass of the earlier decomposition rejected z, or None."""
+    if not is_measurable(lattice, meyer, z, Kind.LAMBDA):
+        return "not measurable"
+    if not plain_is_supermartingale(lattice, meyer, z):
+        return "not a supermartingale"
+    if any(v < 0 for row in z.values for v in row):
+        return "negative"
+    if any(t != 0 for t in z.terminal):
+        return "nonzero terminal"
+    return None
+
+
+def atomwise(lattice, meyer, draw):
+    """A Lambda-measurable process with one draw() per (instant, atom)."""
+    rows = [[None] * lattice.n_instants for _ in range(lattice.n_paths)]
+    for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
+        for atom in part:
+            v = draw()
+            for p in atom:
+                rows[p][idx] = v
+    return LatticeProcess.from_rows(rows)
+
+
+def candidate_inputs(sc, rng):
+    """Envelopes, and envelopes bent in each way the input pass rejects."""
+    lattice, meyer = sc.lattice, sc.meyer
+    fields = field_partitions(lattice, meyer, Kind.LAMBDA)
+    for name in ("Z", "L"):
+        zbar = snell_envelope(lattice, meyer, sc.processes[name])
+        yield zbar
+        idx = rng.randrange(lattice.n_instants)
+        yield _bump_atom(zbar, idx, rng.choice(fields[idx]), rng.choice((-2, -1, 1, 2)))
+        # a shift keeps the supermartingale inequality and can go negative
+        yield LatticeProcess.from_rows(
+            [[v - 1 for v in row] for row in zbar.values], terminal=[-1] * lattice.n_paths
+        )
+        yield LatticeProcess.from_rows(zbar.values, terminal=[1] * lattice.n_paths)
+        shared = [(i, a) for i, part in enumerate(fields) for a in part if len(a) > 1]
+        if shared:
+            i, atom = rng.choice(shared)
+            yield _bump_atom(zbar, i, [min(atom)], 1)
+    yield atomwise(lattice, meyer, lambda: Fraction(rng.randint(0, 3)))
+    yield snell_envelope(lattice, meyer, atomwise(lattice, meyer, lambda: rng.randint(0, 5)))
+
+
+def test_mertens_rejects_exactly_what_the_input_pass_rejected():
+    faults = dict.fromkeys(
+        (None, "not measurable", "not a supermartingale", "negative", "nonzero terminal"), 0
+    )
+    for seed, sc in small_family():
+        rng = random.Random(seed)
+        for z in candidate_inputs(sc, rng):
+            fault = input_fault(sc.lattice, sc.meyer, z)
+            faults[fault] += 1
+            if fault is None:
+                mertens_decompose(sc.lattice, sc.meyer, z)
+                continue
+            with pytest.raises(LatticeError) as caught:
+                mertens_decompose(sc.lattice, sc.meyer, z)
+            if fault == "not measurable":
+                assert str(caught.value) == "process is not Lambda-measurable"
+    assert min(faults.values()) >= 20, faults
+
+
+def test_mertens_reports_a_lost_martingale(monkeypatch):
+    real = checks.mertens_decompose
+    reported = 0
+    for seed, sc in small_family(12):
+        lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+        assert checks.check_mertens(lattice, meyer, Z) is None
+        rng = random.Random(seed)
+        idx = rng.randrange(lattice.n_instants)
+        atom = rng.choice(field_partitions(lattice, meyer, Kind.LAMBDA)[idx])
+
+        def bent(*args):
+            d = real(*args)
+            return dataclasses.replace(d, m=_bump_atom(d.m, idx, atom, rng.choice((-1, 1))))
+
+        monkeypatch.setattr(checks, "mertens_decompose", bent)
+        assert checks.check_mertens(lattice, meyer, Z) == "M is not a Lambda-martingale"
+        monkeypatch.setattr(checks, "mertens_decompose", real)
+        reported += 1
+    assert reported == 12

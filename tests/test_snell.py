@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import meyerstop.snell as snell_module
 from meyerstop.enumeration import (
     EnumerationGuardError,
     count_stopping_times,
@@ -18,7 +17,6 @@ from meyerstop.lattice import (
     INT,
     TERMINAL,
     Instant,
-    InvariantError,
     Kind,
     LatticeError,
     LatticeProcess,
@@ -506,12 +504,3 @@ def test_memoized_oracle_all_ties(chain, three_path_meyer):
     n_times = count_stopping_times(lattice, meyer, Kind.LAMBDA)
     const = LatticeProcess.from_rows([[2, 2, 2, 2]])
     assert len(memoized_maximum(lattice, meyer, const)[1]) == n_times - 1
-
-
-def test_mertens_reports_a_lost_martingale(chain, monkeypatch):
-    lattice, meyer = chain
-    Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
-    zbar = snell_envelope(lattice, meyer, Z)
-    monkeypatch.setattr(snell_module, "is_lambda_martingale", lambda *a: False)
-    with pytest.raises(InvariantError, match="martingale"):
-        mertens_decompose(lattice, meyer, zbar)
