@@ -274,6 +274,31 @@ def test_golden_suite_seed62():
         ), jobs
 
 
+def _seed58():
+    # 4 paths, 123 Lambda-stopping times; Z meets the sandwich preconditions
+    return generate_instance(
+        RandomInstanceParams(seed=58, epochs=2, max_paths=5, regime=OPTIONAL_EXTREME)
+    )
+
+
+def test_golden_suite_seed58():
+    # the one golden where `stop/sandwich[Z]` runs and reads PASS
+    sc = _seed58()
+    for jobs in (1, 2):
+        doc, status = run_suite(sc, jobs=jobs)
+        assert status == 0
+        assert {r["property"]: r["status"] for r in doc["checks"]}["stop/sandwich[Z]"] == "PASS"
+        assert render_machine(doc) == (GOLDEN / "seed58_suite.json").read_text(
+            encoding="utf-8"
+        ), jobs
+
+
+def test_golden_stop_seed58():
+    doc, status = run_command(_seed58(), "stop")
+    assert status == 0
+    assert render_machine(doc) == (GOLDEN / "seed58_stop.json").read_text(encoding="utf-8")
+
+
 def test_golden_represent_odd_power():
     # the monotone root-finder's float bits are part of the contract
     sc = load("odd_power.scn")
