@@ -16,8 +16,6 @@ from .enumeration import (
     iter_stopping_index_tuples,
 )
 from .lattice import (
-    AT,
-    Instant,
     Kind,
     LatticeProcess,
     RandomInstant,
@@ -31,7 +29,6 @@ from .lattice import (
     validate_lattice,
 )
 from .projection import (
-    Mode,
     Side,
     check_projection_fatou,
     check_usc_sequence_equivalence,
@@ -60,14 +57,6 @@ from .snell import (
     snell_brute_force,
     snell_envelope,
 )
-
-
-def is_reward(lattice, meyer, process) -> bool:
-    return (
-        is_measurable(lattice, meyer, process, Kind.LAMBDA)
-        and all(v >= 0 for row in process.values for v in row)
-        and all(t == 0 for t in process.terminal)
-    )
 
 
 def check_lattice_valid(lattice, meyer) -> str | None:
@@ -174,16 +163,16 @@ def check_mertens(lattice, meyer, process) -> str | None:
     """Jump formulas, monotonicity, measurability, and touch inclusions."""
     zbar = snell_envelope(lattice, meyer, process)
     d = mertens_decompose(lattice, meyer, zbar)
-    left = envelope(lattice, zbar, Side.LEFT, Mode.SUP)
-    left_reward = envelope(lattice, process, Side.LEFT, Mode.SUP)
-    right = envelope(lattice, zbar, Side.RIGHT, Mode.SUP)
+    left = envelope(lattice, zbar, Side.LEFT)
+    left_reward = envelope(lattice, process, Side.LEFT)
+    right = envelope(lattice, zbar, Side.RIGHT)
     pred = project(lattice, meyer, zbar, Kind.PREDICTABLE)
     lam_right = project(lattice, meyer, right, Kind.LAMBDA)
 
     if any(v != 0 for v in d.delta_a[0]):
         return "A jumps at epoch 0"
     for k in range(lattice.epoch_count + 1):
-        idx = Instant(k, AT).index
+        idx = 2 * k
         for p in range(lattice.n_paths):
             if k >= 1 and d.delta_a[k][p] != left.values[p][idx] - pred.values[p][idx]:
                 return f"delta-A formula fails at epoch {k}, path {p}"
@@ -322,7 +311,7 @@ def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str
         optimal = all(holds[p][i] for p, i in enumerate(idx))
         achieved = sum((worth[p][i] for p, i in enumerate(idx)), Fraction(0))
         if optimal != (achieved == brute.value):
-            U = RandomInstant.from_indices(lattice, idx)
+            U = RandomInstant(idx, lattice.n_instants)
             return (
                 f"certificate says {optimal} but value {achieved} vs "
                 f"optimum {brute.value} at {U.assignment}"
@@ -331,24 +320,20 @@ def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str
 
 
 def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
-    """Optional-regime instances: delta and sigma bracket every optimal time
-    and match the entry-time characterizations exactly."""
+    """Optional-regime instances: the sigma time is the largest optimal time,
+    and the delta time (which is how the smallest one is built) and the
+    sigma reading bracket every optimal time."""
     try:
         result, zbar, decomp = _smallest_largest(lattice, meyer, process, guard)
     except PreconditionError as exc:
         return f"SKIP: {exc}"
-    zero = RandomInstant.constant(lattice, Instant(0, AT))
-    ds = delta_stop(lattice, meyer, process, zero, zbar)
-    if result.smallest != ds.T:
-        return "smallest optimal time differs from the delta entry time"
+    zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
     ss = sigma_stop(lattice, meyer, process, zero, zbar, decomp)
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
-    lo = ds.T.indices(lattice)
-    hi = from_divided_quadruple(lattice, ss.quadruple).indices(lattice)
+    hi = from_divided_quadruple(lattice, ss.quadruple)
     for U in result.all_optimal:
-        ui = U.indices(lattice)
-        if not all(lo[p] <= ui[p] <= hi[p] for p in range(lattice.n_paths)):
+        if not result.smallest <= U <= hi:
             return f"optimal time {U.assignment} escapes the delta/sigma bracket"
     return None
 

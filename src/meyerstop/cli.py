@@ -25,6 +25,7 @@ from .lattice import (
     Kind,
     LatticeError,
     RandomInstant,
+    reward_fault,
     validate_lattice,
 )
 from .parallel import ordered_map
@@ -292,7 +293,7 @@ def _suite_checks(scenario: Scenario, guard: int):
             (f"projection/fatou[{name}]",
              lambda p=proc: checks.check_fatou(lattice, meyer, p))
         )
-        if checks.is_reward(lattice, meyer, proc):
+        if reward_fault(lattice, meyer, proc) is None:
             items.extend(
                 [
                     (f"usc/equivalence[{name}]",

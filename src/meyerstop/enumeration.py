@@ -80,7 +80,7 @@ class _Decisions:
             [_mask(block) for block in part]
             for part in field_partitions(lattice, meyer, kind)
         ]
-        low = (0,) * self.n_paths if lower is None else lower.indices(lattice)
+        low = (0,) * self.n_paths if lower is None else lower.indices
         self.ready = [
             _mask(p for p in range(self.n_paths) if low[p] <= i)
             for i in range(self.n_inst)
@@ -201,7 +201,7 @@ def enumerate_stopping_times(
     guard: int | None = DEFAULT_GUARD,
 ) -> Iterator[RandomInstant]:
     for idx in iter_stopping_index_tuples(lattice, meyer, kind, lower, None, guard):
-        yield RandomInstant.from_indices(lattice, idx)
+        yield RandomInstant(idx, lattice.n_instants)
 
 
 def maximize_over_stopping_times(

@@ -7,6 +7,11 @@ the role of infinity.  Left and right limits of ladlag processes are then
 attained at neighbouring instants, and stopping "just before" or "just
 after" a grid point is representable exactly.
 
+Inside the engine an instant is its index on the chain, 2k for (k, AT) and
+2k + 1 for (k, INT), and `n_instants` stands for TERMINAL; a stopping time
+(`RandomInstant`) is one such index per path.  `Instant` and `TERMINAL` are
+the forms in which times are constructed and rendered.
+
 Information is one partition of the path set per instant:
 
     instant    LAMBDA   OPTIONAL   PREDICTABLE
@@ -69,10 +74,6 @@ class Instant(_TimeOrder):
             raise LatticeError(f"instant tag must be AT or INT, got {self.tag!r}")
         if self.epoch < 0:
             raise LatticeError(f"instant epoch must be >= 0, got {self.epoch}")
-
-    @property
-    def is_at(self) -> bool:
-        return self.tag == AT
 
     @property
     def index(self) -> int:
@@ -289,26 +290,27 @@ def sigma_field_at(
     kind: Kind,
 ) -> Partition:
     """The information partition governing instant `u` under `kind`."""
-    if u is TERMINAL or isinstance(u, _Terminal):
+    if u is TERMINAL:
         raise LatticeError("sigma_field_at is undefined at TERMINAL")
     if u.epoch > lattice.epoch_count:
         raise LatticeError(f"instant {u} beyond epoch_count {lattice.epoch_count}")
-    if u.tag == INT:
-        return lattice.filtration[u.epoch]
-    if kind is Kind.LAMBDA:
-        return meyer.meyer_fields[u.epoch]
-    if kind is Kind.OPTIONAL:
-        return lattice.filtration[u.epoch]
-    if u.epoch == 0:
-        return lattice.initial_partition()
-    return lattice.filtration[u.epoch - 1]
+    return field_partitions(lattice, meyer, kind)[u.index]
 
 
 def field_partitions(
     lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind
 ) -> list[Partition]:
-    """Partition per instant index, in instant order."""
-    return [sigma_field_at(lattice, meyer, u, kind) for u in lattice.instants()]
+    """Partition per instant index, in instant order, by the module table."""
+    fields = []
+    for k in range(lattice.epoch_count + 1):
+        if kind is Kind.LAMBDA:
+            grid = meyer.meyer_fields[k]
+        elif kind is Kind.OPTIONAL:
+            grid = lattice.filtration[k]
+        else:
+            grid = lattice.filtration[k - 1] if k else lattice.initial_partition()
+        fields += [grid, lattice.filtration[k]]
+    return fields
 
 
 def conditional_expectation(
@@ -379,47 +381,57 @@ class LatticeProcess:
     def n_instants(self) -> int:
         return len(self.values[0]) if self.values else 0
 
-    def at(self, path: int, u: TimePoint) -> Fraction:
-        if isinstance(u, _Terminal):
-            return self.terminal[path]
-        return self.values[path][u.index]
-
     def slice_at(self, index: int) -> tuple[Fraction, ...]:
         return tuple(row[index] for row in self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RandomInstant:
-    """A per-path instant-or-TERMINAL; the raw material of stopping times."""
+    """A per-path instant index, with `n_instants` standing for TERMINAL;
+    the raw material of stopping times."""
 
-    assignment: tuple[TimePoint, ...]
+    indices: tuple[int, ...]
+    n_instants: int
+
+    @classmethod
+    def from_assignment(
+        cls, lattice: FilteredLattice, assignment: Sequence[TimePoint]
+    ) -> "RandomInstant":
+        """The random instant taking `assignment[p]` on path p."""
+        n = lattice.n_instants
+        indices = tuple(n if u is TERMINAL else u.index for u in assignment)
+        if len(indices) != lattice.n_paths or any(
+            u is not TERMINAL and i >= n for u, i in zip(assignment, indices)
+        ):
+            raise LatticeError(f"{tuple(assignment)} is not a random instant of this lattice")
+        return cls(indices, n)
 
     @classmethod
     def constant(cls, lattice: FilteredLattice, u: TimePoint) -> "RandomInstant":
-        return cls(assignment=tuple(u for _ in range(lattice.n_paths)))
+        return cls.from_assignment(lattice, (u,) * lattice.n_paths)
 
-    @classmethod
-    def from_indices(cls, lattice: FilteredLattice, indices: Sequence[int]) -> "RandomInstant":
-        n = lattice.n_instants
-        return cls(
-            assignment=tuple(
-                TERMINAL if i >= n else lattice.instant_at(i) for i in indices
-            )
-        )
-
-    def indices(self, lattice: FilteredLattice) -> tuple[int, ...]:
-        """Instant indices with n_instants standing for TERMINAL."""
-        n = lattice.n_instants
+    @property
+    def assignment(self) -> tuple[TimePoint, ...]:
+        """The per-path `Instant` or TERMINAL, for rendering."""
+        n = self.n_instants
         return tuple(
-            n if isinstance(u, _Terminal) else u.index for u in self.assignment
+            TERMINAL if i == n else Instant(i // 2, AT if i % 2 == 0 else INT)
+            for i in self.indices
         )
+
+    def __repr__(self) -> str:
+        return f"RandomInstant(assignment={self.assignment!r})"
 
     def __le__(self, other: "RandomInstant") -> bool:
-        return all(a <= b for a, b in zip(self.assignment, other.assignment))
+        return all(a <= b for a, b in zip(self.indices, other.indices))
 
     def value_of(self, process: LatticeProcess) -> tuple[Fraction, ...]:
         """The per-path reading of `process` at this random instant."""
-        return tuple(process.at(i, u) for i, u in enumerate(self.assignment))
+        n = self.n_instants
+        return tuple(
+            process.terminal[p] if i == n else process.values[p][i]
+            for p, i in enumerate(self.indices)
+        )
 
 
 def is_measurable(
@@ -446,6 +458,26 @@ def is_measurable(
     return True
 
 
+_NOT_LAMBDA_MEASURABLE = "process is not Lambda-measurable"
+
+
+def reward_fault(
+    lattice: FilteredLattice, meyer: MeyerStructure, process: LatticeProcess
+) -> str | None:
+    """Why `process` is not a reward, or None if it is one.
+
+    A reward is Lambda-measurable, nonnegative and 0 at TERMINAL; the
+    engine raises the answer as a LatticeError.
+    """
+    if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
+        return _NOT_LAMBDA_MEASURABLE
+    if any(v < 0 for row in process.values for v in row):
+        return "process must be nonnegative"
+    if any(t != 0 for t in process.terminal):
+        return "process must vanish at TERMINAL"
+    return None
+
+
 def is_lambda_stopping_time(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
@@ -453,10 +485,9 @@ def is_lambda_stopping_time(
     kind: Kind = Kind.LAMBDA,
 ) -> bool:
     """True iff {T <= u} is a union of atoms of the instant-u field, for all u."""
-    idx = T.indices(lattice)
     fields = field_partitions(lattice, meyer, kind)
     for i, part in enumerate(fields):
-        event = frozenset(p for p in range(lattice.n_paths) if idx[p] <= i)
+        event = frozenset(p for p, t in enumerate(T.indices) if t <= i)
         if not is_union_of_atoms(event, part):
             return False
     return True
@@ -464,11 +495,8 @@ def is_lambda_stopping_time(
 
 def restrict_time(T: RandomInstant, H: frozenset[int] | set[int]) -> RandomInstant:
     """T on H, TERMINAL off H (the classical T_H)."""
-    return RandomInstant(
-        assignment=tuple(
-            u if p in H else TERMINAL for p, u in enumerate(T.assignment)
-        )
-    )
+    n = T.n_instants
+    return RandomInstant(tuple(i if p in H else n for p, i in enumerate(T.indices)), n)
 
 
 def field_at_time(
@@ -482,14 +510,10 @@ def field_at_time(
     Paths first split by the value of T; within {T = u} they split by the
     instant-u field, and within {T = TERMINAL} by the terminal field F_K.
     """
+    fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
     groups: dict[tuple[int, frozenset[int]], set[int]] = {}
-    for p, u in enumerate(T.assignment):
-        if isinstance(u, _Terminal):
-            key = (lattice.n_instants, atom_of(lattice.filtration[-1], p))
-        else:
-            part = sigma_field_at(lattice, meyer, u, kind)
-            key = (u.index, atom_of(part, p))
-        groups.setdefault(key, set()).add(p)
+    for p, i in enumerate(T.indices):
+        groups.setdefault((i, atom_of(fields[i], p)), set()).add(p)
     return make_partition(groups.values())
 
 
@@ -507,7 +531,7 @@ def section_witness(
     pairs = list(B)
     slices: dict[int, set[int]] = {}
     for p, u in pairs:
-        if isinstance(u, _Terminal):
+        if u is TERMINAL:
             raise LatticeError("section sets live on Omega x [0, infinity)")
         slices.setdefault(u.index, set()).add(p)
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
@@ -515,7 +539,7 @@ def section_witness(
         if not is_union_of_atoms(frozenset(paths), fields[idx]):
             raise LatticeError(f"not a Lambda-set: slice at index {idx} is not a union of atoms")
     hits = _first_hits(lattice, (0,) * lattice.n_paths, lambda p, i: p in slices.get(i, ()))
-    return RandomInstant.from_indices(lattice, hits)
+    return RandomInstant(hits, lattice.n_instants)
 
 
 @dataclass(frozen=True)
@@ -546,7 +570,7 @@ def to_divided_quadruple(
     """
     if not is_lambda_stopping_time(lattice, meyer, T, Kind.LAMBDA):
         raise LatticeError("to_divided_quadruple expects a Lambda-stopping time")
-    return _canonical_quadruple(lattice, T.indices(lattice))
+    return _canonical_quadruple(lattice, T.indices)
 
 
 def _canonical_quadruple(lattice: FilteredLattice, idx: Sequence[int]) -> DividedQuadruple:
@@ -554,9 +578,7 @@ def _canonical_quadruple(lattice: FilteredLattice, idx: Sequence[int]) -> Divide
     be a Lambda-stopping time; n_instants, which is even, stands for TERMINAL."""
     n = lattice.n_instants
     return DividedQuadruple(
-        T=RandomInstant(
-            assignment=tuple(TERMINAL if i >= n else Instant(i // 2, AT) for i in idx)
-        ),
+        T=RandomInstant(tuple(i - i % 2 for i in idx), n),
         w_minus=frozenset(),
         w=frozenset(p for p, i in enumerate(idx) if i % 2 == 0),
         w_plus=frozenset(p for p, i in enumerate(idx) if i % 2 == 1),
@@ -579,7 +601,7 @@ def _divided_readings(lattice: FilteredLattice, q: DividedQuadruple) -> tuple[in
     """Per path, the instant index that `from_divided_quadruple` reads, with
     n_instants for TERMINAL; accrual cutoffs are read from it as well."""
     out = []
-    for p, i in enumerate(q.T.indices(lattice)):
+    for p, i in enumerate(q.T.indices):
         if p in q.w_minus:
             if i < 2:
                 raise LatticeError("w_minus may not contain a path stopped at epoch 0")
@@ -596,7 +618,7 @@ def from_divided_quadruple(lattice: FilteredLattice, q: DividedQuadruple) -> Ran
     """Instant form of a quadruple: w_minus at epoch k reads (k-1, INT),
     w reads (k, AT), w_plus reads (k, INT); at TERMINAL, w_minus reads the
     last interval and w reads TERMINAL."""
-    return RandomInstant.from_indices(lattice, _divided_readings(lattice, q))
+    return RandomInstant(_divided_readings(lattice, q), lattice.n_instants)
 
 
 def divided_value(
@@ -626,25 +648,25 @@ def validate_divided(
         or q.w & q.w_plus
     ):
         problems.append("w_minus, w, w_plus do not partition the path set")
-    for p, u in enumerate(q.T.assignment):
-        if isinstance(u, Instant) and u.tag != AT:
-            problems.append(f"T takes the interval value {u} on path {p}")
+    t = q.T.indices
+    for p, i in enumerate(t):
+        if i % 2:
+            problems.append(f"T takes the interval value {lattice.instant_at(i)} on path {p}")
     if not is_lambda_stopping_time(lattice, meyer, q.T, Kind.OPTIONAL):
         problems.append("T is not an optional stopping time")
     if problems:
         return ValidationReport(ok=False, problems=tuple(problems))
 
-    zero = Instant(0, AT)
     pred_field = field_at_time(lattice, meyer, q.T, Kind.PREDICTABLE)
     lam_field = field_at_time(lattice, meyer, q.T, Kind.LAMBDA)
     opt_field = field_at_time(lattice, meyer, q.T, Kind.OPTIONAL)
-    if any(q.T.assignment[p] == zero for p in q.w_minus):
+    if any(t[p] == 0 for p in q.w_minus):
         problems.append("(i) w_minus contains a path with T at epoch 0")
     if not is_union_of_atoms(q.w_minus, pred_field):
         problems.append("(i) w_minus is not measurable for the predictable field at T")
     if not is_union_of_atoms(q.w, lam_field):
         problems.append("(ii) w is not measurable for the Lambda field at T")
-    if any(isinstance(q.T.assignment[p], _Terminal) for p in q.w_plus):
+    if any(t[p] == lattice.n_instants for p in q.w_plus):
         problems.append("(iii) w_plus contains a path with T = TERMINAL")
     if not is_union_of_atoms(q.w_plus, opt_field):
         problems.append("(iii) w_plus is not measurable for the optional field at T")

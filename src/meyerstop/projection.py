@@ -1,11 +1,10 @@
 """Projections, one-sided envelopes, and semicontinuity predicates.
 
-On the instant chain the limsup/liminf envelopes read single neighbouring
-slices, so the SUP and INF variants coincide; both are kept in the
-interface.  Semicontinuity in expectation reduces to exact pointwise
-comparisons between a process and projections of its envelopes, and the
-sequence-based definitions reduce to one-step witnesses, which is what the
-equivalence checker exhausts.
+On the instant chain the limsup and liminf envelopes read the same single
+neighbouring slice, so one envelope serves for both.  Semicontinuity in
+expectation reduces to exact pointwise comparisons between a process and
+projections of its envelopes, and the sequence-based definitions reduce to
+one-step witnesses, which is what the equivalence checker exhausts.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from fractions import Fraction
 
 from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
 from .lattice import (
-    AT,
-    INT,
     FilteredLattice,
-    Instant,
     InvariantError,
     Kind,
     LatticeError,
@@ -28,23 +24,17 @@ from .lattice import (
     RandomInstant,
     TERMINAL,
     TimePoint,
-    _Terminal,
     conditional_expectation,
     field_at_time,
     field_partitions,
     is_lambda_stopping_time,
-    is_measurable,
+    reward_fault,
 )
 
 
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-class Mode(Enum):
-    SUP = "sup"
-    INF = "inf"
 
 
 def project(
@@ -73,37 +63,24 @@ def envelope(
     lattice: FilteredLattice,
     process: LatticeProcess,
     side: Side,
-    mode: Mode,
 ) -> LatticeProcess:
-    """One-sided limit process.
+    """One-sided limit process, limsup and liminf alike.
 
     RIGHT reads the interval after a grid point (and the grid value is not
     consulted); LEFT reads the interval before it, with the epoch-0 grid
     point reading itself.  Interval instants read themselves on both sides.
     At TERMINAL, LEFT reads the last interval and RIGHT keeps the terminal
-    value.  SUP and INF agree because each read is a single slice.
+    value.
     """
-    del mode  # single-valued reads; kept for interface fidelity
     n = lattice.n_instants
-    rows = []
-    terminal = []
-    for p in range(lattice.n_paths):
-        row = []
-        for idx in range(n):
-            u = lattice.instant_at(idx)
-            if u.tag == INT:
-                row.append(process.values[p][idx])
-            elif side is Side.RIGHT:
-                row.append(process.values[p][idx + 1])
-            elif u.epoch == 0:
-                row.append(process.values[p][idx])
-            else:
-                row.append(process.values[p][idx - 1])
-        rows.append(tuple(row))
-        terminal.append(
-            process.values[p][n - 1] if side is Side.LEFT else process.terminal[p]
-        )
-    return LatticeProcess(values=tuple(rows), terminal=tuple(terminal))
+    if side is Side.RIGHT:
+        reads = [i | 1 for i in range(n)]
+        terminal = process.terminal
+    else:
+        reads = [i if i % 2 or i == 0 else i - 1 for i in range(n)]
+        terminal = tuple(row[n - 1] for row in process.values)
+    values = tuple(tuple(row[i] for i in reads) for row in process.values)
+    return LatticeProcess(values=values, terminal=terminal)
 
 
 @dataclass(frozen=True)
@@ -115,25 +92,15 @@ class UscVerdict:
         return self.ok
 
 
-def require_reward(
-    lattice: FilteredLattice, meyer: MeyerStructure, process: LatticeProcess
-) -> None:
-    if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
-        raise LatticeError("process is not Lambda-measurable")
-    if any(v < 0 for row in process.values for v in row):
-        raise LatticeError("process must be nonnegative")
-    if any(t != 0 for t in process.terminal):
-        raise LatticeError("process must vanish at TERMINAL")
-
-
 def is_right_usc_in_expectation(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     process: LatticeProcess,
 ) -> UscVerdict:
     """True iff Z >= Lambda-projection of the right envelope, everywhere."""
-    require_reward(lattice, meyer, process)
-    right = envelope(lattice, process, Side.RIGHT, Mode.SUP)
+    if fault := reward_fault(lattice, meyer, process):
+        raise LatticeError(fault)
+    right = envelope(lattice, process, Side.RIGHT)
     projected = project(lattice, meyer, right, Kind.LAMBDA)
     for idx in range(lattice.n_instants):
         for p in range(lattice.n_paths):
@@ -153,14 +120,14 @@ def is_left_usc_in_expectation(
     runs over AT instants with k >= 1; the terminal clause requires the
     last interval slice to vanish (no reward may escape to TERMINAL).
     """
-    require_reward(lattice, meyer, process)
-    left = envelope(lattice, process, Side.LEFT, Mode.SUP)
+    if fault := reward_fault(lattice, meyer, process):
+        raise LatticeError(fault)
+    left = envelope(lattice, process, Side.LEFT)
     projected = project(lattice, meyer, process, Kind.PREDICTABLE)
-    for k in range(1, lattice.epoch_count + 1):
-        idx = Instant(k, AT).index
+    for idx in range(2, lattice.n_instants, 2):
         for p in range(lattice.n_paths):
             if projected.values[p][idx] < left.values[p][idx]:
-                return UscVerdict(ok=False, witness=(p, Instant(k, AT)))
+                return UscVerdict(ok=False, witness=(p, lattice.instant_at(idx)))
     last = lattice.n_instants - 1
     for p in range(lattice.n_paths):
         if process.values[p][last] != 0:
@@ -182,32 +149,20 @@ def approximating_witness(
     epoch 0 and returns the previous interval.  On a finite chain the
     approximating sequence stabilizes after this single step.
     """
+    n = lattice.n_instants
     if side is Side.RIGHT:
         if not is_lambda_stopping_time(lattice, meyer, T, Kind.OPTIONAL):
             raise LatticeError("RIGHT witness needs an optional stopping time")
-        out: list[TimePoint] = []
-        for u in T.assignment:
-            if isinstance(u, _Terminal):
-                out.append(TERMINAL)
-            else:
-                out.append(Instant(u.epoch, INT))
-        witness = RandomInstant(assignment=tuple(out))
-        env = envelope(lattice, process, Side.RIGHT, Mode.SUP)
+        # the interval of T's epoch; TERMINAL (even) stays put
+        witness = RandomInstant(tuple(i if i == n else i | 1 for i in T.indices), n)
     else:
         if not is_lambda_stopping_time(lattice, meyer, T, Kind.PREDICTABLE):
             raise LatticeError("LEFT witness needs a predictable stopping time")
-        if any(u == Instant(0, AT) for u in T.assignment):
+        if 0 in T.indices:
             raise LatticeError("LEFT witness needs T after epoch 0")
-        out = []
-        for u in T.assignment:
-            if isinstance(u, _Terminal):
-                out.append(Instant(lattice.epoch_count, INT))
-            elif u.tag == INT:
-                out.append(u)
-            else:
-                out.append(Instant(u.epoch - 1, INT))
-        witness = RandomInstant(assignment=tuple(out))
-        env = envelope(lattice, process, Side.LEFT, Mode.SUP)
+        # the interval before a grid point or TERMINAL, which are even
+        witness = RandomInstant(tuple(i if i % 2 else i - 1 for i in T.indices), n)
+    env = envelope(lattice, process, side)
     realized = witness.value_of(process)
     target = T.value_of(env)
     if realized != target:
@@ -241,22 +196,20 @@ def check_usc_sequence_equivalence(
     predictable stopping time.  A disagreement with the projection
     predicates is a counterexample (none is expected; one fails the build).
     """
-    require_reward(lattice, meyer, process)
+    if fault := reward_fault(lattice, meyer, process):
+        raise LatticeError(fault)
     probs = lattice.probabilities
+    n = lattice.n_instants
 
-    right_env = envelope(lattice, process, Side.RIGHT, Mode.SUP)
+    right_env = envelope(lattice, process, Side.RIGHT)
     right_seq = True
     right_where = None
     for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, guard=guard):
-        T = RandomInstant.from_indices(lattice, idx)
+        T = RandomInstant(idx, n)
+        z, z_after = T.value_of(process), T.value_of(right_env)
         for block in field_at_time(lattice, meyer, T, Kind.LAMBDA):
-            on_time = sum(
-                (probs[p] * process.at(p, T.assignment[p]) for p in block), Fraction(0)
-            )
-            after = sum(
-                (probs[p] * right_env.at(p, T.assignment[p]) for p in block),
-                Fraction(0),
-            )
+            on_time = sum((probs[p] * z[p] for p in block), Fraction(0))
+            after = sum((probs[p] * z_after[p] for p in block), Fraction(0))
             if on_time < after:
                 right_seq = False
                 right_where = (T, sorted(block))
@@ -264,11 +217,11 @@ def check_usc_sequence_equivalence(
         if not right_seq:
             break
 
-    left_env = envelope(lattice, process, Side.LEFT, Mode.SUP)
+    left_env = envelope(lattice, process, Side.LEFT)
     left_seq = True
     left_where = None
     for idx in iter_stopping_index_tuples(lattice, meyer, Kind.PREDICTABLE, guard=guard):
-        T = RandomInstant.from_indices(lattice, idx)
+        T = RandomInstant(idx, n)
         on_time = sum((c * v for c, v in zip(probs, T.value_of(process))), Fraction(0))
         announced = sum((c * v for c, v in zip(probs, T.value_of(left_env))), Fraction(0))
         if on_time < announced:
@@ -325,8 +278,10 @@ def check_projection_fatou(
     and away from TERMINAL, where both sides reduce to the same conditional
     average).  Each term at T reads one cell per path, and every cell is
     hit by a constant time, which is both optional and predictable; so the
-    chains are checked once per (path, instant) cell.  The raw input may be
-    non-measurable but must vanish at TERMINAL.
+    chains are checked once per (path, instant) cell.  One envelope serves
+    as both the liminf and the limsup, so each chain has two distinct terms,
+    its outer and its inner pair.  The raw input may be non-measurable but
+    must vanish at TERMINAL.
     """
     if any(t != 0 for t in process.terminal):
         raise LatticeError("raw process must vanish at TERMINAL")
@@ -335,21 +290,18 @@ def check_projection_fatou(
     checked = []
     for name, side, kind, first in (
         ("optional", Side.RIGHT, Kind.OPTIONAL, 0),
-        ("predictable", Side.LEFT, Kind.PREDICTABLE, Instant(0, AT).index + 1),
+        ("predictable", Side.LEFT, Kind.PREDICTABLE, 1),
     ):
-        chain = (
-            project(lattice, meyer, envelope(lattice, process, side, Mode.INF), kind),
-            envelope(lattice, lam, side, Mode.INF),
-            envelope(lattice, lam, side, Mode.SUP),
-            project(lattice, meyer, envelope(lattice, process, side, Mode.SUP), kind),
-        )
+        outer = project(lattice, meyer, envelope(lattice, process, side), kind)
+        inner = envelope(lattice, lam, side)
         for i in range(first, lattice.n_instants):
             for p in range(lattice.n_paths):
-                terms = [term.values[p][i] for term in chain]
-                if not terms[0] <= terms[1] <= terms[2] <= terms[3]:
+                lo, mid = outer.values[p][i], inner.values[p][i]
+                # lo <= mid <= mid <= lo holds exactly when lo == mid
+                if lo != mid:
                     violations.append(
                         f"{name} chain fails at path {p}, T={lattice.instant_at(i)}: "
-                        + " / ".join(str(t) for t in terms)
+                        + " / ".join(str(t) for t in (lo, mid, mid, lo))
                     )
         checked.append((lattice.n_instants - first) * lattice.n_paths)
     return FatouReport(

@@ -274,8 +274,8 @@ def solve_representation(
     columns: list[list] = [[None] * lattice.n_paths for _ in range(n)]
     for u in range(n):
         for block in fields[u]:
-            lower = RandomInstant.from_indices(
-                lattice, [u + 1 if p in block else n for p in range(lattice.n_paths)]
+            lower = RandomInstant(
+                tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
             )
 
             # Path p's share of the window [u, stop), per stop: its weighted X
@@ -365,7 +365,7 @@ def _accrual_cutoffs(
     previous interval mass.
     """
     if isinstance(tau, RandomInstant):
-        return [(i, i) for i in tau.indices(lattice)]
+        return [(i, i) for i in tau.indices]
     reads = _divided_readings(lattice, tau)
     return [(r, r + 1 if p in tau.w_minus else r) for p, r in enumerate(reads)]
 
@@ -436,7 +436,7 @@ def level_passage(
         (0,) * lattice.n_paths,
         lambda p, i: L.values[p][i] >= ell if variant == 1 else L.values[p][i] > ell,
     )
-    T = RandomInstant.from_indices(lattice, hits)
+    T = RandomInstant(hits, lattice.n_instants)
     return LevelPassage(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 

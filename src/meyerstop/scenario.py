@@ -24,8 +24,8 @@ from .lattice import (
     MeyerStructure,
     PathRecord,
     Partition,
+    field_partitions,
     make_partition,
-    sigma_field_at,
     validate_lattice,
 )
 from .representation import GFamily, RandomMeasure, RepresentationProblem, validate_g
@@ -467,9 +467,7 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
 
     def draw_adapted(kind: Kind, low: int, high: int, force_last_zero: bool) -> LatticeProcess:
         cols = []
-        for idx in range(n_inst):
-            u = lattice.instant_at(idx)
-            part = sigma_field_at(lattice, meyer, u, kind)
+        for part in field_partitions(lattice, meyer, kind):
             col = [Fraction(0)] * n
             for block in part:
                 v = Fraction(rng.randint(low, high), rng.choice((1, 1, 2)))
@@ -487,13 +485,11 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
     # charges grid instants only; with nonnegative g this makes the forward
     # reward left-USC in expectation, the hypothesis of the signal theorem.
     sig_cols: list[list[Fraction]] = []
-    for idx in range(n_inst):
-        u = lattice.instant_at(idx)
-        part = sigma_field_at(lattice, meyer, u, Kind.LAMBDA)
+    for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
         col = [Fraction(0)] * n
         for block in part:
             floor = Fraction(0)
-            if u.is_at and idx > 0:
+            if idx % 2 == 0 and idx > 0:
                 floor = max(sig_cols[idx - 1][p] for p in block)
             v = floor + Fraction(rng.randint(0, params.value_range))
             for p in block:
@@ -505,9 +501,7 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
 
     g_a = []
     g_b = []
-    for idx in range(n_inst):
-        u = lattice.instant_at(idx)
-        part = sigma_field_at(lattice, meyer, u, Kind.OPTIONAL)
+    for part in field_partitions(lattice, meyer, Kind.OPTIONAL):
         col_a = [Fraction(0)] * n
         col_b = [Fraction(1)] * n
         for block in part:

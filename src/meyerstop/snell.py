@@ -14,7 +14,7 @@ mertens/identities row.
 Every stop here (the lambda-entry times, the delta touch time, the sigma
 compensator time, the smallest and largest optimal times) is the debut
 after S of a set of (path, instant) cells, found by the one index scan
-`lattice._first_hits` and turned into a `RandomInstant` only at the end.
+`lattice._first_hits`; a `RandomInstant` holds the hit index per path.
 """
 
 from __future__ import annotations
@@ -30,24 +30,23 @@ from .enumeration import (
     iter_stopping_index_tuples,
 )
 from .lattice import (
-    AT,
     DividedQuadruple,
     FilteredLattice,
-    Instant,
     Kind,
     LatticeError,
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
+    _NOT_LAMBDA_MEASURABLE,
     _canonical_quadruple,
     _first_hits,
     conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
     is_measurable,
+    reward_fault,
     to_divided_quadruple,
 )
-from .projection import require_reward
 
 
 def expected_value(lattice: FilteredLattice, rv) -> Fraction:
@@ -66,7 +65,8 @@ def snell_envelope(
     At the last interval the envelope is max(Z, 0); at a grid point the
     continuation is conditioned on G_k, inside an interval on F_k.
     """
-    require_reward(lattice, meyer, process)
+    if fault := reward_fault(lattice, meyer, process):
+        raise LatticeError(fault)
     n = lattice.n_instants
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
     zero = tuple(Fraction(0) for _ in range(lattice.n_paths))
@@ -110,7 +110,8 @@ def snell_brute_force(
     independent of the envelope; the optimizers are every stopping time
     that attains it, and the count is the number of Lambda-stopping times.
     """
-    require_reward(lattice, meyer, process)
+    if fault := reward_fault(lattice, meyer, process):
+        raise LatticeError(fault)
     probs = lattice.probabilities
     weights = [
         [probs[p] * v for v in process.values[p]] for p in range(lattice.n_paths)
@@ -122,13 +123,8 @@ def snell_brute_force(
     return BruteForceResult(
         value=value,
         stopping_time_count=count,
-        maximizers=lambda: [RandomInstant.from_indices(lattice, t) for t in argmax()],
+        maximizers=lambda: [RandomInstant(t, lattice.n_instants) for t in argmax()],
     )
-
-
-def _require_lambda(lattice, meyer, process) -> None:
-    if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
-        raise LatticeError("process is not Lambda-measurable")
 
 
 def is_lambda_supermartingale(
@@ -168,7 +164,8 @@ def martingale_reach(
 
 def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
     """Per path, the first instant index where `broken(value, continuation)`."""
-    _require_lambda(lattice, meyer, process)
+    if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
+        raise LatticeError(_NOT_LAMBDA_MEASURABLE)
     n = lattice.n_instants
     conts = [
         conditional_expectation(
@@ -222,10 +219,10 @@ def mertens_decompose(
     supermartingale.  The result is not re-verified here: the suite's
     mertens/identities row checks it.
     """
-    _require_lambda(lattice, meyer, zbar)
-    if any(v < 0 for row in zbar.values for v in row) or any(
-        t != 0 for t in zbar.terminal
-    ):
+    fault = reward_fault(lattice, meyer, zbar)
+    if fault == _NOT_LAMBDA_MEASURABLE:
+        raise LatticeError(fault)
+    if fault is not None:
         raise LatticeError("decomposition expects a nonnegative input with terminal 0")
     n_paths = lattice.n_paths
     K = lattice.epoch_count
@@ -233,7 +230,7 @@ def mertens_decompose(
     delta_a: list[tuple[Fraction, ...]] = []
     delta_b: list[tuple[Fraction, ...]] = []
     for k in range(K + 1):
-        at_idx = Instant(k, AT).index
+        at_idx = 2 * k
         int_idx = at_idx + 1
         g_k = meyer.meyer_fields[k]
         cont_b = conditional_expectation(lattice, zbar.slice_at(int_idx), g_k)
@@ -306,11 +303,9 @@ def lambda_entry_time(
     if not (0 < lam < 1):
         raise LatticeError(f"lambda must lie in (0,1), got {lam}")
     hits = _first_hits(
-        lattice,
-        S.indices(lattice),
-        lambda p, i: lam * zbar.values[p][i] <= process.values[p][i],
+        lattice, S.indices, lambda p, i: lam * zbar.values[p][i] <= process.values[p][i]
     )
-    return RandomInstant.from_indices(lattice, hits)
+    return RandomInstant(hits, lattice.n_instants)
 
 
 @dataclass(frozen=True)
@@ -335,9 +330,9 @@ def delta_stop(
     if zbar is None:
         zbar = snell_envelope(lattice, meyer, process)
     hits = _first_hits(
-        lattice, S.indices(lattice), lambda p, i: zbar.values[p][i] == process.values[p][i]
+        lattice, S.indices, lambda p, i: zbar.values[p][i] == process.values[p][i]
     )
-    T = RandomInstant.from_indices(lattice, hits)
+    T = RandomInstant(hits, lattice.n_instants)
     return DeltaStop(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 
@@ -375,9 +370,9 @@ def sigma_stop(
     a_at_s, b_minus_at_s = S.value_of(a), S.value_of(bs)
     base = [x + y for x, y in zip(a_at_s, b_minus_at_s)]
     hits = _first_hits(
-        lattice, S.indices(lattice), lambda p, i: a.values[p][i] + b.values[p][i] > base[p]
+        lattice, S.indices, lambda p, i: a.values[p][i] + b.values[p][i] > base[p]
     )
-    T = RandomInstant.from_indices(lattice, hits)
+    T = RandomInstant(hits, lattice.n_instants)
     a_at_t, b_at_t = T.value_of(a), T.value_of(b)
     k_minus: set[int] = set()
     k_on: set[int] = set()
@@ -425,12 +420,10 @@ def stopped_process(
     lattice: FilteredLattice, process: LatticeProcess, U: RandomInstant
 ) -> LatticeProcess:
     """The process frozen at U: value at min(u, U) per instant, U-value at TERMINAL."""
-    idx_u = U.indices(lattice)
     n = lattice.n_instants
     rows = []
     term = []
-    for p in range(lattice.n_paths):
-        stop = idx_u[p]
+    for p, stop in enumerate(U.indices):
         row = tuple(
             process.values[p][idx if idx <= stop else stop] for idx in range(n)
         )
@@ -454,7 +447,7 @@ def check_optimality(
         zbar = snell_envelope(lattice, meyer, process)
     condition_i = U.value_of(process) == U.value_of(zbar)
     reach = martingale_reach(lattice, meyer, zbar)
-    condition_ii = all(u <= r for u, r in zip(U.indices(lattice), reach))
+    condition_ii = all(u <= r for u, r in zip(U.indices, reach))
     return OptimalityCertificate(
         candidate=U, condition_i=condition_i, condition_ii=condition_ii
     )
@@ -521,16 +514,15 @@ def _smallest_largest(lattice, meyer, process, guard):
     zbar = snell_envelope(lattice, meyer, process)
     decomp = mertens_decompose(lattice, meyer, zbar)
 
-    smallest = delta_stop(
-        lattice, meyer, process, RandomInstant.constant(lattice, Instant(0, AT)), zbar
-    ).T
+    zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
+    smallest = delta_stop(lattice, meyer, process, zero, zbar).T
 
     active = _first_hits(
         lattice, (0,) * lattice.n_paths, lambda p, i: decomp.m.values[p][i] != zbar.values[p][i]
     )
     # An interval activation means the set is entered right after the grid
     # point, so the entry time is the grid point itself; n_instants is even.
-    largest = RandomInstant.from_indices(lattice, [i - i % 2 for i in active])
+    largest = RandomInstant(tuple(i - i % 2 for i in active), lattice.n_instants)
 
     cert_small = check_optimality(lattice, meyer, process, smallest, zbar)
     cert_large = check_optimality(lattice, meyer, process, largest, zbar)
@@ -538,11 +530,8 @@ def _smallest_largest(lattice, meyer, process, guard):
         raise LatticeError("entry-time candidates failed their optimality certificates")
 
     brute = snell_brute_force(lattice, meyer, process, guard)
-    lo = smallest.indices(lattice)
-    hi = largest.indices(lattice)
     for U in brute.optimizers:
-        ui = U.indices(lattice)
-        if not all(lo[p] <= ui[p] <= hi[p] for p in range(lattice.n_paths)):
+        if not smallest <= U <= largest:
             raise LatticeError(f"optimal time {U.assignment} escapes the sandwich")
     result = SmallestLargest(smallest=smallest, largest=largest, all_optimal=brute.optimizers)
     return result, zbar, decomp

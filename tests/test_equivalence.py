@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from meyerstop import checks, enumeration, representation
+from meyerstop import checks, enumeration, representation, snell
 from meyerstop.enumeration import iter_stopping_index_tuples
 from meyerstop.lattice import (
     AT,
@@ -143,7 +143,7 @@ def test_reach_certificate_matches_the_stopped_martingale():
                 zbar = snell_envelope(lattice, meyer, process)
             reach = martingale_reach(lattice, meyer, zbar)
             for k, idx in enumerate(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA)):
-                U = RandomInstant.from_indices(lattice, idx)
+                U = RandomInstant(idx, lattice.n_instants)
                 stopped = plain_is_martingale(lattice, meyer, stopped_process(lattice, zbar, U))
                 assert all(u <= r for u, r in zip(idx, reach)) == stopped, (seed, idx)
                 if process is not None and k % 16 == 0:
@@ -274,8 +274,8 @@ def plain_solve(problem):
     columns = [[None] * lattice.n_paths for _ in range(n)]
     for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
         for block in part:
-            lower = RandomInstant.from_indices(
-                lattice, [u + 1 if p in block else n for p in range(lattice.n_paths)]
+            lower = RandomInstant(
+                tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
             )
             best = None
             for cand in iter_stopping_index_tuples(
@@ -329,7 +329,7 @@ def test_solve_matches_the_term_list_loop(monotone):
 # (d) divided stops ----------------------------------------------------------
 
 
-def plain_quadruple(T):
+def plain_quadruple(lattice, T):
     """Grid and TERMINAL stops on time, interval stops just after their grid point."""
     grid, w, w_plus = [], set(), set()
     for p, u in enumerate(T.assignment):
@@ -340,7 +340,7 @@ def plain_quadruple(T):
             grid.append(Instant(u.epoch, AT))
             w_plus.add(p)
     return DividedQuadruple(
-        T=RandomInstant(assignment=tuple(grid)),
+        T=RandomInstant.from_assignment(lattice, grid),
         w_minus=frozenset(),
         w=frozenset(w),
         w_plus=frozenset(w_plus),
@@ -351,10 +351,10 @@ def test_divided_stops_are_lambda_stopping_times():
     for seed, sc in small_family():
         lattice, meyer = sc.lattice, sc.meyer
         tuples = sorted(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA))
-        times = [RandomInstant.from_indices(lattice, idx) for idx in tuples]
+        times = [RandomInstant(idx, lattice.n_instants) for idx in tuples]
         assert all(is_lambda_stopping_time(lattice, meyer, T) for T in times), seed
         stops = enumerate_divided_stops(lattice, meyer)
-        assert stops == [plain_quadruple(T) for T in times], seed
+        assert stops == [plain_quadruple(lattice, T) for T in times], seed
         assert stops == [to_divided_quadruple(lattice, meyer, T) for T in times], seed
         for q in stops[::16]:
             assert validate_divided(lattice, meyer, q).ok, (seed, q)
@@ -370,19 +370,18 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
     lattice, meyer = sc.lattice, sc.meyer
     const = LatticeProcess.from_rows([[2] * lattice.n_instants] * lattice.n_paths)
     built, walks = [], []
-    from_indices = RandomInstant.from_indices.__func__
     walk = enumeration._walk
 
-    def counting_from_indices(cls, lattice, indices):
+    def counting_instant(indices, n_instants):
         built.append(indices)
-        return from_indices(cls, lattice, indices)
+        return RandomInstant(indices, n_instants)
 
     def counting_walk(steps, active, keep=None):
         if keep is not None:
             walks.append(keep)
         return walk(steps, active, keep)
 
-    monkeypatch.setattr(RandomInstant, "from_indices", classmethod(counting_from_indices))
+    monkeypatch.setattr(snell, "RandomInstant", counting_instant)
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
     assert checks.check_snell_oracle(lattice, meyer, const) is None
     assert checks.check_optimality_oracle(lattice, meyer, const) is None
@@ -404,7 +403,7 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
 
 def plain_entry(lattice, S, hit):
     """Per path, the first instant at or after S where hit(p, idx)."""
-    n, lower = lattice.n_instants, S.indices(lattice)
+    n, lower = lattice.n_instants, S.indices
     out = []
     for p in range(lattice.n_paths):
         found = TERMINAL
@@ -413,12 +412,12 @@ def plain_entry(lattice, S, hit):
                 found = lattice.instant_at(idx)
                 break
         out.append(found)
-    return RandomInstant(assignment=tuple(out))
+    return RandomInstant.from_assignment(lattice, out)
 
 
 def plain_sigma(lattice, decomp, S):
     """First growth of A + B past A_S + B_{S-}, with the growth attribution."""
-    n, lower = lattice.n_instants, S.indices(lattice)
+    n, lower = lattice.n_instants, S.indices
     a, b, bs = decomp.a, decomp.b, decomp.b_shifted
     times, k_minus, k_on, k_plus, w_on, w_plus = [], set(), set(), set(), set(), set()
     for p in range(lattice.n_paths):
@@ -446,7 +445,7 @@ def plain_sigma(lattice, decomp, S):
         else:
             k_plus.add(p)
             (w_on if hit is TERMINAL else w_plus).add(p)
-    T = RandomInstant(assignment=tuple(times))
+    T = RandomInstant.from_assignment(lattice, times)
     sets = tuple(frozenset(x) for x in (k_minus, k_on, k_plus, w_on, w_plus))
     return T, sets
 
@@ -463,7 +462,7 @@ def plain_passage(lattice, L, ell, variant):
                 hit = lattice.instant_at(idx)
                 break
         out.append(hit)
-    return RandomInstant(assignment=tuple(out))
+    return RandomInstant.from_assignment(lattice, out)
 
 
 def plain_largest(lattice, m, zbar):
@@ -479,7 +478,7 @@ def plain_largest(lattice, m, zbar):
             out.append(TERMINAL)
         else:
             out.append(lattice.instant_at(first - first % 2))
-    return RandomInstant(assignment=tuple(out))
+    return RandomInstant.from_assignment(lattice, out)
 
 
 def plain_reading(lattice, q):
@@ -492,7 +491,7 @@ def plain_reading(lattice, q):
             out.append(Instant(u.epoch, INT))
         else:
             out.append(u)
-    return RandomInstant(assignment=tuple(out))
+    return RandomInstant.from_assignment(lattice, out)
 
 
 def plain_cutoffs(lattice, tau):
@@ -517,7 +516,7 @@ def test_first_hit_stops_match_the_scans_they_replace():
         lattice, meyer = sc.lattice, sc.meyer
         zero = RandomInstant.constant(lattice, Instant(0, AT))
         starts = [zero] + [
-            RandomInstant.from_indices(lattice, idx)
+            RandomInstant(idx, lattice.n_instants)
             for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA)
         ]
         Z = sc.processes["Z"]

@@ -154,10 +154,18 @@ def test_stopping_time_examples(branch_blind, branch):
         T = RandomInstant.constant(lattice, u)
         for kind in Kind:
             assert is_lambda_stopping_time(lattice, blind, T, kind)
-    T = RandomInstant(assignment=(Instant(1, AT), TERMINAL))
+    T = RandomInstant.from_assignment(lattice, (Instant(1, AT), TERMINAL))
     assert not is_lambda_stopping_time(lattice, blind, T, Kind.LAMBDA)
     assert is_lambda_stopping_time(lattice, blind, T, Kind.OPTIONAL)
     assert is_lambda_stopping_time(lattice, revealing, T, Kind.LAMBDA)
+
+
+def test_from_assignment_rejects_times_off_the_lattice(branch):
+    # (2,AT) would share TERMINAL's index on this one-epoch lattice
+    lattice, _ = branch
+    for bad in ((Instant(2, AT), TERMINAL), (TERMINAL,)):
+        with pytest.raises(LatticeError, match="not a random instant"):
+            RandomInstant.from_assignment(lattice, bad)
 
 
 def test_restrict_time(branch):
@@ -191,7 +199,7 @@ def test_section_witness(branch):
     S = section_witness(lattice, meyer, [])
     assert S == RandomInstant.constant(lattice, TERMINAL)
     # the graph of a stopping time is its own minimal section
-    T = RandomInstant(assignment=(Instant(1, AT), TERMINAL))
+    T = RandomInstant.from_assignment(lattice, (Instant(1, AT), TERMINAL))
     graph = [(0, Instant(1, AT))]
     assert section_witness(lattice, meyer, graph) == T
 
@@ -301,8 +309,40 @@ def test_divided_value_reads_limits(chain):
 
 def test_field_at_time_splits_by_value(three_path_meyer):
     lattice, meyer = three_path_meyer
-    T = RandomInstant(assignment=(Instant(1, AT), Instant(2, AT), Instant(2, AT)))
+    T = RandomInstant.from_assignment(lattice, (Instant(1, AT), Instant(2, AT), Instant(2, AT)))
     part = field_at_time(lattice, meyer, T, Kind.PREDICTABLE)
     # path 0 split off by its T-value even though the predictable field at
     # (1,AT) is trivial; paths 1 and 2 stay together (G_2 keeps them merged)
     assert part == make_partition([[0], [1, 2]])
+
+
+EDGE_TIME = st.builds(Instant, st.integers(0, 2), st.sampled_from([AT, INT])) | st.just(TERMINAL)
+EDGE_ASSIGNMENT = st.tuples(EDGE_TIME, EDGE_TIME, EDGE_TIME)
+
+
+@given(
+    EDGE_ASSIGNMENT,
+    EDGE_ASSIGNMENT,
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=21, max_size=21),
+)
+def test_random_instant_edge_forms(a, b, values):
+    # built from Instant/TERMINAL, held as indices, rendered back unchanged
+    lattice, _ = build_lattice(
+        ["1/2", "1/4", "1/4"],
+        [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]],
+        [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]],
+    )
+    S, T = (RandomInstant.from_assignment(lattice, x) for x in (a, b))
+    assert S.assignment == a and T.assignment == b
+    assert (S <= T) == all(u <= v for u, v in zip(a, b))
+    Z = LatticeProcess.from_rows(
+        [values[6 * p : 6 * p + 6] for p in range(3)], terminal=values[18:]
+    )
+    reading = tuple(
+        next(
+            (Z.values[p][i] for i in range(lattice.n_instants) if lattice.instant_at(i) == u),
+            Z.terminal[p],
+        )
+        for p, u in enumerate(a)
+    )
+    assert S.value_of(Z) == reading

@@ -27,7 +27,6 @@ from meyerstop.lattice import (
     is_measurable,
 )
 from meyerstop.projection import (
-    Mode,
     Side,
     approximating_witness,
     check_projection_fatou,
@@ -93,23 +92,14 @@ def test_envelope_table(chain):
     lattice, _ = chain
     const = LatticeProcess.constant(lattice, 7)
     for side in Side:
-        for mode in Mode:
-            env = envelope(lattice, const, side, mode)
-            assert env.values == const.values
+        assert envelope(lattice, const, side).values == const.values
 
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
-    right = envelope(lattice, Z, Side.RIGHT, Mode.SUP)
+    right = envelope(lattice, Z, Side.RIGHT)
     assert right.values[0] == (3, 3, 0, 0)
-    left = envelope(lattice, Z, Side.LEFT, Mode.SUP)
+    left = envelope(lattice, Z, Side.LEFT)
     assert left.values[0] == (1, 3, 3, 0)
     assert left.terminal == (Fraction(0),)
-
-    rng = random.Random(1)
-    raw = random_raw(rng, lattice)
-    for side in Side:
-        assert envelope(lattice, raw, side, Mode.SUP) == envelope(
-            lattice, raw, side, Mode.INF
-        )
 
 
 def test_right_usc_examples(chain, branch_blind):
@@ -130,7 +120,7 @@ def test_right_usc_examples(chain, branch_blind):
         ["1/2", "1/2"], [[[0, 1]], [[0], [1]]], [[[0, 1]], [[0], [1]]]
     )
     Z2 = LatticeProcess.from_rows([[2, 2, 4, 0], [2, 2, 0, 0]])
-    right = envelope(lattice2, Z2, Side.RIGHT, Mode.SUP)
+    right = envelope(lattice2, Z2, Side.RIGHT)
     hand_ok = True
     from meyerstop.lattice import field_partitions
 
@@ -220,13 +210,14 @@ def test_fatou_reports_a_corrupted_projection(kind, chain_name, branch, monkeypa
 
 
 def test_fatou_reports_a_liminf_above_the_limsup(branch, monkeypatch):
-    # the outer terms read both envelopes, so Z_* > Z^* breaks the chain
+    # one envelope is both Z_* and Z^*: the inner terms read it on lam Z as
+    # it is, the outer terms through a projection, so one bumped cell breaks
+    # both chains
     lattice, meyer = branch
     Z = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
 
-    def corrupted(lat, process, side, mode):
-        out = envelope(lat, process, side, mode)
-        return _bumped(out, 0, 1) if mode is Mode.INF else out
+    def corrupted(lat, process, side):
+        return _bumped(envelope(lat, process, side), 0, 1)
 
     monkeypatch.setattr(projection_module, "envelope", corrupted)
     report = check_projection_fatou(lattice, meyer, Z)
@@ -251,7 +242,7 @@ def test_approximating_witness(chain, three_path_meyer):
     T = RandomInstant.constant(lattice, Instant(1, AT))
     S = approximating_witness(lattice, meyer, Z, T, Side.RIGHT)
     assert S == RandomInstant.constant(lattice, Instant(1, INT))
-    assert S.value_of(Z) == T.value_of(envelope(lattice, Z, Side.RIGHT, Mode.SUP))
+    assert S.value_of(Z) == T.value_of(envelope(lattice, Z, Side.RIGHT))
 
     T_inf = RandomInstant.constant(lattice, TERMINAL)
     assert approximating_witness(lattice, meyer, Z, T_inf, Side.RIGHT) == T_inf
@@ -262,7 +253,7 @@ def test_approximating_witness(chain, three_path_meyer):
     # a genuinely non-predictable time cannot be announced
     lattice3, meyer3 = three_path_meyer
     Z3 = LatticeProcess.from_rows([[0] * 6, [0] * 6, [0] * 6])
-    bad = RandomInstant(assignment=(TERMINAL, Instant(2, AT), TERMINAL))
+    bad = RandomInstant.from_assignment(lattice3, (TERMINAL, Instant(2, AT), TERMINAL))
     from meyerstop.lattice import is_lambda_stopping_time
 
     assert is_lambda_stopping_time(lattice3, meyer3, bad, Kind.OPTIONAL)
@@ -276,8 +267,8 @@ def test_approximating_witness_reports_a_missed_envelope(chain, monkeypatch):
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
     T = RandomInstant.constant(lattice, Instant(1, AT))
 
-    def missed(lat, process, side, mode):
-        return _bumped(envelope(lat, process, side, mode), 0, 2)
+    def missed(lat, process, side):
+        return _bumped(envelope(lat, process, side), 0, 2)
 
     monkeypatch.setattr(projection_module, "envelope", missed)
     for side in Side:

@@ -315,7 +315,7 @@ def test_divided_martingale_and_supermartingale_sampling(three_path_meyer):
     )
     Zsup = snell_envelope(lattice, meyer, project(lattice, meyer, raw, Kind.LAMBDA))
     for S in enumerate_stopping_times(lattice, meyer, Kind.LAMBDA):
-        s_idx = S.indices(lattice)
+        s_idx = S.indices
         lower = S
         part_s = field_at_time(lattice, meyer, S, Kind.LAMBDA)
         for q in enumerate_divided_stops(lattice, meyer, from_S=lower):
@@ -419,7 +419,7 @@ def plain_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
     maximizers; `lower` filters the unrestricted iteration."""
     probs = lattice.probabilities
     n = lattice.n_instants
-    low = (0,) * lattice.n_paths if lower is None else lower.indices(lattice)
+    low = (0,) * lattice.n_paths if lower is None else lower.indices
     best, argmax = None, []
     for idx in iter_stopping_index_tuples(lattice, meyer, kind):
         if any(i < lo for i, lo in zip(idx, low)):
@@ -464,7 +464,7 @@ def test_memoized_oracle_matches_plain_maximization(seed):
     lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
     rng = random.Random(seed)
     times = list(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA))
-    lowers = [None, RandomInstant.from_indices(lattice, rng.choice(times))]
+    lowers = [None, RandomInstant(rng.choice(times), lattice.n_instants)]
     raw = LatticeProcess.from_rows(
         [
             [
@@ -483,7 +483,7 @@ def test_memoized_oracle_matches_plain_maximization(seed):
                 )
         brute = snell_brute_force(lattice, meyer, Z)
         assert brute.stopping_time_count == len(times)
-        assert [T.indices(lattice) for T in brute.optimizers] == plain_maximum(
+        assert [T.indices for T in brute.optimizers] == plain_maximum(
             lattice, meyer, Z
         )[1]
 

@@ -19,3 +19,28 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+# Engine modules that handle stopping times only as instant indices, and
+# the names of the Instant/TERMINAL edge forms they must not import.
+INDEX_MODULES = ("enumeration.py", "snell.py", "checks.py", "representation.py")
+EDGE_NAMES = {"Instant", "TERMINAL", "_Terminal", "TimePoint", "AT", "INT"}
+
+
+def test_engine_reads_time_as_instant_indices():
+    # a stopping time holds its index tuple; nothing converts to and from it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and path.name in INDEX_MODULES:
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name in EDGE_NAMES
+                ]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "from_indices" or (name == "indices" and isinstance(func, ast.Attribute)):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not found, found
