@@ -294,7 +294,9 @@ def sigma_field_at(
         raise LatticeError("sigma_field_at is undefined at TERMINAL")
     if u.epoch > lattice.epoch_count:
         raise LatticeError(f"instant {u} beyond epoch_count {lattice.epoch_count}")
-    return field_partitions(lattice, meyer, kind)[u.index]
+    if u.tag == INT:
+        return lattice.filtration[u.epoch]
+    return _grid_field(lattice, meyer, kind, u.epoch)
 
 
 def field_partitions(
@@ -303,14 +305,19 @@ def field_partitions(
     """Partition per instant index, in instant order, by the module table."""
     fields = []
     for k in range(lattice.epoch_count + 1):
-        if kind is Kind.LAMBDA:
-            grid = meyer.meyer_fields[k]
-        elif kind is Kind.OPTIONAL:
-            grid = lattice.filtration[k]
-        else:
-            grid = lattice.filtration[k - 1] if k else lattice.initial_partition()
-        fields += [grid, lattice.filtration[k]]
+        fields += [_grid_field(lattice, meyer, kind, k), lattice.filtration[k]]
     return fields
+
+
+def _grid_field(
+    lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind, k: int
+) -> Partition:
+    """The partition governing the grid point (k, AT); intervals read F_k."""
+    if kind is Kind.LAMBDA:
+        return meyer.meyer_fields[k]
+    if kind is Kind.OPTIONAL:
+        return lattice.filtration[k]
+    return lattice.filtration[k - 1] if k else lattice.initial_partition()
 
 
 def conditional_expectation(
@@ -458,9 +465,6 @@ def is_measurable(
     return True
 
 
-_NOT_LAMBDA_MEASURABLE = "process is not Lambda-measurable"
-
-
 def reward_fault(
     lattice: FilteredLattice, meyer: MeyerStructure, process: LatticeProcess
 ) -> str | None:
@@ -470,7 +474,7 @@ def reward_fault(
     engine raises the answer as a LatticeError.
     """
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
-        return _NOT_LAMBDA_MEASURABLE
+        return "process is not Lambda-measurable"
     if any(v < 0 for row in process.values for v in row):
         return "process must be nonnegative"
     if any(t != 0 for t in process.terminal):

@@ -37,7 +37,6 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
-    _NOT_LAMBDA_MEASURABLE,
     _canonical_quadruple,
     _first_hits,
     conditional_expectation,
@@ -165,7 +164,7 @@ def martingale_reach(
 def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
     """Per path, the first instant index where `broken(value, continuation)`."""
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
-        raise LatticeError(_NOT_LAMBDA_MEASURABLE)
+        raise LatticeError("process is not Lambda-measurable")
     n = lattice.n_instants
     conts = [
         conditional_expectation(
@@ -219,10 +218,9 @@ def mertens_decompose(
     supermartingale.  The result is not re-verified here: the suite's
     mertens/identities row checks it.
     """
-    fault = reward_fault(lattice, meyer, zbar)
-    if fault == _NOT_LAMBDA_MEASURABLE:
-        raise LatticeError(fault)
-    if fault is not None:
+    if reward_fault(lattice, meyer, zbar) is not None:
+        if not is_measurable(lattice, meyer, zbar, Kind.LAMBDA):
+            raise LatticeError("process is not Lambda-measurable")
         raise LatticeError("decomposition expects a nonnegative input with terminal 0")
     n_paths = lattice.n_paths
     K = lattice.epoch_count

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from meyerstop import checks, enumeration, representation, snell
+from meyerstop import checks, enumeration, representation
 from meyerstop.enumeration import iter_stopping_index_tuples
 from meyerstop.lattice import (
     AT,
@@ -370,18 +370,19 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
     lattice, meyer = sc.lattice, sc.meyer
     const = LatticeProcess.from_rows([[2] * lattice.n_instants] * lattice.n_paths)
     built, walks = [], []
+    init = RandomInstant.__init__
     walk = enumeration._walk
 
-    def counting_instant(indices, n_instants):
+    def counting_init(self, indices, n_instants):
         built.append(indices)
-        return RandomInstant(indices, n_instants)
+        init(self, indices, n_instants)
 
     def counting_walk(steps, active, keep=None):
         if keep is not None:
             walks.append(keep)
         return walk(steps, active, keep)
 
-    monkeypatch.setattr(snell, "RandomInstant", counting_instant)
+    monkeypatch.setattr(RandomInstant, "__init__", counting_init)
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
     assert checks.check_snell_oracle(lattice, meyer, const) is None
     assert checks.check_optimality_oracle(lattice, meyer, const) is None
