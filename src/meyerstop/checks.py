@@ -13,6 +13,8 @@ from fractions import Fraction
 from .enumeration import (
     DEFAULT_GUARD,
     EnumerationGuardError,
+    _maximum,
+    _weighted,
     iter_stopping_index_tuples,
 )
 from .lattice import (
@@ -22,7 +24,6 @@ from .lattice import (
     field_at_time,
     field_partitions,
     conditional_expectation,
-    divided_value,
     from_divided_quadruple,
     is_measurable,
     validate_divided,
@@ -46,7 +47,6 @@ from .snell import (
     PreconditionError,
     _smallest_largest,
     delta_stop,
-    enumerate_divided_stops,
     expected_value,
     is_lambda_martingale,
     is_lambda_supermartingale,
@@ -218,10 +218,10 @@ def check_delta(
     lattice, meyer, process, starts, guard=DEFAULT_GUARD
 ) -> str | None:
     """Relaxation exactness from every start: E[Zbar_S] = E[Z at delta_S]
-    = max over enumerated divided stops, plus the conditional identity and
-    the lambda-entry stabilization."""
+    = max over divided stops from S (Lambda-stopping times T >= S read on
+    time), plus the conditional identity and the lambda-entry stabilization."""
     zbar = snell_envelope(lattice, meyer, process)
-    probs = lattice.probabilities
+    weights, terminal = _weighted(lattice, process)
     ratios = [
         process.values[p][i] / zbar.values[p][i]
         for p in range(lattice.n_paths)
@@ -259,14 +259,9 @@ def check_delta(
         if ent.value_of(decomp.a) != S.value_of(decomp.a):
             return f"A moves before the 1/2-entry time from {S.assignment}"
         try:
-            stops = enumerate_divided_stops(lattice, meyer, from_S=S, guard=guard)
+            best = _maximum(lattice, meyer, weights, terminal, Kind.LAMBDA, S, guard)[0]
         except EnumerationGuardError:
             continue
-        best = None
-        for q in stops:
-            v = expected_value(lattice, divided_value(lattice, process, q))
-            if best is None or v > best:
-                best = v
         if best != env_at_s:
             return f"divided-stop maximum {best} != E[Zbar_S] {env_at_s} from {S.assignment}"
     return None

@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 from .lattice import (
     FilteredLattice,
     Kind,
+    LatticeProcess,
     MeyerStructure,
     RandomInstant,
     field_partitions,
@@ -226,6 +227,13 @@ def maximize_over_stopping_times(
         lattice, meyer, weights, terminal_weights, kind, lower, guard
     )
     return value, maximizers(), total
+
+
+def _weighted(lattice: FilteredLattice, process: LatticeProcess):
+    """The `weights` and `terminal_weights` whose maximum is max E[process_T]."""
+    probs = lattice.probabilities
+    weights = [[c * v for v in row] for c, row in zip(probs, process.values)]
+    return weights, [c * t for c, t in zip(probs, process.terminal)]
 
 
 def _maximum(lattice, meyer, weights, terminal_weights, kind, lower, guard):

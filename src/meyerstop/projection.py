@@ -4,16 +4,16 @@ On the instant chain the limsup and liminf envelopes read the same single
 neighbouring slice, so one envelope serves for both.  Semicontinuity in
 expectation reduces to exact pointwise comparisons between a process and
 projections of its envelopes, and the sequence-based definitions reduce to
-one-step witnesses, which is what the equivalence checker exhausts.
+one-step witnesses, which the equivalence checker decides per (instant,
+atom) and by one memoized maximum over predictable stopping times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
+from .enumeration import DEFAULT_GUARD, _check_guard, _maximum, _weighted, count_stopping_times
 from .lattice import (
     FilteredLattice,
     InvariantError,
@@ -25,7 +25,6 @@ from .lattice import (
     TERMINAL,
     TimePoint,
     conditional_expectation,
-    field_at_time,
     field_partitions,
     is_lambda_stopping_time,
     reward_fault,
@@ -189,45 +188,46 @@ def check_usc_sequence_equivalence(
     process: LatticeProcess,
     guard: int | None = DEFAULT_GUARD,
 ) -> EquivalenceReport:
-    """Exhaust one-step monotone families and compare with the predicates.
+    """Decide the sequential USC forms and compare them with the predicates.
 
-    The sequential right form quantifies over every Lambda-stopping time and
-    every atom of its field; the sequential left form quantifies over every
-    predictable stopping time.  A disagreement with the projection
-    predicates is a counterexample (none is expected; one fails the build).
+    The right form (E[Z_T; A] >= E[(right envelope)_T; A] for every
+    Lambda-stopping time T and atom A of the Lambda field at T) is decided
+    per (instant u, Lambda atom A at u): {T = u} is a union of atoms at u,
+    as the Lambda fields increase along the chain, and `field_at_time`
+    splits it by them; the constant time u reaches every atom at u; at
+    TERMINAL both readings are the reward's terminal value, 0.  The left
+    form (E[Z_T] >= E[(left envelope)_T] for every predictable T) fails
+    exactly when the maximum of E[(left envelope - Z)_T] is positive.  A
+    disagreement with the predicates is a counterexample.
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
+    _check_guard(count_stopping_times(lattice, meyer, Kind.LAMBDA), guard)
     probs = lattice.probabilities
     n = lattice.n_instants
 
     right_env = envelope(lattice, process, Side.RIGHT)
-    right_seq = True
-    right_where = None
-    for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, guard=guard):
-        T = RandomInstant(idx, n)
-        z, z_after = T.value_of(process), T.value_of(right_env)
-        for block in field_at_time(lattice, meyer, T, Kind.LAMBDA):
-            on_time = sum((probs[p] * z[p] for p in block), Fraction(0))
-            after = sum((probs[p] * z_after[p] for p in block), Fraction(0))
-            if on_time < after:
-                right_seq = False
-                right_where = (T, sorted(block))
-                break
-        if not right_seq:
-            break
+    right_where = next(
+        (
+            (RandomInstant((i,) * lattice.n_paths, n), sorted(atom))
+            for i, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+            for atom in part
+            if sum(probs[p] * (process.values[p][i] - right_env.values[p][i]) for p in atom) < 0
+        ),
+        None,
+    )
+    right_seq = right_where is None
 
     left_env = envelope(lattice, process, Side.LEFT)
-    left_seq = True
-    left_where = None
-    for idx in iter_stopping_index_tuples(lattice, meyer, Kind.PREDICTABLE, guard=guard):
-        T = RandomInstant(idx, n)
-        on_time = sum((c * v for c, v in zip(probs, T.value_of(process))), Fraction(0))
-        announced = sum((c * v for c, v in zip(probs, T.value_of(left_env))), Fraction(0))
-        if on_time < announced:
-            left_seq = False
-            left_where = T
-            break
+    gap = LatticeProcess.from_rows(
+        [[a - z for a, z in zip(*rows)] for rows in zip(left_env.values, process.values)],
+        terminal=left_env.terminal,  # the reward vanishes at TERMINAL
+    )
+    worst, maximizers, _ = _maximum(
+        lattice, meyer, *_weighted(lattice, gap), Kind.PREDICTABLE, None, guard
+    )
+    left_seq = worst <= 0
+    left_where = None if left_seq else RandomInstant(maximizers()[0], n)
 
     right_pred = is_right_usc_in_expectation(lattice, meyer, process).ok
     left_pred = is_left_usc_in_expectation(lattice, meyer, process).ok

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Sequence
 
 from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
@@ -78,6 +78,8 @@ class GFamily:
     def monotone(
         cls, funcs, tolerance: float = DEFAULT_ROOT_TOLERANCE
     ) -> "GFamily":
+        if not 0 < tolerance < inf:
+            raise LatticeError(f"root tolerance must be finite and positive, got {tolerance!r}")
         return cls(kind=MONOTONE, funcs=tuple(tuple(row) for row in funcs), tolerance=tolerance)
 
     def value(self, path: int, idx: int, ell):

@@ -11,6 +11,7 @@ parse(render(s)) == s byte-for-byte round trips hold.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -171,9 +172,16 @@ def _g_from_spec(spec: dict, lattice: FilteredLattice) -> GFamily:
         return GFamily.affine(a, b)
     if kind == "odd_power":
         power = spec.get("power", 3)
-        if not isinstance(power, int) or power < 1 or power % 2 == 0:
+        if isinstance(power, bool) or not isinstance(power, int) or power < 1 or power % 2 == 0:
             raise ScenarioError(f"g.power: expected an odd positive integer, got {power!r}")
-        tol = float(spec.get("tolerance", "1e-9"))
+        raw_tol = spec.get("tolerance", "1e-9")
+        try:
+            tol = float(raw_tol)
+        except (TypeError, ValueError):
+            tol = math.nan
+        # the root bisection never ends below a tolerance <= 0 and stops at once at NaN
+        if not 0 < tol < math.inf:
+            raise ScenarioError(f"g.tolerance: expected a finite positive number, got {raw_tol!r}")
 
         def make(ai: Fraction, bi: Fraction):
             af, bf = float(ai), float(bi)
@@ -205,9 +213,9 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
             raise ScenarioError(f"unknown fields {unknown} (strict mode)")
         warnings.warn(f"ignoring unknown scenario fields {unknown}", stacklevel=2)
 
-    if "epochs" not in doc or not isinstance(doc["epochs"], int) or doc["epochs"] < 1:
+    K = doc.get("epochs")
+    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
         raise ScenarioError("epochs: expected a positive integer")
-    K = doc["epochs"]
     raw_paths = doc.get("paths")
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ScenarioError("paths: expected a nonempty list")

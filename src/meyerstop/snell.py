@@ -27,6 +27,7 @@ from typing import Callable
 from .enumeration import (
     DEFAULT_GUARD,
     _maximum,
+    _weighted,
     iter_stopping_index_tuples,
 )
 from .lattice import (
@@ -111,13 +112,8 @@ def snell_brute_force(
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    probs = lattice.probabilities
-    weights = [
-        [probs[p] * v for v in process.values[p]] for p in range(lattice.n_paths)
-    ]
-    terminal = [probs[p] * process.terminal[p] for p in range(lattice.n_paths)]
     value, argmax, count = _maximum(
-        lattice, meyer, weights, terminal, Kind.LAMBDA, None, guard
+        lattice, meyer, *_weighted(lattice, process), Kind.LAMBDA, None, guard
     )
     return BruteForceResult(
         value=value,

@@ -6,10 +6,11 @@ the monotone-mode half of criterion 8, whose bound is 1e-7 absolute.
 Instance families (all pure functions of their seeds):
   main_family   - 500 instances, epochs 1..4, up to 12 paths, all regimes;
                   4-epoch instances cap at 8 paths so the 10^6 enumeration
-                  guard always holds.  Two 4-epoch optional-extreme
-                  instances (1603 and 173 stopping times) and three 9-path
-                  instances near the guard (318 663, 374 171 and 743 507
-                  stopping times) are added on top.
+                  guard always holds.  The five instances of large_family
+                  are added on top.
+  large_family  - two 4-epoch optional-extreme instances (1603 and 173
+                  stopping times) and three 9-path instances near the guard
+                  (318 663, 374 171 and 743 507 stopping times).
   small_family  - 60 instances, epochs 1..3, up to 6 paths: the fully
                   enumerable family for divided-stop and Fatou oracles.
   cert_family   - 100 instances, epochs 1..3, up to 6 paths (criterion 4).
@@ -72,6 +73,10 @@ def main_family():
                 regime=REGIMES[seed % 3],
             )
         )
+    yield from large_family()
+
+
+def large_family():
     # two 4-epoch optional-extreme instances (1603 and 173 stopping times)
     for seed in (77, 78):
         yield generate_instance(
@@ -145,7 +150,22 @@ def test_criterion_2_relaxation_exactness():
         msg = checks.check_delta(lattice, meyer, Z, starts)
         assert msg is None, (seed, msg)
         checked += len(starts)
-    _report(2, checked > 0, f"E[env_S] = E[Z at delta_S] = divided max at {checked} starts")
+    large = 0
+    for sc in large_family():
+        lattice = sc.lattice
+        starts = [
+            RandomInstant.constant(lattice, Instant(k, AT))
+            for k in range(lattice.epoch_count + 1)
+        ]
+        msg = checks.check_delta(lattice, sc.meyer, sc.processes["Z"], starts)
+        assert msg is None, msg
+        large += len(starts)
+    _report(
+        2,
+        checked > 0 and large == 25,
+        f"E[env_S] = E[Z at delta_S] = divided max at {checked} starts, and at "
+        f"{large} grid starts on the 4-epoch instances",
+    )
 
 
 def test_criterion_3_decomposition_identities():
@@ -251,7 +271,16 @@ def test_criterion_7_semicontinuity_equivalences():
         msg = checks.check_usc_equivalence(sc.lattice, sc.meyer, sc.processes["Z"])
         assert msg is None, (seed, msg)
         count += 1
-    _report(7, count == 60, f"predicate and sequential USC forms agree on {count} instances")
+    for sc in large_family():
+        msg = checks.check_usc_equivalence(sc.lattice, sc.meyer, sc.processes["Z"])
+        assert msg is None, msg
+        count += 1
+    _report(
+        7,
+        count == 65,
+        f"predicate and sequential USC forms agree on {count} instances, "
+        f"five of them with 4 epochs",
+    )
 
 
 def test_criterion_8_representation_round_trip():

@@ -1,11 +1,12 @@
 """Table-driven checks against the per-stopping-time code they replace.
 
 The certificate, the universal-signal rows, `solve_representation` and the
-divided-stop enumeration read tables built once per call.  The oracles here
-are the direct per-stop computations those tables stand for; they live only
-in the tests.  The mutation tests show that each rewritten check can still
-report a failure, and the last test that value-only checks never build the
-optimizers.
+divided-stop enumeration read tables built once per call; the relaxation
+maximum and the sequential USC forms are memoized folds or per-atom sums.
+The oracles here are the direct per-stop computations those stand for; they
+live only in the tests.  The mutation tests show that each rewritten check
+can still report a failure, and the lazy-optimizer tests that value-only
+checks never build the optimizers nor list every stopping time.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from meyerstop import checks, enumeration, representation
-from meyerstop.enumeration import iter_stopping_index_tuples
+from meyerstop import checks, enumeration, projection, representation
+from meyerstop.enumeration import _maximum, _weighted, iter_stopping_index_tuples
 from meyerstop.lattice import (
     AT,
     INT,
@@ -29,12 +30,20 @@ from meyerstop.lattice import (
     LatticeProcess,
     RandomInstant,
     conditional_expectation,
+    divided_value,
+    field_at_time,
     field_partitions,
     from_divided_quadruple,
     is_lambda_stopping_time,
     is_measurable,
     to_divided_quadruple,
     validate_divided,
+)
+from meyerstop.projection import (
+    Side,
+    UscVerdict,
+    check_usc_sequence_equivalence,
+    envelope,
 )
 from meyerstop.representation import (
     RepresentationError,
@@ -56,6 +65,7 @@ from meyerstop.snell import (
     check_optimality,
     delta_stop,
     enumerate_divided_stops,
+    expected_value,
     is_lambda_martingale,
     lambda_entry_time,
     martingale_reach,
@@ -395,6 +405,34 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
     assert brute.optimizers is brute.optimizers
 
 
+def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
+    listed = []
+    walk = enumeration._walk
+
+    def no_listing(steps, active, keep=None):
+        if keep is None:
+            listed.append(steps.n_inst)
+        return walk(steps, active, keep)
+
+    monkeypatch.setattr(enumeration, "_walk", no_listing)
+    heavy = generate_instance(
+        RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
+    )
+    for sc in [heavy, *(sc for _, sc in small_family(12))]:
+        lattice, meyer = sc.lattice, sc.meyer
+        starts = [
+            RandomInstant.constant(lattice, Instant(k, AT))
+            for k in range(lattice.epoch_count + 1)
+        ]
+        for name in ("L", "Z"):
+            assert checks.check_delta(lattice, meyer, sc.processes[name], starts) is None
+            assert checks.check_usc_equivalence(lattice, meyer, sc.processes[name]) is None
+    assert listed == []
+    # the wrapper sees a listing where there is one
+    assert len(list(iter_stopping_index_tuples(heavy.lattice, heavy.meyer))) == 745
+    assert listed == [heavy.lattice.n_instants]
+
+
 # (e) first-hit stops and divided-stop readings ------------------------------
 #
 # Every stopping rule is now one debut scan (`lattice._first_hits`) and every
@@ -728,3 +766,167 @@ def test_mertens_reports_a_lost_martingale(monkeypatch):
         monkeypatch.setattr(checks, "mertens_decompose", real)
         reported += 1
     assert reported == 12
+
+
+# (g) relaxation maximum and sequential USC forms ----------------------------
+#
+# `check_delta` reads the divided-stop maximum from S off one memoized fold
+# over Lambda-stopping times T >= S.  `check_usc_sequence_equivalence`
+# decides the right form per (instant, Lambda atom) and the left form by one
+# maximum over predictable stopping times.  The oracles are the loops over
+# every stopping time that those replace.
+
+
+def plain_divided_maximum(lattice, meyer, process, S):
+    """Largest E[Z at q] over the canonical divided stops q from S."""
+    best = None
+    for q in enumerate_divided_stops(lattice, meyer, from_S=S):
+        v = expected_value(lattice, divided_value(lattice, process, q))
+        if best is None or v > best:
+            best = v
+    return best
+
+
+def plain_divided_maxima(lattice, meyer, process, starts):
+    """`plain_divided_maximum` at every start, valuing each divided stop
+    once: the stops from S are those read at or after S on every path, and
+    the first of them in decreasing order of value is the largest."""
+    valued = sorted(
+        (
+            (expected_value(lattice, divided_value(lattice, process, q)), read.indices)
+            for q in enumerate_divided_stops(lattice, meyer)
+            for read in [from_divided_quadruple(lattice, q)]
+        ),
+        key=lambda pair: pair[0],
+        reverse=True,
+    )
+    return [
+        next(v for v, read in valued if all(s <= r for s, r in zip(S.indices, read)))
+        for S in starts
+    ]
+
+
+def plain_right_violations(lattice, meyer, process):
+    """(T, atom) for every Lambda-stopping time T and atom of the Lambda
+    field at T where E[Z_T; atom] < E[(right envelope)_T; atom]."""
+    probs, n = lattice.probabilities, lattice.n_instants
+    right_env = envelope(lattice, process, Side.RIGHT)
+    for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA):
+        T = RandomInstant(idx, n)
+        z, z_after = T.value_of(process), T.value_of(right_env)
+        for block in field_at_time(lattice, meyer, T, Kind.LAMBDA):
+            on_time = sum((probs[p] * z[p] for p in block), Fraction(0))
+            after = sum((probs[p] * z_after[p] for p in block), Fraction(0))
+            if on_time < after:
+                yield T, sorted(block)
+
+
+def plain_left_violations(lattice, meyer, process):
+    """Every predictable stopping time T with E[Z_T] < E[(left envelope)_T]."""
+    probs, n = lattice.probabilities, lattice.n_instants
+    left_env = envelope(lattice, process, Side.LEFT)
+    for idx in iter_stopping_index_tuples(lattice, meyer, Kind.PREDICTABLE):
+        T = RandomInstant(idx, n)
+        on_time = sum((c * v for c, v in zip(probs, T.value_of(process))), Fraction(0))
+        announced = sum((c * v for c, v in zip(probs, T.value_of(left_env))), Fraction(0))
+        if on_time < announced:
+            yield T
+
+
+def usc_candidates(sc, rng):
+    """Z, and random rewards; half of them vanish on the last interval, so
+    that the left form can hold."""
+    lattice, meyer = sc.lattice, sc.meyer
+    yield sc.processes["Z"]
+    for k in range(4):
+        Z = atomwise(lattice, meyer, lambda: Fraction(rng.randint(0, 3)))
+        if k % 2:
+            rows = [list(row) for row in Z.values]
+            for row in rows:
+                row[-1] = Fraction(0)
+            Z = LatticeProcess.from_rows(rows)
+        yield Z
+
+
+def test_divided_stop_maximum_matches_the_stop_loop():
+    compared = 0
+    for seed, sc in small_family():
+        lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+        weights, terminal = _weighted(lattice, Z)
+        zero = RandomInstant.constant(lattice, Instant(0, AT))
+        starts = [zero] + [
+            RandomInstant(idx, lattice.n_instants)
+            for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA)
+        ]
+        plain = plain_divided_maxima(lattice, meyer, Z, starts)
+        assert plain[0] == plain_divided_maximum(lattice, meyer, Z, zero), seed
+        for S, expected in zip(starts, plain, strict=True):
+            best = _maximum(lattice, meyer, weights, terminal, Kind.LAMBDA, S, None)[0]
+            assert best == expected, (seed, S)
+            compared += 1
+    assert compared > 6000, compared
+
+
+def test_delta_check_reports_a_maximum_that_ignores_the_start(monkeypatch):
+    def from_zero(lattice, meyer, weights, terminal, kind, lower, guard):
+        return _maximum(lattice, meyer, weights, terminal, kind, None, guard)
+
+    monkeypatch.setattr(checks, "_maximum", from_zero)
+    reported = 0
+    for seed, sc in small_family(30):
+        lattice = sc.lattice
+        starts = [
+            RandomInstant.constant(lattice, Instant(k, AT))
+            for k in range(lattice.epoch_count + 1)
+        ]
+        message = checks.check_delta(lattice, sc.meyer, sc.processes["Z"], starts)
+        if message is not None:
+            assert message.startswith("divided-stop maximum "), message
+            reported += 1
+    assert reported >= 10, reported
+
+
+def test_sequential_usc_forms_match_the_stop_loops():
+    verdicts = dict.fromkeys(
+        [("right", True), ("right", False), ("left", True), ("left", False)], 0
+    )
+    for seed, sc in small_family():
+        rng = random.Random(seed)
+        for Z in usc_candidates(sc, rng):
+            report = check_usc_sequence_equivalence(sc.lattice, sc.meyer, Z)
+            right = next(plain_right_violations(sc.lattice, sc.meyer, Z), None) is None
+            left = next(plain_left_violations(sc.lattice, sc.meyer, Z), None) is None
+            assert (report.right_sequential, report.left_sequential) == (right, left), seed
+            assert report.ok, (seed, report.counterexample)
+            verdicts["right", right] += 1
+            verdicts["left", left] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_usc_equivalence_names_a_counterexample_for_each_form(side, monkeypatch):
+    name = f"is_{side}_usc_in_expectation"
+    real = getattr(projection, name)
+    monkeypatch.setattr(
+        projection, name, lambda *args: UscVerdict(ok=not real(*args).ok, witness=None)
+    )
+    seen = {True: 0, False: 0}
+    for seed, sc in small_family(30):
+        lattice, meyer = sc.lattice, sc.meyer
+        for Z in usc_candidates(sc, random.Random(seed)):
+            message = checks.check_usc_equivalence(lattice, meyer, Z)
+            if side == "right":
+                violations = list(plain_right_violations(lattice, meyer, Z))
+            else:
+                violations = list(plain_left_violations(lattice, meyer, Z))
+            holds = not violations
+            prefix = f"{side}-USC predicate {not holds} but sequential form {holds} (at "
+            assert message.startswith(prefix), (seed, message)
+            witness = message[len(prefix) : -1]
+            if holds:
+                assert witness == "None", (seed, message)
+            else:
+                # the named witness is a genuine violation of the form
+                assert witness in {str(v) for v in violations}, (seed, message)
+            seen[holds] += 1
+    assert min(seen.values()) >= 10, seen

@@ -128,6 +128,14 @@ def test_g_root_examples():
         g_root([(0, Fraction(1), Fraction(1))], 1)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-9, float("nan"), float("inf")])
+def test_monotone_g_needs_a_finite_positive_tolerance(tolerance):
+    # the root bisection runs while hi - lo > tolerance
+    with pytest.raises(LatticeError, match="tolerance must be finite and positive"):
+        GFamily.monotone(((lambda ell: ell,),), tolerance=tolerance)
+    assert GFamily.monotone(((lambda ell: ell,),), tolerance=1e-6).tolerance == 1e-6
+
+
 def test_validate_g(branch):
     lattice, meyer = branch
     validate_g(lattice, meyer, identity_g(lattice))

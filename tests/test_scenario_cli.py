@@ -308,3 +308,31 @@ def test_golden_represent_odd_power():
     assert render_machine(doc) == (GOLDEN / "odd_power_represent.json").read_text(
         encoding="utf-8"
     )
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf", "abc", 0, True, None])
+def test_g_tolerance_must_be_finite_and_positive(tolerance):
+    # a zero, negative or NaN tolerance used to reach the root bisection,
+    # which then never ended (zero, negative) or returned a wrong root (NaN)
+    doc = json.loads((FIXTURES / "odd_power.scn").read_text(encoding="utf-8"))
+    doc["g"]["tolerance"] = tolerance
+    with pytest.raises(ScenarioError, match=r"^g\.tolerance: expected a finite positive number"):
+        parse_scenario(json.dumps(doc))
+    doc["g"]["tolerance"] = "1e-6"
+    assert parse_scenario(json.dumps(doc)).build_g().tolerance == 1e-6
+
+
+def test_boolean_epochs_and_power_are_rejected():
+    # JSON true is a Python int equal to 1, which is a valid epoch count and
+    # an odd power; it would render back as "epochs": true
+    doc = json.loads((FIXTURES / "branch.scn").read_text(encoding="utf-8"))
+    assert doc["epochs"] == 1
+    doc["epochs"] = True
+    with pytest.raises(ScenarioError, match="^epochs: expected a positive integer"):
+        parse_scenario(json.dumps(doc))
+    doc = json.loads((FIXTURES / "odd_power.scn").read_text(encoding="utf-8"))
+    doc["g"]["power"] = True
+    with pytest.raises(ScenarioError, match=r"^g\.power: expected an odd positive integer"):
+        parse_scenario(json.dumps(doc))
+    doc["g"]["power"] = 1
+    assert parse_scenario(json.dumps(doc)).g_spec["power"] == 1
