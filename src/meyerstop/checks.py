@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .enumeration import (
-    DEFAULT_GUARD,
-    EnumerationGuardError,
-    _maximum,
-    _weighted,
-    iter_stopping_index_tuples,
-)
+from .enumeration import DEFAULT_GUARD, EnumerationGuardError, _between, _cells, _maximum
 from .lattice import (
+    InvariantError,
     Kind,
+    LatticeError,
     LatticeProcess,
     RandomInstant,
     field_at_time,
@@ -45,6 +41,7 @@ from .representation import (
 )
 from .snell import (
     PreconditionError,
+    _escapee,
     _smallest_largest,
     delta_stop,
     expected_value,
@@ -221,7 +218,6 @@ def check_delta(
     = max over divided stops from S (Lambda-stopping times T >= S read on
     time), plus the conditional identity and the lambda-entry stabilization."""
     zbar = snell_envelope(lattice, meyer, process)
-    weights, terminal = _weighted(lattice, process)
     ratios = [
         process.values[p][i] / zbar.values[p][i]
         for p in range(lattice.n_paths)
@@ -259,7 +255,7 @@ def check_delta(
         if ent.value_of(decomp.a) != S.value_of(decomp.a):
             return f"A moves before the 1/2-entry time from {S.assignment}"
         try:
-            best = _maximum(lattice, meyer, weights, terminal, Kind.LAMBDA, S, guard)[0]
+            best = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, S), guard).value
         except EnumerationGuardError:
             continue
         if best != env_at_s:
@@ -288,30 +284,34 @@ def check_sigma(lattice, meyer, process, starts) -> str | None:
 def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
     """Certificate verdict iff brute-force optimality, for every stopping time.
 
-    The certificate of `check_optimality` holds at U iff, on every path,
-    the reward touches the envelope at U and U is within the envelope's
-    martingale reach; both are read from per-(path, index) tables.
+    The certificate of `check_optimality` holds at U iff each cell of U is
+    certified: there the reward touches the envelope, within its martingale
+    reach.  The certified times are the optimal ones iff all of them attain
+    the optimum and there are as many as optimizers, which the fold
+    restricted to the certified cells decides; a witness is named by a walk.
     """
     zbar = snell_envelope(lattice, meyer, process)
     brute = snell_brute_force(lattice, meyer, process, guard)
     reach = martingale_reach(lattice, meyer, zbar)
-    probs = lattice.probabilities
-    holds, worth = [], []
-    for p in range(lattice.n_paths):
-        z = process.values[p] + (process.terminal[p],)
-        env = zbar.values[p] + (zbar.terminal[p],)
-        holds.append([z[i] == env[i] and i <= reach[p] for i in range(len(z))])
-        worth.append([probs[p] * v for v in z])
-    for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, guard=guard):
-        optimal = all(holds[p][i] for p, i in enumerate(idx))
-        achieved = sum((worth[p][i] for p, i in enumerate(idx)), Fraction(0))
+    z = [(*row, t) for row, t in zip(process.values, process.terminal)]
+    env = [(*row, t) for row, t in zip(zbar.values, zbar.terminal)]
+    certified = _cells(lattice, lambda p, i: z[p][i] == env[p][i] and i <= reach[p])
+    cert = _maximum(lattice, meyer, process, Kind.LAMBDA, certified, None)
+    if cert.value == brute.value and cert.ways == cert.total == brute.optimizer_count:
+        return None
+    # name a witness: a certified time off the optimum (all certified times tie
+    # at the maximum of 0, so the walk lists them) or an uncertified optimal one
+    nothing = LatticeProcess.constant(lattice, 0)
+    listed = _maximum(lattice, meyer, nothing, Kind.LAMBDA, certified, None).maximizers()
+    for U in [*(RandomInstant(idx, lattice.n_instants) for idx in listed), *brute.optimizers]:
+        optimal = all(certified[i] >> p & 1 for p, i in enumerate(U.indices))
+        achieved = expected_value(lattice, U.value_of(process))
         if optimal != (achieved == brute.value):
-            U = RandomInstant(idx, lattice.n_instants)
             return (
                 f"certificate says {optimal} but value {achieved} vs "
                 f"optimum {brute.value} at {U.assignment}"
             )
-    return None
+    raise InvariantError("the certificate folds disagree but no stopping time does")
 
 
 def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
@@ -322,14 +322,15 @@ def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
         result, zbar, decomp = _smallest_largest(lattice, meyer, process, guard)
     except PreconditionError as exc:
         return f"SKIP: {exc}"
+    except LatticeError as exc:
+        return str(exc)
     zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
     ss = sigma_stop(lattice, meyer, process, zero, zbar, decomp)
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
     hi = from_divided_quadruple(lattice, ss.quadruple)
-    for U in result.all_optimal:
-        if not result.smallest <= U <= hi:
-            return f"optimal time {U.assignment} escapes the delta/sigma bracket"
+    if (U := _escapee(lattice, meyer, process, result.brute, result.smallest, hi)) is not None:
+        return f"optimal time {U.assignment} escapes the delta/sigma bracket"
     return None
 
 

@@ -145,7 +145,7 @@ def run_command(
             "envelope": _proc_doc(lattice, zbar),
             "value": _fmt(root),
             "brute_force_value": _fmt(brute.value),
-            "optimizer_count": len(brute.optimizers),
+            "optimizer_count": brute.optimizer_count,
             "matches_oracle": root == brute.value,
         }
         return doc, OK if root == brute.value else PROPERTY_FAILURE

@@ -8,17 +8,24 @@ deciding, instant by instant and atom by atom, whether the still-active
 part of the atom stops now.
 
 A state is an instant index with the bitmask of still-active paths; one
-choice step lists what a state may stop.  Counting is the (+, x) and
-maximizing the (max, +) form of one recursion over that step, memoized per
-state, so each costs one visit per reachable state, not one per stopping
-time.  Iteration and the maximizer walk follow the same step to the times.
+choice step lists what a state may stop.  Every restriction on the times
+(T >= S, T <= U, a set of certified cells) is one `allowed` table: bit p
+of `allowed[i]` lets path p stop at instant i, and `allowed[n_instants]`
+lists the paths that may run to TERMINAL.  A part of an atom may stop
+only if all its paths may, and a state whose active paths may not reach
+TERMINAL is dead.  One memoized fold gives each state its best integer
+gain, how many completions attain it and how many are live, so the count,
+the maximum and the maximizer count cost one visit per reachable state,
+not one per stopping time.  Iteration and the maximizer walk follow the
+same step to the times.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 from .lattice import (
     FilteredLattice,
@@ -56,53 +63,47 @@ def _scope_mask(lattice: FilteredLattice, scope: frozenset[int] | None) -> int:
 
 def _check_guard(total: int, guard: int | None) -> None:
     if guard is not None and total > guard:
-        raise EnumerationGuardError(
-            f"{total} stopping times exceed the guard of {guard}"
-        )
+        raise EnumerationGuardError(f"{total} stopping times exceed the guard of {guard}")
+
+
+def _cells(lattice: FilteredLattice, allowed: Callable[[int, int], bool]) -> list[int]:
+    """The `allowed` table of the cells (p, i) where `allowed(p, i)`."""
+    paths = range(lattice.n_paths)
+    return [_mask(p for p in paths if allowed(p, i)) for i in range(lattice.n_instants + 1)]
+
+
+def _between(lattice: FilteredLattice, lower, upper=None) -> list[int]:
+    """The `allowed` table of the times with lower <= T <= upper (None: no bound)."""
+    n = lattice.n_instants
+    lo = (0,) * lattice.n_paths if lower is None else lower.indices
+    hi = (n,) * lattice.n_paths if upper is None else upper.indices
+    return _cells(lattice, lambda p, i: lo[p] <= i <= hi[p])
 
 
 class _Decisions:
-    """The choice step for one kind of stopping time, with T >= lower.
+    """The choice step for one kind of stopping time, within `allowed` cells."""
 
-    `gains[i][p]`, if given, is the integer worth of stopping p at instant i.
-    """
-
-    def __init__(
-        self,
-        lattice: FilteredLattice,
-        meyer: MeyerStructure,
-        kind: Kind,
-        lower: RandomInstant | None,
-        gains: list[list[int]] | None = None,
-    ) -> None:
+    def __init__(self, lattice, meyer, kind: Kind, allowed: list[int] | None = None) -> None:
         self.n_paths = lattice.n_paths
         self.n_inst = lattice.n_instants
-        self.atoms = [
-            [_mask(block) for block in part]
-            for part in field_partitions(lattice, meyer, kind)
-        ]
-        low = (0,) * self.n_paths if lower is None else lower.indices
-        self.ready = [
-            _mask(p for p in range(self.n_paths) if low[p] <= i)
-            for i in range(self.n_inst)
-        ]
-        self.gains = gains
+        self.atoms = [[_mask(b) for b in part] for part in field_partitions(lattice, meyer, kind)]
+        self.allowed = allowed or [(1 << self.n_paths) - 1] * (self.n_inst + 1)
 
-    def choices(self, i: int, active: int) -> list[tuple[int, int]]:
+    def live(self, active: int) -> bool:
+        """Whether the paths still active at the end may run to TERMINAL."""
+        return not active & ~self.allowed[self.n_inst]
+
+    def choices(self, i: int, active: int, column=None) -> list[tuple[int, int]]:
         """(stopped mask, gain) of every choice at state (i, active).
 
         The eligible parts are the active shares of instant i's atoms whose
-        paths have all reached `lower`.  Choice c stops the parts at the set
+        paths may all stop at i; a part's gain sums `column[p]` over its
+        paths (0 without a column).  Choice c stops the parts at the set
         bits of c and extends the choice without c's lowest bit, so the list
         runs in the order of c.
         """
-        ready = self.ready[i]
-        parts = [
-            part
-            for atom in self.atoms[i]
-            if (part := atom & active) and not part & ~ready
-        ]
-        column = self.gains[i] if self.gains else None
+        ok = self.allowed[i]
+        parts = [part for atom in self.atoms[i] if (part := atom & active) and not part & ~ok]
         worth = [sum(column[p] for p in _bits(part)) if column else 0 for part in parts]
         out = [(0, 0)]
         for c in range(1, 1 << len(parts)):
@@ -113,53 +114,60 @@ class _Decisions:
         return out
 
 
-def _walk(
-    steps: _Decisions,
-    active: int,
-    keep: Callable[[int, int, int, int], bool] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Index tuples reached from instant 0, through the choices `keep` admits.
+def _walk(steps: _Decisions, active: int, keep=None) -> Iterator[tuple[int, ...]]:
+    """Index tuples of the live times reached from instant 0, through the
+    choices `keep(i, active, stopped)` admits.
 
     Paths never active stay at n_instants, which stands for TERMINAL.
     """
-    n_inst = steps.n_inst
-    assign = [n_inst] * steps.n_paths
+    return _walk_from(steps, 0, active, keep, [steps.n_inst] * steps.n_paths)
 
-    def rec(i: int, active: int) -> Iterator[tuple[int, ...]]:
-        if i == n_inst or not active:
+
+def _walk_from(steps, i, active, keep, assign) -> Iterator[tuple[int, ...]]:
+    # a module-level recursion holds no reference cycle, so the fold that
+    # `keep` reads is freed as soon as the walk ends
+    if i == steps.n_inst or not active:
+        if steps.live(active):
             yield tuple(assign)
-            return
-        for stopped, gain in steps.choices(i, active):
-            if keep is not None and not keep(i, active, stopped, gain):
+        return
+    for stopped, _ in steps.choices(i, active):
+        if keep is not None and not keep(i, active, stopped):
+            continue
+        for p in _bits(stopped):
+            assign[p] = i
+        yield from _walk_from(steps, i + 1, active & ~stopped, keep, assign)
+        for p in _bits(stopped):
+            assign[p] = steps.n_inst
+
+
+def _fold(steps: _Decisions, gains: list[list[int]] | None = None) -> Callable:
+    """Memoized (best, ways, total) of a state over its live completions:
+    the largest sum of `gains[i][p]` over the cells (p, i) stopped (row
+    n_instants for TERMINAL, all 0 if None), how many attain it, and how
+    many there are; (None, 0, 0) for a dead state."""
+    return partial(_fold_at, steps, gains, [{} for _ in range(steps.n_inst)])
+
+
+def _fold_at(steps, gains, memo, i: int, active: int) -> tuple[int | None, int, int]:
+    if i == steps.n_inst or not active:
+        if not steps.live(active):
+            return None, 0, 0
+        return sum(gains[i][p] for p in _bits(active)) if gains else 0, 1, 1
+    got = memo[i].get(active)
+    if got is None:
+        best, ways, total = None, 0, 0
+        for stopped, gain in steps.choices(i, active, gains and gains[i]):
+            sub_best, sub_ways, sub_total = _fold_at(steps, gains, memo, i + 1, active & ~stopped)
+            if not sub_total:
                 continue
-            for p in _bits(stopped):
-                assign[p] = i
-            yield from rec(i + 1, active & ~stopped)
-            for p in _bits(stopped):
-                assign[p] = n_inst
-
-    return rec(0, active)
-
-
-def _fold(
-    steps: _Decisions, leaf: Callable[[int], int], combine: Callable
-) -> Callable[[int, int], int]:
-    """Memoized value of a state: `leaf(active)` once the chain ends or every
-    path has stopped, else `combine` over its choices of gain + next value."""
-    memo: list[dict[int, int]] = [{} for _ in range(steps.n_inst)]
-
-    def value(i: int, active: int) -> int:
-        if i == steps.n_inst or not active:
-            return leaf(active)
-        got = memo[i].get(active)
-        if got is None:
-            got = memo[i][active] = combine(
-                gain + value(i + 1, active & ~stopped)
-                for stopped, gain in steps.choices(i, active)
-            )
-        return got
-
-    return value
+            total += sub_total
+            sub_best += gain
+            if best is None or sub_best > best:
+                best, ways = sub_best, sub_ways
+            elif sub_best == best:
+                ways += sub_ways
+        got = memo[i][active] = best, ways, total
+    return got
 
 
 def count_stopping_times(
@@ -170,8 +178,8 @@ def count_stopping_times(
     scope: frozenset[int] | None = None,
 ) -> int:
     """Number of stopping times (with T >= lower pathwise, within scope)."""
-    count = _fold(_Decisions(lattice, meyer, kind, lower), lambda active: 1, sum)
-    return count(0, _scope_mask(lattice, scope))
+    steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
+    return _fold(steps)(0, _scope_mask(lattice, scope))[2]
 
 
 def iter_stopping_index_tuples(
@@ -188,10 +196,11 @@ def iter_stopping_index_tuples(
     times with T >= lower per path are produced.  The guard bounds the total
     count before any enumeration happens.
     """
+    steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
+    active = _scope_mask(lattice, scope)
     if guard is not None:
-        _check_guard(count_stopping_times(lattice, meyer, kind, lower, scope), guard)
-    steps = _Decisions(lattice, meyer, kind, lower)
-    yield from _walk(steps, _scope_mask(lattice, scope))
+        _check_guard(_fold(steps)(0, active)[2], guard)
+    yield from _walk(steps, active)
 
 
 def enumerate_stopping_times(
@@ -205,57 +214,38 @@ def enumerate_stopping_times(
         yield RandomInstant(idx, lattice.n_instants)
 
 
-def maximize_over_stopping_times(
-    lattice: FilteredLattice,
-    meyer: MeyerStructure,
-    weights: Sequence[Sequence[Fraction]],
-    terminal_weights: Sequence[Fraction],
-    kind: Kind = Kind.LAMBDA,
-    lower: RandomInstant | None = None,
-    guard: int | None = DEFAULT_GUARD,
-) -> tuple[Fraction, list[tuple[int, ...]], int]:
-    """Maximize sum_p weights[p][T(p)] over all stopping times.
+class _Optimum(NamedTuple):
+    """Max of E[process_T] over the allowed times (None if there is none),
+    how many attain it, how many there are, and the sorted maximizers."""
 
-    `weights[p][i]` is the probability-weighted contribution of stopping
-    path p at instant index i; `terminal_weights[p]` covers TERMINAL.  The
-    weights are scaled once to integers over their common denominator, and
-    only the best value per state is memoized.  Returns the exact maximum,
-    all maximizers in canonical (index-tuple) order, and the number of
-    stopping times.
+    value: Fraction | None
+    ways: int
+    total: int
+    maximizers: Callable[[], list[tuple[int, ...]]]
+
+
+def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed, guard) -> _Optimum:
+    """Maximize E[process_T] over the stopping times within `allowed`.
+
+    The probability-weighted cells are scaled once to integers over their
+    common denominator; one fold gives the value, the maximizer count and
+    the count the guard bounds, checked before any walk.  The maximizers
+    are walked only when `maximizers()` is called.
     """
-    value, maximizers, total = _maximum(
-        lattice, meyer, weights, terminal_weights, kind, lower, guard
-    )
-    return value, maximizers(), total
-
-
-def _weighted(lattice: FilteredLattice, process: LatticeProcess):
-    """The `weights` and `terminal_weights` whose maximum is max E[process_T]."""
     probs = lattice.probabilities
-    weights = [[c * v for v in row] for c, row in zip(probs, process.values)]
-    return weights, [c * t for c, t in zip(probs, process.terminal)]
-
-
-def _maximum(lattice, meyer, weights, terminal_weights, kind, lower, guard):
-    """`maximize_over_stopping_times` with the maximizers left to a call of
-    the returned walk, so a caller that reads only the value never walks."""
-    total = count_stopping_times(lattice, meyer, kind, lower)
-    _check_guard(total, guard)
-    den = math.lcm(
-        *(w.denominator for row in weights for w in row),
-        *(w.denominator for w in terminal_weights),
-    )
-    gains = [
-        [row[i].numerator * (den // row[i].denominator) for row in weights]
-        for i in range(lattice.n_instants)
-    ]
-    terminal = [w.numerator * (den // w.denominator) for w in terminal_weights]
-    steps = _Decisions(lattice, meyer, kind, lower, gains)
-    best = _fold(steps, lambda active: sum(terminal[p] for p in _bits(active)), max)
-
-    def attains(i: int, active: int, stopped: int, gain: int) -> bool:
-        return gain + best(i + 1, active & ~stopped) == best(i, active)
-
+    cells = [[c * v for v in (*row, t)] for c, row, t in zip(probs, process.values, process.terminal)]
+    den = math.lcm(*(w.denominator for row in cells for w in row))
+    gains = [[w.numerator * (den // w.denominator) for w in col] for col in zip(*cells)]
+    steps = _Decisions(lattice, meyer, kind, allowed)
+    value = _fold(steps, gains)
     full = _scope_mask(lattice, None)
-    top = best(0, full)
-    return Fraction(top, den), lambda: sorted(_walk(steps, full, attains)), total
+    best, ways, total = value(0, full)
+    _check_guard(total, guard)
+
+    def attains(i: int, active: int, stopped: int) -> bool:
+        sub_best, _, sub_total = value(i + 1, active & ~stopped)
+        gain = sum(gains[i][p] for p in _bits(stopped))
+        return sub_total > 0 and gain + sub_best == value(i, active)[0]
+
+    top = None if best is None else Fraction(best, den)
+    return _Optimum(top, ways, total, lambda: sorted(_walk(steps, full, attains)))

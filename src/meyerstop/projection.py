@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .enumeration import DEFAULT_GUARD, _check_guard, _maximum, _weighted, count_stopping_times
+from .enumeration import DEFAULT_GUARD, _check_guard, _maximum, count_stopping_times
 from .lattice import (
     FilteredLattice,
     InvariantError,
@@ -223,11 +223,9 @@ def check_usc_sequence_equivalence(
         [[a - z for a, z in zip(*rows)] for rows in zip(left_env.values, process.values)],
         terminal=left_env.terminal,  # the reward vanishes at TERMINAL
     )
-    worst, maximizers, _ = _maximum(
-        lattice, meyer, *_weighted(lattice, gap), Kind.PREDICTABLE, None, guard
-    )
-    left_seq = worst <= 0
-    left_where = None if left_seq else RandomInstant(maximizers()[0], n)
+    worst = _maximum(lattice, meyer, gap, Kind.PREDICTABLE, None, guard)
+    left_seq = worst.value <= 0
+    left_where = None if left_seq else RandomInstant(worst.maximizers()[0], n)
 
     right_pred = is_right_usc_in_expectation(lattice, meyer, process).ok
     left_pred = is_left_usc_in_expectation(lattice, meyer, process).ok

@@ -24,12 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .enumeration import (
-    DEFAULT_GUARD,
-    _maximum,
-    _weighted,
-    iter_stopping_index_tuples,
-)
+from .enumeration import DEFAULT_GUARD, _between, _maximum, iter_stopping_index_tuples
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -91,6 +86,7 @@ class BruteForceResult:
 
     value: Fraction
     stopping_time_count: int
+    optimizer_count: int
     maximizers: Callable[[], list[RandomInstant]] = field(repr=False, compare=False)
 
     @cached_property
@@ -112,13 +108,12 @@ def snell_brute_force(
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    value, argmax, count = _maximum(
-        lattice, meyer, *_weighted(lattice, process), Kind.LAMBDA, None, guard
-    )
+    opt = _maximum(lattice, meyer, process, Kind.LAMBDA, None, guard)
     return BruteForceResult(
-        value=value,
-        stopping_time_count=count,
-        maximizers=lambda: [RandomInstant(t, lattice.n_instants) for t in argmax()],
+        value=opt.value,
+        stopping_time_count=opt.total,
+        optimizer_count=opt.ways,
+        maximizers=lambda: [RandomInstant(t, lattice.n_instants) for t in opt.maximizers()],
     )
 
 
@@ -473,9 +468,15 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SmallestLargest:
+    """The optimizers are built from `brute` on first read."""
+
     smallest: RandomInstant
     largest: RandomInstant
-    all_optimal: tuple[RandomInstant, ...]
+    brute: BruteForceResult = field(repr=False, compare=False)
+
+    @property
+    def all_optimal(self) -> tuple[RandomInstant, ...]:
+        return self.brute.optimizers
 
 
 def smallest_largest_optimal(
@@ -518,14 +519,22 @@ def _smallest_largest(lattice, meyer, process, guard):
     # point, so the entry time is the grid point itself; n_instants is even.
     largest = RandomInstant(tuple(i - i % 2 for i in active), lattice.n_instants)
 
-    cert_small = check_optimality(lattice, meyer, process, smallest, zbar)
-    cert_large = check_optimality(lattice, meyer, process, largest, zbar)
-    if not (cert_small.optimal and cert_large.optimal):
+    if not all(
+        check_optimality(lattice, meyer, process, U, zbar).optimal for U in (smallest, largest)
+    ):
         raise LatticeError("entry-time candidates failed their optimality certificates")
 
     brute = snell_brute_force(lattice, meyer, process, guard)
-    for U in brute.optimizers:
-        if not smallest <= U <= largest:
-            raise LatticeError(f"optimal time {U.assignment} escapes the sandwich")
-    result = SmallestLargest(smallest=smallest, largest=largest, all_optimal=brute.optimizers)
-    return result, zbar, decomp
+    if (U := _escapee(lattice, meyer, process, brute, smallest, largest)) is not None:
+        raise LatticeError(f"optimal time {U.assignment} escapes the sandwich")
+    return SmallestLargest(smallest=smallest, largest=largest, brute=brute), zbar, decomp
+
+
+def _escapee(lattice, meyer, process, brute, lower, upper) -> RandomInstant | None:
+    """An optimal time outside [lower, upper], or None: every optimal time
+    lies inside exactly when the fold restricted to the bracket attains the
+    optimum as often as the unrestricted one does."""
+    inside = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, lower, upper), None)
+    if inside.value == brute.value and inside.ways == brute.optimizer_count:
+        return None
+    return next(U for U in brute.optimizers if not lower <= U <= upper)

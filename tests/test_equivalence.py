@@ -1,8 +1,9 @@
 """Table-driven checks against the per-stopping-time code they replace.
 
-The certificate, the universal-signal rows, `solve_representation` and the
-divided-stop enumeration read tables built once per call; the relaxation
-maximum and the sequential USC forms are memoized folds or per-atom sums.
+The universal-signal rows, `solve_representation` and the divided-stop
+enumeration read tables built once per call; the certificate, the sandwich,
+the relaxation maximum and the sequential USC forms are memoized folds
+(restricted to allowed cells) or per-atom sums.
 The oracles here are the direct per-stop computations those stand for; they
 live only in the tests.  The mutation tests show that each rewritten check
 can still report a failure, and the lazy-optimizer tests that value-only
@@ -17,8 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from meyerstop import checks, enumeration, projection, representation
-from meyerstop.enumeration import _maximum, _weighted, iter_stopping_index_tuples
+from meyerstop import Scenario, checks, cli, enumeration, projection, representation
+from meyerstop.enumeration import _between, _cells, _maximum, iter_stopping_index_tuples
 from meyerstop.lattice import (
     AT,
     INT,
@@ -222,6 +223,137 @@ def test_optimality_oracle_reports_a_corrupted_envelope_cell(monkeypatch):
     assert reported == 12
 
 
+def plain_optimality_oracle(lattice, meyer, process, cells=None):
+    """The message of every stopping time where the certificate verdict
+    differs from brute-force optimality, one per stop; the envelope and the
+    reach are read through `checks`, so a patched one shows here too.  A set
+    of (path, index) `cells`, if given, stands for the certified cells."""
+    zbar = checks.snell_envelope(lattice, meyer, process)
+    brute = snell_brute_force(lattice, meyer, process)
+    reach = checks.martingale_reach(lattice, meyer, zbar)
+    probs = lattice.probabilities
+    holds, worth = [], []
+    for p in range(lattice.n_paths):
+        z = process.values[p] + (process.terminal[p],)
+        env = zbar.values[p] + (zbar.terminal[p],)
+        holds.append(
+            [
+                (p, i) in cells if cells is not None else z[i] == env[i] and i <= reach[p]
+                for i in range(len(z))
+            ]
+        )
+        worth.append([probs[p] * v for v in z])
+    for idx in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA):
+        optimal = all(holds[p][i] for p, i in enumerate(idx))
+        achieved = sum((worth[p][i] for p, i in enumerate(idx)), Fraction(0))
+        if optimal != (achieved == brute.value):
+            U = RandomInstant(idx, lattice.n_instants)
+            yield (
+                f"certificate says {optimal} but value {achieved} vs "
+                f"optimum {brute.value} at {U.assignment}"
+            )
+
+
+@pytest.mark.parametrize("mutant", ["none", "reach+1", "reach-1", "envelope"])
+def test_certificate_fold_matches_the_stop_loop(mutant, monkeypatch):
+    real_reach, real_envelope = checks.martingale_reach, checks.snell_envelope
+    verdicts = {True: 0, False: 0}
+    for seed, sc in small_family():
+        lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+        if mutant.startswith("reach"):
+            shift = int(mutant[5:])
+            monkeypatch.setattr(
+                checks,
+                "martingale_reach",
+                lambda *a: tuple(
+                    min(lattice.n_instants, max(0, r + shift)) for r in real_reach(*a)
+                ),
+            )
+        elif mutant == "envelope":
+            rng = random.Random(seed)
+            idx = rng.randrange(lattice.n_instants)
+            atom = rng.choice(field_partitions(lattice, meyer, Kind.LAMBDA)[idx])
+            monkeypatch.setattr(
+                checks, "snell_envelope", lambda *a: _bump_atom(real_envelope(*a), idx, atom, 1)
+            )
+        disagreements = set(plain_optimality_oracle(lattice, meyer, Z))
+        message = checks.check_optimality_oracle(lattice, meyer, Z)
+        assert (message is None) == (not disagreements), (seed, message)
+        # the named witness is one of the loop's disagreements
+        assert message is None or message in disagreements, (seed, message)
+        verdicts[message is None] += 1
+    if mutant == "none":
+        assert verdicts == {True: 60, False: 0}
+    else:
+        assert min(verdicts.values()) >= 5, verdicts
+
+
+def test_certificate_fold_matches_the_stop_loop_on_drawn_cells(monkeypatch):
+    # cells drawn around a few optimizers, with a cell or two moved, reach
+    # the case where the certified times include an optimizer and are as
+    # many as the optimizers, yet not all of them attain the optimum
+    balanced = 0
+    for seed, sc in small_family():
+        lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+        rng = random.Random(seed)
+        brute = snell_brute_force(lattice, meyer, Z)
+        optimizers = [T.indices for T in brute.optimizers]
+        for _ in range(12):
+            picked = rng.sample(optimizers, min(len(optimizers), rng.randint(1, 3)))
+            cells = {(p, i) for idx in picked for p, i in enumerate(idx)}
+            for _ in range(rng.randint(0, 2)):
+                cells.discard(rng.choice(sorted(cells)))
+            for _ in range(rng.randint(0, 2)):
+                cells.add((rng.randrange(lattice.n_paths), rng.randrange(lattice.n_instants + 1)))
+            table = _cells(lattice, lambda p, i: (p, i) in cells)
+            monkeypatch.setattr(checks, "_cells", lambda *args: table)
+            disagreements = set(plain_optimality_oracle(lattice, meyer, Z, cells))
+            message = checks.check_optimality_oracle(lattice, meyer, Z)
+            assert (message is None) == (not disagreements), (seed, message)
+            assert message is None or message in disagreements, (seed, message)
+            cert = _maximum(lattice, meyer, Z, Kind.LAMBDA, table, None)
+            balanced += (cert.value, cert.total) == (brute.value, brute.optimizer_count) and bool(
+                disagreements
+            )
+    assert balanced >= 3, balanced
+
+
+def test_restricted_folds_match_filtering_the_listed_stops():
+    seen = {"empty": 0, "part": 0, "all": 0}
+    for seed, sc in small_family():
+        lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+        n, paths = lattice.n_instants, lattice.n_paths
+        rng = random.Random(seed)
+        stops = sorted(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA))
+        worth = {
+            idx: expected_value(lattice, RandomInstant(idx, n).value_of(Z)) for idx in stops
+        }
+        tables = [_between(lattice, None)]
+        for _ in range(4):
+            lo = [rng.randint(0, n) for _ in range(paths)]
+            hi = [rng.randint(x, n) for x in lo]
+            tables.append(_between(lattice, RandomInstant(lo, n), RandomInstant(hi, n)))
+            tables.append(_cells(lattice, lambda p, i: rng.random() < 0.85))
+        for allowed in tables:
+            kept = [
+                idx for idx in stops if all(allowed[i] >> p & 1 for p, i in enumerate(idx))
+            ]
+            opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, allowed, None)
+            assert opt.total == len(kept), seed
+            steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, allowed)
+            assert sorted(enumeration._walk(steps, (1 << paths) - 1)) == kept, seed
+            if not kept:
+                assert (opt.value, opt.ways, opt.maximizers()) == (None, 0, []), seed
+                seen["empty"] += 1
+                continue
+            best = max(worth[idx] for idx in kept)
+            argmax = [idx for idx in kept if worth[idx] == best]
+            assert (opt.value, opt.ways) == (best, len(argmax)), seed
+            assert opt.maximizers() == argmax, seed
+            seen["part" if len(kept) < len(stops) else "all"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 # (b) universal signal -------------------------------------------------------
 
 
@@ -396,11 +528,31 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
     assert checks.check_snell_oracle(lattice, meyer, const) is None
     assert checks.check_optimality_oracle(lattice, meyer, const) is None
+    doc, status = cli.run_command(
+        Scenario(lattice=lattice, meyer=meyer, processes={"C": const}), "snell"
+    )
+    assert status == 0 and doc["optimizer_count"] > 100
     assert built == [] and walks == []
 
+    # the sandwich runs on the seed-58 lattice; Z has one optimal time and
+    # `flat` eleven, and each builds the same few stopping times
+    sc58 = generate_instance(
+        RandomInstanceParams(seed=58, epochs=2, max_paths=5, regime=OPTIONAL_EXTREME)
+    )
+    n = sc58.lattice.n_instants
+    flat = LatticeProcess.from_rows([[2] * (n - 1) + [0]] * sc58.lattice.n_paths)
+    per_reward = []
+    for Z in (sc58.processes["Z"], flat):
+        built.clear()
+        assert checks.check_sandwich(sc58.lattice, sc58.meyer, Z) is None
+        per_reward.append(len(built))
+    assert walks == [] and per_reward[0] == per_reward[1], per_reward
+    assert snell_brute_force(sc58.lattice, sc58.meyer, flat).optimizer_count == 11
+
+    built.clear()
     brute = snell_brute_force(lattice, meyer, const)
     assert built == [] and walks == []
-    assert len(brute.optimizers) > 100
+    assert len(brute.optimizers) == brute.optimizer_count == doc["optimizer_count"]
     assert len(built) == len(brute.optimizers) and len(walks) == 1
     assert brute.optimizers is brute.optimizers
 
@@ -652,6 +804,39 @@ def test_largest_optimal_time_matches_the_entry_loop():
     assert parities[0] == 0 and min(parities[1], parities["terminal"]) > 20, parities
 
 
+def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
+    # with the sigma reading moved to instant 0, the bracket keeps only the
+    # optimal times at 0, so the check must name one of the others
+    monkeypatch.setattr(
+        checks,
+        "from_divided_quadruple",
+        lambda lattice, q: RandomInstant((0,) * lattice.n_paths, lattice.n_instants),
+    )
+    verdicts = {True: 0, False: 0}
+    for seed in range(40):
+        sc = generate_instance(
+            RandomInstanceParams(
+                seed=seed, epochs=1 + seed % 3, max_paths=2 + seed % 5, regime=OPTIONAL_EXTREME
+            )
+        )
+        lattice, meyer = sc.lattice, sc.meyer
+        rng = random.Random(seed)
+        for _ in range(4):
+            Z = usc_reward(rng, lattice)
+            smallest = smallest_largest_optimal(lattice, meyer, Z).smallest
+            zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
+            escapees = {
+                f"optimal time {U.assignment} escapes the delta/sigma bracket"
+                for U in snell_brute_force(lattice, meyer, Z).optimizers
+                if not smallest <= U <= zero
+            }
+            message = checks.check_sandwich(lattice, meyer, Z)
+            assert (message is None) == (not escapees), (seed, message)
+            assert message is None or message in escapees, (seed, message)
+            verdicts[message is None] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
 def test_a_just_before_stop_at_epoch_zero_has_no_reading():
     sc = generate_instance(RandomInstanceParams(seed=8, epochs=2, max_paths=4))
     lattice, problem = sc.lattice, sc.build_problem()
@@ -852,7 +1037,6 @@ def test_divided_stop_maximum_matches_the_stop_loop():
     compared = 0
     for seed, sc in small_family():
         lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
-        weights, terminal = _weighted(lattice, Z)
         zero = RandomInstant.constant(lattice, Instant(0, AT))
         starts = [zero] + [
             RandomInstant(idx, lattice.n_instants)
@@ -861,15 +1045,15 @@ def test_divided_stop_maximum_matches_the_stop_loop():
         plain = plain_divided_maxima(lattice, meyer, Z, starts)
         assert plain[0] == plain_divided_maximum(lattice, meyer, Z, zero), seed
         for S, expected in zip(starts, plain, strict=True):
-            best = _maximum(lattice, meyer, weights, terminal, Kind.LAMBDA, S, None)[0]
+            best = _maximum(lattice, meyer, Z, Kind.LAMBDA, _between(lattice, S), None).value
             assert best == expected, (seed, S)
             compared += 1
     assert compared > 6000, compared
 
 
 def test_delta_check_reports_a_maximum_that_ignores_the_start(monkeypatch):
-    def from_zero(lattice, meyer, weights, terminal, kind, lower, guard):
-        return _maximum(lattice, meyer, weights, terminal, kind, None, guard)
+    def from_zero(lattice, meyer, process, kind, allowed, guard):
+        return _maximum(lattice, meyer, process, kind, None, guard)
 
     monkeypatch.setattr(checks, "_maximum", from_zero)
     reported = 0

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from meyerstop import checks
 from meyerstop.cli import main, render_machine, run_command, run_suite
-from meyerstop.lattice import Instant, INT
+from meyerstop.lattice import INT, Instant, LatticeError
 from meyerstop.scenario import (
     OPTIONAL_EXTREME,
     PREDICTABLE_EXTREME,
@@ -291,6 +292,32 @@ def test_golden_suite_seed58():
         assert render_machine(doc) == (GOLDEN / "seed58_suite.json").read_text(
             encoding="utf-8"
         ), jobs
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        "optimal time (TERMINAL,) escapes the sandwich",
+        "entry-time candidates failed their optimality certificates",
+    ],
+)
+def test_a_failed_sandwich_is_a_fail_row(message, monkeypatch, tmp_path):
+    # a LatticeError from the sandwich construction is that row's verdict,
+    # not an error that ends the whole suite without a report
+    def failing(*args):
+        raise LatticeError(message)
+
+    monkeypatch.setattr(checks, "_smallest_largest", failing)
+    doc, status = run_suite(_seed58(), jobs=1)
+    rows = {r["property"]: r for r in doc["checks"]}
+    assert status == 2 and doc["failed"] == 2
+    for name in ("L", "Z"):
+        assert rows[f"stop/sandwich[{name}]"]["status"] == "FAIL"
+        assert rows[f"stop/sandwich[{name}]"]["detail"] == message
+    scn, out = tmp_path / "s.scn", tmp_path / "s.out"
+    scn.write_text(render_scenario(_seed58()), encoding="utf-8")
+    assert main(["suite", "--scenario", str(scn), "--format", "machine", "--out", str(out)]) == 2
+    assert json.loads(out.read_text(encoding="utf-8")) == doc
 
 
 def test_golden_stop_seed58():

@@ -7,10 +7,11 @@ import pytest
 
 from meyerstop.enumeration import (
     EnumerationGuardError,
+    _between,
+    _maximum,
     count_stopping_times,
     enumerate_stopping_times,
     iter_stopping_index_tuples,
-    maximize_over_stopping_times,
 )
 from meyerstop.lattice import (
     AT,
@@ -439,16 +440,11 @@ def plain_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
 
 
 def memoized_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
-    probs = lattice.probabilities
-    weights = [
-        [probs[p] * v for v in process.values[p]] for p in range(lattice.n_paths)
-    ]
-    terminal = [probs[p] * process.terminal[p] for p in range(lattice.n_paths)]
-    value, argmax, count = maximize_over_stopping_times(
-        lattice, meyer, weights, terminal, kind, lower
-    )
-    assert count == count_stopping_times(lattice, meyer, kind, lower)
-    return value, argmax
+    opt = _maximum(lattice, meyer, process, kind, _between(lattice, lower), None)
+    argmax = opt.maximizers()
+    assert opt.total == count_stopping_times(lattice, meyer, kind, lower)
+    assert opt.ways == len(argmax)
+    return opt.value, argmax
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -483,6 +479,7 @@ def test_memoized_oracle_matches_plain_maximization(seed):
                 )
         brute = snell_brute_force(lattice, meyer, Z)
         assert brute.stopping_time_count == len(times)
+        assert brute.optimizer_count == len(brute.optimizers)
         assert [T.indices for T in brute.optimizers] == plain_maximum(
             lattice, meyer, Z
         )[1]

@@ -44,3 +44,27 @@ def test_engine_reads_time_as_instant_indices():
                 if name == "from_indices" or (name == "indices" and isinstance(func, ast.Attribute)):
                     found.append(f"{path.name}:{node.lineno} calls {name}")
     assert not found, found
+
+
+def test_certificates_and_sandwich_list_no_stopping_time():
+    # quantifiers over stopping times are memoized folds; only the divided-
+    # stop listing walks them one by one
+    found = []
+    for name in ("checks.py", "snell.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and name == "checks.py":
+                found += [
+                    f"{name}:{node.lineno} imports it"
+                    for alias in node.names
+                    if alias.name == "iter_stopping_index_tuples"
+                ]
+            elif isinstance(node, ast.FunctionDef) and node.name != "enumerate_divided_stops":
+                found += [
+                    f"{name}:{call.lineno} calls it in {node.name}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None))
+                    == "iter_stopping_index_tuples"
+                ]
+    assert not found, found
