@@ -337,6 +337,18 @@ def test_golden_represent_odd_power():
     )
 
 
+def test_golden_signal_odd_power():
+    # the monotone-mode readings of rows 4-7 are floats summed by the engine;
+    # this golden pins their bits
+    sc = load("odd_power.scn")
+    doc, status = run_command(sc, "signal")
+    assert status == 0 and doc["ok"]
+    assert any("." in row["brute_force"] for row in doc["rows"])
+    assert render_machine(doc) == (GOLDEN / "odd_power_signal.json").read_text(
+        encoding="utf-8"
+    )
+
+
 @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf", "abc", 0, True, None])
 def test_g_tolerance_must_be_finite_and_positive(tolerance):
     # a zero, negative or NaN tolerance used to reach the root bisection,
