@@ -64,7 +64,7 @@ def check_lattice_valid(lattice, meyer) -> str | None:
 def check_projection_normalization(lattice, meyer) -> str | None:
     one = LatticeProcess.constant(lattice, 1)
     for kind in Kind:
-        if project(lattice, meyer, one, kind).values != one.values:
+        if project(lattice, meyer, one, kind).columns != one.columns:
             return f"projection of the constant 1 is not 1 under {kind.value}"
     return None
 
@@ -73,25 +73,23 @@ def check_projection_tower(lattice, meyer, process) -> str | None:
     lam = project(lattice, meyer, process, Kind.LAMBDA)
     opt = project(lattice, meyer, process, Kind.OPTIONAL)
     pred = project(lattice, meyer, process, Kind.PREDICTABLE)
-    if project(lattice, meyer, lam, Kind.PREDICTABLE).values != pred.values:
+    if project(lattice, meyer, lam, Kind.PREDICTABLE).columns != pred.columns:
         return "predictable of Lambda-projection differs from predictable projection"
-    if project(lattice, meyer, opt, Kind.LAMBDA).values != lam.values:
+    if project(lattice, meyer, opt, Kind.LAMBDA).columns != lam.columns:
         return "Lambda of optional projection differs from Lambda-projection"
     return None
 
 
 def check_projection_linearity(lattice, meyer, process) -> str | None:
-    scaled = LatticeProcess(
-        values=tuple(tuple(3 * v for v in row) for row in process.values),
-        terminal=tuple(3 * t for t in process.terminal),
-    )
+    def tripled(p: LatticeProcess) -> LatticeProcess:
+        return LatticeProcess(tuple(tuple(3 * v for v in column) for column in p.columns))
+
     lam = project(lattice, meyer, process, Kind.LAMBDA)
-    lam3 = project(lattice, meyer, scaled, Kind.LAMBDA)
-    if lam3.values != tuple(tuple(3 * v for v in row) for row in lam.values):
+    if project(lattice, meyer, tripled(process), Kind.LAMBDA) != tripled(lam):
         return "projection is not homogeneous"
-    if any(v < 0 for row in process.values for v in row):
+    if any(v < 0 for column in process.columns for v in column):
         return None
-    if any(v < 0 for row in lam.values for v in row):
+    if any(v < 0 for column in lam.columns for v in column):
         return "projection lost nonnegativity"
     return None
 
@@ -110,8 +108,8 @@ def check_projection_duality(lattice, meyer, process) -> str | None:
     agg_lam = Fraction(0)
     for idx, part in enumerate(fields):
         for block in part:
-            raw = sum(probs[p] * process.values[p][idx] for p in block)
-            pro = sum(probs[p] * lam.values[p][idx] for p in block)
+            raw = sum(probs[p] * process.columns[idx][p] for p in block)
+            pro = sum(probs[p] * lam.columns[idx][p] for p in block)
             if raw != pro:
                 u = lattice.instant_at(idx)
                 return f"duality fails for the unit jump at {u} on atom {sorted(block)}"
@@ -137,7 +135,7 @@ def check_usc_equivalence(lattice, meyer, process, guard=DEFAULT_GUARD) -> str |
 def check_snell_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
     zbar = snell_envelope(lattice, meyer, process)
     brute = snell_brute_force(lattice, meyer, process, guard)
-    root = expected_value(lattice, zbar.slice_at(0))
+    root = expected_value(lattice, zbar.columns[0])
     if root != brute.value:
         return f"envelope root {root} differs from brute force {brute.value}"
     return None
@@ -151,7 +149,7 @@ def check_envelope_dominance(lattice, meyer, process) -> str | None:
         return "envelope is not a supermartingale"
     for p in range(lattice.n_paths):
         for idx in range(lattice.n_instants):
-            if zbar.values[p][idx] < process.values[p][idx]:
+            if zbar.columns[idx][p] < process.columns[idx][p]:
                 return f"envelope fails to dominate at path {p}, index {idx}"
     return None
 
@@ -168,27 +166,28 @@ def check_mertens(lattice, meyer, process) -> str | None:
 
     if any(v != 0 for v in d.delta_a[0]):
         return "A jumps at epoch 0"
+    z, env = process.columns, zbar.columns
     for k in range(lattice.epoch_count + 1):
         idx = 2 * k
+        left_env, left_z, pred_env, cont = (
+            q.columns[idx] for q in (left, left_reward, pred, lam_right)
+        )
         for p in range(lattice.n_paths):
-            if k >= 1 and d.delta_a[k][p] != left.values[p][idx] - pred.values[p][idx]:
+            da, db = d.delta_a[k][p], d.delta_b[k][p]
+            if k >= 1 and da != left_env[p] - pred_env[p]:
                 return f"delta-A formula fails at epoch {k}, path {p}"
-            if d.delta_b[k][p] != zbar.values[p][idx] - lam_right.values[p][idx]:
+            if db != env[idx][p] - cont[p]:
                 return f"delta-B formula fails at epoch {k}, path {p}"
-            if d.delta_a[k][p] < 0 or d.delta_b[k][p] < 0:
+            if da < 0 or db < 0:
                 return f"negative compensator jump at epoch {k}, path {p}"
-            if k >= 1 and d.delta_a[k][p] > 0:
-                if left.values[p][idx] != left_reward.values[p][idx]:
-                    return f"A grows off the left-touch set at epoch {k}, path {p}"
-            if d.delta_b[k][p] > 0:
-                if zbar.values[p][idx] != process.values[p][idx]:
-                    return f"B grows off the touch set at epoch {k}, path {p}"
+            if k >= 1 and da > 0 and left_env[p] != left_z[p]:
+                return f"A grows off the left-touch set at epoch {k}, path {p}"
+            if db > 0 and env[idx][p] != z[idx][p]:
+                return f"B grows off the touch set at epoch {k}, path {p}"
             # lattice sup identities
-            if zbar.values[p][idx] != max(lam_right.values[p][idx], process.values[p][idx]):
+            if env[idx][p] != max(cont[p], z[idx][p]):
                 return f"envelope differs from continuation-vs-reward max at epoch {k}, path {p}"
-            if k >= 1 and left.values[p][idx] != max(
-                pred.values[p][idx], left_reward.values[p][idx]
-            ):
+            if k >= 1 and left_env[p] != max(pred_env[p], left_z[p]):
                 return f"left-limit max identity fails at epoch {k}, path {p}"
     if not is_lambda_martingale(lattice, meyer, d.m):
         return "M is not a Lambda-martingale"
@@ -196,17 +195,19 @@ def check_mertens(lattice, meyer, process) -> str | None:
         return "A is not predictable"
     if not is_measurable(lattice, meyer, d.b, Kind.LAMBDA):
         return "B is not Lambda-measurable"
+    n = lattice.n_instants
     for p in range(lattice.n_paths):
-        row_a, row_b = d.a.values[p], d.b.values[p]
-        if any(x > y for x, y in zip(row_a, row_a[1:])) or row_a[-1] > d.a.terminal[p]:
+        # each path's A and B through their terminal columns
+        a, b = [c[p] for c in d.a.columns], [c[p] for c in d.b.columns]
+        if any(x > y for x, y in zip(a, a[1:])):
             return f"A is not nondecreasing on path {p}"
-        if any(x > y for x, y in zip(row_b, row_b[1:])) or row_b[-1] != d.b.terminal[p]:
+        if any(x > y for x, y in zip(b, b[1:])) or b[n - 1] != b[n]:
             return f"B is not nondecreasing-with-flat-terminal on path {p}"
-        for idx in range(lattice.n_instants):
-            recon = d.m.values[p][idx] - d.a.values[p][idx] - d.b_shifted.values[p][idx]
-            if recon != zbar.values[p][idx]:
+        for idx in range(n):
+            recon = d.m.columns[idx][p] - d.a.columns[idx][p] - d.b_shifted.columns[idx][p]
+            if recon != env[idx][p]:
                 return f"Zbar = M - A - B_- fails at path {p}, index {idx}"
-        if d.m.terminal[p] - d.a.terminal[p] - d.b_shifted.terminal[p] != 0:
+        if d.m.columns[n][p] - d.a.columns[n][p] - d.b_shifted.columns[n][p] != 0:
             return f"terminal reconstruction fails on path {p}"
     return None
 
@@ -219,10 +220,10 @@ def check_delta(
     time), plus the conditional identity and the lambda-entry stabilization."""
     zbar = snell_envelope(lattice, meyer, process)
     ratios = [
-        process.values[p][i] / zbar.values[p][i]
-        for p in range(lattice.n_paths)
-        for i in range(lattice.n_instants)
-        if zbar.values[p][i] > process.values[p][i] and zbar.values[p][i] > 0
+        z / env
+        for z_col, env_col in zip(process.columns, zbar.columns)
+        for z, env in zip(z_col, env_col)
+        if env > z and env > 0
     ]
     lam_star = max(ratios) if ratios else Fraction(0)
     lam = (1 + lam_star) / 2
@@ -293,9 +294,8 @@ def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str
     zbar = snell_envelope(lattice, meyer, process)
     brute = snell_brute_force(lattice, meyer, process, guard)
     reach = martingale_reach(lattice, meyer, zbar)
-    z = [(*row, t) for row, t in zip(process.values, process.terminal)]
-    env = [(*row, t) for row, t in zip(zbar.values, zbar.terminal)]
-    certified = _cells(lattice, lambda p, i: z[p][i] == env[p][i] and i <= reach[p])
+    z, env = process.columns, zbar.columns
+    certified = _cells(lattice, lambda p, i: z[i][p] == env[i][p] and i <= reach[p])
     cert = _maximum(lattice, meyer, process, Kind.LAMBDA, certified, None)
     if cert.value == brute.value and cert.ways == cert.total == brute.optimizer_count:
         return None

@@ -80,7 +80,7 @@ def _fmt(x) -> str:
 def _proc_doc(lattice, process) -> dict:
     return {
         pid: [_fmt(v) for v in row]
-        for pid, row in zip(lattice.path_ids, process.values)
+        for pid, row in zip(lattice.path_ids, process.rows)
     }
 
 
@@ -138,7 +138,7 @@ def run_command(
         name, proc = _pick_process(scenario, process)
         zbar = snell_envelope(lattice, meyer, proc)
         brute = snell_brute_force(lattice, meyer, proc, guard)
-        root = expected_value(lattice, zbar.slice_at(0))
+        root = expected_value(lattice, zbar.columns[0])
         doc = {
             "command": "snell",
             "process": name,
@@ -159,7 +159,7 @@ def run_command(
             "process": name,
             "envelope": _proc_doc(lattice, zbar),
             "martingale": _proc_doc(lattice, d.m),
-            "martingale_terminal": [_fmt(v) for v in d.m.terminal],
+            "martingale_terminal": [_fmt(v) for v in d.m.columns[-1]],
             "predictable_compensator": _proc_doc(lattice, d.a),
             "predictable_terminal_jump": [_fmt(v) for v in d.a_terminal_jump],
             "jump_compensator": _proc_doc(lattice, d.b),
@@ -175,7 +175,7 @@ def run_command(
         from .lattice import from_divided_quadruple
 
         sigma_form = from_divided_quadruple(lattice, ss.quadruple)
-        value_at_root = expected_value(lattice, zbar.slice_at(0))
+        value_at_root = expected_value(lattice, zbar.columns[0])
         delta_value = expected_value(lattice, ds.T.value_of(proc))
         sigma_value = expected_value(lattice, sigma_form.value_of(proc))
         ok = value_at_root == delta_value == sigma_value

@@ -233,9 +233,9 @@ def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed, guard) -> _
     are walked only when `maximizers()` is called.
     """
     probs = lattice.probabilities
-    cells = [[c * v for v in (*row, t)] for c, row, t in zip(probs, process.values, process.terminal)]
-    den = math.lcm(*(w.denominator for row in cells for w in row))
-    gains = [[w.numerator * (den // w.denominator) for w in col] for col in zip(*cells)]
+    cells = [[c * v for c, v in zip(probs, column)] for column in process.columns]
+    den = math.lcm(*(w.denominator for column in cells for w in column))
+    gains = [[w.numerator * (den // w.denominator) for w in column] for column in cells]
     steps = _Decisions(lattice, meyer, kind, allowed)
     value = _fold(steps, gains)
     full = _scope_mask(lattice, None)

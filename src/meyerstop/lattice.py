@@ -9,8 +9,9 @@ after" a grid point is representable exactly.
 
 Inside the engine an instant is its index on the chain, 2k for (k, AT) and
 2k + 1 for (k, INT), and `n_instants` stands for TERMINAL; a stopping time
-(`RandomInstant`) is one such index per path.  `Instant` and `TERMINAL` are
-the forms in which times are constructed and rendered.
+(`RandomInstant`) is one such index per path, and a process
+(`LatticeProcess`) is one column per index, TERMINAL included.  `Instant`
+and `TERMINAL` are the forms in which times are constructed and rendered.
 
 Information is one partition of the path set per instant:
 
@@ -344,15 +345,16 @@ def conditional_expectation(
 
 @dataclass(frozen=True)
 class LatticeProcess:
-    """A ladlag process: one value per (path, instant) plus a terminal slice.
+    """A ladlag process on the instant chain and TERMINAL.
 
-    The terminal slice defaults to zero on every path (the usual convention
-    for rewards); decompositions and closed martingales carry genuine
-    terminal values.
+    `columns[i][p]` is the value on path p at instant index i, and column
+    n_instants is the TERMINAL slice, governed by F_K.  Per-path rows
+    (`from_rows`, `rows`) are the forms in which processes are read and
+    rendered; the terminal slice of `from_rows` defaults to zero on every
+    path (the usual convention for rewards).
     """
 
-    values: tuple[tuple[Fraction, ...], ...]
-    terminal: tuple[Fraction, ...]
+    columns: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
     def from_rows(
@@ -363,33 +365,39 @@ class LatticeProcess:
         vals = tuple(tuple(Fraction(v) for v in row) for row in rows)
         if len({len(row) for row in vals}) > 1:
             raise LatticeError("all paths must carry the same number of instants")
-        if terminal is None:
-            term = tuple(Fraction(0) for _ in vals)
-        else:
-            term = tuple(Fraction(v) for v in terminal)
+        term = (0,) * len(vals) if terminal is None else terminal
+        term = tuple(Fraction(v) for v in term)
         if len(term) != len(vals):
             raise LatticeError("terminal slice length must match the path count")
-        return cls(values=vals, terminal=term)
+        return cls((*zip(*vals), term))
 
     @classmethod
     def constant(cls, lattice: FilteredLattice, value: Fraction | int) -> "LatticeProcess":
-        v = Fraction(value)
-        row = tuple(v for _ in range(lattice.n_instants))
-        return cls(
-            values=tuple(row for _ in range(lattice.n_paths)),
-            terminal=tuple(v for _ in range(lattice.n_paths)),
+        return cls(((Fraction(value),) * lattice.n_paths,) * (lattice.n_instants + 1))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per path, the values at the instants before TERMINAL."""
+        return tuple(zip(*self.columns[:-1]))
+
+
+def _require_shape(lattice: FilteredLattice, table, name: str = "process") -> None:
+    """Raise LatticeError unless `table` fits the lattice: a process is
+    n_instants + 1 columns of n_paths values, and a per-path table (such as
+    a measure's masses) is n_paths rows of n_instants values."""
+    if isinstance(table, LatticeProcess):
+        table, outer, inner = table.columns, "columns", "paths"
+        want, size = lattice.n_instants + 1, lattice.n_paths
+    else:
+        outer, inner = "paths", "instants"
+        want, size = lattice.n_paths, lattice.n_instants
+    sizes = sorted({len(row) for row in table})
+    if len(table) != want or sizes != [size]:
+        got = "/".join(map(str, sizes)) or "0"
+        raise LatticeError(
+            f"{name} has {len(table)} {outer} of {got} {inner}; "
+            f"the lattice needs {want} {outer} of {size} {inner}"
         )
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.values)
-
-    @property
-    def n_instants(self) -> int:
-        return len(self.values[0]) if self.values else 0
-
-    def slice_at(self, index: int) -> tuple[Fraction, ...]:
-        return tuple(row[index] for row in self.values)
 
 
 @dataclass(frozen=True, repr=False)
@@ -434,11 +442,7 @@ class RandomInstant:
 
     def value_of(self, process: LatticeProcess) -> tuple[Fraction, ...]:
         """The per-path reading of `process` at this random instant."""
-        n = self.n_instants
-        return tuple(
-            process.terminal[p] if i == n else process.values[p][i]
-            for p, i in enumerate(self.indices)
-        )
+        return tuple(process.columns[i][p] for p, i in enumerate(self.indices))
 
 
 def is_measurable(
@@ -447,22 +451,15 @@ def is_measurable(
     process: LatticeProcess,
     kind: Kind,
 ) -> bool:
-    """True iff every instant slice is constant on the atoms of its field.
-
-    The terminal slice must be constant on the atoms of F_K, the terminal
-    information.
-    """
-    fields = field_partitions(lattice, meyer, kind)
-    for idx, part in enumerate(fields):
-        column = [process.values[p][idx] for p in range(lattice.n_paths)]
-        for block in part:
-            vals = {column[i] for i in block}
-            if len(vals) > 1:
-                return False
-    for block in lattice.filtration[-1]:
-        if len({process.terminal[i] for i in block}) > 1:
-            return False
-    return True
+    """True iff every column is constant on the atoms of its field; the
+    terminal column's field is F_K, the terminal information."""
+    _require_shape(lattice, process)
+    fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
+    return all(
+        len({column[i] for i in block}) < 2
+        for column, part in zip(process.columns, fields)
+        for block in part
+    )
 
 
 def reward_fault(
@@ -475,9 +472,9 @@ def reward_fault(
     """
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
         return "process is not Lambda-measurable"
-    if any(v < 0 for row in process.values for v in row):
+    if any(v < 0 for column in process.columns[:-1] for v in column):
         return "process must be nonnegative"
-    if any(t != 0 for t in process.terminal):
+    if any(t != 0 for t in process.columns[-1]):
         return "process must vanish at TERMINAL"
     return None
 
@@ -532,11 +529,14 @@ def section_witness(
     equal to the probability of B's path projection; on a finite lattice the
     section theorem needs no epsilon.
     """
-    pairs = list(B)
     slices: dict[int, set[int]] = {}
-    for p, u in pairs:
+    for p, u in B:
         if u is TERMINAL:
             raise LatticeError("section sets live on Omega x [0, infinity)")
+        if u.epoch > lattice.epoch_count:
+            raise LatticeError(f"instant {u} beyond epoch_count {lattice.epoch_count}")
+        if not 0 <= p < lattice.n_paths:
+            raise LatticeError(f"path {p} is not one of the lattice's {lattice.n_paths} paths")
         slices.setdefault(u.index, set()).add(p)
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
     for idx, paths in slices.items():
@@ -629,11 +629,7 @@ def divided_value(
     lattice: FilteredLattice, process: LatticeProcess, q: DividedQuadruple
 ) -> tuple[Fraction, ...]:
     """Per-path reading of a process at a divided stop (left / at / right)."""
-    n = lattice.n_instants
-    return tuple(
-        process.terminal[p] if i == n else process.values[p][i]
-        for p, i in enumerate(_divided_readings(lattice, q))
-    )
+    return tuple(process.columns[i][p] for p, i in enumerate(_divided_readings(lattice, q)))
 
 
 def validate_divided(

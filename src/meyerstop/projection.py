@@ -24,6 +24,7 @@ from .lattice import (
     RandomInstant,
     TERMINAL,
     TimePoint,
+    _require_shape,
     conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
@@ -42,20 +43,17 @@ def project(
     process: LatticeProcess,
     kind: Kind,
 ) -> LatticeProcess:
-    """Slice-wise conditional expectation onto the kind's per-instant fields.
+    """Column-wise conditional expectation onto the kind's per-instant fields.
 
-    The terminal slice is left unchanged.
+    The terminal column is left unchanged.
     """
+    _require_shape(lattice, process)
     fields = field_partitions(lattice, meyer, kind)
-    n_paths = lattice.n_paths
-    columns = []
-    for idx, part in enumerate(fields):
-        columns.append(conditional_expectation(lattice, process.slice_at(idx), part))
-    values = tuple(
-        tuple(columns[idx][p] for idx in range(lattice.n_instants))
-        for p in range(n_paths)
+    projected = (
+        conditional_expectation(lattice, column, part)
+        for column, part in zip(process.columns, fields)
     )
-    return LatticeProcess(values=values, terminal=process.terminal)
+    return LatticeProcess((*projected, process.columns[-1]))
 
 
 def envelope(
@@ -68,18 +66,15 @@ def envelope(
     RIGHT reads the interval after a grid point (and the grid value is not
     consulted); LEFT reads the interval before it, with the epoch-0 grid
     point reading itself.  Interval instants read themselves on both sides.
-    At TERMINAL, LEFT reads the last interval and RIGHT keeps the terminal
-    value.
+    At TERMINAL (an even index), LEFT reads the last interval and RIGHT
+    keeps the terminal value.
     """
     n = lattice.n_instants
     if side is Side.RIGHT:
-        reads = [i | 1 for i in range(n)]
-        terminal = process.terminal
+        reads = [min(i | 1, n) for i in range(n + 1)]
     else:
-        reads = [i if i % 2 or i == 0 else i - 1 for i in range(n)]
-        terminal = tuple(row[n - 1] for row in process.values)
-    values = tuple(tuple(row[i] for i in reads) for row in process.values)
-    return LatticeProcess(values=values, terminal=terminal)
+        reads = [i if i % 2 or i == 0 else i - 1 for i in range(n + 1)]
+    return LatticeProcess(tuple(process.columns[i] for i in reads))
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ def is_right_usc_in_expectation(
     projected = project(lattice, meyer, right, Kind.LAMBDA)
     for idx in range(lattice.n_instants):
         for p in range(lattice.n_paths):
-            if process.values[p][idx] < projected.values[p][idx]:
+            if process.columns[idx][p] < projected.columns[idx][p]:
                 return UscVerdict(ok=False, witness=(p, lattice.instant_at(idx)))
     return UscVerdict(ok=True, witness=None)
 
@@ -125,11 +120,10 @@ def is_left_usc_in_expectation(
     projected = project(lattice, meyer, process, Kind.PREDICTABLE)
     for idx in range(2, lattice.n_instants, 2):
         for p in range(lattice.n_paths):
-            if projected.values[p][idx] < left.values[p][idx]:
+            if projected.columns[idx][p] < left.columns[idx][p]:
                 return UscVerdict(ok=False, witness=(p, lattice.instant_at(idx)))
-    last = lattice.n_instants - 1
-    for p in range(lattice.n_paths):
-        if process.values[p][last] != 0:
+    for p, v in enumerate(process.columns[lattice.n_instants - 1]):
+        if v != 0:
             return UscVerdict(ok=False, witness=(p, TERMINAL))
     return UscVerdict(ok=True, witness=None)
 
@@ -153,7 +147,7 @@ def approximating_witness(
         if not is_lambda_stopping_time(lattice, meyer, T, Kind.OPTIONAL):
             raise LatticeError("RIGHT witness needs an optional stopping time")
         # the interval of T's epoch; TERMINAL (even) stays put
-        witness = RandomInstant(tuple(i if i == n else i | 1 for i in T.indices), n)
+        witness = RandomInstant(tuple(min(i | 1, n) for i in T.indices), n)
     else:
         if not is_lambda_stopping_time(lattice, meyer, T, Kind.PREDICTABLE):
             raise LatticeError("LEFT witness needs a predictable stopping time")
@@ -212,16 +206,18 @@ def check_usc_sequence_equivalence(
             (RandomInstant((i,) * lattice.n_paths, n), sorted(atom))
             for i, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
             for atom in part
-            if sum(probs[p] * (process.values[p][i] - right_env.values[p][i]) for p in atom) < 0
+            if sum(probs[p] * (process.columns[i][p] - right_env.columns[i][p]) for p in atom) < 0
         ),
         None,
     )
     right_seq = right_where is None
 
     left_env = envelope(lattice, process, Side.LEFT)
-    gap = LatticeProcess.from_rows(
-        [[a - z for a, z in zip(*rows)] for rows in zip(left_env.values, process.values)],
-        terminal=left_env.terminal,  # the reward vanishes at TERMINAL
+    gap = LatticeProcess(
+        tuple(
+            tuple(a - z for a, z in zip(left, reward))
+            for left, reward in zip(left_env.columns, process.columns)
+        )
     )
     worst = _maximum(lattice, meyer, gap, Kind.PREDICTABLE, None, guard)
     left_seq = worst.value <= 0
@@ -281,7 +277,7 @@ def check_projection_fatou(
     its outer and its inner pair.  The raw input may be non-measurable but
     must vanish at TERMINAL.
     """
-    if any(t != 0 for t in process.terminal):
+    if any(t != 0 for t in process.columns[-1]):
         raise LatticeError("raw process must vanish at TERMINAL")
     lam = project(lattice, meyer, process, Kind.LAMBDA)
     violations: list[str] = []
@@ -294,7 +290,7 @@ def check_projection_fatou(
         inner = envelope(lattice, lam, side)
         for i in range(first, lattice.n_instants):
             for p in range(lattice.n_paths):
-                lo, mid = outer.values[p][i], inner.values[p][i]
+                lo, mid = outer.columns[i][p], inner.columns[i][p]
                 # lo <= mid <= mid <= lo holds exactly when lo == mid
                 if lo != mid:
                     violations.append(

@@ -30,6 +30,7 @@ from .lattice import (
     RandomInstant,
     _divided_readings,
     _first_hits,
+    _require_shape,
     field_partitions,
     is_lambda_stopping_time,
     is_measurable,
@@ -143,6 +144,9 @@ class RepresentationProblem:
     def __post_init__(self) -> None:
         if (self.X is None) == (self.L is None):
             raise LatticeError("provide exactly one of X or L")
+        name, process = ("X", self.X) if self.L is None else ("L", self.L)
+        _require_shape(self.lattice, process, name)
+        _require_shape(self.lattice, self.mu.mass, "mu")
 
     def with_L(self, L: LatticeProcess) -> "RepresentationProblem":
         return RepresentationProblem(self.lattice, self.meyer, self.g, self.mu, None, L)
@@ -166,36 +170,29 @@ def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
         raise LatticeError("signal process is not Lambda-measurable")
     n = lattice.n_instants
     probs = lattice.probabilities
-    # per path and start instant: sum over w >= u of g_w(running max of L) mu_w
-    tails: list[list] = []
-    for p in range(lattice.n_paths):
-        row = []
-        for u in range(n):
-            running = L.values[p][u]
-            acc = None
-            for w in range(u, n):
-                if L.values[p][w] > running:
-                    running = L.values[p][w]
-                if mu.mass[p][w] != 0:
-                    term = g.value(p, w, running) * mu.mass[p][w]
-                    acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Fraction(0))
-        tails.append(row)
-    fields = field_partitions(lattice, meyer, Kind.LAMBDA)
+
+    def tail(p: int, u: int):
+        """Path p's sum over w >= u of g_w(running max of L) mu_w."""
+        running = L.columns[u][p]
+        acc = None
+        for w in range(u, n):
+            if L.columns[w][p] > running:
+                running = L.columns[w][p]
+            if mu.mass[p][w] != 0:
+                term = g.value(p, w, running) * mu.mass[p][w]
+                acc = term if acc is None else acc + term
+        return acc if acc is not None else Fraction(0)
+
     columns = []
-    for u, part in enumerate(fields):
+    for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
         col = [None] * lattice.n_paths
         for block in part:
             mass = sum((probs[p] for p in block), Fraction(0))
-            avg = sum(probs[p] * tails[p][u] for p in block) / mass
+            avg = sum(probs[p] * tail(p, u) for p in block) / mass
             for p in block:
                 col[p] = avg
-        columns.append(col)
-    values = tuple(
-        tuple(columns[u][p] for u in range(n)) for p in range(lattice.n_paths)
-    )
-    terminal = tuple(Fraction(0) for _ in range(lattice.n_paths))
-    return LatticeProcess(values=values, terminal=terminal)
+        columns.append(tuple(col))
+    return LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
 
 
 def g_root(terms: Sequence[tuple], target, tolerance: float | None = None):
@@ -266,7 +263,7 @@ def solve_representation(
         raise LatticeError("solve_representation needs the reward process X")
     if not is_measurable(lattice, meyer, X, Kind.LAMBDA):
         raise LatticeError("reward process is not Lambda-measurable")
-    if any(t != 0 for t in X.terminal):
+    if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     affine = g.kind == AFFINE
     n = lattice.n_instants
@@ -286,7 +283,7 @@ def solve_representation(
             shares = {}
             for p in block:
                 row = shares[p] = [None] * (n + 1)
-                here = probs[p] * X.values[p][u]
+                here = probs[p] * X.columns[u][p]
                 acc_a, acc_b, terms = Fraction(0), Fraction(0), []
                 for stop in range(u + 1, n + 1):
                     if (m := mu.mass[p][stop - 1]) != 0:
@@ -295,7 +292,7 @@ def solve_representation(
                             acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
                         else:
                             terms = terms + [(c, g.funcs[p][w])]
-                    there = probs[p] * X.values[p][stop] if stop < n else 0
+                    there = probs[p] * X.columns[stop][p]
                     row[stop] = (here - there - acc_a, acc_b) if affine else (here, there, terms)
             if affine:
                 cells = [(r, stop) for r in shares.values() for stop in range(u + 1, n + 1)]
@@ -319,7 +316,7 @@ def solve_representation(
                 if root[1] and (best is None or root[0] * best[1] < best[0] * root[1]):
                     best = root
             if best is None:
-                atom_x = sum(probs[p] * X.values[p][u] for p in block)
+                atom_x = sum(probs[p] * X.columns[u][p] for p in block)
                 if atom_x != 0:
                     raise RepresentationError(
                         "X not representable with this (g, mu): "
@@ -330,24 +327,19 @@ def solve_representation(
             for p in block:
                 columns[u][p] = best
 
-    values = tuple(
-        tuple(columns[u][p] for u in range(n)) for p in range(lattice.n_paths)
-    )
-    L = LatticeProcess(
-        values=values, terminal=tuple(Fraction(0) for _ in range(lattice.n_paths))
-    )
+    L = LatticeProcess((*map(tuple, columns), (Fraction(0),) * lattice.n_paths))
     produced = forward_evaluate(problem.with_L(L))
     if affine:
-        if produced.values != X.values:
+        if produced.columns != X.columns:
             raise RepresentationError(
                 "X not representable with this (g, mu): forward check failed"
             )
     else:
         tol = DEFAULT_VERIFY_TOLERANCE if verify_tolerance is None else verify_tolerance
         worst = max(
-            abs(float(produced.values[p][u]) - float(X.values[p][u]))
-            for p in range(lattice.n_paths)
-            for u in range(n)
+            abs(float(made) - float(given))
+            for made_col, given_col in zip(produced.columns, X.columns)
+            for made, given in zip(made_col, given_col)
         )
         if worst > tol:
             raise RepresentationError(
@@ -404,7 +396,7 @@ def _path_value(
 ):
     """Path p's term of `stopping_value`: its probability times the reading
     of X at `read` plus the g(ell)-mass accrued before `cutoff`."""
-    accrued = X.terminal[p] if read >= problem.lattice.n_instants else X.values[p][read]
+    accrued = X.columns[read][p]
     for w in range(cutoff):
         m = problem.mu.mass[p][w]
         if m != 0:
@@ -436,7 +428,7 @@ def level_passage(
     hits = _first_hits(
         lattice,
         (0,) * lattice.n_paths,
-        lambda p, i: L.values[p][i] >= ell if variant == 1 else L.values[p][i] > ell,
+        lambda p, i: L.columns[i][p] >= ell if variant == 1 else L.columns[i][p] > ell,
     )
     T = RandomInstant(hits, lattice.n_instants)
     return LevelPassage(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))

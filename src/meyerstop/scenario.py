@@ -346,8 +346,7 @@ def render_scenario(scenario: Scenario) -> str:
     if scenario.processes:
         doc["processes"] = {
             name: {
-                ids[p]: [_rational_str(v) for v in proc.values[p]]
-                for p in range(lat.n_paths)
+                pid: [_rational_str(v) for v in row] for pid, row in zip(ids, proc.rows)
             }
             for name, proc in sorted(scenario.processes.items())
         }
@@ -484,8 +483,7 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
             cols.append(col)
         if force_last_zero:
             cols[-1] = [Fraction(0)] * n
-        rows = tuple(tuple(cols[idx][p] for idx in range(n_inst)) for p in range(n))
-        return LatticeProcess.from_rows(rows)
+        return LatticeProcess((*map(tuple, cols), (Fraction(0),) * n))
 
     reward = draw_adapted(Kind.LAMBDA, 0, params.value_range, rng.random() < 0.5)
 
@@ -503,9 +501,7 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
             for p in block:
                 col[p] = v
         sig_cols.append(col)
-    signal = LatticeProcess.from_rows(
-        tuple(tuple(sig_cols[idx][p] for idx in range(n_inst)) for p in range(n))
-    )
+    signal = LatticeProcess((*map(tuple, sig_cols), (Fraction(0),) * n))
 
     g_a = []
     g_b = []
@@ -537,7 +533,7 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
         mass_rows.append(tuple(row))
     mu = RandomMeasure(mass=tuple(mass_rows))
 
-    l_values = [v for row in signal.values for v in row]
+    l_values = [v for col in sig_cols for v in col]
     lo, hi = min(l_values), max(l_values)
     if lo == hi:
         grid = tuple(lo + i - 3 for i in range(8))

@@ -64,20 +64,12 @@ def snell_envelope(
         raise LatticeError(fault)
     n = lattice.n_instants
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
-    zero = tuple(Fraction(0) for _ in range(lattice.n_paths))
-    columns: list[tuple[Fraction, ...]] = [zero] * n
-    nxt = zero  # continuation from TERMINAL, where the envelope is 0
+    # the envelope is 0 at TERMINAL, where the reward vanishes
+    columns = [(Fraction(0),) * lattice.n_paths] * (n + 1)
     for idx in range(n - 1, -1, -1):
-        cont = conditional_expectation(lattice, nxt, fields[idx])
-        col = tuple(
-            max(process.values[p][idx], cont[p]) for p in range(lattice.n_paths)
-        )
-        columns[idx] = col
-        nxt = col
-    values = tuple(
-        tuple(columns[idx][p] for idx in range(n)) for p in range(lattice.n_paths)
-    )
-    return LatticeProcess(values=values, terminal=zero)
+        cont = conditional_expectation(lattice, columns[idx + 1], fields[idx])
+        columns[idx] = tuple(max(z, c) for z, c in zip(process.columns[idx], cont))
+    return LatticeProcess(tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -156,17 +148,13 @@ def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
     """Per path, the first instant index where `broken(value, continuation)`."""
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
         raise LatticeError("process is not Lambda-measurable")
-    n = lattice.n_instants
+    columns = process.columns
     conts = [
-        conditional_expectation(
-            lattice, process.terminal if idx == n - 1 else process.slice_at(idx + 1), part
-        )
+        conditional_expectation(lattice, columns[idx + 1], part)
         for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
     ]
     return _first_hits(
-        lattice,
-        (0,) * lattice.n_paths,
-        lambda p, i: broken(process.values[p][i], conts[i][p]),
+        lattice, (0,) * lattice.n_paths, lambda p, i: broken(columns[i][p], conts[i][p])
     )
 
 
@@ -213,70 +201,58 @@ def mertens_decompose(
         if not is_measurable(lattice, meyer, zbar, Kind.LAMBDA):
             raise LatticeError("process is not Lambda-measurable")
         raise LatticeError("decomposition expects a nonnegative input with terminal 0")
-    n_paths = lattice.n_paths
-    K = lattice.epoch_count
-
+    z = zbar.columns
+    zero = (Fraction(0),) * lattice.n_paths
     delta_a: list[tuple[Fraction, ...]] = []
     delta_b: list[tuple[Fraction, ...]] = []
-    for k in range(K + 1):
+    for k in range(lattice.epoch_count + 1):
         at_idx = 2 * k
-        int_idx = at_idx + 1
-        g_k = meyer.meyer_fields[k]
-        cont_b = conditional_expectation(lattice, zbar.slice_at(int_idx), g_k)
-        db = tuple(zbar.values[p][at_idx] - cont_b[p] for p in range(n_paths))
+        cont_b = conditional_expectation(lattice, z[at_idx + 1], meyer.meyer_fields[k])
+        db = tuple(v - c for v, c in zip(z[at_idx], cont_b))
         if any(v < 0 for v in db):
             raise LatticeError("negative B-jump: input violates the supermartingale property")
         delta_b.append(db)
         if k == 0:
-            delta_a.append(tuple(Fraction(0) for _ in range(n_paths)))
+            delta_a.append(zero)
         else:
-            f_prev = lattice.filtration[k - 1]
-            pred = conditional_expectation(lattice, zbar.slice_at(at_idx), f_prev)
-            da = tuple(
-                zbar.values[p][at_idx - 1] - pred[p] for p in range(n_paths)
-            )
+            pred = conditional_expectation(lattice, z[at_idx], lattice.filtration[k - 1])
+            da = tuple(v - c for v, c in zip(z[at_idx - 1], pred))
             if any(v < 0 for v in da):
                 raise LatticeError(
                     "negative A-jump: input violates the supermartingale property"
                 )
             delta_a.append(da)
 
-    a_terminal_jump = zbar.slice_at(lattice.n_instants - 1)
+    a_terminal_jump = z[lattice.n_instants - 1]
 
-    a_rows, b_rows, bs_rows, m_rows = [], [], [], []
-    a_term, b_term, m_term = [], [], []
-    for p in range(n_paths):
-        cum_a = Fraction(0)
-        cum_b = Fraction(0)
-        a_row, b_row, bs_row, m_row = [], [], [], []
-        for k in range(K + 1):
-            before_b = cum_b
-            cum_a += delta_a[k][p]
-            cum_b += delta_b[k][p]
-            # AT instant: A includes its jump, the B_- reading does not.
-            a_row.extend((cum_a, cum_a))
-            b_row.extend((cum_b, cum_b))
-            bs_row.extend((before_b, cum_b))
-            at_idx = 2 * k
-            m_row.append(zbar.values[p][at_idx] + cum_a + before_b)
-            m_row.append(zbar.values[p][at_idx + 1] + cum_a + cum_b)
-        a_inf = cum_a + a_terminal_jump[p]
-        a_term.append(a_inf)
-        b_term.append(cum_b)
-        m_term.append(a_inf + cum_b)
-        a_rows.append(tuple(a_row))
-        b_rows.append(tuple(b_row))
-        bs_rows.append(tuple(bs_row))
-        m_rows.append(tuple(m_row))
-
+    # AT instant: A includes its jump, the B_- reading does not
+    cum_a = cum_b = zero
+    a_cols, b_cols, bs_cols = [], [], []
+    for da, db in zip(delta_a, delta_b):
+        before_b = cum_b
+        cum_a = tuple(x + y for x, y in zip(cum_a, da))
+        cum_b = tuple(x + y for x, y in zip(cum_b, db))
+        a_cols += [cum_a, cum_a]
+        b_cols += [cum_b, cum_b]
+        bs_cols += [before_b, cum_b]
+    a = LatticeProcess((*a_cols, tuple(x + y for x, y in zip(cum_a, a_terminal_jump))))
+    b = LatticeProcess((*b_cols, cum_b))
+    b_shifted = LatticeProcess((*bs_cols, cum_b))
+    # M = Zbar + A + B_-, at TERMINAL too, where Zbar is 0
+    m = LatticeProcess(
+        tuple(
+            tuple(v + x + y for v, x, y in zip(zc, ac, bc))
+            for zc, ac, bc in zip(z, a.columns, b_shifted.columns)
+        )
+    )
     return MertensDecomposition(
-        m=LatticeProcess(values=tuple(m_rows), terminal=tuple(m_term)),
-        a=LatticeProcess(values=tuple(a_rows), terminal=tuple(a_term)),
-        b=LatticeProcess(values=tuple(b_rows), terminal=tuple(b_term)),
-        b_shifted=LatticeProcess(values=tuple(bs_rows), terminal=tuple(b_term)),
+        m=m,
+        a=a,
+        b=b,
+        b_shifted=b_shifted,
         delta_a=tuple(delta_a),
         delta_b=tuple(delta_b),
-        a_terminal_jump=tuple(a_terminal_jump),
+        a_terminal_jump=a_terminal_jump,
     )
 
 
@@ -291,9 +267,8 @@ def lambda_entry_time(
     """First instant at or after S where lam * Zbar <= Z, per path."""
     if not (0 < lam < 1):
         raise LatticeError(f"lambda must lie in (0,1), got {lam}")
-    hits = _first_hits(
-        lattice, S.indices, lambda p, i: lam * zbar.values[p][i] <= process.values[p][i]
-    )
+    env, reward = zbar.columns, process.columns
+    hits = _first_hits(lattice, S.indices, lambda p, i: lam * env[i][p] <= reward[i][p])
     return RandomInstant(hits, lattice.n_instants)
 
 
@@ -318,9 +293,8 @@ def delta_stop(
     """
     if zbar is None:
         zbar = snell_envelope(lattice, meyer, process)
-    hits = _first_hits(
-        lattice, S.indices, lambda p, i: zbar.values[p][i] == process.values[p][i]
-    )
+    env, reward = zbar.columns, process.columns
+    hits = _first_hits(lattice, S.indices, lambda p, i: env[i][p] == reward[i][p])
     T = RandomInstant(hits, lattice.n_instants)
     return DeltaStop(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
@@ -359,7 +333,7 @@ def sigma_stop(
     a_at_s, b_minus_at_s = S.value_of(a), S.value_of(bs)
     base = [x + y for x, y in zip(a_at_s, b_minus_at_s)]
     hits = _first_hits(
-        lattice, S.indices, lambda p, i: a.values[p][i] + b.values[p][i] > base[p]
+        lattice, S.indices, lambda p, i: a.columns[i][p] + b.columns[i][p] > base[p]
     )
     T = RandomInstant(hits, lattice.n_instants)
     a_at_t, b_at_t = T.value_of(a), T.value_of(b)
@@ -408,17 +382,14 @@ class OptimalityCertificate:
 def stopped_process(
     lattice: FilteredLattice, process: LatticeProcess, U: RandomInstant
 ) -> LatticeProcess:
-    """The process frozen at U: value at min(u, U) per instant, U-value at TERMINAL."""
-    n = lattice.n_instants
-    rows = []
-    term = []
-    for p, stop in enumerate(U.indices):
-        row = tuple(
-            process.values[p][idx if idx <= stop else stop] for idx in range(n)
+    """The process frozen at U: at each instant u, TERMINAL included, its
+    value at min(u, U)."""
+    return LatticeProcess(
+        tuple(
+            tuple(process.columns[min(idx, stop)][p] for p, stop in enumerate(U.indices))
+            for idx in range(lattice.n_instants + 1)
         )
-        rows.append(row)
-        term.append(process.terminal[p] if stop >= n else process.values[p][stop])
-    return LatticeProcess(values=tuple(rows), terminal=tuple(term))
+    )
 
 
 def check_optimality(
@@ -512,9 +483,8 @@ def _smallest_largest(lattice, meyer, process, guard):
     zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
     smallest = delta_stop(lattice, meyer, process, zero, zbar).T
 
-    active = _first_hits(
-        lattice, (0,) * lattice.n_paths, lambda p, i: decomp.m.values[p][i] != zbar.values[p][i]
-    )
+    m, env = decomp.m.columns, zbar.columns
+    active = _first_hits(lattice, (0,) * lattice.n_paths, lambda p, i: m[i][p] != env[i][p])
     # An interval activation means the set is entered right after the grid
     # point, so the entry time is the grid point itself; n_instants is even.
     largest = RandomInstant(tuple(i - i % 2 for i in active), lattice.n_instants)

@@ -290,7 +290,7 @@ def test_criterion_8_representation_round_trip():
         X = forward_evaluate(problem)
         solved = solve_representation(problem.with_X(X))
         again = forward_evaluate(problem.with_L(solved))
-        assert again.values == X.values, seed
+        assert again.columns == X.columns, seed
         affine += 1
 
     monotone = 0
@@ -323,7 +323,7 @@ def test_criterion_8_representation_round_trip():
         again = forward_evaluate(problem.with_L(solved))
         gap = max(
             abs(float(a) - float(b))
-            for ra, rb in zip(again.values, X.values)
+            for ra, rb in zip(again.columns, X.columns)
             for a, b in zip(ra, rb)
         )
         worst = max(worst, gap)
@@ -372,7 +372,7 @@ def test_criterion_10_worked_fixtures():
     chain = parse_scenario((FIXTURES / "signal_chain.scn").read_text(encoding="utf-8"))
     problem = chain.build_problem()
     X = forward_evaluate(problem)
-    assert X.values[0] == (10, 3, 3, 0)
+    assert X.rows[0] == (10, 3, 3, 0)
     doc, status = run_command(chain, "signal")
     assert status == 0
     assert doc["rows"][0]["brute_force"] == "10"

@@ -120,10 +120,9 @@ def same(a, b) -> bool:
 
 def plain_is_martingale(lattice, meyer, process) -> bool:
     """Each instant slice equals its conditional continuation, TERMINAL included."""
-    n = lattice.n_instants
     for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
-        nxt = process.terminal if idx == n - 1 else process.slice_at(idx + 1)
-        if conditional_expectation(lattice, nxt, part) != process.slice_at(idx):
+        nxt = process.columns[idx + 1]
+        if conditional_expectation(lattice, nxt, part) != process.columns[idx]:
             return False
     return True
 
@@ -176,10 +175,10 @@ def test_reach_of_a_martingale_is_the_whole_chain():
 
 
 def _bump_atom(process, idx, atom, delta):
-    rows = [list(row) for row in process.values]
+    rows = [list(row) for row in process.rows]
     for p in atom:
         rows[p][idx] += delta
-    return LatticeProcess.from_rows(rows, terminal=process.terminal)
+    return LatticeProcess.from_rows(rows, terminal=process.columns[-1])
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -234,8 +233,8 @@ def plain_optimality_oracle(lattice, meyer, process, cells=None):
     probs = lattice.probabilities
     holds, worth = [], []
     for p in range(lattice.n_paths):
-        z = process.values[p] + (process.terminal[p],)
-        env = zbar.values[p] + (zbar.terminal[p],)
+        z = [column[p] for column in process.columns]
+        env = [column[p] for column in zbar.columns]
         holds.append(
             [
                 (p, i) in cells if cells is not None else z[i] == env[i] and i <= reach[p]
@@ -426,9 +425,9 @@ def plain_solve(problem):
                 terms = []
                 rhs = Fraction(0)
                 for p in block:
-                    rhs += probs[p] * X.values[p][u]
+                    rhs += probs[p] * X.columns[u][p]
                     if cand[p] < n:
-                        rhs -= probs[p] * X.values[p][cand[p]]
+                        rhs -= probs[p] * X.columns[cand[p]][p]
                     for w in range(u, min(cand[p], n)):
                         m = mu.mass[p][w]
                         if m != 0:
@@ -462,7 +461,7 @@ def test_solve_matches_the_term_list_loop(monotone):
             assert monotone, seed
             continue
         plain = plain_solve(problem)
-        for row, plain_row in zip(L.values, plain, strict=True):
+        for row, plain_row in zip(L.rows, plain, strict=True):
             assert all(same(a, b) for a, b in zip(row, plain_row, strict=True)), seed
         compared += 1
     assert compared >= 20, compared
@@ -617,20 +616,20 @@ def plain_sigma(lattice, decomp, S):
             k_plus.add(p)
             w_on.add(p)
             continue
-        base = a.values[p][lower[p]] + bs.values[p][lower[p]]
+        base = a.columns[lower[p]][p] + bs.columns[lower[p]][p]
         hit = TERMINAL
         for idx in range(lower[p], n):
-            if a.values[p][idx] + b.values[p][idx] > base:
+            if a.columns[idx][p] + b.columns[idx][p] > base:
                 hit = lattice.instant_at(idx)
                 break
         times.append(hit)
         if hit is TERMINAL:
-            a_t, b_t = a.terminal[p], b.terminal[p]
+            a_t, b_t = a.columns[-1][p], b.columns[-1][p]
         else:
-            a_t, b_t = a.values[p][hit.index], b.values[p][hit.index]
-        if a_t > a.values[p][lower[p]]:
+            a_t, b_t = a.columns[hit.index][p], b.columns[hit.index][p]
+        if a_t > a.columns[lower[p]][p]:
             k_minus.add(p)
-        elif b_t > bs.values[p][lower[p]]:
+        elif b_t > bs.columns[lower[p]][p]:
             k_on.add(p)
             w_on.add(p)
         else:
@@ -647,7 +646,7 @@ def plain_passage(lattice, L, ell, variant):
     for p in range(lattice.n_paths):
         running, hit = None, TERMINAL
         for idx in range(lattice.n_instants):
-            v = L.values[p][idx]
+            v = L.columns[idx][p]
             running = v if running is None or v > running else running
             if (variant == 1 and running >= ell) or (variant == 2 and running > ell):
                 hit = lattice.instant_at(idx)
@@ -662,7 +661,7 @@ def plain_largest(lattice, m, zbar):
     for p in range(lattice.n_paths):
         first = None
         for idx in range(lattice.n_instants):
-            if m.values[p][idx] != zbar.values[p][idx]:
+            if m.columns[idx][p] != zbar.columns[idx][p]:
                 first = idx
                 break
         if first is None:
@@ -714,12 +713,12 @@ def test_first_hit_stops_match_the_scans_they_replace():
         zbar = snell_envelope(lattice, meyer, Z)
         decomp = mertens_decompose(lattice, meyer, zbar)
         for S in starts:
-            touch = plain_entry(lattice, S, lambda p, i: zbar.values[p][i] == Z.values[p][i])
+            touch = plain_entry(lattice, S, lambda p, i: zbar.columns[i][p] == Z.columns[i][p])
             ds = delta_stop(lattice, meyer, Z, S, zbar)
             assert ds.T == touch, (seed, S)
             for lam in (Fraction(1, 2), Fraction(9, 10)):
                 entry = plain_entry(
-                    lattice, S, lambda p, i: lam * zbar.values[p][i] <= Z.values[p][i]
+                    lattice, S, lambda p, i: lam * zbar.columns[i][p] <= Z.columns[i][p]
                 )
                 assert lambda_entry_time(lattice, meyer, Z, zbar, lam, S) == entry, (seed, S)
                 seen["entry differs"] += entry != touch
@@ -747,7 +746,7 @@ def test_level_passage_matches_the_running_maximum():
     compared = {1: 0, 2: 0}
     for seed, sc in small_family():
         lattice, meyer, L = sc.lattice, sc.meyer, sc.processes["L"]
-        values = sorted({v for row in L.values for v in row})
+        values = sorted({v for row in L.rows for v in row})
         between = [(x + y) / 2 for x, y in zip(values, values[1:])]
         for ell in [values[0] - 1, *values, *between, values[-1] + 1]:
             for variant in (1, 2):
@@ -797,7 +796,8 @@ def test_largest_optimal_time_matches_the_entry_loop():
             m = mertens_decompose(lattice, meyer, zbar).m
             assert result.largest == plain_largest(lattice, m, zbar), seed
             for p in range(lattice.n_paths):
-                diff = [i for i in range(lattice.n_instants) if m.values[p][i] != zbar.values[p][i]]
+                n = lattice.n_instants
+                diff = [i for i in range(n) if m.columns[i][p] != zbar.columns[i][p]]
                 parities[diff[0] % 2 if diff else "terminal"] += 1
     # left-USC in expectation leaves A no jump before TERMINAL, so {M != Zbar}
     # is first met at an interval instant, where B jumps, or never
@@ -858,11 +858,9 @@ def test_a_just_before_stop_at_epoch_zero_has_no_reading():
 
 def plain_is_supermartingale(lattice, meyer, process) -> bool:
     """Each instant slice dominates its conditional continuation, TERMINAL included."""
-    n = lattice.n_instants
     for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
-        nxt = process.terminal if idx == n - 1 else process.slice_at(idx + 1)
-        cont = conditional_expectation(lattice, nxt, part)
-        if any(v < c for v, c in zip(process.slice_at(idx), cont)):
+        cont = conditional_expectation(lattice, process.columns[idx + 1], part)
+        if any(v < c for v, c in zip(process.columns[idx], cont)):
             return False
     return True
 
@@ -873,9 +871,9 @@ def input_fault(lattice, meyer, z):
         return "not measurable"
     if not plain_is_supermartingale(lattice, meyer, z):
         return "not a supermartingale"
-    if any(v < 0 for row in z.values for v in row):
+    if any(v < 0 for row in z.rows for v in row):
         return "negative"
-    if any(t != 0 for t in z.terminal):
+    if any(t != 0 for t in z.columns[-1]):
         return "nonzero terminal"
     return None
 
@@ -902,9 +900,9 @@ def candidate_inputs(sc, rng):
         yield _bump_atom(zbar, idx, rng.choice(fields[idx]), rng.choice((-2, -1, 1, 2)))
         # a shift keeps the supermartingale inequality and can go negative
         yield LatticeProcess.from_rows(
-            [[v - 1 for v in row] for row in zbar.values], terminal=[-1] * lattice.n_paths
+            [[v - 1 for v in row] for row in zbar.rows], terminal=[-1] * lattice.n_paths
         )
-        yield LatticeProcess.from_rows(zbar.values, terminal=[1] * lattice.n_paths)
+        yield LatticeProcess.from_rows(zbar.rows, terminal=[1] * lattice.n_paths)
         shared = [(i, a) for i, part in enumerate(fields) for a in part if len(a) > 1]
         if shared:
             i, atom = rng.choice(shared)
@@ -1026,7 +1024,7 @@ def usc_candidates(sc, rng):
     for k in range(4):
         Z = atomwise(lattice, meyer, lambda: Fraction(rng.randint(0, 3)))
         if k % 2:
-            rows = [list(row) for row in Z.values]
+            rows = [list(row) for row in Z.rows]
             for row in rows:
                 row[-1] = Fraction(0)
             Z = LatticeProcess.from_rows(rows)

@@ -210,6 +210,20 @@ def test_section_witness_rejects_non_measurable(branch_blind):
         section_witness(lattice, meyer, [(0, Instant(1, AT))])
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((0, Instant(5, AT)), r"instant \(5,AT\) beyond epoch_count 1"),
+        ((2, Instant(0, AT)), "path 2 is not one of the lattice's 2 paths"),
+        ((-1, Instant(1, INT)), "path -1 is not one of the lattice's 2 paths"),
+    ],
+)
+def test_section_witness_rejects_pairs_off_the_lattice(branch, pair, message):
+    lattice, meyer = branch
+    with pytest.raises(LatticeError, match=message):
+        section_witness(lattice, meyer, [(0, Instant(0, AT)), pair])
+
+
 def test_section_corollary(branch):
     # processes agreeing at every stopping time agree everywhere
     lattice, meyer = branch
@@ -340,9 +354,82 @@ def test_random_instant_edge_forms(a, b, values):
     )
     reading = tuple(
         next(
-            (Z.values[p][i] for i in range(lattice.n_instants) if lattice.instant_at(i) == u),
-            Z.terminal[p],
+            (Z.rows[p][i] for i in range(lattice.n_instants) if lattice.instant_at(i) == u),
+            Z.columns[-1][p],
         )
         for p, u in enumerate(a)
     )
     assert S.value_of(Z) == reading
+
+
+def _seed3():
+    from meyerstop.scenario import RandomInstanceParams, generate_instance
+
+    # 4 paths, 2 epochs (6 instants), with a reward Z and a signal problem
+    return generate_instance(RandomInstanceParams(seed=3, epochs=2, max_paths=4))
+
+
+def _misshapen(Z):
+    """Z with a fifth path, with a seventh instant, and with an instant missing."""
+    rows, term = Z.rows, Z.columns[-1]
+    return {
+        "5 paths": (
+            LatticeProcess.from_rows(rows + rows[-1:], (*term, term[-1])),
+            "process has 7 columns of 5 paths; the lattice needs 7 columns of 4 paths",
+        ),
+        "7 instants": (
+            LatticeProcess.from_rows([row + (Fraction(0),) for row in rows], term),
+            "process has 8 columns of 4 paths; the lattice needs 7 columns of 4 paths",
+        ),
+        "5 instants": (
+            LatticeProcess.from_rows([row[:-1] for row in rows], term),
+            "process has 6 columns of 4 paths; the lattice needs 7 columns of 4 paths",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["5 paths", "7 instants", "5 instants"])
+def test_a_process_off_the_lattice_shape_is_rejected(case):
+    from meyerstop.projection import project
+    from meyerstop.representation import RepresentationProblem
+    from meyerstop.snell import snell_brute_force, snell_envelope
+    from meyerstop.lattice import reward_fault
+
+    sc = _seed3()
+    lattice, meyer = sc.lattice, sc.meyer
+    assert (lattice.n_paths, lattice.n_instants) == (4, 6)
+    bad, message = _misshapen(sc.processes["Z"])[case]
+    calls = [
+        lambda: is_measurable(lattice, meyer, bad, Kind.LAMBDA),
+        lambda: reward_fault(lattice, meyer, bad),
+        lambda: project(lattice, meyer, bad, Kind.OPTIONAL),
+        lambda: snell_envelope(lattice, meyer, bad),
+        lambda: snell_brute_force(lattice, meyer, bad),
+    ]
+    for call in calls:
+        with pytest.raises(LatticeError) as err:
+            call()
+        assert str(err.value) == message
+    problem = sc.build_problem()
+    for name in ("X", "L"):
+        with pytest.raises(LatticeError) as err:
+            RepresentationProblem(lattice, meyer, problem.g, problem.mu, **{name: bad})
+        assert str(err.value) == message.replace("process", name)
+
+
+def test_a_measure_off_the_lattice_shape_is_rejected():
+    from meyerstop.representation import RandomMeasure, RepresentationProblem
+
+    sc = _seed3()
+    problem = sc.build_problem()
+    mass = problem.mu.mass
+    for rows, shape in (
+        ([row + (Fraction(1),) for row in mass], "4 paths of 7 instants"),
+        ([row[:-1] for row in mass], "4 paths of 5 instants"),
+        (mass[:-1], "3 paths of 6 instants"),
+        ([*mass[:-1], mass[-1][:-1]], "4 paths of 5/6 instants"),
+    ):
+        mu = RandomMeasure.from_rows(rows)
+        with pytest.raises(LatticeError) as err:
+            RepresentationProblem(sc.lattice, sc.meyer, problem.g, mu, L=problem.L)
+        assert str(err.value) == f"mu has {shape}; the lattice needs 4 paths of 6 instants"

@@ -57,19 +57,19 @@ def seeded_instances(count, **kwargs):
 def test_project_fixes_measurable(branch):
     lattice, meyer = branch
     Z = LatticeProcess.from_rows([[1, 2, 4, 0], [1, 2, 0, 0]])
-    assert project(lattice, meyer, Z, Kind.LAMBDA).values == Z.values
+    assert project(lattice, meyer, Z, Kind.LAMBDA).columns == Z.columns
 
 
 def test_project_blind_grid_point(branch_blind, branch):
     lattice, blind = branch_blind
     Z = LatticeProcess.from_rows([[0, 0, 4, 0], [0, 0, 0, 0]])
     lam = project(lattice, blind, Z, Kind.LAMBDA)
-    assert lam.slice_at(Instant(1, AT).index) == (Fraction(2), Fraction(2))
+    assert lam.columns[Instant(1, AT).index] == (Fraction(2), Fraction(2))
     pred = project(lattice, blind, Z, Kind.PREDICTABLE)
-    assert pred.slice_at(Instant(1, AT).index) == (Fraction(2), Fraction(2))
+    assert pred.columns[Instant(1, AT).index] == (Fraction(2), Fraction(2))
     _, revealing = branch
     opt = project(lattice, revealing, Z, Kind.OPTIONAL)
-    assert opt.slice_at(Instant(1, AT).index) == (Fraction(4), Fraction(0))
+    assert opt.columns[Instant(1, AT).index] == (Fraction(4), Fraction(0))
 
 
 def test_project_matches_conditional_expectation_at_stopping_times(three_path_meyer):
@@ -92,14 +92,14 @@ def test_envelope_table(chain):
     lattice, _ = chain
     const = LatticeProcess.constant(lattice, 7)
     for side in Side:
-        assert envelope(lattice, const, side).values == const.values
+        assert envelope(lattice, const, side).columns == const.columns
 
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
     right = envelope(lattice, Z, Side.RIGHT)
-    assert right.values[0] == (3, 3, 0, 0)
+    assert right.rows[0] == (3, 3, 0, 0)
     left = envelope(lattice, Z, Side.LEFT)
-    assert left.values[0] == (1, 3, 3, 0)
-    assert left.terminal == (Fraction(0),)
+    assert left.rows[0] == (1, 3, 3, 0)
+    assert left.columns[-1] == (Fraction(0),)
 
 
 def test_right_usc_examples(chain, branch_blind):
@@ -125,9 +125,9 @@ def test_right_usc_examples(chain, branch_blind):
     from meyerstop.lattice import field_partitions
 
     for idx, part in enumerate(field_partitions(lattice2, revealing, Kind.LAMBDA)):
-        projected = conditional_expectation(lattice2, right.slice_at(idx), part)
+        projected = conditional_expectation(lattice2, right.columns[idx], part)
         for p in range(2):
-            if Z2.values[p][idx] < projected[p]:
+            if Z2.columns[idx][p] < projected[p]:
                 hand_ok = False
     assert is_right_usc_in_expectation(lattice2, revealing, Z2).ok == hand_ok
 
@@ -181,9 +181,9 @@ def test_fatou_chains_on_measurable_and_deterministic(chain, branch):
 
 
 def _bumped(process, p, idx):
-    rows = [list(row) for row in process.values]
+    rows = [list(row) for row in process.rows]
     rows[p][idx] += 1
-    return LatticeProcess(values=tuple(map(tuple, rows)), terminal=process.terminal)
+    return LatticeProcess.from_rows(rows, terminal=process.columns[-1])
 
 
 @pytest.mark.parametrize(
@@ -312,6 +312,6 @@ def test_duality_against_random_increasing_processes():
         for p in range(lattice.n_paths):
             prob = lattice.paths[p].probability
             for idx in range(lattice.n_instants):
-                lhs += prob * raw.values[p][idx] * increments[idx][p]
-                rhs += prob * lam.values[p][idx] * increments[idx][p]
+                lhs += prob * raw.columns[idx][p] * increments[idx][p]
+                rhs += prob * lam.columns[idx][p] * increments[idx][p]
         assert lhs == rhs

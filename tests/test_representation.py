@@ -53,7 +53,7 @@ def single_path_problem(chain):
 
 def test_forward_single_path(single_path_problem):
     X = forward_evaluate(single_path_problem)
-    assert X.values[0] == (10, 3, 3, 0)
+    assert X.rows[0] == (10, 3, 3, 0)
 
 
 def test_forward_constant_signal(chain):
@@ -64,7 +64,7 @@ def test_forward_constant_signal(chain):
     L = LatticeProcess.from_rows([[c] * 4])
     X = forward_evaluate(RepresentationProblem(lattice, meyer, g, mu, L=L))
     remaining = [7, 5, 4, 1]
-    assert X.values[0] == tuple(c * r for r in remaining)
+    assert X.rows[0] == tuple(c * r for r in remaining)
 
 
 def test_forward_zero_measure(chain):
@@ -73,7 +73,7 @@ def test_forward_zero_measure(chain):
     mu = RandomMeasure.from_rows([[0, 0, 0, 0]])
     L = LatticeProcess.from_rows([[5, 1, 3, 0]])
     X = forward_evaluate(RepresentationProblem(lattice, meyer, g, mu, L=L))
-    assert X.values[0] == (0, 0, 0, 0)
+    assert X.rows[0] == (0, 0, 0, 0)
 
 
 def test_solve_single_path(single_path_problem):
@@ -82,9 +82,9 @@ def test_solve_single_path(single_path_problem):
     solved = solve_representation(single_path_problem.with_X(X))
     # window roots: 5 at the start, 3 once the first mass has been collected,
     # anything (canonically 0) once no mass remains
-    assert solved.values[0] == (5, 3, 3, 0)
+    assert solved.rows[0] == (5, 3, 3, 0)
     again = forward_evaluate(single_path_problem.with_L(solved))
-    assert again.values == X.values
+    assert again.columns == X.columns
 
 
 def test_solve_zero_reward(chain):
@@ -93,7 +93,7 @@ def test_solve_zero_reward(chain):
     mu = RandomMeasure.from_rows([[1, 1, 1, 0]])
     X = LatticeProcess.from_rows([[0, 0, 0, 0]])
     L = solve_representation(RepresentationProblem(lattice, meyer, g, mu, X=X))
-    assert L.values[0] == (0, 0, 0, 0)
+    assert L.rows[0] == (0, 0, 0, 0)
 
 
 def test_solve_rejects_unrepresentable(chain):
@@ -175,7 +175,7 @@ def test_stopping_value_examples(single_path_problem):
         for u in (Instant(0, AT), Instant(1, INT), TERMINAL):
             tau = RandomInstant.constant(lattice, u)
             assert stopping_value(no_mass, ell, tau) == (
-                X.terminal[0] if u is TERMINAL else X.values[0][u.index]
+                X.columns[-1][0] if u is TERMINAL else X.rows[0][u.index]
             )
 
 
@@ -190,7 +190,7 @@ def test_stopping_value_interior_mass(chain):
     ell = Fraction(10)
     at_interval = RandomInstant.constant(lattice, Instant(0, INT))
     X = forward_evaluate(problem)
-    assert stopping_value(problem, ell, at_interval) == X.values[0][1]
+    assert stopping_value(problem, ell, at_interval) == X.rows[0][1]
     just_before = DividedQuadruple(
         T=RandomInstant.constant(lattice, Instant(1, AT)),
         w_minus=frozenset({0}),
@@ -198,7 +198,7 @@ def test_stopping_value_interior_mass(chain):
         w_plus=frozenset(),
     )
     assert validate_divided(lattice, meyer, just_before).ok
-    assert stopping_value(problem, ell, just_before) == X.values[0][1] + 10
+    assert stopping_value(problem, ell, just_before) == X.rows[0][1] + 10
 
 
 def test_level_passage_examples(single_path_problem):
@@ -249,7 +249,7 @@ def test_universal_signal_low_level_stops_immediately(single_path_problem):
     problem = single_path_problem
     report = universal_signal_check(problem, [Fraction(-1)])
     X = forward_evaluate(problem)
-    assert report.rows[0].value_variant_1 == X.values[0][0] == 10
+    assert report.rows[0].value_variant_1 == X.rows[0][0] == 10
 
 
 def test_universal_signal_precondition_error(chain):
@@ -270,7 +270,7 @@ def test_round_trip_seeded(seed):
     problem = sc.build_problem()
     X = forward_evaluate(problem)
     solved = solve_representation(problem.with_X(X))
-    assert forward_evaluate(problem.with_L(solved)).values == X.values
+    assert forward_evaluate(problem.with_L(solved)).columns == X.columns
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -333,7 +333,7 @@ def test_monotone_round_trip(chain):
     again = forward_evaluate(problem.with_L(solved))
     worst = max(
         abs(float(a) - float(b))
-        for ra, rb in zip(again.values, X.values)
+        for ra, rb in zip(again.columns, X.columns)
         for a, b in zip(ra, rb)
     )
     assert worst <= 1e-7

@@ -122,7 +122,7 @@ def test_golden_signal_chain():
     from meyerstop.snell import enumerate_divided_stops
 
     X = forward_evaluate(problem)
-    assert X.values[0] == (10, 3, 3, 0)
+    assert X.rows[0] == (10, 3, 3, 0)
     for ell in sc.ell_grid:
         best = max(
             stopping_value(problem, ell, q, X=X, validate=False)

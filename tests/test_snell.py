@@ -52,26 +52,22 @@ def closed_martingale(lattice, meyer, terminal_rv):
     """M_u = E[xi | field at u] with M at TERMINAL equal to xi."""
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
     cols = [conditional_expectation(lattice, terminal_rv, part) for part in fields]
-    values = tuple(
-        tuple(cols[idx][p] for idx in range(lattice.n_instants))
-        for p in range(lattice.n_paths)
-    )
-    return LatticeProcess(values=values, terminal=tuple(terminal_rv))
+    return LatticeProcess((*cols, tuple(terminal_rv)))
 
 
 def test_envelope_examples(chain, branch):
     lattice, meyer = chain
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
-    assert snell_envelope(lattice, meyer, Z).values[0] == (3, 3, 2, 0)
+    assert snell_envelope(lattice, meyer, Z).rows[0] == (3, 3, 2, 0)
 
     lattice2, meyer2 = branch
     Z2 = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
     zbar = snell_envelope(lattice2, meyer2, Z2)
-    assert zbar.slice_at(0) == (2, 2)
-    assert zbar.slice_at(1) == (2, 2)
+    assert zbar.columns[0] == (2, 2)
+    assert zbar.columns[1] == (2, 2)
 
     zero = LatticeProcess.from_rows([[0, 0, 0, 0]])
-    assert snell_envelope(lattice, meyer, zero).values[0] == (0, 0, 0, 0)
+    assert snell_envelope(lattice, meyer, zero).rows[0] == (0, 0, 0, 0)
 
     with pytest.raises(LatticeError):
         snell_envelope(lattice, meyer, LatticeProcess.from_rows([[1, -1, 0, 0]]))
@@ -157,9 +153,9 @@ def test_mertens_deterministic_numbers(chain):
     d = mertens_decompose(lattice, meyer, zbar)
     assert d.delta_a[1] == (Fraction(1),)
     assert d.delta_b[1] == (Fraction(2),)
-    assert d.m.values[0] == (3, 3, 3, 3) and d.m.terminal == (Fraction(3),)
-    assert d.a.values[0] == (0, 0, 1, 1) and d.b.values[0] == (0, 0, 2, 2)
-    assert d.a.terminal == (Fraction(1),) and d.b.terminal == (Fraction(2),)
+    assert d.m.rows[0] == (3, 3, 3, 3) and d.m.columns[-1] == (Fraction(3),)
+    assert d.a.rows[0] == (0, 0, 1, 1) and d.b.rows[0] == (0, 0, 2, 2)
+    assert d.a.columns[-1] == (Fraction(1),) and d.b.columns[-1] == (Fraction(2),)
 
 
 def test_mertens_branch_numbers(branch):
@@ -169,7 +165,7 @@ def test_mertens_branch_numbers(branch):
     d = mertens_decompose(lattice, meyer, zbar)
     assert d.delta_b[1] == (Fraction(4), Fraction(0))
     assert d.delta_a[1] == (Fraction(0), Fraction(0))
-    assert d.m.values[0] == (2, 2, 4, 4) and d.m.values[1] == (2, 2, 0, 0)
+    assert d.m.rows[0] == (2, 2, 4, 4) and d.m.rows[1] == (2, 2, 0, 0)
     assert is_lambda_martingale(lattice, meyer, d.m)
 
 
@@ -180,9 +176,9 @@ def test_mertens_flat_martingale(chain):
     Z = LatticeProcess.from_rows([[3, 3, 3, 3]])
     zbar = snell_envelope(lattice, meyer, Z)
     d = mertens_decompose(lattice, meyer, zbar)
-    assert d.a.values[0] == (0, 0, 0, 0) and d.b.values[0] == (0, 0, 0, 0)
+    assert d.a.rows[0] == (0, 0, 0, 0) and d.b.rows[0] == (0, 0, 0, 0)
     assert d.a_terminal_jump == (Fraction(3),)
-    assert d.m.values[0] == (3, 3, 3, 3)
+    assert d.m.rows[0] == (3, 3, 3, 3)
 
 
 def test_mertens_rejects_non_supermartingale(chain):
@@ -200,16 +196,16 @@ def test_mertens_uniqueness_by_perturbation(chain):
     d = mertens_decompose(lattice, meyer, zbar)
     delta = Fraction(1)
     grid = Instant(1, AT).index
-    a_perturbed = list(d.a.values[0])
-    b_perturbed = list(d.b.values[0])
+    a_perturbed = list(d.a.rows[0])
+    b_perturbed = list(d.b.rows[0])
     for idx in range(grid, lattice.n_instants):
         a_perturbed[idx] += delta
         b_perturbed[idx] -= delta
     # the shifted reading of B at the grid point excludes its jump, so the
     # A/B swap shows up in the reconstruction right there
     b_shift_at_grid = b_perturbed[grid - 1]
-    recon = d.m.values[0][grid] - a_perturbed[grid] - b_shift_at_grid
-    assert recon != zbar.values[0][grid]
+    recon = d.m.rows[0][grid] - a_perturbed[grid] - b_shift_at_grid
+    assert recon != zbar.rows[0][grid]
 
 
 def test_lambda_entry_examples(chain):
@@ -344,7 +340,7 @@ def test_minimal_dominance(three_path_meyer):
         nxt = [Fraction(0)] * lattice.n_paths
         for idx in range(lattice.n_instants - 1, -1, -1):
             cont = conditional_expectation(lattice, nxt, fields[idx])
-            col = [max(Z.values[p][idx], cont[p]) for p in range(lattice.n_paths)]
+            col = [max(Z.columns[idx][p], cont[p]) for p in range(lattice.n_paths)]
             for block in fields[idx]:
                 bump = Fraction(rng.randint(0, 2))
                 for p in block:
@@ -360,7 +356,7 @@ def test_minimal_dominance(three_path_meyer):
         assert is_lambda_supermartingale(lattice, meyer, Y)
         for p in range(lattice.n_paths):
             for idx in range(lattice.n_instants):
-                assert Y.values[p][idx] >= zbar.values[p][idx]
+                assert Y.columns[idx][p] >= zbar.columns[idx][p]
 
 
 def test_smallest_largest_branch(branch):
@@ -419,19 +415,12 @@ def plain_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
     """E[Z_T] maximized by visiting every stopping time T >= lower, with its
     maximizers; `lower` filters the unrestricted iteration."""
     probs = lattice.probabilities
-    n = lattice.n_instants
     low = (0,) * lattice.n_paths if lower is None else lower.indices
     best, argmax = None, []
     for idx in iter_stopping_index_tuples(lattice, meyer, kind):
         if any(i < lo for i, lo in zip(idx, low)):
             continue
-        value = sum(
-            (
-                probs[p] * (process.terminal[p] if i == n else process.values[p][i])
-                for p, i in enumerate(idx)
-            ),
-            Fraction(0),
-        )
+        value = sum((probs[p] * process.columns[i][p] for p, i in enumerate(idx)), Fraction(0))
         if best is None or value > best:
             best, argmax = value, [idx]
         elif value == best:

@@ -68,3 +68,47 @@ def test_certificates_and_sandwich_list_no_stopping_time():
                     == "iter_stopping_index_tuples"
                 ]
     assert not found, found
+
+
+# Engine modules that build and read processes as columns; per-path rows
+# are the edge forms of scenario parsing and rendering.
+COLUMN_MODULES = ("enumeration.py", "projection.py", "snell.py", "representation.py", "checks.py")
+
+
+def _row_findings(name: str, tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "from_rows":
+                found.append(f"{name}:{node.lineno} calls from_rows")
+            if getattr(func, "id", None) == "zip" and any(
+                isinstance(arg, ast.Starred) for arg in node.args
+            ):
+                found.append(f"{name}:{node.lineno} transposes with zip(*...)")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "rows"
+            # `SignalReport.rows` is the signal table, not a process
+            and getattr(node.value, "id", None) not in ("report", "self")
+        ):
+            found.append(f"{name}:{node.lineno} reads .rows")
+    return found
+
+
+def test_engine_reads_processes_by_column():
+    found = [
+        finding
+        for name in COLUMN_MODULES
+        for finding in _row_findings(name, ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    ]
+    assert not found, found
+
+
+def test_the_column_scan_sees_each_row_form():
+    tree = ast.parse("P.from_rows(r)\nzip(*cells)\nzbar.rows[0]\nreport.rows\nzip(a, b)\n")
+    assert _row_findings("m.py", tree) == [
+        "m.py:1 calls from_rows",
+        "m.py:2 transposes with zip(*...)",
+        "m.py:3 reads .rows",
+    ]
