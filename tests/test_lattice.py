@@ -23,6 +23,7 @@ from meyerstop.lattice import (
     is_union_of_atoms,
     make_partition,
     restrict_time,
+    reward_fault,
     section_witness,
     sigma_field_at,
     to_divided_quadruple,
@@ -30,6 +31,10 @@ from meyerstop.lattice import (
     validate_lattice,
 )
 from meyerstop.enumeration import enumerate_stopping_times
+from meyerstop.projection import project
+from meyerstop.representation import RandomMeasure, RepresentationProblem
+from meyerstop.scenario import RandomInstanceParams, generate_instance
+from meyerstop.snell import snell_brute_force, snell_envelope
 
 from conftest import build_lattice
 
@@ -363,8 +368,6 @@ def test_random_instant_edge_forms(a, b, values):
 
 
 def _seed3():
-    from meyerstop.scenario import RandomInstanceParams, generate_instance
-
     # 4 paths, 2 epochs (6 instants), with a reward Z and a signal problem
     return generate_instance(RandomInstanceParams(seed=3, epochs=2, max_paths=4))
 
@@ -390,11 +393,6 @@ def _misshapen(Z):
 
 @pytest.mark.parametrize("case", ["5 paths", "7 instants", "5 instants"])
 def test_a_process_off_the_lattice_shape_is_rejected(case):
-    from meyerstop.projection import project
-    from meyerstop.representation import RepresentationProblem
-    from meyerstop.snell import snell_brute_force, snell_envelope
-    from meyerstop.lattice import reward_fault
-
     sc = _seed3()
     lattice, meyer = sc.lattice, sc.meyer
     assert (lattice.n_paths, lattice.n_instants) == (4, 6)
@@ -418,8 +416,6 @@ def test_a_process_off_the_lattice_shape_is_rejected(case):
 
 
 def test_a_measure_off_the_lattice_shape_is_rejected():
-    from meyerstop.representation import RandomMeasure, RepresentationProblem
-
     sc = _seed3()
     problem = sc.build_problem()
     mass = problem.mu.mass
