@@ -2,8 +2,8 @@
 
 Each check returns None on success or a failure message; the suite command
 turns these into PASS/FAIL rows and the acceptance tests reuse them.  All
-checks are exact: any tolerance would hide a real defect because every
-quantity is rational.
+checks are exact: every quantity is rational, so an approximate comparison
+could only hide a real defect.
 """
 
 from __future__ import annotations

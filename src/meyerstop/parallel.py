@@ -29,5 +29,13 @@ def ordered_map(fn, items, jobs: int) -> list:
         return [fn(x) for x in items]
     import multiprocessing  # here, so that `import meyerstop` stays light
 
-    with multiprocessing.get_context("fork").Pool(workers, _adopt, ((fn, items),)) as pool:
-        return list(pool.imap(_call, range(len(items))))
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, ((fn, items),))
+    try:
+        results = list(pool.imap(_call, range(len(items))))
+    except BaseException:
+        pool.terminate()
+        raise
+    # terminate() only on failure: on success it would kill workers mid-exit
+    pool.close()
+    pool.join()
+    return results

@@ -8,16 +8,20 @@ root-finding over future stopping times, and `universal_signal_check`
 certifies that the level-passage stops of L solve the whole family of
 accrual-adjusted stopping problems at once.
 
-Affine g runs in exact rational arithmetic; monotone g falls back to
-bisection and floats inside the root-finder only.
+g = a + b * ell**power with one odd power is affine in s = ell**power, and
+s is increasing in ell, so running suprema, window roots and level passages
+of L are those of S = L**power under the affine rates a + b*s.  The engine
+works on S in exact rational arithmetic.  Level units appear only at the
+edges: L read in and grid levels are raised to the power, and the solved L
+is the real root of S (`_root`), a float only where S has no rational root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
-from typing import Callable, Sequence
+from math import lcm
+from typing import Sequence
 
 from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
 from .lattice import (
@@ -41,12 +45,6 @@ from .parallel import ordered_map
 from .snell import PreconditionError, enumerate_divided_stops
 from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
-AFFINE = "affine"
-MONOTONE = "monotone"
-
-DEFAULT_ROOT_TOLERANCE = 1e-9
-DEFAULT_VERIFY_TOLERANCE = 1e-7
-
 
 class RepresentationError(ValueError):
     """The reward admits no representation with the supplied (g, mu)."""
@@ -54,66 +52,38 @@ class RepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class GFamily:
-    """Per-(path, instant) strictly increasing reward rates g_u(ell).
+    """Per-(path, instant) strictly increasing reward rates
+    g_u(ell) = a_u + b_u * ell**power, with rational intercepts `a`, positive
+    rational slopes `b` and one odd `power` >= 1; power 1 is affine g."""
 
-    AFFINE stores intercepts `a` and positive slopes `b` (g = a + b*ell,
-    exact).  MONOTONE stores callables (strictly increasing, continuous,
-    surjective) and works to `tolerance` inside the root-finder.
-    """
-
-    kind: str
-    a: tuple[tuple[Fraction, ...], ...] | None = None
-    b: tuple[tuple[Fraction, ...], ...] | None = None
-    funcs: tuple[tuple[Callable[[float], float], ...], ...] | None = None
-    tolerance: float = DEFAULT_ROOT_TOLERANCE
+    a: tuple[tuple[Fraction, ...], ...]
+    b: tuple[tuple[Fraction, ...], ...]
+    power: int = 1
 
     @classmethod
-    def affine(cls, a, b) -> "GFamily":
+    def affine(cls, a, b, power: int = 1) -> "GFamily":
+        """g = a + b * ell**power: affine in ell**power."""
         a_rows = tuple(tuple(Fraction(v) for v in row) for row in a)
         b_rows = tuple(tuple(Fraction(v) for v in row) for row in b)
         if any(v <= 0 for row in b_rows for v in row):
             raise LatticeError("affine slopes must be strictly positive")
-        return cls(kind=AFFINE, a=a_rows, b=b_rows)
-
-    @classmethod
-    def monotone(
-        cls, funcs, tolerance: float = DEFAULT_ROOT_TOLERANCE
-    ) -> "GFamily":
-        if not 0 < tolerance < inf:
-            raise LatticeError(f"root tolerance must be finite and positive, got {tolerance!r}")
-        return cls(kind=MONOTONE, funcs=tuple(tuple(row) for row in funcs), tolerance=tolerance)
-
-    def value(self, path: int, idx: int, ell):
-        if self.kind == AFFINE:
-            return self.a[path][idx] + self.b[path][idx] * ell
-        return self.funcs[path][idx](float(ell))
+        if isinstance(power, bool) or not isinstance(power, int) or power < 1 or power % 2 == 0:
+            raise LatticeError(f"g power must be an odd positive integer, got {power!r}")
+        return cls(a=a_rows, b=b_rows, power=power)
 
 
-def validate_g(
-    lattice: FilteredLattice,
-    meyer: MeyerStructure,
-    g: GFamily,
-    probe: Sequence[Fraction] = (Fraction(-2), Fraction(0), Fraction(1), Fraction(3)),
-) -> None:
-    """Strict monotonicity (exact for affine, spot-checked for monotone) and
-    optional measurability of every instant slice."""
-    fields = field_partitions(lattice, meyer, Kind.OPTIONAL)
-    for idx, part in enumerate(fields):
+def validate_g(lattice: FilteredLattice, meyer: MeyerStructure, g: GFamily) -> None:
+    """Optional measurability: a and b are constant on each atom of every
+    instant's optional field.  Positive slopes and an odd power make each g
+    strictly increasing; `GFamily.affine` checks those."""
+    _require_shape(lattice, g.a, "g.a")
+    _require_shape(lattice, g.b, "g.b")
+    for idx, part in enumerate(field_partitions(lattice, meyer, Kind.OPTIONAL)):
         for block in part:
-            for ell in probe:
-                vals = {g.value(p, idx, ell) for p in block}
-                if len(vals) > 1:
-                    raise LatticeError(
-                        f"g slice at instant index {idx} is not optional-measurable"
-                    )
-    if g.kind == MONOTONE:
-        for p in range(lattice.n_paths):
-            for idx in range(lattice.n_instants):
-                vals = [g.value(p, idx, ell) for ell in sorted(probe)]
-                if any(x >= y for x, y in zip(vals, vals[1:])):
-                    raise LatticeError(
-                        f"g at path {p}, instant index {idx} is not strictly increasing"
-                    )
+            if len({(g.a[p][idx], g.b[p][idx]) for p in block}) > 1:
+                raise LatticeError(
+                    f"g slice at instant index {idx} is not optional-measurable"
+                )
 
 
 @dataclass(frozen=True)
@@ -147,12 +117,42 @@ class RepresentationProblem:
         name, process = ("X", self.X) if self.L is None else ("L", self.L)
         _require_shape(self.lattice, process, name)
         _require_shape(self.lattice, self.mu.mass, "mu")
+        _require_shape(self.lattice, self.g.a, "g.a")
+        _require_shape(self.lattice, self.g.b, "g.b")
 
     def with_L(self, L: LatticeProcess) -> "RepresentationProblem":
         return RepresentationProblem(self.lattice, self.meyer, self.g, self.mu, None, L)
 
     def with_X(self, X: LatticeProcess) -> "RepresentationProblem":
         return RepresentationProblem(self.lattice, self.meyer, self.g, self.mu, X, None)
+
+
+def _levels(g: GFamily, L: LatticeProcess) -> LatticeProcess:
+    """S = L**power, the signal in the units where g is affine."""
+    return LatticeProcess(tuple(tuple(v**g.power for v in col) for col in L.columns))
+
+
+def _root(s: Fraction, power: int):
+    """The real `power`-th root of s, for odd `power`: an exact Fraction when
+    s's numerator and denominator are perfect powers, else a float.  This is
+    the one place the engine makes a float."""
+    num, den = abs(s.numerator), s.denominator
+    top, bottom = _integer_root(num, power), _integer_root(den, power)
+    if top**power == num and bottom**power == den:
+        return Fraction(top if s >= 0 else -top, bottom)
+    root = float(abs(s)) ** (1 / power)
+    return root if s > 0 else -root
+
+
+def _integer_root(n: int, power: int) -> int:
+    """The integer part of n ** (1 / power) for n >= 0, by Newton's method
+    on integers from a start above the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // power)
+    while (y := ((power - 1) * x + n // x ** (power - 1)) // power) < x:
+        x = y
+    return x
 
 
 def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
@@ -162,26 +162,30 @@ def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
     atom average of sum_{w >= u} g_w(max of L over [u, w]) * mu_w; the
     terminal slice is zero.
     """
-    lattice, meyer, g, mu = problem.lattice, problem.meyer, problem.g, problem.mu
     L = problem.L
     if L is None:
         raise LatticeError("forward_evaluate needs the signal process L")
-    if not is_measurable(lattice, meyer, L, Kind.LAMBDA):
+    if not is_measurable(problem.lattice, problem.meyer, L, Kind.LAMBDA):
         raise LatticeError("signal process is not Lambda-measurable")
+    return _forward(problem, _levels(problem.g, L))
+
+
+def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProcess:
+    """`forward_evaluate` on S = L**power, where g_w = a_w + b_w * s."""
+    lattice, meyer, g, mu = problem.lattice, problem.meyer, problem.g, problem.mu
     n = lattice.n_instants
     probs = lattice.probabilities
 
-    def tail(p: int, u: int):
-        """Path p's sum over w >= u of g_w(running max of L) mu_w."""
-        running = L.columns[u][p]
-        acc = None
+    def tail(p: int, u: int) -> Fraction:
+        """Path p's sum over w >= u of g_w(running max of S) mu_w."""
+        running = S.columns[u][p]
+        acc = Fraction(0)
         for w in range(u, n):
-            if L.columns[w][p] > running:
-                running = L.columns[w][p]
+            if S.columns[w][p] > running:
+                running = S.columns[w][p]
             if mu.mass[p][w] != 0:
-                term = g.value(p, w, running) * mu.mass[p][w]
-                acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
+                acc += (g.a[p][w] + g.b[p][w] * running) * mu.mass[p][w]
+        return acc
 
     columns = []
     for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
@@ -195,55 +199,8 @@ def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
     return LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
 
 
-def g_root(terms: Sequence[tuple], target, tolerance: float | None = None):
-    """Solve sum_w c_w * g_w(ell) = target for the unique ell.
-
-    Affine terms are (weight, intercept, slope) triples and solve exactly;
-    monotone terms are (weight, callable) pairs and bisect to `tolerance`
-    after bracket expansion.  Weights must not all vanish.
-    """
-    if not terms:
-        raise LatticeError("g_root needs at least one term")
-    if len(terms[0]) == 3:
-        total_b = sum((c * b for c, _a, b in terms), Fraction(0))
-        if total_b == 0:
-            raise LatticeError("g_root: zero total weight")
-        total_a = sum((c * a for c, a, _b in terms), Fraction(0))
-        return (Fraction(target) - total_a) / total_b
-    tol = DEFAULT_ROOT_TOLERANCE if tolerance is None else tolerance
-    weights = [float(c) for c, _f in terms]
-    if sum(weights) == 0:
-        raise LatticeError("g_root: zero total weight")
-    funcs = [f for _c, f in terms]
-    tgt = float(target)
-
-    def h(ell: float) -> float:
-        return sum(c * f(ell) for c, f in zip(weights, funcs)) - tgt
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if h(lo) <= 0:
-            break
-        lo *= 2
-    for _ in range(200):
-        if h(hi) >= 0:
-            break
-        hi *= 2
-    if h(lo) > 0 or h(hi) < 0:
-        raise LatticeError("g_root: failed to bracket the root")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def solve_representation(
-    problem: RepresentationProblem,
-    guard: int | None = DEFAULT_GUARD,
-    verify_tolerance: float | None = None,
+    problem: RepresentationProblem, guard: int | None = DEFAULT_GUARD
 ) -> LatticeProcess:
     """Recover a signal L from X by per-atom minimization of window roots.
 
@@ -254,9 +211,18 @@ def solve_representation(
 
     and L_u is the minimum of those roots (TERMINAL included, with X_T = 0).
     Windows carrying no mass are skipped; an atom whose remaining mass is
-    exhausted takes L = 0 and must carry X = 0.  The forward check runs at
-    the end and failure raises RepresentationError.
+    exhausted takes L = 0 and must carry X = 0.  The roots are found and
+    checked on S = L**power (`_solve`), and L is S's real root.
     """
+    power = problem.g.power
+    S = _solve(problem, guard)
+    return LatticeProcess(tuple(tuple(_root(s, power) for s in col) for col in S.columns))
+
+
+def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
+    """`solve_representation` on S = L**power, where each window equation is
+    affine in s.  The forward check of S against X runs at the end and
+    failure raises RepresentationError."""
     lattice, meyer, g, mu = problem.lattice, problem.meyer, problem.g, problem.mu
     X = problem.X
     if X is None:
@@ -265,7 +231,6 @@ def solve_representation(
         raise LatticeError("reward process is not Lambda-measurable")
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
-    affine = g.kind == AFFINE
     n = lattice.n_instants
     probs = lattice.probabilities
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
@@ -277,42 +242,29 @@ def solve_representation(
                 tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
             )
 
-            # Path p's share of the window [u, stop), per stop: its weighted X
-            # at u and at the stop, and its g-terms.  Affine shares are
+            # Path p's share of the window [u, stop), per stop: its weighted
             # (here - there - sum c*a, sum c*b) over one common denominator.
             shares = {}
             for p in block:
                 row = shares[p] = [None] * (n + 1)
                 here = probs[p] * X.columns[u][p]
-                acc_a, acc_b, terms = Fraction(0), Fraction(0), []
+                acc_a, acc_b = Fraction(0), Fraction(0)
                 for stop in range(u + 1, n + 1):
                     if (m := mu.mass[p][stop - 1]) != 0:
                         c, w = probs[p] * m, stop - 1
-                        if affine:
-                            acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
-                        else:
-                            terms = terms + [(c, g.funcs[p][w])]
-                    there = probs[p] * X.columns[stop][p]
-                    row[stop] = (here - there - acc_a, acc_b) if affine else (here, there, terms)
-            if affine:
-                cells = [(r, stop) for r in shares.values() for stop in range(u + 1, n + 1)]
-                scale = lcm(*(v.denominator for r, stop in cells for v in r[stop]))
-                for r, stop in cells:
-                    r[stop] = tuple(v.numerator * (scale // v.denominator) for v in r[stop])
+                        acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
+                    row[stop] = (here - probs[p] * X.columns[stop][p] - acc_a, acc_b)
+            cells = [(r, stop) for r in shares.values() for stop in range(u + 1, n + 1)]
+            scale = lcm(*(v.denominator for r, stop in cells for v in r[stop]))
+            for r, stop in cells:
+                r[stop] = tuple(v.numerator * (scale // v.denominator) for v in r[stop])
 
             best = None  # a root (num, den); den == 0 marks a window without mass
             for cand in iter_stopping_index_tuples(
                 lattice, meyer, Kind.LAMBDA, lower=lower, scope=block, guard=guard
             ):
                 parts = [shares[p][cand[p]] for p in block]
-                if affine:
-                    root = sum(a for a, _ in parts), sum(b for _, b in parts)
-                else:  # bisected, as (root, 1); float X keeps its summation order
-                    rhs = Fraction(0)
-                    for here, there, _ in parts:
-                        rhs = rhs + here - there
-                    terms = [t for *_, part in parts for t in part]
-                    root = (g_root(terms, rhs, g.tolerance), 1) if terms else (0, 0)
+                root = sum(a for a, _ in parts), sum(b for _, b in parts)
                 if root[1] and (best is None or root[0] * best[1] < best[0] * root[1]):
                     best = root
             if best is None:
@@ -322,30 +274,14 @@ def solve_representation(
                         "X not representable with this (g, mu): "
                         f"mass exhausted before instant index {u} but X is nonzero"
                     )
-                best = (Fraction(0), 1)
-            best = Fraction(*best) if affine else best[0]
+                best = (0, 1)
             for p in block:
-                columns[u][p] = best
+                columns[u][p] = Fraction(*best)
 
-    L = LatticeProcess((*map(tuple, columns), (Fraction(0),) * lattice.n_paths))
-    produced = forward_evaluate(problem.with_L(L))
-    if affine:
-        if produced.columns != X.columns:
-            raise RepresentationError(
-                "X not representable with this (g, mu): forward check failed"
-            )
-    else:
-        tol = DEFAULT_VERIFY_TOLERANCE if verify_tolerance is None else verify_tolerance
-        worst = max(
-            abs(float(made) - float(given))
-            for made_col, given_col in zip(produced.columns, X.columns)
-            for made, given in zip(made_col, given_col)
-        )
-        if worst > tol:
-            raise RepresentationError(
-                f"X not representable with this (g, mu): forward check off by {worst}"
-            )
-    return L
+    S = LatticeProcess((*map(tuple, columns), (Fraction(0),) * lattice.n_paths))
+    if _forward(problem, S).columns != X.columns:
+        raise RepresentationError("X not representable with this (g, mu): forward check failed")
+    return S
 
 
 def _accrual_cutoffs(
@@ -385,22 +321,24 @@ def stopping_value(
                 )
     if X is None:
         X = problem.X if problem.X is not None else forward_evaluate(problem)
+    s = ell**problem.g.power
     total = Fraction(0)
     for p, (read, cutoff) in enumerate(_accrual_cutoffs(lattice, tau)):
-        total += _path_value(problem, X, ell, p, read, cutoff)
+        total += _path_value(problem, X, s, p, read, cutoff)
     return total
 
 
 def _path_value(
-    problem: RepresentationProblem, X: LatticeProcess, ell, p: int, read: int, cutoff: int
+    problem: RepresentationProblem, X: LatticeProcess, s, p: int, read: int, cutoff: int
 ):
-    """Path p's term of `stopping_value`: its probability times the reading
-    of X at `read` plus the g(ell)-mass accrued before `cutoff`."""
-    accrued = X.columns[read][p]
+    """Path p's term of `stopping_value` at the level s = ell**power: its
+    probability times the reading of X at `read` plus the g-mass accrued
+    before `cutoff`, where g_w = a_w + b_w * s."""
+    g, accrued = problem.g, X.columns[read][p]
     for w in range(cutoff):
         m = problem.mu.mass[p][w]
         if m != 0:
-            accrued += problem.g.value(p, w, ell) * m
+            accrued += (g.a[p][w] + g.b[p][w] * s) * m
     return problem.lattice.probabilities[p] * accrued
 
 
@@ -470,14 +408,16 @@ def universal_signal_check(
     both level-passage variants against the enumerated divided-stop optimum
     at each grid level, in grid order.  Each stop's (reading, cutoff)
     pairs are found once; at each level a path's weighted value per pair is
-    computed once and summed per stop in `stopping_value`'s order, so float
-    (monotone g) values match it bit for bit.  Grid points may be evaluated
-    on up to `jobs` worker processes; the report order never depends on
+    computed once and summed per stop.  The passages are read on
+    S = L**power at the level ell**power.  Grid points may be evaluated on
+    up to `jobs` worker processes; the report order never depends on
     scheduling.
     """
-    lattice, meyer = problem.lattice, problem.meyer
-    X = problem.X if problem.X is not None else forward_evaluate(problem)
-    L = problem.L if problem.L is not None else solve_representation(problem, guard)
+    lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
+    if problem.L is None:
+        X, S = problem.X, _solve(problem, guard)
+    else:
+        X, S = forward_evaluate(problem), _levels(problem.g, problem.L)
     if not is_left_usc_in_expectation(lattice, meyer, X).ok:
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
@@ -490,11 +430,12 @@ def universal_signal_check(
     ]
 
     def evaluate(ell) -> SignalRow:
+        s = ell**power
         v1, v2 = (
             stopping_value(problem, ell, passage.quadruple, X=X, validate=False)
-            for passage in (level_passage(lattice, meyer, L, ell, v) for v in (1, 2))
+            for passage in (level_passage(lattice, meyer, S, s, v) for v in (1, 2))
         )
-        level = [_path_value(problem, X, ell, *pair) for pair in pairs]
+        level = [_path_value(problem, X, s, *pair) for pair in pairs]
         best = None
         count = 0
         for keys in keyed:

@@ -11,7 +11,6 @@ parse(render(s)) == s byte-for-byte round trips hold.
 from __future__ import annotations
 
 import json
-import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -174,23 +173,7 @@ def _g_from_spec(spec: dict, lattice: FilteredLattice) -> GFamily:
         power = spec.get("power", 3)
         if isinstance(power, bool) or not isinstance(power, int) or power < 1 or power % 2 == 0:
             raise ScenarioError(f"g.power: expected an odd positive integer, got {power!r}")
-        raw_tol = spec.get("tolerance", "1e-9")
-        try:
-            tol = float(raw_tol)
-        except (TypeError, ValueError):
-            tol = math.nan
-        # the root bisection never ends below a tolerance <= 0 and stops at once at NaN
-        if not 0 < tol < math.inf:
-            raise ScenarioError(f"g.tolerance: expected a finite positive number, got {raw_tol!r}")
-
-        def make(ai: Fraction, bi: Fraction):
-            af, bf = float(ai), float(bi)
-            return lambda ell: af + bf * ell**power
-
-        funcs = tuple(
-            tuple(make(a[p][i], b[p][i]) for i in range(n)) for p in range(len(ids))
-        )
-        return GFamily.monotone(funcs, tolerance=tol)
+        return GFamily.affine(a, b, power)
     raise ScenarioError(f"g.kind: expected 'affine' or 'odd_power', got {kind!r}")
 
 
@@ -324,8 +307,6 @@ def _canonical_g_spec(raw: dict, lattice: FilteredLattice) -> dict:
     for key, default in (("a", [0] * n), ("b", [1] * n)):
         rows = _parse_value_rows(raw.get(key, default), ids, n, f"g.{key}")
         out[key] = {ids[p]: [_rational_str(v) for v in rows[p]] for p in range(len(ids))}
-    if "tolerance" in raw:
-        out["tolerance"] = str(raw["tolerance"])
     return out
 
 

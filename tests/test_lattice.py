@@ -32,7 +32,7 @@ from meyerstop.lattice import (
 )
 from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.projection import project
-from meyerstop.representation import RandomMeasure, RepresentationProblem
+from meyerstop.representation import GFamily, RandomMeasure, RepresentationProblem, validate_g
 from meyerstop.scenario import RandomInstanceParams, generate_instance
 from meyerstop.snell import snell_brute_force, snell_envelope
 
@@ -429,3 +429,27 @@ def test_a_measure_off_the_lattice_shape_is_rejected():
         with pytest.raises(LatticeError) as err:
             RepresentationProblem(sc.lattice, sc.meyer, problem.g, mu, L=problem.L)
         assert str(err.value) == f"mu has {shape}; the lattice needs 4 paths of 6 instants"
+
+
+def test_a_g_off_the_lattice_shape_is_rejected():
+    # an extra instant in a and b must not be ignored, nor a missing one
+    # raise a bare IndexError in validate_g
+    sc = _seed3()
+    problem = sc.build_problem()
+    a, b = problem.g.a, problem.g.b
+    for rows, shape in (
+        ([row + (Fraction(1),) for row in b], "4 paths of 7 instants"),
+        ([row[:-1] for row in b], "4 paths of 5 instants"),
+        (b[:-1], "3 paths of 6 instants"),
+    ):
+        for name, g in (
+            ("g.b", GFamily.affine(a, rows)),
+            ("g.a", GFamily.affine(rows, b, 3)),
+        ):
+            message = f"{name} has {shape}; the lattice needs 4 paths of 6 instants"
+            with pytest.raises(LatticeError) as err:
+                RepresentationProblem(sc.lattice, sc.meyer, g, problem.mu, L=problem.L)
+            assert str(err.value) == message
+            with pytest.raises(LatticeError) as err:
+                validate_g(sc.lattice, sc.meyer, g)
+            assert str(err.value) == message

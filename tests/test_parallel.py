@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -58,3 +59,37 @@ def test_import_loads_no_pool_modules():
         [sys.executable, "-I", "-c", probe, str(SRC)], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: ordered_map runs in-process")
+def test_a_pool_is_closed_after_success_and_terminated_after_a_failure(monkeypatch):
+    # terminating a pool whose items all succeeded kills its workers while
+    # they exit; only a failed item may cut the others short
+    calls = []
+    real = multiprocessing.get_context
+
+    class Recording:
+        def __init__(self, method):
+            self.context = real(method)
+
+        def Pool(self, *args):
+            pool = self.context.Pool(*args)
+            for name in ("close", "join", "terminate"):
+                setattr(pool, name, self.recorded(name, getattr(pool, name)))
+            return pool
+
+        @staticmethod
+        def recorded(name, method):
+            def call():
+                calls.append(name)
+                return method()
+
+            return call
+
+    monkeypatch.setattr(multiprocessing, "get_context", Recording)
+    assert ordered_map(abs, range(-3, 3), 2) == [3, 2, 1, 0, 1, 2]
+    assert calls == ["close", "join"]
+    calls.clear()
+    with pytest.raises(ZeroDivisionError):
+        ordered_map(lambda x: 1 / x, range(-3, 3), 2)
+    assert calls == ["terminate"]

@@ -24,12 +24,13 @@ from meyerstop.representation import (
     RepresentationError,
     RepresentationProblem,
     forward_evaluate,
-    g_root,
     level_passage,
     solve_representation,
     stopping_value,
     universal_signal_check,
     validate_g,
+    _integer_root,
+    _root,
 )
 from meyerstop.projection import is_right_usc_in_expectation
 from meyerstop.snell import PreconditionError, enumerate_divided_stops
@@ -117,38 +118,22 @@ def test_problem_needs_exactly_one_side(chain):
         RepresentationProblem(lattice, meyer, g, mu, X=L, L=L)
 
 
-def test_g_root_examples():
-    assert g_root([(1, Fraction(2), Fraction(1))], 5) == 3
-    assert g_root(
-        [(1, Fraction(0), Fraction(2)), (1, Fraction(1), Fraction(1))], 7
-    ) == 2
-    root = g_root([(1.0, lambda x: x**3)], 8, tolerance=1e-9)
-    assert abs(root - 2) <= 1e-9
-    with pytest.raises(LatticeError, match="zero total weight"):
-        g_root([(0, Fraction(1), Fraction(1))], 1)
-
-
-@pytest.mark.parametrize("tolerance", [0.0, -1e-9, float("nan"), float("inf")])
-def test_monotone_g_needs_a_finite_positive_tolerance(tolerance):
-    # the root bisection runs while hi - lo > tolerance
-    with pytest.raises(LatticeError, match="tolerance must be finite and positive"):
-        GFamily.monotone(((lambda ell: ell,),), tolerance=tolerance)
-    assert GFamily.monotone(((lambda ell: ell,),), tolerance=1e-6).tolerance == 1e-6
-
-
 def test_validate_g(branch):
     lattice, meyer = branch
     validate_g(lattice, meyer, identity_g(lattice))
-    # a slice varying inside an atom of F_0 is rejected
+    # a slice varying inside an atom of F_0 is rejected, at every power
     a = [[0] * 4, [0] * 4]
     b = [[1, 1, 1, 1], [2, 1, 1, 1]]
-    with pytest.raises(LatticeError, match="optional-measurable"):
-        validate_g(lattice, meyer, GFamily.affine(a, b))
-    decreasing = GFamily.monotone(
-        [[lambda x: -x] * 4, [lambda x: -x] * 4]
-    )
-    with pytest.raises(LatticeError, match="strictly increasing"):
-        validate_g(lattice, meyer, decreasing)
+    for power in (1, 3):
+        with pytest.raises(LatticeError, match="optional-measurable"):
+            validate_g(lattice, meyer, GFamily.affine(a, b, power))
+    validate_g(lattice, meyer, GFamily.affine(a, [[1] * 4] * 2, 3))
+    # an odd power and positive slopes are what make g strictly increasing
+    with pytest.raises(LatticeError, match="strictly positive"):
+        GFamily.affine(a, [[-1] * 4] * 2, 3)
+    for power in (0, 2, -1, True, 3.0):
+        with pytest.raises(LatticeError, match="odd positive integer"):
+            GFamily.affine(a, b, power)
 
 
 def test_stopping_value_examples(single_path_problem):
@@ -323,20 +308,43 @@ def test_just_before_stops_never_beat_canonical(seed):
 
 
 def test_monotone_round_trip(chain):
+    # g = ell**3 runs the affine code on S = L**3; the solved S is checked
+    # exactly, and the signal is its cube root
     lattice, meyer = chain
-    cube = GFamily.monotone([[lambda x: x**3] * 4], tolerance=1e-12)
+    cube = GFamily.affine([[0] * 4], [[1] * 4], 3)
     mu = RandomMeasure.from_rows([[1, 0, 1, 0]])
     L = LatticeProcess.from_rows([[2, 1, 3, 0]])
     problem = RepresentationProblem(lattice, meyer, cube, mu, L=L)
     X = forward_evaluate(problem)
+    S = LatticeProcess.from_rows([[8, 1, 27, 0]])
+    affine = RepresentationProblem(lattice, meyer, identity_g(lattice), mu, L=S)
+    assert X.columns == forward_evaluate(affine).columns == ((35,), (27,), (27,), (0,), (0,))
+    # the minimal signal: L_1 = 1 is raised to 3, the root of its window to w = 2
+    assert solve_representation(affine.with_X(X)).rows == ((8, 27, 27, 0),)
     solved = solve_representation(problem.with_X(X))
-    again = forward_evaluate(problem.with_L(solved))
-    worst = max(
-        abs(float(a) - float(b))
-        for ra, rb in zip(again.columns, X.columns)
-        for a, b in zip(ra, rb)
-    )
-    assert worst <= 1e-7
+    assert solved.rows == ((2, 3, 3, 0),)
+    assert all(type(v) is Fraction for col in solved.columns for v in col)
+    assert forward_evaluate(problem.with_L(solved)).columns == X.columns
+
+
+def test_root_is_exact_where_s_has_a_rational_root(chain):
+    for n in range(3000):
+        for power in (1, 3, 5):
+            r = _integer_root(n, power)
+            assert r**power <= n < (r + 1) ** power, (n, power)
+    assert _integer_root(10**60 + 1, 3) == 10**20
+    assert _root(Fraction(-27, 8), 3) == Fraction(-3, 2)
+    assert _root(Fraction(0), 5) == 0 and type(_root(Fraction(0), 5)) is Fraction
+    assert _root(Fraction(2), 3) == 2 ** (1 / 3)
+    assert _root(Fraction(-2, 27), 3) == -(float(Fraction(2, 27)) ** (1 / 3))
+    # S = (2, 3, 3, 0) has no rational cube root where it is not 0
+    lattice, meyer = chain
+    mu = RandomMeasure.from_rows([[1, 0, 1, 0]])
+    S = LatticeProcess.from_rows([[2, 1, 3, 0]])
+    X = forward_evaluate(RepresentationProblem(lattice, meyer, identity_g(lattice), mu, L=S))
+    cube = GFamily.affine([[0] * 4], [[1] * 4], 3)
+    solved = solve_representation(RepresentationProblem(lattice, meyer, cube, mu, X=X))
+    assert solved.rows == ((2 ** (1 / 3), 3 ** (1 / 3), 3 ** (1 / 3), 0),)
 
 
 def test_value_affine_in_level_and_max_convex():

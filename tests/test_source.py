@@ -112,3 +112,26 @@ def test_the_column_scan_sees_each_row_form():
         "m.py:2 transposes with zip(*...)",
         "m.py:3 reads .rows",
     ]
+
+
+def test_the_signal_root_is_the_only_float():
+    # the engine is exact; odd-power g runs on S = L**power, and only the
+    # real root of a solved S that has no rational root becomes a float
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and (path.name, fn.name) == ("representation.py", "_root")
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "float"
+            and id(node) not in exempt
+        ]
+    assert not found, found
