@@ -237,15 +237,21 @@ def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed, guard) -> _
     den = math.lcm(*(w.denominator for column in cells for w in column))
     gains = [[w.numerator * (den // w.denominator) for w in column] for column in cells]
     steps = _Decisions(lattice, meyer, kind, allowed)
-    value = _fold(steps, gains)
-    full = _scope_mask(lattice, None)
-    best, ways, total = value(0, full)
+    (best, ways, total), attaining = _best(steps, gains, _scope_mask(lattice, None))
     _check_guard(total, guard)
-
-    def attains(i: int, active: int, stopped: int) -> bool:
-        sub_best, _, sub_total = value(i + 1, active & ~stopped)
-        gain = sum(gains[i][p] for p in _bits(stopped))
-        return sub_total > 0 and gain + sub_best == value(i, active)[0]
-
     top = None if best is None else Fraction(best, den)
-    return _Optimum(top, ways, total, lambda: sorted(_walk(steps, full, attains)))
+    return _Optimum(top, ways, total, lambda: sorted(attaining()))
+
+
+def _best(steps: _Decisions, gains: list[list[int]], active: int):
+    """The fold's (best, ways, total) of the integer `gains` over the live
+    times from the paths in `active`, and a walk of the times attaining
+    that best, in walk order."""
+    value = _fold(steps, gains)
+
+    def attains(i: int, act: int, stopped: int) -> bool:
+        sub_best, _, sub_total = value(i + 1, act & ~stopped)
+        gain = sum(gains[i][p] for p in _bits(stopped))
+        return sub_total > 0 and gain + sub_best == value(i, act)[0]
+
+    return value(0, active), lambda: _walk(steps, active, attains)

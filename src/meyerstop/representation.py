@@ -3,10 +3,12 @@
 A reward X is represented by a signal L when, at every instant and atom,
 X equals the conditional sum of g evaluated at the running supremum of L
 against the measure mu from that instant on.  `forward_evaluate` computes
-X from L, `solve_representation` recovers a signal from X by per-atom
-root-finding over future stopping times, and `universal_signal_check`
+X from L, `solve_representation` recovers a signal from X by a per-atom
+minimum of window roots over future stopping times, found by Dinkelbach
+steps that are each one fold over those times, and `universal_signal_check`
 certifies that the level-passage stops of L solve the whole family of
-accrual-adjusted stopping problems at once.
+accrual-adjusted stopping problems at once, scoring every divided stop in
+integers at each level.
 
 g = a + b * ell**power with one odd power is affine in s = ell**power, and
 s is increasing in ell, so running suprema, window roots and level passages
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .enumeration import DEFAULT_GUARD, iter_stopping_index_tuples
+from .enumeration import DEFAULT_GUARD, _best, _between, _check_guard, _Decisions, _mask
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -209,10 +211,12 @@ def solve_representation(
 
         E[ sum_{u <= w < T} g_w(ell) mu_w | atom ] = E[ X_u - X_T | atom ]
 
-    and L_u is the minimum of those roots (TERMINAL included, with X_T = 0).
-    Windows carrying no mass are skipped; an atom whose remaining mass is
-    exhausted takes L = 0 and must carry X = 0.  The roots are found and
-    checked on S = L**power (`_solve`), and L is S's real root.
+    and L_u is the minimum of those roots (TERMINAL included, with X_T = 0),
+    found by Dinkelbach's method: each step is one fold over the times
+    after u (`_least_root`), so no stopping time is listed.  Windows
+    carrying no mass are skipped; an atom whose remaining mass is exhausted
+    takes L = 0 and must carry X = 0.  The roots are found and checked on
+    S = L**power (`_solve`), and L is S's real root.
     """
     power = problem.g.power
     S = _solve(problem, guard)
@@ -231,57 +235,83 @@ def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
         raise LatticeError("reward process is not Lambda-measurable")
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
-    n = lattice.n_instants
+    n, n_paths = lattice.n_instants, lattice.n_paths
     probs = lattice.probabilities
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
 
-    columns: list[list] = [[None] * lattice.n_paths for _ in range(n)]
+    columns: list[list] = [[None] * n_paths for _ in range(n)]
     for u in range(n):
         for block in fields[u]:
-            lower = RandomInstant(
-                tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
-            )
+            lower = RandomInstant(tuple(u + 1 if p in block else n for p in range(n_paths)), n)
+            steps = _Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, lower))
 
-            # Path p's share of the window [u, stop), per stop: its weighted
-            # (here - there - sum c*a, sum c*b) over one common denominator.
-            shares = {}
+            # Path p's weighted share of the window [u, stop) per stop, 0 off
+            # the atom: A is here - there - sum c*a and B is sum c*b.
+            A = [[Fraction(0)] * n_paths for _ in range(n + 1)]
+            B = [[Fraction(0)] * n_paths for _ in range(n + 1)]
             for p in block:
-                row = shares[p] = [None] * (n + 1)
                 here = probs[p] * X.columns[u][p]
                 acc_a, acc_b = Fraction(0), Fraction(0)
                 for stop in range(u + 1, n + 1):
                     if (m := mu.mass[p][stop - 1]) != 0:
                         c, w = probs[p] * m, stop - 1
                         acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
-                    row[stop] = (here - probs[p] * X.columns[stop][p] - acc_a, acc_b)
-            cells = [(r, stop) for r in shares.values() for stop in range(u + 1, n + 1)]
-            scale = lcm(*(v.denominator for r, stop in cells for v in r[stop]))
-            for r, stop in cells:
-                r[stop] = tuple(v.numerator * (scale // v.denominator) for v in r[stop])
+                    A[stop][p] = here - probs[p] * X.columns[stop][p] - acc_a
+                    B[stop][p] = acc_b
+            scale = lcm(*(v.denominator for col in (*A, *B) for v in col))
+            A, B = (
+                [[v.numerator * (scale // v.denominator) for v in col] for col in M]
+                for M in (A, B)
+            )
 
-            best = None  # a root (num, den); den == 0 marks a window without mass
-            for cand in iter_stopping_index_tuples(
-                lattice, meyer, Kind.LAMBDA, lower=lower, scope=block, guard=guard
-            ):
-                parts = [shares[p][cand[p]] for p in block]
-                root = sum(a for a, _ in parts), sum(b for _, b in parts)
-                if root[1] and (best is None or root[0] * best[1] < best[0] * root[1]):
-                    best = root
-            if best is None:
+            num, den = _least_root(steps, A, B, _mask(block), guard)
+            if den == 0:
                 atom_x = sum(probs[p] * X.columns[u][p] for p in block)
                 if atom_x != 0:
                     raise RepresentationError(
                         "X not representable with this (g, mu): "
                         f"mass exhausted before instant index {u} but X is nonzero"
                     )
-                best = (0, 1)
+                num, den = 0, 1
             for p in block:
-                columns[u][p] = Fraction(*best)
+                columns[u][p] = Fraction(num, den)
 
     S = LatticeProcess((*map(tuple, columns), (Fraction(0),) * lattice.n_paths))
     if _forward(problem, S).columns != X.columns:
         raise RepresentationError("X not representable with this (g, mu): forward check failed")
     return S
+
+
+def _least_root(steps: _Decisions, A, B, block: int, guard: int | None) -> tuple[int, int]:
+    """The least root N_T / D_T over the windows T with mass, by Dinkelbach's
+    method; den 0 if no window has mass.
+
+    N_T and D_T sum the integer shares A and B at T over the atom's paths
+    `block`.  From the all-TERMINAL window, whose D is the atom's whole
+    remaining mass, each step maximizes num * D_T - den * N_T by one fold
+    and moves to a maximizer, until the best gain is 0.  A massless window
+    can win a step only with N_T < 0, which no representable X has; the
+    search stops there, and the closing forward check reports the failure.
+    The guard bounds the first fold's count.
+    """
+
+    def window(T) -> tuple[int, int]:
+        return sum(A[i][p] for p, i in enumerate(T)), sum(B[i][p] for p, i in enumerate(T))
+
+    def fold(num: int, den: int):
+        gains = [[num * b - den * a for a, b in zip(ca, cb)] for ca, cb in zip(A, B)]
+        return _best(steps, gains, block)
+
+    num, den = sum(A[-1]), sum(B[-1])  # the all-TERMINAL window
+    (top, _, total), attaining = fold(num, den)
+    _check_guard(total, guard)
+    while top > 0:
+        N, D = window(next(attaining()))
+        if D == 0:
+            break
+        num, den = N, D
+        (top, _, _), attaining = fold(num, den)
+    return num, den
 
 
 def _accrual_cutoffs(
@@ -408,7 +438,9 @@ def universal_signal_check(
     both level-passage variants against the enumerated divided-stop optimum
     at each grid level, in grid order.  Each stop's (reading, cutoff)
     pairs are found once; at each level a path's weighted value per pair is
-    computed once and summed per stop.  The passages are read on
+    computed once, the values are scaled to integers over one common
+    denominator, and each stop sums its integers; only the level's maximum
+    becomes a Fraction.  The passages are read on
     S = L**power at the level ell**power.  Grid points may be evaluated on
     up to `jobs` worker processes; the report order never depends on
     scheduling.
@@ -436,20 +468,16 @@ def universal_signal_check(
             for passage in (level_passage(lattice, meyer, S, s, v) for v in (1, 2))
         )
         level = [_path_value(problem, X, s, *pair) for pair in pairs]
-        best = None
-        count = 0
-        for keys in keyed:
-            val = sum((level[k] for k in keys), Fraction(0))
-            if best is None or val > best:
-                best, count = val, 1
-            elif val == best:
-                count += 1
+        den = lcm(*(v.denominator for v in level))
+        scaled = [v.numerator * (den // v.denominator) for v in level]
+        totals = [sum(map(scaled.__getitem__, keys)) for keys in keyed]
+        best = max(totals)
         return SignalRow(
             ell=ell,
             value_variant_1=v1,
             value_variant_2=v2,
-            brute_force=best,
-            optimizer_count=count,
+            brute_force=Fraction(best, den),
+            optimizer_count=totals.count(best),
         )
 
     rows = tuple(ordered_map(evaluate, ell_grid, jobs))

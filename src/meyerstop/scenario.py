@@ -44,6 +44,7 @@ KNOWN_FIELDS = {
     "ell_grid",
     "commands",
 }
+KNOWN_G_FIELDS = {"kind", "power", "a", "b"}
 
 
 class ScenarioError(ValueError):
@@ -180,9 +181,10 @@ def _g_from_spec(spec: dict, lattice: FilteredLattice) -> GFamily:
 def parse_scenario(text: str, strict: bool = True) -> Scenario:
     """Total parse with field-precise diagnostics.
 
-    Unknown top-level fields are rejected in strict mode and ignored with a
-    warning entry otherwise (the warning is part of the raised error only
-    in strict mode; lenient callers can inspect `KNOWN_FIELDS`).
+    Unknown top-level fields, and unknown keys inside `g`, are rejected in
+    strict mode and ignored with a warning entry otherwise (the warning is
+    part of the raised error only in strict mode; lenient callers can
+    inspect `KNOWN_FIELDS` and `KNOWN_G_FIELDS`).
     """
     try:
         doc = json.loads(text)
@@ -256,7 +258,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     if "g" in doc:
         if not isinstance(doc["g"], dict):
             raise ScenarioError("g: expected an object")
-        g_spec = _canonical_g_spec(doc["g"], lattice)
+        g_spec = _canonical_g_spec(doc["g"], lattice, strict)
         _g_from_spec(g_spec, lattice)  # fail fast on malformed specs
 
     mu = None
@@ -297,8 +299,17 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     )
 
 
-def _canonical_g_spec(raw: dict, lattice: FilteredLattice) -> dict:
-    """Normalize a g spec: rationals to lowest-term strings, keys ordered."""
+def _canonical_g_spec(raw: dict, lattice: FilteredLattice, strict: bool) -> dict:
+    """Normalize a g spec: rationals to lowest-term strings, keys ordered.
+
+    Unknown g keys are rejected in strict mode and dropped with a warning
+    otherwise, as unknown top-level fields are.
+    """
+    unknown = sorted(set(raw) - KNOWN_G_FIELDS)
+    if unknown:
+        if strict:
+            raise ScenarioError(f"unknown g fields {unknown} (strict mode)")
+        warnings.warn(f"ignoring unknown g fields {unknown}", stacklevel=3)
     n = lattice.n_instants
     ids = lattice.path_ids
     out: dict[str, Any] = {"kind": raw.get("kind")}

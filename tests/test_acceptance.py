@@ -88,6 +88,10 @@ def large_family():
                 seed=seed, epochs=4, max_paths=8, regime=OPTIONAL_EXTREME
             )
         )
+    yield from near_guard_family()
+
+
+def near_guard_family():
     # three instances near the 10^6 enumeration guard
     # (318 663, 374 171 and 743 507 stopping times)
     for seed in (7, 4, 3):
@@ -325,11 +329,18 @@ def test_criterion_8_representation_round_trip():
                 else:
                     assert type(ell) is float and ell == ell and s != 0, seed
         odd += 1
+
+    # the solve's per-atom folds reach the guard
+    guard = 0
+    for sc in near_guard_family():
+        assert checks.check_representation_roundtrip(sc.build_problem()) is None
+        guard += 1
     _report(
         8,
-        affine_count >= 200 and odd >= 40,
+        affine_count >= 200 and odd >= 40 and guard == 3,
         f"affine round trip exact on {affine_count} bundles; odd-power (cube) "
-        f"round trip exact on S on {odd} bundles, {exact} signal cells rational",
+        f"round trip exact on S on {odd} bundles, {exact} signal cells rational; "
+        f"round-trip check passes on {guard} near-guard lattices",
     )
 
 

@@ -1,9 +1,9 @@
 """Table-driven checks against the per-stopping-time code they replace.
 
-The universal-signal rows, `solve_representation` and the divided-stop
-enumeration read tables built once per call; the certificate, the sandwich,
-the relaxation maximum and the sequential USC forms are memoized folds
-(restricted to allowed cells) or per-atom sums.
+The universal-signal rows and the divided-stop enumeration read tables
+built once per call; the certificate, the sandwich, the relaxation maximum,
+the sequential USC forms and the Dinkelbach steps of `solve_representation`
+are memoized folds (restricted to allowed cells) or per-atom sums.
 The oracles here are the direct per-stop computations those stand for; they
 live only in the tests.  The mutation tests show that each rewritten check
 can still report a failure, and the lazy-optimizer tests that value-only
@@ -371,11 +371,14 @@ def test_signal_rows_match_plain_maximization(monotone):
         if monotone:
             sc = odd_power(sc)
         problem = sc.build_problem()
+        # at 7/3 the level s = ell**power has denominator 3 or 27, which the
+        # integer scoring of each level must scale away
+        grid = (*sc.ell_grid, Fraction(7, 3))
         try:
-            report = universal_signal_check(problem, sc.ell_grid)
+            report = universal_signal_check(problem, grid)
         except PreconditionError:
             continue
-        plain = plain_signal_rows(problem, sc.ell_grid)
+        plain = plain_signal_rows(problem, grid)
         for row, (best, count) in zip(report.rows, plain, strict=True):
             assert same(row.brute_force, best), (seed, row.ell)
             assert row.optimizer_count == count, (seed, row.ell)
@@ -464,6 +467,113 @@ def test_solve_matches_the_term_list_loop(monotone):
             assert all(same(a, b) for a, b in zip(row, plain_row, strict=True)), seed
         compared += 1
     assert compared >= 20, compared
+
+
+def test_solve_guard_bounds_each_atom_in_turn():
+    # the guard reads each atom's count of windows, in (instant, atom)
+    # order, as the per-window listing did
+    heavy = generate_instance(
+        RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
+    )
+    problem = heavy.build_problem()
+    problem = problem.with_X(forward_evaluate(problem))
+    lattice, meyer, n = heavy.lattice, heavy.meyer, heavy.lattice.n_instants
+    counts = [
+        enumeration.count_stopping_times(
+            lattice,
+            meyer,
+            Kind.LAMBDA,
+            lower=RandomInstant(
+                tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
+            ),
+            scope=block,
+        )
+        for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+        for block in part
+    ]
+    assert len(set(counts)) > 5, counts
+    for guard in sorted({c - 1 for c in counts if c > 1}):
+        first = next(c for c in counts if c > guard)
+        with pytest.raises(
+            enumeration.EnumerationGuardError,
+            match=f"^{first} stopping times exceed the guard of {guard}$",
+        ):
+            solve_representation(problem, guard)
+    assert solve_representation(problem, max(counts)) == solve_representation(problem, None)
+
+
+def mass_at(problem, w):
+    """The problem with mu's mass moved to instant index w on every path
+    (1 plus the path's old mass there), and X the forward reward of L."""
+    lattice = problem.lattice
+    mass = tuple(
+        tuple(m + 1 if i == w else Fraction(0) for i, m in enumerate(row))
+        for row in problem.mu.mass
+    )
+    moved = dataclasses.replace(problem, mu=representation.RandomMeasure(mass))
+    assert lattice.n_instants > w + 1
+    return moved.with_X(forward_evaluate(moved))
+
+
+def shifted(X, u, block, delta):
+    """X with delta added on the paths of `block` at instant index u."""
+    columns = [list(col) for col in X.columns]
+    for p in block:
+        columns[u][p] += delta
+    return LatticeProcess(tuple(map(tuple, columns)))
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_solve_handles_massless_windows(monotone):
+    # with mass only at instant index 2, the windows after u <= 1 that end
+    # by 2 carry none, and every window after u >= 3 is massless, where a
+    # representable X is 0 and the solved signal is 0
+    for seed, sc in repr_family(30):
+        if monotone:
+            sc = odd_power(sc)
+        problem = mass_at(sc.build_problem(), 2)
+        L = solve_representation(problem)
+        plain = plain_solve(problem)
+        for row, plain_row in zip(L.rows, plain, strict=True):
+            assert all(same(a, b) for a, b in zip(row, plain_row, strict=True)), seed
+        assert all(v == 0 for col in L.columns[3:] for v in col), seed
+
+
+def test_solve_reports_an_atom_whose_windows_are_all_massless():
+    for seed, sc in repr_family(20):
+        problem = mass_at(sc.build_problem(), 2)
+        block = sorted(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)[3])[-1]
+        bad = problem.with_X(shifted(problem.X, 3, block, Fraction(1, 2)))
+        with pytest.raises(
+            representation.RepresentationError,
+            match=r"^X not representable with this \(g, mu\): "
+            r"mass exhausted before instant index 3 but X is nonzero$",
+        ):
+            solve_representation(bad)
+
+
+def test_solve_reports_a_massless_window_that_loses_reward():
+    # lowering X at instant index 1 on an atom makes the window that stops
+    # the whole atom at 2 massless with N_T < 0: no representable X has one,
+    # so the search stops there and the forward check fails, as the
+    # per-window minimum does too
+    for seed, sc in repr_family(20):
+        problem = mass_at(sc.build_problem(), 2)
+        lattice, X = problem.lattice, problem.X
+        probs = lattice.probabilities
+        for block in field_partitions(lattice, problem.meyer, Kind.LAMBDA)[1]:
+            weight = sum(probs[p] for p in block)
+            drop = sum(probs[p] * (X.columns[1][p] - X.columns[2][p]) for p in block)
+            assert drop >= 0, seed
+            bad = problem.with_X(shifted(X, 1, block, -drop / weight - 1))
+            assert sum(probs[p] * (bad.X.columns[1][p] - X.columns[2][p]) for p in block) < 0
+            with pytest.raises(
+                representation.RepresentationError,
+                match=r"^X not representable with this \(g, mu\): forward check failed$",
+            ):
+                solve_representation(bad)
+            plain = LatticeProcess.from_rows(plain_solve(bad))
+            assert forward_evaluate(bad.with_L(plain)).columns != bad.X.columns, seed
 
 
 # (d) divided stops ----------------------------------------------------------
@@ -577,6 +687,8 @@ def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
         for name in ("L", "Z"):
             assert checks.check_delta(lattice, meyer, sc.processes[name], starts) is None
             assert checks.check_usc_equivalence(lattice, meyer, sc.processes[name]) is None
+        for problem in (sc.build_problem(), odd_power(sc).build_problem()):
+            assert checks.check_representation_roundtrip(problem) is None
     assert listed == []
     # the wrapper sees a listing where there is one
     assert len(list(iter_stopping_index_tuples(heavy.lattice, heavy.meyer))) == 745

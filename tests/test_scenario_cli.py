@@ -374,3 +374,17 @@ def test_boolean_epochs_and_power_are_rejected():
         parse_scenario(json.dumps(doc))
     doc["g"]["power"] = 1
     assert parse_scenario(json.dumps(doc)).g_spec["power"] == 1
+
+
+@pytest.mark.parametrize("key, value", [("pwer", 5), ("tolerance", "1/1000000000")])
+def test_unknown_g_keys_follow_strict_mode(key, value):
+    # a misspelt power would otherwise run with the default power 3, and a
+    # retired g.tolerance would be accepted in silence
+    doc = json.loads((FIXTURES / "odd_power.scn").read_text(encoding="utf-8"))
+    doc["g"][key] = value
+    text = json.dumps(doc)
+    with pytest.raises(ScenarioError, match=rf"^unknown g fields \['{key}'\] \(strict mode\)$"):
+        parse_scenario(text, strict=True)
+    with pytest.warns(UserWarning, match=rf"^ignoring unknown g fields \['{key}'\]$"):
+        lenient = parse_scenario(text, strict=False)
+    assert lenient.g_spec == load("odd_power.scn").g_spec

@@ -70,6 +70,20 @@ def test_certificates_and_sandwich_list_no_stopping_time():
     assert not found, found
 
 
+def test_the_representation_solve_lists_no_stopping_time():
+    # the solve's per-atom minimum is a run of folds; only the signal
+    # check's divided-stop listing, from snell, walks stopping times
+    tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
+    found = [
+        f"representation.py:{node.lineno} imports {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name in ("iter_stopping_index_tuples", "enumerate_stopping_times")
+    ]
+    assert not found, found
+
+
 # Engine modules that build and read processes as columns; per-path rows
 # are the edge forms of scenario parsing and rendering.
 COLUMN_MODULES = ("enumeration.py", "projection.py", "snell.py", "representation.py", "checks.py")
