@@ -69,17 +69,9 @@ COMMANDS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _proc_doc(lattice, process) -> dict:
     return {
-        pid: [_fmt(v) for v in row]
+        pid: [str(v) for v in row]
         for pid, row in zip(lattice.path_ids, process.rows)
     }
 
@@ -143,8 +135,8 @@ def run_command(
             "command": "snell",
             "process": name,
             "envelope": _proc_doc(lattice, zbar),
-            "value": _fmt(root),
-            "brute_force_value": _fmt(brute.value),
+            "value": str(root),
+            "brute_force_value": str(brute.value),
             "optimizer_count": brute.optimizer_count,
             "matches_oracle": root == brute.value,
         }
@@ -159,9 +151,9 @@ def run_command(
             "process": name,
             "envelope": _proc_doc(lattice, zbar),
             "martingale": _proc_doc(lattice, d.m),
-            "martingale_terminal": [_fmt(v) for v in d.m.columns[-1]],
+            "martingale_terminal": [str(v) for v in d.m.columns[-1]],
             "predictable_compensator": _proc_doc(lattice, d.a),
-            "predictable_terminal_jump": [_fmt(v) for v in d.a_terminal_jump],
+            "predictable_terminal_jump": [str(v) for v in d.a_terminal_jump],
             "jump_compensator": _proc_doc(lattice, d.b),
         }
         return doc, OK
@@ -183,15 +175,15 @@ def run_command(
         doc = {
             "command": "stop",
             "process": name,
-            "value": _fmt(value_at_root),
+            "value": str(value_at_root),
             "delta": {
                 "time": _time_doc(lattice, ds.T),
-                "value": _fmt(delta_value),
+                "value": str(delta_value),
             },
             "sigma": {
                 "time": _time_doc(lattice, ss.T),
                 "reading": _time_doc(lattice, sigma_form),
-                "value": _fmt(sigma_value),
+                "value": str(sigma_value),
                 "k_minus": sorted(ids[p] for p in ss.k_minus),
                 "k_on": sorted(ids[p] for p in ss.k_on),
                 "k_plus": sorted(ids[p] for p in ss.k_plus),
@@ -233,10 +225,10 @@ def run_command(
             "right_usc_holds": report.right_usc_holds,
             "rows": [
                 {
-                    "ell": _fmt(r.ell),
-                    "variant_1": _fmt(r.value_variant_1),
-                    "variant_2": _fmt(r.value_variant_2),
-                    "brute_force": _fmt(r.brute_force),
+                    "ell": str(r.ell),
+                    "variant_1": str(r.value_variant_1),
+                    "variant_2": str(r.value_variant_2),
+                    "brute_force": str(r.brute_force),
                     "optimizers": r.optimizer_count,
                     "ok": r.ok,
                 }
@@ -252,7 +244,7 @@ def run_command(
         doc = {
             "command": "oracle",
             "process": name,
-            "value": _fmt(brute.value),
+            "value": str(brute.value),
             "stopping_time_count": brute.stopping_time_count,
             "optimizers": [_time_doc(lattice, T) for T in brute.optimizers],
         }

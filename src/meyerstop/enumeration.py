@@ -233,14 +233,19 @@ def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed, guard) -> _
     are walked only when `maximizers()` is called.
     """
     probs = lattice.probabilities
-    cells = [[c * v for c, v in zip(probs, column)] for column in process.columns]
-    den = math.lcm(*(w.denominator for column in cells for w in column))
-    gains = [[w.numerator * (den // w.denominator) for w in column] for column in cells]
+    gains, den = _scaled([[c * v for c, v in zip(probs, col)] for col in process.columns])
     steps = _Decisions(lattice, meyer, kind, allowed)
     (best, ways, total), attaining = _best(steps, gains, _scope_mask(lattice, None))
     _check_guard(total, guard)
     top = None if best is None else Fraction(best, den)
     return _Optimum(top, ways, total, lambda: sorted(attaining()))
+
+
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over their least common denominator,
+    and that denominator."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def _best(steps: _Decisions, gains: list[list[int]], active: int):

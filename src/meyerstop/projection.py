@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .enumeration import DEFAULT_GUARD, _check_guard, _maximum, count_stopping_times
+from .enumeration import DEFAULT_GUARD, _maximum
 from .lattice import (
     FilteredLattice,
     InvariantError,
@@ -191,12 +191,12 @@ def check_usc_sequence_equivalence(
     splits it by them; the constant time u reaches every atom at u; at
     TERMINAL both readings are the reward's terminal value, 0.  The left
     form (E[Z_T] >= E[(left envelope)_T] for every predictable T) fails
-    exactly when the maximum of E[(left envelope - Z)_T] is positive.  A
+    exactly when the maximum of E[(left envelope - Z)_T] is positive, and
+    the guard bounds that fold's count of predictable times.  A
     disagreement with the predicates is a counterexample.
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    _check_guard(count_stopping_times(lattice, meyer, Kind.LAMBDA), guard)
     probs = lattice.probabilities
     n = lattice.n_instants
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .enumeration import DEFAULT_GUARD, _best, _between, _check_guard, _Decisions, _mask
+from .enumeration import DEFAULT_GUARD, _best, _between, _check_guard, _Decisions, _mask, _scaled
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -37,6 +36,7 @@ from .lattice import (
     _divided_readings,
     _first_hits,
     _require_shape,
+    conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
     is_measurable,
@@ -173,10 +173,10 @@ def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
 
 
 def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProcess:
-    """`forward_evaluate` on S = L**power, where g_w = a_w + b_w * s."""
+    """`forward_evaluate` on S = L**power, where g_w = a_w + b_w * s: each
+    instant's per-path tails, conditioned on that instant's Lambda field."""
     lattice, meyer, g, mu = problem.lattice, problem.meyer, problem.g, problem.mu
     n = lattice.n_instants
-    probs = lattice.probabilities
 
     def tail(p: int, u: int) -> Fraction:
         """Path p's sum over w >= u of g_w(running max of S) mu_w."""
@@ -189,15 +189,10 @@ def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProces
                 acc += (g.a[p][w] + g.b[p][w] * running) * mu.mass[p][w]
         return acc
 
-    columns = []
-    for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
-        col = [None] * lattice.n_paths
-        for block in part:
-            mass = sum((probs[p] for p in block), Fraction(0))
-            avg = sum(probs[p] * tail(p, u) for p in block) / mass
-            for p in block:
-                col[p] = avg
-        columns.append(tuple(col))
+    columns = [
+        conditional_expectation(lattice, [tail(p, u) for p in range(lattice.n_paths)], part)
+        for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+    ]
     return LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
 
 
@@ -258,11 +253,8 @@ def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
                         acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
                     A[stop][p] = here - probs[p] * X.columns[stop][p] - acc_a
                     B[stop][p] = acc_b
-            scale = lcm(*(v.denominator for col in (*A, *B) for v in col))
-            A, B = (
-                [[v.numerator * (scale // v.denominator) for v in col] for col in M]
-                for M in (A, B)
-            )
+            shares, _ = _scaled(A + B)
+            A, B = shares[: n + 1], shares[n + 1 :]
 
             num, den = _least_root(steps, A, B, _mask(block), guard)
             if den == 0:
@@ -468,8 +460,7 @@ def universal_signal_check(
             for passage in (level_passage(lattice, meyer, S, s, v) for v in (1, 2))
         )
         level = [_path_value(problem, X, s, *pair) for pair in pairs]
-        den = lcm(*(v.denominator for v in level))
-        scaled = [v.numerator * (den // v.denominator) for v in level]
+        (scaled,), den = _scaled([level])
         totals = [sum(map(scaled.__getitem__, keys)) for keys in keyed]
         best = max(totals)
         return SignalRow(

@@ -259,7 +259,6 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         if not isinstance(doc["g"], dict):
             raise ScenarioError("g: expected an object")
         g_spec = _canonical_g_spec(doc["g"], lattice, strict)
-        _g_from_spec(g_spec, lattice)  # fail fast on malformed specs
 
     mu = None
     if "mu" in doc:
@@ -303,21 +302,20 @@ def _canonical_g_spec(raw: dict, lattice: FilteredLattice, strict: bool) -> dict
     """Normalize a g spec: rationals to lowest-term strings, keys ordered.
 
     Unknown g keys are rejected in strict mode and dropped with a warning
-    otherwise, as unknown top-level fields are.
+    otherwise, as unknown top-level fields are.  The spec is parsed once,
+    into the `GFamily` whose rows it renders, so a malformed one fails here.
     """
     unknown = sorted(set(raw) - KNOWN_G_FIELDS)
     if unknown:
         if strict:
             raise ScenarioError(f"unknown g fields {unknown} (strict mode)")
         warnings.warn(f"ignoring unknown g fields {unknown}", stacklevel=3)
-    n = lattice.n_instants
-    ids = lattice.path_ids
+    g, ids = _g_from_spec(raw, lattice), lattice.path_ids
     out: dict[str, Any] = {"kind": raw.get("kind")}
     if "power" in raw:
         out["power"] = raw["power"]
-    for key, default in (("a", [0] * n), ("b", [1] * n)):
-        rows = _parse_value_rows(raw.get(key, default), ids, n, f"g.{key}")
-        out[key] = {ids[p]: [_rational_str(v) for v in rows[p]] for p in range(len(ids))}
+    for key, rows in (("a", g.a), ("b", g.b)):
+        out[key] = {pid: [_rational_str(v) for v in row] for pid, row in zip(ids, rows)}
     return out
 
 
@@ -366,16 +364,21 @@ RANDOM_BETWEEN = "RANDOM_BETWEEN"
 REGIMES = (PREDICTABLE_EXTREME, OPTIONAL_EXTREME, RANDOM_BETWEEN)
 
 
+# Generated values are drawn from 0..VALUE_RANGE, and mu charges each grid
+# instant of a path with probability MU_DENSITY.
+VALUE_RANGE = 6
+MU_DENSITY = 0.5
+
+
 @dataclass(frozen=True)
 class RandomInstanceParams:
-    """Knobs for seeded generation; instances are pure functions of the seed."""
+    """Knobs for seeded generation: the seed, the last epoch, the path
+    budget and the Meyer regime; instances are pure functions of them."""
 
     seed: int
     epochs: int = 2
     max_paths: int = 8
-    value_range: int = 6
     regime: str = RANDOM_BETWEEN
-    mu_density: float = 0.5
 
     def __post_init__(self) -> None:
         if not (1 <= self.epochs <= 4):
@@ -463,62 +466,51 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
     meyer = MeyerStructure(meyer_fields=tuple(meyer_parts))
 
     n_inst = lattice.n_instants
+    zero = (Fraction(0),) * n
 
-    def draw_adapted(kind: Kind, low: int, high: int, force_last_zero: bool) -> LatticeProcess:
-        cols = []
-        for part in field_partitions(lattice, meyer, kind):
-            col = [Fraction(0)] * n
-            for block in part:
-                v = Fraction(rng.randint(low, high), rng.choice((1, 1, 2)))
-                for p in block:
+    def per_atom(kind: Kind, draw) -> list[list]:
+        """One column per instant, holding `draw(cols, idx, atom)` on each atom
+        of the instant's `kind` field; `cols` are the columns drawn so far."""
+        cols: list[list] = []
+        for idx, part in enumerate(field_partitions(lattice, meyer, kind)):
+            col = [None] * n
+            for atom in part:
+                v = draw(cols, idx, atom)
+                for p in atom:
                     col[p] = v
             cols.append(col)
-        if force_last_zero:
-            cols[-1] = [Fraction(0)] * n
-        return LatticeProcess((*map(tuple, cols), (Fraction(0),) * n))
+        return cols
 
-    reward = draw_adapted(Kind.LAMBDA, 0, params.value_range, rng.random() < 0.5)
+    last_zero = rng.random() < 0.5
+    reward_cols = per_atom(
+        Kind.LAMBDA,
+        lambda cols, idx, atom: Fraction(rng.randint(0, VALUE_RANGE), rng.choice((1, 1, 2))),
+    )
+    if last_zero:
+        reward_cols[-1] = zero
+    reward = LatticeProcess((*map(tuple, reward_cols), zero))
 
     # The signal never drops from an interval into the next grid point and mu
     # charges grid instants only; with nonnegative g this makes the forward
     # reward left-USC in expectation, the hypothesis of the signal theorem.
-    sig_cols: list[list[Fraction]] = []
-    for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
-        col = [Fraction(0)] * n
-        for block in part:
-            floor = Fraction(0)
-            if idx % 2 == 0 and idx > 0:
-                floor = max(sig_cols[idx - 1][p] for p in block)
-            v = floor + Fraction(rng.randint(0, params.value_range))
-            for p in block:
-                col[p] = v
-        sig_cols.append(col)
-    signal = LatticeProcess((*map(tuple, sig_cols), (Fraction(0),) * n))
+    def signal_level(cols, idx, atom) -> Fraction:
+        floor = max(cols[idx - 1][p] for p in atom) if idx % 2 == 0 and idx > 0 else 0
+        return floor + Fraction(rng.randint(0, VALUE_RANGE))
 
-    g_a = []
-    g_b = []
-    for part in field_partitions(lattice, meyer, Kind.OPTIONAL):
-        col_a = [Fraction(0)] * n
-        col_b = [Fraction(1)] * n
-        for block in part:
-            va = Fraction(rng.randint(0, 3))
-            vb = Fraction(rng.randint(1, 3))
-            for p in block:
-                col_a[p] = va
-                col_b[p] = vb
-        g_a.append(col_a)
-        g_b.append(col_b)
-    g_spec = {
-        "kind": "affine",
-        "a": {ids[p]: [str(g_a[idx][p]) for idx in range(n_inst)] for p in range(n)},
-        "b": {ids[p]: [str(g_b[idx][p]) for idx in range(n_inst)] for p in range(n)},
-    }
+    sig_cols = per_atom(Kind.LAMBDA, signal_level)
+    signal = LatticeProcess((*map(tuple, sig_cols), zero))
+
+    # one (a, b) pair of g rates per optional atom, a drawn first
+    rates = per_atom(Kind.OPTIONAL, lambda cols, idx, atom: (rng.randint(0, 3), rng.randint(1, 3)))
+    g_spec: dict[str, Any] = {"kind": "affine"}
+    for j, key in enumerate("ab"):
+        g_spec[key] = {ids[p]: [str(col[p][j]) for col in rates] for p in range(n)}
 
     mass_rows = []
     for p in range(n):
         row = []
         for idx in range(n_inst):
-            if idx % 2 == 0 and rng.random() < params.mu_density:
+            if idx % 2 == 0 and rng.random() < MU_DENSITY:
                 row.append(Fraction(rng.randint(1, 3)))
             else:
                 row.append(Fraction(0))

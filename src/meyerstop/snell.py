@@ -148,14 +148,19 @@ def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
     """Per path, the first instant index where `broken(value, continuation)`."""
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
         raise LatticeError("process is not Lambda-measurable")
-    columns = process.columns
-    conts = [
-        conditional_expectation(lattice, columns[idx + 1], part)
-        for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
-    ]
+    columns, conts = process.columns, _continuations(lattice, meyer, process)
     return _first_hits(
         lattice, (0,) * lattice.n_paths, lambda p, i: broken(columns[i][p], conts[i][p])
     )
+
+
+def _continuations(lattice, meyer, process) -> list[tuple[Fraction, ...]]:
+    """Per instant index i, E[process at i + 1 | Lambda field at i]."""
+    columns = process.columns
+    return [
+        conditional_expectation(lattice, columns[idx + 1], part)
+        for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+    ]
 
 
 @dataclass(frozen=True)
@@ -184,18 +189,20 @@ def mertens_decompose(
 ) -> MertensDecomposition:
     """Split a nonnegative supermartingale with terminal 0 into M - A - B_-.
 
-    Jump formulas, per grid point:
-        delta A at (k,AT) = Zbar at (k-1,INT) - E[Zbar at (k,AT) | F_{k-1}]
+    Each jump is a one-step loss Zbar_i - E[Zbar_{i+1} | Lambda field at i],
+    read from the continuations `martingale_reach` reads.  That field is G_k
+    at (k,AT) and F_{k-1} at (k-1,INT), so per grid point:
         delta B at (k,AT) = Zbar at (k,AT)    - E[Zbar at (k,INT) | G_k]
-    with delta A at (0,AT) = 0 and a final predictable jump of A at TERMINAL
-    equal to Zbar at (K,INT).  M = Zbar + A + B_- is then a Lambda-martingale.
+        delta A at (k,AT) = Zbar at (k-1,INT) - E[Zbar at (k,AT) | F_{k-1}]
+    with delta A at (0,AT) = 0; the loss into TERMINAL, where Zbar is 0, is
+    A's final predictable jump, Zbar at (K,INT).  M = Zbar + A + B_- is then
+    a Lambda-martingale.
 
-    For a Lambda-measurable input that is nonnegative with terminal 0, the
-    supermartingale inequality at (k,AT) is delta B >= 0, at (k,INT) it is
-    delta A at k+1 >= 0, and at (K,INT) it is nonnegativity; so the jumps
-    check the input, and LatticeError means it is not such a
-    supermartingale.  The result is not re-verified here: the suite's
-    mertens/identities row checks it.
+    A Lambda-measurable input that is nonnegative with terminal 0 is a
+    supermartingale exactly when no loss is negative; the jumps check that
+    epoch by epoch, B before A, and LatticeError means it fails.  The
+    result is not re-verified here: the suite's mertens/identities row
+    checks it.
     """
     if reward_fault(lattice, meyer, zbar) is not None:
         if not is_measurable(lattice, meyer, zbar, Kind.LAMBDA):
@@ -203,27 +210,17 @@ def mertens_decompose(
         raise LatticeError("decomposition expects a nonnegative input with terminal 0")
     z = zbar.columns
     zero = (Fraction(0),) * lattice.n_paths
-    delta_a: list[tuple[Fraction, ...]] = []
-    delta_b: list[tuple[Fraction, ...]] = []
-    for k in range(lattice.epoch_count + 1):
-        at_idx = 2 * k
-        cont_b = conditional_expectation(lattice, z[at_idx + 1], meyer.meyer_fields[k])
-        db = tuple(v - c for v, c in zip(z[at_idx], cont_b))
-        if any(v < 0 for v in db):
-            raise LatticeError("negative B-jump: input violates the supermartingale property")
-        delta_b.append(db)
-        if k == 0:
-            delta_a.append(zero)
-        else:
-            pred = conditional_expectation(lattice, z[at_idx], lattice.filtration[k - 1])
-            da = tuple(v - c for v, c in zip(z[at_idx - 1], pred))
-            if any(v < 0 for v in da):
+    loss = [
+        tuple(v - c for v, c in zip(here, cont))
+        for here, cont in zip(z, _continuations(lattice, meyer, zbar))
+    ]
+    delta_b, delta_a, a_terminal_jump = loss[0::2], [zero, *loss[1:-1:2]], loss[-1]
+    for db, da in zip(delta_b, delta_a):
+        for name, jump in (("B", db), ("A", da)):
+            if any(v < 0 for v in jump):
                 raise LatticeError(
-                    "negative A-jump: input violates the supermartingale property"
+                    f"negative {name}-jump: input violates the supermartingale property"
                 )
-            delta_a.append(da)
-
-    a_terminal_jump = z[lattice.n_instants - 1]
 
     # AT instant: A includes its jump, the B_- reading does not
     cum_a = cum_b = zero

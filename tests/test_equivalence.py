@@ -1022,10 +1022,29 @@ def candidate_inputs(sc, rng):
     yield snell_envelope(lattice, meyer, atomwise(lattice, meyer, lambda: rng.randint(0, 5)))
 
 
+def mertens_rejection(lattice, meyer, z) -> str:
+    """The message for a measurable z that the input pass rejected: a reward
+    fault, else the first negative jump, epoch by epoch, B-jump at k before
+    A-jump at k."""
+    if any(v < 0 for row in z.rows for v in row) or any(t != 0 for t in z.columns[-1]):
+        return "decomposition expects a nonnegative input with terminal 0"
+    col = z.columns
+    for k in range(lattice.epoch_count + 1):
+        jumps = [("B", col[2 * k], col[2 * k + 1], meyer.meyer_fields[k])]
+        if k:
+            jumps.append(("A", col[2 * k - 1], col[2 * k], lattice.filtration[k - 1]))
+        for name, here, after, part in jumps:
+            cont = conditional_expectation(lattice, after, part)
+            if any(v < c for v, c in zip(here, cont)):
+                return f"negative {name}-jump: input violates the supermartingale property"
+    raise AssertionError("the input pass rejected a supermartingale")
+
+
 def test_mertens_rejects_exactly_what_the_input_pass_rejected():
     faults = dict.fromkeys(
         (None, "not measurable", "not a supermartingale", "negative", "nonzero terminal"), 0
     )
+    messages = dict.fromkeys("BA", 0)
     for seed, sc in small_family():
         rng = random.Random(seed)
         for z in candidate_inputs(sc, rng):
@@ -1038,7 +1057,13 @@ def test_mertens_rejects_exactly_what_the_input_pass_rejected():
                 mertens_decompose(sc.lattice, sc.meyer, z)
             if fault == "not measurable":
                 assert str(caught.value) == "process is not Lambda-measurable"
+                continue
+            expected = mertens_rejection(sc.lattice, sc.meyer, z)
+            assert str(caught.value) == expected, seed
+            if expected.startswith("negative "):
+                messages[expected[len("negative ")]] += 1
     assert min(faults.values()) >= 20, faults
+    assert min(messages.values()) >= 10, messages
 
 
 def test_mertens_reports_a_lost_martingale(monkeypatch):
@@ -1194,6 +1219,23 @@ def test_sequential_usc_forms_match_the_stop_loops():
             verdicts["right", right] += 1
             verdicts["left", left] += 1
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_usc_guard_bounds_the_predictable_fold():
+    # the seed-62 heavy lattice has 745 Lambda-stopping times and 213
+    # predictable ones; only the predictable fold runs, so only it is bounded
+    heavy = generate_instance(
+        RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
+    )
+    lattice, meyer = heavy.lattice, heavy.meyer
+    assert enumeration.count_stopping_times(lattice, meyer, Kind.LAMBDA) == 745
+    assert enumeration.count_stopping_times(lattice, meyer, Kind.PREDICTABLE) == 213
+    for name in ("L", "Z"):
+        process = heavy.processes[name]
+        assert checks.check_usc_equivalence(lattice, meyer, process, guard=500) is None
+        with pytest.raises(enumeration.EnumerationGuardError) as caught:
+            checks.check_usc_equivalence(lattice, meyer, process, guard=200)
+        assert str(caught.value) == "213 stopping times exceed the guard of 200"
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

@@ -149,3 +149,48 @@ def test_the_signal_root_is_the_only_float():
             and id(node) not in exempt
         ]
     assert not found, found
+
+
+def _calls(tree: ast.AST, name: str, within: str | None = None) -> list[ast.Call]:
+    """The calls of `name` in `tree`, or only those inside functions `within`."""
+    scopes = [tree] if within is None else [
+        fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == within
+    ]
+    return [
+        node
+        for scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_each_exact_computation_is_said_once():
+    # one integer scaling (`enumeration._scaled`), and the decomposition's
+    # jumps read the continuations that `martingale_reach` reads
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "enumeration.py":
+            exempt = {id(c) for c in _calls(tree, "lcm", "_scaled")}
+        found += [
+            f"{path.name}:{c.lineno} calls lcm" for c in _calls(tree, "lcm") if id(c) not in exempt
+        ]
+        if path.name == "snell.py":
+            found += [
+                f"snell.py:{c.lineno} calls conditional_expectation in mertens_decompose"
+                for c in _calls(tree, "conditional_expectation", "mertens_decompose")
+            ]
+    assert not found, found
+
+
+def test_the_once_check_sees_each_duplicate():
+    tree = ast.parse(
+        "def _scaled(r):\n    return math.lcm(*r)\n"
+        "def f(r):\n    return lcm(*r)\n"
+        "def mertens_decompose(z):\n    return conditional_expectation(z)\n"
+    )
+    assert [c.lineno for c in _calls(tree, "lcm")] == [2, 4]
+    assert [c.lineno for c in _calls(tree, "lcm", "_scaled")] == [2]
+    assert [c.lineno for c in _calls(tree, "conditional_expectation", "mertens_decompose")] == [6]
