@@ -3,12 +3,12 @@
 A reward X is represented by a signal L when, at every instant and atom,
 X equals the conditional sum of g evaluated at the running supremum of L
 against the measure mu from that instant on.  `forward_evaluate` computes
-X from L, `solve_representation` recovers a signal from X by a per-atom
-minimum of window roots over future stopping times, found by Dinkelbach
-steps that are each one fold over those times, and `universal_signal_check`
-certifies that the level-passage stops of L solve the whole family of
-accrual-adjusted stopping problems at once, scoring every divided stop in
-integers at each level.
+X from L.  The rest reads one table (`_accrued`): X read at an (instant,
+path) cell after the g-mass accrued before it is a line in the level s.
+`solve_representation` takes each atom's least crossing of two such lines
+by Dinkelbach folds, `stopping_value` reads the lines at a stop, and
+`universal_signal_check` certifies that the level-passage stops of L solve
+every accrual-adjusted stopping problem at once, in integers per level.
 
 g = a + b * ell**power with one odd power is affine in s = ell**power, and
 s is increasing in ell, so running suprema, window roots and level passages
@@ -196,6 +196,33 @@ def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProces
     return LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
 
 
+def _accrued(problem: RepresentationProblem) -> tuple[list, list]:
+    """The accrual rule: per instant index i (TERMINAL included) and path p,
+    the a-mass P_p * sum_{w < i} a_w * mu_w and the b-mass alike; at level
+    s, X read at (i, p) after that accrual is worth P_p * X_i + a + s * b."""
+    lattice, g, mu = problem.lattice, problem.g, problem.mu
+    acc_a, acc_b = [[Fraction(0)] * lattice.n_paths], [[Fraction(0)] * lattice.n_paths]
+    for w in range(lattice.n_instants):
+        row_a, row_b = list(acc_a[-1]), list(acc_b[-1])
+        for p, c in enumerate(lattice.probabilities):
+            if (m := mu.mass[p][w]) != 0:
+                row_a[p] += c * m * g.a[p][w]
+                row_b[p] += c * m * g.b[p][w]
+        acc_a.append(row_a)
+        acc_b.append(row_b)
+    return acc_a, acc_b
+
+
+def _lines(problem: RepresentationProblem, X: LatticeProcess):
+    """Integer rows I = P * X + a-mass and K = b-mass (`_accrued`) over one
+    denominator D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
+    acc_a, acc_b = _accrued(problem)
+    probs = problem.lattice.probabilities
+    I = [[c * x + v for c, x, v in zip(probs, col, acc)] for col, acc in zip(X.columns, acc_a)]
+    rows, den = _scaled(I + acc_b)
+    return rows[: len(I)], rows[len(I) :], den
+
+
 def solve_representation(
     problem: RepresentationProblem, guard: int | None = DEFAULT_GUARD
 ) -> LatticeProcess:
@@ -220,9 +247,9 @@ def solve_representation(
 
 def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
     """`solve_representation` on S = L**power, where each window equation is
-    affine in s.  The forward check of S against X runs at the end and
-    failure raises RepresentationError."""
-    lattice, meyer, g, mu = problem.lattice, problem.meyer, problem.g, problem.mu
+    affine in s, on the `_lines` table.  The forward check of S against X
+    runs at the end and failure raises RepresentationError."""
+    lattice, meyer = problem.lattice, problem.meyer
     X = problem.X
     if X is None:
         raise LatticeError("solve_representation needs the reward process X")
@@ -233,30 +260,14 @@ def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
     n, n_paths = lattice.n_instants, lattice.n_paths
     probs = lattice.probabilities
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
+    I, K, _ = _lines(problem, X)
 
     columns: list[list] = [[None] * n_paths for _ in range(n)]
     for u in range(n):
         for block in fields[u]:
             lower = RandomInstant(tuple(u + 1 if p in block else n for p in range(n_paths)), n)
             steps = _Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, lower))
-
-            # Path p's weighted share of the window [u, stop) per stop, 0 off
-            # the atom: A is here - there - sum c*a and B is sum c*b.
-            A = [[Fraction(0)] * n_paths for _ in range(n + 1)]
-            B = [[Fraction(0)] * n_paths for _ in range(n + 1)]
-            for p in block:
-                here = probs[p] * X.columns[u][p]
-                acc_a, acc_b = Fraction(0), Fraction(0)
-                for stop in range(u + 1, n + 1):
-                    if (m := mu.mass[p][stop - 1]) != 0:
-                        c, w = probs[p] * m, stop - 1
-                        acc_a, acc_b = acc_a + c * g.a[p][w], acc_b + c * g.b[p][w]
-                    A[stop][p] = here - probs[p] * X.columns[stop][p] - acc_a
-                    B[stop][p] = acc_b
-            shares, _ = _scaled(A + B)
-            A, B = shares[: n + 1], shares[n + 1 :]
-
-            num, den = _least_root(steps, A, B, _mask(block), guard)
+            num, den = _least_root(steps, I, K, u, block, guard)
             if den == 0:
                 atom_x = sum(probs[p] * X.columns[u][p] for p in block)
                 if atom_x != 0:
@@ -274,27 +285,31 @@ def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
     return S
 
 
-def _least_root(steps: _Decisions, A, B, block: int, guard: int | None) -> tuple[int, int]:
-    """The least root N_T / D_T over the windows T with mass, by Dinkelbach's
-    method; den 0 if no window has mass.
+def _least_root(steps: _Decisions, I, K, u: int, block, guard: int | None) -> tuple[int, int]:
+    """The least root N_T / D_T over the windows [u, T) with mass, by
+    Dinkelbach's method; den 0 if no window has mass.
 
-    N_T and D_T sum the integer shares A and B at T over the atom's paths
-    `block`.  From the all-TERMINAL window, whose D is the atom's whole
-    remaining mass, each step maximizes num * D_T - den * N_T by one fold
-    and moves to a maximizer, until the best gain is 0.  A massless window
-    can win a step only with N_T < 0, which no representable X has; the
-    search stops there, and the closing forward check reports the failure.
-    The guard bounds the first fold's count.
+    A window's root is where the lines of stopping at u and at T cross on
+    the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
+    K[T_p][p] - K[u][p]; off-atom paths stay at TERMINAL and are skipped.
+    From the all-TERMINAL window, each step maximizes num * D_T - den * N_T
+    by one fold and moves to a maximizer, until the best gain is 0.  A
+    massless window can win a step only with N_T < 0, which no
+    representable X has; the search stops there, and the closing forward
+    check reports the failure.  The guard bounds the first fold's count.
     """
 
     def window(T) -> tuple[int, int]:
-        return sum(A[i][p] for p, i in enumerate(T)), sum(B[i][p] for p, i in enumerate(T))
+        N = sum(I[u][p] - I[T[p]][p] for p in block)
+        return N, sum(K[T[p]][p] - K[u][p] for p in block)
 
     def fold(num: int, den: int):
-        gains = [[num * b - den * a for a, b in zip(ca, cb)] for ca, cb in zip(A, B)]
-        return _best(steps, gains, block)
+        # the best num * D_T - den * N_T: the best sum of cells num * K + den * I, less it at u
+        gains = [[num * k + den * x for x, k in zip(ri, rk)] for ri, rk in zip(I, K)]
+        (top, ways, total), attaining = _best(steps, gains, _mask(block))
+        return (top - sum(num * K[u][p] + den * I[u][p] for p in block), ways, total), attaining
 
-    num, den = sum(A[-1]), sum(B[-1])  # the all-TERMINAL window
+    num, den = window((steps.n_inst,) * steps.n_paths)  # the all-TERMINAL window
     (top, _, total), attaining = fold(num, den)
     _check_guard(total, guard)
     while top > 0:
@@ -329,7 +344,7 @@ def stopping_value(
     X: LatticeProcess | None = None,
     validate: bool = True,
 ):
-    """E[X at tau + accrued g(ell)-mass strictly before tau]."""
+    """E[X at tau + accrued g(ell)-mass strictly before tau], on `_accrued`."""
     lattice, meyer = problem.lattice, problem.meyer
     if validate:
         if isinstance(tau, RandomInstant):
@@ -343,25 +358,11 @@ def stopping_value(
                 )
     if X is None:
         X = problem.X if problem.X is not None else forward_evaluate(problem)
-    s = ell**problem.g.power
+    s, probs, (acc_a, acc_b) = ell**problem.g.power, lattice.probabilities, _accrued(problem)
     total = Fraction(0)
-    for p, (read, cutoff) in enumerate(_accrual_cutoffs(lattice, tau)):
-        total += _path_value(problem, X, s, p, read, cutoff)
+    for p, (read, cut) in enumerate(_accrual_cutoffs(lattice, tau)):
+        total += probs[p] * X.columns[read][p] + acc_a[cut][p] + s * acc_b[cut][p]
     return total
-
-
-def _path_value(
-    problem: RepresentationProblem, X: LatticeProcess, s, p: int, read: int, cutoff: int
-):
-    """Path p's term of `stopping_value` at the level s = ell**power: its
-    probability times the reading of X at `read` plus the g-mass accrued
-    before `cutoff`, where g_w = a_w + b_w * s."""
-    g, accrued = problem.g, X.columns[read][p]
-    for w in range(cutoff):
-        m = problem.mu.mass[p][w]
-        if m != 0:
-            accrued += (g.a[p][w] + g.b[p][w] * s) * m
-    return problem.lattice.probabilities[p] * accrued
 
 
 @dataclass(frozen=True)
@@ -428,14 +429,14 @@ def universal_signal_check(
     Requires a nonnegative representable X that is left-USC in expectation
     (named error otherwise); verifies the implied right-USC, then compares
     both level-passage variants against the enumerated divided-stop optimum
-    at each grid level, in grid order.  Each stop's (reading, cutoff)
-    pairs are found once; at each level a path's weighted value per pair is
-    computed once, the values are scaled to integers over one common
-    denominator, and each stop sums its integers; only the level's maximum
-    becomes a Fraction.  The passages are read on
-    S = L**power at the level ell**power.  Grid points may be evaluated on
-    up to `jobs` worker processes; the report order never depends on
-    scheduling.
+    at each grid level, in grid order.  A canonical divided stop reads X,
+    and cuts the accrual, at one index per path, so each stop is read once
+    into its flat cells i * n_paths + p of the `_lines` table; at the level
+    s = num / den a cell is worth den * I + num * K over den * D, each stop
+    sums its integers, and only the level's maximum becomes a Fraction.
+    The passages are read on S = L**power at the level ell**power.  Grid
+    points may be evaluated on up to `jobs` worker processes; the report
+    order never depends on scheduling.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     if problem.L is None:
@@ -446,12 +447,10 @@ def universal_signal_check(
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
     stops = enumerate_divided_stops(lattice, meyer, guard=guard)
-    # an id per distinct (path, reading, cutoff); each stop as its ids in path order
-    pairs: dict[tuple[int, int, int], int] = {}
-    keyed = [
-        [pairs.setdefault((p, *cut), len(pairs)) for p, cut in enumerate(cuts)]
-        for cuts in (_accrual_cutoffs(lattice, q) for q in stops)
-    ]
+    n_paths = lattice.n_paths
+    cells = [[i * n_paths + p for p, i in enumerate(_divided_readings(lattice, q))] for q in stops]
+    I, K, D = _lines(problem, X)
+    I, K = [v for row in I for v in row], [v for row in K for v in row]
 
     def evaluate(ell) -> SignalRow:
         s = ell**power
@@ -459,17 +458,11 @@ def universal_signal_check(
             stopping_value(problem, ell, passage.quadruple, X=X, validate=False)
             for passage in (level_passage(lattice, meyer, S, s, v) for v in (1, 2))
         )
-        level = [_path_value(problem, X, s, *pair) for pair in pairs]
-        (scaled,), den = _scaled([level])
-        totals = [sum(map(scaled.__getitem__, keys)) for keys in keyed]
+        num, den = Fraction(s).as_integer_ratio()
+        worth = [den * x + num * k for x, k in zip(I, K)]
+        totals = [sum(map(worth.__getitem__, keys)) for keys in cells]
         best = max(totals)
-        return SignalRow(
-            ell=ell,
-            value_variant_1=v1,
-            value_variant_2=v2,
-            brute_force=Fraction(best, den),
-            optimizer_count=totals.count(best),
-        )
+        return SignalRow(ell, v1, v2, Fraction(best, den * D), totals.count(best))
 
     rows = tuple(ordered_map(evaluate, ell_grid, jobs))
     return SignalReport(rows=rows, right_usc_holds=right_ok)

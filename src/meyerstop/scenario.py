@@ -78,6 +78,10 @@ class Scenario:
     ell_grid: tuple[Fraction, ...] | None = None
     commands: dict | None = None
 
+    def __post_init__(self) -> None:
+        if self.signal is not None and self.reward is not None:
+            raise ScenarioError("signal and reward: name exactly one, not both")
+
     def build_g(self) -> GFamily | None:
         if self.g_spec is None:
             return None
@@ -169,6 +173,8 @@ def _g_from_spec(spec: dict, lattice: FilteredLattice) -> GFamily:
     a = _parse_value_rows(spec.get("a", [0] * n), ids, n, "g.a")
     b = _parse_value_rows(spec.get("b", [1] * n), ids, n, "g.b")
     if kind == "affine":
+        if "power" in spec:
+            raise ScenarioError("g.power: only odd_power g takes a power")
         return GFamily.affine(a, b)
     if kind == "odd_power":
         power = spec.get("power", 3)

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.lattice import (
+    INT,
+    DividedQuadruple,
     FilteredLattice,
+    Instant,
+    Kind,
     MeyerStructure,
     PathRecord,
     make_partition,
+    validate_divided,
 )
 
 
@@ -27,6 +34,25 @@ def build_lattice(probs, filtration_atoms, meyer_atoms, initial_atoms=None):
         meyer_fields=tuple(make_partition(a) for a in meyer_atoms)
     )
     return lattice, meyer
+
+
+def full_divided_stops(lattice, meyer):
+    """Every quadruple (including just-before parts), small instances only."""
+    n = lattice.n_paths
+    out = []
+    for T in enumerate_stopping_times(lattice, meyer, Kind.OPTIONAL):
+        if any(isinstance(u, Instant) and u.tag == INT for u in T.assignment):
+            continue
+        for labels in itertools.product((-1, 0, 1), repeat=n):
+            q = DividedQuadruple(
+                T=T,
+                w_minus=frozenset(p for p in range(n) if labels[p] == -1),
+                w=frozenset(p for p in range(n) if labels[p] == 0),
+                w_plus=frozenset(p for p in range(n) if labels[p] == 1),
+            )
+            if validate_divided(lattice, meyer, q).ok:
+                out.append(q)
+    return out
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import full_divided_stops
 from meyerstop import Scenario, checks, cli, enumeration, projection, representation
 from meyerstop.enumeration import _between, _cells, _maximum, iter_stopping_index_tuples
 from meyerstop.lattice import (
@@ -352,13 +353,44 @@ def test_restricted_folds_match_filtering_the_listed_stops():
 # (b) universal signal -------------------------------------------------------
 
 
+def plain_stopping_value(problem, ell, tau, X):
+    """`stopping_value` by the per-path accrual loop: each path's reading of
+    X plus the g(ell)-mass accrued before its cutoff, times its probability."""
+    g, mass, s = problem.g, problem.mu.mass, ell**problem.g.power
+    total = Fraction(0)
+    for p, (read, cutoff) in enumerate(plain_cutoffs(problem.lattice, tau)):
+        accrued = X.columns[read][p]
+        for w in range(cutoff):
+            if mass[p][w] != 0:
+                accrued += (g.a[p][w] + g.b[p][w] * s) * mass[p][w]
+        total += problem.lattice.probabilities[p] * accrued
+    return total
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_stopping_value_matches_the_per_path_accrual_loop(monotone):
+    seen = {"stops": 0, "just before": 0}
+    for seed, sc in repr_family(12):
+        if monotone:
+            sc = odd_power(sc)
+        problem = sc.build_problem()
+        X = forward_evaluate(problem)
+        for q in full_divided_stops(sc.lattice, sc.meyer):
+            for ell in (sc.ell_grid[0], sc.ell_grid[-1], Fraction(-5, 2)):
+                value = stopping_value(problem, ell, q, X=X, validate=False)
+                assert same(value, plain_stopping_value(problem, ell, q, X)), (seed, q, ell)
+            seen["stops"] += 1
+            seen["just before"] += bool(q.w_minus)
+    assert seen["stops"] > 500 and seen["just before"] > 100, seen
+
+
 def plain_signal_rows(problem, grid):
-    """Brute force and optimizer count by one `stopping_value` per stop."""
+    """Brute force and optimizer count by one per-path accrual loop per stop."""
     X = forward_evaluate(problem)
     stops = enumerate_divided_stops(problem.lattice, problem.meyer)
     rows = []
     for ell in grid:
-        values = [stopping_value(problem, ell, q, X=X, validate=False) for q in stops]
+        values = [plain_stopping_value(problem, ell, q, X) for q in stops]
         best = max(values)
         rows.append((best, sum(1 for v in values if v == best)))
     return rows
@@ -372,8 +404,8 @@ def test_signal_rows_match_plain_maximization(monotone):
             sc = odd_power(sc)
         problem = sc.build_problem()
         # at 7/3 the level s = ell**power has denominator 3 or 27, which the
-        # integer scoring of each level must scale away
-        grid = (*sc.ell_grid, Fraction(7, 3))
+        # integer scoring of each level must scale away; -5/2 is a level s < 0
+        grid = (*sc.ell_grid, Fraction(7, 3), Fraction(-5, 2))
         try:
             report = universal_signal_check(problem, grid)
         except PreconditionError:

@@ -1,18 +1,16 @@
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from meyerstop.enumeration import enumerate_stopping_times
+from conftest import full_divided_stops
 from meyerstop.lattice import (
     AT,
     INT,
     TERMINAL,
     DividedQuadruple,
     Instant,
-    Kind,
     LatticeError,
     LatticeProcess,
     RandomInstant,
@@ -266,25 +264,6 @@ def test_representable_reward_is_right_usc(seed):
     problem = sc.build_problem()
     X = forward_evaluate(problem)
     assert is_right_usc_in_expectation(sc.lattice, sc.meyer, X).ok
-
-
-def full_divided_stops(lattice, meyer):
-    """Every quadruple (including just-before parts), small instances only."""
-    n = lattice.n_paths
-    out = []
-    for T in enumerate_stopping_times(lattice, meyer, Kind.OPTIONAL):
-        if any(isinstance(u, Instant) and u.tag == INT for u in T.assignment):
-            continue
-        for labels in itertools.product((-1, 0, 1), repeat=n):
-            q = DividedQuadruple(
-                T=T,
-                w_minus=frozenset(p for p in range(n) if labels[p] == -1),
-                w=frozenset(p for p in range(n) if labels[p] == 0),
-                w_plus=frozenset(p for p in range(n) if labels[p] == 1),
-            )
-            if validate_divided(lattice, meyer, q).ok:
-                out.append(q)
-    return out
 
 
 @pytest.mark.parametrize("seed", [0, 2, 4])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -408,3 +409,30 @@ def test_unknown_g_keys_follow_strict_mode(key, value):
     with pytest.warns(UserWarning, match=rf"^ignoring unknown g fields \['{key}'\]$"):
         lenient = parse_scenario(text, strict=False)
     assert lenient.g_spec == load("odd_power.scn").g_spec
+
+
+def test_a_scenario_names_one_of_signal_and_reward(tmp_path, capsys):
+    # with both named, build_problem would solve the reward and drop the signal
+    doc = json.loads((FIXTURES / "signal_chain.scn").read_text(encoding="utf-8"))
+    doc["reward"] = "L"
+    text = json.dumps(doc)
+    for strict in (True, False):
+        with pytest.raises(ScenarioError, match="^signal and reward: name exactly one, not both$"):
+            parse_scenario(text, strict=strict)
+    sc = load("signal_chain.scn")
+    with pytest.raises(ScenarioError, match="name exactly one"):
+        dataclasses.replace(sc, reward="L")
+    path = tmp_path / "both.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["signal", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: signal and reward: name exactly one, not both\n"
+
+
+@pytest.mark.parametrize("power", [1, 5])
+def test_affine_g_takes_no_power(power):
+    # the power of an affine g was kept and rendered back, but ignored
+    doc = json.loads((FIXTURES / "signal_chain.scn").read_text(encoding="utf-8"))
+    doc["g"]["power"] = power
+    for strict in (True, False):
+        with pytest.raises(ScenarioError, match=r"^g\.power: only odd_power g takes a power$"):
+            parse_scenario(json.dumps(doc), strict=strict)

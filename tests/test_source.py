@@ -194,3 +194,84 @@ def test_the_once_check_sees_each_duplicate():
     assert [c.lineno for c in _calls(tree, "lcm")] == [2, 4]
     assert [c.lineno for c in _calls(tree, "lcm", "_scaled")] == [2]
     assert [c.lineno for c in _calls(tree, "conditional_expectation", "mertens_decompose")] == [6]
+
+
+# Functions of representation.py that may read the rows of g (`.a`, `.b`)
+# or mu (`.mass`): the accrual rule, the forward evaluation, the shape checks.
+RATE_READERS = ("_accrued", "_forward", "validate_g", "RepresentationProblem.__post_init__")
+REPEATING = (
+    ast.For,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+    ast.FunctionDef,
+    ast.Lambda,
+)
+
+
+def _top_functions(tree: ast.Module):
+    """(qualified name, node) of the module's functions and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            methods = [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in methods)
+
+
+def _rate_reads(tree: ast.Module) -> list[int]:
+    """Lines that read a row of g or mu outside `RATE_READERS`."""
+    exempt = {
+        id(node)
+        for name, fn in _top_functions(tree)
+        if name in RATE_READERS
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("a", "b", "mass")
+        and getattr(node.value, "id", getattr(node.value, "attr", None)) in ("g", "mu")
+        and id(node) not in exempt
+    )
+
+
+def _repeated_calls(tree: ast.Module, name: str) -> list[int]:
+    """Lines that call `name` inside a loop, a comprehension or a nested function."""
+    tops = {id(fn) for _, fn in _top_functions(tree)}
+    return sorted(
+        {
+            call.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, REPEATING) and id(node) not in tops
+            for call in _calls(node, name)
+        }
+    )
+
+
+def test_one_accrual_rule_scaled_once():
+    # the solve, `stopping_value` and the signal check read one table of
+    # cell lines, built by `_accrued` and scaled once per solve and check
+    tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
+    found = [f"representation.py:{line} reads a row of g or mu" for line in _rate_reads(tree)]
+    found += [
+        f"representation.py:{line} calls _scaled repeatedly"
+        for line in _repeated_calls(tree, "_scaled")
+    ]
+    assert not found, found
+
+
+def test_the_accrual_check_sees_each_read():
+    tree = ast.parse(
+        "def _accrued(p):\n    return p.g.a, mu.mass\n"
+        "def f(problem, g):\n    return problem.mu.mass, g.b, g.power, x.a\n"
+        "class RepresentationProblem:\n    def __post_init__(self):\n        self.g.a\n"
+        "def h(rows):\n    for r in rows:\n        _scaled(r)\n"
+        "    once = _scaled(rows)\n"
+        "    return [_scaled(r) for r in rows], lambda: _scaled(once)\n"
+    )
+    assert _rate_reads(tree) == [4, 4]
+    assert _repeated_calls(tree, "_scaled") == [10, 12]
