@@ -217,7 +217,9 @@ def check_delta(
 ) -> str | None:
     """Relaxation exactness from every start: E[Zbar_S] = E[Z at delta_S]
     = max over divided stops from S (Lambda-stopping times T >= S read on
-    time), plus the conditional identity and the lambda-entry stabilization."""
+    time), plus the conditional identity and the lambda-entry stabilization.
+    Over the guard a start skips its maximum; then, if nothing fails, the
+    first guard error is raised."""
     zbar = snell_envelope(lattice, meyer, process)
     ratios = [
         z / env
@@ -228,6 +230,7 @@ def check_delta(
     lam_star = max(ratios) if ratios else Fraction(0)
     lam = (1 + lam_star) / 2
     decomp = mertens_decompose(lattice, meyer, zbar)
+    skipped = None
 
     for S in starts:
         ds = delta_stop(lattice, meyer, process, S, zbar)
@@ -257,10 +260,13 @@ def check_delta(
             return f"A moves before the 1/2-entry time from {S.assignment}"
         try:
             best = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, S), guard).value
-        except EnumerationGuardError:
+        except EnumerationGuardError as exc:
+            skipped = skipped or exc
             continue
         if best != env_at_s:
             return f"divided-stop maximum {best} != E[Zbar_S] {env_at_s} from {S.assignment}"
+    if skipped is not None:
+        raise skipped
     return None
 
 
@@ -348,7 +354,7 @@ def check_representation_roundtrip(problem: RepresentationProblem, guard=DEFAULT
 def check_universal_signal(problem: RepresentationProblem, ell_grid, guard=DEFAULT_GUARD) -> str | None:
     try:
         report = universal_signal_check(problem, ell_grid, guard)
-    except PreconditionError as exc:
+    except (PreconditionError, RepresentationError) as exc:
         return f"SKIP: {exc}"
     if not report.right_usc_holds:
         return "representable X is not right-USC in expectation"

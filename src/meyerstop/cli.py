@@ -219,7 +219,7 @@ def run_command(
         grid = ell_grid if ell_grid is not None else scenario.ell_grid
         if not grid:
             raise ScenarioError("no ell grid supplied (--ell-grid or scenario ell_grid)")
-        report = universal_signal_check(problem, grid, guard, jobs)
+        report = universal_signal_check(problem, grid, guard)
         doc = {
             "command": "signal",
             "right_usc_holds": report.right_usc_holds,
@@ -399,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="seed for generated scenarios")
     parser.add_argument("--format", choices=("table", "machine"), default="table")
     parser.add_argument("--strict", action="store_true", help="reject unknown scenario fields")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for suite/signal")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the suite rows")
     parser.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration size guard")
     parser.add_argument("--out", help="write the report here instead of stdout")
     args = parser.parse_args(argv)

@@ -43,7 +43,6 @@ from .lattice import (
     to_divided_quadruple,
     validate_divided,
 )
-from .parallel import ordered_map
 from .snell import PreconditionError, enumerate_divided_stops
 from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
@@ -338,26 +337,20 @@ def _accrual_cutoffs(
 
 
 def stopping_value(
-    problem: RepresentationProblem,
-    ell,
-    tau: RandomInstant | DividedQuadruple,
-    X: LatticeProcess | None = None,
-    validate: bool = True,
+    problem: RepresentationProblem, ell, tau: RandomInstant | DividedQuadruple
 ):
-    """E[X at tau + accrued g(ell)-mass strictly before tau], on `_accrued`."""
+    """E[X at tau + accrued g(ell)-mass strictly before tau], on `_accrued`.
+    tau must be a Lambda- or divided stopping time (else LatticeError); X is
+    the problem's, else forward(L): pass `problem.with_X(X)` to reuse one."""
     lattice, meyer = problem.lattice, problem.meyer
-    if validate:
-        if isinstance(tau, RandomInstant):
-            if not is_lambda_stopping_time(lattice, meyer, tau, Kind.LAMBDA):
-                raise LatticeError("tau is not a Lambda-stopping time")
-        else:
-            report = validate_divided(lattice, meyer, tau)
-            if not report.ok:
-                raise LatticeError(
-                    "tau is not a divided stopping time: " + "; ".join(report.problems)
-                )
-    if X is None:
-        X = problem.X if problem.X is not None else forward_evaluate(problem)
+    if isinstance(tau, RandomInstant):
+        if not is_lambda_stopping_time(lattice, meyer, tau, Kind.LAMBDA):
+            raise LatticeError("tau is not a Lambda-stopping time")
+    else:
+        report = validate_divided(lattice, meyer, tau)
+        if not report.ok:
+            raise LatticeError("tau is not a divided stopping time: " + "; ".join(report.problems))
+    X = problem.X if problem.X is not None else forward_evaluate(problem)
     s, probs, (acc_a, acc_b) = ell**problem.g.power, lattice.probabilities, _accrued(problem)
     total = Fraction(0)
     for p, (read, cut) in enumerate(_accrual_cutoffs(lattice, tau)):
@@ -422,7 +415,6 @@ def universal_signal_check(
     problem: RepresentationProblem,
     ell_grid: Sequence,
     guard: int | None = DEFAULT_GUARD,
-    jobs: int = 1,
 ) -> SignalReport:
     """Level-passage stops of L attain every accrual-adjusted optimum.
 
@@ -430,13 +422,13 @@ def universal_signal_check(
     (named error otherwise); verifies the implied right-USC, then compares
     both level-passage variants against the enumerated divided-stop optimum
     at each grid level, in grid order.  A canonical divided stop reads X,
-    and cuts the accrual, at one index per path, so each stop is read once
-    into its flat cells i * n_paths + p of the `_lines` table; at the level
+    and cuts the accrual, at one index i per path, so every stop is its flat
+    cells i * n_paths + p of the `_lines` table: a listed stop at its
+    readings, a level passage at its own indices.  At the level
     s = num / den a cell is worth den * I + num * K over den * D, each stop
-    sums its integers, and only the level's maximum becomes a Fraction.
-    The passages are read on S = L**power at the level ell**power.  Grid
-    points may be evaluated on up to `jobs` worker processes; the report
-    order never depends on scheduling.
+    sums its integers, and only the passage values and the level's maximum
+    become Fractions.  The passages are read on S = L**power at the level
+    ell**power.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     if problem.L is None:
@@ -448,21 +440,22 @@ def universal_signal_check(
     right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
     stops = enumerate_divided_stops(lattice, meyer, guard=guard)
     n_paths = lattice.n_paths
-    cells = [[i * n_paths + p for p, i in enumerate(_divided_readings(lattice, q))] for q in stops]
+
+    def cells(indices) -> list[int]:
+        return [i * n_paths + p for p, i in enumerate(indices)]
+
+    listed = [cells(_divided_readings(lattice, q)) for q in stops]
     I, K, D = _lines(problem, X)
     I, K = [v for row in I for v in row], [v for row in K for v in row]
 
     def evaluate(ell) -> SignalRow:
         s = ell**power
-        v1, v2 = (
-            stopping_value(problem, ell, passage.quadruple, X=X, validate=False)
-            for passage in (level_passage(lattice, meyer, S, s, v) for v in (1, 2))
-        )
         num, den = Fraction(s).as_integer_ratio()
         worth = [den * x + num * k for x, k in zip(I, K)]
-        totals = [sum(map(worth.__getitem__, keys)) for keys in cells]
+        passages = (level_passage(lattice, meyer, S, s, v).T.indices for v in (1, 2))
+        v1, v2 = (Fraction(sum(map(worth.__getitem__, cells(T))), den * D) for T in passages)
+        totals = [sum(map(worth.__getitem__, keys)) for keys in listed]
         best = max(totals)
         return SignalRow(ell, v1, v2, Fraction(best, den * D), totals.count(best))
 
-    rows = tuple(ordered_map(evaluate, ell_grid, jobs))
-    return SignalReport(rows=rows, right_usc_holds=right_ok)
+    return SignalReport(rows=tuple(map(evaluate, ell_grid)), right_usc_holds=right_ok)

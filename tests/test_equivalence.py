@@ -375,9 +375,10 @@ def test_stopping_value_matches_the_per_path_accrual_loop(monotone):
             sc = odd_power(sc)
         problem = sc.build_problem()
         X = forward_evaluate(problem)
+        fixed = problem.with_X(X)
         for q in full_divided_stops(sc.lattice, sc.meyer):
             for ell in (sc.ell_grid[0], sc.ell_grid[-1], Fraction(-5, 2)):
-                value = stopping_value(problem, ell, q, X=X, validate=False)
+                value = stopping_value(fixed, ell, q)
                 assert same(value, plain_stopping_value(problem, ell, q, X)), (seed, q, ell)
             seen["stops"] += 1
             seen["just before"] += bool(q.w_minus)
@@ -418,21 +419,55 @@ def test_signal_rows_match_plain_maximization(monotone):
     assert compared >= 15, compared
 
 
+def test_signal_passages_match_stopping_value():
+    # the check scores each passage on its flat cells; `stopping_value`
+    # reads the same stop through its divided quadruple and `_accrued`
+    compared = 0
+    for seed, sc in repr_family(40):
+        for kind in ("affine", "odd_power"):
+            scenario = odd_power(sc) if kind == "odd_power" else sc
+            problem = scenario.build_problem()
+            grid = (Fraction(-5, 2), Fraction(7, 3))
+            try:
+                report = universal_signal_check(problem, grid)
+            except PreconditionError:
+                continue
+            fixed = problem.with_X(forward_evaluate(problem))
+            S = representation._levels(problem.g, problem.L)
+            for row in report.rows:
+                s = row.ell**problem.g.power
+                values = (row.value_variant_1, row.value_variant_2)
+                for variant, value in enumerate(values, start=1):
+                    passage = level_passage(sc.lattice, sc.meyer, S, s, variant)
+                    expected = stopping_value(fixed, row.ell, passage.quadruple)
+                    assert same(value, expected), (seed, kind, row.ell, variant)
+                    compared += 1
+    assert compared >= 300, compared
+
+
 def test_signal_check_reports_a_corrupted_level_passage(monkeypatch):
     sc = generate_instance(RandomInstanceParams(seed=8, epochs=2, max_paths=4))
     problem = sc.build_problem()
     assert checks.check_universal_signal(problem, sc.ell_grid) is None
-    real = representation.stopping_value
-    calls = []
+    ell = sc.ell_grid[1]
+    # variant 2 stops at once or never, whichever misses the optimum there
+    fixed = problem.with_X(forward_evaluate(problem))
+    best = universal_signal_check(problem, sc.ell_grid).rows[1].brute_force
+    n, paths = sc.lattice.n_instants, sc.lattice.n_paths
+    at_once, never = RandomInstant((0,) * paths, n), RandomInstant((n,) * paths, n)
+    bad = next(T for T in (at_once, never) if stopping_value(fixed, ell, T) != best)
+    real = representation.level_passage
 
-    def corrupted(*args, **kwargs):
-        calls.append(1)
-        value = real(*args, **kwargs)
-        return value + Fraction(1, 1000) if len(calls) == 3 else value
+    def corrupted(lattice, meyer, L, level, variant):
+        if (level, variant) != (ell**problem.g.power, 2):
+            return real(lattice, meyer, L, level, variant)
+        return representation.LevelPassage(bad, to_divided_quadruple(lattice, meyer, bad))
 
-    monkeypatch.setattr(representation, "stopping_value", corrupted)
+    monkeypatch.setattr(representation, "level_passage", corrupted)
     message = checks.check_universal_signal(problem, sc.ell_grid)
-    assert message is not None and message.startswith(f"level {sc.ell_grid[1]}:"), message
+    assert message is not None and message.startswith(f"level {ell}:"), message
+    bad_value = stopping_value(fixed, ell, bad)
+    assert message == f"level {ell}: passage values {best}/{bad_value} vs brute force {best}"
 
 
 # (c) solve ------------------------------------------------------------------
@@ -991,7 +1026,7 @@ def test_a_just_before_stop_at_epoch_zero_has_no_reading():
         w_plus=frozenset(),
     )
     with pytest.raises(LatticeError, match="epoch 0"):
-        stopping_value(problem, Fraction(0), q, validate=False)
+        stopping_value(problem, Fraction(0), q)
     with pytest.raises(LatticeError, match="epoch 0"):
         from_divided_quadruple(lattice, q)
 

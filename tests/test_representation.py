@@ -273,16 +273,13 @@ def test_just_before_stops_never_beat_canonical(seed):
     sc = generate_instance(RandomInstanceParams(seed=seed, epochs=1, max_paths=3))
     problem = sc.build_problem()
     X = forward_evaluate(problem)
+    fixed = problem.with_X(X)
     full = full_divided_stops(sc.lattice, sc.meyer)
     canonical = enumerate_divided_stops(sc.lattice, sc.meyer)
     assert len(full) >= len(canonical)
     for ell in sc.ell_grid[:3]:
-        full_best = max(
-            stopping_value(problem, ell, q, X=X, validate=False) for q in full
-        )
-        canon_best = max(
-            stopping_value(problem, ell, q, X=X, validate=False) for q in canonical
-        )
+        full_best = max(stopping_value(fixed, ell, q) for q in full)
+        canon_best = max(stopping_value(fixed, ell, q) for q in canonical)
         assert full_best == canon_best
 
 
@@ -331,18 +328,18 @@ def test_value_affine_in_level_and_max_convex():
     # a finite max of affine functions, hence convex along the grid
     sc = generate_instance(RandomInstanceParams(seed=8, epochs=2, max_paths=4))
     problem = sc.build_problem()
-    X = forward_evaluate(problem)
+    fixed = problem.with_X(forward_evaluate(problem))
     stops = enumerate_divided_stops(sc.lattice, sc.meyer)
     l0, l1 = Fraction(-1), Fraction(5)
     mid = (l0 + l1) / 2
     for q in stops[:10]:
-        v0 = stopping_value(problem, l0, q, X=X, validate=False)
-        v1 = stopping_value(problem, l1, q, X=X, validate=False)
-        vm = stopping_value(problem, mid, q, X=X, validate=False)
+        v0 = stopping_value(fixed, l0, q)
+        v1 = stopping_value(fixed, l1, q)
+        vm = stopping_value(fixed, mid, q)
         assert vm == (v0 + v1) / 2
 
     def best(ell):
-        return max(stopping_value(problem, ell, q, X=X, validate=False) for q in stops)
+        return max(stopping_value(fixed, ell, q) for q in stops)
 
     for a, b in ((l0, l1), (Fraction(0), Fraction(3)), (Fraction(1), Fraction(7))):
         assert best((a + b) / 2) <= (best(a) + best(b)) / 2

@@ -147,7 +147,7 @@ def test_golden_signal_chain():
     assert X.rows[0] == (10, 3, 3, 0)
     for ell in sc.ell_grid:
         best = max(
-            stopping_value(problem, ell, q, X=X, validate=False)
+            stopping_value(problem.with_X(X), ell, q)
             for q in enumerate_divided_stops(sc.lattice, sc.meyer)
         )
         assert best == Fraction(10)
@@ -342,6 +342,35 @@ def test_a_failed_sandwich_is_a_fail_row(message, monkeypatch, tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == doc
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_an_unrepresentable_reward_skips_the_signal_row(seed):
+    # the generated signal's reward Z, named as the reward: the signal row
+    # cannot solve for a signal and SKIPs, while the round trip FAILs
+    sc = generate_instance(RandomInstanceParams(seed=seed))
+    sc = dataclasses.replace(sc, signal=None, reward="Z")
+    doc, status = run_suite(sc)
+    rows = {r["property"]: r for r in doc["checks"]}
+    signal, roundtrip = rows["representation/universal-signal"], rows["representation/round-trip"]
+    assert status == 2 and roundtrip["status"] == "FAIL"
+    assert signal["status"] == "SKIP" and signal["detail"] == roundtrip["detail"]
+    assert signal["detail"].startswith("X not representable with this (g, mu)")
+
+
+def test_a_guarded_delta_maximum_is_a_skip_row():
+    # over the guard, the divided-stop maximum is not compared, so the row
+    # SKIPs as the oracle rows do; at the default guard it PASSes
+    sc = load("branch.scn")
+    rows = {r["property"]: r for r in run_suite(sc, guard=2)[0]["checks"]}
+    for name in ("snell/oracle[Z]", "stop/delta[Z]"):
+        assert rows[name] == {
+            "property": name,
+            "status": "SKIP",
+            "detail": "11 stopping times exceed the guard of 2",
+        }
+    rows = {r["property"]: r for r in run_suite(sc)[0]["checks"]}
+    assert rows["stop/delta[Z]"]["status"] == "PASS"
+
+
 def test_golden_stop_seed58():
     doc, status = run_command(_seed58(), "stop")
     assert status == 0
@@ -376,7 +405,7 @@ def test_golden_signal_odd_power():
     problem = sc.build_problem()
     stops = enumerate_divided_stops(sc.lattice, sc.meyer)
     for row in doc["rows"]:
-        values = [stopping_value(problem, Fraction(row["ell"]), q, validate=False) for q in stops]
+        values = [stopping_value(problem, Fraction(row["ell"]), q) for q in stops]
         best = max(values)
         assert (row["brute_force"], row["optimizers"]) == (str(best), values.count(best))
 

@@ -84,6 +84,35 @@ def test_the_representation_solve_lists_no_stopping_time():
     assert not found, found
 
 
+def _imports_the_pool(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")[-1]
+        return module == "parallel" or any(alias.name == "parallel" for alias in node.names)
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[-1] == "parallel" for alias in node.names
+    )
+
+
+def test_only_the_cli_imports_the_pool():
+    # `--jobs` forks for the suite's rows only; every check runs in-process
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _imports_the_pool(node)
+    ]
+    assert found == ["cli.py"], found
+
+
+def test_the_pool_check_sees_each_import_form():
+    tree = ast.parse(
+        "from .parallel import ordered_map\nfrom . import parallel\n"
+        "import meyerstop.parallel\nfrom meyerstop.parallel import ordered_map\n"
+        "from .lattice import Kind\nimport multiprocessing\n"
+    )
+    assert [_imports_the_pool(node) for node in tree.body] == [True] * 4 + [False] * 2
+
+
 # Engine modules that build and read processes as columns; per-path rows
 # are the edge forms of scenario parsing and rendering.
 COLUMN_MODULES = ("enumeration.py", "projection.py", "snell.py", "representation.py", "checks.py")
