@@ -1,30 +1,26 @@
-"""Stopping times on the instant chain, decided one state at a time.
+"""Stopping times on the instant chain, decided part by part.
 
 A stopping time of a given kind assigns each path an instant (or TERMINAL)
 so that, at every instant, the set of already-stopped paths is a union of
-atoms of that instant's field.  Because the per-instant fields refine each
-other along the chain, the valid assignments are exactly those produced by
-deciding, instant by instant and atom by atom, whether the still-active
-part of the atom stops now.
-
-A state is an instant index with the bitmask of still-active paths; one
-choice step lists what a state may stop.  Every restriction on the times
-(T >= S, T <= U, a set of certified cells) is one `allowed` table: bit p
-of `allowed[i]` lets path p stop at instant i, and `allowed[n_instants]`
-lists the paths that may run to TERMINAL.  A part of an atom may stop
-only if all its paths may, and a state whose active paths may not reach
-TERMINAL is dead.  One memoized fold gives each state its best integer
-gain, how many completions attain it and how many are live, so the count,
-the maximum and the maximizer count cost one visit per reachable state,
-not one per stopping time.  Iteration and the maximizer walk follow the
-same step to the times.
+atoms of that instant's field.  The fields refine each other along the
+chain, so the paths still active at instant i fall into parts, the active
+shares of instant i's atoms, and each part decides on its own: it stops
+whole at i, or passes on to its parts at i + 1.  Every restriction on the
+times (T >= S, T <= U, certified cells) is one `allowed` table: bit p of
+`allowed[i]` lets path p stop at instant i, and `allowed[n_instants]`
+lists the paths that may run to TERMINAL.  Each (instant, part) node
+counts its live completions once, and one fold per integer gain table
+gives, in one visit per node, its best gain and how many completions
+attain it.  That fold is the Snell envelope's backward recursion in
+integers, so `snell/oracle` compares two codings of one recursion; the
+tests keep the per-state fold over all subsets of a state's parts, and
+the plain listing, as independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .lattice import (
@@ -44,17 +40,7 @@ class EnumerationGuardError(RuntimeError):
 
 
 def _mask(paths) -> int:
-    m = 0
-    for i in paths:
-        m |= 1 << i
-    return m
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return sum(1 << p for p in paths)
 
 
 def _scope_mask(lattice: FilteredLattice, scope: frozenset[int] | None) -> int:
@@ -80,94 +66,108 @@ def _between(lattice: FilteredLattice, lower, upper=None) -> list[int]:
     return _cells(lattice, lambda p, i: lo[p] <= i <= hi[p])
 
 
+class _Part:
+    """A decision-tree node: the active share of an atom of instant i's field,
+    or the paths left at n_instants.  `options` are its live choices, to stop
+    whole and to pass on to its parts at i + 1; `total` counts its completions."""
+
+    __slots__ = ("total", "options")
+
+    def __init__(self, steps: _Decisions, i: int, paths: tuple[int, ...]) -> None:
+        stops = not _mask(paths) & ~steps.allowed[i]
+        kids = steps.split(i + 1, paths) if i < steps.n_inst else []
+        passes = i < steps.n_inst and math.prod(kid.total for kid in kids)
+        self.total = stops + passes
+        # each choice: (the paths it stops at i, the parts it passes on)
+        self.options = [((), kids)] * bool(passes) + [(paths, [])] * stops
+
+
 class _Decisions:
-    """The choice step for one kind of stopping time, within `allowed` cells."""
+    """The decision tree of one kind of stopping time, within `allowed` cells."""
 
     def __init__(self, lattice, meyer, kind: Kind, allowed: list[int] | None = None) -> None:
         self.n_paths = lattice.n_paths
         self.n_inst = lattice.n_instants
-        self.atoms = [[_mask(b) for b in part] for part in field_partitions(lattice, meyer, kind)]
+        fields = [*field_partitions(lattice, meyer, kind), [range(self.n_paths)]]
+        self.owner = [{p: k for k, atom in enumerate(part) for p in atom} for part in fields]
         self.allowed = allowed or [(1 << self.n_paths) - 1] * (self.n_inst + 1)
+        self.roots: dict[tuple[int, int], list[_Part]] = {}
 
-    def live(self, active: int) -> bool:
-        """Whether the paths still active at the end may run to TERMINAL."""
-        return not active & ~self.allowed[self.n_inst]
+    def parts(self, i: int, active: int) -> list[_Part]:
+        """The parts of the paths in `active` at instant i, built once."""
+        if (i, active) not in self.roots:
+            paths = tuple(p for p in range(self.n_paths) if active >> p & 1)
+            self.roots[i, active] = self.split(i, paths)
+        return self.roots[i, active]
 
-    def choices(self, i: int, active: int, column=None) -> list[tuple[int, int]]:
-        """(stopped mask, gain) of every choice at state (i, active).
-
-        The eligible parts are the active shares of instant i's atoms whose
-        paths may all stop at i; a part's gain sums `column[p]` over its
-        paths (0 without a column).  Choice c stops the parts at the set
-        bits of c and extends the choice without c's lowest bit, so the list
-        runs in the order of c.
-        """
-        ok = self.allowed[i]
-        parts = [part for atom in self.atoms[i] if (part := atom & active) and not part & ~ok]
-        worth = [sum(column[p] for p in _bits(part)) if column else 0 for part in parts]
-        out = [(0, 0)]
-        for c in range(1, 1 << len(parts)):
-            low = c & -c
-            j = low.bit_length() - 1
-            stopped, gain = out[c ^ low]
-            out.append((stopped | parts[j], gain + worth[j]))
-        return out
+    def split(self, i: int, paths: tuple[int, ...]) -> list[_Part]:
+        """The parts of `paths` at instant i (one at n_instants), with their subtrees."""
+        shares: dict[int, list[int]] = {}
+        for p in paths:
+            shares.setdefault(self.owner[i][p], []).append(p)
+        return [_Part(self, i, tuple(share)) for share in shares.values()]
 
 
 def _walk(steps: _Decisions, active: int, keep=None) -> Iterator[tuple[int, ...]]:
     """Index tuples of the live times reached from instant 0, through the
-    choices `keep(i, active, stopped)` admits.
-
-    Paths never active stay at n_instants, which stands for TERMINAL.
-    """
-    return _walk_from(steps, 0, active, keep, [steps.n_inst] * steps.n_paths)
-
-
-def _walk_from(steps, i, active, keep, assign) -> Iterator[tuple[int, ...]]:
-    # a module-level recursion holds no reference cycle, so the fold that
-    # `keep` reads is freed as soon as the walk ends
-    if i == steps.n_inst or not active:
-        if steps.live(active):
-            yield tuple(assign)
-        return
-    for stopped, _ in steps.choices(i, active):
-        if keep is not None and not keep(i, active, stopped):
-            continue
-        for p in _bits(stopped):
-            assign[p] = i
-        yield from _walk_from(steps, i + 1, active & ~stopped, keep, assign)
-        for p in _bits(stopped):
-            assign[p] = steps.n_inst
+    choices `keep(i, part, choice)` admits.  The parts still to decide are a
+    linked list (i, part, rest); each takes its first choice and leaves the
+    other on a stack, where the walk resumes after each time.  A path is set
+    by the part that stops it, at latest at n_instants (TERMINAL)."""
+    roots = steps.parts(0, active)
+    assign = [steps.n_inst] * steps.n_paths
+    # (choice, its instant, the parts after it); a dead root part leaves none
+    left = [(((), roots), -1, None)] if all(part.total for part in roots) else []
+    while left:
+        (paths, kids), i, pending = left.pop()
+        while True:
+            for p in paths:
+                assign[p] = i
+            for kid in reversed(kids):
+                pending = (i + 1, kid, pending)
+            if pending is None:
+                break
+            i, part, pending = pending
+            options = part.options
+            if keep is not None and len(options) > 1:
+                options = [choice for choice in options if keep(i, part, choice)]
+            if len(options) > 1:
+                left.append((options[1], i, pending))
+            paths, kids = options[0]
+        yield tuple(assign)
 
 
 def _fold(steps: _Decisions, gains: list[list[int]] | None = None) -> Callable:
-    """Memoized (best, ways, total) of a state over its live completions:
-    the largest sum of `gains[i][p]` over the cells (p, i) stopped (row
-    n_instants for TERMINAL, all 0 if None), how many attain it, and how
-    many there are; (None, 0, 0) for a dead state."""
-    return partial(_fold_at, steps, gains, [{} for _ in range(steps.n_inst)])
+    """(best, ways, total) of a state (i, active): the best sum of `gains[i][p]`
+    over the cells its live completions stop (row n_instants for TERMINAL, 0 if
+    None), how many attain it, and how many there are; best is None if none."""
+    return lambda i, active: _fold_parts(steps.parts(i, active), i, gains, {})
 
 
-def _fold_at(steps, gains, memo, i: int, active: int) -> tuple[int | None, int, int]:
-    if i == steps.n_inst or not active:
-        if not steps.live(active):
-            return None, 0, 0
-        return sum(gains[i][p] for p in _bits(active)) if gains else 0, 1, 1
-    got = memo[i].get(active)
-    if got is None:
-        best, ways, total = None, 0, 0
-        for stopped, gain in steps.choices(i, active, gains and gains[i]):
-            sub_best, sub_ways, sub_total = _fold_at(steps, gains, memo, i + 1, active & ~stopped)
-            if not sub_total:
-                continue
-            total += sub_total
-            sub_best += gain
-            if best is None or sub_best > best:
-                best, ways = sub_best, sub_ways
-            elif sub_best == best:
-                ways += sub_ways
-        got = memo[i][active] = best, ways, total
-    return got
+def _fold_parts(parts, i: int, gains, memo) -> tuple[int | None, int, int]:
+    """The fold of parts at instant i, which decide independently: best adds
+    up over them, ways and total multiply.  A part's (best, ways), kept in
+    `memo`, is its best choice's, with the ways of the choices that tie."""
+    total = math.prod(part.total for part in parts)
+    if not total:
+        return None, 0, 0
+    if gains is None:
+        return 0, total, total
+    for part in parts:
+        if part not in memo:
+            values = [_choice(choice, i, gains, memo) for choice in part.options]
+            top = max(value for value, _ in values)
+            memo[part] = top, sum(n for value, n in values if value == top)
+    best = sum(memo[part][0] for part in parts)
+    return best, math.prod(memo[part][1] for part in parts), total
+
+
+def _choice(choice, i: int, gains, memo) -> tuple[int, int]:
+    """(best, ways) of a live choice at instant i: the gain of the paths it
+    stops, plus the fold of the parts it passes on."""
+    paths, kids = choice
+    best, ways, _ = _fold_parts(kids, i + 1, gains, memo)
+    return sum(gains[i][p] for p in paths) + best, ways
 
 
 def count_stopping_times(
@@ -198,8 +198,7 @@ def iter_stopping_index_tuples(
     """
     steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
     active = _scope_mask(lattice, scope)
-    if guard is not None:
-        _check_guard(_fold(steps)(0, active)[2], guard)
+    _check_guard(_fold(steps)(0, active)[2], guard)
     yield from _walk(steps, active)
 
 
@@ -252,11 +251,10 @@ def _best(steps: _Decisions, gains: list[list[int]], active: int):
     """The fold's (best, ways, total) of the integer `gains` over the live
     times from the paths in `active`, and a walk of the times attaining
     that best, in walk order."""
-    value = _fold(steps, gains)
+    memo: dict[_Part, tuple[int, int]] = {}
+    top = _fold_parts(steps.parts(0, active), 0, gains, memo)
 
-    def attains(i: int, act: int, stopped: int) -> bool:
-        sub_best, _, sub_total = value(i + 1, act & ~stopped)
-        gain = sum(gains[i][p] for p in _bits(stopped))
-        return sub_total > 0 and gain + sub_best == value(i, act)[0]
+    def attains(i: int, part: _Part, choice) -> bool:
+        return _choice(choice, i, gains, memo)[0] == memo[part][0]
 
-    return value(0, active), lambda: _walk(steps, active, attains)
+    return top, lambda: _walk(steps, active, attains)

@@ -292,10 +292,12 @@ def _least_root(steps: _Decisions, I, K, u: int, block, guard: int | None) -> tu
     the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
     K[T_p][p] - K[u][p]; off-atom paths stay at TERMINAL and are skipped.
     From the all-TERMINAL window, each step maximizes num * D_T - den * N_T
-    by one fold and moves to a maximizer, until the best gain is 0.  A
-    massless window can win a step only with N_T < 0, which no
-    representable X has; the search stops there, and the closing forward
-    check reports the failure.  The guard bounds the first fold's count.
+    by one fold and moves to a maximizer, until the best gain is 0.  Any
+    maximizer will do: each step lowers the ratio to a window's root, and
+    the search ends where no root lies below.  A massless window can win a
+    step only with N_T < 0, which no representable X has; the search stops
+    there and the closing forward check fails.  The guard bounds the first
+    fold's count.
     """
 
     def window(T) -> tuple[int, int]:

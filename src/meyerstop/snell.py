@@ -2,8 +2,8 @@
 
 The envelope is a backward recursion over the instant chain; everything it
 claims is verified against `snell_brute_force`, which maximizes E[Z_T] over
-every Lambda-stopping time by a memoized recursion over stopping decisions
-that shares nothing with the envelope's conditional expectations.  The
+every Lambda-stopping time by one fold over per-part stopping decisions in
+integers: the same recursion, coded without conditional expectations.  The
 decomposition splits the envelope's supermartingale losses into a
 predictable part A (jumps into grid points, plus a final jump at TERMINAL
 when the last interval value is positive) and an on-time part B (jumps at
@@ -94,9 +94,9 @@ def snell_brute_force(
 ) -> BruteForceResult:
     """Maximize E[Z_T] over every Lambda-stopping time, exactly.
 
-    The maximum comes from a recursion over (instant, active paths) states,
-    independent of the envelope; the optimizers are every stopping time
-    that attains it, and the count is the number of Lambda-stopping times.
+    The maximum is `enumeration`'s per-part fold, the envelope's backward
+    recursion coded in integers; the optimizers are the stopping times that
+    attain it, and the count is the number of Lambda-stopping times.
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)

@@ -26,10 +26,13 @@ from meyerstop.lattice import (
     INT,
     TERMINAL,
     DividedQuadruple,
+    FilteredLattice,
     Instant,
     Kind,
     LatticeError,
     LatticeProcess,
+    MeyerStructure,
+    PathRecord,
     RandomInstant,
     conditional_expectation,
     divided_value,
@@ -38,6 +41,7 @@ from meyerstop.lattice import (
     from_divided_quadruple,
     is_lambda_stopping_time,
     is_measurable,
+    make_partition,
     to_divided_quadruple,
     validate_divided,
 )
@@ -59,6 +63,7 @@ from meyerstop.scenario import (
     REGIMES,
     RandomInstanceParams,
     generate_instance,
+    render_scenario,
 )
 from meyerstop.snell import (
     PreconditionError,
@@ -641,6 +646,40 @@ def test_solve_reports_a_massless_window_that_loses_reward():
                 solve_representation(bad)
             plain = LatticeProcess.from_rows(plain_solve(bad))
             assert forward_evaluate(bad.with_L(plain)).columns != bad.X.columns, seed
+
+
+def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
+    # `_least_root` steps to the first maximizer its walk yields; every
+    # maximizer leads to the same least root, so the walk may run in any order
+    def solved():
+        out = []
+        for seed, sc in repr_family(40):
+            rng = random.Random(seed)
+            for variant in (sc, odd_power(sc)):
+                problem = variant.build_problem()
+                X = forward_evaluate(problem)
+                u = rng.randrange(problem.lattice.n_instants)
+                block = rng.choice(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)[u])
+                for reward in (X, shifted(X, u, block, Fraction(rng.randint(-4, 4), 3))):
+                    try:
+                        out.append(solve_representation(problem.with_X(reward)))
+                    except representation.RepresentationError as exc:
+                        out.append(str(exc))
+        return out
+
+    before = solved()
+    walk = enumeration._walk
+    reordered = []
+
+    def reversed_walk(steps, active, keep=None):
+        listed = list(walk(steps, active, keep))
+        reordered.append(listed[0] != listed[-1])
+        return iter(listed[::-1])
+
+    monkeypatch.setattr(enumeration, "_walk", reversed_walk)
+    assert solved() == before
+    assert sum(reordered) >= 100, sum(reordered)
+    assert 20 <= sum(isinstance(got, str) for got in before) <= len(before) - 100
 
 
 # (d) divided stops ----------------------------------------------------------
@@ -1332,3 +1371,141 @@ def test_usc_equivalence_names_a_counterexample_for_each_form(side, monkeypatch)
                 assert witness in {str(v) for v in violations}, (seed, message)
             seen[holds] += 1
     assert min(seen.values()) >= 10, seen
+
+
+# (h) per-part decisions -----------------------------------------------------
+#
+# `enumeration._fold` decides each (instant, part) node on its own.  The
+# oracles are the fold it replaced, one memo entry per (instant, active
+# paths) state over every subset of the state's stoppable parts, and the
+# plain listing of that fold's completions.
+
+
+def bits(mask):
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def mask_fold(lattice, meyer, kind, allowed, gains=None):
+    """The per-state fold: (best, ways, total) of a state (i, active) and
+    its memo, and a listing of the state's live completions with their gains."""
+    n = lattice.n_instants
+    fields = field_partitions(lattice, meyer, kind)
+    atoms = [[sum(1 << p for p in atom) for atom in part] for part in fields]
+    memo = {}
+
+    def choices(i, active):
+        # (stopped mask, gain) of every subset of the stoppable parts
+        parts = [part for atom in atoms[i] if (part := atom & active) and not part & ~allowed[i]]
+        for c in range(1 << len(parts)):
+            stopped = sum(part for j, part in enumerate(parts) if c >> j & 1)
+            yield stopped, sum(gains[i][p] for p in bits(stopped)) if gains else 0
+
+    def fold(i, active):
+        if i == n or not active:
+            if active & ~allowed[n]:
+                return None, 0, 0
+            return sum(gains[n][p] for p in bits(active)) if gains else 0, 1, 1
+        if (i, active) not in memo:
+            best, ways, total = None, 0, 0
+            for stopped, gain in choices(i, active):
+                sub_best, sub_ways, sub_total = fold(i + 1, active & ~stopped)
+                if not sub_total:
+                    continue
+                total += sub_total
+                if best is None or gain + sub_best > best:
+                    best, ways = gain + sub_best, sub_ways
+                elif gain + sub_best == best:
+                    ways += sub_ways
+            memo[i, active] = best, ways, total
+        return memo[i, active]
+
+    def listing(i, active, assign):
+        if i == n or not active:
+            if not active & ~allowed[n]:
+                yield tuple(assign), sum(gains[n][p] for p in bits(active)) if gains else 0
+            return
+        for stopped, gain in choices(i, active):
+            for p in bits(stopped):
+                assign[p] = i
+            for idx, rest in listing(i + 1, active & ~stopped, assign):
+                yield idx, gain + rest
+            for p in bits(stopped):
+                assign[p] = n
+
+    return fold, memo, lambda active: listing(0, active, [n] * lattice.n_paths)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_part_fold_matches_the_mask_fold(kind):
+    seen = {"dead": 0, "scoped": 0, "listed": 0, "states": 0}
+    for seed, sc in small_family():
+        lattice, meyer = sc.lattice, sc.meyer
+        n, paths = lattice.n_instants, lattice.n_paths
+        full = (1 << paths) - 1
+        rng = random.Random(seed)
+        lower = RandomInstant(tuple(rng.randint(0, n) for _ in range(paths)), n)
+        tables = [_between(lattice, None), _between(lattice, lower)]
+        # sparser cells leave more paths no live completion, so more states die
+        tables += [_cells(lattice, lambda p, i: rng.random() < odds) for odds in (0.9, 0.7, 0.5)]
+        for allowed in tables:
+            drawn = [[rng.randint(-4, 4) for _ in range(paths)] for _ in range(n + 1)]
+            for gains in (None, drawn):
+                fold, memo, listing = mask_fold(lattice, meyer, kind, allowed, gains)
+                steps = enumeration._Decisions(lattice, meyer, kind, allowed)
+                value = enumeration._fold(steps, gains)
+                for active in (full, rng.randint(0, full)):
+                    got = value(0, active)
+                    assert got == fold(0, active), (seed, active)
+                    seen["dead" if got[2] == 0 else "scoped" if active != full else "listed"] += 1
+                    if gains is None or got[2] > 3000:
+                        continue
+                    # the attaining walk yields exactly the listed maximizers
+                    listed = list(listing(active))
+                    (best, ways, total), attaining = enumeration._best(steps, gains, active)
+                    argmax = sorted(idx for idx, gain in listed if gain == best)
+                    assert (len(listed), len(argmax)) == (total, ways), seed
+                    assert sorted(attaining()) == argmax, seed
+                    assert sorted(enumeration._walk(steps, active)) == sorted(i for i, _ in listed)
+                for (i, active), want in memo.items():
+                    assert value(i, active) == want, (seed, i, active)
+                    seen["states"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def full_binary_tree(depth, rng):
+    """2**depth paths whose F_k splits them by their first k branch bits;
+    G_k is F_{k-1} or F_k at random, and the reward is Lambda-measurable."""
+    weights = [rng.randint(1, 9) for _ in range(1 << depth)]
+    paths = tuple(PathRecord(f"p{i}", Fraction(w, sum(weights))) for i, w in enumerate(weights))
+    filtration = tuple(
+        make_partition(range(j << (depth - k), (j + 1) << (depth - k)) for j in range(1 << k))
+        for k in range(depth + 1)
+    )
+    meyer = MeyerStructure(
+        (filtration[0], *(filtration[k - rng.randint(0, 1)] for k in range(1, depth + 1)))
+    )
+    lattice = FilteredLattice(epoch_count=depth, paths=paths, filtration=filtration)
+    columns = []
+    for part in field_partitions(lattice, meyer, Kind.LAMBDA):
+        column = [None] * lattice.n_paths
+        for atom in part:
+            value = Fraction(rng.randint(0, 20), rng.choice((1, 2, 4)))
+            for p in atom:
+                column[p] = value
+        columns.append(tuple(column))
+    reward = LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
+    return Scenario(lattice=lattice, meyer=meyer, processes={"Z": reward})
+
+
+def test_wide_trees_fold_past_the_guard(tmp_path, capsys):
+    # a 256-path tree has about 10**128 Lambda-stopping times: the fold
+    # reaches its maximum, and the listing commands stop at the guard
+    sc = full_binary_tree(8, random.Random(8))
+    lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+    opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, None, None)
+    assert opt.total > 10**100
+    assert opt.value == expected_value(lattice, snell_envelope(lattice, meyer, Z).columns[0])
+    path = tmp_path / "tree-8.scn"
+    path.write_text(render_scenario(sc), encoding="utf-8")
+    assert cli.main(["oracle", "--scenario", str(path)]) == 2
+    assert "stopping times exceed the guard of 1000000" in capsys.readouterr().err

@@ -304,3 +304,59 @@ def test_the_accrual_check_sees_each_read():
     )
     assert _rate_reads(tree) == [4, 4]
     assert _repeated_calls(tree, "_scaled") == [10, 12]
+
+
+def _is_empty_dict(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Dict) and not node.keys) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict" and not node.args
+    )
+
+
+def _subset_findings(name: str, tree: ast.AST) -> list[str]:
+    """Lines that run over all subsets of a list, or keep one memo per
+    instant keyed by masks of active paths."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+            if getattr(getattr(node.right, "func", None), "id", None) == "len":
+                found.append(f"{name}:{node.lineno} shifts by a length")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range":
+            shifts = [arg for arg in node.args if isinstance(arg, ast.BinOp)]
+            if any(isinstance(arg.op, ast.LShift) for arg in shifts):
+                found.append(f"{name}:{node.lineno} ranges over a power of two")
+        elif isinstance(node, ast.ListComp) and _is_empty_dict(node.elt):
+            found.append(f"{name}:{node.lineno} keeps a memo per instant")
+        elif isinstance(node, ast.List) and any(_is_empty_dict(elt) for elt in node.elts):
+            found.append(f"{name}:{node.lineno} keeps a memo per instant")
+    return sorted(found)
+
+
+def test_enumeration_lists_no_subsets():
+    # each (instant, part) node decides alone: stop whole or pass on, so no
+    # step lists the subsets of a state's parts nor memoizes per state
+    name = "enumeration.py"
+    found = _subset_findings(name, ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    assert not found, found
+
+
+def test_the_subset_check_sees_each_form():
+    tree = ast.parse(
+        "for c in range(1, 1 << len(parts)):\n    pass\n"
+        "subsets = range(1 << k)\n"
+        "top = 1 << len(xs)\n"
+        "memo = [{} for _ in range(n)]\n"
+        "memo = [dict() for _ in range(n)]\n"
+        "memo = [{}] * n\n"
+        "full = (1 << n) - 1\n"
+        "table = {(i, m): v for i, m in x}\n"
+        "rows = [dict(a) for a in x]\n"
+    )
+    assert _subset_findings("m.py", tree) == [
+        "m.py:1 ranges over a power of two",
+        "m.py:1 shifts by a length",
+        "m.py:3 ranges over a power of two",
+        "m.py:4 shifts by a length",
+        "m.py:5 keeps a memo per instant",
+        "m.py:6 keeps a memo per instant",
+        "m.py:7 keeps a memo per instant",
+    ]
