@@ -4,7 +4,7 @@ Subcommands: validate | project | snell | decompose | stop | represent |
 signal | oracle | suite.  A scenario comes from --scenario or, absent that,
 is generated deterministically from --seed (or MEYERSTOP_SEED).  Reports
 render as aligned text (table) or canonical JSON (machine); machine output
-is byte-stable across runs and parallelism settings.
+is byte-stable across runs.  Every command runs in one process.
 
 Exit status: 0 success, 1 validation failure, 2 property failure.
 """
@@ -28,7 +28,6 @@ from .lattice import (
     reward_fault,
     validate_lattice,
 )
-from .parallel import ordered_map
 from .projection import project
 from .representation import (
     RepresentationError,
@@ -100,7 +99,6 @@ def run_command(
     command: str,
     process: str | None = None,
     ell_grid=None,
-    jobs: int = 1,
     guard: int = DEFAULT_GUARD,
 ) -> tuple[dict, int]:
     """Dispatch one subcommand; returns (report document, exit status)."""
@@ -251,7 +249,7 @@ def run_command(
         return doc, OK
 
     if command == "suite":
-        return run_suite(scenario, jobs=jobs, guard=guard)
+        return run_suite(scenario, guard=guard)
 
     raise ScenarioError(f"unknown command {command!r}")
 
@@ -320,9 +318,9 @@ def _suite_checks(scenario: Scenario, guard: int):
     return items
 
 
-def run_suite(scenario: Scenario, jobs: int = 1, guard: int = DEFAULT_GUARD) -> tuple[dict, int]:
-    """Run every applicable named property, on up to `jobs` worker
-    processes; output order never depends on scheduling."""
+def run_suite(scenario: Scenario, guard: int = DEFAULT_GUARD) -> tuple[dict, int]:
+    """Run every applicable named property in canonical order.  A row over
+    the guard reads SKIP; any other error that a row raises ends the suite."""
     items = _suite_checks(scenario, guard)
 
     def run_one(item):
@@ -337,7 +335,7 @@ def run_suite(scenario: Scenario, jobs: int = 1, guard: int = DEFAULT_GUARD) -> 
             return {"property": name, "status": "SKIP", "detail": message[5:].strip()}
         return {"property": name, "status": "FAIL", "detail": message}
 
-    rows = ordered_map(run_one, items, jobs)
+    rows = [run_one(item) for item in items]
     failed = [r for r in rows if r["status"] == "FAIL"]
     doc = {
         "command": "suite",
@@ -399,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="seed for generated scenarios")
     parser.add_argument("--format", choices=("table", "machine"), default="table")
     parser.add_argument("--strict", action="store_true", help="reject unknown scenario fields")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the suite rows")
+    parser.add_argument("--jobs", type=int, help="kept for compatibility; has no effect")
     parser.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration size guard")
     parser.add_argument("--out", help="write the report here instead of stdout")
     args = parser.parse_args(argv)
@@ -418,12 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.ell_grid:
             ell_grid = tuple(Fraction(part) for part in args.ell_grid.split(","))
         doc, status = run_command(
-            scenario,
-            args.command,
-            process=args.process,
-            ell_grid=ell_grid,
-            jobs=args.jobs,
-            guard=args.guard,
+            scenario, args.command, process=args.process, ell_grid=ell_grid, guard=args.guard
         )
     except (RepresentationError, EnumerationGuardError) as exc:
         sys.stderr.write(f"error: {exc}\n")

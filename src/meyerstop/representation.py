@@ -380,14 +380,18 @@ def level_passage(
         raise LatticeError("variant must be 1 or 2")
     if not is_measurable(lattice, meyer, L, Kind.LAMBDA):
         raise LatticeError("signal process is not Lambda-measurable")
+    T = RandomInstant(_passage(lattice, L, ell, variant), lattice.n_instants)
+    return LevelPassage(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
+
+
+def _passage(lattice: FilteredLattice, L: LatticeProcess, ell, variant: int) -> tuple[int, ...]:
+    """The indices of `level_passage`, for a signal already checked."""
     # the running supremum of L first reaches the level where L itself does
-    hits = _first_hits(
+    return _first_hits(
         lattice,
         (0,) * lattice.n_paths,
         lambda p, i: L.columns[i][p] >= ell if variant == 1 else L.columns[i][p] > ell,
     )
-    T = RandomInstant(hits, lattice.n_instants)
-    return LevelPassage(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 
 @dataclass(frozen=True)
@@ -430,7 +434,9 @@ def universal_signal_check(
     s = num / den a cell is worth den * I + num * K over den * D, each stop
     sums its integers, and only the passage values and the level's maximum
     become Fractions.  The passages are read on S = L**power at the level
-    ell**power.
+    ell**power, through `_passage` with no check per level: S is Lambda-
+    measurable, as `forward_evaluate` checks L once and the solve sets S
+    atom by atom.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     if problem.L is None:
@@ -454,7 +460,7 @@ def universal_signal_check(
         s = ell**power
         num, den = Fraction(s).as_integer_ratio()
         worth = [den * x + num * k for x, k in zip(I, K)]
-        passages = (level_passage(lattice, meyer, S, s, v).T.indices for v in (1, 2))
+        passages = (_passage(lattice, S, s, v) for v in (1, 2))
         v1, v2 = (Fraction(sum(map(worth.__getitem__, cells(T))), den * D) for T in passages)
         totals = [sum(map(worth.__getitem__, keys)) for keys in listed]
         best = max(totals)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from meyerstop import checks
-from meyerstop.cli import render_machine, run_command, run_suite
+from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.lattice import (
     AT,
@@ -396,14 +396,17 @@ def test_criterion_10_worked_fixtures():
     _report(10, True, "branch (2), deterministic (3), signal chain (10) reproduce via CLI goldens")
 
 
-def test_criterion_11_suite_determinism():
+def test_criterion_11_suite_determinism(tmp_path):
     names = ["branch.scn", "deterministic.scn", "signal_chain.scn"]
     for name in names:
-        sc = parse_scenario((FIXTURES / name).read_text(encoding="utf-8"))
-        outs = []
-        for jobs in (1, 4):
-            doc, status = run_suite(sc, jobs=jobs)
-            assert status == 0
-            outs.append(render_machine(doc))
-        assert outs[0] == outs[1], name
-    _report(11, True, f"suite output byte-identical for jobs 1 vs 4 on {len(names)} fixtures")
+        doc, status = run_suite(parse_scenario((FIXTURES / name).read_text(encoding="utf-8")))
+        assert status == 0
+        outs = [render_machine(doc).encode("utf-8")]
+        for jobs in ("1", "4"):
+            out = tmp_path / f"{name}.{jobs}.json"
+            argv = ["suite", "--scenario", str(FIXTURES / name), "--format", "machine"]
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2], name
+    detail = f"suite output byte-identical in-process and at --jobs 1 and 4 on {len(names)} fixtures"
+    _report(11, True, detail)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import full_divided_stops
+from conftest import build_lattice, full_divided_stops
 from meyerstop import Scenario, checks, cli, enumeration, projection, representation
 from meyerstop.enumeration import _between, _cells, _maximum, iter_stopping_index_tuples
 from meyerstop.lattice import (
@@ -461,14 +461,14 @@ def test_signal_check_reports_a_corrupted_level_passage(monkeypatch):
     n, paths = sc.lattice.n_instants, sc.lattice.n_paths
     at_once, never = RandomInstant((0,) * paths, n), RandomInstant((n,) * paths, n)
     bad = next(T for T in (at_once, never) if stopping_value(fixed, ell, T) != best)
-    real = representation.level_passage
+    real = representation._passage
 
-    def corrupted(lattice, meyer, L, level, variant):
+    def corrupted(lattice, L, level, variant):
         if (level, variant) != (ell**problem.g.power, 2):
-            return real(lattice, meyer, L, level, variant)
-        return representation.LevelPassage(bad, to_divided_quadruple(lattice, meyer, bad))
+            return real(lattice, L, level, variant)
+        return bad.indices
 
-    monkeypatch.setattr(representation, "level_passage", corrupted)
+    monkeypatch.setattr(representation, "_passage", corrupted)
     message = checks.check_universal_signal(problem, sc.ell_grid)
     assert message is not None and message.startswith(f"level {ell}:"), message
     bad_value = stopping_value(fixed, ell, bad)
@@ -648,26 +648,55 @@ def test_solve_reports_a_massless_window_that_loses_reward():
             assert forward_evaluate(bad.with_L(plain)).columns != bad.X.columns, seed
 
 
+def chain_problems(count):
+    """Forward rewards on one path over three epochs, with L in 0..4 and mu
+    in 0..2: windows of different mass often tie at a Dinkelbach step."""
+    lattice, meyer = build_lattice(["1"], [[[0]]] * 4, [[[0]]] * 4)
+    n = lattice.n_instants
+    g = representation.GFamily.affine([[0] * n], [[1] * n])
+    rng = random.Random(1)
+    for _ in range(count):
+        mu = representation.RandomMeasure.from_rows([[rng.randint(0, 2) for _ in range(n)]])
+        L = LatticeProcess.from_rows([[rng.randint(0, 4) for _ in range(n)]])
+        problem = representation.RepresentationProblem(lattice, meyer, g, mu, L=L)
+        yield problem.with_X(forward_evaluate(problem))
+
+
 def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
     # `_least_root` steps to the first maximizer its walk yields; every
     # maximizer leads to the same least root, so the walk may run in any order
+    problems = list(chain_problems(100))
+    for seed, sc in repr_family(40):
+        rng = random.Random(seed)
+        for variant in (sc, odd_power(sc)):
+            problem = variant.build_problem()
+            X = forward_evaluate(problem)
+            u = rng.randrange(problem.lattice.n_instants)
+            block = rng.choice(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)[u])
+            for reward in (X, shifted(X, u, block, Fraction(rng.randint(-4, 4), 3))):
+                problems.append(problem.with_X(reward))
+    folds = []  # per solve, the best gain of each Dinkelbach fold
+    best = representation._best
+
+    def recorded(*args):
+        result = best(*args)
+        folds[-1].append(result[0][0])
+        return result
+
     def solved():
         out = []
-        for seed, sc in repr_family(40):
-            rng = random.Random(seed)
-            for variant in (sc, odd_power(sc)):
-                problem = variant.build_problem()
-                X = forward_evaluate(problem)
-                u = rng.randrange(problem.lattice.n_instants)
-                block = rng.choice(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)[u])
-                for reward in (X, shifted(X, u, block, Fraction(rng.randint(-4, 4), 3))):
-                    try:
-                        out.append(solve_representation(problem.with_X(reward)))
-                    except representation.RepresentationError as exc:
-                        out.append(str(exc))
+        for problem in problems:
+            folds.append([])
+            try:
+                out.append(solve_representation(problem))
+            except representation.RepresentationError as exc:
+                out.append(str(exc))
         return out
 
+    monkeypatch.setattr(representation, "_best", recorded)
     before = solved()
+    first_folds = folds[:]
+    folds.clear()
     walk = enumeration._walk
     reordered = []
 
@@ -680,6 +709,10 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
     assert solved() == before
     assert sum(reordered) >= 100, sum(reordered)
     assert 20 <= sum(isinstance(got, str) for got in before) <= len(before) - 100
+    # tied windows of different mass: the reversed walk took other steps in
+    # successful solves, so a search that stops early gives other results
+    rerouted = [got for got, a, b in zip(before, first_folds, folds, strict=True) if a != b]
+    assert sum(not isinstance(got, str) for got in rerouted) >= 5, len(rerouted)
 
 
 # (d) divided stops ----------------------------------------------------------

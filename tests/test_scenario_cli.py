@@ -34,6 +34,16 @@ def load(name: str):
     return parse_scenario((FIXTURES / name).read_text(encoding="utf-8"))
 
 
+def machine_runs(tmp_path, command: str, scenario: Path) -> list[tuple[int, bytes]]:
+    """(exit status, report file) of `main` at --jobs 1 and at --jobs 4."""
+    runs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"{scenario.stem}.{command}.{jobs}.json"
+        argv = [command, "--scenario", str(scenario), "--format", "machine", "--out", str(out)]
+        runs.append((main(argv + ["--jobs", jobs]), out.read_bytes()))
+    return runs
+
+
 def test_fixture_round_trips():
     for name in ("branch.scn", "deterministic.scn", "signal_chain.scn"):
         sc = load(name)
@@ -137,7 +147,7 @@ def test_golden_stop_deterministic():
     )
 
 
-def test_golden_signal_chain():
+def test_golden_signal_chain(tmp_path):
     sc = load("signal_chain.scn")
     problem = sc.build_problem()
     from meyerstop.representation import forward_evaluate, stopping_value
@@ -151,12 +161,11 @@ def test_golden_signal_chain():
             for q in enumerate_divided_stops(sc.lattice, sc.meyer)
         )
         assert best == Fraction(10)
-    for jobs in (1, 2):
-        doc, status = run_command(sc, "signal", jobs=jobs)
-        assert status == 0
-        assert render_machine(doc) == (GOLDEN / "signal_chain_signal.json").read_text(
-            encoding="utf-8"
-        ), jobs
+    golden = (GOLDEN / "signal_chain_signal.json").read_bytes()
+    doc, status = run_command(sc, "signal")
+    assert status == 0
+    assert render_machine(doc).encode("utf-8") == golden
+    assert machine_runs(tmp_path, "signal", FIXTURES / "signal_chain.scn") == [(0, golden)] * 2
 
 
 def test_cli_validate_broken_file(tmp_path, capsys):
@@ -199,35 +208,36 @@ def test_cli_ell_grid_flag(capsys):
     assert "ell: 3/2" in out
 
 
-def test_suite_byte_identical_across_jobs():
+def test_suite_byte_identical_across_jobs(tmp_path):
+    # `--jobs` is accepted and changes nothing
     for name in ("branch.scn", "deterministic.scn", "signal_chain.scn"):
-        sc = load(name)
-        doc1, s1 = run_suite(sc, jobs=1)
-        doc4, s4 = run_suite(sc, jobs=4)
-        assert s1 == s4 == 0
-        assert render_machine(doc1) == render_machine(doc4)
+        doc, status = run_suite(load(name))
+        expected = (status, render_machine(doc).encode("utf-8"))
+        assert status == 0
+        assert machine_runs(tmp_path, "suite", FIXTURES / name) == [expected] * 2, name
 
 
-def test_suite_failure_exit_code(monkeypatch):
-    # force one property to fail and confirm the exit-status contract, also
-    # when the rows run in worker processes
+def test_suite_failure_exit_code(monkeypatch, tmp_path):
+    # force one property to fail and confirm the exit-status contract, in
+    # the library and through the CLI at any --jobs
     from meyerstop import checks
 
     sc = load("branch.scn")
     monkeypatch.setattr(
         checks, "check_snell_oracle", lambda *a, **k: "forced mismatch"
     )
-    for jobs in (1, 2):
-        doc, status = run_suite(sc, jobs=jobs)
-        assert status == 2
-        assert any(
-            row["status"] == "FAIL" and row["detail"] == "forced mismatch"
-            for row in doc["checks"]
-        )
+    doc, status = run_suite(sc)
+    assert status == 2
+    assert any(
+        row["status"] == "FAIL" and row["detail"] == "forced mismatch"
+        for row in doc["checks"]
+    )
+    expected = (status, render_machine(doc).encode("utf-8"))
+    assert machine_runs(tmp_path, "suite", FIXTURES / "branch.scn") == [expected] * 2
 
 
 def test_suite_error_is_the_same_across_jobs(monkeypatch, capsys):
-    # two rows raise; the first in canonical order wins whatever the schedule
+    # two rows raise; the first in canonical order wins at any --jobs
     from meyerstop import checks
     from meyerstop.lattice import LatticeError
 
@@ -240,10 +250,10 @@ def test_suite_error_is_the_same_across_jobs(monkeypatch, capsys):
     monkeypatch.setattr(checks, "check_snell_oracle", raising("first"))
     monkeypatch.setattr(checks, "check_mertens", raising("second"))
     sc = load("branch.scn")
-    for jobs in (1, 2):
-        with pytest.raises(LatticeError, match="^first$"):
-            run_suite(sc, jobs=jobs)
-        argv = ["suite", "--scenario", str(FIXTURES / "branch.scn"), "--jobs", str(jobs)]
+    with pytest.raises(LatticeError, match="^first$"):
+        run_suite(sc)
+    for jobs in ("1", "4"):
+        argv = ["suite", "--scenario", str(FIXTURES / "branch.scn"), "--jobs", jobs]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: first\n"
 
@@ -285,16 +295,13 @@ def test_suite_is_green_on_generated_instances():
 
 def test_golden_suite_seed62():
     # the 745-stopping-time lattice: every suite check, certificates and
-    # the universal-signal rows included, in-process and in worker processes
+    # the universal-signal rows included
     sc = generate_instance(
         RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
     )
-    for jobs in (1, 2, 4):
-        doc, status = run_suite(sc, jobs=jobs)
-        assert status == 0
-        assert render_machine(doc) == (GOLDEN / "seed62_suite.json").read_text(
-            encoding="utf-8"
-        ), jobs
+    doc, status = run_suite(sc)
+    assert status == 0
+    assert render_machine(doc) == (GOLDEN / "seed62_suite.json").read_text(encoding="utf-8")
 
 
 def _seed58():
@@ -306,14 +313,10 @@ def _seed58():
 
 def test_golden_suite_seed58():
     # the one golden where `stop/sandwich[Z]` runs and reads PASS
-    sc = _seed58()
-    for jobs in (1, 2):
-        doc, status = run_suite(sc, jobs=jobs)
-        assert status == 0
-        assert {r["property"]: r["status"] for r in doc["checks"]}["stop/sandwich[Z]"] == "PASS"
-        assert render_machine(doc) == (GOLDEN / "seed58_suite.json").read_text(
-            encoding="utf-8"
-        ), jobs
+    doc, status = run_suite(_seed58())
+    assert status == 0
+    assert {r["property"]: r["status"] for r in doc["checks"]}["stop/sandwich[Z]"] == "PASS"
+    assert render_machine(doc) == (GOLDEN / "seed58_suite.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -330,7 +333,7 @@ def test_a_failed_sandwich_is_a_fail_row(message, monkeypatch, tmp_path):
         raise LatticeError(message)
 
     monkeypatch.setattr(checks, "_smallest_largest", failing)
-    doc, status = run_suite(_seed58(), jobs=1)
+    doc, status = run_suite(_seed58())
     rows = {r["property"]: r for r in doc["checks"]}
     assert status == 2 and doc["failed"] == 2
     for name in ("L", "Z"):

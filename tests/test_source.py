@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import meyerstop
@@ -84,33 +86,74 @@ def test_the_representation_solve_lists_no_stopping_time():
     assert not found, found
 
 
-def _imports_the_pool(node: ast.AST) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        module = (node.module or "").split(".")[-1]
-        return module == "parallel" or any(alias.name == "parallel" for alias in node.names)
-    return isinstance(node, ast.Import) and any(
-        alias.name.split(".")[-1] == "parallel" for alias in node.names
-    )
+POOL_MODULES = ("multiprocessing", "concurrent", "threading")
 
 
-def test_only_the_cli_imports_the_pool():
-    # `--jobs` forks for the suite's rows only; every check runs in-process
+def _pool_findings(name: str, tree: ast.AST) -> list[str]:
+    """Lines that import a process or thread pool module, or reach os.fork."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                f"{name}:{node.lineno} imports {alias.name}"
+                for alias in node.names
+                if alias.name.partition(".")[0] in POOL_MODULES
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.partition(".")[0] in POOL_MODULES:
+                found.append(f"{name}:{node.lineno} imports {module}")
+            elif module == "os" and any(alias.name == "fork" for alias in node.names):
+                found.append(f"{name}:{node.lineno} imports os.fork")
+        elif isinstance(node, ast.Attribute) and node.attr == "fork":
+            if getattr(node.value, "id", None) == "os":
+                found.append(f"{name}:{node.lineno} reads os.fork")
+    return sorted(found)
+
+
+def test_no_module_imports_a_pool():
+    # the suite's rows and every check run in the calling process
     found = [
-        path.name
+        finding
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _imports_the_pool(node)
+        for finding in _pool_findings(path.name, ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert found == ["cli.py"], found
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
 
 
 def test_the_pool_check_sees_each_import_form():
     tree = ast.parse(
-        "from .parallel import ordered_map\nfrom . import parallel\n"
-        "import meyerstop.parallel\nfrom meyerstop.parallel import ordered_map\n"
-        "from .lattice import Kind\nimport multiprocessing\n"
+        "import multiprocessing\nfrom multiprocessing import Pool\n"
+        "import concurrent.futures\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "import threading as t\nfrom threading import Thread\n"
+        "pid = os.fork()\nfrom os import fork\n"
+        "from .lattice import Kind\nimport os, sys\nfrom os import getpid\n"
     )
-    assert [_imports_the_pool(node) for node in tree.body] == [True] * 4 + [False] * 2
+    assert _pool_findings("m.py", tree) == [
+        "m.py:1 imports multiprocessing",
+        "m.py:2 imports multiprocessing",
+        "m.py:3 imports concurrent.futures",
+        "m.py:4 imports concurrent.futures",
+        "m.py:5 imports threading",
+        "m.py:6 imports threading",
+        "m.py:7 reads os.fork",
+        "m.py:8 imports os.fork",
+    ]
+
+
+def test_import_loads_no_pool_modules():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import meyerstop; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # Engine modules that build and read processes as columns; per-path rows
