@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .enumeration import DEFAULT_GUARD, EnumerationGuardError, _between, _cells, _maximum
+from .enumeration import DEFAULT_GUARD, _between, _cells, _maximum
 from .lattice import (
     InvariantError,
     Kind,
@@ -127,14 +127,13 @@ def check_fatou(lattice, meyer, process) -> str | None:
     return report.violations[0]
 
 
-def check_usc_equivalence(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
-    report = check_usc_sequence_equivalence(lattice, meyer, process, guard)
-    return report.counterexample
+def check_usc_equivalence(lattice, meyer, process) -> str | None:
+    return check_usc_sequence_equivalence(lattice, meyer, process).counterexample
 
 
-def check_snell_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
+def check_snell_oracle(lattice, meyer, process) -> str | None:
     zbar = snell_envelope(lattice, meyer, process)
-    brute = snell_brute_force(lattice, meyer, process, guard)
+    brute = snell_brute_force(lattice, meyer, process)
     root = expected_value(lattice, zbar.columns[0])
     if root != brute.value:
         return f"envelope root {root} differs from brute force {brute.value}"
@@ -212,14 +211,11 @@ def check_mertens(lattice, meyer, process) -> str | None:
     return None
 
 
-def check_delta(
-    lattice, meyer, process, starts, guard=DEFAULT_GUARD
-) -> str | None:
+def check_delta(lattice, meyer, process, starts) -> str | None:
     """Relaxation exactness from every start: E[Zbar_S] = E[Z at delta_S]
     = max over divided stops from S (Lambda-stopping times T >= S read on
     time), plus the conditional identity and the lambda-entry stabilization.
-    Over the guard a start skips its maximum; then, if nothing fails, the
-    first guard error is raised."""
+    Each maximum is one fold, read at any size."""
     zbar = snell_envelope(lattice, meyer, process)
     ratios = [
         z / env
@@ -230,7 +226,6 @@ def check_delta(
     lam_star = max(ratios) if ratios else Fraction(0)
     lam = (1 + lam_star) / 2
     decomp = mertens_decompose(lattice, meyer, zbar)
-    skipped = None
 
     for S in starts:
         ds = delta_stop(lattice, meyer, process, S, zbar)
@@ -258,15 +253,9 @@ def check_delta(
             return f"E[Zbar] not preserved at the 1/2-entry time from {S.assignment}"
         if ent.value_of(decomp.a) != S.value_of(decomp.a):
             return f"A moves before the 1/2-entry time from {S.assignment}"
-        try:
-            best = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, S), guard).value
-        except EnumerationGuardError as exc:
-            skipped = skipped or exc
-            continue
+        best = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, S)).value
         if best != env_at_s:
             return f"divided-stop maximum {best} != E[Zbar_S] {env_at_s} from {S.assignment}"
-    if skipped is not None:
-        raise skipped
     return None
 
 
@@ -295,20 +284,25 @@ def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str
     certified: there the reward touches the envelope, within its martingale
     reach.  The certified times are the optimal ones iff all of them attain
     the optimum and there are as many as optimizers, which the fold
-    restricted to the certified cells decides; a witness is named by a walk.
+    restricted to the certified cells decides.  A witness is named by walks
+    of the certified times and of the optimizers; when either is longer
+    than the guard, the folds' counts stand in for it.
     """
     zbar = snell_envelope(lattice, meyer, process)
     brute = snell_brute_force(lattice, meyer, process, guard)
     reach = martingale_reach(lattice, meyer, zbar)
     z, env = process.columns, zbar.columns
     certified = _cells(lattice, lambda p, i: z[i][p] == env[i][p] and i <= reach[p])
-    cert = _maximum(lattice, meyer, process, Kind.LAMBDA, certified, None)
+    cert = _maximum(lattice, meyer, process, Kind.LAMBDA, certified)
     if cert.value == brute.value and cert.ways == cert.total == brute.optimizer_count:
         return None
+    if guard is not None and max(cert.total, brute.optimizer_count) > guard:
+        folds = f"{cert.total} certified times ({cert.ways} at {cert.value}) vs"
+        return f"{folds} {brute.optimizer_count} optimal at {brute.value}, past the guard of {guard}"
     # name a witness: a certified time off the optimum (all certified times tie
     # at the maximum of 0, so the walk lists them) or an uncertified optimal one
     nothing = LatticeProcess.constant(lattice, 0)
-    listed = _maximum(lattice, meyer, nothing, Kind.LAMBDA, certified, None).maximizers()
+    listed = sorted(_maximum(lattice, meyer, nothing, Kind.LAMBDA, certified).maximizers())
     for U in [*(RandomInstant(idx, lattice.n_instants) for idx in listed), *brute.optimizers]:
         optimal = all(certified[i] >> p & 1 for p, i in enumerate(U.indices))
         achieved = expected_value(lattice, U.value_of(process))
@@ -335,17 +329,17 @@ def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
     hi = from_divided_quadruple(lattice, ss.quadruple)
-    if (U := _escapee(lattice, meyer, process, result.brute, result.smallest, hi)) is not None:
-        return f"optimal time {U.assignment} escapes the delta/sigma bracket"
+    if escapee := _escapee(lattice, meyer, process, result.brute, result.smallest, hi):
+        return f"{escapee} escapes the delta/sigma bracket"
     return None
 
 
-def check_representation_roundtrip(problem: RepresentationProblem, guard=DEFAULT_GUARD) -> str | None:
+def check_representation_roundtrip(problem: RepresentationProblem) -> str | None:
     """solve(X) succeeds, and with it its own check of forward(solve(X)) against X."""
     if problem.L is not None:
         problem = problem.with_X(forward_evaluate(problem))
     try:
-        solve_representation(problem, guard)
+        solve_representation(problem)
     except RepresentationError as exc:
         return str(exc)
     return None

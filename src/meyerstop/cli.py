@@ -127,7 +127,7 @@ def run_command(
     if command == "snell":
         name, proc = _pick_process(scenario, process)
         zbar = snell_envelope(lattice, meyer, proc)
-        brute = snell_brute_force(lattice, meyer, proc, guard)
+        brute = snell_brute_force(lattice, meyer, proc)
         root = expected_value(lattice, zbar.columns[0])
         doc = {
             "command": "snell",
@@ -195,7 +195,7 @@ def run_command(
         if problem is None:
             raise ScenarioError("scenario carries no representation bundle (g, mu, signal/reward)")
         if problem.X is not None:
-            L = solve_representation(problem, guard)
+            L = solve_representation(problem)
             doc = {
                 "command": "represent",
                 "direction": "solve",
@@ -255,60 +255,42 @@ def run_command(
 
 
 def _suite_checks(scenario: Scenario, guard: int):
-    """The canonical (name, thunk) list for the regression battery."""
+    """The canonical (name, thunk) list for the regression battery.  A
+    process row calls its check on (lattice, meyer, process, *extra); the
+    rows that need an envelope run only on a valid reward."""
     lattice, meyer = scenario.lattice, scenario.meyer
     items = [
         ("lattice/valid", lambda: checks.check_lattice_valid(lattice, meyer)),
-        (
-            "projection/normalization",
-            lambda: checks.check_projection_normalization(lattice, meyer),
-        ),
+        ("projection/normalization", lambda: checks.check_projection_normalization(lattice, meyer)),
     ]
-    zero = RandomInstant.constant(lattice, Instant(0, AT))
+    zero = [RandomInstant.constant(lattice, Instant(0, AT))]
+    projection_rows = [
+        ("projection/tower", checks.check_projection_tower, ()),
+        ("projection/linearity", checks.check_projection_linearity, ()),
+        ("projection/duality", checks.check_projection_duality, ()),
+        ("projection/fatou", checks.check_fatou, ()),
+    ]
+    reward_rows = [
+        ("usc/equivalence", checks.check_usc_equivalence, ()),
+        ("snell/oracle", checks.check_snell_oracle, ()),
+        ("snell/dominance", checks.check_envelope_dominance, ()),
+        ("mertens/identities", checks.check_mertens, ()),
+        ("stop/delta", checks.check_delta, (zero,)),
+        ("stop/sigma", checks.check_sigma, (zero,)),
+        ("optimality/certificates", checks.check_optimality_oracle, (guard,)),
+        ("stop/sandwich", checks.check_sandwich, (guard,)),
+    ]
     for name in sorted(scenario.processes):
         proc = scenario.processes[name]
-        items.append(
-            (f"projection/tower[{name}]",
-             lambda p=proc: checks.check_projection_tower(lattice, meyer, p))
-        )
-        items.append(
-            (f"projection/linearity[{name}]",
-             lambda p=proc: checks.check_projection_linearity(lattice, meyer, p))
-        )
-        items.append(
-            (f"projection/duality[{name}]",
-             lambda p=proc: checks.check_projection_duality(lattice, meyer, p))
-        )
-        items.append(
-            (f"projection/fatou[{name}]",
-             lambda p=proc: checks.check_fatou(lattice, meyer, p))
-        )
-        if reward_fault(lattice, meyer, proc) is None:
-            items.extend(
-                [
-                    (f"usc/equivalence[{name}]",
-                     lambda p=proc: checks.check_usc_equivalence(lattice, meyer, p, guard)),
-                    (f"snell/oracle[{name}]",
-                     lambda p=proc: checks.check_snell_oracle(lattice, meyer, p, guard)),
-                    (f"snell/dominance[{name}]",
-                     lambda p=proc: checks.check_envelope_dominance(lattice, meyer, p)),
-                    (f"mertens/identities[{name}]",
-                     lambda p=proc: checks.check_mertens(lattice, meyer, p)),
-                    (f"stop/delta[{name}]",
-                     lambda p=proc: checks.check_delta(lattice, meyer, p, [zero], guard)),
-                    (f"stop/sigma[{name}]",
-                     lambda p=proc: checks.check_sigma(lattice, meyer, p, [zero])),
-                    (f"optimality/certificates[{name}]",
-                     lambda p=proc: checks.check_optimality_oracle(lattice, meyer, p, guard)),
-                    (f"stop/sandwich[{name}]",
-                     lambda p=proc: checks.check_sandwich(lattice, meyer, p, guard)),
-                ]
-            )
+        rows = projection_rows + (reward_rows if reward_fault(lattice, meyer, proc) is None else [])
+        items += [
+            (f"{row}[{name}]", lambda c=check, p=proc, x=extra: c(lattice, meyer, p, *x))
+            for row, check, extra in rows
+        ]
     problem = scenario.build_problem()
     if problem is not None:
         items.append(
-            ("representation/round-trip",
-             lambda: checks.check_representation_roundtrip(problem, guard))
+            ("representation/round-trip", lambda: checks.check_representation_roundtrip(problem))
         )
         if scenario.ell_grid:
             items.append(
@@ -319,8 +301,9 @@ def _suite_checks(scenario: Scenario, guard: int):
 
 
 def run_suite(scenario: Scenario, guard: int = DEFAULT_GUARD) -> tuple[dict, int]:
-    """Run every applicable named property in canonical order.  A row over
-    the guard reads SKIP; any other error that a row raises ends the suite."""
+    """Run every applicable named property in canonical order.  A row whose
+    listing exceeds the guard reads SKIP; any other error that a row raises
+    ends the suite."""
     items = _suite_checks(scenario, guard)
 
     def run_one(item):
@@ -398,7 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("table", "machine"), default="table")
     parser.add_argument("--strict", action="store_true", help="reject unknown scenario fields")
     parser.add_argument("--jobs", type=int, help="kept for compatibility; has no effect")
-    parser.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration size guard")
+    guard_help = "bound on the stopping times a command lists"
+    parser.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=guard_help)
     parser.add_argument("--out", help="write the report here instead of stdout")
     args = parser.parse_args(argv)
 

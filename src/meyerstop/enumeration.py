@@ -14,7 +14,9 @@ gives, in one visit per node, its best gain and how many completions
 attain it.  That fold is the Snell envelope's backward recursion in
 integers, so `snell/oracle` compares two codings of one recursion; the
 tests keep the per-state fold over all subsets of a state's parts, and
-the plain listing, as independent oracles.
+the plain listing, as independent oracles.  A fold reads a value or a
+count at any size; the guard bounds only a walk, checked before it starts
+against the number of times it will list.
 """
 
 from __future__ import annotations
@@ -108,16 +110,17 @@ class _Decisions:
         return [_Part(self, i, tuple(share)) for share in shares.values()]
 
 
-def _walk(steps: _Decisions, active: int, keep=None) -> Iterator[tuple[int, ...]]:
-    """Index tuples of the live times reached from instant 0, through the
-    choices `keep(i, part, choice)` admits.  The parts still to decide are a
-    linked list (i, part, rest); each takes its first choice and leaves the
-    other on a stack, where the walk resumes after each time.  A path is set
-    by the part that stops it, at latest at n_instants (TERMINAL)."""
-    roots = steps.parts(0, active)
+def _walk(steps: _Decisions, start: int, active: int, keep=None) -> Iterator[tuple[int, ...]]:
+    """Index tuples of the live times from the parts of `active` at instant
+    `start`, through the choices `keep(i, part, choice)` admits.  The parts
+    still to decide are a linked list (i, part, rest); each takes its first
+    choice and leaves the other on a stack, where the walk resumes after
+    each time.  A path is set by the part that stops it, at latest at
+    n_instants (TERMINAL)."""
+    roots = steps.parts(start, active)
     assign = [steps.n_inst] * steps.n_paths
     # (choice, its instant, the parts after it); a dead root part leaves none
-    left = [(((), roots), -1, None)] if all(part.total for part in roots) else []
+    left = [(((), roots), start - 1, None)] if all(part.total for part in roots) else []
     while left:
         (paths, kids), i, pending = left.pop()
         while True:
@@ -194,12 +197,12 @@ def iter_stopping_index_tuples(
 
     Paths outside `scope` are pinned to TERMINAL.  With `lower` set, only
     times with T >= lower per path are produced.  The guard bounds the total
-    count before any enumeration happens.
+    count, the number of times listed, before the walk starts.
     """
     steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
     active = _scope_mask(lattice, scope)
     _check_guard(_fold(steps)(0, active)[2], guard)
-    yield from _walk(steps, active)
+    yield from _walk(steps, 0, active)
 
 
 def enumerate_stopping_times(
@@ -215,29 +218,29 @@ def enumerate_stopping_times(
 
 class _Optimum(NamedTuple):
     """Max of E[process_T] over the allowed times (None if there is none),
-    how many attain it, how many there are, and the sorted maximizers."""
+    how many attain it, how many there are, and a walk of the maximizers."""
 
     value: Fraction | None
     ways: int
     total: int
-    maximizers: Callable[[], list[tuple[int, ...]]]
+    maximizers: Callable[[], Iterator[tuple[int, ...]]]
 
 
-def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed, guard) -> _Optimum:
+def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed) -> _Optimum:
     """Maximize E[process_T] over the stopping times within `allowed`.
 
     The probability-weighted cells are scaled once to integers over their
     common denominator; one fold gives the value, the maximizer count and
-    the count the guard bounds, checked before any walk.  The maximizers
-    are walked only when `maximizers()` is called.
+    the count of times, at one visit per node whatever the count.  Nothing
+    is listed until `maximizers()` starts a walk, in walk order, of the
+    `ways` maximizers; a caller that lists them bounds `ways` first.
     """
     probs = lattice.probabilities
     gains, den = _scaled([[c * v for c, v in zip(probs, col)] for col in process.columns])
     steps = _Decisions(lattice, meyer, kind, allowed)
-    (best, ways, total), attaining = _best(steps, gains, _scope_mask(lattice, None))
-    _check_guard(total, guard)
+    (best, ways, total), attaining = _best(steps, gains, 0, _scope_mask(lattice, None))
     top = None if best is None else Fraction(best, den)
-    return _Optimum(top, ways, total, lambda: sorted(attaining()))
+    return _Optimum(top, ways, total, attaining)
 
 
 def _scaled(rows) -> tuple[list[list[int]], int]:
@@ -247,14 +250,14 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-def _best(steps: _Decisions, gains: list[list[int]], active: int):
-    """The fold's (best, ways, total) of the integer `gains` over the live
-    times from the paths in `active`, and a walk of the times attaining
-    that best, in walk order."""
+def _best(steps: _Decisions, gains, start: int, active: int):
+    """The fold's (best, ways, total) of the integer `gains[i][p]` over the
+    live times from the parts of `active` at instant `start`, and a walk of
+    the times attaining that best, in walk order."""
     memo: dict[_Part, tuple[int, int]] = {}
-    top = _fold_parts(steps.parts(0, active), 0, gains, memo)
+    top = _fold_parts(steps.parts(start, active), start, gains, memo)
 
     def attains(i: int, part: _Part, choice) -> bool:
         return _choice(choice, i, gains, memo)[0] == memo[part][0]
 
-    return top, lambda: _walk(steps, active, attains)
+    return top, lambda: _walk(steps, start, active, attains)

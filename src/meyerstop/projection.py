@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .enumeration import DEFAULT_GUARD, _maximum
+from .enumeration import _maximum
 from .lattice import (
     FilteredLattice,
     InvariantError,
@@ -180,7 +180,6 @@ def check_usc_sequence_equivalence(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     process: LatticeProcess,
-    guard: int | None = DEFAULT_GUARD,
 ) -> EquivalenceReport:
     """Decide the sequential USC forms and compare them with the predicates.
 
@@ -191,9 +190,10 @@ def check_usc_sequence_equivalence(
     splits it by them; the constant time u reaches every atom at u; at
     TERMINAL both readings are the reward's terminal value, 0.  The left
     form (E[Z_T] >= E[(left envelope)_T] for every predictable T) fails
-    exactly when the maximum of E[(left envelope - Z)_T] is positive, and
-    the guard bounds that fold's count of predictable times.  A
-    disagreement with the predicates is a counterexample.
+    exactly when the maximum of E[(left envelope - Z)_T] is positive, one
+    fold at any size.  A disagreement with the predicates is a
+    counterexample, and only then is a witness built: one walk to the first
+    time that attains the maximum.
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
@@ -219,9 +219,8 @@ def check_usc_sequence_equivalence(
             for left, reward in zip(left_env.columns, process.columns)
         )
     )
-    worst = _maximum(lattice, meyer, gap, Kind.PREDICTABLE, None, guard)
+    worst = _maximum(lattice, meyer, gap, Kind.PREDICTABLE, None)
     left_seq = worst.value <= 0
-    left_where = None if left_seq else RandomInstant(worst.maximizers()[0], n)
 
     right_pred = is_right_usc_in_expectation(lattice, meyer, process).ok
     left_pred = is_left_usc_in_expectation(lattice, meyer, process).ok
@@ -233,6 +232,7 @@ def check_usc_sequence_equivalence(
             f" (at {right_where})"
         )
     elif left_pred != left_seq:
+        left_where = None if left_seq else RandomInstant(next(worst.maximizers()), n)
         counterexample = (
             f"left-USC predicate {left_pred} but sequential form {left_seq}"
             f" (at {left_where})"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .enumeration import DEFAULT_GUARD, _best, _between, _check_guard, _Decisions, _mask, _scaled
+from .enumeration import DEFAULT_GUARD, _best, _Decisions, _mask, _scaled
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -222,9 +222,7 @@ def _lines(problem: RepresentationProblem, X: LatticeProcess):
     return rows[: len(I)], rows[len(I) :], den
 
 
-def solve_representation(
-    problem: RepresentationProblem, guard: int | None = DEFAULT_GUARD
-) -> LatticeProcess:
+def solve_representation(problem: RepresentationProblem) -> LatticeProcess:
     """Recover a signal L from X by per-atom minimization of window roots.
 
     For each instant u and atom of the Lambda field, every stopping time T
@@ -234,20 +232,23 @@ def solve_representation(
 
     and L_u is the minimum of those roots (TERMINAL included, with X_T = 0),
     found by Dinkelbach's method: each step is one fold over the times
-    after u (`_least_root`), so no stopping time is listed.  Windows
+    after u (`_least_root`): no time is listed, so no guard applies.  Windows
     carrying no mass are skipped; an atom whose remaining mass is exhausted
     takes L = 0 and must carry X = 0.  The roots are found and checked on
     S = L**power (`_solve`), and L is S's real root.
     """
     power = problem.g.power
-    S = _solve(problem, guard)
+    S = _solve(problem)
     return LatticeProcess(tuple(tuple(_root(s, power) for s in col) for col in S.columns))
 
 
-def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
+def _solve(problem: RepresentationProblem) -> LatticeProcess:
     """`solve_representation` on S = L**power, where each window equation is
-    affine in s, on the `_lines` table.  The forward check of S against X
-    runs at the end and failure raises RepresentationError."""
+    affine in s, on the `_lines` table.  One decision tree of the Lambda-
+    stopping times serves every atom: the times after u on an atom are its
+    subtree at (u + 1, atom), as every node before u + 1 could only pass
+    on.  The forward check of S against X runs at the end and failure
+    raises RepresentationError."""
     lattice, meyer = problem.lattice, problem.meyer
     X = problem.X
     if X is None:
@@ -260,13 +261,12 @@ def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
     probs = lattice.probabilities
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
     I, K, _ = _lines(problem, X)
+    steps = _Decisions(lattice, meyer, Kind.LAMBDA)
 
     columns: list[list] = [[None] * n_paths for _ in range(n)]
     for u in range(n):
         for block in fields[u]:
-            lower = RandomInstant(tuple(u + 1 if p in block else n for p in range(n_paths)), n)
-            steps = _Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, lower))
-            num, den = _least_root(steps, I, K, u, block, guard)
+            num, den = _least_root(steps, I, K, u, block)
             if den == 0:
                 atom_x = sum(probs[p] * X.columns[u][p] for p in block)
                 if atom_x != 0:
@@ -284,21 +284,23 @@ def _solve(problem: RepresentationProblem, guard: int | None) -> LatticeProcess:
     return S
 
 
-def _least_root(steps: _Decisions, I, K, u: int, block, guard: int | None) -> tuple[int, int]:
+def _least_root(steps: _Decisions, I, K, u: int, block) -> tuple[int, int]:
     """The least root N_T / D_T over the windows [u, T) with mass, by
     Dinkelbach's method; den 0 if no window has mass.
 
     A window's root is where the lines of stopping at u and at T cross on
     the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
-    K[T_p][p] - K[u][p]; off-atom paths stay at TERMINAL and are skipped.
-    From the all-TERMINAL window, each step maximizes num * D_T - den * N_T
-    by one fold and moves to a maximizer, until the best gain is 0.  Any
-    maximizer will do: each step lowers the ratio to a window's root, and
-    the search ends where no root lies below.  A massless window can win a
-    step only with N_T < 0, which no representable X has; the search stops
-    there and the closing forward check fails.  The guard bounds the first
-    fold's count.
+    K[T_p][p] - K[u][p]; the times T are the tree's from (u + 1, block),
+    and off-atom paths stay at TERMINAL and are skipped.  From the
+    all-TERMINAL window, each step maximizes num * D_T - den * N_T by one
+    fold, on gains of the atom's cells after u only, and moves to a
+    maximizer, until the best gain is 0.  Any maximizer will do: each step
+    lowers the ratio to a window's root, and the search ends where no root
+    lies below.  A massless window can win a step only with N_T < 0, which
+    no representable X has; the search stops there and the closing forward
+    check fails.
     """
+    n = steps.n_inst
 
     def window(T) -> tuple[int, int]:
         N = sum(I[u][p] - I[T[p]][p] for p in block)
@@ -306,19 +308,18 @@ def _least_root(steps: _Decisions, I, K, u: int, block, guard: int | None) -> tu
 
     def fold(num: int, den: int):
         # the best num * D_T - den * N_T: the best sum of cells num * K + den * I, less it at u
-        gains = [[num * k + den * x for x, k in zip(ri, rk)] for ri, rk in zip(I, K)]
-        (top, ways, total), attaining = _best(steps, gains, _mask(block))
-        return (top - sum(num * K[u][p] + den * I[u][p] for p in block), ways, total), attaining
+        gains = {i: {p: num * K[i][p] + den * I[i][p] for p in block} for i in range(u + 1, n + 1)}
+        (top, _, _), attaining = _best(steps, gains, u + 1, _mask(block))
+        return top - sum(num * K[u][p] + den * I[u][p] for p in block), attaining
 
-    num, den = window((steps.n_inst,) * steps.n_paths)  # the all-TERMINAL window
-    (top, _, total), attaining = fold(num, den)
-    _check_guard(total, guard)
+    num, den = window((n,) * steps.n_paths)  # the all-TERMINAL window
+    top, attaining = fold(num, den)
     while top > 0:
         N, D = window(next(attaining()))
         if D == 0:
             break
         num, den = N, D
-        (top, _, _), attaining = fold(num, den)
+        top, attaining = fold(num, den)
     return num, den
 
 
@@ -440,7 +441,7 @@ def universal_signal_check(
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     if problem.L is None:
-        X, S = problem.X, _solve(problem, guard)
+        X, S = problem.X, _solve(problem)
     else:
         X, S = forward_evaluate(problem), _levels(problem.g, problem.L)
     if not is_left_usc_in_expectation(lattice, meyer, X).ok:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .enumeration import DEFAULT_GUARD, _between, _maximum, iter_stopping_index_tuples
+from .enumeration import DEFAULT_GUARD, EnumerationGuardError, _between, _check_guard, _maximum
+from .enumeration import iter_stopping_index_tuples
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -96,16 +97,24 @@ def snell_brute_force(
 
     The maximum is `enumeration`'s per-part fold, the envelope's backward
     recursion coded in integers; the optimizers are the stopping times that
-    attain it, and the count is the number of Lambda-stopping times.
+    attain it, and the count is the number of Lambda-stopping times.  The
+    value and both counts are read at any size.  The guard bounds only the
+    listing of the optimizers: reading `optimizers` raises
+    EnumerationGuardError when there are more of them than the guard.
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    opt = _maximum(lattice, meyer, process, Kind.LAMBDA, None, guard)
+    opt = _maximum(lattice, meyer, process, Kind.LAMBDA, None)
+
+    def optimizers() -> list[RandomInstant]:
+        _check_guard(opt.ways, guard)
+        return [RandomInstant(t, lattice.n_instants) for t in sorted(opt.maximizers())]
+
     return BruteForceResult(
         value=opt.value,
         stopping_time_count=opt.total,
         optimizer_count=opt.ways,
-        maximizers=lambda: [RandomInstant(t, lattice.n_instants) for t in opt.maximizers()],
+        maximizers=optimizers,
     )
 
 
@@ -457,6 +466,8 @@ def smallest_largest_optimal(
     both semicontinuity predicates are required.
 
     Every optimal stopping time is sandwiched between the two pathwise.
+    The guard bounds only listings of the optimizers: `all_optimal`, and
+    the search for one that escapes the sandwich.
     """
     return _smallest_largest(lattice, meyer, process, guard)[0]
 
@@ -492,16 +503,21 @@ def _smallest_largest(lattice, meyer, process, guard):
         raise LatticeError("entry-time candidates failed their optimality certificates")
 
     brute = snell_brute_force(lattice, meyer, process, guard)
-    if (U := _escapee(lattice, meyer, process, brute, smallest, largest)) is not None:
-        raise LatticeError(f"optimal time {U.assignment} escapes the sandwich")
+    if escapee := _escapee(lattice, meyer, process, brute, smallest, largest):
+        raise LatticeError(f"{escapee} escapes the sandwich")
     return SmallestLargest(smallest=smallest, largest=largest, brute=brute), zbar, decomp
 
 
-def _escapee(lattice, meyer, process, brute, lower, upper) -> RandomInstant | None:
-    """An optimal time outside [lower, upper], or None: every optimal time
-    lies inside exactly when the fold restricted to the bracket attains the
-    optimum as often as the unrestricted one does."""
-    inside = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, lower, upper), None)
+def _escapee(lattice, meyer, process, brute, lower, upper) -> str | None:
+    """An optimal time outside [lower, upper], named, or None: every optimal
+    time lies inside exactly when the fold restricted to the bracket attains
+    the optimum as often as the unrestricted one does.  Over the guard, the
+    folds' counts stand in for the name."""
+    inside = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, lower, upper))
     if inside.value == brute.value and inside.ways == brute.optimizer_count:
         return None
-    return next(U for U in brute.optimizers if not lower <= U <= upper)
+    try:
+        U = next(U for U in brute.optimizers if not lower <= U <= upper)
+    except EnumerationGuardError as exc:
+        return f"one of {brute.optimizer_count} optimal times ({inside.ways} in the bracket; {exc})"
+    return f"optimal time {U.assignment}"

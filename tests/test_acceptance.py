@@ -330,7 +330,7 @@ def test_criterion_8_representation_round_trip():
                     assert type(ell) is float and ell == ell and s != 0, seed
         odd += 1
 
-    # the solve's per-atom folds reach the guard
+    # the round trip on three lattices near the enumeration guard
     guard = 0
     for sc in near_guard_family():
         assert checks.check_representation_roundtrip(sc.build_problem()) is None

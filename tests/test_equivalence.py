@@ -312,7 +312,7 @@ def test_certificate_fold_matches_the_stop_loop_on_drawn_cells(monkeypatch):
             message = checks.check_optimality_oracle(lattice, meyer, Z)
             assert (message is None) == (not disagreements), (seed, message)
             assert message is None or message in disagreements, (seed, message)
-            cert = _maximum(lattice, meyer, Z, Kind.LAMBDA, table, None)
+            cert = _maximum(lattice, meyer, Z, Kind.LAMBDA, table)
             balanced += (cert.value, cert.total) == (brute.value, brute.optimizer_count) and bool(
                 disagreements
             )
@@ -339,18 +339,18 @@ def test_restricted_folds_match_filtering_the_listed_stops():
             kept = [
                 idx for idx in stops if all(allowed[i] >> p & 1 for p, i in enumerate(idx))
             ]
-            opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, allowed, None)
+            opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, allowed)
             assert opt.total == len(kept), seed
             steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, allowed)
-            assert sorted(enumeration._walk(steps, (1 << paths) - 1)) == kept, seed
+            assert sorted(enumeration._walk(steps, 0, (1 << paths) - 1)) == kept, seed
             if not kept:
-                assert (opt.value, opt.ways, opt.maximizers()) == (None, 0, []), seed
+                assert (opt.value, opt.ways, list(opt.maximizers())) == (None, 0, []), seed
                 seen["empty"] += 1
                 continue
             best = max(worth[idx] for idx in kept)
             argmax = [idx for idx in kept if worth[idx] == best]
             assert (opt.value, opt.ways) == (best, len(argmax)), seed
-            assert opt.maximizers() == argmax, seed
+            assert sorted(opt.maximizers()) == argmax, seed
             seen["part" if len(kept) < len(stops) else "all"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -541,39 +541,6 @@ def test_solve_matches_the_term_list_loop(monotone):
     assert compared >= 20, compared
 
 
-def test_solve_guard_bounds_each_atom_in_turn():
-    # the guard reads each atom's count of windows, in (instant, atom)
-    # order, as the per-window listing did
-    heavy = generate_instance(
-        RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
-    )
-    problem = heavy.build_problem()
-    problem = problem.with_X(forward_evaluate(problem))
-    lattice, meyer, n = heavy.lattice, heavy.meyer, heavy.lattice.n_instants
-    counts = [
-        enumeration.count_stopping_times(
-            lattice,
-            meyer,
-            Kind.LAMBDA,
-            lower=RandomInstant(
-                tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
-            ),
-            scope=block,
-        )
-        for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
-        for block in part
-    ]
-    assert len(set(counts)) > 5, counts
-    for guard in sorted({c - 1 for c in counts if c > 1}):
-        first = next(c for c in counts if c > guard)
-        with pytest.raises(
-            enumeration.EnumerationGuardError,
-            match=f"^{first} stopping times exceed the guard of {guard}$",
-        ):
-            solve_representation(problem, guard)
-    assert solve_representation(problem, max(counts)) == solve_representation(problem, None)
-
-
 def mass_at(problem, w):
     """The problem with mu's mass moved to instant index w on every path
     (1 plus the path's old mass there), and X the forward reward of L."""
@@ -700,8 +667,8 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
     walk = enumeration._walk
     reordered = []
 
-    def reversed_walk(steps, active, keep=None):
-        listed = list(walk(steps, active, keep))
+    def reversed_walk(steps, start, active, keep=None):
+        listed = list(walk(steps, start, active, keep))
         reordered.append(listed[0] != listed[-1])
         return iter(listed[::-1])
 
@@ -766,10 +733,10 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
         built.append(indices)
         init(self, indices, n_instants)
 
-    def counting_walk(steps, active, keep=None):
+    def counting_walk(steps, start, active, keep=None):
         if keep is not None:
             walks.append(keep)
-        return walk(steps, active, keep)
+        return walk(steps, start, active, keep)
 
     monkeypatch.setattr(RandomInstant, "__init__", counting_init)
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
@@ -808,10 +775,10 @@ def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
     listed = []
     walk = enumeration._walk
 
-    def no_listing(steps, active, keep=None):
+    def no_listing(steps, start, active, keep=None):
         if keep is None:
             listed.append(steps.n_inst)
-        return walk(steps, active, keep)
+        return walk(steps, start, active, keep)
 
     monkeypatch.setattr(enumeration, "_walk", no_listing)
     heavy = generate_instance(
@@ -1084,7 +1051,37 @@ def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
             assert (message is None) == (not escapees), (seed, message)
             assert message is None or message in escapees, (seed, message)
             verdicts[message is None] += 1
+            # past the guard the folds' counts stand in for the name
+            ways = snell_brute_force(lattice, meyer, Z).optimizer_count
+            past = checks.check_sandwich(lattice, meyer, Z, guard=ways - 1)
+            assert (past is None) == (message is None), (seed, past)
+            assert past is None or past.startswith(f"one of {ways} optimal times ("), past
+            assert past is None or past.endswith(
+                f"exceed the guard of {ways - 1}) escapes the delta/sigma bracket"
+            ), past
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_disagreeing_certificate_folds_fail_past_the_guard(monkeypatch):
+    # certifying every cell makes the folds disagree: within the guard the
+    # row names a witness, past it the folds' counts; it never skips
+    sc = generate_instance(
+        RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
+    )
+    lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+    monkeypatch.setattr(checks, "_cells", lambda lattice, allowed: _between(lattice, None))
+    assert checks.check_optimality_oracle(lattice, meyer, Z).startswith("certificate says ")
+    brute = snell_brute_force(lattice, meyer, Z)
+    counts = f"745 certified times ({brute.optimizer_count} at {brute.value})"
+    optimal = f"{brute.optimizer_count} optimal at {brute.value}"
+    message = f"{counts} vs {optimal}, past the guard of 2"
+    assert checks.check_optimality_oracle(lattice, meyer, Z, guard=2) == message
+    rows = {r["property"]: r for r in cli.run_suite(sc, guard=2)[0]["checks"]}
+    assert rows["optimality/certificates[Z]"] == {
+        "property": "optimality/certificates[Z]",
+        "status": "FAIL",
+        "detail": message,
+    }
 
 
 def test_a_just_before_stop_at_epoch_zero_has_no_reading():
@@ -1318,15 +1315,15 @@ def test_divided_stop_maximum_matches_the_stop_loop():
         plain = plain_divided_maxima(lattice, meyer, Z, starts)
         assert plain[0] == plain_divided_maximum(lattice, meyer, Z, zero), seed
         for S, expected in zip(starts, plain, strict=True):
-            best = _maximum(lattice, meyer, Z, Kind.LAMBDA, _between(lattice, S), None).value
+            best = _maximum(lattice, meyer, Z, Kind.LAMBDA, _between(lattice, S)).value
             assert best == expected, (seed, S)
             compared += 1
     assert compared > 6000, compared
 
 
 def test_delta_check_reports_a_maximum_that_ignores_the_start(monkeypatch):
-    def from_zero(lattice, meyer, process, kind, allowed, guard):
-        return _maximum(lattice, meyer, process, kind, None, guard)
+    def from_zero(lattice, meyer, process, kind, allowed):
+        return _maximum(lattice, meyer, process, kind, None)
 
     monkeypatch.setattr(checks, "_maximum", from_zero)
     reported = 0
@@ -1362,19 +1359,20 @@ def test_sequential_usc_forms_match_the_stop_loops():
 
 def test_usc_guard_bounds_the_predictable_fold():
     # the seed-62 heavy lattice has 745 Lambda-stopping times and 213
-    # predictable ones; only the predictable fold runs, so only it is bounded
+    # predictable ones; the row only folds over them, so no guard bounds it
+    # and the row reads the same below that count as above it
     heavy = generate_instance(
         RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
     )
     lattice, meyer = heavy.lattice, heavy.meyer
     assert enumeration.count_stopping_times(lattice, meyer, Kind.LAMBDA) == 745
     assert enumeration.count_stopping_times(lattice, meyer, Kind.PREDICTABLE) == 213
-    for name in ("L", "Z"):
-        process = heavy.processes[name]
-        assert checks.check_usc_equivalence(lattice, meyer, process, guard=500) is None
-        with pytest.raises(enumeration.EnumerationGuardError) as caught:
-            checks.check_usc_equivalence(lattice, meyer, process, guard=200)
-        assert str(caught.value) == "213 stopping times exceed the guard of 200"
+    verdicts = []
+    for guard in (200, 500):
+        rows = {r["property"]: r for r in cli.run_suite(heavy, guard=guard)[0]["checks"]}
+        verdicts.append([rows[f"usc/equivalence[{name}]"] for name in ("L", "Z")])
+    assert verdicts[0] == verdicts[1]
+    assert all(row["status"] == "PASS" for row in verdicts[0]), verdicts
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -1494,11 +1492,11 @@ def test_part_fold_matches_the_mask_fold(kind):
                         continue
                     # the attaining walk yields exactly the listed maximizers
                     listed = list(listing(active))
-                    (best, ways, total), attaining = enumeration._best(steps, gains, active)
+                    (best, ways, total), attaining = enumeration._best(steps, gains, 0, active)
                     argmax = sorted(idx for idx, gain in listed if gain == best)
                     assert (len(listed), len(argmax)) == (total, ways), seed
                     assert sorted(attaining()) == argmax, seed
-                    assert sorted(enumeration._walk(steps, active)) == sorted(i for i, _ in listed)
+                    assert sorted(enumeration._walk(steps, 0, active)) == sorted(i for i, _ in listed)
                 for (i, active), want in memo.items():
                     assert value(i, active) == want, (seed, i, active)
                     seen["states"] += 1
@@ -1532,13 +1530,60 @@ def full_binary_tree(depth, rng):
 
 def test_wide_trees_fold_past_the_guard(tmp_path, capsys):
     # a 256-path tree has about 10**128 Lambda-stopping times: the fold
-    # reaches its maximum, and the listing commands stop at the guard
+    # reads the maximum and both counts, and only a list of optimizers
+    # longer than the guard stops a command
     sc = full_binary_tree(8, random.Random(8))
     lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
-    opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, None, None)
+    opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, None)
     assert opt.total > 10**100
     assert opt.value == expected_value(lattice, snell_envelope(lattice, meyer, Z).columns[0])
     path = tmp_path / "tree-8.scn"
     path.write_text(render_scenario(sc), encoding="utf-8")
+    for command in ("snell", "oracle"):
+        assert cli.main([command, "--scenario", str(path)]) == 0, command
+    capsys.readouterr()
+    # every time is optimal for the zero reward
+    zero = dataclasses.replace(sc, processes={"Z": LatticeProcess.constant(lattice, 0)})
+    path.write_text(render_scenario(zero), encoding="utf-8")
     assert cli.main(["oracle", "--scenario", str(path)]) == 2
-    assert "stopping times exceed the guard of 1000000" in capsys.readouterr().err
+    message = f"error: {opt.total} stopping times exceed the guard of 1000000\n"
+    assert capsys.readouterr().err == message
+
+
+def test_the_suite_folds_past_the_guard_on_a_wide_tree():
+    # the rows that read only a value or a count run at any size
+    sc = full_binary_tree(8, random.Random(8))
+    rows = {r["property"]: r for r in cli.run_suite(sc)[0]["checks"]}
+    for name in ("usc/equivalence", "snell/oracle", "stop/delta", "optimality/certificates"):
+        assert rows[f"{name}[Z]"]["status"] == "PASS", rows[f"{name}[Z]"]
+
+
+def test_the_guard_bounds_exactly_what_a_walk_lists():
+    # a listing stops at a guard one below its length and runs in full at
+    # its length; the optimizers are bounded by their count alone
+    seen = dict.fromkeys(Kind, 0)
+    for seed, sc in small_family():
+        rng = random.Random(seed)
+        lattice, meyer, n = sc.lattice, sc.meyer, sc.lattice.n_instants
+        for kind in Kind:
+            lower = RandomInstant(tuple(rng.randint(0, n) for _ in range(lattice.n_paths)), n)
+            total = enumeration.count_stopping_times(lattice, meyer, kind, lower)
+            with pytest.raises(enumeration.EnumerationGuardError):
+                next(iter_stopping_index_tuples(lattice, meyer, kind, lower, guard=total - 1))
+            listed = iter_stopping_index_tuples(lattice, meyer, kind, lower, guard=total)
+            assert sum(1 for _ in listed) == total, (seed, kind)
+            seen[kind] += total > 1
+        Z = sc.processes["Z"]
+        ways = snell_brute_force(lattice, meyer, Z).optimizer_count
+        for guard in (ways - 1, ways):
+            brute = snell_brute_force(lattice, meyer, Z, guard)
+            assert (brute.optimizer_count, brute.stopping_time_count) == (
+                ways,
+                enumeration.count_stopping_times(lattice, meyer, Kind.LAMBDA),
+            )
+            if ways > guard:
+                with pytest.raises(enumeration.EnumerationGuardError):
+                    brute.optimizers
+            else:
+                assert len(brute.optimizers) == ways, seed
+    assert min(seen.values()) >= 20, seen

@@ -359,19 +359,24 @@ def test_an_unrepresentable_reward_skips_the_signal_row(seed):
     assert signal["detail"].startswith("X not representable with this (g, mu)")
 
 
-def test_a_guarded_delta_maximum_is_a_skip_row():
-    # over the guard, the divided-stop maximum is not compared, so the row
-    # SKIPs as the oracle rows do; at the default guard it PASSes
+def test_a_guarded_delta_maximum_is_a_skip_row(monkeypatch):
+    # the oracle and delta rows read one fold's value, which no guard
+    # bounds: at a guard of 2, below branch.scn's 11 stopping times, they
+    # PASS, and a maximum off by one still makes the delta row FAIL
     sc = load("branch.scn")
     rows = {r["property"]: r for r in run_suite(sc, guard=2)[0]["checks"]}
     for name in ("snell/oracle[Z]", "stop/delta[Z]"):
-        assert rows[name] == {
-            "property": name,
-            "status": "SKIP",
-            "detail": "11 stopping times exceed the guard of 2",
-        }
-    rows = {r["property"]: r for r in run_suite(sc)[0]["checks"]}
-    assert rows["stop/delta[Z]"]["status"] == "PASS"
+        assert rows[name] == {"property": name, "status": "PASS", "detail": ""}
+    maximum = checks._maximum
+
+    def off_by_one(*args):
+        opt = maximum(*args)
+        return opt._replace(value=opt.value + 1)
+
+    monkeypatch.setattr(checks, "_maximum", off_by_one)
+    rows = {r["property"]: r for r in run_suite(sc, guard=2)[0]["checks"]}
+    assert rows["stop/delta[Z]"]["status"] == "FAIL"
+    assert rows["stop/delta[Z]"]["detail"].startswith("divided-stop maximum "), rows
 
 
 def test_golden_stop_seed58():

@@ -100,9 +100,17 @@ def test_brute_force_examples(chain, branch):
 
 
 def test_guard_fires():
+    # the guard bounds the list of optimizers, not the fold's value and counts
     sc = generate_instance(RandomInstanceParams(seed=1, epochs=3, max_paths=8))
-    with pytest.raises(EnumerationGuardError):
-        snell_brute_force(sc.lattice, sc.meyer, sc.processes["Z"], guard=3)
+    lattice, meyer = sc.lattice, sc.meyer
+    const = LatticeProcess.from_rows([[2] * lattice.n_instants] * lattice.n_paths)
+    n_times = count_stopping_times(lattice, meyer, Kind.LAMBDA)
+    brute = snell_brute_force(lattice, meyer, const, guard=3)
+    ways = brute.optimizer_count
+    assert (brute.value, brute.stopping_time_count) == (2, n_times) and ways > 3
+    with pytest.raises(EnumerationGuardError, match=f"^{ways} stopping times exceed the guard of 3$"):
+        brute.optimizers
+    assert len(snell_brute_force(lattice, meyer, const, guard=ways).optimizers) == ways
 
 
 def test_martingale_predicates(chain, three_path_meyer):
@@ -429,8 +437,8 @@ def plain_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
 
 
 def memoized_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
-    opt = _maximum(lattice, meyer, process, kind, _between(lattice, lower), None)
-    argmax = opt.maximizers()
+    opt = _maximum(lattice, meyer, process, kind, _between(lattice, lower))
+    argmax = sorted(opt.maximizers())
     assert opt.total == count_stopping_times(lattice, meyer, kind, lower)
     assert opt.ways == len(argmax)
     return opt.value, argmax

@@ -403,3 +403,75 @@ def test_the_subset_check_sees_each_form():
         "m.py:6 keeps a memo per instant",
         "m.py:7 keeps a memo per instant",
     ]
+
+
+# The calls that start a walk over stopping times, one of which must share
+# a function with each check of the enumeration guard.
+WALKS = {"_walk", "maximizers", "iter_stopping_index_tuples"}
+
+
+def _own_calls(scope: ast.AST) -> list[ast.Call]:
+    """The calls in `scope`, outside the functions defined inside it."""
+    calls, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            continue
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return calls
+
+
+def _guard_findings(name: str, tree: ast.Module) -> list[str]:
+    """Lines that check the guard outside a function that starts a walk."""
+    found = []
+    for scope in [tree, *(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef))]:
+        calls = {c: getattr(c.func, "id", getattr(c.func, "attr", None)) for c in _own_calls(scope)}
+        if scope is tree or not set(calls.values()) & WALKS:
+            where = "at module level" if scope is tree else f"in {scope.name}, which lists nothing"
+            found += [
+                f"{name}:{c.lineno} checks the guard {where}"
+                for c, called in calls.items()
+                if called == "_check_guard"
+            ]
+    return sorted(found)
+
+
+def test_the_guard_bounds_only_walks():
+    # a fold reads a value or a count at any size; the guard is checked
+    # only where a walk starts, against the number of times it will list
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _guard_findings(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_guard_scan_sees_each_form():
+    tree = ast.parse(
+        "def listing(steps, total, guard):\n"
+        "    _check_guard(total, guard)\n"
+        "    yield from _walk(steps, 0, 1)\n"
+        "def optimizers(opt, guard):\n"
+        "    _check_guard(opt.ways, guard)\n"
+        "    return sorted(opt.maximizers())\n"
+        "def times(lattice, meyer, total, guard):\n"
+        "    _check_guard(total, guard)\n"
+        "    return iter_stopping_index_tuples(lattice, meyer)\n"
+        "def value(opt, guard):\n"
+        "    _check_guard(opt.total, guard)\n"
+        "    return opt.value\n"
+        "def outer(steps, total, guard):\n"
+        "    def inner():\n"
+        "        return _walk(steps, 0, 1)\n"
+        "    enumeration._check_guard(total, guard)\n"
+        "    return inner\n"
+        "_check_guard(10, 1)\n"
+    )
+    assert _guard_findings("m.py", tree) == [
+        "m.py:11 checks the guard in value, which lists nothing",
+        "m.py:16 checks the guard in outer, which lists nothing",
+        "m.py:18 checks the guard at module level",
+    ]
