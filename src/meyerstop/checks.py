@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .enumeration import DEFAULT_GUARD, _between, _cells, _maximum
+from .enumeration import DEFAULT_GUARD, _between, _cells, _maximum, _ranked
 from .lattice import (
-    InvariantError,
     Kind,
     LatticeError,
     LatticeProcess,
@@ -277,49 +276,39 @@ def check_sigma(lattice, meyer, process, starts) -> str | None:
     return None
 
 
-def check_optimality_oracle(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
+def check_optimality_oracle(lattice, meyer, process) -> str | None:
     """Certificate verdict iff brute-force optimality, for every stopping time.
 
     The certificate of `check_optimality` holds at U iff each cell of U is
     certified: there the reward touches the envelope, within its martingale
-    reach.  The certified times are the optimal ones iff all of them attain
-    the optimum and there are as many as optimizers, which the fold
-    restricted to the certified cells decides.  A witness is named by walks
-    of the certified times and of the optimizers; when either is longer
-    than the guard, the folds' counts stand in for it.
+    reach.  The certified times are the optimal ones iff none misses the
+    optimum (the least value over the certified cells is the optimum) and no
+    optimal time leaves the certified cells (the ranked fold on them).  Each
+    fold names its witness by one step of its walk, at any size.
     """
     zbar = snell_envelope(lattice, meyer, process)
-    brute = snell_brute_force(lattice, meyer, process, guard)
     reach = martingale_reach(lattice, meyer, zbar)
     z, env = process.columns, zbar.columns
     certified = _cells(lattice, lambda p, i: z[i][p] == env[i][p] and i <= reach[p])
-    cert = _maximum(lattice, meyer, process, Kind.LAMBDA, certified)
-    if cert.value == brute.value and cert.ways == cert.total == brute.optimizer_count:
+    optimum, uncertified = _ranked(lattice, meyer, process, certified)
+    negated = LatticeProcess(tuple(tuple(-v for v in column) for column in z))
+    least = _maximum(lattice, meyer, negated, Kind.LAMBDA, certified)
+    if least.value is not None and -least.value != optimum:
+        witness, optimal, achieved = next(least.maximizers()), True, -least.value
+    elif uncertified is not None:
+        witness, optimal, achieved = uncertified, False, optimum
+    else:
         return None
-    if guard is not None and max(cert.total, brute.optimizer_count) > guard:
-        folds = f"{cert.total} certified times ({cert.ways} at {cert.value}) vs"
-        return f"{folds} {brute.optimizer_count} optimal at {brute.value}, past the guard of {guard}"
-    # name a witness: a certified time off the optimum (all certified times tie
-    # at the maximum of 0, so the walk lists them) or an uncertified optimal one
-    nothing = LatticeProcess.constant(lattice, 0)
-    listed = sorted(_maximum(lattice, meyer, nothing, Kind.LAMBDA, certified).maximizers())
-    for U in [*(RandomInstant(idx, lattice.n_instants) for idx in listed), *brute.optimizers]:
-        optimal = all(certified[i] >> p & 1 for p, i in enumerate(U.indices))
-        achieved = expected_value(lattice, U.value_of(process))
-        if optimal != (achieved == brute.value):
-            return (
-                f"certificate says {optimal} but value {achieved} vs "
-                f"optimum {brute.value} at {U.assignment}"
-            )
-    raise InvariantError("the certificate folds disagree but no stopping time does")
+    at = RandomInstant(witness, lattice.n_instants).assignment
+    return f"certificate says {optimal} but value {achieved} vs optimum {optimum} at {at}"
 
 
-def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
+def check_sandwich(lattice, meyer, process) -> str | None:
     """Optional-regime instances: the sigma time is the largest optimal time,
     and the delta time (which is how the smallest one is built) and the
-    sigma reading bracket every optimal time."""
+    sigma reading bracket every optimal time; a ranked fold names any escapee."""
     try:
-        result, zbar, decomp = _smallest_largest(lattice, meyer, process, guard)
+        result, zbar, decomp = _smallest_largest(lattice, meyer, process)
     except PreconditionError as exc:
         return f"SKIP: {exc}"
     except LatticeError as exc:
@@ -329,7 +318,7 @@ def check_sandwich(lattice, meyer, process, guard=DEFAULT_GUARD) -> str | None:
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
     hi = from_divided_quadruple(lattice, ss.quadruple)
-    if escapee := _escapee(lattice, meyer, process, result.brute, result.smallest, hi):
+    if escapee := _escapee(lattice, meyer, process, result.smallest, hi):
         return f"{escapee} escapes the delta/sigma bracket"
     return None
 

@@ -45,10 +45,6 @@ def _mask(paths) -> int:
     return sum(1 << p for p in paths)
 
 
-def _scope_mask(lattice: FilteredLattice, scope: frozenset[int] | None) -> int:
-    return (1 << lattice.n_paths) - 1 if scope is None else _mask(scope)
-
-
 def _check_guard(total: int, guard: int | None) -> None:
     if guard is not None and total > guard:
         raise EnumerationGuardError(f"{total} stopping times exceed the guard of {guard}")
@@ -92,7 +88,8 @@ class _Decisions:
         self.n_inst = lattice.n_instants
         fields = [*field_partitions(lattice, meyer, kind), [range(self.n_paths)]]
         self.owner = [{p: k for k, atom in enumerate(part) for p in atom} for part in fields]
-        self.allowed = allowed or [(1 << self.n_paths) - 1] * (self.n_inst + 1)
+        self.everyone = (1 << self.n_paths) - 1
+        self.allowed = allowed or [self.everyone] * (self.n_inst + 1)
         self.roots: dict[tuple[int, int], list[_Part]] = {}
 
     def parts(self, i: int, active: int) -> list[_Part]:
@@ -178,11 +175,10 @@ def count_stopping_times(
     meyer: MeyerStructure,
     kind: Kind = Kind.LAMBDA,
     lower: RandomInstant | None = None,
-    scope: frozenset[int] | None = None,
 ) -> int:
-    """Number of stopping times (with T >= lower pathwise, within scope)."""
+    """Number of stopping times (with T >= lower pathwise)."""
     steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
-    return _fold(steps)(0, _scope_mask(lattice, scope))[2]
+    return _fold(steps)(0, steps.everyone)[2]
 
 
 def iter_stopping_index_tuples(
@@ -190,19 +186,17 @@ def iter_stopping_index_tuples(
     meyer: MeyerStructure,
     kind: Kind = Kind.LAMBDA,
     lower: RandomInstant | None = None,
-    scope: frozenset[int] | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> Iterator[tuple[int, ...]]:
     """Yield stopping times as index tuples; n_instants stands for TERMINAL.
 
-    Paths outside `scope` are pinned to TERMINAL.  With `lower` set, only
-    times with T >= lower per path are produced.  The guard bounds the total
-    count, the number of times listed, before the walk starts.
+    With `lower` set, only times with T >= lower per path are produced.  The
+    guard bounds the total count, the number of times listed, before the
+    walk starts.
     """
     steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
-    active = _scope_mask(lattice, scope)
-    _check_guard(_fold(steps)(0, active)[2], guard)
-    yield from _walk(steps, 0, active)
+    _check_guard(_fold(steps)(0, steps.everyone)[2], guard)
+    yield from _walk(steps, 0, steps.everyone)
 
 
 def enumerate_stopping_times(
@@ -212,7 +206,7 @@ def enumerate_stopping_times(
     lower: RandomInstant | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> Iterator[RandomInstant]:
-    for idx in iter_stopping_index_tuples(lattice, meyer, kind, lower, None, guard):
+    for idx in iter_stopping_index_tuples(lattice, meyer, kind, lower, guard):
         yield RandomInstant(idx, lattice.n_instants)
 
 
@@ -229,18 +223,43 @@ class _Optimum(NamedTuple):
 def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed) -> _Optimum:
     """Maximize E[process_T] over the stopping times within `allowed`.
 
-    The probability-weighted cells are scaled once to integers over their
-    common denominator; one fold gives the value, the maximizer count and
-    the count of times, at one visit per node whatever the count.  Nothing
-    is listed until `maximizers()` starts a walk, in walk order, of the
-    `ways` maximizers; a caller that lists them bounds `ways` first.
+    One fold over the `_weighted` cells gives the value, the maximizer count
+    and the count of times, at one visit per node whatever the count.
+    Nothing is listed until `maximizers()` starts a walk, in walk order, of
+    the `ways` maximizers; a caller that lists them bounds `ways` first.
     """
-    probs = lattice.probabilities
-    gains, den = _scaled([[c * v for c, v in zip(probs, col)] for col in process.columns])
+    gains, den = _weighted(lattice, process)
     steps = _Decisions(lattice, meyer, kind, allowed)
-    (best, ways, total), attaining = _best(steps, gains, 0, _scope_mask(lattice, None))
+    (best, ways, total), attaining = _best(steps, gains, 0, steps.everyone)
     top = None if best is None else Fraction(best, den)
     return _Optimum(top, ways, total, attaining)
+
+
+def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
+    """The max of E[process_T] over every Lambda-stopping time, and an optimal
+    time with a cell outside `allowed` (None if there is none), in one fold.
+
+    Times rank by value, then by their cells outside `allowed`: a cell gains
+    g·(n_paths + 1) + [outside], and a time has n_paths cells, so the best
+    sum's quotient by n_paths + 1 is the optimum and its remainder is > 0
+    exactly when an optimal time leaves `allowed`; the attaining walk's
+    first time is one.
+    """
+    gains, den = _weighted(lattice, process)
+    rank = lattice.n_paths + 1
+    ranked = [
+        [g * rank + 1 - (inside >> p & 1) for p, g in enumerate(row)]
+        for row, inside in zip(gains, allowed)
+    ]
+    steps = _Decisions(lattice, meyer, Kind.LAMBDA)
+    (best, _, _), attaining = _best(steps, ranked, 0, steps.everyone)
+    return Fraction(best // rank, den), next(attaining()) if best % rank else None
+
+
+def _weighted(lattice: FilteredLattice, process: LatticeProcess) -> tuple[list[list[int]], int]:
+    """The cells P(p)·process[i][p] as `_scaled` integers, and their denominator."""
+    probs = lattice.probabilities
+    return _scaled([[c * v for c, v in zip(probs, col)] for col in process.columns])
 
 
 def _scaled(rows) -> tuple[list[list[int]], int]:

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
-from .enumeration import DEFAULT_GUARD, EnumerationGuardError, _between, _check_guard, _maximum
+from .enumeration import DEFAULT_GUARD, _between, _check_guard, _maximum, _ranked
 from .enumeration import iter_stopping_index_tuples
 from .lattice import (
     DividedQuadruple,
@@ -43,6 +43,7 @@ from .lattice import (
     reward_fault,
     to_divided_quadruple,
 )
+from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
 
 def expected_value(lattice: FilteredLattice, rv) -> Fraction:
@@ -445,37 +446,34 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SmallestLargest:
-    """The optimizers are built from `brute` on first read."""
+    """The optimizers are listed by `brute()`, within its guard, on first read."""
 
     smallest: RandomInstant
     largest: RandomInstant
-    brute: BruteForceResult = field(repr=False, compare=False)
+    brute: Callable[[], BruteForceResult] = field(repr=False, compare=False)
 
-    @property
+    @cached_property
     def all_optimal(self) -> tuple[RandomInstant, ...]:
-        return self.brute.optimizers
+        return self.brute().optimizers
 
 
 def smallest_largest_optimal(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     process: LatticeProcess,
-    guard: int | None = DEFAULT_GUARD,
 ) -> SmallestLargest:
     """Entry times of {Z = Zbar} and of {M != Zbar}; optional structure and
     both semicontinuity predicates are required.
 
-    Every optimal stopping time is sandwiched between the two pathwise.
-    The guard bounds only listings of the optimizers: `all_optimal`, and
-    the search for one that escapes the sandwich.
+    Every optimal stopping time is sandwiched between the two pathwise; a
+    ranked fold checks that at any size and names a time that escapes.  Only
+    `all_optimal` lists, within `snell_brute_force`'s default guard.
     """
-    return _smallest_largest(lattice, meyer, process, guard)[0]
+    return _smallest_largest(lattice, meyer, process)[0]
 
 
-def _smallest_largest(lattice, meyer, process, guard):
+def _smallest_largest(lattice, meyer, process):
     """`smallest_largest_optimal`, with the envelope and decomposition it built."""
-    from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
-
     if tuple(meyer.meyer_fields) != tuple(lattice.filtration):
         raise PreconditionError(
             "optional structure required: meyer fields must equal the filtration"
@@ -502,22 +500,16 @@ def _smallest_largest(lattice, meyer, process, guard):
     ):
         raise LatticeError("entry-time candidates failed their optimality certificates")
 
-    brute = snell_brute_force(lattice, meyer, process, guard)
-    if escapee := _escapee(lattice, meyer, process, brute, smallest, largest):
+    if escapee := _escapee(lattice, meyer, process, smallest, largest):
         raise LatticeError(f"{escapee} escapes the sandwich")
+    brute = partial(snell_brute_force, lattice, meyer, process)
     return SmallestLargest(smallest=smallest, largest=largest, brute=brute), zbar, decomp
 
 
-def _escapee(lattice, meyer, process, brute, lower, upper) -> str | None:
-    """An optimal time outside [lower, upper], named, or None: every optimal
-    time lies inside exactly when the fold restricted to the bracket attains
-    the optimum as often as the unrestricted one does.  Over the guard, the
-    folds' counts stand in for the name."""
-    inside = _maximum(lattice, meyer, process, Kind.LAMBDA, _between(lattice, lower, upper))
-    if inside.value == brute.value and inside.ways == brute.optimizer_count:
+def _escapee(lattice, meyer, process, lower, upper) -> str | None:
+    """An optimal time outside [lower, upper], named, or None: the ranked
+    fold on the bracket's cells names one at any size."""
+    _, outside = _ranked(lattice, meyer, process, _between(lattice, lower, upper))
+    if outside is None:
         return None
-    try:
-        U = next(U for U in brute.optimizers if not lower <= U <= upper)
-    except EnumerationGuardError as exc:
-        return f"one of {brute.optimizer_count} optimal times ({inside.ways} in the bracket; {exc})"
-    return f"optimal time {U.assignment}"
+    return f"optimal time {RandomInstant(outside, lattice.n_instants).assignment}"

@@ -20,7 +20,13 @@ import pytest
 
 from conftest import build_lattice, full_divided_stops
 from meyerstop import Scenario, checks, cli, enumeration, projection, representation
-from meyerstop.enumeration import _between, _cells, _maximum, iter_stopping_index_tuples
+from meyerstop.enumeration import (
+    DEFAULT_GUARD,
+    _between,
+    _cells,
+    _maximum,
+    iter_stopping_index_tuples,
+)
 from meyerstop.lattice import (
     AT,
     INT,
@@ -499,9 +505,8 @@ def plain_solve(problem):
                 tuple(u + 1 if p in block else n for p in range(lattice.n_paths)), n
             )
             best = None
-            for cand in iter_stopping_index_tuples(
-                lattice, meyer, Kind.LAMBDA, lower=lower, scope=block
-            ):
+            # `lower` pins the paths outside the block to TERMINAL
+            for cand in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, lower=lower):
                 terms = []
                 rhs = Fraction(0)
                 for p in block:
@@ -1021,9 +1026,14 @@ def test_largest_optimal_time_matches_the_entry_loop():
     assert parities[0] == 0 and min(parities[1], parities["terminal"]) > 20, parities
 
 
+def _suite_row(sc, name, guard):
+    """The message of the suite row `name`, run alone at `guard`."""
+    return dict(cli._suite_checks(sc, guard))[name]()
+
+
 def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
     # with the sigma reading moved to instant 0, the bracket keeps only the
-    # optimal times at 0, so the check must name one of the others
+    # optimal times at 0, so the row must name one of the others, at any guard
     monkeypatch.setattr(
         checks,
         "from_divided_quadruple",
@@ -1042,46 +1052,75 @@ def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
             Z = usc_reward(rng, lattice)
             smallest = smallest_largest_optimal(lattice, meyer, Z).smallest
             zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
+            brute = snell_brute_force(lattice, meyer, Z)
             escapees = {
                 f"optimal time {U.assignment} escapes the delta/sigma bracket"
-                for U in snell_brute_force(lattice, meyer, Z).optimizers
+                for U in brute.optimizers
                 if not smallest <= U <= zero
             }
             message = checks.check_sandwich(lattice, meyer, Z)
             assert (message is None) == (not escapees), (seed, message)
             assert message is None or message in escapees, (seed, message)
             verdicts[message is None] += 1
-            # past the guard the folds' counts stand in for the name
-            ways = snell_brute_force(lattice, meyer, Z).optimizer_count
-            past = checks.check_sandwich(lattice, meyer, Z, guard=ways - 1)
-            assert (past is None) == (message is None), (seed, past)
-            assert past is None or past.startswith(f"one of {ways} optimal times ("), past
-            assert past is None or past.endswith(
-                f"exceed the guard of {ways - 1}) escapes the delta/sigma bracket"
-            ), past
+            # the suite row reads the same at any guard, below the optimizers too
+            alone = Scenario(lattice=lattice, meyer=meyer, processes={"Z": Z})
+            for guard in (2, brute.optimizer_count - 1, DEFAULT_GUARD):
+                assert _suite_row(alone, "stop/sandwich[Z]", guard) == message, (seed, guard)
     assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_disagreeing_certificate_folds_fail_past_the_guard(monkeypatch):
-    # certifying every cell makes the folds disagree: within the guard the
-    # row names a witness, past it the folds' counts; it never skips
+    # certifying every cell makes the folds disagree: the row names a
+    # witness of the plain loop at any guard, and never skips
     sc = generate_instance(
         RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
     )
     lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
     monkeypatch.setattr(checks, "_cells", lambda lattice, allowed: _between(lattice, None))
-    assert checks.check_optimality_oracle(lattice, meyer, Z).startswith("certificate says ")
-    brute = snell_brute_force(lattice, meyer, Z)
-    counts = f"745 certified times ({brute.optimizer_count} at {brute.value})"
-    optimal = f"{brute.optimizer_count} optimal at {brute.value}"
-    message = f"{counts} vs {optimal}, past the guard of 2"
-    assert checks.check_optimality_oracle(lattice, meyer, Z, guard=2) == message
-    rows = {r["property"]: r for r in cli.run_suite(sc, guard=2)[0]["checks"]}
-    assert rows["optimality/certificates[Z]"] == {
-        "property": "optimality/certificates[Z]",
-        "status": "FAIL",
-        "detail": message,
-    }
+    everything = {(p, i) for p in range(lattice.n_paths) for i in range(lattice.n_instants + 1)}
+    disagreements = set(plain_optimality_oracle(lattice, meyer, Z, everything))
+    assert disagreements and all(m.startswith("certificate says True ") for m in disagreements)
+    ways = snell_brute_force(lattice, meyer, Z).optimizer_count
+    for guard in (2, ways - 1, DEFAULT_GUARD):
+        rows = {r["property"]: r for r in cli.run_suite(sc, guard=guard)[0]["checks"]}
+        row = rows["optimality/certificates[Z]"]
+        assert row["status"] == "FAIL" and row["detail"] in disagreements, (guard, row)
+        assert not any("past the guard" in r["detail"] for r in rows.values()), guard
+
+
+def test_the_ranked_fold_names_an_optimal_time_outside_its_table():
+    # drawn cell tables and brackets: the fold names a time exactly when an
+    # optimal time of the plain listing leaves the table, and it is one of them
+    seen = {"named": 0, "inside": 0}
+    for seed, sc in small_family():
+        lattice, meyer = sc.lattice, sc.meyer
+        n = lattice.n_instants
+        rng = random.Random(seed)
+        stops = sorted(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA))
+        for name in ("L", "Z"):
+            process = sc.processes[name]
+            worth = {
+                idx: expected_value(lattice, RandomInstant(idx, n).value_of(process))
+                for idx in stops
+            }
+            optimum = max(worth.values())
+            optimal = [idx for idx in stops if worth[idx] == optimum]
+            for _ in range(3):
+                if rng.random() < 0.5:
+                    table = _cells(lattice, lambda p, i: rng.random() < 0.8)
+                else:
+                    ends = [rng.choice(optimal), rng.choice(stops)]
+                    lo, hi = (RandomInstant(tuple(map(f, *ends)), n) for f in (min, max))
+                    table = _between(lattice, lo, hi)
+                outside = {
+                    idx for idx in optimal if any(not table[i] >> p & 1 for p, i in enumerate(idx))
+                }
+                value, named = enumeration._ranked(lattice, meyer, process, table)
+                assert value == optimum, (seed, name)
+                assert (named is None) == (not outside), (seed, name, named)
+                assert named is None or named in outside, (seed, name, named)
+                seen["inside" if named is None else "named"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_a_just_before_stop_at_epoch_zero_has_no_reading():

@@ -208,6 +208,21 @@ def test_cli_ell_grid_flag(capsys):
     assert "ell: 3/2" in out
 
 
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("1/0", "error: --ell-grid[0]: malformed rational '1/0' (Fraction(1, 0))"),
+        ("1,x", "error: --ell-grid[1]: malformed rational 'x' (Invalid literal for Fraction: 'x')"),
+    ],
+)
+def test_a_malformed_ell_grid_is_a_validation_failure(grid, message, capsys):
+    # a level is read as a scenario reads a rational: one error line, exit 1
+    argv = ["signal", "--scenario", str(FIXTURES / "signal_chain.scn"), "--ell-grid", grid]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_suite_byte_identical_across_jobs(tmp_path):
     # `--jobs` is accepted and changes nothing
     for name in ("branch.scn", "deterministic.scn", "signal_chain.scn"):

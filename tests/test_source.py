@@ -475,3 +475,107 @@ def test_the_guard_scan_sees_each_form():
         "m.py:16 checks the guard in outer, which lists nothing",
         "m.py:18 checks the guard at module level",
     ]
+
+
+# The functions that take a `guard`: each lists stopping times, checks the
+# guard before a listing, or hands the guard on to one that lists.
+GUARDED = {
+    "checks.check_universal_signal",
+    "cli._suite_checks",
+    "cli.run_command",
+    "cli.run_suite",
+    "enumeration._check_guard",
+    "enumeration.enumerate_stopping_times",
+    "enumeration.iter_stopping_index_tuples",
+    "representation.universal_signal_check",
+    "snell.enumerate_divided_stops",
+    "snell.snell_brute_force",
+}
+
+
+def _guard_parameters(name: str, tree: ast.AST) -> set[str]:
+    """module.function for each function of `tree` with a `guard` parameter."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return {
+        f"{name.removesuffix('.py')}.{getattr(fn, 'name', '<lambda>')}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, functions)
+        for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+        if arg.arg == "guard"
+    }
+
+
+def test_only_listings_take_a_guard():
+    # a fold reads a value, a count or a witness at any size, so a function
+    # that only folds has no guard to take
+    found = set().union(
+        *(
+            _guard_parameters(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))
+        )
+    )
+    assert found == GUARDED, sorted(found ^ GUARDED)
+
+
+def test_the_guard_parameter_scan_sees_each_form():
+    tree = ast.parse(
+        "def listing(steps, guard):\n    pass\n"
+        "def keyword(steps, *, guard=None):\n    pass\n"
+        "def only(guard, /):\n    pass\n"
+        "async def later(guard=1):\n    pass\n"
+        "class C:\n    def method(self, guard):\n        pass\n"
+        "def outer():\n    def inner(guard):\n        pass\n"
+        "quick = lambda guard: guard\n"
+        "def other(guards, guarded, **guard_kw):\n    return guard\n"
+    )
+    assert _guard_parameters("m.py", tree) == {
+        "m.listing",
+        "m.keyword",
+        "m.only",
+        "m.later",
+        "m.method",
+        "m.inner",
+        "m.<lambda>",
+    }
+
+
+def _local_imports(name: str, tree: ast.AST) -> list[str]:
+    """Lines that import inside a function, lambda bodies aside."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    lines = {
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, functions)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"{name}:{line} imports inside a function" for line in sorted(lines)]
+
+
+def test_imports_are_at_module_level():
+    # every module states what it uses at its top; none of the package's
+    # modules import each other in a cycle that would call for a late import
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _local_imports(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_import_scan_sees_each_form():
+    tree = ast.parse(
+        "import os\nfrom .lattice import Kind\n"
+        "if TYPE_CHECKING:\n    from .snell import Stop\n"
+        "def f():\n    import json\n    from .lattice import Kind\n"
+        "class C:\n    def method(self):\n        from . import checks\n"
+        "def outer():\n    def inner():\n        import sys\n    return inner\n"
+        "async def later():\n    import math\n"
+    )
+    assert _local_imports("m.py", tree) == [
+        "m.py:6 imports inside a function",
+        "m.py:7 imports inside a function",
+        "m.py:10 imports inside a function",
+        "m.py:13 imports inside a function",
+        "m.py:16 imports inside a function",
+    ]
