@@ -3,7 +3,9 @@
 Each check returns None on success or a failure message; the suite command
 turns these into PASS/FAIL rows and the acceptance tests reuse them.  All
 checks are exact: every quantity is rational, so an approximate comparison
-could only hide a real defect.
+could only hide a real defect.  The rows about a reward's envelope read the
+envelope `zbar` and decomposition `decomp` that the suite built once for
+that reward, and verify what they are given; no check here builds either.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ from .snell import (
     is_lambda_supermartingale,
     lambda_entry_time,
     martingale_reach,
-    mertens_decompose,
     sigma_stop,
     snell_brute_force,
-    snell_envelope,
 )
 
 
@@ -130,8 +130,7 @@ def check_usc_equivalence(lattice, meyer, process) -> str | None:
     return check_usc_sequence_equivalence(lattice, meyer, process).counterexample
 
 
-def check_snell_oracle(lattice, meyer, process) -> str | None:
-    zbar = snell_envelope(lattice, meyer, process)
+def check_snell_oracle(lattice, meyer, process, zbar) -> str | None:
     brute = snell_brute_force(lattice, meyer, process)
     root = expected_value(lattice, zbar.columns[0])
     if root != brute.value:
@@ -139,8 +138,7 @@ def check_snell_oracle(lattice, meyer, process) -> str | None:
     return None
 
 
-def check_envelope_dominance(lattice, meyer, process) -> str | None:
-    zbar = snell_envelope(lattice, meyer, process)
+def check_envelope_dominance(lattice, meyer, process, zbar) -> str | None:
     if not is_measurable(lattice, meyer, zbar, Kind.LAMBDA):
         return "envelope is not Lambda-measurable"
     if not is_lambda_supermartingale(lattice, meyer, zbar):
@@ -152,17 +150,16 @@ def check_envelope_dominance(lattice, meyer, process) -> str | None:
     return None
 
 
-def check_mertens(lattice, meyer, process) -> str | None:
-    """Jump formulas, monotonicity, measurability, and touch inclusions."""
-    zbar = snell_envelope(lattice, meyer, process)
-    d = mertens_decompose(lattice, meyer, zbar)
+def check_mertens(lattice, meyer, process, zbar, decomp) -> str | None:
+    """Jump formulas, monotonicity, measurability, and touch inclusions of
+    the decomposition `decomp` of the envelope `zbar`."""
     left = envelope(lattice, zbar, Side.LEFT)
     left_reward = envelope(lattice, process, Side.LEFT)
     right = envelope(lattice, zbar, Side.RIGHT)
     pred = project(lattice, meyer, zbar, Kind.PREDICTABLE)
     lam_right = project(lattice, meyer, right, Kind.LAMBDA)
 
-    if any(v != 0 for v in d.delta_a[0]):
+    if any(v != 0 for v in decomp.delta_a[0]):
         return "A jumps at epoch 0"
     z, env = process.columns, zbar.columns
     for k in range(lattice.epoch_count + 1):
@@ -171,7 +168,7 @@ def check_mertens(lattice, meyer, process) -> str | None:
             q.columns[idx] for q in (left, left_reward, pred, lam_right)
         )
         for p in range(lattice.n_paths):
-            da, db = d.delta_a[k][p], d.delta_b[k][p]
+            da, db = decomp.delta_a[k][p], decomp.delta_b[k][p]
             if k >= 1 and da != left_env[p] - pred_env[p]:
                 return f"delta-A formula fails at epoch {k}, path {p}"
             if db != env[idx][p] - cont[p]:
@@ -187,35 +184,34 @@ def check_mertens(lattice, meyer, process) -> str | None:
                 return f"envelope differs from continuation-vs-reward max at epoch {k}, path {p}"
             if k >= 1 and left_env[p] != max(pred_env[p], left_z[p]):
                 return f"left-limit max identity fails at epoch {k}, path {p}"
-    if not is_lambda_martingale(lattice, meyer, d.m):
+    if not is_lambda_martingale(lattice, meyer, decomp.m):
         return "M is not a Lambda-martingale"
-    if not is_measurable(lattice, meyer, d.a, Kind.PREDICTABLE):
+    if not is_measurable(lattice, meyer, decomp.a, Kind.PREDICTABLE):
         return "A is not predictable"
-    if not is_measurable(lattice, meyer, d.b, Kind.LAMBDA):
+    if not is_measurable(lattice, meyer, decomp.b, Kind.LAMBDA):
         return "B is not Lambda-measurable"
     n = lattice.n_instants
+    m, bs = decomp.m.columns, decomp.b_shifted.columns
     for p in range(lattice.n_paths):
         # each path's A and B through their terminal columns
-        a, b = [c[p] for c in d.a.columns], [c[p] for c in d.b.columns]
+        a, b = [c[p] for c in decomp.a.columns], [c[p] for c in decomp.b.columns]
         if any(x > y for x, y in zip(a, a[1:])):
             return f"A is not nondecreasing on path {p}"
         if any(x > y for x, y in zip(b, b[1:])) or b[n - 1] != b[n]:
             return f"B is not nondecreasing-with-flat-terminal on path {p}"
         for idx in range(n):
-            recon = d.m.columns[idx][p] - d.a.columns[idx][p] - d.b_shifted.columns[idx][p]
-            if recon != env[idx][p]:
+            if m[idx][p] - a[idx] - bs[idx][p] != env[idx][p]:
                 return f"Zbar = M - A - B_- fails at path {p}, index {idx}"
-        if d.m.columns[n][p] - d.a.columns[n][p] - d.b_shifted.columns[n][p] != 0:
+        if m[n][p] - a[n] - bs[n][p] != 0:
             return f"terminal reconstruction fails on path {p}"
     return None
 
 
-def check_delta(lattice, meyer, process, starts) -> str | None:
+def check_delta(lattice, meyer, process, zbar, decomp, starts) -> str | None:
     """Relaxation exactness from every start: E[Zbar_S] = E[Z at delta_S]
     = max over divided stops from S (Lambda-stopping times T >= S read on
     time), plus the conditional identity and the lambda-entry stabilization.
     Each maximum is one fold, read at any size."""
-    zbar = snell_envelope(lattice, meyer, process)
     ratios = [
         z / env
         for z_col, env_col in zip(process.columns, zbar.columns)
@@ -224,7 +220,6 @@ def check_delta(lattice, meyer, process, starts) -> str | None:
     ]
     lam_star = max(ratios) if ratios else Fraction(0)
     lam = (1 + lam_star) / 2
-    decomp = mertens_decompose(lattice, meyer, zbar)
 
     for S in starts:
         ds = delta_stop(lattice, meyer, process, S, zbar)
@@ -258,9 +253,7 @@ def check_delta(lattice, meyer, process, starts) -> str | None:
     return None
 
 
-def check_sigma(lattice, meyer, process, starts) -> str | None:
-    zbar = snell_envelope(lattice, meyer, process)
-    decomp = mertens_decompose(lattice, meyer, zbar)
+def check_sigma(lattice, meyer, process, zbar, decomp, starts) -> str | None:
     for S in starts:
         ss = sigma_stop(lattice, meyer, process, S, zbar, decomp)
         report = validate_divided(lattice, meyer, ss.quadruple)
@@ -276,7 +269,7 @@ def check_sigma(lattice, meyer, process, starts) -> str | None:
     return None
 
 
-def check_optimality_oracle(lattice, meyer, process) -> str | None:
+def check_optimality_oracle(lattice, meyer, process, zbar) -> str | None:
     """Certificate verdict iff brute-force optimality, for every stopping time.
 
     The certificate of `check_optimality` holds at U iff each cell of U is
@@ -286,7 +279,6 @@ def check_optimality_oracle(lattice, meyer, process) -> str | None:
     optimal time leaves the certified cells (the ranked fold on them).  Each
     fold names its witness by one step of its walk, at any size.
     """
-    zbar = snell_envelope(lattice, meyer, process)
     reach = martingale_reach(lattice, meyer, zbar)
     z, env = process.columns, zbar.columns
     certified = _cells(lattice, lambda p, i: z[i][p] == env[i][p] and i <= reach[p])
@@ -303,12 +295,12 @@ def check_optimality_oracle(lattice, meyer, process) -> str | None:
     return f"certificate says {optimal} but value {achieved} vs optimum {optimum} at {at}"
 
 
-def check_sandwich(lattice, meyer, process) -> str | None:
+def check_sandwich(lattice, meyer, process, zbar, decomp) -> str | None:
     """Optional-regime instances: the sigma time is the largest optimal time,
     and the delta time (which is how the smallest one is built) and the
     sigma reading bracket every optimal time; a ranked fold names any escapee."""
     try:
-        result, zbar, decomp = _smallest_largest(lattice, meyer, process)
+        result = _smallest_largest(lattice, meyer, process, zbar, decomp)
     except PreconditionError as exc:
         return f"SKIP: {exc}"
     except LatticeError as exc:

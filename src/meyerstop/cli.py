@@ -255,33 +255,37 @@ def run_command(
 
 def _suite_checks(scenario: Scenario, guard: int):
     """The canonical (name, thunk) list for the regression battery.  A
-    process row calls its check on (lattice, meyer, process, *extra); the
-    rows that need an envelope run only on a valid reward."""
+    process row calls its check on (lattice, meyer, process, *extra).  The
+    rows about a reward's envelope run only on a valid reward; the suite
+    builds that reward's `snell_envelope` and `mertens_decompose` once, here,
+    and those rows read them."""
     lattice, meyer = scenario.lattice, scenario.meyer
     items = [
         ("lattice/valid", lambda: checks.check_lattice_valid(lattice, meyer)),
         ("projection/normalization", lambda: checks.check_projection_normalization(lattice, meyer)),
     ]
     zero = [RandomInstant.constant(lattice, Instant(0, AT))]
-    projection_rows = [
-        ("projection/tower", checks.check_projection_tower, ()),
-        ("projection/linearity", checks.check_projection_linearity, ()),
-        ("projection/duality", checks.check_projection_duality, ()),
-        ("projection/fatou", checks.check_fatou, ()),
-    ]
-    reward_rows = [
-        ("usc/equivalence", checks.check_usc_equivalence, ()),
-        ("snell/oracle", checks.check_snell_oracle, ()),
-        ("snell/dominance", checks.check_envelope_dominance, ()),
-        ("mertens/identities", checks.check_mertens, ()),
-        ("stop/delta", checks.check_delta, (zero,)),
-        ("stop/sigma", checks.check_sigma, (zero,)),
-        ("optimality/certificates", checks.check_optimality_oracle, ()),
-        ("stop/sandwich", checks.check_sandwich, ()),
-    ]
     for name in sorted(scenario.processes):
         proc = scenario.processes[name]
-        rows = projection_rows + (reward_rows if reward_fault(lattice, meyer, proc) is None else [])
+        rows = [
+            ("projection/tower", checks.check_projection_tower, ()),
+            ("projection/linearity", checks.check_projection_linearity, ()),
+            ("projection/duality", checks.check_projection_duality, ()),
+            ("projection/fatou", checks.check_fatou, ()),
+        ]
+        if reward_fault(lattice, meyer, proc) is None:
+            zbar = snell_envelope(lattice, meyer, proc)
+            decomp = mertens_decompose(lattice, meyer, zbar)
+            rows += [
+                ("usc/equivalence", checks.check_usc_equivalence, ()),
+                ("snell/oracle", checks.check_snell_oracle, (zbar,)),
+                ("snell/dominance", checks.check_envelope_dominance, (zbar,)),
+                ("mertens/identities", checks.check_mertens, (zbar, decomp)),
+                ("stop/delta", checks.check_delta, (zbar, decomp, zero)),
+                ("stop/sigma", checks.check_sigma, (zbar, decomp, zero)),
+                ("optimality/certificates", checks.check_optimality_oracle, (zbar,)),
+                ("stop/sandwich", checks.check_sandwich, (zbar, decomp)),
+            ]
         items += [
             (f"{row}[{name}]", lambda c=check, p=proc, x=extra: c(lattice, meyer, p, *x))
             for row, check, extra in rows

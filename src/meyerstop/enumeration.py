@@ -31,6 +31,7 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
+    _scaled,
     field_partitions,
 )
 
@@ -260,13 +261,6 @@ def _weighted(lattice: FilteredLattice, process: LatticeProcess) -> tuple[list[l
     """The cells P(p)·process[i][p] as `_scaled` integers, and their denominator."""
     probs = lattice.probabilities
     return _scaled([[c * v for c, v in zip(probs, col)] for col in process.columns])
-
-
-def _scaled(rows) -> tuple[list[list[int]], int]:
-    """Rational rows as integer rows over their least common denominator,
-    and that denominator."""
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def _best(steps: _Decisions, gains, start: int, active: int):

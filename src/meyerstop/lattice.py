@@ -21,15 +21,19 @@ Information is one partition of the path set per instant:
 
 where F is the filtration and G is the Meyer structure squeezed between
 F_{k-1} and F_k.  All values are exact rationals; there is no floating
-point anywhere in this module.
+point anywhere in this module.  Averages run on integers: the lattice keeps
+its path probabilities as integer weights over one common mass, a column is
+scaled to integers over one denominator (`_scaled`), and each atom's
+average is one integer sum and one `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Callable, Iterable, Sequence
 
 AT = "AT"
@@ -191,6 +195,13 @@ class FilteredLattice:
     def probabilities(self) -> tuple[Fraction, ...]:
         return tuple(p.probability for p in self.paths)
 
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], int]:
+        """The path probabilities as integer weights over one common mass,
+        and that mass, built once per lattice."""
+        (weights,), mass = _scaled([self.probabilities])
+        return tuple(weights), mass
+
     @property
     def path_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.paths)
@@ -326,21 +337,46 @@ def conditional_expectation(
     rv: Sequence[Fraction],
     partition: Partition,
 ) -> tuple[Fraction, ...]:
-    """Probability-weighted average per atom, exact and constant on atoms."""
-    if len(rv) != lattice.n_paths:
+    """Probability-weighted average per atom, exact and constant on atoms.
+
+    The path weights are integers over the lattice's one mass and `rv` is
+    scaled to integers over one denominator, so each atom's average is one
+    integer sum and one `Fraction`.  An empty block, a path index out of
+    range, a path in two blocks or an uncovered path raises LatticeError.
+    """
+    n = lattice.n_paths
+    if len(rv) != n:
         raise LatticeError("random variable length does not match path count")
-    probs = lattice.probabilities
-    out: list[Fraction] = [Fraction(0)] * lattice.n_paths
+    weights, _ = lattice.weights
+    (nums,), den = _scaled([rv])
+    out: list = [None] * n
     covered = 0
     for block in partition:
-        mass = sum((probs[i] for i in block), Fraction(0))
-        avg = sum((probs[i] * rv[i] for i in block), Fraction(0)) / mass
+        if not block:
+            raise LatticeError("partition has an empty block")
+        num = mass = 0
+        for i in block:
+            if not 0 <= i < n:
+                raise LatticeError(f"path {i} is not one of the lattice's {n} paths")
+            if out[i] is not None:
+                raise LatticeError(f"path {i} lies in two blocks of the partition")
+            out[i] = block
+            num += weights[i] * nums[i]
+            mass += weights[i]
+        avg = Fraction(num, mass * den)
         for i in block:
             out[i] = avg
         covered += len(block)
-    if covered != lattice.n_paths:
+    if covered != n:
         raise LatticeError("partition does not cover the path set")
     return tuple(out)
+
+
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over their least common denominator,
+    and that denominator."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .enumeration import DEFAULT_GUARD, _best, _Decisions, _mask, _scaled
+from .enumeration import DEFAULT_GUARD, _best, _Decisions, _mask
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -36,6 +36,7 @@ from .lattice import (
     _divided_readings,
     _first_hits,
     _require_shape,
+    _scaled,
     conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,

@@ -15,6 +15,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Sequence
 
 from .lattice import (
@@ -82,13 +83,16 @@ class Scenario:
         if self.signal is not None and self.reward is not None:
             raise ScenarioError("signal and reward: name exactly one, not both")
 
-    def build_g(self) -> GFamily | None:
+    @cached_property
+    def g(self) -> GFamily | None:
+        """The family that `g_spec` describes, parsed on first read;
+        `parse_scenario` hands over the one it built, so it parses g once."""
         if self.g_spec is None:
             return None
         return _g_from_spec(self.g_spec, self.lattice)
 
     def build_problem(self) -> RepresentationProblem | None:
-        g = self.build_g()
+        g = self.g
         if g is None or self.mu is None:
             return None
         validate_g(self.lattice, self.meyer, g)
@@ -260,11 +264,11 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         rows = _parse_value_rows(raw_procs[name], ids, n, f"processes.{name}")
         processes[name] = LatticeProcess.from_rows(rows)
 
-    g_spec = None
+    g_spec = g = None
     if "g" in doc:
         if not isinstance(doc["g"], dict):
             raise ScenarioError("g: expected an object")
-        g_spec = _canonical_g_spec(doc["g"], lattice, strict)
+        g_spec, g = _canonical_g_spec(doc["g"], lattice, strict)
 
     mu = None
     if "mu" in doc:
@@ -291,7 +295,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     if commands is not None and not isinstance(commands, dict):
         raise ScenarioError("commands: expected an object")
 
-    return Scenario(
+    scenario = Scenario(
         lattice=lattice,
         meyer=meyer,
         processes=processes,
@@ -302,10 +306,16 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         ell_grid=ell_grid,
         commands=commands,
     )
+    # the frozen scenario's `g` cache, filled with the family parsed above
+    object.__setattr__(scenario, "g", g)
+    return scenario
 
 
-def _canonical_g_spec(raw: dict, lattice: FilteredLattice, strict: bool) -> dict:
-    """Normalize a g spec: rationals to lowest-term strings, keys ordered.
+def _canonical_g_spec(
+    raw: dict, lattice: FilteredLattice, strict: bool
+) -> tuple[dict, GFamily]:
+    """Normalize a g spec: rationals to lowest-term strings, keys ordered;
+    returned with the `GFamily` it describes.
 
     Unknown g keys are rejected in strict mode and dropped with a warning
     otherwise, as unknown top-level fields are.  The spec is parsed once,
@@ -322,7 +332,7 @@ def _canonical_g_spec(raw: dict, lattice: FilteredLattice, strict: bool) -> dict
         out["power"] = raw["power"]
     for key, rows in (("a", g.a), ("b", g.b)):
         out[key] = {pid: [_rational_str(v) for v in row] for pid, row in zip(ids, rows)}
-    return out
+    return out, g
 
 
 def render_scenario(scenario: Scenario) -> str:

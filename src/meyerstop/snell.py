@@ -36,6 +36,7 @@ from .lattice import (
     RandomInstant,
     _canonical_quadruple,
     _first_hits,
+    _scaled,
     conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
@@ -47,9 +48,11 @@ from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
 
 def expected_value(lattice: FilteredLattice, rv) -> Fraction:
-    return sum(
-        (p.probability * v for p, v in zip(lattice.paths, rv)), Fraction(0)
-    )
+    """E[rv] as one integer sum over the lattice's integer weights, and one
+    `Fraction` over its mass times the column's denominator."""
+    weights, mass = lattice.weights
+    (nums,), den = _scaled([rv])
+    return Fraction(sum(w * v for w, v in zip(weights, nums)), mass * den)
 
 
 def snell_envelope(
@@ -469,11 +472,14 @@ def smallest_largest_optimal(
     ranked fold checks that at any size and names a time that escapes.  Only
     `all_optimal` lists, within `snell_brute_force`'s default guard.
     """
-    return _smallest_largest(lattice, meyer, process)[0]
+    zbar = snell_envelope(lattice, meyer, process)
+    decomp = mertens_decompose(lattice, meyer, zbar)
+    return _smallest_largest(lattice, meyer, process, zbar, decomp)
 
 
-def _smallest_largest(lattice, meyer, process):
-    """`smallest_largest_optimal`, with the envelope and decomposition it built."""
+def _smallest_largest(lattice, meyer, process, zbar, decomp) -> SmallestLargest:
+    """`smallest_largest_optimal`, read off the envelope `zbar` of `process`
+    and its decomposition `decomp`."""
     if tuple(meyer.meyer_fields) != tuple(lattice.filtration):
         raise PreconditionError(
             "optional structure required: meyer fields must equal the filtration"
@@ -482,9 +488,6 @@ def _smallest_largest(lattice, meyer, process):
         raise PreconditionError("is_right_usc_in_expectation failed")
     if not is_left_usc_in_expectation(lattice, meyer, process).ok:
         raise PreconditionError("is_left_usc_in_expectation failed")
-
-    zbar = snell_envelope(lattice, meyer, process)
-    decomp = mertens_decompose(lattice, meyer, zbar)
 
     zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
     smallest = delta_stop(lattice, meyer, process, zero, zbar).T
@@ -503,7 +506,7 @@ def _smallest_largest(lattice, meyer, process):
     if escapee := _escapee(lattice, meyer, process, smallest, largest):
         raise LatticeError(f"{escapee} escapes the sandwich")
     brute = partial(snell_brute_force, lattice, meyer, process)
-    return SmallestLargest(smallest=smallest, largest=largest, brute=brute), zbar, decomp
+    return SmallestLargest(smallest=smallest, largest=largest, brute=brute)
 
 
 def _escapee(lattice, meyer, process, lower, upper) -> str | None:

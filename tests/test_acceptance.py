@@ -56,7 +56,7 @@ from meyerstop.scenario import (
     generate_instance,
     parse_scenario,
 )
-from meyerstop.snell import snell_brute_force
+from meyerstop.snell import mertens_decompose, snell_brute_force, snell_envelope
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -140,7 +140,9 @@ def test_criterion_1_snell_oracle_equivalence():
     t0 = time.monotonic()
     n = 0
     for sc in main_family():
-        msg = checks.check_snell_oracle(sc.lattice, sc.meyer, sc.processes["Z"])
+        Z = sc.processes["Z"]
+        zbar = snell_envelope(sc.lattice, sc.meyer, Z)
+        msg = checks.check_snell_oracle(sc.lattice, sc.meyer, Z, zbar)
         assert msg is None, msg
         n += 1
     elapsed = time.monotonic() - t0
@@ -160,7 +162,9 @@ def test_criterion_2_relaxation_exactness():
         rng = random.Random(10_000 + seed)
         starts = [RandomInstant.constant(lattice, ZERO)]
         starts += rng.sample(times, min(3, len(times)))
-        msg = checks.check_delta(lattice, meyer, Z, starts)
+        zbar = snell_envelope(lattice, meyer, Z)
+        decomp = mertens_decompose(lattice, meyer, zbar)
+        msg = checks.check_delta(lattice, meyer, Z, zbar, decomp, starts)
         assert msg is None, (seed, msg)
         checked += len(starts)
     large = 0
@@ -170,7 +174,10 @@ def test_criterion_2_relaxation_exactness():
             RandomInstant.constant(lattice, Instant(k, AT))
             for k in range(lattice.epoch_count + 1)
         ]
-        msg = checks.check_delta(lattice, sc.meyer, sc.processes["Z"], starts)
+        Z = sc.processes["Z"]
+        zbar = snell_envelope(lattice, sc.meyer, Z)
+        decomp = mertens_decompose(lattice, sc.meyer, zbar)
+        msg = checks.check_delta(lattice, sc.meyer, Z, zbar, decomp, starts)
         assert msg is None, msg
         large += len(starts)
     _report(
@@ -184,12 +191,17 @@ def test_criterion_2_relaxation_exactness():
 def test_criterion_3_decomposition_identities():
     count = 0
     for seed, sc in small_family():
-        msg = checks.check_mertens(sc.lattice, sc.meyer, sc.processes["Z"])
+        Z = sc.processes["Z"]
+        zbar = snell_envelope(sc.lattice, sc.meyer, Z)
+        decomp = mertens_decompose(sc.lattice, sc.meyer, zbar)
+        msg = checks.check_mertens(sc.lattice, sc.meyer, Z, zbar, decomp)
         assert msg is None, (seed, msg)
         msg = checks.check_sigma(
             sc.lattice,
             sc.meyer,
-            sc.processes["Z"],
+            Z,
+            zbar,
+            decomp,
             [RandomInstant.constant(sc.lattice, ZERO)],
         )
         assert msg is None, (seed, msg)
@@ -208,7 +220,9 @@ def test_criterion_4_optimality_certificates():
                 regime=REGIMES[seed % 3],
             )
         )
-        msg = checks.check_optimality_oracle(sc.lattice, sc.meyer, sc.processes["Z"])
+        Z = sc.processes["Z"]
+        zbar = snell_envelope(sc.lattice, sc.meyer, Z)
+        msg = checks.check_optimality_oracle(sc.lattice, sc.meyer, Z, zbar)
         assert msg is None, (seed, msg)
         instances += 1
     _report(4, instances >= 100, f"certificate iff brute-force membership on {instances} instances")
@@ -230,7 +244,9 @@ def test_criterion_5_sandwich():
             continue
         if not is_left_usc_in_expectation(sc.lattice, sc.meyer, Z).ok:
             continue
-        msg = checks.check_sandwich(sc.lattice, sc.meyer, Z)
+        zbar = snell_envelope(sc.lattice, sc.meyer, Z)
+        decomp = mertens_decompose(sc.lattice, sc.meyer, zbar)
+        msg = checks.check_sandwich(sc.lattice, sc.meyer, Z, zbar, decomp)
         assert msg is None, (seed, msg)
         qualified += 1
     _report(

@@ -13,8 +13,11 @@ checks never build the optimizers nor list every stopping time.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,7 @@ from meyerstop.lattice import (
     is_lambda_stopping_time,
     is_measurable,
     make_partition,
+    reward_fault,
     to_divided_quadruple,
     validate_divided,
 )
@@ -87,6 +91,9 @@ from meyerstop.snell import (
     snell_envelope,
     stopped_process,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def small_family(count=60):
@@ -189,6 +196,10 @@ def _bump_atom(process, idx, atom, delta):
     return LatticeProcess.from_rows(rows, terminal=process.columns[-1])
 
 
+def _envelope(sc, name):
+    return snell_envelope(sc.lattice, sc.meyer, sc.processes[name])
+
+
 @pytest.mark.parametrize("shift", [1, -1])
 def test_optimality_oracle_reports_a_shifted_reach(shift, monkeypatch):
     real = checks.martingale_reach
@@ -201,41 +212,37 @@ def test_optimality_oracle_reports_a_shifted_reach(shift, monkeypatch):
     reported = [
         seed
         for seed, sc in small_family(30)
-        if checks.check_optimality_oracle(sc.lattice, sc.meyer, sc.processes["Z"])
+        if checks.check_optimality_oracle(
+            sc.lattice, sc.meyer, sc.processes["Z"], _envelope(sc, "Z")
+        )
     ]
     assert len(reported) >= 5, reported
 
 
-def test_optimality_oracle_reports_a_corrupted_envelope_cell(monkeypatch):
-    real = checks.snell_envelope
+def test_optimality_oracle_reports_a_corrupted_envelope_cell():
     reported = 0
     for seed, sc in small_family(12):
         lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
-        assert checks.check_optimality_oracle(lattice, meyer, Z) is None
+        zbar = snell_envelope(lattice, meyer, Z)
+        assert checks.check_optimality_oracle(lattice, meyer, Z, zbar) is None
         fields = field_partitions(lattice, meyer, Kind.LAMBDA)
         for idx, part in enumerate(fields):
             for atom in part:
-                monkeypatch.setattr(
-                    checks,
-                    "snell_envelope",
-                    lambda *a, idx=idx, atom=atom: _bump_atom(real(*a), idx, atom, 1),
-                )
-                if checks.check_optimality_oracle(lattice, meyer, Z):
+                bumped = _bump_atom(zbar, idx, atom, 1)
+                if checks.check_optimality_oracle(lattice, meyer, Z, bumped):
                     reported += 1
                     break
             else:
                 continue
             break
-        monkeypatch.setattr(checks, "snell_envelope", real)
     assert reported == 12
 
 
-def plain_optimality_oracle(lattice, meyer, process, cells=None):
-    """The message of every stopping time where the certificate verdict
-    differs from brute-force optimality, one per stop; the envelope and the
-    reach are read through `checks`, so a patched one shows here too.  A set
-    of (path, index) `cells`, if given, stands for the certified cells."""
-    zbar = checks.snell_envelope(lattice, meyer, process)
+def plain_optimality_oracle(lattice, meyer, process, zbar, cells=None):
+    """The message of every stopping time where the certificate verdict for
+    the envelope `zbar` differs from brute-force optimality, one per stop;
+    the reach is read through `checks`, so a patched one shows here too.  A
+    set of (path, index) `cells`, if given, stands for the certified cells."""
     brute = snell_brute_force(lattice, meyer, process)
     reach = checks.martingale_reach(lattice, meyer, zbar)
     probs = lattice.probabilities
@@ -263,10 +270,11 @@ def plain_optimality_oracle(lattice, meyer, process, cells=None):
 
 @pytest.mark.parametrize("mutant", ["none", "reach+1", "reach-1", "envelope"])
 def test_certificate_fold_matches_the_stop_loop(mutant, monkeypatch):
-    real_reach, real_envelope = checks.martingale_reach, checks.snell_envelope
+    real_reach = checks.martingale_reach
     verdicts = {True: 0, False: 0}
     for seed, sc in small_family():
         lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+        zbar = snell_envelope(lattice, meyer, Z)
         if mutant.startswith("reach"):
             shift = int(mutant[5:])
             monkeypatch.setattr(
@@ -280,11 +288,9 @@ def test_certificate_fold_matches_the_stop_loop(mutant, monkeypatch):
             rng = random.Random(seed)
             idx = rng.randrange(lattice.n_instants)
             atom = rng.choice(field_partitions(lattice, meyer, Kind.LAMBDA)[idx])
-            monkeypatch.setattr(
-                checks, "snell_envelope", lambda *a: _bump_atom(real_envelope(*a), idx, atom, 1)
-            )
-        disagreements = set(plain_optimality_oracle(lattice, meyer, Z))
-        message = checks.check_optimality_oracle(lattice, meyer, Z)
+            zbar = _bump_atom(zbar, idx, atom, 1)
+        disagreements = set(plain_optimality_oracle(lattice, meyer, Z, zbar))
+        message = checks.check_optimality_oracle(lattice, meyer, Z, zbar)
         assert (message is None) == (not disagreements), (seed, message)
         # the named witness is one of the loop's disagreements
         assert message is None or message in disagreements, (seed, message)
@@ -304,6 +310,7 @@ def test_certificate_fold_matches_the_stop_loop_on_drawn_cells(monkeypatch):
         lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
         rng = random.Random(seed)
         brute = snell_brute_force(lattice, meyer, Z)
+        zbar = snell_envelope(lattice, meyer, Z)
         optimizers = [T.indices for T in brute.optimizers]
         for _ in range(12):
             picked = rng.sample(optimizers, min(len(optimizers), rng.randint(1, 3)))
@@ -314,8 +321,8 @@ def test_certificate_fold_matches_the_stop_loop_on_drawn_cells(monkeypatch):
                 cells.add((rng.randrange(lattice.n_paths), rng.randrange(lattice.n_instants + 1)))
             table = _cells(lattice, lambda p, i: (p, i) in cells)
             monkeypatch.setattr(checks, "_cells", lambda *args: table)
-            disagreements = set(plain_optimality_oracle(lattice, meyer, Z, cells))
-            message = checks.check_optimality_oracle(lattice, meyer, Z)
+            disagreements = set(plain_optimality_oracle(lattice, meyer, Z, zbar, cells))
+            message = checks.check_optimality_oracle(lattice, meyer, Z, zbar)
             assert (message is None) == (not disagreements), (seed, message)
             assert message is None or message in disagreements, (seed, message)
             cert = _maximum(lattice, meyer, Z, Kind.LAMBDA, table)
@@ -745,8 +752,9 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
 
     monkeypatch.setattr(RandomInstant, "__init__", counting_init)
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
-    assert checks.check_snell_oracle(lattice, meyer, const) is None
-    assert checks.check_optimality_oracle(lattice, meyer, const) is None
+    zbar = snell_envelope(lattice, meyer, const)
+    assert checks.check_snell_oracle(lattice, meyer, const, zbar) is None
+    assert checks.check_optimality_oracle(lattice, meyer, const, zbar) is None
     doc, status = cli.run_command(
         Scenario(lattice=lattice, meyer=meyer, processes={"C": const}), "snell"
     )
@@ -762,8 +770,10 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
     flat = LatticeProcess.from_rows([[2] * (n - 1) + [0]] * sc58.lattice.n_paths)
     per_reward = []
     for Z in (sc58.processes["Z"], flat):
+        zbar = snell_envelope(sc58.lattice, sc58.meyer, Z)
+        decomp = mertens_decompose(sc58.lattice, sc58.meyer, zbar)
         built.clear()
-        assert checks.check_sandwich(sc58.lattice, sc58.meyer, Z) is None
+        assert checks.check_sandwich(sc58.lattice, sc58.meyer, Z, zbar, decomp) is None
         per_reward.append(len(built))
     assert walks == [] and per_reward[0] == per_reward[1], per_reward
     assert snell_brute_force(sc58.lattice, sc58.meyer, flat).optimizer_count == 11
@@ -796,7 +806,10 @@ def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
             for k in range(lattice.epoch_count + 1)
         ]
         for name in ("L", "Z"):
-            assert checks.check_delta(lattice, meyer, sc.processes[name], starts) is None
+            zbar = _envelope(sc, name)
+            decomp = mertens_decompose(lattice, meyer, zbar)
+            message = checks.check_delta(lattice, meyer, sc.processes[name], zbar, decomp, starts)
+            assert message is None, (name, message)
             assert checks.check_usc_equivalence(lattice, meyer, sc.processes[name]) is None
         for problem in (sc.build_problem(), odd_power(sc).build_problem()):
             assert checks.check_representation_roundtrip(problem) is None
@@ -1058,7 +1071,9 @@ def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
                 for U in brute.optimizers
                 if not smallest <= U <= zero
             }
-            message = checks.check_sandwich(lattice, meyer, Z)
+            zbar = snell_envelope(lattice, meyer, Z)
+            decomp = mertens_decompose(lattice, meyer, zbar)
+            message = checks.check_sandwich(lattice, meyer, Z, zbar, decomp)
             assert (message is None) == (not escapees), (seed, message)
             assert message is None or message in escapees, (seed, message)
             verdicts[message is None] += 1
@@ -1078,7 +1093,8 @@ def test_disagreeing_certificate_folds_fail_past_the_guard(monkeypatch):
     lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
     monkeypatch.setattr(checks, "_cells", lambda lattice, allowed: _between(lattice, None))
     everything = {(p, i) for p in range(lattice.n_paths) for i in range(lattice.n_instants + 1)}
-    disagreements = set(plain_optimality_oracle(lattice, meyer, Z, everything))
+    zbar = snell_envelope(lattice, meyer, Z)
+    disagreements = set(plain_optimality_oracle(lattice, meyer, Z, zbar, everything))
     assert disagreements and all(m.startswith("certificate says True ") for m in disagreements)
     ways = snell_brute_force(lattice, meyer, Z).optimizer_count
     for guard in (2, ways - 1, DEFAULT_GUARD):
@@ -1241,23 +1257,18 @@ def test_mertens_rejects_exactly_what_the_input_pass_rejected():
     assert min(messages.values()) >= 10, messages
 
 
-def test_mertens_reports_a_lost_martingale(monkeypatch):
-    real = checks.mertens_decompose
+def test_mertens_reports_a_lost_martingale():
     reported = 0
     for seed, sc in small_family(12):
         lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
-        assert checks.check_mertens(lattice, meyer, Z) is None
+        zbar = snell_envelope(lattice, meyer, Z)
+        d = mertens_decompose(lattice, meyer, zbar)
+        assert checks.check_mertens(lattice, meyer, Z, zbar, d) is None
         rng = random.Random(seed)
         idx = rng.randrange(lattice.n_instants)
         atom = rng.choice(field_partitions(lattice, meyer, Kind.LAMBDA)[idx])
-
-        def bent(*args):
-            d = real(*args)
-            return dataclasses.replace(d, m=_bump_atom(d.m, idx, atom, rng.choice((-1, 1))))
-
-        monkeypatch.setattr(checks, "mertens_decompose", bent)
-        assert checks.check_mertens(lattice, meyer, Z) == "M is not a Lambda-martingale"
-        monkeypatch.setattr(checks, "mertens_decompose", real)
+        bent = dataclasses.replace(d, m=_bump_atom(d.m, idx, atom, rng.choice((-1, 1))))
+        assert checks.check_mertens(lattice, meyer, Z, zbar, bent) == "M is not a Lambda-martingale"
         reported += 1
     assert reported == 12
 
@@ -1372,7 +1383,9 @@ def test_delta_check_reports_a_maximum_that_ignores_the_start(monkeypatch):
             RandomInstant.constant(lattice, Instant(k, AT))
             for k in range(lattice.epoch_count + 1)
         ]
-        message = checks.check_delta(lattice, sc.meyer, sc.processes["Z"], starts)
+        zbar = _envelope(sc, "Z")
+        decomp = mertens_decompose(lattice, sc.meyer, zbar)
+        message = checks.check_delta(lattice, sc.meyer, sc.processes["Z"], zbar, decomp, starts)
         if message is not None:
             assert message.startswith("divided-stop maximum "), message
             reported += 1
@@ -1626,3 +1639,126 @@ def test_the_guard_bounds_exactly_what_a_walk_lists():
             else:
                 assert len(brute.optimizers) == ways, seed
     assert min(seen.values()) >= 20, seen
+
+
+# (i) integer averages and one envelope per reward ---------------------------
+
+
+def fraction_average(lattice, rv, partition):
+    """The per-atom formula in `Fraction`s: the atom's sum of P·rv over its mass."""
+    probs = lattice.probabilities
+    out = [None] * lattice.n_paths
+    for block in partition:
+        mass = sum((probs[i] for i in block), Fraction(0))
+        avg = sum((probs[i] * rv[i] for i in block), Fraction(0)) / mass
+        for i in block:
+            out[i] = avg
+    return tuple(out)
+
+
+def fraction_mean(lattice, rv):
+    return sum((c * v for c, v in zip(lattice.probabilities, rv)), Fraction(0))
+
+
+def assert_integer_averages_match(lattice, rv, partitions):
+    """`conditional_expectation` on each partition, and `expected_value`,
+    equal the `Fraction` formulas value for value and type for type."""
+    for part in partitions:
+        got = conditional_expectation(lattice, rv, part)
+        want = fraction_average(lattice, rv, part)
+        assert len(got) == len(want) and all(map(same, got, want)), (rv, part)
+    assert same(expected_value(lattice, rv), fraction_mean(lattice, rv)), rv
+
+
+def test_integer_averages_match_the_fraction_formula_on_every_field():
+    compared = 0
+    for seed, sc in small_family():
+        lattice, meyer = sc.lattice, sc.meyer
+        fields = {
+            part
+            for kind in Kind
+            for part in [*field_partitions(lattice, meyer, kind), lattice.initial_partition()]
+        }
+        for process in sc.processes.values():
+            for column in process.columns:
+                assert_integer_averages_match(lattice, column, fields)
+                compared += len(fields)
+    assert compared > 2000, compared
+
+
+def test_integer_averages_match_on_a_wide_tree_with_signed_cells():
+    # 256 paths with weights 1..9 over a non-dyadic total; each column mixes
+    # signed Fractions of several denominators with plain ints
+    rng = random.Random(256)
+    depth = 8
+    weights = [rng.randint(1, 9) for _ in range(1 << depth)]
+    total = sum(weights)
+    assert total & (total - 1)  # not a power of two
+    # F_k splits the paths by their first k branch bits
+    levels = [
+        [list(range(start, start + width)) for start in range(0, 1 << depth, width)]
+        for width in (1 << (depth - k) for k in range(depth + 1))
+    ]
+    lattice, _ = build_lattice([Fraction(w, total) for w in weights], levels, levels)
+    partitions = [make_partition(level) for level in levels]
+    for _ in range(6):
+        rv = [
+            rng.randint(-20, 20)
+            if rng.random() < 0.3
+            else Fraction(rng.randint(-20, 20), rng.choice((1, 3, 7, 12)))
+            for _ in range(lattice.n_paths)
+        ]
+        assert any(type(v) is int for v in rv) and any(v < 0 for v in rv)
+        assert_integer_averages_match(lattice, rv, partitions)
+    ints = tuple(rng.randint(-9, 9) for _ in range(lattice.n_paths))
+    assert_integer_averages_match(lattice, ints, partitions)
+
+
+def _count_builds(monkeypatch):
+    """Wrap `snell_envelope` and `mertens_decompose` under every name that
+    binds them in the package, and return the per-function call counts."""
+    counts = {"snell_envelope": 0, "mertens_decompose": 0}
+    for name in counts:
+        real = getattr(sys.modules["meyerstop.snell"], name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "meyerstop"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "params, golden",
+    [
+        # two paths; the sandwich rows skip for the Meyer structure
+        (
+            RandomInstanceParams(seed=62),
+            "c9efc2a1a476b39e67c878c0a1852a6f5ed19ab238fac3ba5bbcfbbd4154fd00",
+        ),
+        # the benchmark's 745-stopping-time lattice
+        (
+            RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME),
+            "seed62_suite.json",
+        ),
+        # the sandwich runs on Z
+        (
+            RandomInstanceParams(seed=58, epochs=2, max_paths=5, regime=OPTIONAL_EXTREME),
+            "seed58_suite.json",
+        ),
+    ],
+)
+def test_the_suite_builds_one_envelope_per_reward(params, golden, monkeypatch):
+    sc = generate_instance(params)
+    counts = _count_builds(monkeypatch)
+    doc, status = cli.run_suite(sc)
+    rewards = sum(reward_fault(sc.lattice, sc.meyer, p) is None for p in sc.processes.values())
+    assert rewards == 2 and counts == {"snell_envelope": rewards, "mertens_decompose": rewards}
+    report = cli.render_machine(doc)
+    if golden.endswith(".json"):
+        assert report == (GOLDEN / golden).read_text(encoding="utf-8")
+    else:
+        assert hashlib.sha256(report.encode("utf-8")).hexdigest() == golden

@@ -119,6 +119,24 @@ def test_conditional_expectation_examples(branch, three_path):
     assert out == (Fraction(1), expected_12, expected_12) == (1, 4, 4)
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        # path 1 in both blocks: the second average would overwrite the first
+        (({0, 1}, {1}), "path 1 lies in two blocks of the partition"),
+        ((frozenset(), {0, 1, 2}), "partition has an empty block"),
+        (({0}, {1}), "partition does not cover the path set"),
+        (({0, 1}, {2, 3}), "path 3 is not one of the lattice's 3 paths"),
+        (({-1, 0}, {1, 2}), "path -1 is not one of the lattice's 3 paths"),
+    ],
+)
+def test_conditional_expectation_rejects_a_non_partition(three_path, blocks, message):
+    lattice, _ = three_path
+    rv = (Fraction(3), Fraction(6), Fraction(9))
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        conditional_expectation(lattice, rv, tuple(frozenset(b) for b in blocks))
+
+
 @given(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
     st.lists(st.integers(min_value=1, max_value=9), min_size=4, max_size=4),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import meyerstop.scenario as scenario_module
 from meyerstop import checks
 from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.lattice import INT, Instant, LatticeError, LatticeProcess
@@ -431,6 +432,31 @@ def test_golden_signal_odd_power():
         values = [stopping_value(problem, Fraction(row["ell"]), q) for q in stops]
         best = max(values)
         assert (row["brute_force"], row["optimizers"]) == (str(best), values.count(best))
+
+
+def test_g_is_parsed_once_per_command(monkeypatch, capsys):
+    # parse_scenario keeps the family it parsed to canonicalize the spec; a
+    # scenario built from a g_spec alone parses it on first use, once
+    parsed = []
+    real = scenario_module._g_from_spec
+
+    def counted(spec, lattice):
+        parsed.append(spec["kind"])
+        return real(spec, lattice)
+
+    monkeypatch.setattr(scenario_module, "_g_from_spec", counted)
+    sc = load("odd_power.scn")
+    problem = sc.build_problem()
+    assert sc.build_problem().g is problem.g is sc.g and parsed == ["odd_power"]
+    assert main(["represent", "--scenario", str(FIXTURES / "odd_power.scn")]) == 0
+    assert "direction: solve" in capsys.readouterr().out
+    assert parsed == ["odd_power"] * 2
+
+    built = dataclasses.replace(sc, g_spec={**sc.g_spec, "power": 1})
+    assert parsed == ["odd_power"] * 2
+    assert built.build_problem().g.power == 1 and built.build_problem().g is built.g
+    assert parsed == ["odd_power"] * 3
+    assert built.g.a == sc.g.a and sc.g.power == 3
 
 
 def test_boolean_epochs_and_power_are_rejected():

@@ -238,13 +238,13 @@ def _calls(tree: ast.AST, name: str, within: str | None = None) -> list[ast.Call
 
 
 def test_each_exact_computation_is_said_once():
-    # one integer scaling (`enumeration._scaled`), and the decomposition's
+    # one integer scaling (`lattice._scaled`), and the decomposition's
     # jumps read the continuations that `martingale_reach` reads
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exempt = set()
-        if path.name == "enumeration.py":
+        if path.name == "lattice.py":
             exempt = {id(c) for c in _calls(tree, "lcm", "_scaled")}
         found += [
             f"{path.name}:{c.lineno} calls lcm" for c in _calls(tree, "lcm") if id(c) not in exempt
@@ -266,6 +266,44 @@ def test_the_once_check_sees_each_duplicate():
     assert [c.lineno for c in _calls(tree, "lcm")] == [2, 4]
     assert [c.lineno for c in _calls(tree, "lcm", "_scaled")] == [2]
     assert [c.lineno for c in _calls(tree, "conditional_expectation", "mertens_decompose")] == [6]
+
+
+# The constructors of a reward's envelope objects, which the suite calls once per
+# reward and hands to the rows that read them.
+ENVELOPE_CONSTRUCTORS = ("snell_envelope", "mertens_decompose")
+
+
+def _constructor_calls(name: str, tree: ast.AST) -> list[str]:
+    """Lines that call an envelope constructor, by name or as an attribute."""
+    return [
+        f"{name}:{call.lineno} calls {constructor}"
+        for constructor in ENVELOPE_CONSTRUCTORS
+        for call in sorted(_calls(tree, constructor), key=lambda c: c.lineno)
+    ]
+
+
+def test_the_checks_read_the_envelope_the_suite_built():
+    # each row verifies the envelope and decomposition it is given; building
+    # them in a check would repeat the suite's work once per row
+    name = "checks.py"
+    found = _constructor_calls(name, ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    assert not found, found
+
+
+def test_the_constructor_scan_sees_each_form():
+    tree = ast.parse(
+        "def check(lattice, meyer, z):\n"
+        "    zbar = snell_envelope(lattice, meyer, z)\n"
+        "    d = snell.mertens_decompose(lattice, meyer, zbar)\n"
+        "    return lambda: snell_envelope(lattice, meyer, d.m)\n"
+        "build = mertens_decompose\n"
+        "envelope(lattice, z, side)\n"
+    )
+    assert _constructor_calls("m.py", tree) == [
+        "m.py:2 calls snell_envelope",
+        "m.py:4 calls snell_envelope",
+        "m.py:3 calls mertens_decompose",
+    ]
 
 
 # Functions of representation.py that may read the rows of g (`.a`, `.b`)
