@@ -43,7 +43,6 @@ from .representation import (
 from .snell import (
     PreconditionError,
     _escapee,
-    _smallest_largest,
     delta_stop,
     expected_value,
     is_lambda_martingale,
@@ -51,6 +50,7 @@ from .snell import (
     lambda_entry_time,
     martingale_reach,
     sigma_stop,
+    smallest_largest_optimal,
     snell_brute_force,
 )
 
@@ -240,9 +240,9 @@ def check_delta(lattice, meyer, process, zbar, decomp, starts) -> str | None:
         if tuple(cond) != S.value_of(zbar):
             return f"conditional relaxation identity fails from {S.assignment}"
         # stabilized lambda-entry
-        if lambda_entry_time(lattice, meyer, process, zbar, lam, S) != ds.T:
+        if lambda_entry_time(lattice, process, zbar, lam, S) != ds.T:
             return f"lambda-entry fails to stabilize from {S.assignment}"
-        ent = lambda_entry_time(lattice, meyer, process, zbar, Fraction(1, 2), S)
+        ent = lambda_entry_time(lattice, process, zbar, Fraction(1, 2), S)
         if expected_value(lattice, ent.value_of(zbar)) != env_at_s:
             return f"E[Zbar] not preserved at the 1/2-entry time from {S.assignment}"
         if ent.value_of(decomp.a) != S.value_of(decomp.a):
@@ -255,7 +255,7 @@ def check_delta(lattice, meyer, process, zbar, decomp, starts) -> str | None:
 
 def check_sigma(lattice, meyer, process, zbar, decomp, starts) -> str | None:
     for S in starts:
-        ss = sigma_stop(lattice, meyer, process, S, zbar, decomp)
+        ss = sigma_stop(lattice, S, decomp)
         report = validate_divided(lattice, meyer, ss.quadruple)
         if not report.ok:
             return f"sigma quadruple invalid from {S.assignment}: {report.problems[0]}"
@@ -300,13 +300,13 @@ def check_sandwich(lattice, meyer, process, zbar, decomp) -> str | None:
     and the delta time (which is how the smallest one is built) and the
     sigma reading bracket every optimal time; a ranked fold names any escapee."""
     try:
-        result = _smallest_largest(lattice, meyer, process, zbar, decomp)
+        result = smallest_largest_optimal(lattice, meyer, process, zbar, decomp)
     except PreconditionError as exc:
         return f"SKIP: {exc}"
     except LatticeError as exc:
         return str(exc)
     zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
-    ss = sigma_stop(lattice, meyer, process, zero, zbar, decomp)
+    ss = sigma_stop(lattice, zero, decomp)
     if result.largest != ss.T:
         return "largest optimal time differs from the sigma compensator time"
     hi = from_divided_quadruple(lattice, ss.quadruple)

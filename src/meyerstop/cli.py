@@ -162,7 +162,7 @@ def run_command(
         zbar = snell_envelope(lattice, meyer, proc)
         zero = RandomInstant.constant(lattice, Instant(0, AT))
         ds = delta_stop(lattice, meyer, proc, zero, zbar)
-        ss = sigma_stop(lattice, meyer, proc, zero, zbar)
+        ss = sigma_stop(lattice, zero, mertens_decompose(lattice, meyer, zbar))
         sigma_form = from_divided_quadruple(lattice, ss.quadruple)
         value_at_root = expected_value(lattice, zbar.columns[0])
         delta_value = expected_value(lattice, ds.T.value_of(proc))
@@ -390,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.guard < 0:
+            raise ScenarioError(f"--guard: expected a count of at least 0, got {args.guard}")
         if args.scenario is not None:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -211,13 +211,6 @@ class FilteredLattice:
             return self.initial_field
         return make_partition([range(self.n_paths)])
 
-    def instants(self) -> list[Instant]:
-        return [
-            Instant(k, tag)
-            for k in range(self.epoch_count + 1)
-            for tag in (AT, INT)
-        ]
-
     def instant_at(self, index: int) -> Instant:
         return Instant(index // 2, AT if index % 2 == 0 else INT)
 
@@ -659,13 +652,6 @@ def from_divided_quadruple(lattice: FilteredLattice, q: DividedQuadruple) -> Ran
     w reads (k, AT), w_plus reads (k, INT); at TERMINAL, w_minus reads the
     last interval and w reads TERMINAL."""
     return RandomInstant(_divided_readings(lattice, q), lattice.n_instants)
-
-
-def divided_value(
-    lattice: FilteredLattice, process: LatticeProcess, q: DividedQuadruple
-) -> tuple[Fraction, ...]:
-    """Per-path reading of a process at a divided stop (left / at / right)."""
-    return tuple(process.columns[i][p] for p, i in enumerate(_divided_readings(lattice, q)))
 
 
 def validate_divided(

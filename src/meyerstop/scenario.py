@@ -61,10 +61,6 @@ def _rational(value: Any, where: str) -> Fraction:
         raise ScenarioError(f"{where}: malformed rational {value!r} ({exc})") from None
 
 
-def _rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Parsed scenario: lattice, information structure, and named data."""
@@ -331,7 +327,7 @@ def _canonical_g_spec(
     if "power" in raw:
         out["power"] = raw["power"]
     for key, rows in (("a", g.a), ("b", g.b)):
-        out[key] = {pid: [_rational_str(v) for v in row] for pid, row in zip(ids, rows)}
+        out[key] = {pid: [str(v) for v in row] for pid, row in zip(ids, rows)}
     return out, g
 
 
@@ -342,7 +338,7 @@ def render_scenario(scenario: Scenario) -> str:
     doc: dict[str, Any] = {
         "epochs": lat.epoch_count,
         "paths": [
-            {"id": r.id, "probability": _rational_str(r.probability)} for r in lat.paths
+            {"id": r.id, "probability": str(r.probability)} for r in lat.paths
         ],
     }
     if lat.initial_field is not None:
@@ -352,7 +348,7 @@ def render_scenario(scenario: Scenario) -> str:
     if scenario.processes:
         doc["processes"] = {
             name: {
-                pid: [_rational_str(v) for v in row] for pid, row in zip(ids, proc.rows)
+                pid: [str(v) for v in row] for pid, row in zip(ids, proc.rows)
             }
             for name, proc in sorted(scenario.processes.items())
         }
@@ -360,7 +356,7 @@ def render_scenario(scenario: Scenario) -> str:
         doc["g"] = scenario.g_spec
     if scenario.mu is not None:
         doc["mu"] = {
-            ids[p]: [_rational_str(v) for v in scenario.mu.mass[p]]
+            ids[p]: [str(v) for v in scenario.mu.mass[p]]
             for p in range(lat.n_paths)
         }
     if scenario.signal is not None:
@@ -368,7 +364,7 @@ def render_scenario(scenario: Scenario) -> str:
     if scenario.reward is not None:
         doc["reward"] = scenario.reward
     if scenario.ell_grid is not None:
-        doc["ell_grid"] = [_rational_str(v) for v in scenario.ell_grid]
+        doc["ell_grid"] = [str(v) for v in scenario.ell_grid]
     if scenario.commands is not None:
         doc["commands"] = scenario.commands
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"

@@ -15,13 +15,15 @@ Every stop here (the lambda-entry times, the delta touch time, the sigma
 compensator time, the smallest and largest optimal times) is the debut
 after S of a set of (path, instant) cells, found by the one index scan
 `lattice._first_hits`; a `RandomInstant` holds the hit index per path.
+Each reads the envelope and decomposition its caller built and passes in;
+nothing here builds either one for a stop or a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 from .enumeration import DEFAULT_GUARD, _between, _check_guard, _maximum, _ranked
@@ -268,13 +270,13 @@ def mertens_decompose(
 
 def lambda_entry_time(
     lattice: FilteredLattice,
-    meyer: MeyerStructure,
     process: LatticeProcess,
     zbar: LatticeProcess,
     lam: Fraction,
     S: RandomInstant,
 ) -> RandomInstant:
-    """First instant at or after S where lam * Zbar <= Z, per path."""
+    """First instant at or after S where lam * Zbar <= Z, per path, on the
+    envelope `zbar` of `process`."""
     if not (0 < lam < 1):
         raise LatticeError(f"lambda must lie in (0,1), got {lam}")
     env, reward = zbar.columns, process.columns
@@ -293,16 +295,15 @@ def delta_stop(
     meyer: MeyerStructure,
     process: LatticeProcess,
     S: RandomInstant,
-    zbar: LatticeProcess | None = None,
+    zbar: LatticeProcess,
 ) -> DeltaStop:
-    """First instant at or after S where the envelope touches the reward.
+    """First instant at or after S where the envelope `zbar` of `process`
+    touches the reward.
 
     On a finite chain the lambda-entry times stabilize, so this is the
     stabilized limit directly; the touch always happens by the last
     interval, where the envelope equals the reward.
     """
-    if zbar is None:
-        zbar = snell_envelope(lattice, meyer, process)
     env, reward = zbar.columns, process.columns
     hits = _first_hits(lattice, S.indices, lambda p, i: env[i][p] == reward[i][p])
     T = RandomInstant(hits, lattice.n_instants)
@@ -320,13 +321,11 @@ class SigmaStop:
 
 def sigma_stop(
     lattice: FilteredLattice,
-    meyer: MeyerStructure,
-    process: LatticeProcess,
     S: RandomInstant,
-    zbar: LatticeProcess | None = None,
-    decomp: MertensDecomposition | None = None,
+    decomp: MertensDecomposition,
 ) -> SigmaStop:
-    """First time the compensators grow past their level at S.
+    """First time the compensators of the decomposition `decomp` grow past
+    their level at S.
 
     T is the first instant u >= S with A_u + B_u > A_S + B_{S-}; the
     terminal reading includes A's final jump.  K-sets follow the growth
@@ -334,10 +333,6 @@ def sigma_stop(
     nothing grew (possible only at TERMINAL, and relabeled into the on-time
     part so the quadruple stays a divided stopping time).
     """
-    if zbar is None:
-        zbar = snell_envelope(lattice, meyer, process)
-    if decomp is None:
-        decomp = mertens_decompose(lattice, meyer, zbar)
     a, b, bs = decomp.a, decomp.b, decomp.b_shifted
     # readings at S, TERMINAL included: nothing grows after a TERMINAL S
     a_at_s, b_minus_at_s = S.value_of(a), S.value_of(bs)
@@ -407,14 +402,12 @@ def check_optimality(
     meyer: MeyerStructure,
     process: LatticeProcess,
     U: RandomInstant,
-    zbar: LatticeProcess | None = None,
+    zbar: LatticeProcess,
 ) -> OptimalityCertificate:
-    """Certificate: reward touches the envelope at U, and the stopped
-    envelope stays a martingale (U within the envelope's martingale reach)."""
+    """Certificate: the reward touches its envelope `zbar` at U, and the
+    stopped envelope stays a martingale (U within its martingale reach)."""
     if not is_lambda_stopping_time(lattice, meyer, U, Kind.LAMBDA):
         raise LatticeError("candidate is not a Lambda-stopping time")
-    if zbar is None:
-        zbar = snell_envelope(lattice, meyer, process)
     condition_i = U.value_of(process) == U.value_of(zbar)
     reach = martingale_reach(lattice, meyer, zbar)
     condition_ii = all(u <= r for u, r in zip(U.indices, reach))
@@ -449,37 +442,24 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SmallestLargest:
-    """The optimizers are listed by `brute()`, within its guard, on first read."""
-
     smallest: RandomInstant
     largest: RandomInstant
-    brute: Callable[[], BruteForceResult] = field(repr=False, compare=False)
-
-    @cached_property
-    def all_optimal(self) -> tuple[RandomInstant, ...]:
-        return self.brute().optimizers
 
 
 def smallest_largest_optimal(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     process: LatticeProcess,
+    zbar: LatticeProcess,
+    decomp: MertensDecomposition,
 ) -> SmallestLargest:
-    """Entry times of {Z = Zbar} and of {M != Zbar}; optional structure and
-    both semicontinuity predicates are required.
+    """Entry times of {Z = Zbar} and of {M != Zbar}, read off the envelope
+    `zbar` of `process` and its decomposition `decomp`; optional structure
+    and both semicontinuity predicates are required.
 
     Every optimal stopping time is sandwiched between the two pathwise; a
-    ranked fold checks that at any size and names a time that escapes.  Only
-    `all_optimal` lists, within `snell_brute_force`'s default guard.
+    ranked fold checks that at any size and names a time that escapes.
     """
-    zbar = snell_envelope(lattice, meyer, process)
-    decomp = mertens_decompose(lattice, meyer, zbar)
-    return _smallest_largest(lattice, meyer, process, zbar, decomp)
-
-
-def _smallest_largest(lattice, meyer, process, zbar, decomp) -> SmallestLargest:
-    """`smallest_largest_optimal`, read off the envelope `zbar` of `process`
-    and its decomposition `decomp`."""
     if tuple(meyer.meyer_fields) != tuple(lattice.filtration):
         raise PreconditionError(
             "optional structure required: meyer fields must equal the filtration"
@@ -505,8 +485,7 @@ def _smallest_largest(lattice, meyer, process, zbar, decomp) -> SmallestLargest:
 
     if escapee := _escapee(lattice, meyer, process, smallest, largest):
         raise LatticeError(f"{escapee} escapes the sandwich")
-    brute = partial(snell_brute_force, lattice, meyer, process)
-    return SmallestLargest(smallest=smallest, largest=largest, brute=brute)
+    return SmallestLargest(smallest=smallest, largest=largest)
 
 
 def _escapee(lattice, meyer, process, lower, upper) -> str | None:

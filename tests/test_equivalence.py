@@ -44,7 +44,6 @@ from meyerstop.lattice import (
     PathRecord,
     RandomInstant,
     conditional_expectation,
-    divided_value,
     field_at_time,
     field_partitions,
     from_divided_quadruple,
@@ -955,10 +954,10 @@ def test_first_hit_stops_match_the_scans_they_replace():
                 entry = plain_entry(
                     lattice, S, lambda p, i: lam * zbar.columns[i][p] <= Z.columns[i][p]
                 )
-                assert lambda_entry_time(lattice, meyer, Z, zbar, lam, S) == entry, (seed, S)
+                assert lambda_entry_time(lattice, Z, zbar, lam, S) == entry, (seed, S)
                 seen["entry differs"] += entry != touch
             T, sets = plain_sigma(lattice, decomp, S)
-            ss = sigma_stop(lattice, meyer, Z, S, zbar, decomp)
+            ss = sigma_stop(lattice, S, decomp)
             q = ss.quadruple
             assert ss.T == q.T == T, (seed, S)
             assert (ss.k_minus, ss.k_on, ss.k_plus, q.w, q.w_plus) == sets, (seed, S)
@@ -1026,9 +1025,10 @@ def test_largest_optimal_time_matches_the_entry_loop():
         rng = random.Random(seed)
         for _ in range(4):
             Z = usc_reward(rng, lattice)
-            result = smallest_largest_optimal(lattice, meyer, Z)
             zbar = snell_envelope(lattice, meyer, Z)
-            m = mertens_decompose(lattice, meyer, zbar).m
+            decomp = mertens_decompose(lattice, meyer, zbar)
+            result = smallest_largest_optimal(lattice, meyer, Z, zbar, decomp)
+            m = decomp.m
             assert result.largest == plain_largest(lattice, m, zbar), seed
             for p in range(lattice.n_paths):
                 n = lattice.n_instants
@@ -1063,7 +1063,9 @@ def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
         rng = random.Random(seed)
         for _ in range(4):
             Z = usc_reward(rng, lattice)
-            smallest = smallest_largest_optimal(lattice, meyer, Z).smallest
+            zbar = snell_envelope(lattice, meyer, Z)
+            decomp = mertens_decompose(lattice, meyer, zbar)
+            smallest = smallest_largest_optimal(lattice, meyer, Z, zbar, decomp).smallest
             zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)
             brute = snell_brute_force(lattice, meyer, Z)
             escapees = {
@@ -1071,8 +1073,6 @@ def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
                 for U in brute.optimizers
                 if not smallest <= U <= zero
             }
-            zbar = snell_envelope(lattice, meyer, Z)
-            decomp = mertens_decompose(lattice, meyer, zbar)
             message = checks.check_sandwich(lattice, meyer, Z, zbar, decomp)
             assert (message is None) == (not escapees), (seed, message)
             assert message is None or message in escapees, (seed, message)
@@ -1286,7 +1286,7 @@ def plain_divided_maximum(lattice, meyer, process, S):
     """Largest E[Z at q] over the canonical divided stops q from S."""
     best = None
     for q in enumerate_divided_stops(lattice, meyer, from_S=S):
-        v = expected_value(lattice, divided_value(lattice, process, q))
+        v = expected_value(lattice, from_divided_quadruple(lattice, q).value_of(process))
         if best is None or v > best:
             best = v
     return best
@@ -1298,7 +1298,7 @@ def plain_divided_maxima(lattice, meyer, process, starts):
     the first of them in decreasing order of value is the largest."""
     valued = sorted(
         (
-            (expected_value(lattice, divided_value(lattice, process, q)), read.indices)
+            (expected_value(lattice, read.value_of(process)), read.indices)
             for q in enumerate_divided_stops(lattice, meyer)
             for read in [from_divided_quadruple(lattice, q)]
         ),

@@ -215,7 +215,7 @@ def test_restrict_time_iff_measurable(three_path_meyer):
 def test_section_witness(branch):
     lattice, meyer = branch
     everything = [
-        (p, u) for p in range(2) for u in lattice.instants()
+        (p, lattice.instant_at(i)) for p in range(2) for i in range(lattice.n_instants)
     ]
     S = section_witness(lattice, meyer, everything)
     assert S == RandomInstant.constant(lattice, Instant(0, AT))

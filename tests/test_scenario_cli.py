@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import meyerstop.cli as cli_module
 import meyerstop.scenario as scenario_module
+import meyerstop.snell as snell_module
 from meyerstop import checks
 from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.lattice import INT, Instant, LatticeError, LatticeProcess
@@ -224,6 +226,40 @@ def test_a_malformed_ell_grid_is_a_validation_failure(grid, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
+@pytest.mark.parametrize("command", ["oracle", "suite"])
+def test_a_negative_guard_is_a_validation_failure(command, capsys):
+    # a guard bounds a count of stopping times: below 0 it is rejected with
+    # one error line, before any command could read it as exceeded or SKIP
+    assert main([command, "--seed", "3", "--guard", "-1"]) == 1
+    message = "error: --guard: expected a count of at least 0, got -1\n"
+    assert capsys.readouterr() == ("", message)
+    # a guard of 0 stays valid: it is exceeded by any listing
+    assert main([command, "--seed", "3", "--guard", "0"]) == (2 if command == "oracle" else 0)
+    out, err = capsys.readouterr()
+    if command == "oracle":
+        assert (out, err) == ("", "error: 2 stopping times exceed the guard of 0\n")
+    else:
+        assert "SKIP representation/universal-signal  103 stopping times exceed the guard of 0" in out
+
+
+def test_stop_builds_one_envelope_and_one_decomposition(monkeypatch, capsys):
+    # the delta and sigma stops read the envelope and decomposition that the
+    # command built, once each
+    built = []
+    for name in ("snell_envelope", "mertens_decompose"):
+        real = getattr(snell_module, name)
+
+        def counted(*args, name=name, real=real):
+            built.append(name)
+            return real(*args)
+
+        for module in (cli_module, snell_module):
+            monkeypatch.setattr(module, name, counted)
+    assert main(["stop", "--scenario", str(FIXTURES / "deterministic.scn")]) == 0
+    assert "relaxation_exact: True" in capsys.readouterr().out
+    assert built == ["snell_envelope", "mertens_decompose"]
+
+
 def test_suite_byte_identical_across_jobs(tmp_path):
     # `--jobs` is accepted and changes nothing
     for name in ("branch.scn", "deterministic.scn", "signal_chain.scn"):
@@ -348,7 +384,7 @@ def test_a_failed_sandwich_is_a_fail_row(message, monkeypatch, tmp_path):
     def failing(*args):
         raise LatticeError(message)
 
-    monkeypatch.setattr(checks, "_smallest_largest", failing)
+    monkeypatch.setattr(checks, "smallest_largest_optimal", failing)
     doc, status = run_suite(_seed58())
     rows = {r["property"]: r for r in doc["checks"]}
     assert status == 2 and doc["failed"] == 2

@@ -55,6 +55,18 @@ def closed_martingale(lattice, meyer, terminal_rv):
     return LatticeProcess((*cols, tuple(terminal_rv)))
 
 
+def decomposed(lattice, meyer, Z):
+    """The Mertens decomposition of the Snell envelope of Z."""
+    return mertens_decompose(lattice, meyer, snell_envelope(lattice, meyer, Z))
+
+
+def sandwich(lattice, meyer, Z):
+    """`smallest_largest_optimal` on the envelope of Z and its decomposition."""
+    zbar = snell_envelope(lattice, meyer, Z)
+    decomp = mertens_decompose(lattice, meyer, zbar)
+    return smallest_largest_optimal(lattice, meyer, Z, zbar, decomp)
+
+
 def test_envelope_examples(chain, branch):
     lattice, meyer = chain
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
@@ -221,41 +233,44 @@ def test_lambda_entry_examples(chain):
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
     zbar = snell_envelope(lattice, meyer, Z)
     S = RandomInstant.constant(lattice, ZERO)
-    entry = lambda_entry_time(lattice, meyer, Z, zbar, Fraction(1, 2), S)
+    entry = lambda_entry_time(lattice, Z, zbar, Fraction(1, 2), S)
     assert entry == RandomInstant.constant(lattice, Instant(0, INT))
 
-    entry = lambda_entry_time(lattice, meyer, zbar, zbar, Fraction(1, 2), S)
+    entry = lambda_entry_time(lattice, zbar, zbar, Fraction(1, 2), S)
     assert entry == S
 
     with pytest.raises(LatticeError):
-        lambda_entry_time(lattice, meyer, Z, zbar, Fraction(1), S)
+        lambda_entry_time(lattice, Z, zbar, Fraction(1), S)
 
 
 def test_delta_stop_examples(chain, branch):
     lattice, meyer = chain
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
-    ds = delta_stop(lattice, meyer, Z, RandomInstant.constant(lattice, ZERO))
+    zbar = snell_envelope(lattice, meyer, Z)
+    ds = delta_stop(lattice, meyer, Z, RandomInstant.constant(lattice, ZERO), zbar)
     assert ds.T == RandomInstant.constant(lattice, Instant(0, INT))
     assert expected_value(lattice, ds.T.value_of(Z)) == 3
 
     lattice2, meyer2 = branch
     Z2 = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
-    ds = delta_stop(lattice2, meyer2, Z2, RandomInstant.constant(lattice2, ZERO))
+    zbar2 = snell_envelope(lattice2, meyer2, Z2)
+    ds = delta_stop(lattice2, meyer2, Z2, RandomInstant.constant(lattice2, ZERO), zbar2)
     # the reward touches its envelope at the branch point on both paths
     assert ds.T.assignment == (Instant(1, AT), Instant(1, AT))
     assert expected_value(lattice2, ds.T.value_of(Z2)) == 2
 
     # martingale-like case: envelope equals reward everywhere, so the stop is S
     const = LatticeProcess.from_rows([[2, 2, 2, 2]])
+    flat = snell_envelope(lattice, meyer, const)
     for u in (ZERO, Instant(0, INT), Instant(1, INT)):
         S = RandomInstant.constant(lattice, u)
-        assert delta_stop(lattice, meyer, const, S).T == S
+        assert delta_stop(lattice, meyer, const, S, flat).T == S
 
 
 def test_sigma_stop_examples(chain):
     lattice, meyer = chain
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
-    ss = sigma_stop(lattice, meyer, Z, RandomInstant.constant(lattice, ZERO))
+    ss = sigma_stop(lattice, RandomInstant.constant(lattice, ZERO), decomposed(lattice, meyer, Z))
     assert ss.T == RandomInstant.constant(lattice, Instant(1, AT))
     assert ss.k_minus == frozenset({0})
     reading = from_divided_quadruple(lattice, ss.quadruple)
@@ -265,7 +280,7 @@ def test_sigma_stop_examples(chain):
     # reward touching its flat envelope only on the last interval: the only
     # compensator growth is the final predictable jump
     late = LatticeProcess.from_rows([[0, 0, 0, 5]])
-    ss = sigma_stop(lattice, meyer, late, RandomInstant.constant(lattice, ZERO))
+    ss = sigma_stop(lattice, RandomInstant.constant(lattice, ZERO), decomposed(lattice, meyer, late))
     assert ss.T == RandomInstant.constant(lattice, TERMINAL)
     assert ss.k_minus == frozenset({0})
     reading = from_divided_quadruple(lattice, ss.quadruple)
@@ -274,7 +289,7 @@ def test_sigma_stop_examples(chain):
     assert validate_divided(lattice, meyer, ss.quadruple).ok
 
     zero = LatticeProcess.from_rows([[0, 0, 0, 0]])
-    ss = sigma_stop(lattice, meyer, zero, RandomInstant.constant(lattice, ZERO))
+    ss = sigma_stop(lattice, RandomInstant.constant(lattice, ZERO), decomposed(lattice, meyer, zero))
     assert ss.T == RandomInstant.constant(lattice, TERMINAL)
     assert ss.k_plus == frozenset({0})
     # no-growth paths at TERMINAL sit in the on-time part, never in w_plus
@@ -285,19 +300,21 @@ def test_sigma_stop_examples(chain):
 def test_check_optimality_examples(branch):
     lattice, meyer = branch
     Z = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
+    zbar = snell_envelope(lattice, meyer, Z)
     cert = check_optimality(
-        lattice, meyer, Z, RandomInstant.constant(lattice, Instant(1, AT))
+        lattice, meyer, Z, RandomInstant.constant(lattice, Instant(1, AT)), zbar
     )
     assert cert.condition_i and cert.condition_ii and cert.optimal
 
-    cert = check_optimality(lattice, meyer, Z, RandomInstant.constant(lattice, ZERO))
+    cert = check_optimality(lattice, meyer, Z, RandomInstant.constant(lattice, ZERO), zbar)
     assert not cert.condition_i and not cert.optimal
 
     const = LatticeProcess.from_rows([[2, 2, 2, 2], [2, 2, 2, 2]])
+    flat = snell_envelope(lattice, meyer, const)
     for T in enumerate_stopping_times(lattice, meyer, Kind.LAMBDA):
         if TERMINAL in T.assignment:
             continue
-        assert check_optimality(lattice, meyer, const, T).optimal
+        assert check_optimality(lattice, meyer, const, T, flat).optimal
 
 
 def test_enumerate_divided_count(chain):
@@ -370,28 +387,28 @@ def test_minimal_dominance(three_path_meyer):
 def test_smallest_largest_branch(branch):
     lattice, meyer = branch
     Z = LatticeProcess.from_rows([[1, 1, 4, 0], [1, 1, 0, 0]])
-    result = smallest_largest_optimal(lattice, meyer, Z)
+    result = sandwich(lattice, meyer, Z)
     assert result.smallest.assignment == (Instant(1, AT), Instant(1, AT))
     assert result.largest.assignment == (Instant(1, AT), TERMINAL)
-    assert len(result.all_optimal) == 3
+    assert snell_brute_force(lattice, meyer, Z).optimizer_count == 3
 
 
 def test_smallest_largest_preconditions(chain, branch_blind):
     lattice, meyer = chain
     Z = LatticeProcess.from_rows([[1, 3, 2, 0]])
     with pytest.raises(PreconditionError, match="is_right_usc_in_expectation"):
-        smallest_largest_optimal(lattice, meyer, Z)
+        sandwich(lattice, meyer, Z)
 
     lattice2, blind = branch_blind
     flat = LatticeProcess.from_rows([[1, 1, 0, 0], [1, 1, 0, 0]])
     with pytest.raises(PreconditionError, match="optional structure"):
-        smallest_largest_optimal(lattice2, blind, flat)
+        sandwich(lattice2, blind, flat)
 
 
 def test_smallest_largest_flat(chain):
     lattice, meyer = chain
     const = LatticeProcess.from_rows([[2, 2, 2, 0]])
-    result = smallest_largest_optimal(lattice, meyer, const)
+    result = sandwich(lattice, meyer, const)
     assert result.smallest == RandomInstant.constant(lattice, ZERO)
     assert result.largest == RandomInstant.constant(lattice, Instant(1, AT))
 

@@ -283,10 +283,16 @@ def _constructor_calls(name: str, tree: ast.AST) -> list[str]:
 
 
 def test_the_checks_read_the_envelope_the_suite_built():
-    # each row verifies the envelope and decomposition it is given; building
-    # them in a check would repeat the suite's work once per row
-    name = "checks.py"
-    found = _constructor_calls(name, ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    # each row, stop and certificate verifies or reads the envelope and
+    # decomposition it is given; building them there would repeat the
+    # caller's work once per call
+    found = [
+        finding
+        for name in ("checks.py", "snell.py")
+        for finding in _constructor_calls(
+            name, ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        )
+    ]
     assert not found, found
 
 
@@ -303,6 +309,77 @@ def test_the_constructor_scan_sees_each_form():
         "m.py:2 calls snell_envelope",
         "m.py:4 calls snell_envelope",
         "m.py:3 calls mertens_decompose",
+    ]
+
+
+def _unread_parameters(name: str, tree: ast.AST) -> list[str]:
+    """Lines that define a function with a parameter its body never reads;
+    the `self` or `cls` of a method is exempt, and so are lambdas."""
+    methods = {
+        id(fn)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if id(fn) in methods and params[0] is not None and params[0].arg in ("self", "cls"):
+            params = params[1:]
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            (fn.lineno, f"{name}:{fn.lineno} {fn.name} never reads {arg.arg}")
+            for arg in params
+            if arg is not None and arg.arg not in read
+        ]
+    return [finding for _, finding in sorted(found)]
+
+
+def test_every_parameter_is_read():
+    # a parameter that no line reads is a knob that does nothing, and every
+    # caller must still pass it
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _unread_parameters(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_unread_parameter_scan_sees_each_form():
+    tree = ast.parse(
+        "def entry(lattice, meyer, zbar):\n    return lattice, zbar\n"
+        "def only(a, /, b):\n    return b\n"
+        "def keyword(a, *, flag=None):\n    return a\n"
+        "def rest(*args, **kwargs):\n    return args\n"
+        "async def later(x):\n    pass\n"
+        "class C:\n"
+        "    def method(self, unused):\n        return 1\n"
+        "    def read(self, y):\n        return y\n"
+        "def outer(a, b):\n"
+        "    def inner(c):\n        return a\n"
+        "    return lambda: inner(b)\n"
+        "def plain(self):\n    return 0\n"
+        "quick = lambda unused: 0\n"
+    )
+    assert _unread_parameters("m.py", tree) == [
+        "m.py:1 entry never reads meyer",
+        "m.py:3 only never reads a",
+        "m.py:5 keyword never reads flag",
+        "m.py:7 rest never reads kwargs",
+        "m.py:9 later never reads x",
+        "m.py:12 method never reads unused",
+        "m.py:17 inner never reads c",
+        "m.py:20 plain never reads self",
     ]
 
 
