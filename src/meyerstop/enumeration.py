@@ -31,7 +31,7 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
-    _scaled,
+    _weighted,
     field_partitions,
 )
 
@@ -224,12 +224,13 @@ class _Optimum(NamedTuple):
 def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed) -> _Optimum:
     """Maximize E[process_T] over the stopping times within `allowed`.
 
-    One fold over the `_weighted` cells gives the value, the maximizer count
-    and the count of times, at one visit per node whatever the count.
-    Nothing is listed until `maximizers()` starts a walk, in walk order, of
-    the `ways` maximizers; a caller that lists them bounds `ways` first.
+    One fold over the `lattice._weighted` cells P(p)·process[i][p], integers
+    over one denominator, gives the value, the maximizer count and the count
+    of times, at one visit per node whatever the count.  Nothing is listed
+    until `maximizers()` starts a walk, in walk order, of the `ways`
+    maximizers; a caller that lists them bounds `ways` first.
     """
-    gains, den = _weighted(lattice, process)
+    gains, den = _weighted(lattice, process.columns)
     steps = _Decisions(lattice, meyer, kind, allowed)
     (best, ways, total), attaining = _best(steps, gains, 0, steps.everyone)
     top = None if best is None else Fraction(best, den)
@@ -246,7 +247,7 @@ def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
     exactly when an optimal time leaves `allowed`; the attaining walk's
     first time is one.
     """
-    gains, den = _weighted(lattice, process)
+    gains, den = _weighted(lattice, process.columns)
     rank = lattice.n_paths + 1
     ranked = [
         [g * rank + 1 - (inside >> p & 1) for p, g in enumerate(row)]
@@ -255,12 +256,6 @@ def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
     steps = _Decisions(lattice, meyer, Kind.LAMBDA)
     (best, _, _), attaining = _best(steps, ranked, 0, steps.everyone)
     return Fraction(best // rank, den), next(attaining()) if best % rank else None
-
-
-def _weighted(lattice: FilteredLattice, process: LatticeProcess) -> tuple[list[list[int]], int]:
-    """The cells P(p)·process[i][p] as `_scaled` integers, and their denominator."""
-    probs = lattice.probabilities
-    return _scaled([[c * v for c, v in zip(probs, col)] for col in process.columns])
 
 
 def _best(steps: _Decisions, gains, start: int, active: int):

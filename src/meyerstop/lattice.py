@@ -21,10 +21,11 @@ Information is one partition of the path set per instant:
 
 where F is the filtration and G is the Meyer structure squeezed between
 F_{k-1} and F_k.  All values are exact rationals; there is no floating
-point anywhere in this module.  Averages run on integers: the lattice keeps
-its path probabilities as integer weights over one common mass, a column is
-scaled to integers over one denominator (`_scaled`), and each atom's
-average is one integer sum and one `Fraction`.
+point anywhere in this module, and `_scaled` rejects a float.  Averages run
+on integers: the lattice keeps its path probabilities as integer weights
+over one common mass, every P-weighted table of the engine is built here
+(`_weighted`) as integers over one denominator, and each atom's average is
+one integer sum and one `Fraction`.
 """
 
 from __future__ import annotations
@@ -211,7 +212,9 @@ class FilteredLattice:
             return self.initial_field
         return make_partition([range(self.n_paths)])
 
-    def instant_at(self, index: int) -> Instant:
+    @staticmethod
+    def instant_at(index: int) -> Instant:
+        """The `Instant` at chain index `index`: 2k is (k, AT), 2k + 1 is (k, INT)."""
         return Instant(index // 2, AT if index % 2 == 0 else INT)
 
 
@@ -365,10 +368,29 @@ def conditional_expectation(
     return tuple(out)
 
 
+def expected_value(lattice: FilteredLattice, rv: Sequence[Fraction]) -> Fraction:
+    """E[rv]: the sum of rv's `_weighted` cells, as one `Fraction`."""
+    (cells,), den = _weighted(lattice, [rv])
+    return Fraction(sum(cells), den)
+
+
+def _weighted(lattice: FilteredLattice, rows) -> tuple[list[list[int]], int]:
+    """The cells P(p)·rows[i][p] as integers over one denominator, and that
+    denominator: the `_scaled` rows times the lattice's integer weights."""
+    weights, mass = lattice.weights
+    scaled, den = _scaled(rows)
+    return [[w * v for w, v in zip(weights, row)] for row in scaled], mass * den
+
+
 def _scaled(rows) -> tuple[list[list[int]], int]:
     """Rational rows as integer rows over their least common denominator,
-    and that denominator."""
-    den = math.lcm(*(v.denominator for row in rows for v in row))
+    and that denominator; a cell that is not an exact rational (a float)
+    raises LatticeError."""
+    try:
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+    except AttributeError:
+        bad = next(v for row in rows for v in row if not hasattr(v, "denominator"))
+        raise LatticeError(f"{bad} is not an exact rational") from None
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
@@ -458,10 +480,7 @@ class RandomInstant:
     def assignment(self) -> tuple[TimePoint, ...]:
         """The per-path `Instant` or TERMINAL, for rendering."""
         n = self.n_instants
-        return tuple(
-            TERMINAL if i == n else Instant(i // 2, AT if i % 2 == 0 else INT)
-            for i in self.indices
-        )
+        return tuple(TERMINAL if i == n else FilteredLattice.instant_at(i) for i in self.indices)
 
     def __repr__(self) -> str:
         return f"RandomInstant(assignment={self.assignment!r})"

@@ -36,11 +36,13 @@ from .lattice import (
     _divided_readings,
     _first_hits,
     _require_shape,
-    _scaled,
+    _weighted,
     conditional_expectation,
+    expected_value,
     field_partitions,
     is_lambda_stopping_time,
     is_measurable,
+    reward_fault,
     to_divided_quadruple,
     validate_divided,
 )
@@ -197,29 +199,24 @@ def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProces
 
 
 def _accrued(problem: RepresentationProblem) -> tuple[list, list]:
-    """The accrual rule: per instant index i (TERMINAL included) and path p,
-    the a-mass P_p * sum_{w < i} a_w * mu_w and the b-mass alike; at level
-    s, X read at (i, p) after that accrual is worth P_p * X_i + a + s * b."""
+    """The accrual rule, without P: per instant index i (TERMINAL included)
+    and path p, the a-mass sum_{w < i} a_w * mu_w and the b-mass
+    sum_{w < i} b_w * mu_w.  At level s, X read at (i, p) after that accrual
+    is worth X_i + a + s * b; `_lines` and `stopping_value` weigh it by P once."""
     lattice, g, mu = problem.lattice, problem.g, problem.mu
     acc_a, acc_b = [[Fraction(0)] * lattice.n_paths], [[Fraction(0)] * lattice.n_paths]
     for w in range(lattice.n_instants):
-        row_a, row_b = list(acc_a[-1]), list(acc_b[-1])
-        for p, c in enumerate(lattice.probabilities):
-            if (m := mu.mass[p][w]) != 0:
-                row_a[p] += c * m * g.a[p][w]
-                row_b[p] += c * m * g.b[p][w]
-        acc_a.append(row_a)
-        acc_b.append(row_b)
+        acc_a.append([v + mu.mass[p][w] * g.a[p][w] for p, v in enumerate(acc_a[-1])])
+        acc_b.append([v + mu.mass[p][w] * g.b[p][w] for p, v in enumerate(acc_b[-1])])
     return acc_a, acc_b
 
 
 def _lines(problem: RepresentationProblem, X: LatticeProcess):
-    """Integer rows I = P * X + a-mass and K = b-mass (`_accrued`) over one
-    denominator D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
+    """Integer rows I = P * (X + a-mass) and K = P * b-mass (`_accrued`), one
+    `_weighted` table over D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
     acc_a, acc_b = _accrued(problem)
-    probs = problem.lattice.probabilities
-    I = [[c * x + v for c, x, v in zip(probs, col, acc)] for col, acc in zip(X.columns, acc_a)]
-    rows, den = _scaled(I + acc_b)
+    I = [[x + v for x, v in zip(col, acc)] for col, acc in zip(X.columns, acc_a)]
+    rows, den = _weighted(problem.lattice, I + acc_b)
     return rows[: len(I)], rows[len(I) :], den
 
 
@@ -259,7 +256,6 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     n, n_paths = lattice.n_instants, lattice.n_paths
-    probs = lattice.probabilities
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
     I, K, _ = _lines(problem, X)
     steps = _Decisions(lattice, meyer, Kind.LAMBDA)
@@ -269,8 +265,7 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
         for block in fields[u]:
             num, den = _least_root(steps, I, K, u, block)
             if den == 0:
-                atom_x = sum(probs[p] * X.columns[u][p] for p in block)
-                if atom_x != 0:
+                if X.columns[u][min(block)] != 0:  # X is constant on the atom
                     raise RepresentationError(
                         "X not representable with this (g, mu): "
                         f"mass exhausted before instant index {u} but X is nonzero"
@@ -343,7 +338,8 @@ def _accrual_cutoffs(
 def stopping_value(
     problem: RepresentationProblem, ell, tau: RandomInstant | DividedQuadruple
 ):
-    """E[X at tau + accrued g(ell)-mass strictly before tau], on `_accrued`.
+    """E[X at tau + accrued g(ell)-mass strictly before tau]: one
+    `expected_value` of each path's reading of `_accrued` at its cutoff.
     tau must be a Lambda- or divided stopping time (else LatticeError); X is
     the problem's, else forward(L): pass `problem.with_X(X)` to reuse one."""
     lattice, meyer = problem.lattice, problem.meyer
@@ -355,11 +351,12 @@ def stopping_value(
         if not report.ok:
             raise LatticeError("tau is not a divided stopping time: " + "; ".join(report.problems))
     X = problem.X if problem.X is not None else forward_evaluate(problem)
-    s, probs, (acc_a, acc_b) = ell**problem.g.power, lattice.probabilities, _accrued(problem)
-    total = Fraction(0)
-    for p, (read, cut) in enumerate(_accrual_cutoffs(lattice, tau)):
-        total += probs[p] * X.columns[read][p] + acc_a[cut][p] + s * acc_b[cut][p]
-    return total
+    s, (acc_a, acc_b) = ell**problem.g.power, _accrued(problem)
+    reading = [
+        X.columns[read][p] + acc_a[cut][p] + s * acc_b[cut][p]
+        for p, (read, cut) in enumerate(_accrual_cutoffs(lattice, tau))
+    ]
+    return expected_value(lattice, reading)
 
 
 @dataclass(frozen=True)
@@ -426,8 +423,8 @@ def universal_signal_check(
 ) -> SignalReport:
     """Level-passage stops of L attain every accrual-adjusted optimum.
 
-    Requires a nonnegative representable X that is left-USC in expectation
-    (named error otherwise); verifies the implied right-USC, then compares
+    Requires a representable reward X that is left-USC in expectation
+    (PreconditionError otherwise); verifies the implied right-USC, then compares
     both level-passage variants against the enumerated divided-stop optimum
     at each grid level, in grid order.  A canonical divided stop reads X,
     and cuts the accrual, at one index i per path, so every stop is its flat
@@ -445,6 +442,8 @@ def universal_signal_check(
         X, S = problem.X, _solve(problem)
     else:
         X, S = forward_evaluate(problem), _levels(problem.g, problem.L)
+    if fault := reward_fault(lattice, meyer, X):
+        raise PreconditionError(f"X is not a reward: {fault}")
     if not is_left_usc_in_expectation(lattice, meyer, X).ok:
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok

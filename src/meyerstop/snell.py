@@ -38,8 +38,8 @@ from .lattice import (
     RandomInstant,
     _canonical_quadruple,
     _first_hits,
-    _scaled,
     conditional_expectation,
+    expected_value,  # re-exported: callers read it as `snell.expected_value`
     field_partitions,
     is_lambda_stopping_time,
     is_measurable,
@@ -47,14 +47,6 @@ from .lattice import (
     to_divided_quadruple,
 )
 from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
-
-
-def expected_value(lattice: FilteredLattice, rv) -> Fraction:
-    """E[rv] as one integer sum over the lattice's integer weights, and one
-    `Fraction` over its mass times the column's denominator."""
-    weights, mass = lattice.weights
-    (nums,), den = _scaled([rv])
-    return Fraction(sum(w * v for w, v in zip(weights, nums)), mass * den)
 
 
 def snell_envelope(

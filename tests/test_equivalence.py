@@ -43,6 +43,7 @@ from meyerstop.lattice import (
     MeyerStructure,
     PathRecord,
     RandomInstant,
+    _weighted,
     conditional_expectation,
     field_at_time,
     field_partitions,
@@ -1670,6 +1671,15 @@ def assert_integer_averages_match(lattice, rv, partitions):
     assert same(expected_value(lattice, rv), fraction_mean(lattice, rv)), rv
 
 
+def assert_weighted_cells_match(lattice, rows):
+    """Each `_weighted` cell over the table's one denominator is P(p)·rows[i][p]."""
+    cells, den = _weighted(lattice, rows)
+    probs = lattice.probabilities
+    assert [[Fraction(cell, den) for cell in row] for row in cells] == [
+        [probs[p] * v for p, v in enumerate(row)] for row in rows
+    ], rows
+
+
 def test_integer_averages_match_the_fraction_formula_on_every_field():
     compared = 0
     for seed, sc in small_family():
@@ -1680,6 +1690,7 @@ def test_integer_averages_match_the_fraction_formula_on_every_field():
             for part in [*field_partitions(lattice, meyer, kind), lattice.initial_partition()]
         }
         for process in sc.processes.values():
+            assert_weighted_cells_match(lattice, process.columns)
             for column in process.columns:
                 assert_integer_averages_match(lattice, column, fields)
                 compared += len(fields)
@@ -1701,6 +1712,7 @@ def test_integer_averages_match_on_a_wide_tree_with_signed_cells():
     ]
     lattice, _ = build_lattice([Fraction(w, total) for w in weights], levels, levels)
     partitions = [make_partition(level) for level in levels]
+    rows = []
     for _ in range(6):
         rv = [
             rng.randint(-20, 20)
@@ -1710,8 +1722,12 @@ def test_integer_averages_match_on_a_wide_tree_with_signed_cells():
         ]
         assert any(type(v) is int for v in rv) and any(v < 0 for v in rv)
         assert_integer_averages_match(lattice, rv, partitions)
+        rows.append(rv)
     ints = tuple(rng.randint(-9, 9) for _ in range(lattice.n_paths))
     assert_integer_averages_match(lattice, ints, partitions)
+    # one table over one denominator for the signed rows, and for ints alone
+    assert_weighted_cells_match(lattice, rows)
+    assert_weighted_cells_match(lattice, [ints])
 
 
 def _count_builds(monkeypatch):

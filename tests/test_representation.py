@@ -14,6 +14,7 @@ from meyerstop.lattice import (
     LatticeError,
     LatticeProcess,
     RandomInstant,
+    conditional_expectation,
     validate_divided,
 )
 from meyerstop.representation import (
@@ -321,6 +322,22 @@ def test_root_is_exact_where_s_has_a_rational_root(chain):
     cube = GFamily.affine([[0] * 4], [[1] * 4], 3)
     solved = solve_representation(RepresentationProblem(lattice, meyer, cube, mu, X=X))
     assert solved.rows == ((2 ** (1 / 3), 3 ** (1 / 3), 3 ** (1 / 3), 0),)
+
+
+def test_a_float_cell_is_not_an_exact_rational(chain):
+    # the engine is exact: a float, such as the rendered root 2 ** (1/3) of a
+    # solved signal, raises a named LatticeError where it is scaled to integers
+    lattice, meyer = chain
+    mu = RandomMeasure.from_rows([[1, 0, 1, 0]])
+    S = LatticeProcess.from_rows([[2, 1, 3, 0]])
+    X = forward_evaluate(RepresentationProblem(lattice, meyer, identity_g(lattice), mu, L=S))
+    cube = GFamily.affine([[0] * 4], [[1] * 4], 3)
+    problem = RepresentationProblem(lattice, meyer, cube, mu, X=X)
+    solved = solve_representation(problem)
+    with pytest.raises(LatticeError, match=r"^\S+ is not an exact rational$"):
+        forward_evaluate(problem.with_L(solved))
+    with pytest.raises(LatticeError, match=r"^0\.5 is not an exact rational$"):
+        conditional_expectation(lattice, [0.5], lattice.initial_partition())
 
 
 def test_value_affine_in_level_and_max_convex():

@@ -411,6 +411,31 @@ def test_an_unrepresentable_reward_skips_the_signal_row(seed):
     assert signal["detail"].startswith("X not representable with this (g, mu)")
 
 
+def test_a_negative_representation_reward_skips_the_signal_row(tmp_path, capsys):
+    # intercepts of -50 make the forward reward X negative: the signal row
+    # SKIPs on the reward precondition and every other row still runs, while
+    # `signal` itself is a validation failure that names the fault
+    doc = json.loads(render_scenario(generate_instance(RandomInstanceParams(seed=3))))
+    doc["g"]["a"] = {path: ["-50"] * len(row) for path, row in doc["g"]["a"].items()}
+    scenario = tmp_path / "negative.scn"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["suite", "--scenario", str(scenario), "--format", "machine"]) == 0
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    statuses = [row["status"] for row in rows]
+    assert (statuses.count("PASS"), statuses.count("SKIP"), len(rows)) == (25, 3, 28)
+    skipped = {row["property"]: row["detail"] for row in rows if row["status"] == "SKIP"}
+    assert sorted(skipped) == [
+        "representation/universal-signal",
+        "stop/sandwich[L]",
+        "stop/sandwich[Z]",
+    ]
+    assert skipped["representation/universal-signal"] == (
+        "X is not a reward: process must be nonnegative"
+    )
+    assert main(["signal", "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr() == ("", "error: X is not a reward: process must be nonnegative\n")
+
+
 def test_a_guarded_delta_maximum_is_a_skip_row(monkeypatch):
     # the oracle and delta rows read one fold's value, which no guard
     # bounds: at a guard of 2, below branch.scn's 11 stopping times, they

@@ -237,18 +237,40 @@ def _calls(tree: ast.AST, name: str, within: str | None = None) -> list[ast.Call
     ]
 
 
+# Engine modules that read P only through `lattice`'s weighted tables.
+WEIGHT_FREE = ("enumeration.py", "snell.py", "representation.py")
+
+
+def _attribute_reads(tree: ast.AST, attr: str) -> list[int]:
+    """Lines that read the attribute `attr` of any object."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    )
+
+
 def test_each_exact_computation_is_said_once():
-    # one integer scaling (`lattice._scaled`), and the decomposition's
-    # jumps read the continuations that `martingale_reach` reads
+    # one integer scaling (`lattice._scaled`), called only in `lattice`; P
+    # is weighed in there too (`lattice._weighted`), so no other engine
+    # module reads the probabilities; and the decomposition's jumps read
+    # the continuations that `martingale_reach` reads
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exempt = set()
         if path.name == "lattice.py":
             exempt = {id(c) for c in _calls(tree, "lcm", "_scaled")}
+        else:
+            found += [f"{path.name}:{c.lineno} calls _scaled" for c in _calls(tree, "_scaled")]
         found += [
             f"{path.name}:{c.lineno} calls lcm" for c in _calls(tree, "lcm") if id(c) not in exempt
         ]
+        if path.name in WEIGHT_FREE:
+            found += [
+                f"{path.name}:{line} reads probabilities"
+                for line in _attribute_reads(tree, "probabilities")
+            ]
         if path.name == "snell.py":
             found += [
                 f"snell.py:{c.lineno} calls conditional_expectation in mertens_decompose"
@@ -266,6 +288,18 @@ def test_the_once_check_sees_each_duplicate():
     assert [c.lineno for c in _calls(tree, "lcm")] == [2, 4]
     assert [c.lineno for c in _calls(tree, "lcm", "_scaled")] == [2]
     assert [c.lineno for c in _calls(tree, "conditional_expectation", "mertens_decompose")] == [6]
+
+
+def test_the_once_check_sees_each_scaling_and_probability_read():
+    tree = ast.parse(
+        "def f(lattice, rows):\n"
+        "    probs = lattice.probabilities\n"
+        "    return _scaled(rows), lattice_module._scaled(rows)\n"
+        "def g(self):\n"
+        "    return [c for c in self.lattice.probabilities]\n"
+    )
+    assert [c.lineno for c in _calls(tree, "_scaled")] == [3, 3]
+    assert _attribute_reads(tree, "probabilities") == [2, 5]
 
 
 # The constructors of a reward's envelope objects, which the suite calls once per
@@ -441,12 +475,12 @@ def _repeated_calls(tree: ast.Module, name: str) -> list[int]:
 
 def test_one_accrual_rule_scaled_once():
     # the solve, `stopping_value` and the signal check read one table of
-    # cell lines, built by `_accrued` and scaled once per solve and check
+    # cell lines, built by `_accrued` and weighted once per solve and check
     tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
     found = [f"representation.py:{line} reads a row of g or mu" for line in _rate_reads(tree)]
     found += [
-        f"representation.py:{line} calls _scaled repeatedly"
-        for line in _repeated_calls(tree, "_scaled")
+        f"representation.py:{line} calls _weighted repeatedly"
+        for line in _repeated_calls(tree, "_weighted")
     ]
     assert not found, found
 
@@ -456,12 +490,12 @@ def test_the_accrual_check_sees_each_read():
         "def _accrued(p):\n    return p.g.a, mu.mass\n"
         "def f(problem, g):\n    return problem.mu.mass, g.b, g.power, x.a\n"
         "class RepresentationProblem:\n    def __post_init__(self):\n        self.g.a\n"
-        "def h(rows):\n    for r in rows:\n        _scaled(r)\n"
-        "    once = _scaled(rows)\n"
-        "    return [_scaled(r) for r in rows], lambda: _scaled(once)\n"
+        "def h(rows):\n    for r in rows:\n        _weighted(r)\n"
+        "    once = _weighted(rows)\n"
+        "    return [_weighted(r) for r in rows], lambda: _weighted(once)\n"
     )
     assert _rate_reads(tree) == [4, 4]
-    assert _repeated_calls(tree, "_scaled") == [10, 12]
+    assert _repeated_calls(tree, "_weighted") == [10, 12]
 
 
 def _is_empty_dict(node: ast.AST) -> bool:
