@@ -1,7 +1,8 @@
 """Named verification properties.
 
-Each check returns None on success or a failure message; the suite command
-turns these into PASS/FAIL rows and the acceptance tests reuse them.  All
+Each check returns None on success, a `SKIP:` message when a precondition
+or the guard stops it, or a failure message; the suite command turns these
+into PASS/SKIP/FAIL rows and the acceptance tests reuse them.  All
 checks are exact: every quantity is rational, so an approximate comparison
 could only hide a real defect.  The rows about a reward's envelope read the
 envelope `zbar` and decomposition `decomp` that the suite built once for
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .enumeration import DEFAULT_GUARD, _between, _cells, _maximum, _ranked
+from .enumeration import DEFAULT_GUARD, EnumerationGuardError, _between, _cells, _maximum, _ranked
 from .lattice import (
     Kind,
     LatticeError,
@@ -327,9 +328,10 @@ def check_representation_roundtrip(problem: RepresentationProblem) -> str | None
 
 
 def check_universal_signal(problem: RepresentationProblem, ell_grid, guard=DEFAULT_GUARD) -> str | None:
+    """`universal_signal_check` as a row; SKIP past a precondition, a solve or the guard."""
     try:
         report = universal_signal_check(problem, ell_grid, guard)
-    except (PreconditionError, RepresentationError) as exc:
+    except (PreconditionError, RepresentationError, EnumerationGuardError) as exc:
         return f"SKIP: {exc}"
     if not report.right_usc_holds:
         return "representable X is not right-USC in expectation"

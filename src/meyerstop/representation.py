@@ -8,7 +8,7 @@ path) cell after the g-mass accrued before it is a line in the level s.
 `solve_representation` takes each atom's least crossing of two such lines
 by Dinkelbach folds, `stopping_value` reads the lines at a stop, and
 `universal_signal_check` certifies that the level-passage stops of L solve
-every accrual-adjusted stopping problem at once, in integers per level.
+every accrual-adjusted stopping problem at once, on each stop's line in s.
 
 g = a + b * ell**power with one odd power is affine in s = ell**power, and
 s is increasing in ell, so running suprema, window roots and level passages
@@ -20,6 +20,7 @@ is the real root of S (`_root`), a float only where S has no rational root.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -427,15 +428,14 @@ def universal_signal_check(
     (PreconditionError otherwise); verifies the implied right-USC, then compares
     both level-passage variants against the enumerated divided-stop optimum
     at each grid level, in grid order.  A canonical divided stop reads X,
-    and cuts the accrual, at one index i per path, so every stop is its flat
-    cells i * n_paths + p of the `_lines` table: a listed stop at its
-    readings, a level passage at its own indices.  At the level
-    s = num / den a cell is worth den * I + num * K over den * D, each stop
-    sums its integers, and only the passage values and the level's maximum
-    become Fractions.  The passages are read on S = L**power at the level
-    ell**power, through `_passage` with no check per level: S is Lambda-
-    measurable, as `forward_evaluate` checks L once and the solve sets S
-    atom by atom.
+    and cuts the accrual, at one index i per path, so every stop is one
+    integer line (sum I[i][p], sum K[i][p]) of the `_lines` table: a listed
+    stop at its readings, read once into a Counter of distinct lines, and a
+    level passage at its own indices.  At s = num / den a line (a, b) is
+    worth den * a + num * b over den * D; the optimum is the best distinct
+    line, its count the multiplicity of the lines attaining it.  Passages
+    are read on S = L**power at ell**power by `_passage`, unchecked: S is
+    Lambda-measurable, as `forward_evaluate` checks L and the solve sets S.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     if problem.L is None:
@@ -448,23 +448,23 @@ def universal_signal_check(
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
     stops = enumerate_divided_stops(lattice, meyer, guard=guard)
-    n_paths = lattice.n_paths
-
-    def cells(indices) -> list[int]:
-        return [i * n_paths + p for p, i in enumerate(indices)]
-
-    listed = [cells(_divided_readings(lattice, q)) for q in stops]
     I, K, D = _lines(problem, X)
-    I, K = [v for row in I for v in row], [v for row in K for v in row]
+
+    def line(indices) -> tuple[int, int]:
+        a = b = 0
+        for p, i in enumerate(indices):
+            a, b = a + I[i][p], b + K[i][p]
+        return a, b
+
+    lines = Counter(line(_divided_readings(lattice, q)) for q in stops)
 
     def evaluate(ell) -> SignalRow:
         s = ell**power
         num, den = Fraction(s).as_integer_ratio()
-        worth = [den * x + num * k for x, k in zip(I, K)]
-        passages = (_passage(lattice, S, s, v) for v in (1, 2))
-        v1, v2 = (Fraction(sum(map(worth.__getitem__, cells(T))), den * D) for T in passages)
-        totals = [sum(map(worth.__getitem__, keys)) for keys in listed]
-        best = max(totals)
-        return SignalRow(ell, v1, v2, Fraction(best, den * D), totals.count(best))
+        passages = (line(_passage(lattice, S, s, v)) for v in (1, 2))
+        v1, v2 = (Fraction(den * a + num * b, den * D) for a, b in passages)
+        best = max(den * a + num * b for a, b in lines)
+        count = sum(m for (a, b), m in lines.items() if den * a + num * b == best)
+        return SignalRow(ell, v1, v2, Fraction(best, den * D), count)
 
     return SignalReport(rows=tuple(map(evaluate, ell_grid)), right_usc_holds=right_ok)

@@ -116,7 +116,7 @@ def _parse_partition(
             raise ScenarioError(f"{where}: atom {a} must be a nonempty list of path ids")
         block = []
         for pid in atom:
-            if pid not in index:
+            if not isinstance(pid, str) or pid not in index:
                 raise ScenarioError(f"{where}: unknown path id {pid!r}")
             if pid in seen:
                 raise ScenarioError(
@@ -276,7 +276,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     signal = doc.get("signal")
     reward = doc.get("reward")
     for label, name in (("signal", signal), ("reward", reward)):
-        if name is not None and name not in processes:
+        if name is not None and (not isinstance(name, str) or name not in processes):
             raise ScenarioError(f"{label}: names unknown process {name!r}")
 
     ell_grid = None

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import meyerstop.cli as cli_module
 import meyerstop.scenario as scenario_module
@@ -16,6 +20,7 @@ from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.lattice import INT, Instant, LatticeError, LatticeProcess
 from meyerstop.representation import forward_evaluate, stopping_value
 from meyerstop.scenario import (
+    KNOWN_FIELDS,
     OPTIONAL_EXTREME,
     PREDICTABLE_EXTREME,
     RANDOM_BETWEEN,
@@ -575,3 +580,87 @@ def test_affine_g_takes_no_power(power):
     for strict in (True, False):
         with pytest.raises(ScenarioError, match=r"^g\.power: only odd_power g takes a power$"):
             parse_scenario(json.dumps(doc), strict=strict)
+
+
+# One field of signal_chain.scn replaced by a value of another JSON type,
+# each of which raised TypeError (unhashable) out of the parser: a name that
+# is not a string, and an atom entry that is not a path id.
+MALFORMED = [
+    (("signal",), ["L"], "signal: names unknown process ['L']"),
+    (("reward",), {}, "reward: names unknown process {}"),
+    (("initial_field",), [[["w"]]], "initial_field: unknown path id ['w']"),
+    (("meyer", 0, 0, 0), {}, "meyer epoch 0: unknown path id {}"),
+]
+
+
+def _replaced(doc: dict, where: tuple, value) -> dict:
+    """A copy of doc with the node at the key path `where` set to value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("where, value, message", MALFORMED)
+def test_a_malformed_name_or_atom_is_a_validation_failure(where, value, message, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "signal_chain.scn").read_text(encoding="utf-8"))
+    path = tmp_path / "malformed.scn"
+    path.write_text(json.dumps(_replaced(doc, where, value)), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+FIXTURE_DOCS = {
+    path.name: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted(FIXTURES.glob("*.scn"))
+}
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _fields(value, where: tuple = ()):
+    """(key path, value) of every node below the root of a JSON document."""
+    if isinstance(value, (dict, list)):
+        children = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in children:
+            yield (*where, key), child
+            yield from _fields(child, (*where, key))
+
+
+@st.composite
+def one_field_replaced(draw):
+    """(fixture, key path, value): a node of a fixture document, or an absent
+    top-level field, and a JSON value of another type to put there."""
+    name = draw(st.sampled_from(sorted(FIXTURE_DOCS)))
+    doc = FIXTURE_DOCS[name]
+    absent = [((field,), None) for field in sorted(KNOWN_FIELDS - set(doc))]
+    where, current = draw(st.sampled_from([*_fields(doc), *absent]))
+    value = draw(JSON_VALUES.filter(lambda v: type(v) is not type(current)))
+    return name, where, value
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(case=("signal_chain.scn", *MALFORMED[0][:2]))
+@example(case=("signal_chain.scn", *MALFORMED[1][:2]))
+@example(case=("signal_chain.scn", *MALFORMED[2][:2]))
+@example(case=("signal_chain.scn", *MALFORMED[3][:2]))
+@given(case=one_field_replaced())
+def test_a_replaced_field_parses_or_raises_a_named_error(case):
+    # whatever type a field holds, the parser gives a Scenario or one of its
+    # named errors, in both strict modes
+    name, where, value = case
+    text = json.dumps(_replaced(FIXTURE_DOCS[name], where, value))
+    for strict in (True, False):
+        with warnings.catch_warnings(), contextlib.suppress(ScenarioError, LatticeError):
+            warnings.simplefilter("ignore")
+            parse_scenario(text, strict=strict)

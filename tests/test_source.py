@@ -688,6 +688,42 @@ def test_the_guard_parameter_scan_sees_each_form():
     }
 
 
+def _try_findings(name: str, tree: ast.Module, function: str) -> list[str]:
+    """Lines of a `try` in the named function or in a function nested in it."""
+    tries = [
+        node
+        for top, fn in _top_functions(tree)
+        if top == function
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Try)
+    ]
+    tries.sort(key=lambda node: node.lineno)
+    return [f"{name}:{node.lineno} catches in {function}" for node in tries]
+
+
+def test_the_suite_catches_nothing():
+    # every row reports a SKIP as a `SKIP:` message, so the suite has no
+    # exception to turn into a row; an error that a row raises ends it
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = _try_findings("cli.py", tree, "run_suite")
+    assert not found, found
+
+
+def test_the_try_scan_sees_each_form():
+    tree = ast.parse(
+        "def run_suite(items):\n"
+        "    try:\n        pass\n    except ValueError:\n        pass\n"
+        "    def run_one(item):\n"
+        "        try:\n            return item()\n        finally:\n            pass\n"
+        "    return [run_one(i) for i in items]\n"
+        "def other():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+    )
+    assert _try_findings("m.py", tree, "run_suite") == [
+        "m.py:2 catches in run_suite",
+        "m.py:7 catches in run_suite",
+    ]
+
+
 def _local_imports(name: str, tree: ast.AST) -> list[str]:
     """Lines that import inside a function, lambda bodies aside."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
