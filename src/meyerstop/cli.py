@@ -404,19 +404,18 @@ def main(argv: list[str] | None = None) -> int:
         doc, status = run_command(
             scenario, args.command, process=args.process, ell_grid=ell_grid, guard=args.guard
         )
+        text = render_machine(doc) if args.format == "machine" else render_table(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (RepresentationError, EnumerationGuardError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return PROPERTY_FAILURE
     except (ScenarioError, LatticeError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_FAILURE
-
-    text = render_machine(doc) if args.format == "machine" else render_table(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -533,7 +533,14 @@ def is_lambda_stopping_time(
     T: RandomInstant,
     kind: Kind = Kind.LAMBDA,
 ) -> bool:
-    """True iff {T <= u} is a union of atoms of the instant-u field, for all u."""
+    """True iff T is a random instant of the lattice (one index per path,
+    each in 0..n_instants, with the lattice's TERMINAL index) and {T <= u}
+    is a union of atoms of the instant-u field, for all u."""
+    n = lattice.n_instants
+    if T.n_instants != n or len(T.indices) != lattice.n_paths:
+        return False
+    if not all(0 <= i <= n for i in T.indices):
+        return False
     fields = field_partitions(lattice, meyer, kind)
     for i, part in enumerate(fields):
         event = frozenset(p for p, t in enumerate(T.indices) if t <= i)

@@ -3,13 +3,17 @@
 The envelope is a backward recursion over the instant chain; everything it
 claims is verified against `snell_brute_force`, which maximizes E[Z_T] over
 every Lambda-stopping time by one fold over per-part stopping decisions in
-integers: the same recursion, coded without conditional expectations.  The
-decomposition splits the envelope's supermartingale losses into a
-predictable part A (jumps into grid points, plus a final jump at TERMINAL
-when the last interval value is positive) and an on-time part B (jumps at
-grid points); both drive the second optimal stop construction.  It checks
-its input through its own jumps and leaves its output to the suite's
-mertens/identities row.
+integers: the same recursion, coded without conditional expectations.
+
+The envelope's one-step losses Zbar_i - E[Zbar_{i+1} | Lambda field at i]
+are one table, `_losses`.  The martingale reach is its first nonzero cell
+per path, and the supermartingale test asks that no cell be negative.  The
+decomposition slices the same table into the jumps of a predictable part A
+(jumps into grid points, plus a final jump at TERMINAL when the last
+interval value is positive) and an on-time part B (jumps at grid points),
+and A and B_- are its running sums; both drive the second optimal stop
+construction.  It checks its input through its own jumps and leaves its
+output to the suite's mertens/identities row.
 
 Every stop here (the lambda-entry times, the delta touch time, the sigma
 compensator time, the smallest and largest optimal times) is the debut
@@ -121,9 +125,9 @@ def is_lambda_supermartingale(
     meyer: MeyerStructure,
     process: LatticeProcess,
 ) -> bool:
-    """Each instant value dominates its conditional continuation, including
-    the step into TERMINAL."""
-    breaks = _first_breaks(lattice, meyer, process, lambda here, cont: here < cont)
+    """No one-step loss is negative, the step into TERMINAL included: each
+    instant value dominates its conditional continuation."""
+    breaks = _first_breaks(lattice, meyer, process, lambda loss: loss < 0)
     return all(i == lattice.n_instants for i in breaks)
 
 
@@ -140,32 +144,35 @@ def martingale_reach(
     meyer: MeyerStructure,
     zbar: LatticeProcess,
 ) -> tuple[int, ...]:
-    """Per path, the first instant index whose Lambda-atom has
-    Zbar != E[Zbar next | atom], or n_instants if there is none.
+    """Per path, the first instant index with a nonzero one-step loss, that
+    is whose Lambda-atom has Zbar != E[Zbar next | atom], or n_instants if
+    there is none.
 
     For a Lambda-stopping time U, the stopped process Zbar^U is a
     Lambda-martingale iff U <= reach on every path: each atom before U lies
     in {U > i}, where Zbar^U moves like Zbar, because the Lambda fields
     increase along the chain; atoms inside {U <= i} are frozen.
     """
-    return _first_breaks(lattice, meyer, zbar, lambda here, cont: here != cont)
+    return _first_breaks(lattice, meyer, zbar, lambda loss: loss != 0)
 
 
 def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
-    """Per path, the first instant index where `broken(value, continuation)`."""
+    """Per path, the first instant index whose one-step loss is `broken`."""
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
         raise LatticeError("process is not Lambda-measurable")
-    columns, conts = process.columns, _continuations(lattice, meyer, process)
-    return _first_hits(
-        lattice, (0,) * lattice.n_paths, lambda p, i: broken(columns[i][p], conts[i][p])
-    )
+    losses = _losses(lattice, meyer, process)
+    return _first_hits(lattice, (0,) * lattice.n_paths, lambda p, i: broken(losses[i][p]))
 
 
-def _continuations(lattice, meyer, process) -> list[tuple[Fraction, ...]]:
-    """Per instant index i, E[process at i + 1 | Lambda field at i]."""
+def _losses(lattice, meyer, process) -> list[tuple[Fraction, ...]]:
+    """Per instant index i, the one-step loss E[process_i - process_{i+1} |
+    Lambda field at i].  Every caller has checked that the process is
+    Lambda-measurable, so this is process_i - E[process_{i+1} | field at i]."""
     columns = process.columns
     return [
-        conditional_expectation(lattice, columns[idx + 1], part)
+        conditional_expectation(
+            lattice, [v - w for v, w in zip(columns[idx], columns[idx + 1])], part
+        )
         for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
     ]
 
@@ -196,14 +203,17 @@ def mertens_decompose(
 ) -> MertensDecomposition:
     """Split a nonnegative supermartingale with terminal 0 into M - A - B_-.
 
-    Each jump is a one-step loss Zbar_i - E[Zbar_{i+1} | Lambda field at i],
-    read from the continuations `martingale_reach` reads.  That field is G_k
-    at (k,AT) and F_{k-1} at (k-1,INT), so per grid point:
+    The jumps are slices of the one-step loss table `_losses`, the table
+    `martingale_reach` reads: the loss at instant index i is
+    Zbar_i - E[Zbar_{i+1} | Lambda field at i].  That field is G_k at
+    (k,AT) and F_{k-1} at (k-1,INT), so per grid point:
         delta B at (k,AT) = Zbar at (k,AT)    - E[Zbar at (k,INT) | G_k]
         delta A at (k,AT) = Zbar at (k-1,INT) - E[Zbar at (k,AT) | F_{k-1}]
     with delta A at (0,AT) = 0; the loss into TERMINAL, where Zbar is 0, is
-    A's final predictable jump, Zbar at (K,INT).  M = Zbar + A + B_- is then
-    a Lambda-martingale.
+    A's final predictable jump, Zbar at (K,INT).  The compensators are the
+    table's running sums: A at instant index i sums the odd-index losses
+    before i, B_- the even-index ones, and B is B_- one instant later (B_-
+    itself at TERMINAL).  M = Zbar + A + B_- is then a Lambda-martingale.
 
     A Lambda-measurable input that is nonnegative with terminal 0 is a
     supermartingale exactly when no loss is negative; the jumps check that
@@ -215,12 +225,8 @@ def mertens_decompose(
         if not is_measurable(lattice, meyer, zbar, Kind.LAMBDA):
             raise LatticeError("process is not Lambda-measurable")
         raise LatticeError("decomposition expects a nonnegative input with terminal 0")
-    z = zbar.columns
+    loss = _losses(lattice, meyer, zbar)
     zero = (Fraction(0),) * lattice.n_paths
-    loss = [
-        tuple(v - c for v, c in zip(here, cont))
-        for here, cont in zip(z, _continuations(lattice, meyer, zbar))
-    ]
     delta_b, delta_a, a_terminal_jump = loss[0::2], [zero, *loss[1:-1:2]], loss[-1]
     for db, da in zip(delta_b, delta_a):
         for name, jump in (("B", db), ("A", da)):
@@ -229,31 +235,23 @@ def mertens_decompose(
                     f"negative {name}-jump: input violates the supermartingale property"
                 )
 
-    # AT instant: A includes its jump, the B_- reading does not
-    cum_a = cum_b = zero
-    a_cols, b_cols, bs_cols = [], [], []
-    for da, db in zip(delta_a, delta_b):
-        before_b = cum_b
-        cum_a = tuple(x + y for x, y in zip(cum_a, da))
-        cum_b = tuple(x + y for x, y in zip(cum_b, db))
-        a_cols += [cum_a, cum_a]
-        b_cols += [cum_b, cum_b]
-        bs_cols += [before_b, cum_b]
-    a = LatticeProcess((*a_cols, tuple(x + y for x, y in zip(cum_a, a_terminal_jump))))
-    b = LatticeProcess((*b_cols, cum_b))
-    b_shifted = LatticeProcess((*bs_cols, cum_b))
+    # running sums, TERMINAL included: A at index i sums the odd-index
+    # losses before i, B_- the even-index ones
+    a, b_shifted = [zero], [zero]
+    for j, jump in enumerate(loss):
+        grows, holds = (a, b_shifted) if j % 2 else (b_shifted, a)
+        grows.append(tuple(x + y for x, y in zip(grows[-1], jump)))
+        holds.append(holds[-1])
     # M = Zbar + A + B_-, at TERMINAL too, where Zbar is 0
-    m = LatticeProcess(
-        tuple(
-            tuple(v + x + y for v, x, y in zip(zc, ac, bc))
-            for zc, ac, bc in zip(z, a.columns, b_shifted.columns)
-        )
-    )
+    m = [
+        tuple(v + x + y for v, x, y in zip(zc, ac, bc))
+        for zc, ac, bc in zip(zbar.columns, a, b_shifted)
+    ]
     return MertensDecomposition(
-        m=m,
-        a=a,
-        b=b,
-        b_shifted=b_shifted,
+        m=LatticeProcess(tuple(m)),
+        a=LatticeProcess(tuple(a)),
+        b=LatticeProcess((*b_shifted[1:], b_shifted[-1])),
+        b_shifted=LatticeProcess(tuple(b_shifted)),
         delta_a=tuple(delta_a),
         delta_b=tuple(delta_b),
         a_terminal_jump=a_terminal_jump,
@@ -322,8 +320,10 @@ def sigma_stop(
     T is the first instant u >= S with A_u + B_u > A_S + B_{S-}; the
     terminal reading includes A's final jump.  K-sets follow the growth
     attribution: K_minus where A grew, K_on where only B grew, K_plus where
-    nothing grew (possible only at TERMINAL, and relabeled into the on-time
-    part so the quadruple stays a divided stopping time).
+    nothing grew.  A path is hit only where A + B grew past its level at
+    S, so nothing grew only on a path with T at TERMINAL; Def 2.37 (iii)
+    forbids the just-after part there, so K_plus joins the on-time part and
+    the quadruple's `w_plus` is always empty.
     """
     a, b, bs = decomp.a, decomp.b, decomp.b_shifted
     # readings at S, TERMINAL included: nothing grows after a TERMINAL S
@@ -334,35 +334,11 @@ def sigma_stop(
     )
     T = RandomInstant(hits, lattice.n_instants)
     a_at_t, b_at_t = T.value_of(a), T.value_of(b)
-    k_minus: set[int] = set()
-    k_on: set[int] = set()
-    k_plus: set[int] = set()
-    w_on: set[int] = set()
-    w_plus: set[int] = set()
-    for p, i in enumerate(hits):
-        if a_at_t[p] > a_at_s[p]:
-            k_minus.add(p)
-        elif b_at_t[p] > b_minus_at_s[p]:
-            k_on.add(p)
-            w_on.add(p)
-        else:
-            k_plus.add(p)
-            # Def 2.37 (iii) forbids the just-after part at TERMINAL
-            (w_on if i == lattice.n_instants else w_plus).add(p)
-
-    quadruple = DividedQuadruple(
-        T=T,
-        w_minus=frozenset(k_minus),
-        w=frozenset(w_on),
-        w_plus=frozenset(w_plus),
-    )
-    return SigmaStop(
-        T=T,
-        quadruple=quadruple,
-        k_minus=frozenset(k_minus),
-        k_on=frozenset(k_on),
-        k_plus=frozenset(k_plus),
-    )
+    k_minus = frozenset(p for p, (x, y) in enumerate(zip(a_at_t, a_at_s)) if x > y)
+    k_on = frozenset(p for p, (x, y) in enumerate(zip(b_at_t, b_minus_at_s)) if x > y) - k_minus
+    k_plus = frozenset(range(lattice.n_paths)) - k_minus - k_on
+    quadruple = DividedQuadruple(T=T, w_minus=k_minus, w=k_on | k_plus, w_plus=frozenset())
+    return SigmaStop(T=T, quadruple=quadruple, k_minus=k_minus, k_on=k_on, k_plus=k_plus)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -43,6 +44,7 @@ from meyerstop.lattice import (
     MeyerStructure,
     PathRecord,
     RandomInstant,
+    _first_hits,
     _weighted,
     conditional_expectation,
     field_at_time,
@@ -76,7 +78,9 @@ from meyerstop.scenario import (
     render_scenario,
 )
 from meyerstop.snell import (
+    MertensDecomposition,
     PreconditionError,
+    SigmaStop,
     check_optimality,
     delta_stop,
     enumerate_divided_stops,
@@ -1272,6 +1276,117 @@ def test_mertens_reports_a_lost_martingale():
         assert checks.check_mertens(lattice, meyer, Z, zbar, bent) == "M is not a Lambda-martingale"
         reported += 1
     assert reported == 12
+
+
+# The decomposition's jumps are slices of one loss table and A, B_- are its
+# running sums; sigma reads its K-sets off two comparisons.  The oracles are
+# the epoch loop with its accumulators and the per-path five-set
+# attribution those replace.
+
+
+def epoch_loop_decomposition(lattice, meyer, zbar):
+    """M - A - B_- by per-epoch accumulators over the continuation slices:
+    at (k,AT) A includes its jump and the B_- reading does not."""
+    z = zbar.columns
+    zero = (Fraction(0),) * lattice.n_paths
+    loss = [
+        tuple(v - c for v, c in zip(z[idx], conditional_expectation(lattice, z[idx + 1], part)))
+        for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+    ]
+    delta_b, delta_a, a_terminal_jump = loss[0::2], [zero, *loss[1:-1:2]], loss[-1]
+    cum_a = cum_b = zero
+    a_cols, b_cols, bs_cols = [], [], []
+    for da, db in zip(delta_a, delta_b):
+        before_b = cum_b
+        cum_a = tuple(x + y for x, y in zip(cum_a, da))
+        cum_b = tuple(x + y for x, y in zip(cum_b, db))
+        a_cols += [cum_a, cum_a]
+        b_cols += [cum_b, cum_b]
+        bs_cols += [before_b, cum_b]
+    a = LatticeProcess((*a_cols, tuple(x + y for x, y in zip(cum_a, a_terminal_jump))))
+    b_shifted = LatticeProcess((*bs_cols, cum_b))
+    m = tuple(
+        tuple(v + x + y for v, x, y in zip(zc, ac, bc))
+        for zc, ac, bc in zip(z, a.columns, b_shifted.columns)
+    )
+    return MertensDecomposition(
+        m=LatticeProcess(m),
+        a=a,
+        b=LatticeProcess((*b_cols, cum_b)),
+        b_shifted=b_shifted,
+        delta_a=tuple(delta_a),
+        delta_b=tuple(delta_b),
+        a_terminal_jump=a_terminal_jump,
+    )
+
+
+def test_the_running_sums_match_the_epoch_loop():
+    cases = [(sc, name) for _, sc in small_family() for name in ("Z", "L")]
+    cases += [(full_binary_tree(depth, random.Random(depth)), "Z") for depth in (3, 5)]
+    seen = {"A": 0, "B": 0, "terminal": 0}
+    for sc, name in cases:
+        zbar = _envelope(sc, name)
+        got = mertens_decompose(sc.lattice, sc.meyer, zbar)
+        want = epoch_loop_decomposition(sc.lattice, sc.meyer, zbar)
+        for f in dataclasses.fields(want):
+            assert same(getattr(got, f.name), getattr(want, f.name)), (f.name, name)
+        seen["A"] += any(v for jump in want.delta_a for v in jump)
+        seen["B"] += any(v for jump in want.delta_b for v in jump)
+        seen["terminal"] += any(want.a_terminal_jump)
+    assert min(seen.values()) >= 20, seen
+
+
+def five_set_sigma(lattice, S, decomp):
+    """sigma_stop by the per-path attribution into K_minus, K_on, K_plus and
+    the on-time and just-after parts, with K_plus sent to the just-after
+    part off TERMINAL."""
+    a, b, bs = decomp.a, decomp.b, decomp.b_shifted
+    a_at_s, b_minus_at_s = S.value_of(a), S.value_of(bs)
+    base = [x + y for x, y in zip(a_at_s, b_minus_at_s)]
+    hits = _first_hits(
+        lattice, S.indices, lambda p, i: a.columns[i][p] + b.columns[i][p] > base[p]
+    )
+    T = RandomInstant(hits, lattice.n_instants)
+    a_at_t, b_at_t = T.value_of(a), T.value_of(b)
+    k_minus, k_on, k_plus, w_on, w_plus = set(), set(), set(), set(), set()
+    for p, i in enumerate(hits):
+        if a_at_t[p] > a_at_s[p]:
+            k_minus.add(p)
+        elif b_at_t[p] > b_minus_at_s[p]:
+            k_on.add(p)
+            w_on.add(p)
+        else:
+            k_plus.add(p)
+            (w_on if i == lattice.n_instants else w_plus).add(p)
+    quadruple = DividedQuadruple(
+        T=T, w_minus=frozenset(k_minus), w=frozenset(w_on), w_plus=frozenset(w_plus)
+    )
+    return SigmaStop(
+        T=T,
+        quadruple=quadruple,
+        k_minus=frozenset(k_minus),
+        k_on=frozenset(k_on),
+        k_plus=frozenset(k_plus),
+    )
+
+
+def test_sigma_reads_its_k_sets_off_two_comparisons():
+    # nothing grows only where no instant is hit, so the just-after part
+    # of sigma's quadruple is empty from every start
+    seen = dict.fromkeys(("k_minus", "k_on", "k_plus"), 0)
+    for seed, sc in small_family():
+        lattice, meyer = sc.lattice, sc.meyer
+        for name in ("Z", "L"):
+            decomp = mertens_decompose(lattice, meyer, _envelope(sc, name))
+            starts = iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA)
+            for idx in itertools.islice(starts, 200):
+                S = RandomInstant(idx, lattice.n_instants)
+                ss = sigma_stop(lattice, S, decomp)
+                assert ss == five_set_sigma(lattice, S, decomp), (seed, name, idx)
+                assert not ss.quadruple.w_plus, (seed, name, idx)
+                for key in seen:
+                    seen[key] += bool(getattr(ss, key))
+    assert min(seen.values()) > 100, seen
 
 
 # (g) relaxation maximum and sequential USC forms ----------------------------

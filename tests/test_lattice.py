@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,10 +34,12 @@ from meyerstop.lattice import (
 from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.projection import project
 from meyerstop.representation import GFamily, RandomMeasure, RepresentationProblem, validate_g
-from meyerstop.scenario import RandomInstanceParams, generate_instance
-from meyerstop.snell import snell_brute_force, snell_envelope
+from meyerstop.scenario import RandomInstanceParams, generate_instance, parse_scenario
+from meyerstop.snell import check_optimality, snell_brute_force, snell_envelope
 
 from conftest import build_lattice
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_instant_total_order():
@@ -181,6 +184,34 @@ def test_stopping_time_examples(branch_blind, branch):
     assert not is_lambda_stopping_time(lattice, blind, T, Kind.LAMBDA)
     assert is_lambda_stopping_time(lattice, blind, T, Kind.OPTIONAL)
     assert is_lambda_stopping_time(lattice, revealing, T, Kind.LAMBDA)
+
+
+def test_a_malformed_random_instant_is_no_stopping_time():
+    # an index before the chain, past TERMINAL, one index for two paths, or
+    # another chain's TERMINAL index is not a random instant of the lattice,
+    # whatever its events look like
+    sc = parse_scenario((FIXTURES / "branch.scn").read_text(encoding="utf-8"))
+    discrete = [[0], [1]]
+    lattice, meyer = build_lattice(
+        ["1/2", "1/2"], [discrete, discrete], [discrete, discrete], discrete
+    )
+    zero = LatticeProcess.constant(lattice, 0)
+    cases = [
+        (sc.lattice, sc.meyer, sc.processes["Z"], RandomInstant((-1, -1), 4)),
+        (sc.lattice, sc.meyer, sc.processes["Z"], RandomInstant((5, 5), 4)),
+        (lattice, meyer, zero, RandomInstant((0,), 4)),
+        # it would render as (2,AT), an instant past the last epoch
+        (sc.lattice, sc.meyer, sc.processes["Z"], RandomInstant((4, 4), 6)),
+    ]
+    for lattice, meyer, Z, T in cases:
+        assert validate_lattice(lattice, meyer)
+        for kind in Kind:
+            assert not is_lambda_stopping_time(lattice, meyer, T, kind), (T.indices, kind)
+        with pytest.raises(LatticeError, match="expects a Lambda-stopping time"):
+            to_divided_quadruple(lattice, meyer, T)
+        zbar = snell_envelope(lattice, meyer, Z)
+        with pytest.raises(LatticeError, match="not a Lambda-stopping time"):
+            check_optimality(lattice, meyer, Z, T, zbar)
 
 
 def test_from_assignment_rejects_times_off_the_lattice(branch):

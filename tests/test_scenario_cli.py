@@ -3,8 +3,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -245,6 +247,19 @@ def test_a_negative_guard_is_a_validation_failure(command, capsys):
         assert (out, err) == ("", "error: 2 stopping times exceed the guard of 0\n")
     else:
         assert "SKIP representation/universal-signal  103 stopping times exceed the guard of 0" in out
+
+
+@pytest.mark.parametrize(
+    "parts, code", [((), errno.EISDIR), (("missing", "r.json"), errno.ENOENT)]
+)
+def test_an_unwritable_out_path_is_a_validation_failure(parts, code, tmp_path, capsys):
+    # the report file is opened inside the handled block, as the scenario
+    # file is: one error line and exit 1, not a traceback
+    out = tmp_path.joinpath(*parts)
+    argv = ["snell", "--scenario", str(FIXTURES / "branch.scn"), "--out", str(out)]
+    assert main(argv) == 1
+    message = f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_stop_builds_one_envelope_and_one_decomposition(monkeypatch, capsys):

@@ -250,11 +250,30 @@ def _attribute_reads(tree: ast.AST, attr: str) -> list[int]:
     )
 
 
+# The snell functions that may condition: the envelope's recursion, and the
+# one-step loss table that the reach, the supermartingale test and the
+# decomposition all read.
+CONDITIONING = ("snell_envelope", "_losses")
+
+
+def _conditioning_findings(tree: ast.AST) -> list[str]:
+    """Calls of conditional_expectation outside the CONDITIONING functions."""
+    allowed = {
+        id(c) for name in CONDITIONING for c in _calls(tree, "conditional_expectation", name)
+    }
+    return [
+        f"snell.py:{c.lineno} calls conditional_expectation"
+        for c in _calls(tree, "conditional_expectation")
+        if id(c) not in allowed
+    ]
+
+
 def test_each_exact_computation_is_said_once():
     # one integer scaling (`lattice._scaled`), called only in `lattice`; P
     # is weighed in there too (`lattice._weighted`), so no other engine
-    # module reads the probabilities; and the decomposition's jumps read
-    # the continuations that `martingale_reach` reads
+    # module reads the probabilities; and snell conditions only in the
+    # envelope's recursion and in the one loss table the reach, the
+    # supermartingale test and the decomposition's jumps read
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -272,10 +291,7 @@ def test_each_exact_computation_is_said_once():
                 for line in _attribute_reads(tree, "probabilities")
             ]
         if path.name == "snell.py":
-            found += [
-                f"snell.py:{c.lineno} calls conditional_expectation in mertens_decompose"
-                for c in _calls(tree, "conditional_expectation", "mertens_decompose")
-            ]
+            found += _conditioning_findings(tree)
     assert not found, found
 
 
@@ -284,10 +300,17 @@ def test_the_once_check_sees_each_duplicate():
         "def _scaled(r):\n    return math.lcm(*r)\n"
         "def f(r):\n    return lcm(*r)\n"
         "def mertens_decompose(z):\n    return conditional_expectation(z)\n"
+        "def snell_envelope(z):\n    return conditional_expectation(z)\n"
+        "def _losses(z):\n    return [lattice.conditional_expectation(c) for c in z]\n"
+        "def _continuations(z):\n    return [conditional_expectation(c) for c in z]\n"
     )
     assert [c.lineno for c in _calls(tree, "lcm")] == [2, 4]
     assert [c.lineno for c in _calls(tree, "lcm", "_scaled")] == [2]
     assert [c.lineno for c in _calls(tree, "conditional_expectation", "mertens_decompose")] == [6]
+    assert _conditioning_findings(tree) == [
+        "snell.py:6 calls conditional_expectation",
+        "snell.py:12 calls conditional_expectation",
+    ]
 
 
 def test_the_once_check_sees_each_scaling_and_probability_read():
