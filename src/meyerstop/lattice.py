@@ -31,11 +31,11 @@ one integer sum and one `Fraction`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 AT = "AT"
 INT = "INT"
@@ -68,12 +68,58 @@ class _TimeOrder:
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class Instant(_TimeOrder):
-    """A point of the time chain: grid point (epoch, AT) or interval (epoch, INT)."""
+class _Record:
+    """A frozen record for the few classes that validate or cache, which a
+    `NamedTuple` cannot express.  `__init__` hands its parameters, the
+    fields, in order to `_store`, which sets them past `__setattr__`.  As
+    under a frozen dataclass, a record equals only a record of its exact
+    class with equal fields, hashes as their tuple, reads back as
+    `Name(field=...)` and refuses assignment; `_fields` and `_replace` are
+    as on a `NamedTuple`.  Fields named in the class keyword `hidden` stay
+    out of ==, hash and repr.  There are no `__slots__`, so copies and
+    pickles restore the instance attributes as for any object.
+    """
 
-    epoch: int
-    tag: str
+    def __init_subclass__(cls, hidden: tuple[str, ...] = ()) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        # the tuple of the shown values: every record shows two or more
+        cls._row = property(attrgetter(*cls._shown))
+
+    def _store(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._row == other._row
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._row)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {type(value).__name__} to frozen field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete frozen field {name!r}")
+
+    def _replace(self, **changes):
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+class Instant(_Record, _TimeOrder):
+    """A point of the time chain: grid point (epoch, AT) or interval (epoch, INT);
+    a `_Record`, as it validates and is ordered with TERMINAL by index."""
+
+    def __init__(self, epoch: int, tag: str) -> None:
+        self._store(epoch, tag)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.tag not in (AT, INT):
@@ -165,24 +211,27 @@ def is_union_of_atoms(subset: frozenset[int], partition: Partition) -> bool:
     return not rest
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     id: str
     probability: Fraction
 
 
-@dataclass(frozen=True)
-class FilteredLattice:
+class FilteredLattice(_Record):
     """Finite path space with epoch-indexed partitions of the path set.
 
     `epoch_count` is the last epoch index K; `filtration` holds F_0..F_K;
-    `initial_field` is F_{0-} and defaults to the trivial partition.
+    `initial_field` is F_{0-} and defaults to the trivial partition.  A
+    `_Record`, as it caches `weights`.
     """
 
-    epoch_count: int
-    paths: tuple[PathRecord, ...]
-    filtration: tuple[Partition, ...]
-    initial_field: Partition | None = None
+    def __init__(
+        self,
+        epoch_count: int,
+        paths: tuple[PathRecord, ...],
+        filtration: tuple[Partition, ...],
+        initial_field: Partition | None = None,
+    ) -> None:
+        self._store(epoch_count, paths, filtration, initial_field)
 
     @property
     def n_paths(self) -> int:
@@ -218,15 +267,13 @@ class FilteredLattice:
         return Instant(index // 2, AT if index % 2 == 0 else INT)
 
 
-@dataclass(frozen=True)
-class MeyerStructure:
+class MeyerStructure(NamedTuple):
     """Per-epoch partitions G_k with F_{k-1} coarser than G_k coarser than F_k."""
 
     meyer_fields: tuple[Partition, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 
@@ -394,8 +441,7 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-@dataclass(frozen=True)
-class LatticeProcess:
+class LatticeProcess(NamedTuple):
     """A ladlag process on the instant chain and TERMINAL.
 
     `columns[i][p]` is the value on path p at instant index i, and column
@@ -451,13 +497,15 @@ def _require_shape(lattice: FilteredLattice, table, name: str = "process") -> No
         )
 
 
-@dataclass(frozen=True, repr=False)
-class RandomInstant:
+class RandomInstant(_Record):
     """A per-path instant index, with `n_instants` standing for TERMINAL;
-    the raw material of stopping times."""
+    the raw material of stopping times.  A `_Record`, as its order is the
+    pathwise partial one (`__le__`), not a tuple's lexicographic one."""
 
-    indices: tuple[int, ...]
-    n_instants: int
+    def __init__(self, indices: tuple[int, ...], n_instants: int) -> None:
+        # set directly, not through `_store`: one is built per listed stop
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "n_instants", n_instants)
 
     @classmethod
     def from_assignment(
@@ -490,7 +538,17 @@ class RandomInstant:
 
     def value_of(self, process: LatticeProcess) -> tuple[Fraction, ...]:
         """The per-path reading of `process` at this random instant."""
-        return tuple(process.columns[i][p] for p, i in enumerate(self.indices))
+        return tuple(process.columns[i][p] for p, i in enumerate(self._reads(process)))
+
+    def _reads(self, process: LatticeProcess) -> tuple[int, ...]:
+        """The indices, once they are column indices of `process`: each in
+        0..n_instants, and n_instants + 1 columns; a LatticeError if not."""
+        n, width = self.n_instants, len(process.columns)
+        if width != n + 1:
+            raise LatticeError(f"a random instant on {n} instants cannot read {width} columns")
+        if bad := [i for i in self.indices if not 0 <= i <= n]:
+            raise LatticeError(f"random instant index {bad[0]} lies outside 0..{n}")
+        return self.indices
 
 
 def is_measurable(
@@ -601,8 +659,7 @@ def section_witness(
     return RandomInstant(hits, lattice.n_instants)
 
 
-@dataclass(frozen=True)
-class DividedQuadruple:
+class DividedQuadruple(NamedTuple):
     """A stop split into just-before / at / just-after parts.
 
     `T` takes grid (AT) values or TERMINAL; `w_minus`, `w`, `w_plus`

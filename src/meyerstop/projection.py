@@ -10,8 +10,8 @@ atom) and by one memoized maximum over predictable stopping times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .enumeration import _maximum
 from .lattice import (
@@ -77,8 +77,7 @@ def envelope(
     return LatticeProcess(tuple(process.columns[i] for i in reads))
 
 
-@dataclass(frozen=True)
-class UscVerdict:
+class UscVerdict(NamedTuple):
     ok: bool
     witness: tuple[int, TimePoint] | None
 
@@ -163,8 +162,7 @@ def approximating_witness(
     return witness
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     right_predicate: bool
     right_sequential: bool
     left_predicate: bool
@@ -246,8 +244,7 @@ def check_usc_sequence_equivalence(
     )
 
 
-@dataclass(frozen=True)
-class FatouReport:
+class FatouReport(NamedTuple):
     """Counts are the (path, instant) cells at which each chain was checked."""
 
     optional_checked: int

@@ -21,9 +21,8 @@ is the real root of S (`_root`), a float only where S has no rational root.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .enumeration import DEFAULT_GUARD, _best, _Decisions, _mask
 from .lattice import (
@@ -34,6 +33,7 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
+    _Record,
     _divided_readings,
     _first_hits,
     _require_shape,
@@ -55,8 +55,7 @@ class RepresentationError(ValueError):
     """The reward admits no representation with the supplied (g, mu)."""
 
 
-@dataclass(frozen=True)
-class GFamily:
+class GFamily(NamedTuple):
     """Per-(path, instant) strictly increasing reward rates
     g_u(ell) = a_u + b_u * ell**power, with rational intercepts `a`, positive
     rational slopes `b` and one odd `power` >= 1; power 1 is affine g."""
@@ -91,8 +90,7 @@ def validate_g(lattice: FilteredLattice, meyer: MeyerStructure, g: GFamily) -> N
                 )
 
 
-@dataclass(frozen=True)
-class RandomMeasure:
+class RandomMeasure(NamedTuple):
     """Nonnegative mass per (path, instant); no mass at TERMINAL."""
 
     mass: tuple[tuple[Fraction, ...], ...]
@@ -105,16 +103,21 @@ class RandomMeasure:
         return cls(mass=mass)
 
 
-@dataclass(frozen=True)
-class RepresentationProblem:
-    """Bundle of (lattice, meyer, g, mu) plus exactly one of X or L."""
+class RepresentationProblem(_Record):
+    """Bundle of (lattice, meyer, g, mu) plus exactly one of X or L; a
+    `_Record`, as it checks that choice and every shape."""
 
-    lattice: FilteredLattice
-    meyer: MeyerStructure
-    g: GFamily
-    mu: RandomMeasure
-    X: LatticeProcess | None = None
-    L: LatticeProcess | None = None
+    def __init__(
+        self,
+        lattice: FilteredLattice,
+        meyer: MeyerStructure,
+        g: GFamily,
+        mu: RandomMeasure,
+        X: LatticeProcess | None = None,
+        L: LatticeProcess | None = None,
+    ) -> None:
+        self._store(lattice, meyer, g, mu, X, L)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if (self.X is None) == (self.L is None):
@@ -360,8 +363,7 @@ def stopping_value(
     return expected_value(lattice, reading)
 
 
-@dataclass(frozen=True)
-class LevelPassage:
+class LevelPassage(NamedTuple):
     T: RandomInstant
     quadruple: DividedQuadruple
 
@@ -394,8 +396,7 @@ def _passage(lattice: FilteredLattice, L: LatticeProcess, ell, variant: int) -> 
     )
 
 
-@dataclass(frozen=True)
-class SignalRow:
+class SignalRow(NamedTuple):
     ell: Fraction
     value_variant_1: Fraction
     value_variant_2: Fraction
@@ -407,8 +408,7 @@ class SignalRow:
         return self.value_variant_1 == self.brute_force == self.value_variant_2
 
 
-@dataclass(frozen=True)
-class SignalReport:
+class SignalReport(NamedTuple):
     rows: tuple[SignalRow, ...]
     right_usc_holds: bool
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Sequence
@@ -25,6 +24,7 @@ from .lattice import (
     MeyerStructure,
     PathRecord,
     Partition,
+    _Record,
     field_partitions,
     make_partition,
     validate_lattice,
@@ -61,19 +61,24 @@ def _rational(value: Any, where: str) -> Fraction:
         raise ScenarioError(f"{where}: malformed rational {value!r} ({exc})") from None
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Parsed scenario: lattice, information structure, and named data."""
+class Scenario(_Record):
+    """Parsed scenario: lattice, information structure, and named data; a
+    `_Record`, as it validates and caches `g`.  Its dicts make it unhashable."""
 
-    lattice: FilteredLattice
-    meyer: MeyerStructure
-    processes: dict[str, LatticeProcess]
-    g_spec: dict | None = None
-    mu: RandomMeasure | None = None
-    signal: str | None = None
-    reward: str | None = None
-    ell_grid: tuple[Fraction, ...] | None = None
-    commands: dict | None = None
+    def __init__(
+        self,
+        lattice: FilteredLattice,
+        meyer: MeyerStructure,
+        processes: dict[str, LatticeProcess],
+        g_spec: dict | None = None,
+        mu: RandomMeasure | None = None,
+        signal: str | None = None,
+        reward: str | None = None,
+        ell_grid: tuple[Fraction, ...] | None = None,
+        commands: dict | None = None,
+    ) -> None:
+        self._store(lattice, meyer, processes, g_spec, mu, signal, reward, ell_grid, commands)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.signal is not None and self.reward is not None:
@@ -382,15 +387,16 @@ VALUE_RANGE = 6
 MU_DENSITY = 0.5
 
 
-@dataclass(frozen=True)
-class RandomInstanceParams:
+class RandomInstanceParams(_Record):
     """Knobs for seeded generation: the seed, the last epoch, the path
-    budget and the Meyer regime; instances are pure functions of them."""
+    budget and the Meyer regime; instances are pure functions of them.  A
+    `_Record`, as it validates."""
 
-    seed: int
-    epochs: int = 2
-    max_paths: int = 8
-    regime: str = RANDOM_BETWEEN
+    def __init__(
+        self, seed: int, epochs: int = 2, max_paths: int = 8, regime: str = RANDOM_BETWEEN
+    ) -> None:
+        self._store(seed, epochs, max_paths, regime)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (1 <= self.epochs <= 4):

@@ -25,10 +25,9 @@ nothing here builds either one for a stop or a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .enumeration import DEFAULT_GUARD, _between, _check_guard, _maximum, _ranked
 from .enumeration import iter_stopping_index_tuples
@@ -40,6 +39,7 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
+    _Record,
     _canonical_quadruple,
     _first_hits,
     conditional_expectation,
@@ -75,14 +75,18 @@ def snell_envelope(
     return LatticeProcess(tuple(columns))
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    """The optimizers are built from `maximizers` on first read."""
+class BruteForceResult(_Record, hidden=("maximizers",)):
+    """The optimizers are built from `maximizers` on first read; a `_Record`,
+    as it caches them and hides `maximizers` from ==, hash and repr."""
 
-    value: Fraction
-    stopping_time_count: int
-    optimizer_count: int
-    maximizers: Callable[[], list[RandomInstant]] = field(repr=False, compare=False)
+    def __init__(
+        self,
+        value: Fraction,
+        stopping_time_count: int,
+        optimizer_count: int,
+        maximizers: Callable[[], list[RandomInstant]],
+    ) -> None:
+        self._store(value, stopping_time_count, optimizer_count, maximizers)
 
     @cached_property
     def optimizers(self) -> tuple[RandomInstant, ...]:
@@ -177,8 +181,7 @@ def _losses(lattice, meyer, process) -> list[tuple[Fraction, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class MertensDecomposition:
+class MertensDecomposition(NamedTuple):
     """Envelope = M - A - B_shifted, with per-epoch jump slices retained.
 
     `delta_a[k]` and `delta_b[k]` are the per-path jumps at (k, AT);
@@ -274,8 +277,7 @@ def lambda_entry_time(
     return RandomInstant(hits, lattice.n_instants)
 
 
-@dataclass(frozen=True)
-class DeltaStop:
+class DeltaStop(NamedTuple):
     T: RandomInstant
     quadruple: DividedQuadruple
 
@@ -300,8 +302,7 @@ def delta_stop(
     return DeltaStop(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 
-@dataclass(frozen=True)
-class SigmaStop:
+class SigmaStop(NamedTuple):
     T: RandomInstant
     quadruple: DividedQuadruple
     k_minus: frozenset[int]
@@ -341,8 +342,7 @@ def sigma_stop(
     return SigmaStop(T=T, quadruple=quadruple, k_minus=k_minus, k_on=k_on, k_plus=k_plus)
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(NamedTuple):
     candidate: RandomInstant
     condition_i: bool
     condition_ii: bool
@@ -356,10 +356,11 @@ def stopped_process(
     lattice: FilteredLattice, process: LatticeProcess, U: RandomInstant
 ) -> LatticeProcess:
     """The process frozen at U: at each instant u, TERMINAL included, its
-    value at min(u, U)."""
+    value at min(u, U); a LatticeError if U cannot read the process."""
+    stops = U._reads(process)
     return LatticeProcess(
         tuple(
-            tuple(process.columns[min(idx, stop)][p] for p, stop in enumerate(U.indices))
+            tuple(process.columns[min(idx, stop)][p] for p, stop in enumerate(stops))
             for idx in range(lattice.n_instants + 1)
         )
     )
@@ -408,8 +409,7 @@ class PreconditionError(ValueError):
     """A theorem-level precondition failed; the message names the predicate."""
 
 
-@dataclass(frozen=True)
-class SmallestLargest:
+class SmallestLargest(NamedTuple):
     smallest: RandomInstant
     largest: RandomInstant
 

@@ -22,7 +22,6 @@ Instance families (all pure functions of their seeds):
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -128,7 +127,7 @@ def repr_family(count=200):
 
 def odd_power(sc):
     """The scenario with g = a + b * ell**3 in place of a + b * ell."""
-    return dataclasses.replace(sc, g_spec={**sc.g_spec, "kind": "odd_power", "power": 3})
+    return sc._replace(g_spec={**sc.g_spec, "kind": "odd_power", "power": 3})
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -259,8 +258,9 @@ def test_criterion_5_sandwich():
 
 def test_criterion_6_projection_laws():
     towers = 0
-    for sc in main_family():
-        rng = random.Random(hash(sc.lattice.paths) & 0xFFFF)
+    for position, sc in enumerate(main_family()):
+        # seeded by position: a hash of the string path ids varies with PYTHONHASHSEED
+        rng = random.Random(10_000 + position)
         raw = LatticeProcess.from_rows(
             [
                 [Fraction(rng.randint(0, 6)) for _ in range(sc.lattice.n_instants)]

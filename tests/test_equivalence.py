@@ -12,7 +12,6 @@ checks never build the optimizers nor list every stopping time.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -126,7 +125,7 @@ def repr_family(count):
 
 def odd_power(sc):
     """The scenario with g = a + b * ell**3 in place of a + b * ell."""
-    return dataclasses.replace(sc, g_spec={**sc.g_spec, "kind": "odd_power", "power": 3})
+    return sc._replace(g_spec={**sc.g_spec, "kind": "odd_power", "power": 3})
 
 
 def same(a, b) -> bool:
@@ -565,7 +564,7 @@ def mass_at(problem, w):
         tuple(m + 1 if i == w else Fraction(0) for i, m in enumerate(row))
         for row in problem.mu.mass
     )
-    moved = dataclasses.replace(problem, mu=representation.RandomMeasure(mass))
+    moved = problem._replace(mu=representation.RandomMeasure(mass))
     assert lattice.n_instants > w + 1
     return moved.with_X(forward_evaluate(moved))
 
@@ -1272,7 +1271,7 @@ def test_mertens_reports_a_lost_martingale():
         rng = random.Random(seed)
         idx = rng.randrange(lattice.n_instants)
         atom = rng.choice(field_partitions(lattice, meyer, Kind.LAMBDA)[idx])
-        bent = dataclasses.replace(d, m=_bump_atom(d.m, idx, atom, rng.choice((-1, 1))))
+        bent = d._replace(m=_bump_atom(d.m, idx, atom, rng.choice((-1, 1))))
         assert checks.check_mertens(lattice, meyer, Z, zbar, bent) == "M is not a Lambda-martingale"
         reported += 1
     assert reported == 12
@@ -1328,8 +1327,8 @@ def test_the_running_sums_match_the_epoch_loop():
         zbar = _envelope(sc, name)
         got = mertens_decompose(sc.lattice, sc.meyer, zbar)
         want = epoch_loop_decomposition(sc.lattice, sc.meyer, zbar)
-        for f in dataclasses.fields(want):
-            assert same(getattr(got, f.name), getattr(want, f.name)), (f.name, name)
+        for f in want._fields:
+            assert same(getattr(got, f), getattr(want, f)), (f, name)
         seen["A"] += any(v for jump in want.delta_a for v in jump)
         seen["B"] += any(v for jump in want.delta_b for v in jump)
         seen["terminal"] += any(want.a_terminal_jump)
@@ -1711,7 +1710,7 @@ def test_wide_trees_fold_past_the_guard(tmp_path, capsys):
         assert cli.main([command, "--scenario", str(path)]) == 0, command
     capsys.readouterr()
     # every time is optimal for the zero reward
-    zero = dataclasses.replace(sc, processes={"Z": LatticeProcess.constant(lattice, 0)})
+    zero = sc._replace(processes={"Z": LatticeProcess.constant(lattice, 0)})
     path.write_text(render_scenario(zero), encoding="utf-8")
     assert cli.main(["oracle", "--scenario", str(path)]) == 2
     message = f"error: {opt.total} stopping times exceed the guard of 1000000\n"

@@ -35,7 +35,7 @@ from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.projection import project
 from meyerstop.representation import GFamily, RandomMeasure, RepresentationProblem, validate_g
 from meyerstop.scenario import RandomInstanceParams, generate_instance, parse_scenario
-from meyerstop.snell import check_optimality, snell_brute_force, snell_envelope
+from meyerstop.snell import check_optimality, snell_brute_force, snell_envelope, stopped_process
 
 from conftest import build_lattice
 
@@ -212,6 +212,28 @@ def test_a_malformed_random_instant_is_no_stopping_time():
         zbar = snell_envelope(lattice, meyer, Z)
         with pytest.raises(LatticeError, match="not a Lambda-stopping time"):
             check_optimality(lattice, meyer, Z, T, zbar)
+
+
+def test_a_random_instant_reads_only_its_own_columns():
+    # an index before the chain or past TERMINAL, or another chain's
+    # TERMINAL index, names no column: no reading falls back on TERMINAL's
+    sc = parse_scenario((FIXTURES / "branch.scn").read_text(encoding="utf-8"))
+    lattice, Z = sc.lattice, sc.processes["Z"]
+    n = lattice.n_instants
+    for T, match in [
+        (RandomInstant((-1, -1), n), "index -1 lies outside 0..4"),
+        (RandomInstant((0, -2), n), "index -2 lies outside"),
+        (RandomInstant((n + 1, 0), n), "index 5 lies outside"),
+        (RandomInstant((0, 0), n + 2), "on 6 instants cannot read 5 columns"),
+        (RandomInstant((0, 0), n - 2), "on 2 instants cannot read 5 columns"),
+    ]:
+        with pytest.raises(LatticeError, match=match):
+            T.value_of(Z)
+        with pytest.raises(LatticeError, match=match):
+            stopped_process(lattice, Z, T)
+    T = RandomInstant((n, 2), n)
+    assert T.value_of(Z) == (0, Z.columns[2][1])
+    assert stopped_process(lattice, Z, T).columns[-1] == (0, Z.columns[2][1])
 
 
 def test_from_assignment_rejects_times_off_the_lattice(branch):

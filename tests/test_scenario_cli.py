@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import errno
 import hashlib
 import json
@@ -422,7 +421,7 @@ def test_an_unrepresentable_reward_skips_the_signal_row(seed):
     # the generated signal's reward Z, named as the reward: the signal row
     # cannot solve for a signal and SKIPs, while the round trip FAILs
     sc = generate_instance(RandomInstanceParams(seed=seed))
-    sc = dataclasses.replace(sc, signal=None, reward="Z")
+    sc = sc._replace(signal=None, reward="Z")
     doc, status = run_suite(sc)
     rows = {r["property"]: r for r in doc["checks"]}
     signal, roundtrip = rows["representation/universal-signal"], rows["representation/round-trip"]
@@ -533,7 +532,7 @@ def test_g_is_parsed_once_per_command(monkeypatch, capsys):
     assert "direction: solve" in capsys.readouterr().out
     assert parsed == ["odd_power"] * 2
 
-    built = dataclasses.replace(sc, g_spec={**sc.g_spec, "power": 1})
+    built = sc._replace(g_spec={**sc.g_spec, "power": 1})
     assert parsed == ["odd_power"] * 2
     assert built.build_problem().g.power == 1 and built.build_problem().g is built.g
     assert parsed == ["odd_power"] * 3
@@ -580,7 +579,7 @@ def test_a_scenario_names_one_of_signal_and_reward(tmp_path, capsys):
             parse_scenario(text, strict=strict)
     sc = load("signal_chain.scn")
     with pytest.raises(ScenarioError, match="name exactly one"):
-        dataclasses.replace(sc, reward="L")
+        sc._replace(reward="L")
     path = tmp_path / "both.scn"
     path.write_text(text, encoding="utf-8")
     assert main(["signal", "--scenario", str(path)]) == 1

@@ -156,6 +156,54 @@ def test_import_loads_no_pool_modules():
     assert done.stdout.strip() == "[]"
 
 
+def _dataclass_imports(name: str, tree: ast.AST) -> list[str]:
+    """Lines that import the `dataclasses` module, in any form."""
+    lines = {
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and not node.level)
+    }
+    return [f"{name}:{line} imports dataclasses" for line in sorted(lines)]
+
+
+def test_no_module_imports_dataclasses():
+    # the decorator compiles each record's methods at every import and pulls
+    # in inspect and ast; records are NamedTuples or `lattice._Record`s
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _dataclass_imports(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_dataclass_scan_sees_each_import_form():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\nimport dataclasses as dc\n"
+        "import os, dataclasses\nfrom dataclasses import field, replace\n"
+        "from typing import NamedTuple\nimport dataclassy\nfrom .dataclasses import x\n"
+    )
+    assert _dataclass_imports("m.py", tree) == [
+        f"m.py:{line} imports dataclasses" for line in range(1, 6)
+    ]
+
+
+def test_import_loads_no_code_generation_modules():
+    # every `meyerstop` invocation starts with this import
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import meyerstop; "
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect', 'ast')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 # Engine modules that build and read processes as columns; per-path rows
 # are the edge forms of scenario parsing and rendering.
 COLUMN_MODULES = ("enumeration.py", "projection.py", "snell.py", "representation.py", "checks.py")
