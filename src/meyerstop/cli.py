@@ -12,6 +12,7 @@ Exit status: 0 success, 1 validation failure, 2 property failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -369,7 +370,11 @@ def render_machine(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first `main` call and kept:
+    argparse makes a formatter per argument, so building one costs more
+    than most commands' parse.  Not built at import."""
     parser = argparse.ArgumentParser(
         prog="meyerstop",
         description="Exact optimal-stopping engine over finite information lattices",
@@ -385,7 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     guard_help = "bound on the stopping times a command lists"
     parser.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=guard_help)
     parser.add_argument("--out", help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.guard < 0:

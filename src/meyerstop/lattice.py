@@ -448,7 +448,8 @@ class LatticeProcess(NamedTuple):
     n_instants is the TERMINAL slice, governed by F_K.  Per-path rows
     (`from_rows`, `rows`) are the forms in which processes are read and
     rendered; the terminal slice of `from_rows` defaults to zero on every
-    path (the usual convention for rewards).
+    path (the usual convention for rewards).  `from_rows` keeps a cell
+    that is already a `Fraction` and wraps any other cell in one.
     """
 
     columns: tuple[tuple[Fraction, ...], ...]
@@ -459,11 +460,11 @@ class LatticeProcess(NamedTuple):
         rows: Sequence[Sequence[Fraction | int]],
         terminal: Sequence[Fraction | int] | None = None,
     ) -> "LatticeProcess":
-        vals = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        vals = tuple(tuple(map(_exact, row)) for row in rows)
         if len({len(row) for row in vals}) > 1:
             raise LatticeError("all paths must carry the same number of instants")
         term = (0,) * len(vals) if terminal is None else terminal
-        term = tuple(Fraction(v) for v in term)
+        term = tuple(map(_exact, term))
         if len(term) != len(vals):
             raise LatticeError("terminal slice length must match the path count")
         return cls((*zip(*vals), term))
@@ -476,6 +477,11 @@ class LatticeProcess(NamedTuple):
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Per path, the values at the instants before TERMINAL."""
         return tuple(zip(*self.columns[:-1]))
+
+
+def _exact(v: Fraction | int) -> Fraction:
+    """`v` if its type is exactly `Fraction`, else `Fraction(v)`."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _require_shape(lattice: FilteredLattice, table, name: str = "process") -> None:
@@ -531,7 +537,12 @@ class RandomInstant(_Record):
         return tuple(TERMINAL if i == n else FilteredLattice.instant_at(i) for i in self.indices)
 
     def __repr__(self) -> str:
-        return f"RandomInstant(assignment={self.assignment!r})"
+        """The assignment, or, for an index outside 0..n_instants, the raw
+        fields: such an instant has no assignment to render."""
+        n = self.n_instants
+        if all(0 <= i <= n for i in self.indices):
+            return f"RandomInstant(assignment={self.assignment!r})"
+        return super().__repr__()
 
     def __le__(self, other: "RandomInstant") -> bool:
         return all(a <= b for a, b in zip(self.indices, other.indices))
@@ -558,14 +569,16 @@ def is_measurable(
     kind: Kind,
 ) -> bool:
     """True iff every column is constant on the atoms of its field; the
-    terminal column's field is F_K, the terminal information."""
+    terminal column's field is F_K, the terminal information.  Each cell of
+    a block is compared with the block's first cell, so no cell is hashed."""
     _require_shape(lattice, process)
     fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
-    return all(
-        len({column[i] for i in block}) < 2
-        for column, part in zip(process.columns, fields)
-        for block in part
-    )
+    for column, part in zip(process.columns, fields):
+        for block in part:
+            cells = [column[i] for i in block]
+            if cells and cells.count(cells[0]) != len(cells):
+                return False
+    return True
 
 
 def reward_fault(

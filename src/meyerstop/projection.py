@@ -93,6 +93,11 @@ def is_right_usc_in_expectation(
     """True iff Z >= Lambda-projection of the right envelope, everywhere."""
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
+    return _right_usc(lattice, meyer, process)
+
+
+def _right_usc(lattice, meyer, process) -> UscVerdict:
+    """`is_right_usc_in_expectation` on a process already checked as a reward."""
     right = envelope(lattice, process, Side.RIGHT)
     projected = project(lattice, meyer, right, Kind.LAMBDA)
     for idx in range(lattice.n_instants):
@@ -115,6 +120,11 @@ def is_left_usc_in_expectation(
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
+    return _left_usc(lattice, meyer, process)
+
+
+def _left_usc(lattice, meyer, process) -> UscVerdict:
+    """`is_left_usc_in_expectation` on a process already checked as a reward."""
     left = envelope(lattice, process, Side.LEFT)
     projected = project(lattice, meyer, process, Kind.PREDICTABLE)
     for idx in range(2, lattice.n_instants, 2):

@@ -48,7 +48,7 @@ from .lattice import (
     validate_divided,
 )
 from .snell import PreconditionError, enumerate_divided_stops
-from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
+from .projection import _left_usc, _right_usc
 
 
 class RepresentationError(ValueError):
@@ -444,9 +444,9 @@ def universal_signal_check(
         X, S = forward_evaluate(problem), _levels(problem.g, problem.L)
     if fault := reward_fault(lattice, meyer, X):
         raise PreconditionError(f"X is not a reward: {fault}")
-    if not is_left_usc_in_expectation(lattice, meyer, X).ok:
+    if not _left_usc(lattice, meyer, X).ok:
         raise PreconditionError("is_left_usc_in_expectation failed for X")
-    right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
+    right_ok = _right_usc(lattice, meyer, X).ok
     stops = enumerate_divided_stops(lattice, meyer, guard=guard)
     I, K, D = _lines(problem, X)
 

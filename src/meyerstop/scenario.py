@@ -52,7 +52,16 @@ class ScenarioError(ValueError):
     """Parse or consistency failure, with field-precise messages."""
 
 
-def _rational(value: Any, where: str) -> Fraction:
+def _rational(value: Any, where: str, memo: dict[str, Fraction] | None = None) -> Fraction:
+    """`value`, a string or an int, as an exact `Fraction`.  A string that
+    parses is kept in `memo`, and a string found there is read from it, so
+    one `parse_scenario` builds one `Fraction` per distinct string; a string
+    that fails is never kept, so each of its cells raises with its own
+    `where`, the first one first."""
+    if memo is not None and type(value) is str:
+        if value not in memo:
+            memo[value] = _rational(value, where)
+        return memo[value]
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ScenarioError(f"{where}: expected an exact rational string, got {value!r}")
     try:
@@ -90,7 +99,7 @@ class Scenario(_Record):
         `parse_scenario` hands over the one it built, so it parses g once."""
         if self.g_spec is None:
             return None
-        return _g_from_spec(self.g_spec, self.lattice)
+        return _g_from_spec(self.g_spec, self.lattice, {})
 
     def build_problem(self) -> RepresentationProblem | None:
         g = self.g
@@ -141,12 +150,13 @@ def _render_partition(part: Partition, ids: Sequence[str]) -> list[list[str]]:
 
 
 def _parse_value_rows(
-    raw: Any, ids: Sequence[str], n_values: int, where: str
+    raw: Any, ids: Sequence[str], n_values: int, where: str, memo: dict[str, Fraction]
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Per-path lists keyed by id, or one broadcast list for every path."""
+    """Per-path lists keyed by id, or one broadcast list for every path; each
+    cell is read through the parse's `_rational` memo."""
     if isinstance(raw, list):
         row = tuple(
-            _rational(v, f"{where}[{j}]") for j, v in enumerate(raw)
+            _rational(v, f"{where}[{j}]", memo) for j, v in enumerate(raw)
         )
         if len(row) != n_values:
             raise ScenarioError(f"{where}: expected {n_values} values, got {len(row)}")
@@ -166,17 +176,17 @@ def _parse_value_rows(
                 f"{where}.{pid}: expected {n_values} values in instant order"
             )
         rows.append(
-            tuple(_rational(v, f"{where}.{pid}[{j}]") for j, v in enumerate(vals))
+            tuple(_rational(v, f"{where}.{pid}[{j}]", memo) for j, v in enumerate(vals))
         )
     return tuple(rows)
 
 
-def _g_from_spec(spec: dict, lattice: FilteredLattice) -> GFamily:
+def _g_from_spec(spec: dict, lattice: FilteredLattice, memo: dict[str, Fraction]) -> GFamily:
     kind = spec.get("kind")
     n = lattice.n_instants
     ids = lattice.path_ids
-    a = _parse_value_rows(spec.get("a", [0] * n), ids, n, "g.a")
-    b = _parse_value_rows(spec.get("b", [1] * n), ids, n, "g.b")
+    a = _parse_value_rows(spec.get("a", [0] * n), ids, n, "g.a", memo)
+    b = _parse_value_rows(spec.get("b", [1] * n), ids, n, "g.b", memo)
     if kind == "affine":
         if "power" in spec:
             raise ScenarioError("g.power: only odd_power g takes a power")
@@ -195,7 +205,8 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     Unknown top-level fields, and unknown keys inside `g`, are rejected in
     strict mode and ignored with a warning entry otherwise (the warning is
     part of the raised error only in strict mode; lenient callers can
-    inspect `KNOWN_FIELDS` and `KNOWN_G_FIELDS`).
+    inspect `KNOWN_FIELDS` and `KNOWN_G_FIELDS`).  The rationals of one
+    parse share one `_rational` memo, which lives for this call only.
     """
     try:
         doc = json.loads(text)
@@ -209,6 +220,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
             raise ScenarioError(f"unknown fields {unknown} (strict mode)")
         warnings.warn(f"ignoring unknown scenario fields {unknown}", stacklevel=2)
 
+    memo: dict[str, Fraction] = {}
     K = doc.get("epochs")
     if isinstance(K, bool) or not isinstance(K, int) or K < 1:
         raise ScenarioError("epochs: expected a positive integer")
@@ -219,9 +231,8 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     for i, entry in enumerate(raw_paths):
         if not isinstance(entry, dict) or "id" not in entry or "probability" not in entry:
             raise ScenarioError(f"paths[{i}]: expected an object with id and probability")
-        records.append(
-            PathRecord(str(entry["id"]), _rational(entry["probability"], f"paths[{i}].probability"))
-        )
+        probability = _rational(entry["probability"], f"paths[{i}].probability", memo)
+        records.append(PathRecord(str(entry["id"]), probability))
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"paths: duplicate ids {sorted({i for i in ids if ids.count(i) > 1})}")
@@ -262,18 +273,18 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     if not isinstance(raw_procs, dict):
         raise ScenarioError("processes: expected an object keyed by process name")
     for name in sorted(raw_procs):
-        rows = _parse_value_rows(raw_procs[name], ids, n, f"processes.{name}")
+        rows = _parse_value_rows(raw_procs[name], ids, n, f"processes.{name}", memo)
         processes[name] = LatticeProcess.from_rows(rows)
 
     g_spec = g = None
     if "g" in doc:
         if not isinstance(doc["g"], dict):
             raise ScenarioError("g: expected an object")
-        g_spec, g = _canonical_g_spec(doc["g"], lattice, strict)
+        g_spec, g = _canonical_g_spec(doc["g"], lattice, strict, memo)
 
     mu = None
     if "mu" in doc:
-        mu_rows = _parse_value_rows(doc["mu"], ids, n, "mu")
+        mu_rows = _parse_value_rows(doc["mu"], ids, n, "mu", memo)
         if any(v < 0 for row in mu_rows for v in row):
             raise ScenarioError("mu: masses must be nonnegative")
         mu = RandomMeasure(mass=mu_rows)
@@ -289,7 +300,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         if not isinstance(doc["ell_grid"], list):
             raise ScenarioError("ell_grid: expected a list of rationals")
         ell_grid = tuple(
-            _rational(v, f"ell_grid[{i}]") for i, v in enumerate(doc["ell_grid"])
+            _rational(v, f"ell_grid[{i}]", memo) for i, v in enumerate(doc["ell_grid"])
         )
 
     commands = doc.get("commands")
@@ -313,7 +324,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
 
 
 def _canonical_g_spec(
-    raw: dict, lattice: FilteredLattice, strict: bool
+    raw: dict, lattice: FilteredLattice, strict: bool, memo: dict[str, Fraction]
 ) -> tuple[dict, GFamily]:
     """Normalize a g spec: rationals to lowest-term strings, keys ordered;
     returned with the `GFamily` it describes.
@@ -327,7 +338,7 @@ def _canonical_g_spec(
         if strict:
             raise ScenarioError(f"unknown g fields {unknown} (strict mode)")
         warnings.warn(f"ignoring unknown g fields {unknown}", stacklevel=3)
-    g, ids = _g_from_spec(raw, lattice), lattice.path_ids
+    g, ids = _g_from_spec(raw, lattice, memo), lattice.path_ids
     out: dict[str, Any] = {"kind": raw.get("kind")}
     if "power" in raw:
         out["power"] = raw["power"]

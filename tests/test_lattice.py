@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from meyerstop.lattice import (
     Kind,
     LatticeError,
     LatticeProcess,
+    MeyerStructure,
     RandomInstant,
     conditional_expectation,
     field_at_time,
+    field_partitions,
     from_divided_quadruple,
     is_lambda_stopping_time,
     is_measurable,
@@ -234,6 +237,16 @@ def test_a_random_instant_reads_only_its_own_columns():
     T = RandomInstant((n, 2), n)
     assert T.value_of(Z) == (0, Z.columns[2][1])
     assert stopped_process(lattice, Z, T).columns[-1] == (0, Z.columns[2][1])
+
+
+def test_the_repr_of_an_instant_off_its_chain_shows_its_fields():
+    # an index outside 0..n_instants has no assignment to render: -1 would
+    # raise, and 5 on four instants would read as the epoch-2 interval
+    assert repr(RandomInstant((-1, -1), 4)) == "RandomInstant(indices=(-1, -1), n_instants=4)"
+    assert repr(RandomInstant((5, 5), 4)) == "RandomInstant(indices=(5, 5), n_instants=4)"
+    assert repr(RandomInstant((0, 5), 4)) == "RandomInstant(indices=(0, 5), n_instants=4)"
+    assert repr(RandomInstant((0, 4), 4)) == "RandomInstant(assignment=((0,AT), TERMINAL))"
+    assert repr(RandomInstant((3, 1), 4)) == "RandomInstant(assignment=((1,INT), (0,INT)))"
 
 
 def test_from_assignment_rejects_times_off_the_lattice(branch):
@@ -524,3 +537,105 @@ def test_a_g_off_the_lattice_shape_is_rejected():
             with pytest.raises(LatticeError) as err:
                 validate_g(sc.lattice, sc.meyer, g)
             assert str(err.value) == message
+
+
+def _measurable_by_sets(lattice, meyer, process, kind):
+    """The definition: each column takes at most one value on each block of
+    its field, F_K for the terminal column."""
+    fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
+    return all(
+        len({column[i] for i in block}) < 2
+        for column, part in zip(process.columns, fields)
+        for block in part
+    )
+
+
+def _constant_on_blocks(lattice, meyer, kind, draw):
+    """A process holding one `draw()` value on each block of each field."""
+    fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
+    columns = []
+    for part in fields:
+        column = [None] * lattice.n_paths
+        for block in part:
+            value = draw()
+            for i in block:
+                column[i] = value
+        columns.append(tuple(column))
+    return LatticeProcess(tuple(columns)), fields
+
+
+def _relabelled(lattice, meyer, rng):
+    """The same lattice with its paths in a shuffled order, so that its
+    blocks hold paths whose indices are not consecutive."""
+    order = list(range(lattice.n_paths))
+    rng.shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+
+    def moved(part):
+        return make_partition([new[i] for i in block] for block in part)
+
+    lattice = lattice._replace(
+        paths=tuple(lattice.paths[old] for old in order),
+        filtration=tuple(map(moved, lattice.filtration)),
+        initial_field=None if lattice.initial_field is None else moved(lattice.initial_field),
+    )
+    return lattice, meyer._replace(meyer_fields=tuple(map(moved, meyer.meyer_fields)))
+
+
+def test_measurability_compares_as_the_set_definition():
+    # every cell of a measurable process is perturbed in turn, on generated
+    # lattices in all three regimes, half of them with their paths shuffled,
+    # with int and with Fraction cells; a twin of equal value and other type
+    # (1 and Fraction(1)), or an equal but distinct Fraction, is no change
+    rng = random.Random(5)
+    draws = {
+        "int": lambda: rng.randint(0, 3),
+        "fraction": lambda: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))),
+    }
+    seen = {True: 0, False: 0}
+    scattered = 0
+    for seed in range(12):
+        for regime in ("PREDICTABLE_EXTREME", "OPTIONAL_EXTREME", "RANDOM_BETWEEN"):
+            params = RandomInstanceParams(seed, 1 + seed % 4, 2 + seed % 11, regime)
+            sc = generate_instance(params)
+            lattice, meyer = sc.lattice, sc.meyer
+            if seed % 2:
+                lattice, meyer = _relabelled(lattice, meyer, rng)
+                assert validate_lattice(lattice, meyer).ok
+            for kind in Kind:
+                for draw in draws.values():
+                    process, fields = _constant_on_blocks(lattice, meyer, kind, draw)
+                    assert is_measurable(lattice, meyer, process, kind)
+                    assert _measurable_by_sets(lattice, meyer, process, kind)
+                    for idx, part in enumerate(fields):
+                        scattered += sum(max(b) - min(b) + 1 > len(b) for b in part)
+                        for p in range(lattice.n_paths):
+                            value = process.columns[idx][p]
+                            whole = type(value) is Fraction and value.denominator == 1
+                            twin = int(value) if whole else Fraction(value)
+                            for cell in (twin, value + 1, value - Fraction(1, 2)):
+                                columns = list(process.columns)
+                                columns[idx] = columns[idx][:p] + (cell,) + columns[idx][p + 1 :]
+                                changed = LatticeProcess(tuple(columns))
+                                expected = _measurable_by_sets(lattice, meyer, changed, kind)
+                                assert is_measurable(lattice, meyer, changed, kind) == expected
+                                seen[expected] += 1
+    # both answers occur, and on blocks whose paths are not consecutive
+    assert seen[True] > 0 and seen[False] > 0 and scattered > 0
+
+
+def test_measurability_keeps_its_shape_check_and_empty_blocks(branch):
+    lattice, meyer = branch
+    with pytest.raises(LatticeError, match="the lattice needs 5 columns"):
+        is_measurable(lattice, meyer, LatticeProcess(((0, 0),) * 4), Kind.LAMBDA)
+    # the terminal column reads F_K, which tells the paths apart on branch
+    # and not on a twin whose filtration never splits
+    split_end = LatticeProcess(((1, 1),) * 4 + ((0, 1),))
+    assert is_measurable(lattice, meyer, split_end, Kind.LAMBDA)
+    blind, blind_meyer = build_lattice(["1/2", "1/2"], [[[0, 1]], [[0, 1]]], [[[0, 1]], [[0, 1]]])
+    assert not is_measurable(blind, blind_meyer, split_end, Kind.LAMBDA)
+    # a block with no path constrains nothing, as under the set definition
+    hollow = MeyerStructure(tuple(f + (frozenset(),) for f in blind_meyer.meyer_fields))
+    flat = LatticeProcess(((2, 2),) * 5)
+    assert is_measurable(blind, hollow, flat, Kind.LAMBDA)
+    assert _measurable_by_sets(blind, hollow, flat, Kind.LAMBDA)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import errno
@@ -14,11 +15,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import meyerstop.cli as cli_module
+import meyerstop.lattice as lattice_module
+import meyerstop.projection as projection_module
+import meyerstop.representation as representation_module
 import meyerstop.scenario as scenario_module
 import meyerstop.snell as snell_module
 from meyerstop import checks
 from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.lattice import INT, Instant, LatticeError, LatticeProcess
+from meyerstop.projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 from meyerstop.representation import forward_evaluate, stopping_value
 from meyerstop.scenario import (
     KNOWN_FIELDS,
@@ -455,6 +460,32 @@ def test_a_negative_representation_reward_skips_the_signal_row(tmp_path, capsys)
     assert capsys.readouterr() == ("", "error: X is not a reward: process must be nonnegative\n")
 
 
+def test_the_signal_check_tests_its_reward_once(monkeypatch):
+    # the check tests X as a reward and hands it to the unchecked cores of
+    # both USC predicates; the public predicates still test their input
+    tested = []
+    real = lattice_module.reward_fault
+
+    def counted(lattice, meyer, process):
+        tested.append(process)
+        return real(lattice, meyer, process)
+
+    for module in (lattice_module, projection_module, representation_module, snell_module):
+        monkeypatch.setattr(module, "reward_fault", counted)
+    sc = load("signal_chain.scn")
+    problem = sc.build_problem()
+    assert checks.check_universal_signal(problem, sc.ell_grid) is None
+    X = forward_evaluate(problem)
+    assert tested == [X]
+    assert is_left_usc_in_expectation(sc.lattice, sc.meyer, X).ok
+    assert is_right_usc_in_expectation(sc.lattice, sc.meyer, X).ok
+    assert tested == [X] * 3
+    negative = LatticeProcess(tuple(tuple(-v for v in column) for column in X.columns))
+    for predicate in (is_left_usc_in_expectation, is_right_usc_in_expectation):
+        with pytest.raises(LatticeError, match="process must be nonnegative"):
+            predicate(sc.lattice, sc.meyer, negative)
+
+
 def test_a_guarded_delta_maximum_is_a_skip_row(monkeypatch):
     # the oracle and delta rows read one fold's value, which no guard
     # bounds: at a guard of 2, below branch.scn's 11 stopping times, they
@@ -514,15 +545,93 @@ def test_golden_signal_odd_power():
         assert (row["brute_force"], row["optimizers"]) == (str(best), values.count(best))
 
 
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # the parser is built on the first call and kept: after calls with
+    # --guard 0, --format table and a rejected command, the first call
+    # (with --strict) reads as it did
+    scenario = str(FIXTURES / "branch.scn")
+    first = ["snell", "--scenario", scenario, "--strict", "--format", "machine"]
+    calls = [
+        first,
+        ["oracle", "--scenario", scenario, "--guard", "0"],
+        ["stop", "--scenario", scenario, "--format", "table"],
+        ["optimize", "--scenario", scenario],
+        first,
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = f"exit {exc.code}"
+        seen.append((capsys.readouterr(), status))
+    assert seen[-1] == seen[0] and seen[0][1] == 0 and seen[0][0].out
+    assert seen[1][1] == 2 and seen[3][1] == "exit 2"
+    assert "invalid choice: 'optimize'" in seen[3][0].err
+
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli_module._parser.cache_clear()
+    try:
+        assert main(first) == main(calls[2]) == 0
+    finally:
+        cli_module._parser.cache_clear()
+    assert built == ["meyerstop"]
+
+
+def test_a_parse_reads_each_distinct_rational_once():
+    # one parse keeps one Fraction per distinct string; equal values in
+    # other spellings read equal, and a second parse builds its own
+    doc = json.loads((FIXTURES / "branch.scn").read_text(encoding="utf-8"))
+    doc["processes"]["Z"] = {"a": ["1/2", "2/4", "4", "0"], "b": ["1/2", "1", "0", "0"]}
+    text = json.dumps(doc)
+    sc = parse_scenario(text)
+    (a, b) = sc.processes["Z"].rows
+    assert a[:2] == (Fraction(1, 2),) * 2 and a[0] is b[0] is sc.lattice.paths[0].probability
+    assert render_scenario(sc).count('"1/2"') == 5
+    again = parse_scenario(text)
+    assert again == sc and again.processes["Z"].rows[0][0] is not a[0]
+    for name in ("branch.scn", "deterministic.scn", "odd_power.scn", "signal_chain.scn"):
+        assert load(name) == load(name)
+
+
+def test_a_repeated_malformed_rational_names_its_first_cell():
+    # a string that fails to parse is never kept, so each parse raises at
+    # the first cell that holds it, wherever it repeats
+    doc = json.loads((FIXTURES / "branch.scn").read_text(encoding="utf-8"))
+    doc["processes"]["Z"]["b"][3] = "1/x"
+    doc["processes"]["Z"]["a"][2] = "1//2"
+    doc["processes"]["Y"] = {"a": ["1/x"] * 4, "b": ["1/x"] * 4}
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=r"^processes\.Y\.a\[0\]: malformed rational '1/x'"):
+            parse_scenario(json.dumps(doc))
+    del doc["processes"]["Y"]
+    with pytest.raises(ScenarioError, match=r"^processes\.Z\.a\[2\]: malformed rational '1//2'"):
+        parse_scenario(json.dumps(doc))
+    doc["processes"]["Z"]["a"][2] = "1/x"
+    doc["ell_grid"] = ["1/x"]
+    with pytest.raises(ScenarioError, match=r"^processes\.Z\.a\[2\]: malformed rational '1/x'"):
+        parse_scenario(json.dumps(doc))
+    doc["paths"][1]["probability"] = "1/x"
+    with pytest.raises(ScenarioError, match=r"^paths\[1\]\.probability: malformed rational '1/x'"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_g_is_parsed_once_per_command(monkeypatch, capsys):
     # parse_scenario keeps the family it parsed to canonicalize the spec; a
     # scenario built from a g_spec alone parses it on first use, once
     parsed = []
     real = scenario_module._g_from_spec
 
-    def counted(spec, lattice):
+    def counted(spec, lattice, memo):
         parsed.append(spec["kind"])
-        return real(spec, lattice)
+        return real(spec, lattice, memo)
 
     monkeypatch.setattr(scenario_module, "_g_from_spec", counted)
     sc = load("odd_power.scn")
