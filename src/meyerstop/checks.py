@@ -1,7 +1,7 @@
 """Named verification properties.
 
 Each check returns None on success, a `SKIP:` message when a precondition
-or the guard stops it, or a failure message; the suite command turns these
+stops it, or a failure message; the suite command turns these
 into PASS/SKIP/FAIL rows and the acceptance tests reuse them.  All
 checks are exact: every quantity is rational, so an approximate comparison
 could only hide a real defect.  The rows about a reward's envelope read the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .enumeration import DEFAULT_GUARD, EnumerationGuardError, _between, _cells, _maximum, _ranked
+from .enumeration import _between, _cells, _maximum, _ranked
 from .lattice import (
     Kind,
     LatticeError,
@@ -327,11 +327,12 @@ def check_representation_roundtrip(problem: RepresentationProblem) -> str | None
     return None
 
 
-def check_universal_signal(problem: RepresentationProblem, ell_grid, guard=DEFAULT_GUARD) -> str | None:
-    """`universal_signal_check` as a row; SKIP past a precondition, a solve or the guard."""
+def check_universal_signal(problem: RepresentationProblem, ell_grid) -> str | None:
+    """`universal_signal_check` as a row; SKIP past a precondition or a solve.
+    The check lists no stopping time, so no guard bounds it."""
     try:
-        report = universal_signal_check(problem, ell_grid, guard)
-    except (PreconditionError, RepresentationError, EnumerationGuardError) as exc:
+        report = universal_signal_check(problem, ell_grid)
+    except (PreconditionError, RepresentationError) as exc:
         return f"SKIP: {exc}"
     if not report.right_usc_holds:
         return "representable X is not right-USC in expectation"

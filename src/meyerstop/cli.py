@@ -16,15 +16,19 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
+from fractions import Fraction
 
 from . import checks
 from .enumeration import DEFAULT_GUARD, EnumerationGuardError
 from .lattice import (
     AT,
     Instant,
+    InvariantError,
     Kind,
     LatticeError,
     RandomInstant,
+    _divided_readings,
     from_divided_quadruple,
     reward_fault,
     validate_lattice,
@@ -32,6 +36,7 @@ from .lattice import (
 from .projection import project
 from .representation import (
     RepresentationError,
+    _lines,
     forward_evaluate,
     solve_representation,
     universal_signal_check,
@@ -46,6 +51,7 @@ from .scenario import (
 )
 from .snell import (
     delta_stop,
+    enumerate_divided_stops,
     expected_value,
     mertens_decompose,
     sigma_stop,
@@ -217,7 +223,8 @@ def run_command(
         grid = ell_grid if ell_grid is not None else scenario.ell_grid
         if not grid:
             raise ScenarioError("no ell grid supplied (--ell-grid or scenario ell_grid)")
-        report = universal_signal_check(problem, grid, guard)
+        report = universal_signal_check(problem, grid)
+        _require_listing(problem, report, enumerate_divided_stops(lattice, meyer, guard=guard))
         doc = {
             "command": "signal",
             "right_usc_holds": report.right_usc_holds,
@@ -249,12 +256,37 @@ def run_command(
         return doc, OK
 
     if command == "suite":
-        return run_suite(scenario, guard=guard)
+        return run_suite(scenario)
 
     raise ScenarioError(f"unknown command {command!r}")
 
 
-def _suite_checks(scenario: Scenario, guard: int):
+def _require_listing(problem, report, stops) -> None:
+    """`signal`'s check of its folds against a listing, as `snell` checks
+    its envelope against the oracle: each listed divided stop is read once
+    as its integer line (sum I, sum K) of `_lines`, and at each row's level
+    the best line and how many stops attain it must be the row's optimum and
+    optimizer count (InvariantError otherwise)."""
+    lattice = problem.lattice
+    X = problem.X if problem.X is not None else forward_evaluate(problem)
+    I, K, D = _lines(problem, X)
+    lines: Counter[tuple[int, int]] = Counter()
+    for q in stops:
+        cells = list(enumerate(_divided_readings(lattice, q)))
+        lines[sum(I[i][p] for p, i in cells), sum(K[i][p] for p, i in cells)] += 1
+    for row in report.rows:
+        num, den = Fraction(row.ell**problem.g.power).as_integer_ratio()
+        best = max(den * a + num * b for a, b in lines)
+        count = sum(m for (a, b), m in lines.items() if den * a + num * b == best)
+        listed = Fraction(best, den * D), count
+        if listed != (row.brute_force, row.optimizer_count):
+            raise InvariantError(
+                f"level {row.ell}: the fold reads {row.brute_force} with {row.optimizer_count}"
+                f" optimizers, the listing {listed[0]} with {count}"
+            )
+
+
+def _suite_checks(scenario: Scenario):
     """The canonical (name, thunk) list for the regression battery.  A
     process row calls its check on (lattice, meyer, process, *extra).  The
     rows about a reward's envelope run only on a valid reward; the suite
@@ -299,17 +331,17 @@ def _suite_checks(scenario: Scenario, guard: int):
         if scenario.ell_grid:
             items.append(
                 ("representation/universal-signal",
-                 lambda: checks.check_universal_signal(problem, scenario.ell_grid, guard))
+                 lambda: checks.check_universal_signal(problem, scenario.ell_grid))
             )
     return items
 
 
-def run_suite(scenario: Scenario, guard: int = DEFAULT_GUARD) -> tuple[dict, int]:
+def run_suite(scenario: Scenario) -> tuple[dict, int]:
     """Run every applicable named property in canonical order.  A row reports
-    PASS as None, SKIP as a `SKIP:` message (past the guard, the one row that
-    lists, `universal-signal`, returns one) and FAIL as any other message;
-    an error that a row raises ends the suite."""
-    items = _suite_checks(scenario, guard)
+    PASS as None, SKIP as a `SKIP:` message (a failed precondition) and FAIL
+    as any other message; an error that a row raises ends the suite.  No row
+    lists stopping times, so no guard bounds the suite."""
+    items = _suite_checks(scenario)
 
     def run_one(item):
         name, thunk = item
@@ -419,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (RepresentationError, EnumerationGuardError) as exc:
+    except (RepresentationError, EnumerationGuardError, InvariantError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return PROPERTY_FAILURE
     except (ScenarioError, LatticeError, OSError, ValueError) as exc:

@@ -138,13 +138,6 @@ def _walk(steps: _Decisions, start: int, active: int, keep=None) -> Iterator[tup
         yield tuple(assign)
 
 
-def _fold(steps: _Decisions, gains: list[list[int]] | None = None) -> Callable:
-    """(best, ways, total) of a state (i, active): the best sum of `gains[i][p]`
-    over the cells its live completions stop (row n_instants for TERMINAL, 0 if
-    None), how many attain it, and how many there are; best is None if none."""
-    return lambda i, active: _fold_parts(steps.parts(i, active), i, gains, {})
-
-
 def _fold_parts(parts, i: int, gains, memo) -> tuple[int | None, int, int]:
     """The fold of parts at instant i, which decide independently: best adds
     up over them, ways and total multiply.  A part's (best, ways), kept in
@@ -152,8 +145,6 @@ def _fold_parts(parts, i: int, gains, memo) -> tuple[int | None, int, int]:
     total = math.prod(part.total for part in parts)
     if not total:
         return None, 0, 0
-    if gains is None:
-        return 0, total, total
     for part in parts:
         if part not in memo:
             values = [_choice(choice, i, gains, memo) for choice in part.options]
@@ -179,7 +170,7 @@ def count_stopping_times(
 ) -> int:
     """Number of stopping times (with T >= lower pathwise)."""
     steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
-    return _fold(steps)(0, steps.everyone)[2]
+    return math.prod(part.total for part in steps.parts(0, steps.everyone))
 
 
 def iter_stopping_index_tuples(
@@ -196,7 +187,7 @@ def iter_stopping_index_tuples(
     walk starts.
     """
     steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
-    _check_guard(_fold(steps)(0, steps.everyone)[2], guard)
+    _check_guard(math.prod(part.total for part in steps.parts(0, steps.everyone)), guard)
     yield from _walk(steps, 0, steps.everyone)
 
 

@@ -201,7 +201,8 @@ def check_usc_sequence_equivalence(
     exactly when the maximum of E[(left envelope - Z)_T] is positive, one
     fold at any size.  A disagreement with the predicates is a
     counterexample, and only then is a witness built: one walk to the first
-    time that attains the maximum.
+    time that attains the maximum.  The process is tested as a reward once,
+    here; the predicates are read through their unchecked cores.
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
@@ -230,8 +231,8 @@ def check_usc_sequence_equivalence(
     worst = _maximum(lattice, meyer, gap, Kind.PREDICTABLE, None)
     left_seq = worst.value <= 0
 
-    right_pred = is_right_usc_in_expectation(lattice, meyer, process).ok
-    left_pred = is_left_usc_in_expectation(lattice, meyer, process).ok
+    right_pred = _right_usc(lattice, meyer, process).ok
+    left_pred = _left_usc(lattice, meyer, process).ok
 
     counterexample = None
     if right_pred != right_seq:

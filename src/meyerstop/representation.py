@@ -20,11 +20,10 @@ is the real root of S (`_root`), a float only where S has no rational root.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .enumeration import DEFAULT_GUARD, _best, _Decisions, _mask
+from .enumeration import _best, _Decisions, _mask
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -47,7 +46,7 @@ from .lattice import (
     to_divided_quadruple,
     validate_divided,
 )
-from .snell import PreconditionError, enumerate_divided_stops
+from .snell import PreconditionError
 from .projection import _left_usc, _right_usc
 
 
@@ -417,25 +416,21 @@ class SignalReport(NamedTuple):
         return self.right_usc_holds and all(r.ok for r in self.rows)
 
 
-def universal_signal_check(
-    problem: RepresentationProblem,
-    ell_grid: Sequence,
-    guard: int | None = DEFAULT_GUARD,
-) -> SignalReport:
+def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -> SignalReport:
     """Level-passage stops of L attain every accrual-adjusted optimum.
 
     Requires a representable reward X that is left-USC in expectation
     (PreconditionError otherwise); verifies the implied right-USC, then compares
-    both level-passage variants against the enumerated divided-stop optimum
-    at each grid level, in grid order.  A canonical divided stop reads X,
-    and cuts the accrual, at one index i per path, so every stop is one
-    integer line (sum I[i][p], sum K[i][p]) of the `_lines` table: a listed
-    stop at its readings, read once into a Counter of distinct lines, and a
-    level passage at its own indices.  At s = num / den a line (a, b) is
-    worth den * a + num * b over den * D; the optimum is the best distinct
-    line, its count the multiplicity of the lines attaining it.  Passages
-    are read on S = L**power at ell**power by `_passage`, unchecked: S is
-    Lambda-measurable, as `forward_evaluate` checks L and the solve sets S.
+    both level-passage variants against the optimum over the canonical
+    divided stops at each grid level, in grid order.  A canonical divided
+    stop reads X, and cuts the accrual, at the index where its Lambda-
+    stopping time stops each path, so at s = num / den a stop is worth the
+    sum of its cells den * I + num * K of the `_lines` table, over den * D.
+    The optimum and its optimizer count are then one `_best` fold per level
+    over the Lambda decision tree, built once: no stop is listed, so no
+    guard applies.  Passages are read on S = L**power at ell**power by
+    `_passage`, unchecked: S is Lambda-measurable, as `forward_evaluate`
+    checks L and the solve sets S.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     if problem.L is None:
@@ -447,24 +442,16 @@ def universal_signal_check(
     if not _left_usc(lattice, meyer, X).ok:
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = _right_usc(lattice, meyer, X).ok
-    stops = enumerate_divided_stops(lattice, meyer, guard=guard)
     I, K, D = _lines(problem, X)
-
-    def line(indices) -> tuple[int, int]:
-        a = b = 0
-        for p, i in enumerate(indices):
-            a, b = a + I[i][p], b + K[i][p]
-        return a, b
-
-    lines = Counter(line(_divided_readings(lattice, q)) for q in stops)
+    steps = _Decisions(lattice, meyer, Kind.LAMBDA)
 
     def evaluate(ell) -> SignalRow:
         s = ell**power
         num, den = Fraction(s).as_integer_ratio()
-        passages = (line(_passage(lattice, S, s, v)) for v in (1, 2))
-        v1, v2 = (Fraction(den * a + num * b, den * D) for a, b in passages)
-        best = max(den * a + num * b for a, b in lines)
-        count = sum(m for (a, b), m in lines.items() if den * a + num * b == best)
-        return SignalRow(ell, v1, v2, Fraction(best, den * D), count)
+        gains = [[den * a + num * b for a, b in zip(i_row, k_row)] for i_row, k_row in zip(I, K)]
+        passages = (enumerate(_passage(lattice, S, s, v)) for v in (1, 2))
+        v1, v2 = (sum(gains[i][p] for p, i in cells) for cells in passages)
+        (best, count, _), _ = _best(steps, gains, 0, steps.everyone)
+        return SignalRow(ell, *(Fraction(v, den * D) for v in (v1, v2, best)), count)
 
     return SignalReport(rows=tuple(map(evaluate, ell_grid)), right_usc_holds=right_ok)

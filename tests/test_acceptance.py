@@ -377,11 +377,21 @@ def test_criterion_9_universal_signal():
         ):
             assert msg is None, (seed, msg)
         odd += 1
+    # the check folds over the Lambda-stopping times, so it runs on the
+    # lattices near the enumeration guard too, within criterion 1's bound
+    t0 = time.monotonic()
+    near = 0
+    for sc in near_guard_family():
+        for problem in (sc.build_problem(), odd_power(sc).build_problem()):
+            assert checks.check_universal_signal(problem, sc.ell_grid) is None
+            near += 1
+    elapsed = time.monotonic() - t0
     _report(
         9,
-        count >= 200 and odd >= 40,
-        f"level-passage stops attain the enumerated optimum at 8 levels on "
-        f"{count} instances and on {odd} odd-power variants; right-USC holds on all",
+        count >= 200 and odd >= 40 and near == 6 and elapsed < 60,
+        f"level-passage stops attain the fold optimum at 8 levels on "
+        f"{count} instances and on {odd} odd-power variants, and on the 3 "
+        f"near-guard lattices with both g ({elapsed:.1f}s < 60s); right-USC holds on all",
     )
 
 

@@ -816,6 +816,7 @@ def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
             assert checks.check_usc_equivalence(lattice, meyer, sc.processes[name]) is None
         for problem in (sc.build_problem(), odd_power(sc).build_problem()):
             assert checks.check_representation_roundtrip(problem) is None
+            assert checks.check_universal_signal(problem, sc.ell_grid) is None
     assert listed == []
     # the wrapper sees a listing where there is one
     assert len(list(iter_stopping_index_tuples(heavy.lattice, heavy.meyer))) == 745
@@ -1043,9 +1044,9 @@ def test_largest_optimal_time_matches_the_entry_loop():
     assert parities[0] == 0 and min(parities[1], parities["terminal"]) > 20, parities
 
 
-def _suite_row(sc, name, guard):
-    """The message of the suite row `name`, run alone at `guard`."""
-    return dict(cli._suite_checks(sc, guard))[name]()
+def _suite_row(sc, name):
+    """The message of the suite row `name`, run alone."""
+    return dict(cli._suite_checks(sc))[name]()
 
 
 def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
@@ -1081,10 +1082,9 @@ def test_sandwich_names_an_optimal_time_outside_a_narrowed_bracket(monkeypatch):
             assert (message is None) == (not escapees), (seed, message)
             assert message is None or message in escapees, (seed, message)
             verdicts[message is None] += 1
-            # the suite row reads the same at any guard, below the optimizers too
+            # the suite row reads the same, and the suite takes no guard
             alone = Scenario(lattice=lattice, meyer=meyer, processes={"Z": Z})
-            for guard in (2, brute.optimizer_count - 1, DEFAULT_GUARD):
-                assert _suite_row(alone, "stop/sandwich[Z]", guard) == message, (seed, guard)
+            assert _suite_row(alone, "stop/sandwich[Z]") == message, seed
     assert min(verdicts.values()) >= 20, verdicts
 
 
@@ -1102,7 +1102,7 @@ def test_disagreeing_certificate_folds_fail_past_the_guard(monkeypatch):
     assert disagreements and all(m.startswith("certificate says True ") for m in disagreements)
     ways = snell_brute_force(lattice, meyer, Z).optimizer_count
     for guard in (2, ways - 1, DEFAULT_GUARD):
-        rows = {r["property"]: r for r in cli.run_suite(sc, guard=guard)[0]["checks"]}
+        rows = {r["property"]: r for r in cli.run_command(sc, "suite", guard=guard)[0]["checks"]}
         row = rows["optimality/certificates[Z]"]
         assert row["status"] == "FAIL" and row["detail"] in disagreements, (guard, row)
         assert not any("past the guard" in r["detail"] for r in rows.values()), guard
@@ -1536,7 +1536,7 @@ def test_usc_guard_bounds_the_predictable_fold():
     assert enumeration.count_stopping_times(lattice, meyer, Kind.PREDICTABLE) == 213
     verdicts = []
     for guard in (200, 500):
-        rows = {r["property"]: r for r in cli.run_suite(heavy, guard=guard)[0]["checks"]}
+        rows = {r["property"]: r for r in cli.run_command(heavy, "suite", guard=guard)[0]["checks"]}
         verdicts.append([rows[f"usc/equivalence[{name}]"] for name in ("L", "Z")])
     assert verdicts[0] == verdicts[1]
     assert all(row["status"] == "PASS" for row in verdicts[0]), verdicts
@@ -1544,7 +1544,8 @@ def test_usc_guard_bounds_the_predictable_fold():
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_usc_equivalence_names_a_counterexample_for_each_form(side, monkeypatch):
-    name = f"is_{side}_usc_in_expectation"
+    # the check reads the predicates through their unchecked cores
+    name = f"_{side}_usc"
     real = getattr(projection, name)
     monkeypatch.setattr(
         projection, name, lambda *args: UscVerdict(ok=not real(*args).ok, witness=None)
@@ -1573,7 +1574,7 @@ def test_usc_equivalence_names_a_counterexample_for_each_form(side, monkeypatch)
 
 # (h) per-part decisions -----------------------------------------------------
 #
-# `enumeration._fold` decides each (instant, part) node on its own.  The
+# `enumeration._best` decides each (instant, part) node on its own.  The
 # oracles are the fold it replaced, one memo entry per (instant, active
 # paths) state over every subset of the state's stoppable parts, and the
 # plain listing of that fold's completions.
@@ -1583,7 +1584,7 @@ def bits(mask):
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-def mask_fold(lattice, meyer, kind, allowed, gains=None):
+def mask_fold(lattice, meyer, kind, allowed, gains):
     """The per-state fold: (best, ways, total) of a state (i, active) and
     its memo, and a listing of the state's live completions with their gains."""
     n = lattice.n_instants
@@ -1596,13 +1597,13 @@ def mask_fold(lattice, meyer, kind, allowed, gains=None):
         parts = [part for atom in atoms[i] if (part := atom & active) and not part & ~allowed[i]]
         for c in range(1 << len(parts)):
             stopped = sum(part for j, part in enumerate(parts) if c >> j & 1)
-            yield stopped, sum(gains[i][p] for p in bits(stopped)) if gains else 0
+            yield stopped, sum(gains[i][p] for p in bits(stopped))
 
     def fold(i, active):
         if i == n or not active:
             if active & ~allowed[n]:
                 return None, 0, 0
-            return sum(gains[n][p] for p in bits(active)) if gains else 0, 1, 1
+            return sum(gains[n][p] for p in bits(active)), 1, 1
         if (i, active) not in memo:
             best, ways, total = None, 0, 0
             for stopped, gain in choices(i, active):
@@ -1620,7 +1621,7 @@ def mask_fold(lattice, meyer, kind, allowed, gains=None):
     def listing(i, active, assign):
         if i == n or not active:
             if not active & ~allowed[n]:
-                yield tuple(assign), sum(gains[n][p] for p in bits(active)) if gains else 0
+                yield tuple(assign), sum(gains[n][p] for p in bits(active))
             return
         for stopped, gain in choices(i, active):
             for p in bits(stopped):
@@ -1647,15 +1648,19 @@ def test_part_fold_matches_the_mask_fold(kind):
         tables += [_cells(lattice, lambda p, i: rng.random() < odds) for odds in (0.9, 0.7, 0.5)]
         for allowed in tables:
             drawn = [[rng.randint(-4, 4) for _ in range(paths)] for _ in range(n + 1)]
-            for gains in (None, drawn):
+            zero = [[0] * paths for _ in range(n + 1)]
+            for gains in (zero, drawn):
                 fold, memo, listing = mask_fold(lattice, meyer, kind, allowed, gains)
                 steps = enumeration._Decisions(lattice, meyer, kind, allowed)
-                value = enumeration._fold(steps, gains)
+
+                def value(i, active):
+                    return enumeration._best(steps, gains, i, active)[0]
+
                 for active in (full, rng.randint(0, full)):
                     got = value(0, active)
                     assert got == fold(0, active), (seed, active)
                     seen["dead" if got[2] == 0 else "scoped" if active != full else "listed"] += 1
-                    if gains is None or got[2] > 3000:
+                    if gains is zero or got[2] > 3000:
                         continue
                     # the attaining walk yields exactly the listed maximizers
                     listed = list(listing(active))

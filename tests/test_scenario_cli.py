@@ -237,20 +237,23 @@ def test_a_malformed_ell_grid_is_a_validation_failure(grid, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
-@pytest.mark.parametrize("command", ["oracle", "suite"])
+@pytest.mark.parametrize("command", ["oracle", "signal", "suite"])
 def test_a_negative_guard_is_a_validation_failure(command, capsys):
     # a guard bounds a count of stopping times: below 0 it is rejected with
     # one error line, before any command could read it as exceeded or SKIP
     assert main([command, "--seed", "3", "--guard", "-1"]) == 1
     message = "error: --guard: expected a count of at least 0, got -1\n"
     assert capsys.readouterr() == ("", message)
-    # a guard of 0 stays valid: it is exceeded by any listing
-    assert main([command, "--seed", "3", "--guard", "0"]) == (2 if command == "oracle" else 0)
+    # a guard of 0 stays valid: it is exceeded by any listing (`oracle`'s
+    # optimizers, `signal`'s divided stops), and the suite lists nothing,
+    # so its signal row folds and passes
+    assert main([command, "--seed", "3", "--guard", "0"]) == (0 if command == "suite" else 2)
     out, err = capsys.readouterr()
-    if command == "oracle":
-        assert (out, err) == ("", "error: 2 stopping times exceed the guard of 0\n")
+    if command == "suite":
+        assert "PASS representation/universal-signal\n" in out
     else:
-        assert "SKIP representation/universal-signal  103 stopping times exceed the guard of 0" in out
+        listed = 2 if command == "oracle" else 103
+        assert (out, err) == ("", f"error: {listed} stopping times exceed the guard of 0\n")
 
 
 @pytest.mark.parametrize(
@@ -486,12 +489,57 @@ def test_the_signal_check_tests_its_reward_once(monkeypatch):
             predicate(sc.lattice, sc.meyer, negative)
 
 
+@pytest.mark.parametrize("name, calls", [("branch.scn", 7), ("signal_chain.scn", 8)])
+def test_the_suite_tests_a_reward_once_per_row_that_needs_it(name, calls, monkeypatch):
+    # per reward: the suite's own test, the envelope's, the oracle's, the USC
+    # equivalence row's (which hands the reward to the predicates' unchecked
+    # cores) and the sandwich's two predicates, plus the decomposition's test
+    # of the envelope and, on a bundle, the signal check's test of X
+    tested = []
+    real = lattice_module.reward_fault
+
+    def counted(lattice, meyer, process):
+        tested.append(process)
+        return real(lattice, meyer, process)
+
+    modules = (cli_module, lattice_module, projection_module, representation_module, snell_module)
+    for module in modules:
+        monkeypatch.setattr(module, "reward_fault", counted)
+    sc = load(name)
+    assert run_suite(sc)[0]["ok"]
+    assert len(tested) == calls, len(tested)
+    rewards = [p for p in sc.processes.values() if real(sc.lattice, sc.meyer, p) is None]
+    assert rewards
+    for process in rewards:
+        tested.clear()
+        assert checks.check_usc_equivalence(sc.lattice, sc.meyer, process) is None
+        assert tested == [process]
+
+
+def test_signal_fails_when_its_fold_and_listing_disagree(monkeypatch, capsys):
+    # `signal` lists the divided stops and checks every row's fold against
+    # the listing: a fold that reports one optimizer too many exits 2 with
+    # one error line and no report
+    argv = ["signal", "--scenario", str(FIXTURES / "signal_chain.scn")]
+    fold = representation_module._best
+
+    def one_more(*args):
+        (best, ways, total), attaining = fold(*args)
+        return (best, ways + 1, total), attaining
+
+    monkeypatch.setattr(representation_module, "_best", one_more)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: level ") and err.count("\n") == 1, err
+    assert err.endswith(" optimizers, the listing 10 with 1\n"), err
+
+
 def test_a_guarded_delta_maximum_is_a_skip_row(monkeypatch):
     # the oracle and delta rows read one fold's value, which no guard
-    # bounds: at a guard of 2, below branch.scn's 11 stopping times, they
-    # PASS, and a maximum off by one still makes the delta row FAIL
+    # bounds: at a command guard of 2, below branch.scn's 11 stopping times,
+    # they PASS, and a maximum off by one still makes the delta row FAIL
     sc = load("branch.scn")
-    rows = {r["property"]: r for r in run_suite(sc, guard=2)[0]["checks"]}
+    rows = {r["property"]: r for r in run_command(sc, "suite", guard=2)[0]["checks"]}
     for name in ("snell/oracle[Z]", "stop/delta[Z]"):
         assert rows[name] == {"property": name, "status": "PASS", "detail": ""}
     maximum = checks._maximum
@@ -501,7 +549,7 @@ def test_a_guarded_delta_maximum_is_a_skip_row(monkeypatch):
         return opt._replace(value=opt.value + 1)
 
     monkeypatch.setattr(checks, "_maximum", off_by_one)
-    rows = {r["property"]: r for r in run_suite(sc, guard=2)[0]["checks"]}
+    rows = {r["property"]: r for r in run_command(sc, "suite", guard=2)[0]["checks"]}
     assert rows["stop/delta[Z]"]["status"] == "FAIL"
     assert rows["stop/delta[Z]"]["detail"].startswith("divided-stop maximum "), rows
 

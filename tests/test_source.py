@@ -72,18 +72,42 @@ def test_certificates_and_sandwich_list_no_stopping_time():
     assert not found, found
 
 
-def test_the_representation_solve_lists_no_stopping_time():
-    # the solve's per-atom minimum is a run of folds; only the signal
-    # check's divided-stop listing, from snell, walks stopping times
-    tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
-    found = [
-        f"representation.py:{node.lineno} imports {alias.name}"
+LISTINGS = ("iter_stopping_index_tuples", "enumerate_stopping_times", "enumerate_divided_stops")
+
+
+def _listing_imports(name: str, tree: ast.AST) -> list[str]:
+    """Lines that import a listing of stopping times, in any import form."""
+    return [
+        f"{name}:{node.lineno} imports {alias.name}"
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
-        if alias.name in ("iter_stopping_index_tuples", "enumerate_stopping_times")
+        if alias.name.rpartition(".")[2] in LISTINGS
     ]
+
+
+def test_the_representation_solve_lists_no_stopping_time():
+    # the solve's per-atom minimum and the signal check's per-level optimum
+    # are runs of folds; only the `signal` command lists divided stops
+    tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
+    found = _listing_imports("representation.py", tree)
     assert not found, found
+
+
+def test_the_listing_import_scan_sees_each_form():
+    tree = ast.parse(
+        "from .snell import PreconditionError, enumerate_divided_stops\n"
+        "from .enumeration import _best, iter_stopping_index_tuples as walk\n"
+        "from meyerstop.enumeration import enumerate_stopping_times\n"
+        "import meyerstop.snell.enumerate_divided_stops\n"
+        "from .snell import snell_brute_force\n"
+    )
+    assert _listing_imports("m.py", tree) == [
+        "m.py:1 imports enumerate_divided_stops",
+        "m.py:2 imports iter_stopping_index_tuples",
+        "m.py:3 imports enumerate_stopping_times",
+        "m.py:4 imports meyerstop.snell.enumerate_divided_stops",
+    ]
 
 
 POOL_MODULES = ("multiprocessing", "concurrent", "threading")
@@ -700,14 +724,10 @@ def test_the_guard_scan_sees_each_form():
 # The functions that take a `guard`: each lists stopping times, checks the
 # guard before a listing, or hands the guard on to one that lists.
 GUARDED = {
-    "checks.check_universal_signal",
-    "cli._suite_checks",
     "cli.run_command",
-    "cli.run_suite",
     "enumeration._check_guard",
     "enumeration.enumerate_stopping_times",
     "enumeration.iter_stopping_index_tuples",
-    "representation.universal_signal_check",
     "snell.enumerate_divided_stops",
     "snell.snell_brute_force",
 }
