@@ -37,7 +37,6 @@ from .projection import (
 from .representation import (
     RepresentationError,
     RepresentationProblem,
-    forward_evaluate,
     solve_representation,
     universal_signal_check,
 )
@@ -317,9 +316,7 @@ def check_sandwich(lattice, meyer, process, zbar, decomp) -> str | None:
 
 
 def check_representation_roundtrip(problem: RepresentationProblem) -> str | None:
-    """solve(X) succeeds, and with it its own check of forward(solve(X)) against X."""
-    if problem.L is not None:
-        problem = problem.with_X(forward_evaluate(problem))
+    """solve(X) succeeds on the problem's `reward` X, and with it its check of forward(solve(X))."""
     try:
         solve_representation(problem)
     except RepresentationError as exc:

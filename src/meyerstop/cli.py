@@ -36,7 +36,6 @@ from .lattice import (
 from .projection import project
 from .representation import (
     RepresentationError,
-    _lines,
     forward_evaluate,
     solve_representation,
     universal_signal_check,
@@ -208,11 +207,10 @@ def run_command(
                 "signal": _proc_doc(lattice, L),
             }
         else:
-            X = forward_evaluate(problem)
             doc = {
                 "command": "represent",
                 "direction": "forward",
-                "reward": _proc_doc(lattice, X),
+                "reward": _proc_doc(lattice, forward_evaluate(problem)),
             }
         return doc, OK
 
@@ -264,15 +262,13 @@ def run_command(
 def _require_listing(problem, report, stops) -> None:
     """`signal`'s check of its folds against a listing, as `snell` checks
     its envelope against the oracle: each listed divided stop is read once
-    as its integer line (sum I, sum K) of `_lines`, and at each row's level
-    the best line and how many stops attain it must be the row's optimum and
-    optimizer count (InvariantError otherwise)."""
-    lattice = problem.lattice
-    X = problem.X if problem.X is not None else forward_evaluate(problem)
-    I, K, D = _lines(problem, X)
+    as its integer line (sum I, sum K) of the folds' `problem.lines`, and
+    at each row's level the best line and how many stops attain it must be
+    the row's optimum and optimizer count (InvariantError otherwise)."""
+    I, K, D = problem.lines
     lines: Counter[tuple[int, int]] = Counter()
     for q in stops:
-        cells = list(enumerate(_divided_readings(lattice, q)))
+        cells = list(enumerate(_divided_readings(problem.lattice, q)))
         lines[sum(I[i][p] for p, i in cells), sum(K[i][p] for p, i in cells)] += 1
     for row in report.rows:
         num, den = Fraction(row.ell**problem.g.power).as_integer_ratio()

@@ -282,8 +282,10 @@ def check_projection_fatou(
     hit by a constant time, which is both optional and predictable; so the
     chains are checked once per (path, instant) cell.  One envelope serves
     as both the liminf and the limsup, so each chain has two distinct terms,
-    its outer and its inner pair.  The raw input may be non-measurable but
-    must vanish at TERMINAL.
+    its outer and its inner pair.  On a finite chain those are one conditional
+    expectation computed two ways, so the row checks the code (the field table,
+    `project`, `envelope`) and fails only where one of the two moves.  The raw
+    input may be non-measurable but must vanish at TERMINAL.
     """
     if any(t != 0 for t in process.columns[-1]):
         raise LatticeError("raw process must vanish at TERMINAL")

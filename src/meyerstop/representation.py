@@ -3,12 +3,12 @@
 A reward X is represented by a signal L when, at every instant and atom,
 X equals the conditional sum of g evaluated at the running supremum of L
 against the measure mu from that instant on.  `forward_evaluate` computes
-X from L.  The rest reads one table (`_accrued`): X read at an (instant,
-path) cell after the g-mass accrued before it is a line in the level s.
-`solve_representation` takes each atom's least crossing of two such lines
-by Dinkelbach folds, `stopping_value` reads the lines at a stop, and
-`universal_signal_check` certifies that the level-passage stops of L solve
-every accrual-adjusted stopping problem at once, on each stop's line in s.
+X from L; a `RepresentationProblem` keeps its X and one table (`_accrued`):
+X read at an (instant, path) cell after the g-mass accrued before it is a
+line in the level s.  `solve_representation` takes each atom's least
+crossing of two such lines by Dinkelbach folds, `stopping_value` reads the
+lines at a stop, and `universal_signal_check` certifies that the level-
+passage stops of L solve every accrual-adjusted stopping problem at once.
 
 g = a + b * ell**power with one odd power is affine in s = ell**power, and
 s is increasing in ell, so running suprema, window roots and level passages
@@ -21,6 +21,7 @@ is the real root of S (`_root`), a float only where S has no rational root.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .enumeration import _best, _Decisions, _mask
@@ -68,17 +69,25 @@ class GFamily(NamedTuple):
         """g = a + b * ell**power: affine in ell**power."""
         a_rows = tuple(tuple(Fraction(v) for v in row) for row in a)
         b_rows = tuple(tuple(Fraction(v) for v in row) for row in b)
-        if any(v <= 0 for row in b_rows for v in row):
-            raise LatticeError("affine slopes must be strictly positive")
-        if isinstance(power, bool) or not isinstance(power, int) or power < 1 or power % 2 == 0:
-            raise LatticeError(f"g power must be an odd positive integer, got {power!r}")
+        _require_rates(b_rows, power)
         return cls(a=a_rows, b=b_rows, power=power)
+
+
+def _require_rates(b=(), power=1, mass=()) -> None:
+    """Positive slopes and one odd positive int power, so that each g is
+    strictly increasing, and no negative mass (LatticeError otherwise)."""
+    if any(v <= 0 for row in b for v in row):
+        raise LatticeError("affine slopes must be strictly positive")
+    if isinstance(power, bool) or not isinstance(power, int) or power < 1 or power % 2 == 0:
+        raise LatticeError(f"g power must be an odd positive integer, got {power!r}")
+    if any(v < 0 for row in mass for v in row):
+        raise LatticeError("measure masses must be nonnegative")
 
 
 def validate_g(lattice: FilteredLattice, meyer: MeyerStructure, g: GFamily) -> None:
     """Optional measurability: a and b are constant on each atom of every
     instant's optional field.  Positive slopes and an odd power make each g
-    strictly increasing; `GFamily.affine` checks those."""
+    strictly increasing; `_require_rates` checks those."""
     _require_shape(lattice, g.a, "g.a")
     _require_shape(lattice, g.b, "g.b")
     for idx, part in enumerate(field_partitions(lattice, meyer, Kind.OPTIONAL)):
@@ -97,14 +106,13 @@ class RandomMeasure(NamedTuple):
     @classmethod
     def from_rows(cls, rows) -> "RandomMeasure":
         mass = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if any(v < 0 for row in mass for v in row):
-            raise LatticeError("measure masses must be nonnegative")
+        _require_rates(mass=mass)
         return cls(mass=mass)
 
 
 class RepresentationProblem(_Record):
-    """Bundle of (lattice, meyer, g, mu) plus exactly one of X or L; a
-    `_Record`, as it checks that choice and every shape."""
+    """Bundle of (lattice, meyer, g, mu) plus exactly one of X or L; a `_Record`,
+    as it checks that choice, every shape and every rate, and keeps its `reward` and `lines`."""
 
     def __init__(
         self,
@@ -126,6 +134,21 @@ class RepresentationProblem(_Record):
         _require_shape(self.lattice, self.mu.mass, "mu")
         _require_shape(self.lattice, self.g.a, "g.a")
         _require_shape(self.lattice, self.g.b, "g.b")
+        _require_rates(self.g.b, self.g.power, self.mu.mass)
+
+    @cached_property
+    def reward(self) -> LatticeProcess:
+        """X as given, else forward(L), evaluated once."""
+        return self.X if self.L is None else forward_evaluate(self)
+
+    @cached_property
+    def lines(self) -> tuple[list, list, int]:
+        """Integer rows I = P * (`reward` + a-mass) and K = P * b-mass (`_accrued`), one
+        `_weighted` table over D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
+        acc_a, acc_b = _accrued(self)
+        I = [[x + v for x, v in zip(col, acc)] for col, acc in zip(self.reward.columns, acc_a)]
+        rows, den = _weighted(self.lattice, I + acc_b)
+        return rows[: len(I)], rows[len(I) :], den
 
     def with_L(self, L: LatticeProcess) -> "RepresentationProblem":
         return RepresentationProblem(self.lattice, self.meyer, self.g, self.mu, None, L)
@@ -178,20 +201,20 @@ def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
 
 
 def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProcess:
-    """`forward_evaluate` on S = L**power, where g_w = a_w + b_w * s: each
-    instant's per-path tails, conditioned on that instant's Lambda field."""
-    lattice, meyer, g, mu = problem.lattice, problem.meyer, problem.g, problem.mu
-    n = lattice.n_instants
+    """`forward_evaluate` on S = L**power: each instant's per-path tails, conditioned on its
+    Lambda field; a tail is the a-mass from u on plus each b-mass step at S's running max."""
+    lattice, meyer, n = problem.lattice, problem.meyer, problem.lattice.n_instants
+    acc_a, acc_b = _accrued(problem)
+    steps = [[after - before for before, after in zip(acc_b[w], acc_b[w + 1])] for w in range(n)]
 
     def tail(p: int, u: int) -> Fraction:
         """Path p's sum over w >= u of g_w(running max of S) mu_w."""
         running = S.columns[u][p]
-        acc = Fraction(0)
+        acc = acc_a[n][p] - acc_a[u][p]
         for w in range(u, n):
-            if S.columns[w][p] > running:
-                running = S.columns[w][p]
-            if mu.mass[p][w] != 0:
-                acc += (g.a[p][w] + g.b[p][w] * running) * mu.mass[p][w]
+            running = max(running, S.columns[w][p])
+            if step := steps[w][p]:
+                acc += running * step
         return acc
 
     columns = [
@@ -205,26 +228,17 @@ def _accrued(problem: RepresentationProblem) -> tuple[list, list]:
     """The accrual rule, without P: per instant index i (TERMINAL included)
     and path p, the a-mass sum_{w < i} a_w * mu_w and the b-mass
     sum_{w < i} b_w * mu_w.  At level s, X read at (i, p) after that accrual
-    is worth X_i + a + s * b; `_lines` and `stopping_value` weigh it by P once."""
+    is worth X_i + a + s * b; `lines` and `stopping_value` weigh it by P."""
     lattice, g, mu = problem.lattice, problem.g, problem.mu
     acc_a, acc_b = [[Fraction(0)] * lattice.n_paths], [[Fraction(0)] * lattice.n_paths]
     for w in range(lattice.n_instants):
-        acc_a.append([v + mu.mass[p][w] * g.a[p][w] for p, v in enumerate(acc_a[-1])])
-        acc_b.append([v + mu.mass[p][w] * g.b[p][w] for p, v in enumerate(acc_b[-1])])
+        for acc, rates in ((acc_a, g.a), (acc_b, g.b)):
+            acc.append([v + m[w] * r[w] if m[w] else v for v, m, r in zip(acc[-1], mu.mass, rates)])
     return acc_a, acc_b
 
 
-def _lines(problem: RepresentationProblem, X: LatticeProcess):
-    """Integer rows I = P * (X + a-mass) and K = P * b-mass (`_accrued`), one
-    `_weighted` table over D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
-    acc_a, acc_b = _accrued(problem)
-    I = [[x + v for x, v in zip(col, acc)] for col, acc in zip(X.columns, acc_a)]
-    rows, den = _weighted(problem.lattice, I + acc_b)
-    return rows[: len(I)], rows[len(I) :], den
-
-
 def solve_representation(problem: RepresentationProblem) -> LatticeProcess:
-    """Recover a signal L from X by per-atom minimization of window roots.
+    """Recover a signal L from `problem.reward` by per-atom minimization of window roots.
 
     For each instant u and atom of the Lambda field, every stopping time T
     strictly after u on the atom contributes the root of
@@ -245,22 +259,20 @@ def solve_representation(problem: RepresentationProblem) -> LatticeProcess:
 
 def _solve(problem: RepresentationProblem) -> LatticeProcess:
     """`solve_representation` on S = L**power, where each window equation is
-    affine in s, on the `_lines` table.  One decision tree of the Lambda-
-    stopping times serves every atom: the times after u on an atom are its
-    subtree at (u + 1, atom), as every node before u + 1 could only pass
-    on.  The forward check of S against X runs at the end and failure
+    affine in s, on the problem's `lines` table.  One decision tree of the
+    Lambda-stopping times serves every atom: the times after u on an atom
+    are its subtree at (u + 1, atom), as every node before u + 1 could only
+    pass on.  The forward check of S against X runs at the end and failure
     raises RepresentationError."""
     lattice, meyer = problem.lattice, problem.meyer
-    X = problem.X
-    if X is None:
-        raise LatticeError("solve_representation needs the reward process X")
+    X = problem.reward
     if not is_measurable(lattice, meyer, X, Kind.LAMBDA):
         raise LatticeError("reward process is not Lambda-measurable")
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     n, n_paths = lattice.n_instants, lattice.n_paths
     fields = field_partitions(lattice, meyer, Kind.LAMBDA)
-    I, K, _ = _lines(problem, X)
+    I, K, _ = problem.lines
     steps = _Decisions(lattice, meyer, Kind.LAMBDA)
 
     columns: list[list] = [[None] * n_paths for _ in range(n)]
@@ -344,7 +356,7 @@ def stopping_value(
     """E[X at tau + accrued g(ell)-mass strictly before tau]: one
     `expected_value` of each path's reading of `_accrued` at its cutoff.
     tau must be a Lambda- or divided stopping time (else LatticeError); X is
-    the problem's, else forward(L): pass `problem.with_X(X)` to reuse one."""
+    the problem's `reward`, evaluated once per problem."""
     lattice, meyer = problem.lattice, problem.meyer
     if isinstance(tau, RandomInstant):
         if not is_lambda_stopping_time(lattice, meyer, tau, Kind.LAMBDA):
@@ -353,7 +365,7 @@ def stopping_value(
         report = validate_divided(lattice, meyer, tau)
         if not report.ok:
             raise LatticeError("tau is not a divided stopping time: " + "; ".join(report.problems))
-    X = problem.X if problem.X is not None else forward_evaluate(problem)
+    X = problem.reward
     s, (acc_a, acc_b) = ell**problem.g.power, _accrued(problem)
     reading = [
         X.columns[read][p] + acc_a[cut][p] + s * acc_b[cut][p]
@@ -419,30 +431,28 @@ class SignalReport(NamedTuple):
 def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -> SignalReport:
     """Level-passage stops of L attain every accrual-adjusted optimum.
 
-    Requires a representable reward X that is left-USC in expectation
-    (PreconditionError otherwise); verifies the implied right-USC, then compares
-    both level-passage variants against the optimum over the canonical
-    divided stops at each grid level, in grid order.  A canonical divided
-    stop reads X, and cuts the accrual, at the index where its Lambda-
-    stopping time stops each path, so at s = num / den a stop is worth the
-    sum of its cells den * I + num * K of the `_lines` table, over den * D.
-    The optimum and its optimizer count are then one `_best` fold per level
-    over the Lambda decision tree, built once: no stop is listed, so no
-    guard applies.  Passages are read on S = L**power at ell**power by
-    `_passage`, unchecked: S is Lambda-measurable, as `forward_evaluate`
-    checks L and the solve sets S.
+    Requires the problem's `reward` X to be representable and left-USC in
+    expectation (PreconditionError otherwise); verifies the implied
+    right-USC, then compares both level-passage variants against the
+    optimum over the canonical divided stops at each grid level, in grid
+    order.  A canonical divided stop reads X, and cuts the accrual, at the
+    index where its Lambda-stopping time stops each path, so at s = num / den
+    a stop is worth the sum of its cells den * I + num * K of the problem's
+    `lines`, over den * D.  The optimum and its optimizer count are then one
+    `_best` fold per level over the Lambda decision tree, built once: no stop
+    is listed, so no guard applies.  Passages are read on S = L**power at
+    ell**power by `_passage`, unchecked: S is the given L's levels, Lambda-
+    measurable as `forward_evaluate` checks L, or the solved one.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
-    if problem.L is None:
-        X, S = problem.X, _solve(problem)
-    else:
-        X, S = forward_evaluate(problem), _levels(problem.g, problem.L)
+    S = _solve(problem) if problem.L is None else _levels(problem.g, problem.L)
+    X = problem.reward
     if fault := reward_fault(lattice, meyer, X):
         raise PreconditionError(f"X is not a reward: {fault}")
     if not _left_usc(lattice, meyer, X).ok:
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = _right_usc(lattice, meyer, X).ok
-    I, K, D = _lines(problem, X)
+    I, K, D = problem.lines
     steps = _Decisions(lattice, meyer, Kind.LAMBDA)
 
     def evaluate(ell) -> SignalRow:

@@ -50,7 +50,7 @@ from .lattice import (
     reward_fault,
     to_divided_quadruple,
 )
-from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
+from .projection import _left_usc, _right_usc
 
 
 def snell_envelope(
@@ -422,8 +422,8 @@ def smallest_largest_optimal(
     decomp: MertensDecomposition,
 ) -> SmallestLargest:
     """Entry times of {Z = Zbar} and of {M != Zbar}, read off the envelope
-    `zbar` of `process` and its decomposition `decomp`; optional structure
-    and both semicontinuity predicates are required.
+    `zbar` of `process` and its decomposition `decomp`; optional structure, a
+    reward and both semicontinuity predicates (their unchecked cores) are required.
 
     Every optimal stopping time is sandwiched between the two pathwise; a
     ranked fold checks that at any size and names a time that escapes.
@@ -432,9 +432,11 @@ def smallest_largest_optimal(
         raise PreconditionError(
             "optional structure required: meyer fields must equal the filtration"
         )
-    if not is_right_usc_in_expectation(lattice, meyer, process).ok:
+    if fault := reward_fault(lattice, meyer, process):
+        raise LatticeError(fault)
+    if not _right_usc(lattice, meyer, process).ok:
         raise PreconditionError("is_right_usc_in_expectation failed")
-    if not is_left_usc_in_expectation(lattice, meyer, process).ok:
+    if not _left_usc(lattice, meyer, process).ok:
         raise PreconditionError("is_left_usc_in_expectation failed")
 
     zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)

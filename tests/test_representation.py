@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,10 @@ from meyerstop.representation import (
 )
 from meyerstop.projection import is_right_usc_in_expectation
 from meyerstop.snell import PreconditionError, enumerate_divided_stops
-from meyerstop.scenario import RandomInstanceParams, generate_instance
+from meyerstop.scenario import RandomInstanceParams, generate_instance, parse_scenario
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
 
 def identity_g(lattice):
     n = lattice.n_instants
@@ -115,6 +119,46 @@ def test_problem_needs_exactly_one_side(chain):
         RepresentationProblem(lattice, meyer, g, mu)
     with pytest.raises(LatticeError):
         RepresentationProblem(lattice, meyer, g, mu, X=L, L=L)
+
+
+def test_a_problem_checks_its_rates_where_they_enter():
+    # a direct GFamily or RandomMeasure skips `affine` and `from_rows`, so
+    # the problem rejects an even power, a zero slope and a negative mass
+    # itself, in the constructors' words
+    problem = parse_scenario((FIXTURES / "signal_chain.scn").read_text()).build_problem()
+    g, mu = problem.g, problem.mu
+    zero = [[0] * len(row) for row in g.b]
+    negated = [[-v for v in row] for row in mu.mass]
+    cases = [
+        (lambda: GFamily.affine(g.a, g.b, 2), {"g": GFamily(g.a, g.b, power=2)}),
+        (lambda: GFamily.affine(g.a, zero), {"g": GFamily(g.a, zero)}),
+        (lambda: RandomMeasure.from_rows(negated), {"mu": RandomMeasure(negated)}),
+    ]
+    for constructor, change in cases:
+        with pytest.raises(LatticeError) as expected:
+            constructor()
+        with pytest.raises(LatticeError) as raised:
+            problem._replace(**change)
+        assert str(raised.value) == str(expected.value)
+    for power in (True, 3.0, -1):
+        with pytest.raises(LatticeError, match="odd positive integer"):
+            problem._replace(g=GFamily(g.a, g.b, power))
+    assert problem._replace(g=GFamily(g.a, g.b, 3), mu=RandomMeasure(mu.mass)).g.power == 3
+
+
+def test_the_solve_on_a_signal_bundle_solves_its_reward():
+    # a bundle given by L carries its reward X = forward(L): the solve
+    # recovers the least signal of that X, as on the bundle given by X
+    problems = [parse_scenario((FIXTURES / "signal_chain.scn").read_text()).build_problem()]
+    problems += [
+        generate_instance(RandomInstanceParams(seed=seed, epochs=2, max_paths=4)).build_problem()
+        for seed in range(4)
+    ]
+    for problem in problems:
+        assert problem.L is not None
+        given_X = problem.with_X(forward_evaluate(problem))
+        assert solve_representation(problem) == solve_representation(given_X)
+        assert problem.reward == given_X.reward
 
 
 def test_validate_g(branch):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,18 +60,23 @@ def machine_runs(tmp_path, command: str, scenario: Path) -> list[tuple[int, byte
 
 
 def test_fixture_round_trips():
-    for name in ("branch.scn", "deterministic.scn", "signal_chain.scn"):
+    names = sorted(path.name for path in FIXTURES.glob("*.scn"))
+    assert "odd_power.scn" in names
+    for name in names:
         sc = load(name)
         assert parse_scenario(render_scenario(sc)) == sc
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_generated_round_trip_and_determinism(seed):
-    params = RandomInstanceParams(seed=seed, epochs=1 + seed % 4, max_paths=2 + seed % 9)
-    sc = generate_instance(params)
-    again = generate_instance(params)
-    assert render_scenario(sc) == render_scenario(again)
-    assert parse_scenario(render_scenario(sc)) == sc
+    for regime in REGIMES:
+        params = RandomInstanceParams(
+            seed=seed, epochs=1 + seed % 4, max_paths=2 + seed % 9, regime=regime
+        )
+        sc = generate_instance(params)
+        again = generate_instance(params)
+        assert render_scenario(sc) == render_scenario(again)
+        assert parse_scenario(render_scenario(sc)) == sc
 
 
 # SHA-256 of the rendered instances below.  Generated instances are pure
@@ -489,12 +495,12 @@ def test_the_signal_check_tests_its_reward_once(monkeypatch):
             predicate(sc.lattice, sc.meyer, negative)
 
 
-@pytest.mark.parametrize("name, calls", [("branch.scn", 7), ("signal_chain.scn", 8)])
+@pytest.mark.parametrize("name, calls", [("branch.scn", 6), ("signal_chain.scn", 7)])
 def test_the_suite_tests_a_reward_once_per_row_that_needs_it(name, calls, monkeypatch):
     # per reward: the suite's own test, the envelope's, the oracle's, the USC
-    # equivalence row's (which hands the reward to the predicates' unchecked
-    # cores) and the sandwich's two predicates, plus the decomposition's test
-    # of the envelope and, on a bundle, the signal check's test of X
+    # equivalence row's and the sandwich's (each of which hands the reward
+    # to the predicates' unchecked cores), plus the decomposition's test of
+    # the envelope and, on a bundle, the signal check's test of X
     tested = []
     real = lattice_module.reward_fault
 
@@ -514,6 +520,27 @@ def test_the_suite_tests_a_reward_once_per_row_that_needs_it(name, calls, monkey
         tested.clear()
         assert checks.check_usc_equivalence(sc.lattice, sc.meyer, process) is None
         assert tested == [process]
+
+
+@pytest.mark.parametrize("command, forwards, tables", [("suite", 2, 1), ("signal", 1, 1)])
+def test_a_bundle_evaluates_its_reward_and_weighs_its_lines_once(
+    command, forwards, tables, monkeypatch
+):
+    # the problem keeps its reward and its line table: on this bundle given
+    # by L, the suite's round-trip and signal rows share one forward
+    # evaluation and one table (the solve's closing check is the second
+    # evaluation), and `signal`'s listing check reads the fold's table
+    counts = Counter()
+    for name in ("_forward", "_weighted"):
+
+        def counted(*args, _real=getattr(representation_module, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(representation_module, name, counted)
+    doc, status = run_command(load("signal_chain.scn"), command)
+    assert status == 0 and doc["ok"]
+    assert counts == {"_forward": forwards, "_weighted": tables}
 
 
 def test_signal_fails_when_its_fold_and_listing_disagree(monkeypatch, capsys):

@@ -513,8 +513,9 @@ def test_the_unread_parameter_scan_sees_each_form():
 
 
 # Functions of representation.py that may read the rows of g (`.a`, `.b`)
-# or mu (`.mass`): the accrual rule, the forward evaluation, the shape checks.
-RATE_READERS = ("_accrued", "_forward", "validate_g", "RepresentationProblem.__post_init__")
+# or mu (`.mass`): the accrual rule, which the forward evaluation reads too,
+# and the checks of shapes, rates and measurability.
+RATE_READERS = ("_accrued", "validate_g", "RepresentationProblem.__post_init__")
 REPEATING = (
     ast.For,
     ast.While,
@@ -591,6 +592,68 @@ def test_the_accrual_check_sees_each_read():
     )
     assert _rate_reads(tree) == [4, 4]
     assert _repeated_calls(tree, "_weighted") == [10, 12]
+
+
+def _is_branch(node: ast.AST, command: str) -> bool:
+    """`node` is the branch `if command == "<command>":`."""
+    test = getattr(node, "test", None)
+    return (
+        isinstance(node, ast.If)
+        and isinstance(test, ast.Compare)
+        and getattr(test.left, "id", None) == "command"
+        and [getattr(c, "value", None) for c in test.comparators] == [command]
+    )
+
+
+def _forward_calls(name: str, tree: ast.Module) -> list[str]:
+    """Lines that call forward_evaluate outside `RepresentationProblem.reward`
+    and the body of `run_command`'s `represent` branch."""
+    allowed = set()
+    for qualname, fn in _top_functions(tree):
+        scopes = [fn] if qualname == "RepresentationProblem.reward" else []
+        if qualname == "run_command":
+            branches = [node for node in ast.walk(fn) if _is_branch(node, "represent")]
+            scopes = [stmt for branch in branches for stmt in branch.body]
+        allowed |= {id(call) for scope in scopes for call in _calls(scope, "forward_evaluate")}
+    return [
+        f"{name}:{call.lineno} calls forward_evaluate"
+        for call in sorted(_calls(tree, "forward_evaluate"), key=lambda c: c.lineno)
+        if id(call) not in allowed
+    ]
+
+
+def test_a_problem_evaluates_its_reward_once():
+    # a bundle given by L has one reward, which the problem evaluates and
+    # keeps; every reader takes it from there, and only `represent` reports
+    # the forward direction itself
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _forward_calls(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, found
+
+
+def test_the_forward_scan_sees_each_form():
+    tree = ast.parse(
+        "class RepresentationProblem:\n"
+        "    def reward(self):\n        return forward_evaluate(self)\n"
+        "    def lines(self):\n        return forward_evaluate(self)\n"
+        "def run_command(command, problem):\n"
+        "    if command == 'represent':\n"
+        "        return representation.forward_evaluate(problem)\n"
+        "    if command == 'signal':\n        return forward_evaluate(problem)\n"
+        "    return lambda: forward_evaluate(problem)\n"
+        "def stopping_value(problem):\n    return rep.forward_evaluate(problem)\n"
+        "def reward(problem):\n    return forward_evaluate(problem)\n"
+    )
+    assert _forward_calls("m.py", tree) == [
+        "m.py:5 calls forward_evaluate",
+        "m.py:10 calls forward_evaluate",
+        "m.py:11 calls forward_evaluate",
+        "m.py:13 calls forward_evaluate",
+        "m.py:15 calls forward_evaluate",
+    ]
 
 
 def _is_empty_dict(node: ast.AST) -> bool:
