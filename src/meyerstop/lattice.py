@@ -364,9 +364,7 @@ def field_partitions(
     return fields
 
 
-def _grid_field(
-    lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind, k: int
-) -> Partition:
+def _grid_field(lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind, k: int) -> Partition:
     """The partition governing the grid point (k, AT); intervals read F_k."""
     if kind is Kind.LAMBDA:
         return meyer.meyer_fields[k]

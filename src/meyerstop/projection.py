@@ -56,11 +56,7 @@ def project(
     return LatticeProcess((*projected, process.columns[-1]))
 
 
-def envelope(
-    lattice: FilteredLattice,
-    process: LatticeProcess,
-    side: Side,
-) -> LatticeProcess:
+def envelope(lattice: FilteredLattice, process: LatticeProcess, side: Side) -> LatticeProcess:
     """One-sided limit process, limsup and liminf alike.
 
     RIGHT reads the interval after a grid point (and the grid value is not

@@ -3,25 +3,26 @@
 A reward X is represented by a signal L when, at every instant and atom,
 X equals the conditional sum of g evaluated at the running supremum of L
 against the measure mu from that instant on.  `forward_evaluate` computes
-X from L; a `RepresentationProblem` keeps its X and one table (`_accrued`):
-X read at an (instant, path) cell after the g-mass accrued before it is a
-line in the level s.  `solve_representation` takes each atom's least
-crossing of two such lines by Dinkelbach folds, `stopping_value` reads the
-lines at a stop, and `universal_signal_check` certifies that the level-
-passage stops of L solve every accrual-adjusted stopping problem at once.
+X from L.  A `RepresentationProblem` keeps its X and two integer tables:
+its `accrual`, the g-mass accrued before each (instant, path) cell, and its
+`lines`, where X read at a cell after that accrual is a line in the level
+s.  A Lambda-stopping time is a point (sum K, sum I) of the lines, so
+`solve_representation` reads each atom's least window root off upper
+convex hulls, in one pass over the Lambda decision tree.  `stopping_value`
+reads the accrual at a stop, and `universal_signal_check` certifies that
+the level-passage stops of L solve every accrual-adjusted stopping problem.
 
-g = a + b * ell**power with one odd power is affine in s = ell**power, and
-s is increasing in ell, so running suprema, window roots and level passages
-of L are those of S = L**power under the affine rates a + b*s.  The engine
-works on S in exact rational arithmetic.  Level units appear only at the
-edges: L read in and grid levels are raised to the power, and the solved L
-is the real root of S (`_root`), a float only where S has no rational root.
+g = a + b * ell**power with one odd power is affine in s = ell**power, and s
+is increasing in ell, so running suprema, window roots and level passages of L
+are those of S = L**power under the affine rates a + b*s, in exact rationals.
+L read in and grid levels are raised to the power, and the solved L is the
+real root of S (`_root`), a float only where S has no rational root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 from .enumeration import _best, _Decisions, _mask
@@ -38,7 +39,6 @@ from .lattice import (
     _first_hits,
     _require_shape,
     _weighted,
-    conditional_expectation,
     expected_value,
     field_partitions,
     is_lambda_stopping_time,
@@ -93,9 +93,7 @@ def validate_g(lattice: FilteredLattice, meyer: MeyerStructure, g: GFamily) -> N
     for idx, part in enumerate(field_partitions(lattice, meyer, Kind.OPTIONAL)):
         for block in part:
             if len({(g.a[p][idx], g.b[p][idx]) for p in block}) > 1:
-                raise LatticeError(
-                    f"g slice at instant index {idx} is not optional-measurable"
-                )
+                raise LatticeError(f"g slice at instant index {idx} is not optional-measurable")
 
 
 class RandomMeasure(NamedTuple):
@@ -112,7 +110,8 @@ class RandomMeasure(NamedTuple):
 
 class RepresentationProblem(_Record):
     """Bundle of (lattice, meyer, g, mu) plus exactly one of X or L; a `_Record`,
-    as it checks that choice, every shape and every rate, and keeps its `reward` and `lines`."""
+    as it checks that choice, every shape and every rate, and keeps its `reward`,
+    its `accrual` and `lines` tables and its `solved` S, each built once."""
 
     def __init__(
         self,
@@ -129,11 +128,9 @@ class RepresentationProblem(_Record):
     def __post_init__(self) -> None:
         if (self.X is None) == (self.L is None):
             raise LatticeError("provide exactly one of X or L")
-        name, process = ("X", self.X) if self.L is None else ("L", self.L)
-        _require_shape(self.lattice, process, name)
-        _require_shape(self.lattice, self.mu.mass, "mu")
-        _require_shape(self.lattice, self.g.a, "g.a")
-        _require_shape(self.lattice, self.g.b, "g.b")
+        given = ("X", self.X) if self.L is None else ("L", self.L)
+        for name, rows in (given, ("mu", self.mu.mass), ("g.a", self.g.a), ("g.b", self.g.b)):
+            _require_shape(self.lattice, rows, name)
         _require_rates(self.g.b, self.g.power, self.mu.mass)
 
     @cached_property
@@ -142,13 +139,27 @@ class RepresentationProblem(_Record):
         return self.X if self.L is None else forward_evaluate(self)
 
     @cached_property
-    def lines(self) -> tuple[list, list, int]:
-        """Integer rows I = P * (`reward` + a-mass) and K = P * b-mass (`_accrued`), one
-        `_weighted` table over D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
+    def accrual(self) -> tuple[list, list, list, int]:
+        """`_accrued` as one `_weighted` table: the row W = P and the rows
+        A = P * a-mass and B = P * b-mass, and their one denominator."""
         acc_a, acc_b = _accrued(self)
-        I = [[x + v for x, v in zip(col, acc)] for col, acc in zip(self.reward.columns, acc_a)]
-        rows, den = _weighted(self.lattice, I + acc_b)
-        return rows[: len(I)], rows[len(I) :], den
+        (W, *rows), den = _weighted(self.lattice, [(1,) * self.lattice.n_paths, *acc_a, *acc_b])
+        return W, rows[: len(acc_a)], rows[len(acc_a) :], den
+
+    @cached_property
+    def lines(self) -> tuple[list, list, int]:
+        """Integer rows I = P * (`reward` + a-mass) and K = P * b-mass over one
+        denominator D, and D: cell (i, p) is worth (I + s * K) / D at level s."""
+        _, A, B, den = self.accrual
+        X, scale = _weighted(self.lattice, self.reward.columns)
+        I = [[x * den + a * scale for x, a in zip(xs, acc)] for xs, acc in zip(X, A)]
+        return I, [[b * scale for b in row] for row in B], scale * den
+
+    @cached_property
+    def solved(self) -> LatticeProcess:
+        """S = L**power solved from `reward` (`_solve`); a failed solve raises
+        each time it is read."""
+        return _solve(self)
 
     def with_L(self, L: LatticeProcess) -> "RepresentationProblem":
         return RepresentationProblem(self.lattice, self.meyer, self.g, self.mu, None, L)
@@ -158,7 +169,9 @@ class RepresentationProblem(_Record):
 
 
 def _levels(g: GFamily, L: LatticeProcess) -> LatticeProcess:
-    """S = L**power, the signal in the units where g is affine."""
+    """S = L**power, the signal in the units where g is affine: L itself at power 1."""
+    if g.power == 1:
+        return L
     return LatticeProcess(tuple(tuple(v**g.power for v in col) for col in L.columns))
 
 
@@ -186,12 +199,8 @@ def _integer_root(n: int, power: int) -> int:
 
 
 def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
-    """X from L: conditional remaining reward of the running supremum.
-
-    At instant u and atom of the Lambda field, X is the probability-weighted
-    atom average of sum_{w >= u} g_w(max of L over [u, w]) * mu_w; the
-    terminal slice is zero.
-    """
+    """X from L: at instant u and atom of the Lambda field, the probability-weighted
+    atom average of sum_{w >= u} g_w(max of L over [u, w]) * mu_w; 0 at TERMINAL."""
     L = problem.L
     if L is None:
         raise LatticeError("forward_evaluate needs the signal process L")
@@ -201,34 +210,49 @@ def forward_evaluate(problem: RepresentationProblem) -> LatticeProcess:
 
 
 def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProcess:
-    """`forward_evaluate` on S = L**power: each instant's per-path tails, conditioned on its
-    Lambda field; a tail is the a-mass from u on plus each b-mass step at S's running max."""
-    lattice, meyer, n = problem.lattice, problem.meyer, problem.lattice.n_instants
-    acc_a, acc_b = _accrued(problem)
-    steps = [[after - before for before, after in zip(acc_b[w], acc_b[w + 1])] for w in range(n)]
+    """`forward_evaluate` on S = L**power, in integers on the `accrual` table and
+    S's `_weighted` cells, with one `Fraction` per (instant, atom).  S's running
+    max from u stays at S_u up to the first j > u where S exceeds it, so a path's
+    b-mass tail from u is S_u * (B_j - B_u) + its tail from j.  A level times a
+    step carries P twice, and W = P divides it out times the accrual denominator."""
+    lattice, n = problem.lattice, problem.lattice.n_instants
+    W, A, B, den = problem.accrual
+    levels, scale = _weighted(lattice, S.columns[:n])
+    tails = [[0] * lattice.n_paths for _ in range(n + 1)]
+    for p in range(lattice.n_paths):
+        ahead = [n]  # the instants after u where S exceeds everything before them
+        for u in range(n - 1, -1, -1):
+            while ahead[-1] < n and levels[ahead[-1]][p] <= levels[u][p]:
+                ahead.pop()
+            j = ahead[-1]
+            tails[u][p] = levels[u][p] * (B[j][p] - B[u][p]) + tails[j][p]
+            ahead.append(u)
 
-    def tail(p: int, u: int) -> Fraction:
-        """Path p's sum over w >= u of g_w(running max of S) mu_w."""
-        running = S.columns[u][p]
-        acc = acc_a[n][p] - acc_a[u][p]
-        for w in range(u, n):
-            running = max(running, S.columns[w][p])
-            if step := steps[w][p]:
-                acc += running * step
-        return acc
+    def value(u: int, block) -> Fraction:
+        num = sum((A[n][p] - A[u][p]) * scale + tails[u][p] * den // W[p] for p in block)
+        return Fraction(num, scale * sum(W[p] for p in block))
 
-    columns = [
-        conditional_expectation(lattice, [tail(p, u) for p in range(lattice.n_paths)], part)
-        for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
-    ]
-    return LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
+    return _by_atom(problem, value)
+
+
+def _by_atom(problem: RepresentationProblem, value) -> LatticeProcess:
+    """The process worth value(u, block) on each Lambda atom, and 0 at TERMINAL."""
+    columns = []
+    for u, part in enumerate(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)):
+        column: list = [None] * problem.lattice.n_paths
+        for block in part:
+            cell = value(u, block)
+            for p in block:
+                column[p] = cell
+        columns.append(tuple(column))
+    return LatticeProcess((*columns, (Fraction(0),) * problem.lattice.n_paths))
 
 
 def _accrued(problem: RepresentationProblem) -> tuple[list, list]:
     """The accrual rule, without P: per instant index i (TERMINAL included)
     and path p, the a-mass sum_{w < i} a_w * mu_w and the b-mass
     sum_{w < i} b_w * mu_w.  At level s, X read at (i, p) after that accrual
-    is worth X_i + a + s * b; `lines` and `stopping_value` weigh it by P."""
+    is worth X_i + a + s * b; the problem's `accrual` weighs it by P once."""
     lattice, g, mu = problem.lattice, problem.g, problem.mu
     acc_a, acc_b = [[Fraction(0)] * lattice.n_paths], [[Fraction(0)] * lattice.n_paths]
     for w in range(lattice.n_instants):
@@ -246,97 +270,92 @@ def solve_representation(problem: RepresentationProblem) -> LatticeProcess:
         E[ sum_{u <= w < T} g_w(ell) mu_w | atom ] = E[ X_u - X_T | atom ]
 
     and L_u is the minimum of those roots (TERMINAL included, with X_T = 0),
-    found by Dinkelbach's method: each step is one fold over the times
-    after u (`_least_root`): no time is listed, so no guard applies.  Windows
+    read off upper convex hulls (`_hull_roots`), so no guard applies.  Windows
     carrying no mass are skipped; an atom whose remaining mass is exhausted
-    takes L = 0 and must carry X = 0.  The roots are found and checked on
-    S = L**power (`_solve`), and L is S's real root.
-    """
-    power = problem.g.power
-    S = _solve(problem)
+    takes L = 0 and must carry X = 0.  L is the real root of S = L**power, the
+    problem's `solved` S."""
+    power, S = problem.g.power, problem.solved
     return LatticeProcess(tuple(tuple(_root(s, power) for s in col) for col in S.columns))
 
 
 def _solve(problem: RepresentationProblem) -> LatticeProcess:
-    """`solve_representation` on S = L**power, where each window equation is
-    affine in s, on the problem's `lines` table.  One decision tree of the
-    Lambda-stopping times serves every atom: the times after u on an atom
-    are its subtree at (u + 1, atom), as every node before u + 1 could only
-    pass on.  The forward check of S against X runs at the end and failure
-    raises RepresentationError."""
+    """`solve_representation` on S = L**power, where each window equation is affine
+    in s, by one hull pass over the Lambda decision tree on the problem's `lines`;
+    a failed closing forward check of S against X raises RepresentationError."""
     lattice, meyer = problem.lattice, problem.meyer
     X = problem.reward
     if not is_measurable(lattice, meyer, X, Kind.LAMBDA):
         raise LatticeError("reward process is not Lambda-measurable")
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
-    n, n_paths = lattice.n_instants, lattice.n_paths
-    fields = field_partitions(lattice, meyer, Kind.LAMBDA)
     I, K, _ = problem.lines
-    steps = _Decisions(lattice, meyer, Kind.LAMBDA)
+    roots = _hull_roots(_Decisions(lattice, meyer, Kind.LAMBDA), I, K)
 
-    columns: list[list] = [[None] * n_paths for _ in range(n)]
-    for u in range(n):
-        for block in fields[u]:
-            num, den = _least_root(steps, I, K, u, block)
-            if den == 0:
-                if X.columns[u][min(block)] != 0:  # X is constant on the atom
-                    raise RepresentationError(
-                        "X not representable with this (g, mu): "
-                        f"mass exhausted before instant index {u} but X is nonzero"
-                    )
-                num, den = 0, 1
-            for p in block:
-                columns[u][p] = Fraction(num, den)
+    def root(u: int, block) -> Fraction:
+        num, den = roots[u, _mask(block)]  # num is 0 where den is
+        if not den and X.columns[u][min(block)] != 0:  # X is constant on the atom
+            raise RepresentationError(
+                "X not representable with this (g, mu): "
+                f"mass exhausted before instant index {u} but X is nonzero"
+            )
+        return Fraction(num, den or 1)
 
-    S = LatticeProcess((*map(tuple, columns), (Fraction(0),) * lattice.n_paths))
+    S = _by_atom(problem, root)
     if _forward(problem, S).columns != X.columns:
         raise RepresentationError("X not representable with this (g, mu): forward check failed")
     return S
 
 
-def _least_root(steps: _Decisions, I, K, u: int, block) -> tuple[int, int]:
-    """The least root N_T / D_T over the windows [u, T) with mass, by
-    Dinkelbach's method; den 0 if no window has mass.
+def _hull_roots(steps: _Decisions, I, K) -> dict[tuple[int, int], tuple[int, int]]:
+    """The least window root (num, den) of each node (u, paths) before TERMINAL,
+    keyed (u, mask); den 0 if no window after u has mass.  A time is the point
+    (sum K, sum I) of its cells.  A node stops whole at its point (K_u, I_u) or
+    passes on to its parts, which decide alone, so its upper hull is that of its
+    point and the Minkowski sum of its parts' hulls (Bank & El Karoui 2004).  As
+    mass only accrues, each time (b, a) after u has b >= K_u and root (I_u - a) /
+    (b - K_u), least at a vertex of the parts' sum with b > K_u, unless a massless
+    window has a > I_u, which no representable X has."""
+    roots = {}
 
-    A window's root is where the lines of stopping at u and at T cross on
-    the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
-    K[T_p][p] - K[u][p]; the times T are the tree's from (u + 1, block),
-    and off-atom paths stay at TERMINAL and are skipped.  From the
-    all-TERMINAL window, each step maximizes num * D_T - den * N_T by one
-    fold, on gains of the atom's cells after u only, and moves to a
-    maximizer, until the best gain is 0.  Any maximizer will do: each step
-    lowers the ratio to a window's root, and the search ends where no root
-    lies below.  A massless window can win a step only with N_T < 0, which
-    no representable X has; the search stops there and the closing forward
-    check fails.
-    """
-    n = steps.n_inst
+    def hull(i: int, part) -> list[tuple[int, int]]:
+        # unrestricted, a part passes on first (before TERMINAL) and stops last
+        paths = part.options[-1][0]
+        k, c = sum(K[i][p] for p in paths), sum(I[i][p] for p in paths)
+        if i == steps.n_inst:
+            return [(k, c)]
+        after = reduce(_sum_hull, [hull(i + 1, kid) for kid in part.options[0][1]])
+        num = den = 0
+        for b, a in after:
+            if b > k and (not den or (c - a) * den < num * (b - k)):
+                num, den = c - a, b - k
+        roots[i, _mask(paths)] = num, den
+        return _upper([(k, c), *after])
 
-    def window(T) -> tuple[int, int]:
-        N = sum(I[u][p] - I[T[p]][p] for p in block)
-        return N, sum(K[T[p]][p] - K[u][p] for p in block)
-
-    def fold(num: int, den: int):
-        # the best num * D_T - den * N_T: the best sum of cells num * K + den * I, less it at u
-        gains = {i: {p: num * K[i][p] + den * I[i][p] for p in block} for i in range(u + 1, n + 1)}
-        (top, _, _), attaining = _best(steps, gains, u + 1, _mask(block))
-        return top - sum(num * K[u][p] + den * I[u][p] for p in block), attaining
-
-    num, den = window((n,) * steps.n_paths)  # the all-TERMINAL window
-    top, attaining = fold(num, den)
-    while top > 0:
-        N, D = window(next(attaining()))
-        if D == 0:
-            break
-        num, den = N, D
-        top, attaining = fold(num, den)
-    return num, den
+    for part in steps.parts(0, steps.everyone):
+        hull(0, part)
+    return roots
 
 
-def _accrual_cutoffs(
-    lattice: FilteredLattice, tau: RandomInstant | DividedQuadruple
-) -> list[tuple[int, int]]:
+def _sum_hull(left: list, right: list) -> list[tuple[int, int]]:
+    """The upper hull of the Minkowski sum of two upper hulls."""
+    return _upper(sorted((x + u, y + v) for x, y in left for u, v in right))
+
+
+def _upper(points: list) -> list[tuple[int, int]]:
+    """The upper hull of points sorted by x, by one monotone chain; of points
+    with one x, only the highest can be a vertex."""
+    h: list = []
+    for x, y in points:
+        while h and h[-1][0] == x and h[-1][1] <= y or len(h) > 1 and (
+            (h[-1][0] - h[-2][0]) * (y - h[-2][1]) >= (h[-1][1] - h[-2][1]) * (x - h[-2][0])
+        ):
+            h.pop()
+        if not h or h[-1][0] < x:
+            h.append((x, y))
+    return h
+
+
+def _accrual_cutoffs(lattice: FilteredLattice, tau: RandomInstant | DividedQuadruple) -> list:
     """Per path: (reading index, accrual cutoff index); n_instants codes TERMINAL.
 
     Accrual is over w strictly before the stop in instant order.  A grid
@@ -350,13 +369,11 @@ def _accrual_cutoffs(
     return [(r, r + 1 if p in tau.w_minus else r) for p, r in enumerate(reads)]
 
 
-def stopping_value(
-    problem: RepresentationProblem, ell, tau: RandomInstant | DividedQuadruple
-):
-    """E[X at tau + accrued g(ell)-mass strictly before tau]: one
-    `expected_value` of each path's reading of `_accrued` at its cutoff.
-    tau must be a Lambda- or divided stopping time (else LatticeError); X is
-    the problem's `reward`, evaluated once per problem."""
+def stopping_value(problem: RepresentationProblem, ell, tau: RandomInstant | DividedQuadruple):
+    """E[X at tau + accrued g(ell)-mass strictly before tau]: the `expected_value`
+    of each path's reading of X, plus the `accrual` rows A + s * B at each path's
+    cutoff.  tau must be a Lambda- or divided stopping time (else LatticeError);
+    X, the problem's `reward`, and its accrual table are built once per problem."""
     lattice, meyer = problem.lattice, problem.meyer
     if isinstance(tau, RandomInstant):
         if not is_lambda_stopping_time(lattice, meyer, tau, Kind.LAMBDA):
@@ -365,13 +382,11 @@ def stopping_value(
         report = validate_divided(lattice, meyer, tau)
         if not report.ok:
             raise LatticeError("tau is not a divided stopping time: " + "; ".join(report.problems))
-    X = problem.reward
-    s, (acc_a, acc_b) = ell**problem.g.power, _accrued(problem)
-    reading = [
-        X.columns[read][p] + acc_a[cut][p] + s * acc_b[cut][p]
-        for p, (read, cut) in enumerate(_accrual_cutoffs(lattice, tau))
-    ]
-    return expected_value(lattice, reading)
+    X, (_, A, B, den) = problem.reward, problem.accrual
+    cuts = _accrual_cutoffs(lattice, tau)
+    value = expected_value(lattice, [X.columns[read][p] for p, (read, _) in enumerate(cuts)])
+    a, b = (sum(rows[cut][p] for p, (_, cut) in enumerate(cuts)) for rows in (A, B))
+    return value + Fraction(a, den) + ell**problem.g.power * Fraction(b, den)
 
 
 class LevelPassage(NamedTuple):
@@ -380,11 +395,7 @@ class LevelPassage(NamedTuple):
 
 
 def level_passage(
-    lattice: FilteredLattice,
-    meyer: MeyerStructure,
-    L: LatticeProcess,
-    ell,
-    variant: int,
+    lattice: FilteredLattice, meyer: MeyerStructure, L: LatticeProcess, ell, variant: int
 ) -> LevelPassage:
     """First instant where the running supremum of L reaches (variant 1) or
     exceeds (variant 2) the level; suprema are attained on the lattice, so
@@ -432,20 +443,19 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
     """Level-passage stops of L attain every accrual-adjusted optimum.
 
     Requires the problem's `reward` X to be representable and left-USC in
-    expectation (PreconditionError otherwise); verifies the implied
-    right-USC, then compares both level-passage variants against the
-    optimum over the canonical divided stops at each grid level, in grid
-    order.  A canonical divided stop reads X, and cuts the accrual, at the
-    index where its Lambda-stopping time stops each path, so at s = num / den
-    a stop is worth the sum of its cells den * I + num * K of the problem's
-    `lines`, over den * D.  The optimum and its optimizer count are then one
-    `_best` fold per level over the Lambda decision tree, built once: no stop
-    is listed, so no guard applies.  Passages are read on S = L**power at
-    ell**power by `_passage`, unchecked: S is the given L's levels, Lambda-
-    measurable as `forward_evaluate` checks L, or the solved one.
+    expectation (PreconditionError otherwise); verifies the implied right-USC,
+    then compares both level-passage variants against the optimum over the
+    canonical divided stops at each grid level, in grid order.  Such a stop
+    reads X, and cuts the accrual, where its Lambda-stopping time stops each
+    path, so at s = num / den it is worth the sum of its cells den * I + num * K
+    of the `lines`, over den * D.  One `_best` fold per level over the Lambda
+    decision tree gives the optimum and its optimizer count: no stop is listed,
+    so no guard applies.  Passages are read by `_passage` on S = L**power,
+    unchecked: the given L's levels, as `forward_evaluate` checks L, or the
+    problem's `solved` S.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
-    S = _solve(problem) if problem.L is None else _levels(problem.g, problem.L)
+    S = problem.solved if problem.L is None else _levels(problem.g, problem.L)
     X = problem.reward
     if fault := reward_fault(lattice, meyer, X):
         raise PreconditionError(f"X is not a reward: {fault}")

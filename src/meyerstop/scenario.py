@@ -117,9 +117,7 @@ class Scenario(_Record):
         return None
 
 
-def _parse_partition(
-    raw: Any, ids: Sequence[str], where: str
-) -> Partition:
+def _parse_partition(raw: Any, ids: Sequence[str], where: str) -> Partition:
     if not isinstance(raw, list):
         raise ScenarioError(f"{where}: expected a list of atoms")
     index = {pid: i for i, pid in enumerate(ids)}
@@ -439,9 +437,7 @@ def _grow_tree(rng: random.Random, epochs: int, max_paths: int) -> list[tuple[tu
     return leaves
 
 
-def _merge_children(
-    rng: random.Random, children: list[frozenset[int]]
-) -> list[frozenset[int]]:
+def _merge_children(rng: random.Random, children: list[frozenset[int]]) -> list[frozenset[int]]:
     if len(children) == 1:
         return children
     order = list(range(len(children)))

@@ -1,13 +1,15 @@
 """Table-driven checks against the per-stopping-time code they replace.
 
 The universal-signal rows and the divided-stop enumeration read tables
-built once per call; the certificate, the sandwich, the relaxation maximum,
-the sequential USC forms and the Dinkelbach steps of `solve_representation`
-are memoized folds (restricted to allowed cells) or per-atom sums.
-The oracles here are the direct per-stop computations those stand for; they
-live only in the tests.  The mutation tests show that each rewritten check
-can still report a failure, and the lazy-optimizer tests that value-only
-checks never build the optimizers nor list every stopping time.
+built once per call; the certificate, the sandwich, the relaxation maximum
+and the sequential USC forms are memoized folds (restricted to allowed
+cells) or per-atom sums, and `solve_representation` reads upper hulls.
+The oracles here are the direct per-stop computations those stand for, the
+Dinkelbach folds the hulls replaced and the per-cell `Fraction` forward
+evaluation; they live only in the tests.  The mutation tests show that each
+rewritten check can still report a failure, and the lazy-optimizer tests
+that value-only checks never build the optimizers nor list every stopping
+time.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from meyerstop.representation import (
 )
 from meyerstop.scenario import (
     OPTIONAL_EXTREME,
+    RANDOM_BETWEEN,
     REGIMES,
     RandomInstanceParams,
     generate_instance,
@@ -631,8 +634,8 @@ def test_solve_reports_a_massless_window_that_loses_reward():
 
 
 def chain_problems(count):
-    """Forward rewards on one path over three epochs, with L in 0..4 and mu
-    in 0..2: windows of different mass often tie at a Dinkelbach step."""
+    """Signal bundles on one path over three epochs, with L in 0..4 and mu in
+    0..2: windows of different mass often tie at a Dinkelbach step."""
     lattice, meyer = build_lattice(["1"], [[[0]]] * 4, [[[0]]] * 4)
     n = lattice.n_instants
     g = representation.GFamily.affine([[0] * n], [[1] * n])
@@ -640,14 +643,210 @@ def chain_problems(count):
     for _ in range(count):
         mu = representation.RandomMeasure.from_rows([[rng.randint(0, 2) for _ in range(n)]])
         L = LatticeProcess.from_rows([[rng.randint(0, 4) for _ in range(n)]])
-        problem = representation.RepresentationProblem(lattice, meyer, g, mu, L=L)
-        yield problem.with_X(forward_evaluate(problem))
+        yield representation.RepresentationProblem(lattice, meyer, g, mu, L=L)
+
+
+def plain_forward(problem, S):
+    """X from S = L**power, one `Fraction` per cell: per path and instant u,
+    the a-mass from u on plus each b-mass step at S's running max from u,
+    conditioned on u's Lambda field; zero at TERMINAL."""
+    lattice, g, mass, n = problem.lattice, problem.g, problem.mu.mass, problem.lattice.n_instants
+
+    def tail(p, u):
+        running, total = S.columns[u][p], Fraction(0)
+        for w in range(u, n):
+            running = max(running, S.columns[w][p])
+            total += (g.a[p][w] + running * g.b[p][w]) * mass[p][w]
+        return total
+
+    columns = [
+        conditional_expectation(lattice, [tail(p, u) for p in range(lattice.n_paths)], part)
+        for u, part in enumerate(field_partitions(lattice, problem.meyer, Kind.LAMBDA))
+    ]
+    return LatticeProcess((*columns, (Fraction(0),) * lattice.n_paths))
+
+
+def signal_bundles():
+    """repr_family at both powers, the `mass_at` massless-window bundles and
+    the one-path chains, each given by L."""
+    for seed, sc in repr_family(40):
+        yield f"{seed}", sc.build_problem()
+        yield f"{seed}-cube", odd_power(sc).build_problem()
+    for seed, sc in repr_family(20):
+        for variant in (sc, odd_power(sc)):
+            problem = variant.build_problem()
+            yield f"{seed}-mass-at-2", mass_at(problem, 2).with_L(problem.L)
+    yield from ((f"chain-{k}", problem) for k, problem in enumerate(chain_problems(100)))
+
+
+def test_forward_matches_the_per_cell_fraction_loop():
+    # the integer forward (one next-greater pass per path on the weighted
+    # tables) against the running max and the accrual summed per cell
+    compared = 0
+    for name, problem in signal_bundles():
+        S = representation._levels(problem.g, problem.L)
+        X = forward_evaluate(problem)
+        plain = plain_forward(problem, S)
+        assert all(same(a, b) for a, b in zip(sum(X.columns, ()), sum(plain.columns, ()), strict=True)), name
+        compared += 1
+    assert compared == 220, compared
+
+
+def dinkelbach_root(steps, I, K, u, block):
+    """The least root N_T / D_T over the windows [u, T) with mass, by
+    Dinkelbach's method; den 0 if no window has mass.
+
+    A window's root is where the lines of stopping at u and at T cross on
+    the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
+    K[T_p][p] - K[u][p]; the times T are the tree's from (u + 1, block).
+    From the all-TERMINAL window, each step maximizes num * D_T - den * N_T
+    by one `enumeration._best` fold and moves to the first maximizer its
+    walk yields, until the best gain is 0.  A massless window can win a step
+    only with N_T < 0, which no representable X has; the search stops there.
+    """
+    n = steps.n_inst
+
+    def window(T):
+        N = sum(I[u][p] - I[T[p]][p] for p in block)
+        return N, sum(K[T[p]][p] - K[u][p] for p in block)
+
+    def fold(num, den):
+        # the best num * D_T - den * N_T: the best sum of cells num * K + den * I, less it at u
+        gains = {i: {p: num * K[i][p] + den * I[i][p] for p in block} for i in range(u + 1, n + 1)}
+        (top, _, _), attaining = enumeration._best(steps, gains, u + 1, enumeration._mask(block))
+        return top - sum(num * K[u][p] + den * I[u][p] for p in block), attaining
+
+    num, den = window((n,) * steps.n_paths)  # the all-TERMINAL window
+    top, attaining = fold(num, den)
+    while top > 0:
+        N, D = window(next(attaining()))
+        if D == 0:
+            break
+        num, den = N, D
+        top, attaining = fold(num, den)
+    return num, den
+
+
+def fold_solve(problem):
+    """S = L**power by one Dinkelbach search per (instant, atom) on the
+    problem's `lines`, checked by `plain_forward`; a bundle given by L is
+    solved on its `plain_forward` reward.  Raises as `_solve` does."""
+    if problem.L is not None:
+        problem = problem.with_X(plain_forward(problem, representation._levels(problem.g, problem.L)))
+    lattice, meyer, X = problem.lattice, problem.meyer, problem.X
+    if not is_measurable(lattice, meyer, X, Kind.LAMBDA):
+        raise LatticeError("reward process is not Lambda-measurable")
+    if any(t != 0 for t in X.columns[-1]):
+        raise LatticeError("reward process must vanish at TERMINAL")
+    I, K, _ = problem.lines
+    steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA)
+    columns = [[None] * lattice.n_paths for _ in range(lattice.n_instants)]
+    for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
+        for block in part:
+            num, den = dinkelbach_root(steps, I, K, u, block)
+            if den == 0:
+                if X.columns[u][min(block)] != 0:
+                    raise representation.RepresentationError(
+                        "X not representable with this (g, mu): "
+                        f"mass exhausted before instant index {u} but X is nonzero"
+                    )
+                num, den = 0, 1
+            for p in block:
+                columns[u][p] = Fraction(num, den)
+    S = LatticeProcess((*map(tuple, columns), (Fraction(0),) * lattice.n_paths))
+    if plain_forward(problem, S).columns != X.columns:
+        raise representation.RepresentationError(
+            "X not representable with this (g, mu): forward check failed"
+        )
+    return S
+
+
+def solved_or_error(solve, problem):
+    """S's cells, or the error's type and text."""
+    try:
+        return [tuple(map(str, col)) for col in solve(problem).columns]
+    except (representation.RepresentationError, LatticeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def hull_cases(scenarios):
+    """Each bundle as given by L, as X = forward(L) and with X moved on one
+    atom, the move drawn from the seed."""
+    for seed, sc in scenarios:
+        problem = sc.build_problem()
+        X = forward_evaluate(problem)
+        rng = random.Random(repr(seed))
+        u = rng.randrange(problem.lattice.n_instants)
+        block = rng.choice(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)[u])
+        yield seed, problem
+        yield seed, problem.with_X(X)
+        yield seed, problem.with_X(shifted(X, u, block, Fraction(rng.randint(-4, 4), 3)))
+
+
+def generated_bundles():
+    """Seeds 0-149 of two regimes at three epochs and up to eight paths."""
+    for regime in (RANDOM_BETWEEN, OPTIONAL_EXTREME):
+        for seed in range(150):
+            params = RandomInstanceParams(seed=seed, epochs=3, max_paths=8, regime=regime)
+            yield (regime, seed), generate_instance(params)
+
+
+def wide_bundle(depth, rng):
+    """A signal bundle on `full_binary_tree(depth)`: L, g = a + b * ell and mu
+    drawn per atom, L Lambda- and the rates optional-measurable."""
+    sc = full_binary_tree(depth, rng)
+    lattice, meyer = sc.lattice, sc.meyer
+
+    def draw(kind, values):
+        rows = [[None] * lattice.n_instants for _ in range(lattice.n_paths)]
+        for u, part in enumerate(field_partitions(lattice, meyer, kind)):
+            for atom in part:
+                value = values()
+                for p in atom:
+                    rows[p][u] = value
+        return rows
+
+    g = representation.GFamily.affine(
+        draw(Kind.OPTIONAL, lambda: rng.randint(0, 3)), draw(Kind.OPTIONAL, lambda: rng.randint(1, 3))
+    )
+    mu = representation.RandomMeasure.from_rows(draw(Kind.OPTIONAL, lambda: rng.randint(0, 2)))
+    L = LatticeProcess.from_rows(draw(Kind.LAMBDA, lambda: Fraction(rng.randint(0, 12), 2)))
+    return representation.RepresentationProblem(lattice, meyer, g, mu, L=L)
+
+
+@pytest.mark.parametrize("family", ["repr_family", "generated", "wide"])
+def test_the_hull_solve_matches_the_dinkelbach_folds(family):
+    # every atom's root read off the hulls equals Dinkelbach's, or both
+    # solves raise the same error: on a wide tree, where the folds were
+    # most of the solve, and on families where many X are not representable
+    if family == "repr_family":
+        cases = [
+            case
+            for power in (1, 3)
+            for case in hull_cases(
+                (seed, odd_power(sc) if power == 3 else sc) for seed, sc in repr_family(40)
+            )
+        ]
+    elif family == "generated":
+        cases = list(hull_cases(generated_bundles()))
+    else:
+        problem = wide_bundle(8, random.Random(8))
+        cases = [(8, problem.with_X(forward_evaluate(problem)))]
+    outcomes = []
+    for seed, problem in cases:
+        got = solved_or_error(representation._solve, problem)
+        assert got == solved_or_error(fold_solve, problem), (family, seed)
+        outcomes.append(got)
+    errors = sum(isinstance(got, str) for got in outcomes)
+    assert {"repr_family": 240, "generated": 900, "wide": 1}[family] == len(outcomes)
+    assert errors >= {"repr_family": 20, "generated": 100, "wide": 0}[family], errors
+    assert len(outcomes) - errors >= {"repr_family": 160, "generated": 600, "wide": 1}[family]
 
 
 def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
-    # `_least_root` steps to the first maximizer its walk yields; every
+    # `dinkelbach_root` steps to the first maximizer its walk yields; every
     # maximizer leads to the same least root, so the walk may run in any order
-    problems = list(chain_problems(100))
+    problems = [problem.with_X(forward_evaluate(problem)) for problem in chain_problems(100)]
     for seed, sc in repr_family(40):
         rng = random.Random(seed)
         for variant in (sc, odd_power(sc)):
@@ -658,7 +857,7 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
             for reward in (X, shifted(X, u, block, Fraction(rng.randint(-4, 4), 3))):
                 problems.append(problem.with_X(reward))
     folds = []  # per solve, the best gain of each Dinkelbach fold
-    best = representation._best
+    best = enumeration._best
 
     def recorded(*args):
         result = best(*args)
@@ -670,12 +869,12 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
         for problem in problems:
             folds.append([])
             try:
-                out.append(solve_representation(problem))
+                out.append(fold_solve(problem))
             except representation.RepresentationError as exc:
                 out.append(str(exc))
         return out
 
-    monkeypatch.setattr(representation, "_best", recorded)
+    monkeypatch.setattr(enumeration, "_best", recorded)
     before = solved()
     first_folds = folds[:]
     folds.clear()
@@ -695,6 +894,11 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
     # successful solves, so a search that stops early gives other results
     rerouted = [got for got, a, b in zip(before, first_folds, folds, strict=True) if a != b]
     assert sum(not isinstance(got, str) for got in rerouted) >= 5, len(rerouted)
+    # the hull solve reads the same roots, or raises the same error
+    assert [solved_or_error(representation._solve, problem) for problem in problems] == [
+        f"RepresentationError: {got}" if isinstance(got, str) else [tuple(map(str, c)) for c in got.columns]
+        for got in before
+    ]
 
 
 # (d) divided stops ----------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import full_divided_stops
+from meyerstop import representation
 from meyerstop.lattice import (
     AT,
     INT,
@@ -205,6 +206,19 @@ def test_stopping_value_examples(single_path_problem):
             assert stopping_value(no_mass, ell, tau) == (
                 X.columns[-1][0] if u is TERMINAL else X.rows[0][u.index]
             )
+
+
+def test_stopping_values_share_one_accrual_table(monkeypatch):
+    # every canonical divided stop of odd_power.scn read at each grid level,
+    # as the signal golden's test reads them: one accrual table in all
+    sc = parse_scenario((FIXTURES / "odd_power.scn").read_text(encoding="utf-8"))
+    problem = sc.build_problem()
+    built = []
+    real = representation._accrued
+    monkeypatch.setattr(representation, "_accrued", lambda p: built.append(p) or real(p))
+    stops = enumerate_divided_stops(sc.lattice, sc.meyer)
+    values = [stopping_value(problem, ell, q) for ell in sc.ell_grid for q in stops]
+    assert len(values) == 824 and built == [problem]
 
 
 def test_stopping_value_interior_mass(chain):

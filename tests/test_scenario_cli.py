@@ -522,25 +522,40 @@ def test_the_suite_tests_a_reward_once_per_row_that_needs_it(name, calls, monkey
         assert tested == [process]
 
 
-@pytest.mark.parametrize("command, forwards, tables", [("suite", 2, 1), ("signal", 1, 1)])
+@pytest.mark.parametrize(
+    "name, command, forwards, tables, solves, weighings",
+    [
+        pytest.param("signal_chain.scn", "suite", 2, 1, 1, 4, id="suite-2-1"),
+        pytest.param("signal_chain.scn", "signal", 1, 1, 0, 3, id="signal-1-1"),
+        pytest.param("odd_power.scn", "suite", 1, 1, 1, 3, id="odd_power.scn-suite-1-1"),
+        pytest.param("odd_power.scn", "signal", 1, 1, 1, 3, id="odd_power.scn-signal-1-1"),
+    ],
+)
 def test_a_bundle_evaluates_its_reward_and_weighs_its_lines_once(
-    command, forwards, tables, monkeypatch
+    name, command, forwards, tables, solves, weighings, monkeypatch
 ):
-    # the problem keeps its reward and its line table: on this bundle given
-    # by L, the suite's round-trip and signal rows share one forward
-    # evaluation and one table (the solve's closing check is the second
-    # evaluation), and `signal`'s listing check reads the fold's table
+    # the problem keeps its reward, its accrual table, its line table and
+    # its solved S.  On signal_chain.scn, given by L, the suite's round-trip
+    # and signal rows share one forward evaluation (the solve's closing
+    # check is the second) and `signal` solves nothing.  On odd_power.scn,
+    # given by X, the suite's round-trip and signal rows share one solve,
+    # whose closing check is the one forward evaluation.  The weighings are
+    # the accrual table, the reward under the lines and one per forward
+    # evaluation; `signal`'s listing check reads the fold's table
     counts = Counter()
-    for name in ("_forward", "_weighted"):
+    for fn in ("_forward", "_accrued", "_solve", "_weighted"):
 
-        def counted(*args, _real=getattr(representation_module, name), _name=name):
+        def counted(*args, _real=getattr(representation_module, fn), _name=fn):
             counts[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(representation_module, name, counted)
-    doc, status = run_command(load("signal_chain.scn"), command)
+        monkeypatch.setattr(representation_module, fn, counted)
+    doc, status = run_command(load(name), command)
     assert status == 0 and doc["ok"]
-    assert counts == {"_forward": forwards, "_weighted": tables}
+    # a Counter reads a function never called as 0
+    assert counts == Counter(
+        _forward=forwards, _accrued=tables, _solve=solves, _weighted=weighings
+    )
 
 
 def test_signal_fails_when_its_fold_and_listing_disagree(monkeypatch, capsys):

@@ -594,6 +594,40 @@ def test_the_accrual_check_sees_each_read():
     assert _repeated_calls(tree, "_weighted") == [10, 12]
 
 
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _looped_calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines that call `name` inside a loop or a comprehension."""
+    return sorted(
+        {
+            call.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, LOOPS)
+            for call in _calls(node, name)
+        }
+    )
+
+
+def test_the_solve_runs_no_fold_per_atom():
+    # one hull pass reads every atom's root, so no loop in representation.py
+    # calls the fold; its one call is the signal check's fold per level
+    tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
+    found = [f"representation.py:{line} calls _best in a loop" for line in _looped_calls(tree, "_best")]
+    callers = [name for name, fn in _top_functions(tree) for _ in _calls(fn, "_best")]
+    assert not found and callers == ["universal_signal_check"], (found, callers)
+
+
+def test_the_fold_scan_sees_each_loop():
+    tree = ast.parse(
+        "for u in r:\n    _best(s)\n"
+        "while r:\n    enumeration._best(s)\n"
+        "x = [_best(s) for _ in r], {u: _best(s) for u in r}\n"
+        "def f(s):\n    return _best(s)\n"
+    )
+    assert _looped_calls(tree, "_best") == [2, 4, 5]
+
+
 def _is_branch(node: ast.AST, command: str) -> bool:
     """`node` is the branch `if command == "<command>":`."""
     test = getattr(node, "test", None)
