@@ -5,18 +5,19 @@ so that, at every instant, the set of already-stopped paths is a union of
 atoms of that instant's field.  The fields refine each other along the
 chain, so the paths still active at instant i fall into parts, the active
 shares of instant i's atoms, and each part decides on its own: it stops
-whole at i, or passes on to its parts at i + 1.  Every restriction on the
-times (T >= S, T <= U, certified cells) is one `allowed` table: bit p of
-`allowed[i]` lets path p stop at instant i, and `allowed[n_instants]`
-lists the paths that may run to TERMINAL.  Each (instant, part) node
-counts its live completions once, and one fold per integer gain table
-gives, in one visit per node, its best gain and how many completions
-attain it.  That fold is the Snell envelope's backward recursion in
-integers, so `snell/oracle` compares two codings of one recursion; the
-tests keep the per-state fold over all subsets of a state's parts, and
-the plain listing, as independent oracles.  A fold reads a value or a
-count at any size; the guard bounds only a walk, checked before it starts
-against the number of times it will list.
+whole at i, or passes on to its parts at i + 1.  The tree is built once,
+from its root parts at instant 0, and every count, fold and walk enters it
+there.  Every restriction on the times (T >= S, T <= U, certified cells) is
+the one `allowed` table the tree is built with: bit p of `allowed[i]` lets
+path p stop at instant i, and `allowed[n_instants]` lists the paths that
+may run to TERMINAL.  Each (instant, part) node counts its live completions
+once, and one fold per integer gain table gives, in one visit per node, its
+best gain and how many completions attain it.  That fold is the Snell
+envelope's backward recursion in integers, so `snell/oracle` compares two
+codings of one recursion; the tests keep the per-state fold over all
+subsets of a state's parts, and the plain listing, as independent oracles.
+A fold reads a value or a count at any size; the guard bounds only a walk,
+checked before it starts against the number of times it will list.
 """
 
 from __future__ import annotations
@@ -82,23 +83,17 @@ class _Part:
 
 
 class _Decisions:
-    """The decision tree of one kind of stopping time, within `allowed` cells."""
+    """The decision tree of one kind of stopping time, within `allowed` cells:
+    its root parts at instant 0 and the count of its live times, built once."""
 
     def __init__(self, lattice, meyer, kind: Kind, allowed: list[int] | None = None) -> None:
         self.n_paths = lattice.n_paths
         self.n_inst = lattice.n_instants
         fields = [*field_partitions(lattice, meyer, kind), [range(self.n_paths)]]
         self.owner = [{p: k for k, atom in enumerate(part) for p in atom} for part in fields]
-        self.everyone = (1 << self.n_paths) - 1
-        self.allowed = allowed or [self.everyone] * (self.n_inst + 1)
-        self.roots: dict[tuple[int, int], list[_Part]] = {}
-
-    def parts(self, i: int, active: int) -> list[_Part]:
-        """The parts of the paths in `active` at instant i, built once."""
-        if (i, active) not in self.roots:
-            paths = tuple(p for p in range(self.n_paths) if active >> p & 1)
-            self.roots[i, active] = self.split(i, paths)
-        return self.roots[i, active]
+        self.allowed = allowed or [(1 << self.n_paths) - 1] * (self.n_inst + 1)
+        self.roots = self.split(0, tuple(range(self.n_paths)))
+        self.total = math.prod(part.total for part in self.roots)
 
     def split(self, i: int, paths: tuple[int, ...]) -> list[_Part]:
         """The parts of `paths` at instant i (one at n_instants), with their subtrees."""
@@ -108,17 +103,15 @@ class _Decisions:
         return [_Part(self, i, tuple(share)) for share in shares.values()]
 
 
-def _walk(steps: _Decisions, start: int, active: int, keep=None) -> Iterator[tuple[int, ...]]:
-    """Index tuples of the live times from the parts of `active` at instant
-    `start`, through the choices `keep(i, part, choice)` admits.  The parts
-    still to decide are a linked list (i, part, rest); each takes its first
-    choice and leaves the other on a stack, where the walk resumes after
-    each time.  A path is set by the part that stops it, at latest at
-    n_instants (TERMINAL)."""
-    roots = steps.parts(start, active)
+def _walk(steps: _Decisions, keep=None) -> Iterator[tuple[int, ...]]:
+    """Index tuples of the live times, through the choices `keep(i, part,
+    choice)` admits.  The parts still to decide are a linked list (i, part,
+    rest); each takes its first choice and leaves the other on a stack, where
+    the walk resumes after each time.  A path is set by the part that stops
+    it, at latest at n_instants (TERMINAL)."""
     assign = [steps.n_inst] * steps.n_paths
     # (choice, its instant, the parts after it); a dead root part leaves none
-    left = [(((), roots), start - 1, None)] if all(part.total for part in roots) else []
+    left = [(((), steps.roots), -1, None)] if steps.total else []
     while left:
         (paths, kids), i, pending = left.pop()
         while True:
@@ -166,39 +159,32 @@ def count_stopping_times(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     kind: Kind = Kind.LAMBDA,
-    lower: RandomInstant | None = None,
 ) -> int:
-    """Number of stopping times (with T >= lower pathwise)."""
-    steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
-    return math.prod(part.total for part in steps.parts(0, steps.everyone))
+    """Number of stopping times."""
+    return _Decisions(lattice, meyer, kind).total
 
 
 def iter_stopping_index_tuples(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     kind: Kind = Kind.LAMBDA,
-    lower: RandomInstant | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> Iterator[tuple[int, ...]]:
     """Yield stopping times as index tuples; n_instants stands for TERMINAL.
-
-    With `lower` set, only times with T >= lower per path are produced.  The
-    guard bounds the total count, the number of times listed, before the
-    walk starts.
-    """
-    steps = _Decisions(lattice, meyer, kind, _between(lattice, lower))
-    _check_guard(math.prod(part.total for part in steps.parts(0, steps.everyone)), guard)
-    yield from _walk(steps, 0, steps.everyone)
+    The guard bounds the total count, the number of times listed, before the
+    walk starts."""
+    steps = _Decisions(lattice, meyer, kind)
+    _check_guard(steps.total, guard)
+    yield from _walk(steps)
 
 
 def enumerate_stopping_times(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     kind: Kind = Kind.LAMBDA,
-    lower: RandomInstant | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> Iterator[RandomInstant]:
-    for idx in iter_stopping_index_tuples(lattice, meyer, kind, lower, guard):
+    for idx in iter_stopping_index_tuples(lattice, meyer, kind, guard):
         yield RandomInstant(idx, lattice.n_instants)
 
 
@@ -223,7 +209,7 @@ def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed) -> _Optimum
     """
     gains, den = _weighted(lattice, process.columns)
     steps = _Decisions(lattice, meyer, kind, allowed)
-    (best, ways, total), attaining = _best(steps, gains, 0, steps.everyone)
+    (best, ways, total), attaining = _best(steps, gains)
     top = None if best is None else Fraction(best, den)
     return _Optimum(top, ways, total, attaining)
 
@@ -245,18 +231,17 @@ def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
         for row, inside in zip(gains, allowed)
     ]
     steps = _Decisions(lattice, meyer, Kind.LAMBDA)
-    (best, _, _), attaining = _best(steps, ranked, 0, steps.everyone)
+    (best, _, _), attaining = _best(steps, ranked)
     return Fraction(best // rank, den), next(attaining()) if best % rank else None
 
 
-def _best(steps: _Decisions, gains, start: int, active: int):
+def _best(steps: _Decisions, gains):
     """The fold's (best, ways, total) of the integer `gains[i][p]` over the
-    live times from the parts of `active` at instant `start`, and a walk of
-    the times attaining that best, in walk order."""
+    live times, and a walk of the times attaining that best, in walk order."""
     memo: dict[_Part, tuple[int, int]] = {}
-    top = _fold_parts(steps.parts(start, active), start, gains, memo)
+    top = _fold_parts(steps.roots, 0, gains, memo)
 
     def attains(i: int, part: _Part, choice) -> bool:
         return _choice(choice, i, gains, memo)[0] == memo[part][0]
 
-    return top, lambda: _walk(steps, start, active, attains)
+    return top, lambda: _walk(steps, attains)

@@ -181,19 +181,6 @@ def is_partition(partition: Partition, n_paths: int) -> bool:
     return seen == set(range(n_paths))
 
 
-def refines(finer: Partition, coarser: Partition) -> bool:
-    """True iff every block of `finer` is contained in one block of `coarser`."""
-    lookup: dict[int, frozenset[int]] = {}
-    for block in coarser:
-        for i in block:
-            lookup[i] = block
-    for block in finer:
-        targets = {lookup.get(i) for i in block}
-        if len(targets) != 1 or None in targets:
-            return False
-    return True
-
-
 def atom_of(partition: Partition, path: int) -> frozenset[int]:
     for block in partition:
         if path in block:
@@ -318,12 +305,9 @@ def validate_lattice(lattice: FilteredLattice, meyer: MeyerStructure) -> Validat
             problems.append(f"{name} is not a partition of the path set")
 
     def check_refines(fname: str, finer: Partition, cname: str, coarser: Partition) -> None:
-        if not refines(finer, coarser):
-            bad = [
-                sorted(block)
-                for block in finer
-                if not any(block <= c for c in coarser)
-            ]
+        # both are partitions: an atom of `finer` lies in one of `coarser` or meets two
+        owner = {p: k for k, block in enumerate(coarser) for p in block}
+        if bad := [sorted(block) for block in finer if len({owner[p] for p in block}) > 1]:
             problems.append(f"{fname} does not refine {cname} (offending atoms {bad})")
 
     if not problems:

@@ -111,7 +111,8 @@ class RandomMeasure(NamedTuple):
 class RepresentationProblem(_Record):
     """Bundle of (lattice, meyer, g, mu) plus exactly one of X or L; a `_Record`,
     as it checks that choice, every shape and every rate, and keeps its `reward`,
-    its `accrual` and `lines` tables and its `solved` S, each built once."""
+    its `accrual` and `lines` tables and its `solved` S or the solve's error,
+    each built once."""
 
     def __init__(
         self,
@@ -156,10 +157,20 @@ class RepresentationProblem(_Record):
         return I, [[b * scale for b in row] for row in B], scale * den
 
     @cached_property
+    def _solution(self) -> LatticeProcess | Exception:
+        """`_solve`'s S, or the error of the solve that failed."""
+        try:
+            return _solve(self)
+        except (RepresentationError, LatticeError) as exc:
+            return exc
+
+    @property
     def solved(self) -> LatticeProcess:
-        """S = L**power solved from `reward` (`_solve`); a failed solve raises
-        each time it is read."""
-        return _solve(self)
+        """S = L**power solved from `reward` (`_solve`) once; a failed solve
+        keeps its error and raises it each time S is read."""
+        if isinstance(self._solution, Exception):
+            raise self._solution
+        return self._solution
 
     def with_L(self, L: LatticeProcess) -> "RepresentationProblem":
         return RepresentationProblem(self.lattice, self.meyer, self.g, self.mu, None, L)
@@ -331,7 +342,7 @@ def _hull_roots(steps: _Decisions, I, K) -> dict[tuple[int, int], tuple[int, int
         roots[i, _mask(paths)] = num, den
         return _upper([(k, c), *after])
 
-    for part in steps.parts(0, steps.everyone):
+    for part in steps.roots:
         hull(0, part)
     return roots
 
@@ -471,7 +482,7 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
         gains = [[den * a + num * b for a, b in zip(i_row, k_row)] for i_row, k_row in zip(I, K)]
         passages = (enumerate(_passage(lattice, S, s, v)) for v in (1, 2))
         v1, v2 = (sum(gains[i][p] for p, i in cells) for cells in passages)
-        (best, count, _), _ = _best(steps, gains, 0, steps.everyone)
+        (best, count, _), _ = _best(steps, gains)
         return SignalRow(ell, *(Fraction(v, den * D) for v in (v1, v2, best)), count)
 
     return SignalReport(rows=tuple(map(evaluate, ell_grid)), right_usc_holds=right_ok)

@@ -234,12 +234,6 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"paths: duplicate ids {sorted({i for i in ids if ids.count(i) > 1})}")
-    total = sum((r.probability for r in records), Fraction(0))
-    if total != 1:
-        raise ScenarioError(f"probabilities sum to {total}")
-    for r in records:
-        if r.probability <= 0:
-            raise ScenarioError(f"path {r.id!r} has non-positive probability {r.probability}")
 
     raw_filt = doc.get("filtration")
     if not isinstance(raw_filt, list) or len(raw_filt) != K + 1:
@@ -367,7 +361,7 @@ def render_scenario(scenario: Scenario) -> str:
             for name, proc in sorted(scenario.processes.items())
         }
     if scenario.g_spec is not None:
-        doc["g"] = scenario.g_spec
+        doc["g"] = _canonical_g_spec(scenario.g_spec, lat, True, {})[0]
     if scenario.mu is not None:
         doc["mu"] = {
             ids[p]: [str(v) for v in scenario.mu.mass[p]]

@@ -388,10 +388,9 @@ def check_optimality(
 def enumerate_divided_stops(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
-    from_S: RandomInstant | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> list[DividedQuadruple]:
-    """All canonical divided stops at or after S, in canonical order.
+    """All canonical divided stops, in canonical order.
 
     Canonical divided stops (empty just-before part) correspond exactly to
     Lambda-stopping times in instant form: grid stops sit in the on-time
@@ -399,9 +398,7 @@ def enumerate_divided_stops(
     """
     return [
         _canonical_quadruple(lattice, idx)
-        for idx in sorted(
-            iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, lower=from_S, guard=guard)
-        )
+        for idx in sorted(iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, guard))
     ]
 
 

@@ -14,8 +14,10 @@ time.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import meyerstop.lattice as lattice_module
 from conftest import build_lattice, full_divided_stops
 from meyerstop import Scenario, checks, cli, enumeration, projection, representation
 from meyerstop.enumeration import (
@@ -45,6 +48,7 @@ from meyerstop.lattice import (
     MeyerStructure,
     PathRecord,
     RandomInstant,
+    _canonical_quadruple,
     _first_hits,
     _weighted,
     conditional_expectation,
@@ -361,7 +365,7 @@ def test_restricted_folds_match_filtering_the_listed_stops():
             opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, allowed)
             assert opt.total == len(kept), seed
             steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, allowed)
-            assert sorted(enumeration._walk(steps, 0, (1 << paths) - 1)) == kept, seed
+            assert sorted(enumeration._walk(steps)) == kept, seed
             if not kept:
                 assert (opt.value, opt.ways, list(opt.maximizers())) == (None, 0, []), seed
                 seen["empty"] += 1
@@ -519,7 +523,8 @@ def plain_solve(problem):
             )
             best = None
             # `lower` pins the paths outside the block to TERMINAL
-            for cand in iter_stopping_index_tuples(lattice, meyer, Kind.LAMBDA, lower=lower):
+            steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, lower))
+            for cand in enumeration._walk(steps):
                 terms = []
                 rhs = Fraction(0)
                 for p in block:
@@ -692,19 +697,47 @@ def test_forward_matches_the_per_cell_fraction_loop():
     assert compared == 220, compared
 
 
+def best_fold(parts, i, gains):
+    """The fold's best over `parts` at instant i, and its memo of each
+    node's (best, ways)."""
+    memo = {}
+    return enumeration._fold_parts(parts, i, gains, memo)[0], memo
+
+
+def maximizer(parts, i, gains, memo, pick=0):
+    """The time a walk of `parts` from instant i lists first (pick 0) or last
+    (pick -1) among those that attain the fold's best in `memo`: each part
+    takes its first (last) attaining choice.  Paths outside the parts are
+    left out of the returned {path: index} map."""
+    T = {}
+
+    def descend(parts, i):
+        for part in parts:
+            best = memo[part][0]
+            attain = [c for c in part.options if enumeration._choice(c, i, gains, memo)[0] == best]
+            paths, kids = attain[pick]
+            T.update(dict.fromkeys(paths, i))
+            descend(kids, i + 1)
+
+    descend(parts, i)
+    return T
+
+
 def dinkelbach_root(steps, I, K, u, block):
     """The least root N_T / D_T over the windows [u, T) with mass, by
     Dinkelbach's method; den 0 if no window has mass.
 
     A window's root is where the lines of stopping at u and at T cross on
     the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
-    K[T_p][p] - K[u][p]; the times T are the tree's from (u + 1, block).
-    From the all-TERMINAL window, each step maximizes num * D_T - den * N_T
-    by one `enumeration._best` fold and moves to the first maximizer its
-    walk yields, until the best gain is 0.  A massless window can win a step
-    only with N_T < 0, which no representable X has; the search stops there.
+    K[T_p][p] - K[u][p]; the times T are those of the tree's parts of the
+    block at u + 1.  From the all-TERMINAL window, each step maximizes
+    num * D_T - den * N_T by one fold of those parts (`best_fold`) and moves
+    to the first maximizer a walk of them yields (`maximizer`), until the
+    best gain is 0.  A massless window can win a step only with N_T < 0,
+    which no representable X has; the search stops there.
     """
     n = steps.n_inst
+    parts = steps.split(u + 1, tuple(block))
 
     def window(T):
         N = sum(I[u][p] - I[T[p]][p] for p in block)
@@ -713,13 +746,14 @@ def dinkelbach_root(steps, I, K, u, block):
     def fold(num, den):
         # the best num * D_T - den * N_T: the best sum of cells num * K + den * I, less it at u
         gains = {i: {p: num * K[i][p] + den * I[i][p] for p in block} for i in range(u + 1, n + 1)}
-        (top, _, _), attaining = enumeration._best(steps, gains, u + 1, enumeration._mask(block))
-        return top - sum(num * K[u][p] + den * I[u][p] for p in block), attaining
+        top, memo = best_fold(parts, u + 1, gains)
+        at_u = sum(num * K[u][p] + den * I[u][p] for p in block)
+        return top - at_u, lambda: maximizer(parts, u + 1, gains, memo)
 
-    num, den = window((n,) * steps.n_paths)  # the all-TERMINAL window
+    num, den = window(dict.fromkeys(block, n))  # the all-TERMINAL window
     top, attaining = fold(num, den)
     while top > 0:
-        N, D = window(next(attaining()))
+        N, D = window(attaining())
         if D == 0:
             break
         num, den = N, D
@@ -857,11 +891,11 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
             for reward in (X, shifted(X, u, block, Fraction(rng.randint(-4, 4), 3))):
                 problems.append(problem.with_X(reward))
     folds = []  # per solve, the best gain of each Dinkelbach fold
-    best = enumeration._best
+    fold = best_fold
 
     def recorded(*args):
-        result = best(*args)
-        folds[-1].append(result[0][0])
+        result = fold(*args)
+        folds[-1].append(result[0])
         return result
 
     def solved():
@@ -874,19 +908,19 @@ def test_the_solve_does_not_depend_on_the_walk_order(monkeypatch):
                 out.append(str(exc))
         return out
 
-    monkeypatch.setattr(enumeration, "_best", recorded)
+    monkeypatch.setitem(globals(), "best_fold", recorded)
     before = solved()
     first_folds = folds[:]
     folds.clear()
-    walk = enumeration._walk
+    first = maximizer
     reordered = []
 
-    def reversed_walk(steps, start, active, keep=None):
-        listed = list(walk(steps, start, active, keep))
-        reordered.append(listed[0] != listed[-1])
-        return iter(listed[::-1])
+    def last_maximizer(*args):
+        last = first(*args, pick=-1)
+        reordered.append(last != first(*args))
+        return last
 
-    monkeypatch.setattr(enumeration, "_walk", reversed_walk)
+    monkeypatch.setitem(globals(), "maximizer", last_maximizer)
     assert solved() == before
     assert sum(reordered) >= 100, sum(reordered)
     assert 20 <= sum(isinstance(got, str) for got in before) <= len(before) - 100
@@ -952,10 +986,10 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
         built.append(indices)
         init(self, indices, n_instants)
 
-    def counting_walk(steps, start, active, keep=None):
+    def counting_walk(steps, keep=None):
         if keep is not None:
             walks.append(keep)
-        return walk(steps, start, active, keep)
+        return walk(steps, keep)
 
     monkeypatch.setattr(RandomInstant, "__init__", counting_init)
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
@@ -997,10 +1031,10 @@ def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
     listed = []
     walk = enumeration._walk
 
-    def no_listing(steps, start, active, keep=None):
+    def no_listing(steps, keep=None):
         if keep is None:
             listed.append(steps.n_inst)
-        return walk(steps, start, active, keep)
+        return walk(steps, keep)
 
     monkeypatch.setattr(enumeration, "_walk", no_listing)
     heavy = generate_instance(
@@ -1602,9 +1636,12 @@ def test_sigma_reads_its_k_sets_off_two_comparisons():
 
 
 def plain_divided_maximum(lattice, meyer, process, S):
-    """Largest E[Z at q] over the canonical divided stops q from S."""
+    """Largest E[Z at q] over the canonical divided stops q from S, one per
+    time a walk of the Lambda tree built within T >= S lists."""
     best = None
-    for q in enumerate_divided_stops(lattice, meyer, from_S=S):
+    steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, S))
+    for idx in enumeration._walk(steps):
+        q = _canonical_quadruple(lattice, idx)
         v = expected_value(lattice, from_divided_quadruple(lattice, q).value_of(process))
         if best is None or v > best:
             best = v
@@ -1838,6 +1875,15 @@ def mask_fold(lattice, meyer, kind, allowed, gains):
     return fold, memo, lambda active: listing(0, active, [n] * lattice.n_paths)
 
 
+def scoped(steps, active):
+    """`steps` with the parts of the paths in `active` at instant 0 as its
+    root: the tree of the mask fold's state (0, active)."""
+    sub = copy.copy(steps)
+    sub.roots = steps.split(0, tuple(bits(active)))
+    sub.total = math.prod(part.total for part in sub.roots)
+    return sub
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 def test_part_fold_matches_the_mask_fold(kind):
     seen = {"dead": 0, "scoped": 0, "listed": 0, "states": 0}
@@ -1858,7 +1904,9 @@ def test_part_fold_matches_the_mask_fold(kind):
                 steps = enumeration._Decisions(lattice, meyer, kind, allowed)
 
                 def value(i, active):
-                    return enumeration._best(steps, gains, i, active)[0]
+                    # the state's parts, folded as the root's are
+                    parts = steps.split(i, tuple(bits(active)))
+                    return enumeration._fold_parts(parts, i, gains, {})
 
                 for active in (full, rng.randint(0, full)):
                     got = value(0, active)
@@ -1867,12 +1915,14 @@ def test_part_fold_matches_the_mask_fold(kind):
                     if gains is zero or got[2] > 3000:
                         continue
                     # the attaining walk yields exactly the listed maximizers
+                    tree = steps if active == full else scoped(steps, active)
                     listed = list(listing(active))
-                    (best, ways, total), attaining = enumeration._best(steps, gains, 0, active)
+                    (best, ways, total), attaining = enumeration._best(tree, gains)
+                    assert (best, ways, total) == got, seed
                     argmax = sorted(idx for idx, gain in listed if gain == best)
                     assert (len(listed), len(argmax)) == (total, ways), seed
                     assert sorted(attaining()) == argmax, seed
-                    assert sorted(enumeration._walk(steps, 0, active)) == sorted(i for i, _ in listed)
+                    assert sorted(enumeration._walk(tree)) == sorted(i for i, _ in listed)
                 for (i, active), want in memo.items():
                     assert value(i, active) == want, (seed, i, active)
                     seen["states"] += 1
@@ -1942,13 +1992,16 @@ def test_the_guard_bounds_exactly_what_a_walk_lists():
         rng = random.Random(seed)
         lattice, meyer, n = sc.lattice, sc.meyer, sc.lattice.n_instants
         for kind in Kind:
-            lower = RandomInstant(tuple(rng.randint(0, n) for _ in range(lattice.n_paths)), n)
-            total = enumeration.count_stopping_times(lattice, meyer, kind, lower)
+            total = enumeration.count_stopping_times(lattice, meyer, kind)
             with pytest.raises(enumeration.EnumerationGuardError):
-                next(iter_stopping_index_tuples(lattice, meyer, kind, lower, guard=total - 1))
-            listed = iter_stopping_index_tuples(lattice, meyer, kind, lower, guard=total)
+                next(iter_stopping_index_tuples(lattice, meyer, kind, guard=total - 1))
+            listed = iter_stopping_index_tuples(lattice, meyer, kind, guard=total)
             assert sum(1 for _ in listed) == total, (seed, kind)
-            seen[kind] += total > 1
+            # a tree within T >= lower counts exactly what its walk lists
+            lower = RandomInstant(tuple(rng.randint(0, n) for _ in range(lattice.n_paths)), n)
+            steps = enumeration._Decisions(lattice, meyer, kind, _between(lattice, lower))
+            assert sum(1 for _ in enumeration._walk(steps)) == steps.total, (seed, kind)
+            seen[kind] += steps.total > 1
         Z = sc.processes["Z"]
         ways = snell_brute_force(lattice, meyer, Z).optimizer_count
         for guard in (ways - 1, ways):
@@ -2101,3 +2154,56 @@ def test_the_suite_builds_one_envelope_per_reward(params, golden, monkeypatch):
         assert report == (GOLDEN / golden).read_text(encoding="utf-8")
     else:
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == golden
+
+
+# (j) field-table mutants ----------------------------------------------------
+
+
+def _wrong_end(kind, field):
+    """`lattice._grid_field` with `kind`'s grid field read as `field(lattice, k)`."""
+    real = lattice_module._grid_field
+
+    def mutant(lattice, meyer, asked, k):
+        return field(lattice, k) if asked is kind else real(lattice, meyer, asked, k)
+
+    return mutant
+
+
+def _previous(lattice, k):
+    return lattice.filtration[k - 1] if k else lattice.initial_partition()
+
+
+@pytest.mark.parametrize(
+    "kind, field, suites, rows",
+    [
+        # the optional field read as F_{k-1}: the projections and the stops see it
+        pytest.param(
+            Kind.OPTIONAL,
+            _previous,
+            59,
+            {"projection/fatou", "projection/tower", "stop/delta", "stop/sigma"},
+            id="optional-reads-previous",
+        ),
+        # the predictable field read as F_k: the Mertens identities see it
+        pytest.param(
+            Kind.PREDICTABLE,
+            lambda lattice, k: lattice.filtration[k],
+            31,
+            {"mertens/identities"},
+            id="predictable-reads-current",
+        ),
+    ],
+)
+def test_the_suite_fails_under_a_wrong_end_field_table(kind, field, suites, rows, monkeypatch):
+    # seeds 0-19 of each regime: each mutant fails at least the measured
+    # number of suites, and the rows named fail somewhere
+    monkeypatch.setattr(lattice_module, "_grid_field", _wrong_end(kind, field))
+    failing, failed_rows = 0, set()
+    for seed in range(20):
+        for regime in REGIMES:
+            params = RandomInstanceParams(seed=seed, epochs=2, max_paths=5, regime=regime)
+            doc, _ = cli.run_suite(generate_instance(params))
+            names = {r["property"].split("[")[0] for r in doc["checks"] if r["status"] == "FAIL"}
+            failing += bool(names)
+            failed_rows |= names
+    assert failing >= suites and rows <= failed_rows, (failing, failed_rows)

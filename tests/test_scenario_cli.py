@@ -23,7 +23,7 @@ import meyerstop.scenario as scenario_module
 import meyerstop.snell as snell_module
 from meyerstop import checks
 from meyerstop.cli import main, render_machine, run_command, run_suite
-from meyerstop.lattice import INT, Instant, LatticeError, LatticeProcess
+from meyerstop.lattice import INT, Instant, Kind, LatticeError, LatticeProcess, field_partitions
 from meyerstop.projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 from meyerstop.representation import forward_evaluate, stopping_value
 from meyerstop.scenario import (
@@ -95,6 +95,34 @@ def test_generated_instances_do_not_move():
                 )
                 digest.update(render_scenario(generate_instance(params)).encode())
     assert digest.hexdigest() == GENERATED_SHA256
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@example(seed=0, epochs=1, max_paths=2, regime=RANDOM_BETWEEN, power=1, given_X=False)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    epochs=st.integers(min_value=1, max_value=3),
+    max_paths=st.integers(min_value=2, max_value=6),
+    regime=st.sampled_from(REGIMES),
+    power=st.sampled_from([None, 1, 3, 5]),
+    given_X=st.booleans(),
+)
+def test_a_rendered_scenario_parses_back_and_renders_the_same(
+    seed, epochs, max_paths, regime, power, given_X
+):
+    # g as generated (affine) or rebuilt as an odd power, the bundle given by
+    # L or by X = forward(L): parsing the rendering gives the scenario back,
+    # and rendering that gives the same bytes
+    sc = generate_instance(RandomInstanceParams(seed, epochs, max_paths, regime))
+    if power is not None:
+        sc = sc._replace(g_spec={**sc.g_spec, "kind": "odd_power", "power": power})
+    if given_X:
+        X = forward_evaluate(sc.build_problem())
+        sc = sc._replace(processes={**sc.processes, "X": X}, signal=None, reward="X")
+    text = render_scenario(sc)
+    again = parse_scenario(text)
+    assert again == sc
+    assert render_scenario(again) == text
 
 
 def test_generated_regimes():
@@ -555,6 +583,36 @@ def test_a_bundle_evaluates_its_reward_and_weighs_its_lines_once(
     # a Counter reads a function never called as 0
     assert counts == Counter(
         _forward=forwards, _accrued=tables, _solve=solves, _weighted=weighings
+    )
+
+
+def test_a_bundle_that_is_not_representable_is_solved_once(monkeypatch):
+    # X = forward(L) moved by 1/3 on one atom: the round-trip row fails and
+    # the signal row skips on the one solve's kept error
+    sc = generate_instance(RandomInstanceParams(seed=0, epochs=3, max_paths=8))
+    problem = sc.build_problem()
+    atoms = field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)[2]
+    atom = next(a for a in atoms if sorted(a) == [0, 1])
+    columns = [list(col) for col in forward_evaluate(problem).columns]
+    for p in atom:
+        columns[2][p] += Fraction(1, 3)
+    X = LatticeProcess(tuple(map(tuple, columns)))
+    bundle = sc._replace(processes={**sc.processes, "X": X}, signal=None, reward="X")
+    calls = []
+    solve = representation_module._solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(representation_module, "_solve", counted)
+    doc, status = run_suite(bundle)
+    rows = {row["property"]: row for row in doc["checks"]}
+    assert status == cli_module.PROPERTY_FAILURE and len(calls) == 1
+    trip, signal = rows["representation/round-trip"], rows["representation/universal-signal"]
+    assert (trip["status"], signal["status"]) == ("FAIL", "SKIP")
+    assert trip["detail"] == signal["detail"] == (
+        "X not representable with this (g, mu): forward check failed"
     )
 
 

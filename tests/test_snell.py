@@ -8,7 +8,9 @@ import pytest
 from meyerstop.enumeration import (
     EnumerationGuardError,
     _between,
+    _Decisions,
     _maximum,
+    _walk,
     count_stopping_times,
     enumerate_stopping_times,
     iter_stopping_index_tuples,
@@ -22,6 +24,7 @@ from meyerstop.lattice import (
     LatticeError,
     LatticeProcess,
     RandomInstant,
+    _canonical_quadruple,
     conditional_expectation,
     field_at_time,
     field_partitions,
@@ -337,11 +340,10 @@ def test_divided_martingale_and_supermartingale_sampling(three_path_meyer):
     )
     Zsup = snell_envelope(lattice, meyer, project(lattice, meyer, raw, Kind.LAMBDA))
     for S in enumerate_stopping_times(lattice, meyer, Kind.LAMBDA):
-        s_idx = S.indices
-        lower = S
         part_s = field_at_time(lattice, meyer, S, Kind.LAMBDA)
-        for q in enumerate_divided_stops(lattice, meyer, from_S=lower):
-            form = from_divided_quadruple(lattice, q)
+        # the canonical divided stops from S: one per time of the tree within T >= S
+        for idx in _walk(_Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, S))):
+            form = from_divided_quadruple(lattice, _canonical_quadruple(lattice, idx))
             cond_m = conditional_expectation(lattice, form.value_of(M), part_s)
             assert tuple(cond_m) == S.value_of(M)
             cond_z = conditional_expectation(lattice, form.value_of(Zsup), part_s)
@@ -456,7 +458,9 @@ def plain_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
 def memoized_maximum(lattice, meyer, process, kind=Kind.LAMBDA, lower=None):
     opt = _maximum(lattice, meyer, process, kind, _between(lattice, lower))
     argmax = sorted(opt.maximizers())
-    assert opt.total == count_stopping_times(lattice, meyer, kind, lower)
+    low = (0,) * lattice.n_paths if lower is None else lower.indices
+    listed = iter_stopping_index_tuples(lattice, meyer, kind)
+    assert opt.total == sum(all(i >= lo for i, lo in zip(idx, low)) for idx in listed)
     assert opt.ways == len(argmax)
     return opt.value, argmax
 

@@ -794,7 +794,7 @@ def test_the_guard_scan_sees_each_form():
     tree = ast.parse(
         "def listing(steps, total, guard):\n"
         "    _check_guard(total, guard)\n"
-        "    yield from _walk(steps, 0, 1)\n"
+        "    yield from _walk(steps)\n"
         "def optimizers(opt, guard):\n"
         "    _check_guard(opt.ways, guard)\n"
         "    return sorted(opt.maximizers())\n"
@@ -806,7 +806,7 @@ def test_the_guard_scan_sees_each_form():
         "    return opt.value\n"
         "def outer(steps, total, guard):\n"
         "    def inner():\n"
-        "        return _walk(steps, 0, 1)\n"
+        "        return _walk(steps)\n"
         "    enumeration._check_guard(total, guard)\n"
         "    return inner\n"
         "_check_guard(10, 1)\n"
@@ -815,6 +815,53 @@ def test_the_guard_scan_sees_each_form():
         "m.py:11 checks the guard in value, which lists nothing",
         "m.py:16 checks the guard in outer, which lists nothing",
         "m.py:18 checks the guard at module level",
+    ]
+
+
+def _entry_findings(name: str, tree: ast.Module) -> list[str]:
+    """Calls that could enter the stopping-time tree below its root: `_best`
+    with other than (steps, gains), `_walk` with more than (steps, keep), and
+    any `.parts(` call."""
+    found = []
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    for call in sorted(calls, key=lambda c: c.lineno):
+        called = getattr(call.func, "id", getattr(call.func, "attr", None))
+        count = len(call.args) + len(call.keywords)
+        if called == "_best" and count != 2 or called == "_walk" and count > 2:
+            found.append(f"{name}:{call.lineno} calls {called} with {count} arguments")
+        elif called == "parts" and isinstance(call.func, ast.Attribute):
+            found.append(f"{name}:{call.lineno} calls .parts")
+    return found
+
+
+def test_every_fold_and_walk_enters_the_tree_at_its_root():
+    # the decision tree is entered only at its root parts; a restriction is
+    # the `allowed` table the tree is built with
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _entry_findings(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_root_entry_scan_sees_each_form():
+    tree = ast.parse(
+        "_best(steps, gains)\n"
+        "enumeration._best(steps, gains, 0, steps.everyone)\n"
+        "_best(steps)\n"
+        "_walk(steps), _walk(steps, keep), enumeration._walk(steps, keep=attains)\n"
+        "enumeration._walk(steps, 0, active)\n"
+        "_walk(steps, start=1, active=3)\n"
+        "steps.parts(0, steps.everyone)\n"
+        "parts(0, 1)\n"
+    )
+    assert _entry_findings("m.py", tree) == [
+        "m.py:2 calls _best with 4 arguments",
+        "m.py:3 calls _best with 1 arguments",
+        "m.py:5 calls _walk with 3 arguments",
+        "m.py:6 calls _walk with 3 arguments",
+        "m.py:7 calls .parts",
     ]
 
 
