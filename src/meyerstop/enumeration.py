@@ -5,19 +5,17 @@ so that, at every instant, the set of already-stopped paths is a union of
 atoms of that instant's field.  The fields refine each other along the
 chain, so the paths still active at instant i fall into parts, the active
 shares of instant i's atoms, and each part decides on its own: it stops
-whole at i, or passes on to its parts at i + 1.  The tree is built once,
-from its root parts at instant 0, and every count, fold and walk enters it
-there.  Every restriction on the times (T >= S, T <= U, certified cells) is
-the one `allowed` table the tree is built with: bit p of `allowed[i]` lets
-path p stop at instant i, and `allowed[n_instants]` lists the paths that
-may run to TERMINAL.  Each (instant, part) node counts its live completions
-once, and one fold per integer gain table gives, in one visit per node, its
-best gain and how many completions attain it.  That fold is the Snell
+whole at i, or passes on to its parts at i + 1.  Those nodes make one flat
+tree per lattice, meyer and kind (`_tree`).  A fold of integer gains is one
+loop over the nodes, children first, within one `allowed` table (T >= S,
+T <= U, certified cells): bit p of `allowed[i]` lets path p stop at instant
+i, and `allowed[n_instants]` lists the paths that may run to TERMINAL.  It
+counts, values and flags each node's attaining choices for one walk; the
+listing is the walk of the all-zero fold.  That fold is the Snell
 envelope's backward recursion in integers, so `snell/oracle` compares two
 codings of one recursion; the tests keep the per-state fold over all
 subsets of a state's parts, and the plain listing, as independent oracles.
-A fold reads a value or a count at any size; the guard bounds only a walk,
-checked before it starts against the number of times it will list.
+A fold reads a value or a count at any size; the guard bounds only a walk.
 """
 
 from __future__ import annotations
@@ -66,102 +64,120 @@ def _between(lattice: FilteredLattice, lower, upper=None) -> list[int]:
     return _cells(lattice, lambda p, i: lo[p] <= i <= hi[p])
 
 
-class _Part:
-    """A decision-tree node: the active share of an atom of instant i's field,
-    or the paths left at n_instants.  `options` are its live choices, to stop
-    whole and to pass on to its parts at i + 1; `total` counts its completions."""
+class _Tree:
+    """The flat decision tree of one kind of stopping time: a node is the share
+    of an atom of instant i's field in its parent, or the paths left at
+    n_instants.  Nodes are numbered parent before child in four parallel lists
+    (instant, paths, path mask, child nodes); `roots` are those at instant 0,
+    and the fold of the `zero` gains ties every live choice."""
 
-    __slots__ = ("total", "options")
-
-    def __init__(self, steps: _Decisions, i: int, paths: tuple[int, ...]) -> None:
-        stops = not _mask(paths) & ~steps.allowed[i]
-        kids = steps.split(i + 1, paths) if i < steps.n_inst else []
-        passes = i < steps.n_inst and math.prod(kid.total for kid in kids)
-        self.total = stops + passes
-        # each choice: (the paths it stops at i, the parts it passes on)
-        self.options = [((), kids)] * bool(passes) + [(paths, [])] * stops
-
-
-class _Decisions:
-    """The decision tree of one kind of stopping time, within `allowed` cells:
-    its root parts at instant 0 and the count of its live times, built once."""
-
-    def __init__(self, lattice, meyer, kind: Kind, allowed: list[int] | None = None) -> None:
-        self.n_paths = lattice.n_paths
-        self.n_inst = lattice.n_instants
+    def __init__(self, lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> None:
+        self.n_paths, self.n_inst = lattice.n_paths, lattice.n_instants
         fields = [*field_partitions(lattice, meyer, kind), [range(self.n_paths)]]
-        self.owner = [{p: k for k, atom in enumerate(part) for p in atom} for part in fields]
-        self.allowed = allowed or [(1 << self.n_paths) - 1] * (self.n_inst + 1)
-        self.roots = self.split(0, tuple(range(self.n_paths)))
-        self.total = math.prod(part.total for part in self.roots)
+        owners = [{p: k for k, atom in enumerate(part) for p in atom} for part in fields]
+        self.inst, self.paths, self.mask, kids = [], [], [], []
+        parents = [(0, range(self.n_paths))]  # a virtual root, then each node
+        for i, paths in parents:  # number the parts of `paths` at instant i, by atom
+            shares: dict[int, list[int]] = {}
+            for p in (paths if i <= self.n_inst else ()):
+                shares.setdefault(owners[i][p], []).append(p)
+            kids.append(tuple(range(len(self.inst), len(self.inst) + len(shares))))
+            for share in shares.values():
+                self.inst.append(i)
+                self.paths.append(tuple(share))
+                self.mask.append(_mask(share))
+                parents.append((i + 1, share))
+        self.roots, *self.kids = kids
+        self.zero = [[0] * self.n_paths] * (self.n_inst + 1)
 
-    def split(self, i: int, paths: tuple[int, ...]) -> list[_Part]:
-        """The parts of `paths` at instant i (one at n_instants), with their subtrees."""
-        shares: dict[int, list[int]] = {}
-        for p in paths:
-            shares.setdefault(self.owner[i][p], []).append(p)
-        return [_Part(self, i, tuple(share)) for share in shares.values()]
+
+def _tree(lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> _Tree:
+    """The tree of `kind` under `meyer`, built once and kept on the lattice."""
+    tree = lattice._trees.get((meyer, kind))
+    if tree is None:
+        tree = lattice._trees[meyer, kind] = _Tree(lattice, meyer, kind)
+    return tree
 
 
-def _walk(steps: _Decisions, keep=None) -> Iterator[tuple[int, ...]]:
-    """Index tuples of the live times, through the choices `keep(i, part,
-    choice)` admits.  The parts still to decide are a linked list (i, part,
-    rest); each takes its first choice and leaves the other on a stack, where
-    the walk resumes after each time.  A path is set by the part that stops
-    it, at latest at n_instants (TERMINAL)."""
-    assign = [steps.n_inst] * steps.n_paths
-    # (choice, its instant, the parts after it); a dead root part leaves none
-    left = [(((), steps.roots), -1, None)] if steps.total else []
+class _Fold(NamedTuple):
+    """Per node: best gain, the ways that attain it, live count and the flags
+    of its attaining choices (1 pass, 2 stop); `top` is the tree's (best,
+    ways, total), best None if no time is live."""
+
+    best: list[int]
+    ways: list[int]
+    total: list[int]
+    flags: bytearray
+    top: tuple[int | None, int, int]
+
+
+def _fold(tree: _Tree, gains, allowed: list[int] | None = None) -> _Fold:
+    """The fold of the integer `gains[i][p]` over the live times within
+    `allowed` (None: all), children first.  A node stops, if its cells are
+    allowed, for its paths' gains, or passes, if every part is live, for the
+    sum of their bests; parts decide alone, so ways and totals multiply."""
+    inst, paths, mask, kids, n = tree.inst, tree.paths, tree.mask, tree.kids, tree.n_inst
+    size = len(inst)
+    best, ways, total, flags = [0] * size, [0] * size, [0] * size, bytearray(size)
+    for j in range(size - 1, -1, -1):
+        i = inst[j]
+        live = b = 0
+        if i < n:
+            live = w = 1
+            for k in kids[j]:
+                live *= total[k]
+                b += best[k]
+                w *= ways[k]
+        if allowed is None or not mask[j] & ~allowed[i]:
+            g = sum(map(gains[i].__getitem__, paths[j]))
+            total[j] = live + 1
+            if not live or g > b:
+                best[j], ways[j], flags[j] = g, 1, 2
+            else:
+                best[j], ways[j], flags[j] = (g, w + 1, 3) if g == b else (b, w, 1)
+        elif live:
+            best[j], ways[j], total[j], flags[j] = b, w, live, 1
+    count = math.prod(total[r] for r in tree.roots)
+    top = sum(best[r] for r in tree.roots) if count else None
+    return _Fold(best, ways, total, flags, (top, math.prod(ways[r] for r in tree.roots), count))
+
+
+def _walk(tree: _Tree, flags: bytearray) -> Iterator[tuple[int, ...]]:
+    """Index tuples of the times a fold flags at every choice, pass before
+    stop.  The nodes still to decide are a linked list (node, rest); a node
+    flagged both ways passes and leaves its stop on a stack, where the walk
+    resumes after each time.  A path is set by the node that stops it."""
+    inst, paths, kids = tree.inst, tree.paths, tree.kids
+    assign = [tree.n_inst] * tree.n_paths
+    pending = None
+    for r in reversed(tree.roots):
+        pending = r, pending
+    # (a node to stop, the nodes after it); a dead root leaves none
+    left = [(None, pending)] if all(flags[r] for r in tree.roots) else []
     while left:
-        (paths, kids), i, pending = left.pop()
+        j, pending = left.pop()
         while True:
-            for p in paths:
-                assign[p] = i
-            for kid in reversed(kids):
-                pending = (i + 1, kid, pending)
+            if j is not None:
+                for p in paths[j]:
+                    assign[p] = inst[j]
             if pending is None:
                 break
-            i, part, pending = pending
-            options = part.options
-            if keep is not None and len(options) > 1:
-                options = [choice for choice in options if keep(i, part, choice)]
-            if len(options) > 1:
-                left.append((options[1], i, pending))
-            paths, kids = options[0]
+            j, pending = pending
+            if flags[j] & 1:
+                if flags[j] & 2:
+                    left.append((j, pending))
+                for k in reversed(kids[j]):
+                    pending = k, pending
+                j = None
         yield tuple(assign)
 
 
-def _fold_parts(parts, i: int, gains, memo) -> tuple[int | None, int, int]:
-    """The fold of parts at instant i, which decide independently: best adds
-    up over them, ways and total multiply.  A part's (best, ways), kept in
-    `memo`, is its best choice's, with the ways of the choices that tie."""
-    total = math.prod(part.total for part in parts)
-    if not total:
-        return None, 0, 0
-    for part in parts:
-        if part not in memo:
-            values = [_choice(choice, i, gains, memo) for choice in part.options]
-            top = max(value for value, _ in values)
-            memo[part] = top, sum(n for value, n in values if value == top)
-    best = sum(memo[part][0] for part in parts)
-    return best, math.prod(memo[part][1] for part in parts), total
-
-
-def _choice(choice, i: int, gains, memo) -> tuple[int, int]:
-    """(best, ways) of a live choice at instant i: the gain of the paths it
-    stops, plus the fold of the parts it passes on."""
-    paths, kids = choice
-    best, ways, _ = _fold_parts(kids, i + 1, gains, memo)
-    return sum(gains[i][p] for p in paths) + best, ways
-
-
 def count_stopping_times(
-    lattice: FilteredLattice,
-    meyer: MeyerStructure,
-    kind: Kind = Kind.LAMBDA,
+    lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind = Kind.LAMBDA
 ) -> int:
     """Number of stopping times."""
-    return _Decisions(lattice, meyer, kind).total
+    tree = _tree(lattice, meyer, kind)
+    return _fold(tree, tree.zero).top[2]
 
 
 def iter_stopping_index_tuples(
@@ -172,10 +188,11 @@ def iter_stopping_index_tuples(
 ) -> Iterator[tuple[int, ...]]:
     """Yield stopping times as index tuples; n_instants stands for TERMINAL.
     The guard bounds the total count, the number of times listed, before the
-    walk starts."""
-    steps = _Decisions(lattice, meyer, kind)
-    _check_guard(steps.total, guard)
-    yield from _walk(steps)
+    walk starts: the walk of the all-zero fold, where every live choice ties."""
+    tree = _tree(lattice, meyer, kind)
+    fold = _fold(tree, tree.zero)
+    _check_guard(fold.top[2], guard)
+    yield from _walk(tree, fold.flags)
 
 
 def enumerate_stopping_times(
@@ -208,10 +225,11 @@ def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed) -> _Optimum
     maximizers; a caller that lists them bounds `ways` first.
     """
     gains, den = _weighted(lattice, process.columns)
-    steps = _Decisions(lattice, meyer, kind, allowed)
-    (best, ways, total), attaining = _best(steps, gains)
+    tree = _tree(lattice, meyer, kind)
+    fold = _fold(tree, gains, allowed)
+    best, ways, total = fold.top
     top = None if best is None else Fraction(best, den)
-    return _Optimum(top, ways, total, attaining)
+    return _Optimum(top, ways, total, lambda: _walk(tree, fold.flags))
 
 
 def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
@@ -230,18 +248,7 @@ def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
         [g * rank + 1 - (inside >> p & 1) for p, g in enumerate(row)]
         for row, inside in zip(gains, allowed)
     ]
-    steps = _Decisions(lattice, meyer, Kind.LAMBDA)
-    (best, _, _), attaining = _best(steps, ranked)
-    return Fraction(best // rank, den), next(attaining()) if best % rank else None
-
-
-def _best(steps: _Decisions, gains):
-    """The fold's (best, ways, total) of the integer `gains[i][p]` over the
-    live times, and a walk of the times attaining that best, in walk order."""
-    memo: dict[_Part, tuple[int, int]] = {}
-    top = _fold_parts(steps.roots, 0, gains, memo)
-
-    def attains(i: int, part: _Part, choice) -> bool:
-        return _choice(choice, i, gains, memo)[0] == memo[part][0]
-
-    return top, lambda: _walk(steps, attains)
+    tree = _tree(lattice, meyer, Kind.LAMBDA)
+    fold = _fold(tree, ranked)
+    best = fold.top[0]
+    return Fraction(best // rank, den), next(_walk(tree, fold.flags)) if best % rank else None

@@ -239,6 +239,11 @@ class FilteredLattice(_Record):
         (weights,), mass = _scaled([self.probabilities])
         return tuple(weights), mass
 
+    @cached_property
+    def _trees(self) -> dict:
+        """`enumeration`'s decision trees on this lattice, keyed (meyer, kind)."""
+        return {}
+
     @property
     def path_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.paths)
@@ -703,9 +708,7 @@ def _first_hits(
     n_instants (TERMINAL) if there is none: the debut after `lower` of a set
     of (path, instant) cells, which is how every stopping rule here reads."""
     n = lattice.n_instants
-    return tuple(
-        next((i for i in range(low, n) if hit(p, i)), n) for p, low in enumerate(lower)
-    )
+    return tuple(next((i for i in range(low, n) if hit(p, i)), n) for p, low in enumerate(lower))
 
 
 def _divided_readings(lattice: FilteredLattice, q: DividedQuadruple) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
-from .enumeration import _best, _Decisions, _mask
+from .enumeration import _fold, _mask, _tree, _Tree
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -38,6 +38,7 @@ from .lattice import (
     _divided_readings,
     _first_hits,
     _require_shape,
+    _scaled,
     _weighted,
     expected_value,
     field_partitions,
@@ -300,7 +301,7 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     I, K, _ = problem.lines
-    roots = _hull_roots(_Decisions(lattice, meyer, Kind.LAMBDA), I, K)
+    roots = _hull_roots(_tree(lattice, meyer, Kind.LAMBDA), I, K)
 
     def root(u: int, block) -> Fraction:
         num, den = roots[u, _mask(block)]  # num is 0 where den is
@@ -317,7 +318,7 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
     return S
 
 
-def _hull_roots(steps: _Decisions, I, K) -> dict[tuple[int, int], tuple[int, int]]:
+def _hull_roots(tree: _Tree, I, K) -> dict[tuple[int, int], tuple[int, int]]:
     """The least window root (num, den) of each node (u, paths) before TERMINAL,
     keyed (u, mask); den 0 if no window after u has mass.  A time is the point
     (sum K, sum I) of its cells.  A node stops whole at its point (K_u, I_u) or
@@ -325,25 +326,22 @@ def _hull_roots(steps: _Decisions, I, K) -> dict[tuple[int, int], tuple[int, int
     point and the Minkowski sum of its parts' hulls (Bank & El Karoui 2004).  As
     mass only accrues, each time (b, a) after u has b >= K_u and root (I_u - a) /
     (b - K_u), least at a vertex of the parts' sum with b > K_u, unless a massless
-    window has a > I_u, which no representable X has."""
-    roots = {}
-
-    def hull(i: int, part) -> list[tuple[int, int]]:
-        # unrestricted, a part passes on first (before TERMINAL) and stops last
-        paths = part.options[-1][0]
+    window has a > I_u, which no representable X has.  One pass over the
+    nodes, children first, keeps each hull until its parent reads it."""
+    roots, hulls = {}, {}
+    for j in range(len(tree.inst) - 1, -1, -1):
+        i, paths = tree.inst[j], tree.paths[j]
         k, c = sum(K[i][p] for p in paths), sum(I[i][p] for p in paths)
-        if i == steps.n_inst:
-            return [(k, c)]
-        after = reduce(_sum_hull, [hull(i + 1, kid) for kid in part.options[0][1]])
+        if i == tree.n_inst:
+            hulls[j] = [(k, c)]
+            continue
+        after = reduce(_sum_hull, [hulls.pop(kid) for kid in tree.kids[j]])
         num = den = 0
         for b, a in after:
             if b > k and (not den or (c - a) * den < num * (b - k)):
                 num, den = c - a, b - k
-        roots[i, _mask(paths)] = num, den
-        return _upper([(k, c), *after])
-
-    for part in steps.roots:
-        hull(0, part)
+        roots[i, tree.mask[j]] = num, den
+        hulls[j] = _upper([(k, c), *after])
     return roots
 
 
@@ -415,17 +413,17 @@ def level_passage(
         raise LatticeError("variant must be 1 or 2")
     if not is_measurable(lattice, meyer, L, Kind.LAMBDA):
         raise LatticeError("signal process is not Lambda-measurable")
-    T = RandomInstant(_passage(lattice, L, ell, variant), lattice.n_instants)
+    T = RandomInstant(_passage(lattice, L.columns, ell, variant), lattice.n_instants)
     return LevelPassage(T=T, quadruple=to_divided_quadruple(lattice, meyer, T))
 
 
-def _passage(lattice: FilteredLattice, L: LatticeProcess, ell, variant: int) -> tuple[int, ...]:
-    """The indices of `level_passage`, for a signal already checked."""
+def _passage(lattice: FilteredLattice, columns, level, variant: int) -> tuple[int, ...]:
+    """The indices of `level_passage`, on the `columns` of a signal already checked."""
     # the running supremum of L first reaches the level where L itself does
     return _first_hits(
         lattice,
         (0,) * lattice.n_paths,
-        lambda p, i: L.columns[i][p] >= ell if variant == 1 else L.columns[i][p] > ell,
+        lambda p, i: columns[i][p] >= level if variant == 1 else columns[i][p] > level,
     )
 
 
@@ -459,11 +457,12 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
     canonical divided stops at each grid level, in grid order.  Such a stop
     reads X, and cuts the accrual, where its Lambda-stopping time stops each
     path, so at s = num / den it is worth the sum of its cells den * I + num * K
-    of the `lines`, over den * D.  One `_best` fold per level over the Lambda
+    of the `lines`, over den * D.  One `_fold` per level over the Lambda
     decision tree gives the optimum and its optimizer count: no stop is listed,
     so no guard applies.  Passages are read by `_passage` on S = L**power,
     unchecked: the given L's levels, as `forward_evaluate` checks L, or the
-    problem's `solved` S.
+    problem's `solved` S, scaled once to integers over D_S: a cell reaches s =
+    num / den where it reaches ceil(num D_S / den), exceeds it past the floor.
     """
     lattice, meyer, power = problem.lattice, problem.meyer, problem.g.power
     S = problem.solved if problem.L is None else _levels(problem.g, problem.L)
@@ -474,15 +473,17 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = _right_usc(lattice, meyer, X).ok
     I, K, D = problem.lines
-    steps = _Decisions(lattice, meyer, Kind.LAMBDA)
+    tree = _tree(lattice, meyer, Kind.LAMBDA)
+    cells, scale = _scaled(S.columns)
 
     def evaluate(ell) -> SignalRow:
-        s = ell**power
-        num, den = Fraction(s).as_integer_ratio()
+        num, den = Fraction(ell**power).as_integer_ratio()
         gains = [[den * a + num * b for a, b in zip(i_row, k_row)] for i_row, k_row in zip(I, K)]
-        passages = (enumerate(_passage(lattice, S, s, v)) for v in (1, 2))
-        v1, v2 = (sum(gains[i][p] for p, i in cells) for cells in passages)
-        (best, count, _), _ = _best(steps, gains)
+        level = num * scale
+        cuts = ((-(-level // den), 1), (level // den, 2))
+        passages = (enumerate(_passage(lattice, cells, cut, v)) for cut, v in cuts)
+        v1, v2 = (sum(gains[i][p] for p, i in hits) for hits in passages)
+        best, count, _ = _fold(tree, gains).top
         return SignalRow(ell, *(Fraction(v, den * D) for v in (v1, v2, best)), count)
 
     return SignalReport(rows=tuple(map(evaluate, ell_grid)), right_usc_holds=right_ok)

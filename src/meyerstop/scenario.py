@@ -101,6 +101,11 @@ class Scenario(_Record):
             return None
         return _g_from_spec(self.g_spec, self.lattice, {})
 
+    @cached_property
+    def _canonical_g(self) -> dict:
+        """`g_spec` as `render_scenario` writes it; `parse_scenario` hands over its own."""
+        return _canonical_g_spec(self.g_spec, self.lattice, True, {})[0]
+
     def build_problem(self) -> RepresentationProblem | None:
         g = self.g
         if g is None or self.mu is None:
@@ -131,9 +136,7 @@ def _parse_partition(raw: Any, ids: Sequence[str], where: str) -> Partition:
             if not isinstance(pid, str) or pid not in index:
                 raise ScenarioError(f"{where}: unknown path id {pid!r}")
             if pid in seen:
-                raise ScenarioError(
-                    f"{where}: paths [{pid!r}] appear in atoms {seen[pid]} and {a}"
-                )
+                raise ScenarioError(f"{where}: paths [{pid!r}] appear in atoms {seen[pid]} and {a}")
             seen[pid] = a
             block.append(index[pid])
         blocks.append(block)
@@ -153,9 +156,7 @@ def _parse_value_rows(
     """Per-path lists keyed by id, or one broadcast list for every path; each
     cell is read through the parse's `_rational` memo."""
     if isinstance(raw, list):
-        row = tuple(
-            _rational(v, f"{where}[{j}]", memo) for j, v in enumerate(raw)
-        )
+        row = tuple(_rational(v, f"{where}[{j}]", memo) for j, v in enumerate(raw))
         if len(row) != n_values:
             raise ScenarioError(f"{where}: expected {n_values} values, got {len(row)}")
         return tuple(row for _ in ids)
@@ -170,12 +171,8 @@ def _parse_value_rows(
             raise ScenarioError(f"{where}: missing values for path {pid!r}")
         vals = raw[pid]
         if not isinstance(vals, list) or len(vals) != n_values:
-            raise ScenarioError(
-                f"{where}.{pid}: expected {n_values} values in instant order"
-            )
-        rows.append(
-            tuple(_rational(v, f"{where}.{pid}[{j}]", memo) for j, v in enumerate(vals))
-        )
+            raise ScenarioError(f"{where}.{pid}: expected {n_values} values in instant order")
+        rows.append(tuple(_rational(v, f"{where}.{pid}[{j}]", memo) for j, v in enumerate(vals)))
     return tuple(rows)
 
 
@@ -310,8 +307,9 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         ell_grid=ell_grid,
         commands=commands,
     )
-    # the frozen scenario's `g` cache, filled with the family parsed above
+    # the frozen scenario's caches, filled with the spec and family built above
     object.__setattr__(scenario, "g", g)
+    object.__setattr__(scenario, "_canonical_g", g_spec)
     return scenario
 
 
@@ -345,9 +343,7 @@ def render_scenario(scenario: Scenario) -> str:
     ids = lat.path_ids
     doc: dict[str, Any] = {
         "epochs": lat.epoch_count,
-        "paths": [
-            {"id": r.id, "probability": str(r.probability)} for r in lat.paths
-        ],
+        "paths": [{"id": r.id, "probability": str(r.probability)} for r in lat.paths],
     }
     if lat.initial_field is not None:
         doc["initial_field"] = _render_partition(lat.initial_field, ids)
@@ -355,18 +351,13 @@ def render_scenario(scenario: Scenario) -> str:
     doc["meyer"] = [_render_partition(p, ids) for p in scenario.meyer.meyer_fields]
     if scenario.processes:
         doc["processes"] = {
-            name: {
-                pid: [str(v) for v in row] for pid, row in zip(ids, proc.rows)
-            }
+            name: {pid: [str(v) for v in row] for pid, row in zip(ids, proc.rows)}
             for name, proc in sorted(scenario.processes.items())
         }
     if scenario.g_spec is not None:
-        doc["g"] = _canonical_g_spec(scenario.g_spec, lat, True, {})[0]
+        doc["g"] = scenario._canonical_g
     if scenario.mu is not None:
-        doc["mu"] = {
-            ids[p]: [str(v) for v in scenario.mu.mass[p]]
-            for p in range(lat.n_paths)
-        }
+        doc["mu"] = {ids[p]: [str(v) for v in scenario.mu.mass[p]] for p in range(lat.n_paths)}
     if scenario.signal is not None:
         doc["signal"] = scenario.signal
     if scenario.reward is not None:
@@ -464,9 +455,7 @@ def generate_instance(params: RandomInstanceParams) -> Scenario:
 
     weights = [rng.randint(1, 9) for _ in range(n)]
     total = sum(weights)
-    records = tuple(
-        PathRecord(ids[i], Fraction(weights[i], total)) for i in range(n)
-    )
+    records = tuple(PathRecord(ids[i], Fraction(weights[i], total)) for i in range(n))
     lattice = FilteredLattice(epoch_count=K, paths=records, filtration=filtration)
 
     meyer_parts: list[Partition] = []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from meyerstop import enumeration
 from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.lattice import (
     INT,
@@ -34,6 +35,13 @@ def build_lattice(probs, filtration_atoms, meyer_atoms, initial_atoms=None):
         meyer_fields=tuple(make_partition(a) for a in meyer_atoms)
     )
     return lattice, meyer
+
+
+def times_within(lattice, meyer, kind, allowed):
+    """The index tuples of the times of `kind` within `allowed`, in walk
+    order: the walk of the lattice's tree after a fold of all-zero gains."""
+    tree = enumeration._tree(lattice, meyer, kind)
+    return enumeration._walk(tree, enumeration._fold(tree, tree.zero, allowed).flags)
 
 
 def full_divided_stops(lattice, meyer):

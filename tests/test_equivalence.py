@@ -14,7 +14,6 @@ time.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import math
@@ -26,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import meyerstop.lattice as lattice_module
-from conftest import build_lattice, full_divided_stops
+from conftest import build_lattice, full_divided_stops, times_within
 from meyerstop import Scenario, checks, cli, enumeration, projection, representation
 from meyerstop.enumeration import (
     DEFAULT_GUARD,
@@ -364,8 +363,7 @@ def test_restricted_folds_match_filtering_the_listed_stops():
             ]
             opt = _maximum(lattice, meyer, Z, Kind.LAMBDA, allowed)
             assert opt.total == len(kept), seed
-            steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, allowed)
-            assert sorted(enumeration._walk(steps)) == kept, seed
+            assert sorted(times_within(lattice, meyer, Kind.LAMBDA, allowed)) == kept, seed
             if not kept:
                 assert (opt.value, opt.ways, list(opt.maximizers())) == (None, 0, []), seed
                 seen["empty"] += 1
@@ -485,10 +483,12 @@ def test_signal_check_reports_a_corrupted_level_passage(monkeypatch):
     at_once, never = RandomInstant((0,) * paths, n), RandomInstant((n,) * paths, n)
     bad = next(T for T in (at_once, never) if stopping_value(fixed, ell, T) != best)
     real = representation._passage
+    variant_2 = []  # the rows run in grid order, and each reads variant 2 once
 
-    def corrupted(lattice, L, level, variant):
-        if (level, variant) != (ell**problem.g.power, 2):
-            return real(lattice, L, level, variant)
+    def corrupted(lattice, columns, level, variant):
+        variant_2.extend([level] * (variant == 2))
+        if variant != 2 or len(variant_2) != 2:
+            return real(lattice, columns, level, variant)
         return bad.indices
 
     monkeypatch.setattr(representation, "_passage", corrupted)
@@ -523,8 +523,7 @@ def plain_solve(problem):
             )
             best = None
             # `lower` pins the paths outside the block to TERMINAL
-            steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, lower))
-            for cand in enumeration._walk(steps):
+            for cand in times_within(lattice, meyer, Kind.LAMBDA, _between(lattice, lower)):
                 terms = []
                 rhs = Fraction(0)
                 for p in block:
@@ -697,47 +696,59 @@ def test_forward_matches_the_per_cell_fraction_loop():
     assert compared == 220, compared
 
 
-def best_fold(parts, i, gains):
-    """The fold's best over `parts` at instant i, and its memo of each
-    node's (best, ways)."""
+def stop_gain(tree, j, gains):
+    return sum(gains[tree.inst[j]][p] for p in tree.paths[j])
+
+
+def best_fold(tree, nodes, gains):
+    """The best over the tree's `nodes`, which decide alone, and a memo of
+    the best of each node below them: a node stops for the gains of its
+    paths or, before n_instants, passes for the sum of its children's."""
     memo = {}
-    return enumeration._fold_parts(parts, i, gains, memo)[0], memo
+
+    def best(j):
+        passes = tree.inst[j] < tree.n_inst
+        memo[j] = max([stop_gain(tree, j, gains)] + [sum(map(best, tree.kids[j]))] * passes)
+        return memo[j]
+
+    return sum(map(best, nodes)), memo
 
 
-def maximizer(parts, i, gains, memo, pick=0):
-    """The time a walk of `parts` from instant i lists first (pick 0) or last
-    (pick -1) among those that attain the fold's best in `memo`: each part
-    takes its first (last) attaining choice.  Paths outside the parts are
+def maximizer(tree, nodes, gains, memo, pick=0):
+    """The time a walk of the `nodes` lists first (pick 0) or last (pick -1)
+    among those that attain the best in `memo`: each node takes its first
+    (last) attaining choice, pass before stop.  Paths outside the nodes are
     left out of the returned {path: index} map."""
     T = {}
 
-    def descend(parts, i):
-        for part in parts:
-            best = memo[part][0]
-            attain = [c for c in part.options if enumeration._choice(c, i, gains, memo)[0] == best]
-            paths, kids = attain[pick]
-            T.update(dict.fromkeys(paths, i))
-            descend(kids, i + 1)
+    def descend(nodes):
+        for j in nodes:
+            passes = tree.inst[j] < tree.n_inst and sum(memo[k] for k in tree.kids[j]) == memo[j]
+            attain = ["pass"] * passes + ["stop"] * (stop_gain(tree, j, gains) == memo[j])
+            if attain[pick] == "pass":
+                descend(tree.kids[j])
+            else:
+                T.update(dict.fromkeys(tree.paths[j], tree.inst[j]))
 
-    descend(parts, i)
+    descend(nodes)
     return T
 
 
-def dinkelbach_root(steps, I, K, u, block):
-    """The least root N_T / D_T over the windows [u, T) with mass, by
-    Dinkelbach's method; den 0 if no window has mass.
+def dinkelbach_root(tree, j, I, K):
+    """The least root N_T / D_T over the windows [u, T) with mass, on the
+    tree's node j = (u, block), by Dinkelbach's method; den 0 if no window
+    has mass.
 
     A window's root is where the lines of stopping at u and at T cross on
     the atom's paths `block`: N_T sums I[u][p] - I[T_p][p] and D_T sums
-    K[T_p][p] - K[u][p]; the times T are those of the tree's parts of the
-    block at u + 1.  From the all-TERMINAL window, each step maximizes
+    K[T_p][p] - K[u][p]; the times T are those of the node's children, its
+    parts at u + 1.  From the all-TERMINAL window, each step maximizes
     num * D_T - den * N_T by one fold of those parts (`best_fold`) and moves
     to the first maximizer a walk of them yields (`maximizer`), until the
     best gain is 0.  A massless window can win a step only with N_T < 0,
     which no representable X has; the search stops there.
     """
-    n = steps.n_inst
-    parts = steps.split(u + 1, tuple(block))
+    n, u, block, parts = tree.n_inst, tree.inst[j], tree.paths[j], tree.kids[j]
 
     def window(T):
         N = sum(I[u][p] - I[T[p]][p] for p in block)
@@ -746,9 +757,9 @@ def dinkelbach_root(steps, I, K, u, block):
     def fold(num, den):
         # the best num * D_T - den * N_T: the best sum of cells num * K + den * I, less it at u
         gains = {i: {p: num * K[i][p] + den * I[i][p] for p in block} for i in range(u + 1, n + 1)}
-        top, memo = best_fold(parts, u + 1, gains)
+        top, memo = best_fold(tree, parts, gains)
         at_u = sum(num * K[u][p] + den * I[u][p] for p in block)
-        return top - at_u, lambda: maximizer(parts, u + 1, gains, memo)
+        return top - at_u, lambda: maximizer(tree, parts, gains, memo)
 
     num, den = window(dict.fromkeys(block, n))  # the all-TERMINAL window
     top, attaining = fold(num, den)
@@ -773,11 +784,13 @@ def fold_solve(problem):
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     I, K, _ = problem.lines
-    steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA)
+    tree = enumeration._tree(lattice, meyer, Kind.LAMBDA)
+    # the nodes before n_instants are the atoms of the Lambda fields
+    node = {(i, m): j for j, (i, m) in enumerate(zip(tree.inst, tree.mask))}
     columns = [[None] * lattice.n_paths for _ in range(lattice.n_instants)]
     for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
         for block in part:
-            num, den = dinkelbach_root(steps, I, K, u, block)
+            num, den = dinkelbach_root(tree, node[u, enumeration._mask(block)], I, K)
             if den == 0:
                 if X.columns[u][min(block)] != 0:
                     raise representation.RepresentationError(
@@ -986,10 +999,9 @@ def test_value_only_checks_build_no_optimizer(monkeypatch):
         built.append(indices)
         init(self, indices, n_instants)
 
-    def counting_walk(steps, keep=None):
-        if keep is not None:
-            walks.append(keep)
-        return walk(steps, keep)
+    def counting_walk(tree, flags):
+        walks.append(flags)
+        return walk(tree, flags)
 
     monkeypatch.setattr(RandomInstant, "__init__", counting_init)
     monkeypatch.setattr(enumeration, "_walk", counting_walk)
@@ -1031,10 +1043,9 @@ def test_relaxation_and_usc_checks_list_no_stopping_time(monkeypatch):
     listed = []
     walk = enumeration._walk
 
-    def no_listing(steps, keep=None):
-        if keep is None:
-            listed.append(steps.n_inst)
-        return walk(steps, keep)
+    def no_listing(tree, flags):
+        listed.append(tree.n_inst)
+        return walk(tree, flags)
 
     monkeypatch.setattr(enumeration, "_walk", no_listing)
     heavy = generate_instance(
@@ -1639,8 +1650,7 @@ def plain_divided_maximum(lattice, meyer, process, S):
     """Largest E[Z at q] over the canonical divided stops q from S, one per
     time a walk of the Lambda tree built within T >= S lists."""
     best = None
-    steps = enumeration._Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, S))
-    for idx in enumeration._walk(steps):
+    for idx in times_within(lattice, meyer, Kind.LAMBDA, _between(lattice, S)):
         q = _canonical_quadruple(lattice, idx)
         v = expected_value(lattice, from_divided_quadruple(lattice, q).value_of(process))
         if best is None or v > best:
@@ -1815,10 +1825,10 @@ def test_usc_equivalence_names_a_counterexample_for_each_form(side, monkeypatch)
 
 # (h) per-part decisions -----------------------------------------------------
 #
-# `enumeration._best` decides each (instant, part) node on its own.  The
-# oracles are the fold it replaced, one memo entry per (instant, active
-# paths) state over every subset of the state's stoppable parts, and the
-# plain listing of that fold's completions.
+# `enumeration._fold` decides each (instant, part) node of the flat tree on
+# its own.  The oracles are the fold it replaced, one memo entry per
+# (instant, active paths) state over every subset of the state's stoppable
+# parts, and the plain listing of that fold's completions.
 
 
 def bits(mask):
@@ -1875,13 +1885,25 @@ def mask_fold(lattice, meyer, kind, allowed, gains):
     return fold, memo, lambda active: listing(0, active, [n] * lattice.n_paths)
 
 
-def scoped(steps, active):
-    """`steps` with the parts of the paths in `active` at instant 0 as its
-    root: the tree of the mask fold's state (0, active)."""
-    sub = copy.copy(steps)
-    sub.roots = steps.split(0, tuple(bits(active)))
-    sub.total = math.prod(part.total for part in sub.roots)
-    return sub
+def scoped(tree, allowed, gains, active):
+    """`allowed` and `gains` for the mask fold's state (0, active), where
+    `active` is a union of the tree's root nodes: the paths outside it may
+    stop only at instant 0, for no gain, so its root nodes stop there whole
+    and the fold and walk of the rest are those of the state."""
+    outside = (1 << tree.n_paths) - 1 & ~active
+    cells = [row & active | outside * (i == 0) for i, row in enumerate(allowed)]
+    return cells, [[g * (active >> p & 1) for p, g in enumerate(row)] for row in gains]
+
+
+def node_value(tree, fold, i, active):
+    """(best, ways, total) of the nodes at instant i that make up `active`,
+    which decide alone: bests add up, ways and totals multiply."""
+    nodes = [j for j in range(len(tree.inst)) if tree.inst[j] == i and tree.mask[j] & active]
+    assert sum(tree.mask[j] for j in nodes) == active, (i, active)
+    total = math.prod(fold.total[j] for j in nodes)
+    if not total:
+        return None, 0, 0
+    return sum(fold.best[j] for j in nodes), math.prod(fold.ways[j] for j in nodes), total
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -1896,37 +1918,82 @@ def test_part_fold_matches_the_mask_fold(kind):
         tables = [_between(lattice, None), _between(lattice, lower)]
         # sparser cells leave more paths no live completion, so more states die
         tables += [_cells(lattice, lambda p, i: rng.random() < odds) for odds in (0.9, 0.7, 0.5)]
+        tree = enumeration._tree(lattice, meyer, kind)
         for allowed in tables:
             drawn = [[rng.randint(-4, 4) for _ in range(paths)] for _ in range(n + 1)]
             zero = [[0] * paths for _ in range(n + 1)]
             for gains in (zero, drawn):
                 fold, memo, listing = mask_fold(lattice, meyer, kind, allowed, gains)
-                steps = enumeration._Decisions(lattice, meyer, kind, allowed)
-
-                def value(i, active):
-                    # the state's parts, folded as the root's are
-                    parts = steps.split(i, tuple(bits(active)))
-                    return enumeration._fold_parts(parts, i, gains, {})
-
-                for active in (full, rng.randint(0, full)):
-                    got = value(0, active)
+                # a random union of root nodes, or of none
+                some = sum(tree.mask[r] for r in tree.roots if rng.random() < 0.5)
+                for active in (full, some):
+                    cells, worth = scoped(tree, allowed, gains, active)
+                    folded = enumeration._fold(tree, worth, cells)
+                    got = folded.top
                     assert got == fold(0, active), (seed, active)
                     seen["dead" if got[2] == 0 else "scoped" if active != full else "listed"] += 1
                     if gains is zero or got[2] > 3000:
                         continue
-                    # the attaining walk yields exactly the listed maximizers
-                    tree = steps if active == full else scoped(steps, active)
+                    # the attaining walk yields exactly the listed maximizers,
+                    # with the paths outside `active` at TERMINAL as listed
+                    def listed_form(idx):
+                        return tuple(i if active >> p & 1 else n for p, i in enumerate(idx))
+
                     listed = list(listing(active))
-                    (best, ways, total), attaining = enumeration._best(tree, gains)
-                    assert (best, ways, total) == got, seed
+                    best, ways, total = got
                     argmax = sorted(idx for idx, gain in listed if gain == best)
                     assert (len(listed), len(argmax)) == (total, ways), seed
-                    assert sorted(attaining()) == argmax, seed
-                    assert sorted(enumeration._walk(tree)) == sorted(i for i, _ in listed)
+                    walked = map(listed_form, enumeration._walk(tree, folded.flags))
+                    assert sorted(walked) == argmax, seed
+                    everyone = map(listed_form, times_within(lattice, meyer, kind, cells))
+                    assert sorted(everyone) == sorted(i for i, _ in listed), seed
+                unscoped = enumeration._fold(tree, gains, allowed)
                 for (i, active), want in memo.items():
-                    assert value(i, active) == want, (seed, i, active)
+                    assert node_value(tree, unscoped, i, active) == want, (seed, i, active)
                     seen["states"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def walk_order_digest():
+    """SHA-256 of what the tree's walks list, in order, on the small family:
+    per kind, every time, and for three random `allowed` tables the times
+    within it (the maximizers of the zero reward) and the first maximizer of
+    a drawn reward; per Lambda table, the ranked fold's value and witness."""
+    digest = hashlib.sha256()
+    for seed, sc in small_family():
+        lattice, meyer = sc.lattice, sc.meyer
+        n, paths = lattice.n_instants, lattice.n_paths
+        rng = random.Random(seed)
+        zero = LatticeProcess.constant(lattice, 0)
+        for kind in Kind:
+            digest.update(repr(list(iter_stopping_index_tuples(lattice, meyer, kind, None))).encode())
+            for _ in range(3):
+                odds = rng.choice((0.5, 0.7, 0.9, 1.0))
+                allowed = _cells(lattice, lambda p, i: rng.random() < odds)
+                Z = LatticeProcess(
+                    tuple(tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(paths)) for _ in range(n + 1))
+                )
+                within = _maximum(lattice, meyer, zero, kind, allowed)
+                best = _maximum(lattice, meyer, Z, kind, allowed)
+                first = next(best.maximizers(), None)
+                digest.update(repr((list(within.maximizers()), best.value, best.ways, first)).encode())
+                if kind is Kind.LAMBDA:
+                    digest.update(repr(enumeration._ranked(lattice, meyer, Z, allowed)).encode())
+    return digest.hexdigest()
+
+
+# The recursive per-part tree that the flat tree replaced gave this digest.
+# Certificates and sandwich witnesses name a walk's first time, so the
+# walk order is output.
+WALK_ORDER_DIGEST = "756d299e620fd992e4ba4eba71605a649d67580d6767dc4b472535d40ddbf733"
+
+
+def test_the_walk_order_is_pinned(monkeypatch):
+    assert walk_order_digest() == WALK_ORDER_DIGEST
+    # the same times, each walk listed backwards
+    walk = enumeration._walk
+    monkeypatch.setattr(enumeration, "_walk", lambda tree, flags: reversed(list(walk(tree, flags))))
+    assert walk_order_digest() != WALK_ORDER_DIGEST
 
 
 def full_binary_tree(depth, rng):
@@ -1999,9 +2066,10 @@ def test_the_guard_bounds_exactly_what_a_walk_lists():
             assert sum(1 for _ in listed) == total, (seed, kind)
             # a tree within T >= lower counts exactly what its walk lists
             lower = RandomInstant(tuple(rng.randint(0, n) for _ in range(lattice.n_paths)), n)
-            steps = enumeration._Decisions(lattice, meyer, kind, _between(lattice, lower))
-            assert sum(1 for _ in enumeration._walk(steps)) == steps.total, (seed, kind)
-            seen[kind] += steps.total > 1
+            tree = enumeration._tree(lattice, meyer, kind)
+            fold = enumeration._fold(tree, tree.zero, _between(lattice, lower))
+            assert sum(1 for _ in enumeration._walk(tree, fold.flags)) == fold.top[2], (seed, kind)
+            seen[kind] += fold.top[2] > 1
         Z = sc.processes["Z"]
         ways = snell_brute_force(lattice, meyer, Z).optimizer_count
         for guard in (ways - 1, ways):

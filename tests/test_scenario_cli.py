@@ -21,7 +21,7 @@ import meyerstop.projection as projection_module
 import meyerstop.representation as representation_module
 import meyerstop.scenario as scenario_module
 import meyerstop.snell as snell_module
-from meyerstop import checks
+from meyerstop import checks, enumeration
 from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.lattice import INT, Instant, Kind, LatticeError, LatticeProcess, field_partitions
 from meyerstop.projection import is_left_usc_in_expectation, is_right_usc_in_expectation
@@ -621,13 +621,14 @@ def test_signal_fails_when_its_fold_and_listing_disagree(monkeypatch, capsys):
     # the listing: a fold that reports one optimizer too many exits 2 with
     # one error line and no report
     argv = ["signal", "--scenario", str(FIXTURES / "signal_chain.scn")]
-    fold = representation_module._best
+    fold = representation_module._fold
 
     def one_more(*args):
-        (best, ways, total), attaining = fold(*args)
-        return (best, ways + 1, total), attaining
+        folded = fold(*args)
+        best, ways, total = folded.top
+        return folded._replace(top=(best, ways + 1, total))
 
-    monkeypatch.setattr(representation_module, "_best", one_more)
+    monkeypatch.setattr(representation_module, "_fold", one_more)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: level ") and err.count("\n") == 1, err
@@ -794,6 +795,56 @@ def test_g_is_parsed_once_per_command(monkeypatch, capsys):
     assert built.build_problem().g.power == 1 and built.build_problem().g is built.g
     assert parsed == ["odd_power"] * 3
     assert built.g.a == sc.g.a and sc.g.power == 3
+
+
+def test_g_is_canonicalized_once_per_scenario(monkeypatch):
+    # parse_scenario hands over the canonical spec it built; a scenario
+    # built by hand canonicalizes its g_spec on its first render, once
+    made = []
+    real = scenario_module._canonical_g_spec
+
+    def counted(raw, *args):
+        made.append(list(raw))
+        return real(raw, *args)
+
+    monkeypatch.setattr(scenario_module, "_canonical_g_spec", counted)
+    sc = load("odd_power.scn")
+    text = render_scenario(sc)
+    assert render_scenario(sc) == text and len(made) == 1
+    shuffled = {key: sc.g_spec[key] for key in reversed(list(sc.g_spec))}
+    built = sc._replace(g_spec=shuffled)
+    assert list(built.g_spec) != list(sc.g_spec) and len(made) == 1
+    assert render_scenario(built) == render_scenario(built) == text
+    assert made[1:] == [list(shuffled)]
+
+
+def test_each_command_builds_one_tree_per_kind(monkeypatch, tmp_path, capsys):
+    # every fold, count, walk and hull pass of a command reads the tree kept
+    # on its lattice: `oracle` builds one, and `suite` one per kind it folds
+    # (a tree per fold built 10 on the seed-62 lattice and 7 on branch.scn)
+    built = []
+    real = enumeration._Tree
+
+    class Counted(real):
+        def __init__(self, lattice, meyer, kind):
+            built.append(kind)
+            super().__init__(lattice, meyer, kind)
+
+    monkeypatch.setattr(enumeration, "_Tree", Counted)
+    heavy = tmp_path / "seed62.scn"
+    params = RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
+    heavy.write_text(render_scenario(generate_instance(params)), encoding="utf-8")
+    branch = FIXTURES / "branch.scn"
+    cases = [
+        ("oracle", branch, [Kind.LAMBDA]),
+        ("suite", heavy, [Kind.LAMBDA, Kind.PREDICTABLE]),
+        ("suite", branch, [Kind.LAMBDA, Kind.PREDICTABLE]),
+    ]
+    for command, path, kinds in cases:
+        built.clear()
+        assert main([command, "--scenario", str(path)]) == 0, (command, path)
+        assert Counter(built) == Counter(kinds), (command, path.name, built)
+    capsys.readouterr()
 
 
 def test_boolean_epochs_and_power_are_rejected():

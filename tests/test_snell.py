@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import times_within
 from meyerstop.enumeration import (
     EnumerationGuardError,
     _between,
-    _Decisions,
     _maximum,
-    _walk,
     count_stopping_times,
     enumerate_stopping_times,
     iter_stopping_index_tuples,
@@ -342,7 +341,7 @@ def test_divided_martingale_and_supermartingale_sampling(three_path_meyer):
     for S in enumerate_stopping_times(lattice, meyer, Kind.LAMBDA):
         part_s = field_at_time(lattice, meyer, S, Kind.LAMBDA)
         # the canonical divided stops from S: one per time of the tree within T >= S
-        for idx in _walk(_Decisions(lattice, meyer, Kind.LAMBDA, _between(lattice, S))):
+        for idx in times_within(lattice, meyer, Kind.LAMBDA, _between(lattice, S)):
             form = from_divided_quadruple(lattice, _canonical_quadruple(lattice, idx))
             cond_m = conditional_expectation(lattice, form.value_of(M), part_s)
             assert tuple(cond_m) == S.value_of(M)

@@ -340,12 +340,22 @@ def _conditioning_findings(tree: ast.AST) -> list[str]:
     ]
 
 
+def _scaling_findings(name: str, tree: ast.AST) -> list[str]:
+    """Calls of `_scaled` outside `lattice` and outside the signal check,
+    which scales its signal once for its integer level passages."""
+    exempt = {id(c) for c in _calls(tree, "_scaled", "universal_signal_check")}
+    if name != "representation.py":
+        exempt = set()
+    return [f"{name}:{c.lineno} calls _scaled" for c in _calls(tree, "_scaled") if id(c) not in exempt]
+
+
 def test_each_exact_computation_is_said_once():
-    # one integer scaling (`lattice._scaled`), called only in `lattice`; P
-    # is weighed in there too (`lattice._weighted`), so no other engine
-    # module reads the probabilities; and snell conditions only in the
-    # envelope's recursion and in the one loss table the reach, the
-    # supermartingale test and the decomposition's jumps read
+    # one integer scaling (`lattice._scaled`), called only in `lattice` and
+    # by the signal check's levels; P is weighed in `lattice` too
+    # (`lattice._weighted`), so no other engine module reads the
+    # probabilities; and snell conditions only in the envelope's recursion
+    # and in the one loss table the reach, the supermartingale test and the
+    # decomposition's jumps read
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -353,7 +363,7 @@ def test_each_exact_computation_is_said_once():
         if path.name == "lattice.py":
             exempt = {id(c) for c in _calls(tree, "lcm", "_scaled")}
         else:
-            found += [f"{path.name}:{c.lineno} calls _scaled" for c in _calls(tree, "_scaled")]
+            found += _scaling_findings(path.name, tree)
         found += [
             f"{path.name}:{c.lineno} calls lcm" for c in _calls(tree, "lcm") if id(c) not in exempt
         ]
@@ -395,6 +405,14 @@ def test_the_once_check_sees_each_scaling_and_probability_read():
     )
     assert [c.lineno for c in _calls(tree, "_scaled")] == [3, 3]
     assert _attribute_reads(tree, "probabilities") == [2, 5]
+    signal = ast.parse(
+        "def universal_signal_check(problem):\n"
+        "    return _scaled(problem.solved.columns)\n"
+        "def evaluate(S):\n"
+        "    return _scaled(S.columns)\n"
+    )
+    assert _scaling_findings("representation.py", signal) == ["representation.py:4 calls _scaled"]
+    assert _scaling_findings("snell.py", signal) == ["snell.py:2 calls _scaled", "snell.py:4 calls _scaled"]
 
 
 # The constructors of a reward's envelope objects, which the suite calls once per
@@ -609,23 +627,36 @@ def _looped_calls(tree: ast.AST, name: str) -> list[int]:
     )
 
 
+def _fold_findings(name: str, tree: ast.Module) -> list[str]:
+    """Calls of the fold in a loop, and the functions that call it."""
+    found = [f"{name}:{line} calls _fold in a loop" for line in _looped_calls(tree, "_fold")]
+    return found + [f"{fn_name} calls _fold" for fn_name, fn in _top_functions(tree) for _ in _calls(fn, "_fold")]
+
+
 def test_the_solve_runs_no_fold_per_atom():
     # one hull pass reads every atom's root, so no loop in representation.py
     # calls the fold; its one call is the signal check's fold per level
     tree = ast.parse((PACKAGE / "representation.py").read_text(encoding="utf-8"))
-    found = [f"representation.py:{line} calls _best in a loop" for line in _looped_calls(tree, "_best")]
-    callers = [name for name, fn in _top_functions(tree) for _ in _calls(fn, "_best")]
-    assert not found and callers == ["universal_signal_check"], (found, callers)
+    found = _fold_findings("representation.py", tree)
+    assert found == ["universal_signal_check calls _fold"], found
 
 
 def test_the_fold_scan_sees_each_loop():
     tree = ast.parse(
-        "for u in r:\n    _best(s)\n"
-        "while r:\n    enumeration._best(s)\n"
-        "x = [_best(s) for _ in r], {u: _best(s) for u in r}\n"
-        "def f(s):\n    return _best(s)\n"
+        "for u in r:\n    _fold(t, s)\n"
+        "while r:\n    enumeration._fold(t, s)\n"
+        "x = [_fold(t, s) for _ in r], {u: _fold(t, s) for u in r}\n"
+        "def f(t, s):\n    return _fold(t, s)\n"
+        "class C:\n    def g(self, t):\n        return _fold(t, t.zero, None)\n"
     )
-    assert _looped_calls(tree, "_best") == [2, 4, 5]
+    assert _looped_calls(tree, "_fold") == [2, 4, 5]
+    assert _fold_findings("m.py", tree) == [
+        "m.py:2 calls _fold in a loop",
+        "m.py:4 calls _fold in a loop",
+        "m.py:5 calls _fold in a loop",
+        "f calls _fold",
+        "C.g calls _fold",
+    ]
 
 
 def _is_branch(node: ast.AST, command: str) -> bool:
@@ -819,15 +850,15 @@ def test_the_guard_scan_sees_each_form():
 
 
 def _entry_findings(name: str, tree: ast.Module) -> list[str]:
-    """Calls that could enter the stopping-time tree below its root: `_best`
-    with other than (steps, gains), `_walk` with more than (steps, keep), and
-    any `.parts(` call."""
+    """Calls that could enter the stopping-time tree below its root: `_fold`
+    with more than (tree, gains, allowed), `_walk` with other than (tree,
+    flags), and any `.parts(` call."""
     found = []
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     for call in sorted(calls, key=lambda c: c.lineno):
         called = getattr(call.func, "id", getattr(call.func, "attr", None))
         count = len(call.args) + len(call.keywords)
-        if called == "_best" and count != 2 or called == "_walk" and count > 2:
+        if called == "_fold" and not 2 <= count <= 3 or called == "_walk" and count != 2:
             found.append(f"{name}:{call.lineno} calls {called} with {count} arguments")
         elif called == "parts" and isinstance(call.func, ast.Attribute):
             found.append(f"{name}:{call.lineno} calls .parts")
@@ -835,8 +866,8 @@ def _entry_findings(name: str, tree: ast.Module) -> list[str]:
 
 
 def test_every_fold_and_walk_enters_the_tree_at_its_root():
-    # the decision tree is entered only at its root parts; a restriction is
-    # the `allowed` table the tree is built with
+    # the decision tree is entered only at its root nodes; a restriction is
+    # the `allowed` table a fold reads, and a walk follows one fold's flags
     found = [
         finding
         for path in sorted(PACKAGE.glob("*.py"))
@@ -847,21 +878,58 @@ def test_every_fold_and_walk_enters_the_tree_at_its_root():
 
 def test_the_root_entry_scan_sees_each_form():
     tree = ast.parse(
-        "_best(steps, gains)\n"
-        "enumeration._best(steps, gains, 0, steps.everyone)\n"
-        "_best(steps)\n"
-        "_walk(steps), _walk(steps, keep), enumeration._walk(steps, keep=attains)\n"
-        "enumeration._walk(steps, 0, active)\n"
-        "_walk(steps, start=1, active=3)\n"
-        "steps.parts(0, steps.everyone)\n"
-        "parts(0, 1)\n"
+        "_fold(tree, gains), _fold(tree, gains, allowed), enumeration._fold(tree, g, allowed=a)\n"
+        "enumeration._fold(tree, gains, allowed, 7)\n"
+        "_fold(tree)\n"
+        "_walk(tree, flags), enumeration._walk(tree, flags=fold.flags)\n"
+        "enumeration._walk(tree, flags, 3)\n"
+        "_walk(tree)\n"
+        "tree.parts(0, everyone)\n"
+        "parts(0, 1), '1,2'.partition(','), text.split()\n"
     )
     assert _entry_findings("m.py", tree) == [
-        "m.py:2 calls _best with 4 arguments",
-        "m.py:3 calls _best with 1 arguments",
+        "m.py:2 calls _fold with 4 arguments",
+        "m.py:3 calls _fold with 1 arguments",
         "m.py:5 calls _walk with 3 arguments",
-        "m.py:6 calls _walk with 3 arguments",
+        "m.py:6 calls _walk with 1 arguments",
         "m.py:7 calls .parts",
+    ]
+
+
+def _tree_builds(name: str, tree: ast.Module) -> list[str]:
+    """Constructions of the decision tree other than the per-lattice cache's
+    one, `enumeration._tree`."""
+    exempt = {id(c) for c in _calls(tree, "_Tree", "_tree")} if name == "enumeration.py" else set()
+    return sorted(f"{name}:{c.lineno} builds a _Tree" for c in _calls(tree, "_Tree") if id(c) not in exempt)
+
+
+def test_every_tree_comes_from_the_lattice_cache():
+    # one flat tree per (lattice, meyer, kind): every fold, count, walk and
+    # hull pass reads the tree `enumeration._tree` keeps on the lattice
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for finding in _tree_builds(path.name, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_tree_build_scan_sees_each_form():
+    source = (
+        "def _tree(lattice, meyer, kind):\n"
+        "    return _Tree(lattice, meyer, kind)\n"
+        "def solve(lattice, meyer):\n"
+        "    return enumeration._Tree(lattice, meyer, Kind.LAMBDA)\n"
+        "steps = _Tree(lattice, meyer, kind)\n"
+    )
+    assert _tree_builds("enumeration.py", ast.parse(source)) == [
+        "enumeration.py:4 builds a _Tree",
+        "enumeration.py:5 builds a _Tree",
+    ]
+    assert _tree_builds("representation.py", ast.parse(source)) == [
+        "representation.py:2 builds a _Tree",
+        "representation.py:4 builds a _Tree",
+        "representation.py:5 builds a _Tree",
     ]
 
 
