@@ -3,19 +3,19 @@
 A stopping time of a given kind assigns each path an instant (or TERMINAL)
 so that, at every instant, the set of already-stopped paths is a union of
 atoms of that instant's field.  The fields refine each other along the
-chain, so the paths still active at instant i fall into parts, the active
-shares of instant i's atoms, and each part decides on its own: it stops
-whole at i, or passes on to its parts at i + 1.  Those nodes make one flat
-tree per lattice, meyer and kind (`_tree`).  A fold of integer gains is one
-loop over the nodes, children first, within one `allowed` table (T >= S,
-T <= U, certified cells): bit p of `allowed[i]` lets path p stop at instant
-i, and `allowed[n_instants]` lists the paths that may run to TERMINAL.  It
-counts, values and flags each node's attaining choices for one walk; the
-listing is the walk of the all-zero fold.  That fold is the Snell
-envelope's backward recursion in integers, so `snell/oracle` compares two
-codings of one recursion; the tests keep the per-state fold over all
-subsets of a state's parts, and the plain listing, as independent oracles.
-A fold reads a value or a count at any size; the guard bounds only a walk.
+chain, so the paths still active at instant i fall into parts, the atoms of
+instant i's field inside the part before, and each part decides on its
+own: it stops whole at i, or passes on to its parts at i + 1.  The parts
+are the nodes of the lattice's atom tree (`lattice._atom_tree`).  A fold of
+integer gains is one loop over the nodes, children first, within one
+`allowed` table (T >= S, T <= U, certified cells): bit p of `allowed[i]`
+lets path p stop at instant i, and `allowed[n_instants]` lists the paths
+that may run to TERMINAL.  It counts, values and flags each node's
+attaining choices for one walk; the listing is the walk of the all-zero
+fold.  That fold and `snell_envelope` are two loops of one recursion on
+one tree; the tests keep the per-state fold over all subsets of a state's
+parts, and the plain listing, as independent oracles.  A fold reads a
+value or a count at any size; the guard bounds only a walk.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
+    _AtomTree,
+    _atom_tree,
+    _mask,
     _weighted,
-    field_partitions,
 )
 
 DEFAULT_GUARD = 10**6
@@ -39,10 +41,6 @@ DEFAULT_GUARD = 10**6
 
 class EnumerationGuardError(RuntimeError):
     """The instance admits more stopping times than the enumeration guard."""
-
-
-def _mask(paths) -> int:
-    return sum(1 << p for p in paths)
 
 
 def _check_guard(total: int, guard: int | None) -> None:
@@ -64,41 +62,6 @@ def _between(lattice: FilteredLattice, lower, upper=None) -> list[int]:
     return _cells(lattice, lambda p, i: lo[p] <= i <= hi[p])
 
 
-class _Tree:
-    """The flat decision tree of one kind of stopping time: a node is the share
-    of an atom of instant i's field in its parent, or the paths left at
-    n_instants.  Nodes are numbered parent before child in four parallel lists
-    (instant, paths, path mask, child nodes); `roots` are those at instant 0,
-    and the fold of the `zero` gains ties every live choice."""
-
-    def __init__(self, lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> None:
-        self.n_paths, self.n_inst = lattice.n_paths, lattice.n_instants
-        fields = [*field_partitions(lattice, meyer, kind), [range(self.n_paths)]]
-        owners = [{p: k for k, atom in enumerate(part) for p in atom} for part in fields]
-        self.inst, self.paths, self.mask, kids = [], [], [], []
-        parents = [(0, range(self.n_paths))]  # a virtual root, then each node
-        for i, paths in parents:  # number the parts of `paths` at instant i, by atom
-            shares: dict[int, list[int]] = {}
-            for p in (paths if i <= self.n_inst else ()):
-                shares.setdefault(owners[i][p], []).append(p)
-            kids.append(tuple(range(len(self.inst), len(self.inst) + len(shares))))
-            for share in shares.values():
-                self.inst.append(i)
-                self.paths.append(tuple(share))
-                self.mask.append(_mask(share))
-                parents.append((i + 1, share))
-        self.roots, *self.kids = kids
-        self.zero = [[0] * self.n_paths] * (self.n_inst + 1)
-
-
-def _tree(lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> _Tree:
-    """The tree of `kind` under `meyer`, built once and kept on the lattice."""
-    tree = lattice._trees.get((meyer, kind))
-    if tree is None:
-        tree = lattice._trees[meyer, kind] = _Tree(lattice, meyer, kind)
-    return tree
-
-
 class _Fold(NamedTuple):
     """Per node: best gain, the ways that attain it, live count and the flags
     of its attaining choices (1 pass, 2 stop); `top` is the tree's (best,
@@ -111,7 +74,7 @@ class _Fold(NamedTuple):
     top: tuple[int | None, int, int]
 
 
-def _fold(tree: _Tree, gains, allowed: list[int] | None = None) -> _Fold:
+def _fold(tree: _AtomTree, gains, allowed: list[int] | None = None) -> _Fold:
     """The fold of the integer `gains[i][p]` over the live times within
     `allowed` (None: all), children first.  A node stops, if its cells are
     allowed, for its paths' gains, or passes, if every part is live, for the
@@ -142,7 +105,7 @@ def _fold(tree: _Tree, gains, allowed: list[int] | None = None) -> _Fold:
     return _Fold(best, ways, total, flags, (top, math.prod(ways[r] for r in tree.roots), count))
 
 
-def _walk(tree: _Tree, flags: bytearray) -> Iterator[tuple[int, ...]]:
+def _walk(tree: _AtomTree, flags: bytearray) -> Iterator[tuple[int, ...]]:
     """Index tuples of the times a fold flags at every choice, pass before
     stop.  The nodes still to decide are a linked list (node, rest); a node
     flagged both ways passes and leaves its stop on a stack, where the walk
@@ -176,7 +139,7 @@ def count_stopping_times(
     lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind = Kind.LAMBDA
 ) -> int:
     """Number of stopping times."""
-    tree = _tree(lattice, meyer, kind)
+    tree = _atom_tree(lattice, meyer, kind)
     return _fold(tree, tree.zero).top[2]
 
 
@@ -189,7 +152,7 @@ def iter_stopping_index_tuples(
     """Yield stopping times as index tuples; n_instants stands for TERMINAL.
     The guard bounds the total count, the number of times listed, before the
     walk starts: the walk of the all-zero fold, where every live choice ties."""
-    tree = _tree(lattice, meyer, kind)
+    tree = _atom_tree(lattice, meyer, kind)
     fold = _fold(tree, tree.zero)
     _check_guard(fold.top[2], guard)
     yield from _walk(tree, fold.flags)
@@ -225,7 +188,7 @@ def _maximum(lattice, meyer, process: LatticeProcess, kind, allowed) -> _Optimum
     maximizers; a caller that lists them bounds `ways` first.
     """
     gains, den = _weighted(lattice, process.columns)
-    tree = _tree(lattice, meyer, kind)
+    tree = _atom_tree(lattice, meyer, kind)
     fold = _fold(tree, gains, allowed)
     best, ways, total = fold.top
     top = None if best is None else Fraction(best, den)
@@ -248,7 +211,7 @@ def _ranked(lattice, meyer, process: LatticeProcess, allowed: list[int]):
         [g * rank + 1 - (inside >> p & 1) for p, g in enumerate(row)]
         for row, inside in zip(gains, allowed)
     ]
-    tree = _tree(lattice, meyer, Kind.LAMBDA)
+    tree = _atom_tree(lattice, meyer, Kind.LAMBDA)
     fold = _fold(tree, ranked)
     best = fold.top[0]
     return Fraction(best // rank, den), next(_walk(tree, fold.flags)) if best % rank else None

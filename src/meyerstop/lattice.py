@@ -26,6 +26,11 @@ on integers: the lattice keeps its path probabilities as integer weights
 over one common mass, every P-weighted table of the engine is built here
 (`_weighted`) as integers over one denominator, and each atom's average is
 one integer sum and one `Fraction`.
+
+The fields of one kind refine each other along the chain, so their atoms
+form one tree (`_atom_tree`), kept on the lattice.  The engine conditions
+only on it: `_conditioned` sums a process per node in integers, and the
+projections, the Snell envelope and the loss table read those sums.
 """
 
 from __future__ import annotations
@@ -171,21 +176,9 @@ def make_partition(blocks: Iterable[Iterable[int]]) -> Partition:
 
 
 def is_partition(partition: Partition, n_paths: int) -> bool:
-    seen: set[int] = set()
-    for block in partition:
-        if not block:
-            return False
-        if block & seen:
-            return False
-        seen |= block
-    return seen == set(range(n_paths))
-
-
-def atom_of(partition: Partition, path: int) -> frozenset[int]:
-    for block in partition:
-        if path in block:
-            return block
-    raise LatticeError(f"path {path} not covered by partition")
+    """Nonempty blocks that never overlap and cover exactly the paths 0..n_paths - 1."""
+    covered = set().union(*partition)
+    return all(partition) and sum(map(len, partition)) == n_paths and covered == set(range(n_paths))
 
 
 def is_union_of_atoms(subset: frozenset[int], partition: Partition) -> bool:
@@ -241,7 +234,7 @@ class FilteredLattice(_Record):
 
     @cached_property
     def _trees(self) -> dict:
-        """`enumeration`'s decision trees on this lattice, keyed (meyer, kind)."""
+        """The atom trees of this lattice (`_atom_tree`), keyed (meyer, kind)."""
         return {}
 
     @property
@@ -362,6 +355,25 @@ def _grid_field(lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind, k: 
     return lattice.filtration[k - 1] if k else lattice.initial_partition()
 
 
+def _owners(partition: Partition, n: int) -> dict[int, int]:
+    """Per path, the index of its block in `partition`.  An empty block, a
+    path index out of range, a path in two blocks or an uncovered path
+    raises LatticeError, the first one met block by block."""
+    if is_partition(partition, n):
+        return {p: k for k, block in enumerate(partition) for p in block}
+    seen: set[int] = set()
+    for block in partition:
+        if not block:
+            raise LatticeError("partition has an empty block")
+        for i in block:
+            if not 0 <= i < n:
+                raise LatticeError(f"path {i} is not one of the lattice's {n} paths")
+            if i in seen:
+                raise LatticeError(f"path {i} lies in two blocks of the partition")
+            seen.add(i)
+    raise LatticeError("partition does not cover the path set")
+
+
 def conditional_expectation(
     lattice: FilteredLattice,
     rv: Sequence[Fraction],
@@ -371,35 +383,20 @@ def conditional_expectation(
 
     The path weights are integers over the lattice's one mass and `rv` is
     scaled to integers over one denominator, so each atom's average is one
-    integer sum and one `Fraction`.  An empty block, a path index out of
-    range, a path in two blocks or an uncovered path raises LatticeError.
+    integer sum and one `Fraction`.  Any partition is read, and checked by
+    `_owners`; the engine's own fields are read through `_conditioned`.
     """
     n = lattice.n_paths
     if len(rv) != n:
         raise LatticeError("random variable length does not match path count")
     weights, _ = lattice.weights
     (nums,), den = _scaled([rv])
-    out: list = [None] * n
-    covered = 0
-    for block in partition:
-        if not block:
-            raise LatticeError("partition has an empty block")
-        num = mass = 0
-        for i in block:
-            if not 0 <= i < n:
-                raise LatticeError(f"path {i} is not one of the lattice's {n} paths")
-            if out[i] is not None:
-                raise LatticeError(f"path {i} lies in two blocks of the partition")
-            out[i] = block
-            num += weights[i] * nums[i]
-            mass += weights[i]
-        avg = Fraction(num, mass * den)
-        for i in block:
-            out[i] = avg
-        covered += len(block)
-    if covered != n:
-        raise LatticeError("partition does not cover the path set")
-    return tuple(out)
+    owner = _owners(partition, n)
+    avg = [
+        Fraction(sum(weights[i] * nums[i] for i in block), sum(weights[i] for i in block) * den)
+        for block in partition
+    ]
+    return tuple(avg[owner[p]] for p in range(n))
 
 
 def expected_value(lattice: FilteredLattice, rv: Sequence[Fraction]) -> Fraction:
@@ -421,11 +418,87 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     and that denominator; a cell that is not an exact rational (a float)
     raises LatticeError."""
     try:
-        den = math.lcm(*(v.denominator for row in rows for v in row))
+        den = math.lcm(*{v.denominator for row in rows for v in row})
     except AttributeError:
         bad = next(v for row in rows for v in row if not hasattr(v, "denominator"))
         raise LatticeError(f"{bad} is not an exact rational") from None
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _mask(paths) -> int:
+    return sum(1 << p for p in paths)
+
+
+class _AtomTree:
+    """The atoms of one kind's fields as one tree: a node is an atom of
+    instant i's field, its children the atoms of instant i + 1 inside it
+    (one TERMINAL child after the last interval), numbered parent before
+    child, instant by instant, in parallel lists of instants, paths, path
+    masks and child nodes.  Each field must be a partition (`_owners`) that
+    refines the one before.  `mass` (per node), `unit` (their lcm) and
+    `cofactor` (unit over mass) wait for `_conditioned`."""
+
+    def __init__(self, lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> None:
+        self.n_paths, self.n_inst = n, last = lattice.n_paths, lattice.n_instants
+        fields = field_partitions(lattice, meyer, kind)
+        owners = [*(_owners(part, n) for part in fields), [0] * n]
+        self.inst, self.paths, self.mask, kids = [], [], [], []
+        parents = [(0, range(n))]  # a virtual root, then each node
+        for i, paths in parents:  # number the atoms of instant i inside `paths`
+            shares: dict[int, list[int]] = {}
+            for p in (paths if i <= last else ()):
+                shares.setdefault(owners[i][p], []).append(p)
+            kids.append(tuple(range(len(self.inst), len(self.inst) + len(shares))))
+            for k, share in shares.items():
+                if i < last and len(share) != len(atom := fields[i][k]):
+                    raise LatticeError(
+                        f"the {kind.value} field at instant index {i} does not refine "
+                        f"the field before it (atom {sorted(atom)})"
+                    )
+                self.inst.append(i)
+                self.paths.append(tuple(share))
+                self.mask.append(_mask(share))
+                parents.append((i + 1, share))
+        self.roots, *self.kids = kids
+        self.zero = [[0] * n] * (last + 1)
+        self.mass = self.cofactor = self.unit = None
+
+
+def _atom_tree(lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> _AtomTree:
+    """The atom tree of `kind` under `meyer`, built once and kept on the lattice."""
+    tree = lattice._trees.get((meyer, kind))
+    if tree is None:
+        tree = lattice._trees[meyer, kind] = _AtomTree(lattice, meyer, kind)
+    return tree
+
+
+def _conditioned(lattice, meyer, kind: Kind, columns) -> tuple[_AtomTree, list[int], int]:
+    """The atom tree of `kind` with its masses, and per node up to the last
+    column the P-weighted sum of its cells in its instant's column, integers
+    over one denominator den: the columns are `_scaled` once, and a node's
+    average is sums[j] / (mass[j] * den)."""
+    tree = _atom_tree(lattice, meyer, kind)
+    weights, _ = lattice.weights
+    if tree.mass is None:
+        mass = [sum(map(weights.__getitem__, paths)) for paths in tree.paths]
+        (tree.cofactor,), tree.unit = _scaled([[Fraction(1, m) for m in mass]])
+        tree.mass = mass
+    rows, den = _scaled(columns)
+    cells = [[w * v for w, v in zip(weights, row)] for row in rows]
+    width = len(cells)
+    sums = [sum(map(cells[i].__getitem__, ps)) for i, ps in zip(tree.inst, tree.paths) if i < width]
+    return tree, sums, den
+
+
+def _node_columns(tree: _AtomTree, values) -> list[tuple]:
+    """Per instant index, TERMINAL included, the column holding each path's
+    node value; `values` may stop before the TERMINAL nodes, numbered last."""
+    columns = [[None] * tree.n_paths for _ in range(tree.n_inst + 1)]
+    for i, paths, v in zip(tree.inst, tree.paths, values):
+        column = columns[i]
+        for p in paths:
+            column[p] = v
+    return list(map(tuple, columns))
 
 
 class LatticeProcess(NamedTuple):
@@ -625,9 +698,10 @@ def field_at_time(
     instant-u field, and within {T = TERMINAL} by the terminal field F_K.
     """
     fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
-    groups: dict[tuple[int, frozenset[int]], set[int]] = {}
+    owners = {i: _owners(fields[i], lattice.n_paths) for i in set(T.indices)}
+    groups: dict[tuple[int, int], set[int]] = {}
     for p, i in enumerate(T.indices):
-        groups.setdefault((i, atom_of(fields[i], p)), set()).add(p)
+        groups.setdefault((i, owners[i][p]), set()).add(p)
     return make_partition(groups.values())
 
 

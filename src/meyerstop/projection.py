@@ -1,6 +1,7 @@
 """Projections, one-sided envelopes, and semicontinuity predicates.
 
-On the instant chain the limsup and liminf envelopes read the same single
+A projection is one integer pass over the kind's atom tree.  On the
+instant chain the limsup and liminf envelopes read the same single
 neighbouring slice, so one envelope serves for both.  Semicontinuity in
 expectation reduces to exact pointwise comparisons between a process and
 projections of its envelopes, and the sequence-based definitions reduce to
@@ -11,6 +12,7 @@ atom) and by one memoized maximum over predictable stopping times.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 from .enumeration import _maximum
@@ -24,8 +26,9 @@ from .lattice import (
     RandomInstant,
     TERMINAL,
     TimePoint,
+    _conditioned,
+    _node_columns,
     _require_shape,
-    conditional_expectation,
     field_partitions,
     is_lambda_stopping_time,
     reward_fault,
@@ -43,17 +46,14 @@ def project(
     process: LatticeProcess,
     kind: Kind,
 ) -> LatticeProcess:
-    """Column-wise conditional expectation onto the kind's per-instant fields.
-
-    The terminal column is left unchanged.
+    """Column-wise conditional expectation onto the kind's per-instant fields,
+    one `Fraction` per node of its atom tree (`lattice._conditioned`); the
+    process need not be measurable, and its terminal column is kept.
     """
     _require_shape(lattice, process)
-    fields = field_partitions(lattice, meyer, kind)
-    projected = (
-        conditional_expectation(lattice, column, part)
-        for column, part in zip(process.columns, fields)
-    )
-    return LatticeProcess((*projected, process.columns[-1]))
+    tree, sums, den = _conditioned(lattice, meyer, kind, process.columns[:-1])
+    values = [Fraction(s, m * den) for s, m in zip(sums, tree.mass)]
+    return LatticeProcess((*_node_columns(tree, values)[:-1], process.columns[-1]))
 
 
 def envelope(lattice: FilteredLattice, process: LatticeProcess, side: Side) -> LatticeProcess:

@@ -8,7 +8,7 @@ its `accrual`, the g-mass accrued before each (instant, path) cell, and its
 `lines`, where X read at a cell after that accrual is a line in the level
 s.  A Lambda-stopping time is a point (sum K, sum I) of the lines, so
 `solve_representation` reads each atom's least window root off upper
-convex hulls, in one pass over the Lambda decision tree.  `stopping_value`
+convex hulls, in one pass over the Lambda atom tree.  `stopping_value`
 reads the accrual at a stop, and `universal_signal_check` certifies that
 the level-passage stops of L solve every accrual-adjusted stopping problem.
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
-from .enumeration import _fold, _mask, _tree, _Tree
+from .enumeration import _fold
 from .lattice import (
     DividedQuadruple,
     FilteredLattice,
@@ -34,9 +34,13 @@ from .lattice import (
     LatticeProcess,
     MeyerStructure,
     RandomInstant,
+    _AtomTree,
     _Record,
+    _atom_tree,
     _divided_readings,
     _first_hits,
+    _mask,
+    _node_columns,
     _require_shape,
     _scaled,
     _weighted,
@@ -248,16 +252,11 @@ def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProces
 
 
 def _by_atom(problem: RepresentationProblem, value) -> LatticeProcess:
-    """The process worth value(u, block) on each Lambda atom, and 0 at TERMINAL."""
-    columns = []
-    for u, part in enumerate(field_partitions(problem.lattice, problem.meyer, Kind.LAMBDA)):
-        column: list = [None] * problem.lattice.n_paths
-        for block in part:
-            cell = value(u, block)
-            for p in block:
-                column[p] = cell
-        columns.append(tuple(column))
-    return LatticeProcess((*columns, (Fraction(0),) * problem.lattice.n_paths))
+    """The process worth value(u, paths) on each Lambda atom, and 0 at TERMINAL."""
+    tree = _atom_tree(problem.lattice, problem.meyer, Kind.LAMBDA)
+    n = tree.n_inst
+    columns = _node_columns(tree, [value(u, ps) for u, ps in zip(tree.inst, tree.paths) if u < n])
+    return LatticeProcess((*columns[:-1], (Fraction(0),) * problem.lattice.n_paths))
 
 
 def _accrued(problem: RepresentationProblem) -> tuple[list, list]:
@@ -292,7 +291,7 @@ def solve_representation(problem: RepresentationProblem) -> LatticeProcess:
 
 def _solve(problem: RepresentationProblem) -> LatticeProcess:
     """`solve_representation` on S = L**power, where each window equation is affine
-    in s, by one hull pass over the Lambda decision tree on the problem's `lines`;
+    in s, by one hull pass over the Lambda atom tree on the problem's `lines`;
     a failed closing forward check of S against X raises RepresentationError."""
     lattice, meyer = problem.lattice, problem.meyer
     X = problem.reward
@@ -301,7 +300,7 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     I, K, _ = problem.lines
-    roots = _hull_roots(_tree(lattice, meyer, Kind.LAMBDA), I, K)
+    roots = _hull_roots(_atom_tree(lattice, meyer, Kind.LAMBDA), I, K)
 
     def root(u: int, block) -> Fraction:
         num, den = roots[u, _mask(block)]  # num is 0 where den is
@@ -318,7 +317,7 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
     return S
 
 
-def _hull_roots(tree: _Tree, I, K) -> dict[tuple[int, int], tuple[int, int]]:
+def _hull_roots(tree: _AtomTree, I, K) -> dict[tuple[int, int], tuple[int, int]]:
     """The least window root (num, den) of each node (u, paths) before TERMINAL,
     keyed (u, mask); den 0 if no window after u has mass.  A time is the point
     (sum K, sum I) of its cells.  A node stops whole at its point (K_u, I_u) or
@@ -458,7 +457,7 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
     reads X, and cuts the accrual, where its Lambda-stopping time stops each
     path, so at s = num / den it is worth the sum of its cells den * I + num * K
     of the `lines`, over den * D.  One `_fold` per level over the Lambda
-    decision tree gives the optimum and its optimizer count: no stop is listed,
+    atom tree gives the optimum and its optimizer count: no stop is listed,
     so no guard applies.  Passages are read by `_passage` on S = L**power,
     unchecked: the given L's levels, as `forward_evaluate` checks L, or the
     problem's `solved` S, scaled once to integers over D_S: a cell reaches s =
@@ -473,7 +472,7 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
         raise PreconditionError("is_left_usc_in_expectation failed for X")
     right_ok = _right_usc(lattice, meyer, X).ok
     I, K, D = problem.lines
-    tree = _tree(lattice, meyer, Kind.LAMBDA)
+    tree = _atom_tree(lattice, meyer, Kind.LAMBDA)
     cells, scale = _scaled(S.columns)
 
     def evaluate(ell) -> SignalRow:

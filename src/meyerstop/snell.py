@@ -1,19 +1,19 @@
 """Snell envelopes, compensator decomposition, and optimal divided stops.
 
-The envelope is a backward recursion over the instant chain; everything it
-claims is verified against `snell_brute_force`, which maximizes E[Z_T] over
-every Lambda-stopping time by one fold over per-part stopping decisions in
-integers: the same recursion, coded without conditional expectations.
+The envelope is a backward recursion over the Lambda atom tree in
+integers, checked against `snell_brute_force`, one fold over the same
+tree's stopping decisions: `snell/oracle` compares two loops on one tree.
 
 The envelope's one-step losses Zbar_i - E[Zbar_{i+1} | Lambda field at i]
-are one table, `_losses`.  The martingale reach is its first nonzero cell
-per path, and the supermartingale test asks that no cell be negative.  The
-decomposition slices the same table into the jumps of a predictable part A
-(jumps into grid points, plus a final jump at TERMINAL when the last
-interval value is positive) and an on-time part B (jumps at grid points),
-and A and B_- are its running sums; both drive the second optimal stop
-construction.  It checks its input through its own jumps and leaves its
-output to the suite's mertens/identities row.
+are one integer table over one denominator, `_losses`.  The martingale
+reach is its first nonzero cell per path, and the supermartingale test
+asks that no cell be negative.  The decomposition slices the same table
+into the jumps of a predictable part A (jumps into grid points, plus a
+final jump at TERMINAL when the last interval value is positive) and an
+on-time part B (jumps at grid points), and A and B_- are its integer
+running sums; both drive the second optimal stop construction.  It checks
+its input through its own jumps and leaves its output to the suite's
+mertens/identities row.
 
 Every stop here (the lambda-entry times, the delta touch time, the sigma
 compensator time, the smallest and largest optimal times) is the debut
@@ -41,10 +41,10 @@ from .lattice import (
     RandomInstant,
     _Record,
     _canonical_quadruple,
+    _conditioned,
     _first_hits,
-    conditional_expectation,
+    _node_columns,
     expected_value,  # re-exported: callers read it as `snell.expected_value`
-    field_partitions,
     is_lambda_stopping_time,
     is_measurable,
     reward_fault,
@@ -61,18 +61,18 @@ def snell_envelope(
     """Smallest supermartingale dominating the reward, by backward recursion.
 
     At the last interval the envelope is max(Z, 0); at a grid point the
-    continuation is conditioned on G_k, inside an interval on F_k.
+    continuation is conditioned on G_k, inside an interval on F_k.  On the
+    Lambda atom tree, children first, a node of mass m holds the integer
+    W = max(m * Z, its children's W) and the envelope W / m (0 at TERMINAL).
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    n = lattice.n_instants
-    fields = field_partitions(lattice, meyer, Kind.LAMBDA)
-    # the envelope is 0 at TERMINAL, where the reward vanishes
-    columns = [(Fraction(0),) * lattice.n_paths] * (n + 1)
-    for idx in range(n - 1, -1, -1):
-        cont = conditional_expectation(lattice, columns[idx + 1], fields[idx])
-        columns[idx] = tuple(max(z, c) for z, c in zip(process.columns[idx], cont))
-    return LatticeProcess(tuple(columns))
+    tree, sums, den = _conditioned(lattice, meyer, Kind.LAMBDA, process.columns)
+    held, kids = [0] * len(sums), tree.kids
+    for j in range(len(held) - 1, -1, -1):
+        held[j] = max(sums[j], sum(map(held.__getitem__, kids[j])))
+    values = [Fraction(w, m * den) for w, m in zip(held, tree.mass)]
+    return LatticeProcess(tuple(_node_columns(tree, values)))
 
 
 class BruteForceResult(_Record, hidden=("maximizers",)):
@@ -161,24 +161,25 @@ def martingale_reach(
 
 
 def _first_breaks(lattice, meyer, process, broken) -> tuple[int, ...]:
-    """Per path, the first instant index whose one-step loss is `broken`."""
+    """Per path, the first instant index whose integer one-step loss is `broken`."""
     if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
         raise LatticeError("process is not Lambda-measurable")
-    losses = _losses(lattice, meyer, process)
+    _, losses, _ = _losses(lattice, meyer, process)
     return _first_hits(lattice, (0,) * lattice.n_paths, lambda p, i: broken(losses[i][p]))
 
 
-def _losses(lattice, meyer, process) -> list[tuple[Fraction, ...]]:
-    """Per instant index i, the one-step loss E[process_i - process_{i+1} |
-    Lambda field at i].  Every caller has checked that the process is
-    Lambda-measurable, so this is process_i - E[process_{i+1} | field at i]."""
-    columns = process.columns
-    return [
-        conditional_expectation(
-            lattice, [v - w for v, w in zip(columns[idx], columns[idx + 1])], part
-        )
-        for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
-    ]
+def _losses(lattice, meyer, process) -> tuple[list[tuple], list[tuple], int]:
+    """The process (TERMINAL included) and, per instant index i before
+    TERMINAL, its one-step loss E[process_i - process_{i+1} | Lambda field
+    at i], as integer tables over D = den * the lcm of the node masses: a
+    node's sum, and its sum less its children's, times its cofactor.  Every
+    caller has checked that the process is Lambda-measurable."""
+    tree, sums, den = _conditioned(lattice, meyer, Kind.LAMBDA, process.columns)
+    levels, losses = [], []
+    for s, kids, c in zip(sums, tree.kids, tree.cofactor):
+        levels.append(s * c)
+        losses.append((s - sum(map(sums.__getitem__, kids))) * c)
+    return _node_columns(tree, levels), _node_columns(tree, losses)[:-1], den * tree.unit
 
 
 class MertensDecomposition(NamedTuple):
@@ -214,9 +215,9 @@ def mertens_decompose(
         delta A at (k,AT) = Zbar at (k-1,INT) - E[Zbar at (k,AT) | F_{k-1}]
     with delta A at (0,AT) = 0; the loss into TERMINAL, where Zbar is 0, is
     A's final predictable jump, Zbar at (K,INT).  The compensators are the
-    table's running sums: A at instant index i sums the odd-index losses
-    before i, B_- the even-index ones, and B is B_- one instant later (B_-
-    itself at TERMINAL).  M = Zbar + A + B_- is then a Lambda-martingale.
+    table's integer running sums: A at instant index i sums the odd-index
+    losses before i, B_- the even-index ones, and B is B_- one instant later
+    (B_- itself at TERMINAL).  M = Zbar + A + B_- is then a Lambda-martingale.
 
     A Lambda-measurable input that is nonnegative with terminal 0 is a
     supermartingale exactly when no loss is negative; the jumps check that
@@ -228,8 +229,8 @@ def mertens_decompose(
         if not is_measurable(lattice, meyer, zbar, Kind.LAMBDA):
             raise LatticeError("process is not Lambda-measurable")
         raise LatticeError("decomposition expects a nonnegative input with terminal 0")
-    loss = _losses(lattice, meyer, zbar)
-    zero = (Fraction(0),) * lattice.n_paths
+    levels, loss, den = _losses(lattice, meyer, zbar)
+    zero = (0,) * lattice.n_paths
     delta_b, delta_a, a_terminal_jump = loss[0::2], [zero, *loss[1:-1:2]], loss[-1]
     for db, da in zip(delta_b, delta_a):
         for name, jump in (("B", db), ("A", da)):
@@ -238,8 +239,8 @@ def mertens_decompose(
                     f"negative {name}-jump: input violates the supermartingale property"
                 )
 
-    # running sums, TERMINAL included: A at index i sums the odd-index
-    # losses before i, B_- the even-index ones
+    # integer running sums, TERMINAL included: A at index i sums the
+    # odd-index losses before i, B_- the even-index ones
     a, b_shifted = [zero], [zero]
     for j, jump in enumerate(loss):
         grows, holds = (a, b_shifted) if j % 2 else (b_shifted, a)
@@ -248,16 +249,20 @@ def mertens_decompose(
     # M = Zbar + A + B_-, at TERMINAL too, where Zbar is 0
     m = [
         tuple(v + x + y for v, x, y in zip(zc, ac, bc))
-        for zc, ac, bc in zip(zbar.columns, a, b_shifted)
+        for zc, ac, bc in zip(levels, a, b_shifted)
     ]
+    # one Fraction per distinct value
+    tables = (m, a, b_shifted, delta_a, delta_b, [a_terminal_jump])
+    over = {v: Fraction(v, den) for v in {v for table in tables for row in table for v in row}}
+    m, a, bs, da, db, (jump,) = [tuple(tuple(map(over.__getitem__, r)) for r in t) for t in tables]
     return MertensDecomposition(
-        m=LatticeProcess(tuple(m)),
-        a=LatticeProcess(tuple(a)),
-        b=LatticeProcess((*b_shifted[1:], b_shifted[-1])),
-        b_shifted=LatticeProcess(tuple(b_shifted)),
-        delta_a=tuple(delta_a),
-        delta_b=tuple(delta_b),
-        a_terminal_jump=a_terminal_jump,
+        m=LatticeProcess(m),
+        a=LatticeProcess(a),
+        b=LatticeProcess((*bs[1:], bs[-1])),
+        b_shifted=LatticeProcess(bs),
+        delta_a=da,
+        delta_b=db,
+        a_terminal_jump=jump,
     )
 
 

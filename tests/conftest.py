@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import meyerstop.lattice as lattice_module
 from meyerstop import enumeration
 from meyerstop.enumeration import enumerate_stopping_times
 from meyerstop.lattice import (
@@ -40,7 +41,7 @@ def build_lattice(probs, filtration_atoms, meyer_atoms, initial_atoms=None):
 def times_within(lattice, meyer, kind, allowed):
     """The index tuples of the times of `kind` within `allowed`, in walk
     order: the walk of the lattice's tree after a fold of all-zero gains."""
-    tree = enumeration._tree(lattice, meyer, kind)
+    tree = lattice_module._atom_tree(lattice, meyer, kind)
     return enumeration._walk(tree, enumeration._fold(tree, tree.zero, allowed).flags)
 
 

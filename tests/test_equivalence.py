@@ -66,6 +66,7 @@ from meyerstop.projection import (
     UscVerdict,
     check_usc_sequence_equivalence,
     envelope,
+    project,
 )
 from meyerstop.representation import (
     forward_evaluate,
@@ -784,13 +785,13 @@ def fold_solve(problem):
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     I, K, _ = problem.lines
-    tree = enumeration._tree(lattice, meyer, Kind.LAMBDA)
+    tree = lattice_module._atom_tree(lattice, meyer, Kind.LAMBDA)
     # the nodes before n_instants are the atoms of the Lambda fields
     node = {(i, m): j for j, (i, m) in enumerate(zip(tree.inst, tree.mask))}
     columns = [[None] * lattice.n_paths for _ in range(lattice.n_instants)]
     for u, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)):
         for block in part:
-            num, den = dinkelbach_root(tree, node[u, enumeration._mask(block)], I, K)
+            num, den = dinkelbach_root(tree, node[u, lattice_module._mask(block)], I, K)
             if den == 0:
                 if X.columns[u][min(block)] != 0:
                     raise representation.RepresentationError(
@@ -1918,7 +1919,7 @@ def test_part_fold_matches_the_mask_fold(kind):
         tables = [_between(lattice, None), _between(lattice, lower)]
         # sparser cells leave more paths no live completion, so more states die
         tables += [_cells(lattice, lambda p, i: rng.random() < odds) for odds in (0.9, 0.7, 0.5)]
-        tree = enumeration._tree(lattice, meyer, kind)
+        tree = lattice_module._atom_tree(lattice, meyer, kind)
         for allowed in tables:
             drawn = [[rng.randint(-4, 4) for _ in range(paths)] for _ in range(n + 1)]
             zero = [[0] * paths for _ in range(n + 1)]
@@ -2066,7 +2067,7 @@ def test_the_guard_bounds_exactly_what_a_walk_lists():
             assert sum(1 for _ in listed) == total, (seed, kind)
             # a tree within T >= lower counts exactly what its walk lists
             lower = RandomInstant(tuple(rng.randint(0, n) for _ in range(lattice.n_paths)), n)
-            tree = enumeration._tree(lattice, meyer, kind)
+            tree = lattice_module._atom_tree(lattice, meyer, kind)
             fold = enumeration._fold(tree, tree.zero, _between(lattice, lower))
             assert sum(1 for _ in enumeration._walk(tree, fold.flags)) == fold.top[2], (seed, kind)
             seen[kind] += fold.top[2] > 1
@@ -2275,3 +2276,125 @@ def test_the_suite_fails_under_a_wrong_end_field_table(kind, field, suites, rows
             failing += bool(names)
             failed_rows |= names
     assert failing >= suites and rows <= failed_rows, (failing, failed_rows)
+
+
+# (k) conditioning on the atom tree ------------------------------------------
+# `project`, `snell_envelope` and `mertens_decompose` condition through
+# `lattice._conditioned`, one integer pass over a kind's atom tree.  The
+# oracles are the column-wise public `conditional_expectation`, which checks
+# and averages each partition on its own, and the per-column Fraction
+# recursion of the envelope with its losses' running sums, kept here.
+
+
+def fraction_envelope(lattice, meyer, reward):
+    """max(Z_i, E[Zbar_{i+1} | Lambda field at i]) column by column in
+    `Fraction`s (`fraction_average`), 0 at TERMINAL."""
+    cols = [(Fraction(0),) * lattice.n_paths]
+    for idx, part in reversed(list(enumerate(field_partitions(lattice, meyer, Kind.LAMBDA)))):
+        cont = fraction_average(lattice, cols[0], part)
+        cols.insert(0, tuple(max(z, c) for z, c in zip(reward.columns[idx], cont)))
+    return LatticeProcess(tuple(cols))
+
+
+def fraction_decomposition(lattice, meyer, zbar):
+    """M - A - B_- by `Fraction` running sums of the losses
+    zbar_i - E[zbar_{i+1} | Lambda field at i] of the same recursion."""
+    z, zero = zbar.columns, (Fraction(0),) * lattice.n_paths
+    loss = [
+        tuple(v - c for v, c in zip(z[idx], fraction_average(lattice, z[idx + 1], part)))
+        for idx, part in enumerate(field_partitions(lattice, meyer, Kind.LAMBDA))
+    ]
+    a, bs = [zero], [zero]
+    for j, jump in enumerate(loss):
+        grows, holds = (a, bs) if j % 2 else (bs, a)
+        grows.append(tuple(x + y for x, y in zip(grows[-1], jump)))
+        holds.append(holds[-1])
+    m = [tuple(map(sum, zip(*cells))) for cells in zip(z, a, bs)]
+    return MertensDecomposition(
+        m=LatticeProcess(tuple(m)),
+        a=LatticeProcess(tuple(a)),
+        b=LatticeProcess((*bs[1:], bs[-1])),
+        b_shifted=LatticeProcess(tuple(bs)),
+        delta_a=(zero, *loss[1:-1:2]),
+        delta_b=tuple(loss[0::2]),
+        a_terminal_jump=loss[-1],
+    )
+
+
+def same_tables(got, want) -> bool:
+    """Equal tables of equal shape, cell by cell, value and type."""
+    return len(got) == len(want) and all(
+        len(g) == len(w) and all(map(same, g, w)) for g, w in zip(got, want)
+    )
+
+
+def same_decompositions(got, want) -> bool:
+    return all(
+        same_tables(*(getattr(d, f).columns for d in (got, want)))
+        for f in ("m", "a", "b", "b_shifted")
+    ) and all(
+        same_tables(getattr(got, f), getattr(want, f)) for f in ("delta_a", "delta_b")
+    ) and same_tables([got.a_terminal_jump], [want.a_terminal_jump])
+
+
+def tree_coding_mismatches() -> set[str]:
+    """Which tree codings differ from their oracles on generated seeds 0-11 ×
+    3 regimes: `project` on each kind, for each process and a signed,
+    non-measurable random one, and, for each reward, `snell_envelope` and
+    `mertens_decompose` of the oracle's envelope (a refusal counts)."""
+    found, compared = set(), 0
+    for seed in range(12):
+        for regime in REGIMES:
+            params = RandomInstanceParams(seed=seed, epochs=2 + seed % 2, regime=regime)
+            sc = generate_instance(params)
+            lattice, meyer, rng = sc.lattice, sc.meyer, random.Random(seed)
+            cells = lattice.n_paths * (lattice.n_instants + 1)
+            signed = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(cells)]
+            raw = LatticeProcess(tuple(zip(*[iter(signed)] * lattice.n_paths)))
+            assert not is_measurable(lattice, meyer, raw, Kind.LAMBDA) or lattice.n_paths == 1
+            for process in (*sc.processes.values(), raw):
+                for kind in Kind:
+                    fields = field_partitions(lattice, meyer, kind)
+                    want = [
+                        conditional_expectation(lattice, column, part)
+                        for column, part in zip(process.columns, fields)
+                    ]
+                    got = project(lattice, meyer, process, kind).columns
+                    if not same_tables(got, [*want, process.columns[-1]]):
+                        found.add("project")
+                    compared += 1
+                if reward_fault(lattice, meyer, process) is not None:
+                    continue
+                zbar = fraction_envelope(lattice, meyer, process)
+                if not same_tables(snell_envelope(lattice, meyer, process).columns, zbar.columns):
+                    found.add("snell_envelope")
+                try:
+                    if not same_decompositions(
+                        mertens_decompose(lattice, meyer, zbar),
+                        fraction_decomposition(lattice, meyer, zbar),
+                    ):
+                        found.add("mertens_decompose")
+                except LatticeError:
+                    found.add("mertens_decompose")
+                compared += 2
+    assert compared > 450, compared
+    return found
+
+
+def test_tree_conditioning_matches_the_per_column_fraction_codings():
+    assert tree_coding_mismatches() == set()
+
+
+def test_a_kernel_that_drops_one_path_weight_fails_every_coding(monkeypatch):
+    # the mutant leaves the last path's cells out of every node sum while its
+    # weight stays in the node's mass
+    real = lattice_module._conditioned
+
+    def dropped(lattice, meyer, kind, columns):
+        q = lattice.n_paths - 1
+        return real(lattice, meyer, kind, [(*column[:q], 0) for column in columns])
+
+    for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "meyerstop"]:
+        if getattr(module, "_conditioned", None) is real:
+            monkeypatch.setattr(module, "_conditioned", dropped)
+    assert tree_coding_mismatches() == {"project", "snell_envelope", "mertens_decompose"}

@@ -34,7 +34,7 @@ from meyerstop.lattice import (
     validate_divided,
     validate_lattice,
 )
-from meyerstop.enumeration import enumerate_stopping_times
+from meyerstop.enumeration import count_stopping_times, enumerate_stopping_times
 from meyerstop.projection import project
 from meyerstop.representation import GFamily, RandomMeasure, RepresentationProblem, validate_g
 from meyerstop.scenario import RandomInstanceParams, generate_instance, parse_scenario
@@ -125,22 +125,79 @@ def test_conditional_expectation_examples(branch, three_path):
     assert out == (Fraction(1), expected_12, expected_12) == (1, 4, 4)
 
 
-@pytest.mark.parametrize(
-    "blocks, message",
-    [
-        # path 1 in both blocks: the second average would overwrite the first
-        (({0, 1}, {1}), "path 1 lies in two blocks of the partition"),
-        ((frozenset(), {0, 1, 2}), "partition has an empty block"),
-        (({0}, {1}), "partition does not cover the path set"),
-        (({0, 1}, {2, 3}), "path 3 is not one of the lattice's 3 paths"),
-        (({-1, 0}, {1, 2}), "path -1 is not one of the lattice's 3 paths"),
-    ],
-)
+NON_PARTITIONS = [
+    # path 1 in both blocks: the second average would overwrite the first
+    (({0, 1}, {1}), "path 1 lies in two blocks of the partition"),
+    ((frozenset(), {0, 1, 2}), "partition has an empty block"),
+    (({0}, {1}), "partition does not cover the path set"),
+    (({0, 1}, {2, 3}), "path 3 is not one of the lattice's 3 paths"),
+    (({-1, 0}, {1, 2}), "path -1 is not one of the lattice's 3 paths"),
+]
+
+
+@pytest.mark.parametrize("blocks, message", NON_PARTITIONS)
 def test_conditional_expectation_rejects_a_non_partition(three_path, blocks, message):
     lattice, _ = three_path
     rv = (Fraction(3), Fraction(6), Fraction(9))
     with pytest.raises(LatticeError, match=f"^{message}$"):
         conditional_expectation(lattice, rv, tuple(frozenset(b) for b in blocks))
+
+
+@pytest.mark.parametrize("blocks, message", NON_PARTITIONS)
+@pytest.mark.parametrize("at", [0, 1])
+def test_project_rejects_a_field_that_is_not_a_partition(blocks, message, at):
+    # the atom tree checks each field once, as conditional_expectation checks
+    # its partition, whether the bad field is G_0 or F_1
+    fields = [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]]
+    bad = [list(b) for b in blocks]
+    lattice, meyer = build_lattice(
+        ["1/2", "1/4", "1/4"],
+        [bad if k == 1 and at else f for k, f in enumerate(fields)],
+        [bad if k == 0 and not at else f for k, f in enumerate(fields)],
+    )
+    process = LatticeProcess.constant(lattice, 1)
+    for _ in range(2):  # a refused tree is not kept
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            project(lattice, meyer, process, Kind.LAMBDA)
+
+
+def test_a_float_cell_is_refused_through_the_atom_tree(three_path):
+    # the tree's conditioning scales the process once, and `_scaled` names a
+    # float cell; project leaves the terminal column as it is
+    lattice, meyer = three_path
+    cols = [list(c) for c in LatticeProcess.constant(lattice, 1).columns]
+    cols[2][0], cols[-1] = 0.5, [0] * lattice.n_paths  # path 0 is an atom of G_1
+    process = LatticeProcess(tuple(map(tuple, cols)))
+    assert reward_fault(lattice, meyer, process) is None
+    for kind in Kind:
+        with pytest.raises(LatticeError, match=r"^0\.5 is not an exact rational$"):
+            project(lattice, meyer, process, kind)
+    with pytest.raises(LatticeError, match=r"^0\.5 is not an exact rational$"):
+        snell_envelope(lattice, meyer, process)
+    cols[2][0], cols[-1] = 1, [0.5] * lattice.n_paths
+    process = LatticeProcess(tuple(map(tuple, cols)))
+    assert project(lattice, meyer, process, Kind.LAMBDA).columns[-1] == (0.5,) * 3
+
+
+def test_the_atom_tree_refuses_a_field_that_does_not_refine_the_one_before():
+    # F_1 = {0,1},{2} merges two atoms of F_0 = {0},{1},{2}.  Every field is a
+    # partition; a tree on shares of atoms would count 65 Lambda-stopping
+    # times and condition on the shares
+    lattice, meyer = build_lattice(
+        ["1/3", "1/3", "1/3"],
+        [[[0], [1], [2]], [[0, 1], [2]]],
+        [[[0, 1, 2]], [[0, 1], [2]]],
+    )
+    assert "F_1 does not refine F_0" in "; ".join(validate_lattice(lattice, meyer).problems)
+    message = r"^the {} field at instant index 2 does not refine the field before it"
+    zero = LatticeProcess.constant(lattice, 0)
+    for kind in (Kind.LAMBDA, Kind.OPTIONAL):
+        with pytest.raises(LatticeError, match=message.format(kind.value)):
+            count_stopping_times(lattice, meyer, kind)
+        with pytest.raises(LatticeError, match=message.format(kind.value)):
+            project(lattice, meyer, zero, kind)
+    with pytest.raises(LatticeError, match=message.format("lambda") + r" \(atom \[0, 1\]\)$"):
+        snell_envelope(lattice, meyer, zero)
 
 
 @given(

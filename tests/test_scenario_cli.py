@@ -7,6 +7,7 @@ import errno
 import hashlib
 import json
 import os
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,7 @@ import meyerstop.projection as projection_module
 import meyerstop.representation as representation_module
 import meyerstop.scenario as scenario_module
 import meyerstop.snell as snell_module
-from meyerstop import checks, enumeration
+from meyerstop import checks
 from meyerstop.cli import main, render_machine, run_command, run_suite
 from meyerstop.lattice import INT, Instant, Kind, LatticeError, LatticeProcess, field_partitions
 from meyerstop.projection import is_left_usc_in_expectation, is_right_usc_in_expectation
@@ -819,31 +820,51 @@ def test_g_is_canonicalized_once_per_scenario(monkeypatch):
 
 
 def test_each_command_builds_one_tree_per_kind(monkeypatch, tmp_path, capsys):
-    # every fold, count, walk and hull pass of a command reads the tree kept
-    # on its lattice: `oracle` builds one, and `suite` one per kind it folds
-    # (a tree per fold built 10 on the seed-62 lattice and 7 on branch.scn)
-    built = []
-    real = enumeration._Tree
+    # every fold, count, walk, hull pass and conditioning of a command reads
+    # the atom tree kept on its lattice: `oracle` builds the Lambda tree, and
+    # `suite` one per kind (its projections read the optional one).  Only
+    # stop/delta's conditional identity calls the public
+    # `conditional_expectation`, once per start of each valid reward
+    built, conditioned, starts = [], [], []
+    real_tree, real_expectation, real_delta = (
+        lattice_module._AtomTree,
+        lattice_module.conditional_expectation,
+        checks.check_delta,
+    )
 
-    class Counted(real):
+    class Counted(real_tree):
         def __init__(self, lattice, meyer, kind):
             built.append(kind)
             super().__init__(lattice, meyer, kind)
 
-    monkeypatch.setattr(enumeration, "_Tree", Counted)
+    def counted_expectation(*args):
+        conditioned.append(args)
+        return real_expectation(*args)
+
+    def counted_delta(lattice, meyer, process, zbar, decomp, given):
+        starts.extend(given)
+        return real_delta(lattice, meyer, process, zbar, decomp, given)
+
+    monkeypatch.setattr(lattice_module, "_AtomTree", Counted)
+    monkeypatch.setattr(checks, "check_delta", counted_delta)
+    for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "meyerstop"]:
+        if getattr(module, "conditional_expectation", None) is real_expectation:
+            monkeypatch.setattr(module, "conditional_expectation", counted_expectation)
     heavy = tmp_path / "seed62.scn"
     params = RandomInstanceParams(seed=62, epochs=4, max_paths=6, regime=OPTIONAL_EXTREME)
     heavy.write_text(render_scenario(generate_instance(params)), encoding="utf-8")
     branch = FIXTURES / "branch.scn"
     cases = [
-        ("oracle", branch, [Kind.LAMBDA]),
-        ("suite", heavy, [Kind.LAMBDA, Kind.PREDICTABLE]),
-        ("suite", branch, [Kind.LAMBDA, Kind.PREDICTABLE]),
+        ("oracle", branch, [Kind.LAMBDA], 0),
+        ("suite", heavy, list(Kind), 2),
+        ("suite", branch, list(Kind), 1),
     ]
-    for command, path, kinds in cases:
-        built.clear()
+    for command, path, kinds, rewards in cases:
+        for seen in (built, conditioned, starts):
+            seen.clear()
         assert main([command, "--scenario", str(path)]) == 0, (command, path)
         assert Counter(built) == Counter(kinds), (command, path.name, built)
+        assert len(conditioned) == len(starts) == rewards, (command, path.name)
     capsys.readouterr()
 
 

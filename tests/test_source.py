@@ -322,22 +322,30 @@ def _attribute_reads(tree: ast.AST, attr: str) -> list[int]:
     )
 
 
-# The snell functions that may condition: the envelope's recursion, and the
-# one-step loss table that the reach, the supermartingale test and the
-# decomposition all read.
-CONDITIONING = ("snell_envelope", "_losses")
+# Where the engine conditions: through the atom tree (`lattice._conditioned`)
+# only in the projection, the envelope's recursion and the one-step loss
+# table that the reach, the supermartingale test and the decomposition all
+# read; through the public per-partition `conditional_expectation` only in
+# stop/delta's conditional identity, the independent coding of the relaxation.
+CONDITIONING = {
+    "_conditioned": {
+        ("projection.py", "project"),
+        ("snell.py", "snell_envelope"),
+        ("snell.py", "_losses"),
+    },
+    "conditional_expectation": {("checks.py", "check_delta")},
+}
 
 
-def _conditioning_findings(tree: ast.AST) -> list[str]:
-    """Calls of conditional_expectation outside the CONDITIONING functions."""
-    allowed = {
-        id(c) for name in CONDITIONING for c in _calls(tree, "conditional_expectation", name)
-    }
-    return [
-        f"snell.py:{c.lineno} calls conditional_expectation"
-        for c in _calls(tree, "conditional_expectation")
-        if id(c) not in allowed
-    ]
+def _conditioning_findings(name: str, tree: ast.AST) -> list[str]:
+    """Calls that condition outside the CONDITIONING functions of module `name`."""
+    found = []
+    for called, allowed in CONDITIONING.items():
+        exempt = {
+            id(c) for module, fn in allowed if module == name for c in _calls(tree, called, fn)
+        }
+        found += [(c.lineno, called) for c in _calls(tree, called) if id(c) not in exempt]
+    return [f"{name}:{line} calls {called}" for line, called in sorted(found)]
 
 
 def _scaling_findings(name: str, tree: ast.AST) -> list[str]:
@@ -353,9 +361,9 @@ def test_each_exact_computation_is_said_once():
     # one integer scaling (`lattice._scaled`), called only in `lattice` and
     # by the signal check's levels; P is weighed in `lattice` too
     # (`lattice._weighted`), so no other engine module reads the
-    # probabilities; and snell conditions only in the envelope's recursion
-    # and in the one loss table the reach, the supermartingale test and the
-    # decomposition's jumps read
+    # probabilities; and the engine conditions on the atom tree only in
+    # `project`, the envelope's recursion and the one loss table, and calls
+    # the per-partition `conditional_expectation` only in stop/delta
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -372,8 +380,7 @@ def test_each_exact_computation_is_said_once():
                 f"{path.name}:{line} reads probabilities"
                 for line in _attribute_reads(tree, "probabilities")
             ]
-        if path.name == "snell.py":
-            found += _conditioning_findings(tree)
+        found += _conditioning_findings(path.name, tree)
     assert not found, found
 
 
@@ -382,16 +389,42 @@ def test_the_once_check_sees_each_duplicate():
         "def _scaled(r):\n    return math.lcm(*r)\n"
         "def f(r):\n    return lcm(*r)\n"
         "def mertens_decompose(z):\n    return conditional_expectation(z)\n"
-        "def snell_envelope(z):\n    return conditional_expectation(z)\n"
-        "def _losses(z):\n    return [lattice.conditional_expectation(c) for c in z]\n"
+        "def snell_envelope(z):\n    return _conditioned(z)\n"
+        "def _losses(z):\n    return [lattice._conditioned(c) for c in z]\n"
         "def _continuations(z):\n    return [conditional_expectation(c) for c in z]\n"
+        "def project(z):\n    return _conditioned(z), lattice.conditional_expectation(z)\n"
+        "def check_delta(z):\n    return conditional_expectation(z)\n"
+        "def _first_breaks(z):\n    def inner(c):\n        return lattice_module._conditioned(c)\n"
     )
     assert [c.lineno for c in _calls(tree, "lcm")] == [2, 4]
     assert [c.lineno for c in _calls(tree, "lcm", "_scaled")] == [2]
     assert [c.lineno for c in _calls(tree, "conditional_expectation", "mertens_decompose")] == [6]
-    assert _conditioning_findings(tree) == [
+    assert [c.lineno for c in _calls(tree, "_conditioned", "_first_breaks")] == [19]
+    assert _conditioning_findings("snell.py", tree) == [
         "snell.py:6 calls conditional_expectation",
         "snell.py:12 calls conditional_expectation",
+        "snell.py:14 calls _conditioned",
+        "snell.py:14 calls conditional_expectation",
+        "snell.py:16 calls conditional_expectation",
+        "snell.py:19 calls _conditioned",
+    ]
+    assert _conditioning_findings("projection.py", tree) == [
+        "projection.py:6 calls conditional_expectation",
+        "projection.py:8 calls _conditioned",
+        "projection.py:10 calls _conditioned",
+        "projection.py:12 calls conditional_expectation",
+        "projection.py:14 calls conditional_expectation",
+        "projection.py:16 calls conditional_expectation",
+        "projection.py:19 calls _conditioned",
+    ]
+    assert _conditioning_findings("checks.py", tree) == [
+        "checks.py:6 calls conditional_expectation",
+        "checks.py:8 calls _conditioned",
+        "checks.py:10 calls _conditioned",
+        "checks.py:12 calls conditional_expectation",
+        "checks.py:14 calls _conditioned",
+        "checks.py:14 calls conditional_expectation",
+        "checks.py:19 calls _conditioned",
     ]
 
 
@@ -897,15 +930,28 @@ def test_the_root_entry_scan_sees_each_form():
 
 
 def _tree_builds(name: str, tree: ast.Module) -> list[str]:
-    """Constructions of the decision tree other than the per-lattice cache's
-    one, `enumeration._tree`."""
-    exempt = {id(c) for c in _calls(tree, "_Tree", "_tree")} if name == "enumeration.py" else set()
-    return sorted(f"{name}:{c.lineno} builds a _Tree" for c in _calls(tree, "_Tree") if id(c) not in exempt)
+    """Constructions of the atom tree, and reads of the lattice's tree cache,
+    other than the per-lattice cache's own, `lattice._atom_tree`."""
+    exempt = set()
+    if name == "lattice.py":
+        exempt = {id(node) for fn in _functions(tree, "_atom_tree") for node in ast.walk(fn)}
+    found = [(c.lineno, "builds an _AtomTree") for c in _calls(tree, "_AtomTree") if id(c) not in exempt]
+    found += [
+        (node.lineno, "reads ._trees")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_trees" and id(node) not in exempt
+    ]
+    return [f"{name}:{line} {what}" for line, what in sorted(found)]
+
+
+def _functions(tree: ast.AST, name: str) -> list[ast.FunctionDef]:
+    return [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == name]
 
 
 def test_every_tree_comes_from_the_lattice_cache():
-    # one flat tree per (lattice, meyer, kind): every fold, count, walk and
-    # hull pass reads the tree `enumeration._tree` keeps on the lattice
+    # one atom tree per (lattice, meyer, kind): every fold, count, walk, hull
+    # pass and conditioning reads the tree `lattice._atom_tree` keeps on the
+    # lattice, and nothing else reads or fills that cache
     found = [
         finding
         for path in sorted(PACKAGE.glob("*.py"))
@@ -916,20 +962,26 @@ def test_every_tree_comes_from_the_lattice_cache():
 
 def test_the_tree_build_scan_sees_each_form():
     source = (
-        "def _tree(lattice, meyer, kind):\n"
-        "    return _Tree(lattice, meyer, kind)\n"
+        "def _atom_tree(lattice, meyer, kind):\n"
+        "    tree = lattice._trees.get((meyer, kind))\n"
+        "    return tree or _AtomTree(lattice, meyer, kind)\n"
         "def solve(lattice, meyer):\n"
-        "    return enumeration._Tree(lattice, meyer, Kind.LAMBDA)\n"
-        "steps = _Tree(lattice, meyer, kind)\n"
+        "    return lattice_module._AtomTree(lattice, meyer, Kind.LAMBDA)\n"
+        "steps = _AtomTree(lattice, meyer, kind)\n"
+        "def _conditioned(lattice, meyer, kind):\n"
+        "    return lattice._trees[meyer, kind]\n"
     )
-    assert _tree_builds("enumeration.py", ast.parse(source)) == [
-        "enumeration.py:4 builds a _Tree",
-        "enumeration.py:5 builds a _Tree",
+    assert _tree_builds("lattice.py", ast.parse(source)) == [
+        "lattice.py:5 builds an _AtomTree",
+        "lattice.py:6 builds an _AtomTree",
+        "lattice.py:8 reads ._trees",
     ]
-    assert _tree_builds("representation.py", ast.parse(source)) == [
-        "representation.py:2 builds a _Tree",
-        "representation.py:4 builds a _Tree",
-        "representation.py:5 builds a _Tree",
+    assert _tree_builds("enumeration.py", ast.parse(source)) == [
+        "enumeration.py:2 reads ._trees",
+        "enumeration.py:3 builds an _AtomTree",
+        "enumeration.py:5 builds an _AtomTree",
+        "enumeration.py:6 builds an _AtomTree",
+        "enumeration.py:8 reads ._trees",
     ]
 
 
