@@ -175,12 +175,6 @@ def make_partition(blocks: Iterable[Iterable[int]]) -> Partition:
     return tuple(sorted(frozen, key=lambda b: min(b) if b else -1))
 
 
-def is_partition(partition: Partition, n_paths: int) -> bool:
-    """Nonempty blocks that never overlap and cover exactly the paths 0..n_paths - 1."""
-    covered = set().union(*partition)
-    return all(partition) and sum(map(len, partition)) == n_paths and covered == set(range(n_paths))
-
-
 def is_union_of_atoms(subset: frozenset[int], partition: Partition) -> bool:
     rest = set(subset)
     for block in partition:
@@ -234,7 +228,8 @@ class FilteredLattice(_Record):
 
     @cached_property
     def _trees(self) -> dict:
-        """The atom trees of this lattice (`_atom_tree`), keyed (meyer, kind)."""
+        """The atom trees of this lattice (`_atom_tree`), keyed (meyer, kind),
+        beside its structural reports (`validate_lattice`), keyed meyer."""
         return {}
 
     @property
@@ -267,11 +262,21 @@ class ValidationReport(NamedTuple):
 
 
 def validate_lattice(lattice: FilteredLattice, meyer: MeyerStructure) -> ValidationReport:
-    """Check every structural invariant; each violation becomes one message."""
+    """Check every structural invariant; each violation becomes one message.
+    The report is made once per (lattice, meyer) and kept on the lattice."""
+    if (report := lattice._trees.get(meyer)) is None:
+        problems = tuple(_structure_problems(lattice, meyer))
+        report = lattice._trees[meyer] = ValidationReport(not problems, problems)
+    return report
+
+
+def _structure_problems(lattice: FilteredLattice, meyer: MeyerStructure) -> list[str]:
+    """`validate_lattice`'s messages, computed: each field must be a
+    partition (`_owners` names why not) that refines the one before it."""
     problems: list[str] = []
-    n = lattice.n_paths
-    if lattice.epoch_count < 1:
-        problems.append(f"epoch_count must be positive, got {lattice.epoch_count}")
+    n, K = lattice.n_paths, lattice.epoch_count
+    if K < 1:
+        problems.append(f"epoch_count must be positive, got {K}")
     ids = [p.id for p in lattice.paths]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -283,41 +288,35 @@ def validate_lattice(lattice: FilteredLattice, meyer: MeyerStructure) -> Validat
     if total != 1:
         problems.append(f"probabilities sum to {total}")
 
-    if len(lattice.filtration) != lattice.epoch_count + 1:
-        problems.append(
-            f"filtration must have {lattice.epoch_count + 1} partitions, "
-            f"got {len(lattice.filtration)}"
-        )
-    named: list[tuple[str, Partition]] = [
-        (f"F_{k}", part) for k, part in enumerate(lattice.filtration)
+    for what, fields in ("filtration", lattice.filtration), ("meyer structure", meyer.meyer_fields):
+        if len(fields) != K + 1:
+            problems.append(f"{what} must have {K + 1} partitions, got {len(fields)}")
+    named = [
+        *((f"F_{k}", part) for k, part in enumerate(lattice.filtration)),
+        ("F_0-", lattice.initial_partition()),
+        *((f"G_{k}", part) for k, part in enumerate(meyer.meyer_fields)),
     ]
-    named.append(("F_0-", lattice.initial_partition()))
-    if len(meyer.meyer_fields) != lattice.epoch_count + 1:
-        problems.append(
-            f"meyer structure must have {lattice.epoch_count + 1} partitions, "
-            f"got {len(meyer.meyer_fields)}"
-        )
-    named.extend((f"G_{k}", part) for k, part in enumerate(meyer.meyer_fields))
+    field = dict(named)
     for name, part in named:
-        if not is_partition(part, n):
-            problems.append(f"{name} is not a partition of the path set")
+        try:
+            _owners(part, n)
+        except LatticeError as exc:
+            problems.append(f"{name} is not a partition of the path set: {exc}")
 
-    def check_refines(fname: str, finer: Partition, cname: str, coarser: Partition) -> None:
+    def check_refines(finer: str, coarser: str) -> None:
         # both are partitions: an atom of `finer` lies in one of `coarser` or meets two
-        owner = {p: k for k, block in enumerate(coarser) for p in block}
-        if bad := [sorted(block) for block in finer if len({owner[p] for p in block}) > 1]:
-            problems.append(f"{fname} does not refine {cname} (offending atoms {bad})")
+        owner = {p: k for k, block in enumerate(field[coarser]) for p in block}
+        if bad := [sorted(block) for block in field[finer] if len({owner[p] for p in block}) > 1]:
+            problems.append(f"{finer} does not refine {coarser} (offending atoms {bad})")
 
     if not problems:
-        check_refines("F_0", lattice.filtration[0], "F_0-", lattice.initial_partition())
-        for k in range(1, lattice.epoch_count + 1):
-            check_refines(f"F_{k}", lattice.filtration[k], f"F_{k-1}", lattice.filtration[k - 1])
-        for k in range(lattice.epoch_count + 1):
-            below = lattice.initial_partition() if k == 0 else lattice.filtration[k - 1]
-            below_name = "F_0-" if k == 0 else f"F_{k-1}"
-            check_refines(f"G_{k}", meyer.meyer_fields[k], below_name, below)
-            check_refines(f"F_{k}", lattice.filtration[k], f"G_{k}", meyer.meyer_fields[k])
-    return ValidationReport(ok=not problems, problems=tuple(problems))
+        below = ["F_0-", *(f"F_{k}" for k in range(K))]
+        for k in range(K + 1):
+            check_refines(f"F_{k}", below[k])
+        for k in range(K + 1):
+            check_refines(f"G_{k}", below[k])
+            check_refines(f"F_{k}", f"G_{k}")
+    return problems
 
 
 def sigma_field_at(
@@ -359,19 +358,19 @@ def _owners(partition: Partition, n: int) -> dict[int, int]:
     """Per path, the index of its block in `partition`.  An empty block, a
     path index out of range, a path in two blocks or an uncovered path
     raises LatticeError, the first one met block by block."""
-    if is_partition(partition, n):
-        return {p: k for k, block in enumerate(partition) for p in block}
-    seen: set[int] = set()
-    for block in partition:
+    owner: dict[int, int] = {}
+    for k, block in enumerate(partition):
         if not block:
             raise LatticeError("partition has an empty block")
         for i in block:
             if not 0 <= i < n:
                 raise LatticeError(f"path {i} is not one of the lattice's {n} paths")
-            if i in seen:
+            if i in owner:
                 raise LatticeError(f"path {i} lies in two blocks of the partition")
-            seen.add(i)
-    raise LatticeError("partition does not cover the path set")
+            owner[i] = k
+    if len(owner) != n:
+        raise LatticeError("partition does not cover the path set")
+    return owner
 
 
 def conditional_expectation(
@@ -432,16 +431,17 @@ def _mask(paths) -> int:
 class _AtomTree:
     """The atoms of one kind's fields as one tree: a node is an atom of
     instant i's field, its children the atoms of instant i + 1 inside it
-    (one TERMINAL child after the last interval), numbered parent before
-    child, instant by instant, in parallel lists of instants, paths, path
-    masks and child nodes.  Each field must be a partition (`_owners`) that
-    refines the one before.  `mass` (per node), `unit` (their lcm) and
-    `cofactor` (unit over mass) wait for `_conditioned`."""
+    (one TERMINAL child after the last interval, so the TERMINAL nodes are
+    the atoms of F_K), numbered parent before child, instant by instant, in
+    parallel lists of instants, paths, path masks and child nodes.  Built
+    only on a lattice that `validate_lattice` passes, whose fields are
+    partitions that refine each other.  `mass` (per node), `unit` (their
+    lcm) and `cofactor` (unit over mass) wait for `_conditioned`."""
 
     def __init__(self, lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> None:
         self.n_paths, self.n_inst = n, last = lattice.n_paths, lattice.n_instants
         fields = field_partitions(lattice, meyer, kind)
-        owners = [*(_owners(part, n) for part in fields), [0] * n]
+        owners = [*({p: k for k, b in enumerate(part) for p in b} for part in fields), [0] * n]
         self.inst, self.paths, self.mask, kids = [], [], [], []
         parents = [(0, range(n))]  # a virtual root, then each node
         for i, paths in parents:  # number the atoms of instant i inside `paths`
@@ -449,12 +449,7 @@ class _AtomTree:
             for p in (paths if i <= last else ()):
                 shares.setdefault(owners[i][p], []).append(p)
             kids.append(tuple(range(len(self.inst), len(self.inst) + len(shares))))
-            for k, share in shares.items():
-                if i < last and len(share) != len(atom := fields[i][k]):
-                    raise LatticeError(
-                        f"the {kind.value} field at instant index {i} does not refine "
-                        f"the field before it (atom {sorted(atom)})"
-                    )
+            for share in shares.values():
                 self.inst.append(i)
                 self.paths.append(tuple(share))
                 self.mask.append(_mask(share))
@@ -465,9 +460,12 @@ class _AtomTree:
 
 
 def _atom_tree(lattice: FilteredLattice, meyer: MeyerStructure, kind: Kind) -> _AtomTree:
-    """The atom tree of `kind` under `meyer`, built once and kept on the lattice."""
+    """The atom tree of `kind` under `meyer`, built once and kept on the lattice;
+    a lattice that `validate_lattice` rejects raises its problems."""
     tree = lattice._trees.get((meyer, kind))
     if tree is None:
+        if not (report := validate_lattice(lattice, meyer)):
+            raise LatticeError("; ".join(report.problems))
         tree = lattice._trees[meyer, kind] = _AtomTree(lattice, meyer, kind)
     return tree
 
@@ -622,22 +620,32 @@ class RandomInstant(_Record):
         return self.indices
 
 
+def _instant_fault(lattice: FilteredLattice, T: RandomInstant) -> str | None:
+    """Why T is not a random instant of the lattice (one index per path, each
+    in 0..n_instants, with the lattice's TERMINAL index), or None."""
+    n = lattice.n_instants
+    if T.n_instants != n or len(T.indices) != lattice.n_paths:
+        return f"{T!r} is not a random instant of this lattice"
+    if bad := [i for i in T.indices if not 0 <= i <= n]:
+        return f"random instant index {bad[0]} lies outside 0..{n}"
+    return None
+
+
 def is_measurable(
     lattice: FilteredLattice,
     meyer: MeyerStructure,
     process: LatticeProcess,
     kind: Kind,
 ) -> bool:
-    """True iff every column is constant on the atoms of its field; the
-    terminal column's field is F_K, the terminal information.  Each cell of
-    a block is compared with the block's first cell, so no cell is hashed."""
+    """True iff every column is constant on the atoms of its field, the atom
+    tree's nodes; the terminal column's field is F_K, the terminal
+    information.  Each cell is compared with its node's first cell, unhashed."""
     _require_shape(lattice, process)
-    fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
-    for column, part in zip(process.columns, fields):
-        for block in part:
-            cells = [column[i] for i in block]
-            if cells and cells.count(cells[0]) != len(cells):
-                return False
+    tree, columns = _atom_tree(lattice, meyer, kind), process.columns
+    for i, paths in zip(tree.inst, tree.paths):
+        cells = [columns[i][p] for p in paths]
+        if cells.count(cells[0]) != len(cells):
+            return False
     return True
 
 
@@ -666,16 +674,14 @@ def is_lambda_stopping_time(
 ) -> bool:
     """True iff T is a random instant of the lattice (one index per path,
     each in 0..n_instants, with the lattice's TERMINAL index) and {T <= u}
-    is a union of atoms of the instant-u field, for all u."""
-    n = lattice.n_instants
-    if T.n_instants != n or len(T.indices) != lattice.n_paths:
+    is a union of atoms of the instant-u field, for all u: no atom tree node
+    holds a path stopped by its instant and one that goes on."""
+    if _instant_fault(lattice, T):
         return False
-    if not all(0 <= i <= n for i in T.indices):
-        return False
-    fields = field_partitions(lattice, meyer, kind)
-    for i, part in enumerate(fields):
-        event = frozenset(p for p, t in enumerate(T.indices) if t <= i)
-        if not is_union_of_atoms(event, part):
+    tree, idx = _atom_tree(lattice, meyer, kind), T.indices
+    for i, paths in zip(tree.inst, tree.paths):
+        stops = [idx[p] for p in paths]
+        if min(stops) <= i < max(stops):
             return False
     return True
 
@@ -695,14 +701,15 @@ def field_at_time(
     """Partition generated by Z_T over kind-measurable Z.
 
     Paths first split by the value of T; within {T = u} they split by the
-    instant-u field, and within {T = TERMINAL} by the terminal field F_K.
+    instant-u field, and within {T = TERMINAL} by the terminal field F_K:
+    each atom tree node keeps the paths that T stops at its instant.  A T off
+    the lattice raises LatticeError.
     """
-    fields = field_partitions(lattice, meyer, kind) + [lattice.filtration[-1]]
-    owners = {i: _owners(fields[i], lattice.n_paths) for i in set(T.indices)}
-    groups: dict[tuple[int, int], set[int]] = {}
-    for p, i in enumerate(T.indices):
-        groups.setdefault((i, owners[i][p]), set()).add(p)
-    return make_partition(groups.values())
+    if fault := _instant_fault(lattice, T):
+        raise LatticeError(fault)
+    tree, idx = _atom_tree(lattice, meyer, kind), T.indices
+    groups = ([p for p in paths if idx[p] == i] for i, paths in zip(tree.inst, tree.paths))
+    return make_partition(group for group in groups if group)
 
 
 def section_witness(
@@ -725,10 +732,10 @@ def section_witness(
         if not 0 <= p < lattice.n_paths:
             raise LatticeError(f"path {p} is not one of the lattice's {lattice.n_paths} paths")
         slices.setdefault(u.index, set()).add(p)
-    fields = field_partitions(lattice, meyer, Kind.LAMBDA)
-    for idx, paths in slices.items():
-        if not is_union_of_atoms(frozenset(paths), fields[idx]):
-            raise LatticeError(f"not a Lambda-set: slice at index {idx} is not a union of atoms")
+    tree = _atom_tree(lattice, meyer, Kind.LAMBDA)
+    for i, paths in zip(tree.inst, tree.paths):
+        if i in slices and len({p in slices[i] for p in paths}) > 1:
+            raise LatticeError(f"not a Lambda-set: slice at index {i} is not a union of atoms")
     hits = _first_hits(lattice, (0,) * lattice.n_paths, lambda p, i: p in slices.get(i, ()))
     return RandomInstant(hits, lattice.n_instants)
 

@@ -39,13 +39,11 @@ from .lattice import (
     _atom_tree,
     _divided_readings,
     _first_hits,
-    _mask,
     _node_columns,
     _require_shape,
     _scaled,
     _weighted,
     expected_value,
-    field_partitions,
     is_lambda_stopping_time,
     is_measurable,
     reward_fault,
@@ -95,10 +93,10 @@ def validate_g(lattice: FilteredLattice, meyer: MeyerStructure, g: GFamily) -> N
     strictly increasing; `_require_rates` checks those."""
     _require_shape(lattice, g.a, "g.a")
     _require_shape(lattice, g.b, "g.b")
-    for idx, part in enumerate(field_partitions(lattice, meyer, Kind.OPTIONAL)):
-        for block in part:
-            if len({(g.a[p][idx], g.b[p][idx]) for p in block}) > 1:
-                raise LatticeError(f"g slice at instant index {idx} is not optional-measurable")
+    tree = _atom_tree(lattice, meyer, Kind.OPTIONAL)
+    for i, paths in zip(tree.inst, tree.paths):
+        if i < tree.n_inst and len({(g.a[p][i], g.b[p][i]) for p in paths}) > 1:
+            raise LatticeError(f"g slice at instant index {i} is not optional-measurable")
 
 
 class RandomMeasure(NamedTuple):
@@ -135,8 +133,9 @@ class RepresentationProblem(_Record):
         if (self.X is None) == (self.L is None):
             raise LatticeError("provide exactly one of X or L")
         given = ("X", self.X) if self.L is None else ("L", self.L)
-        for name, rows in (given, ("mu", self.mu.mass), ("g.a", self.g.a), ("g.b", self.g.b)):
+        for name, rows in (given, ("mu", self.mu.mass)):
             _require_shape(self.lattice, rows, name)
+        validate_g(self.lattice, self.meyer, self.g)
         _require_rates(self.g.b, self.g.power, self.mu.mass)
 
     @cached_property
@@ -248,14 +247,14 @@ def _forward(problem: RepresentationProblem, S: LatticeProcess) -> LatticeProces
         num = sum((A[n][p] - A[u][p]) * scale + tails[u][p] * den // W[p] for p in block)
         return Fraction(num, scale * sum(W[p] for p in block))
 
-    return _by_atom(problem, value)
+    tree = _atom_tree(lattice, problem.meyer, Kind.LAMBDA)
+    return _by_atom(problem, [value(u, ps) for u, ps in zip(tree.inst, tree.paths) if u < n])
 
 
-def _by_atom(problem: RepresentationProblem, value) -> LatticeProcess:
-    """The process worth value(u, paths) on each Lambda atom, and 0 at TERMINAL."""
-    tree = _atom_tree(problem.lattice, problem.meyer, Kind.LAMBDA)
-    n = tree.n_inst
-    columns = _node_columns(tree, [value(u, ps) for u, ps in zip(tree.inst, tree.paths) if u < n])
+def _by_atom(problem: RepresentationProblem, values) -> LatticeProcess:
+    """The process worth values[j] on node j of the Lambda atom tree, for
+    each node before TERMINAL, and 0 at TERMINAL."""
+    columns = _node_columns(_atom_tree(problem.lattice, problem.meyer, Kind.LAMBDA), values)
     return LatticeProcess((*columns[:-1], (Fraction(0),) * problem.lattice.n_paths))
 
 
@@ -300,26 +299,23 @@ def _solve(problem: RepresentationProblem) -> LatticeProcess:
     if any(t != 0 for t in X.columns[-1]):
         raise LatticeError("reward process must vanish at TERMINAL")
     I, K, _ = problem.lines
-    roots = _hull_roots(_atom_tree(lattice, meyer, Kind.LAMBDA), I, K)
-
-    def root(u: int, block) -> Fraction:
-        num, den = roots[u, _mask(block)]  # num is 0 where den is
-        if not den and X.columns[u][min(block)] != 0:  # X is constant on the atom
+    tree, roots = _atom_tree(lattice, meyer, Kind.LAMBDA), []
+    for u, block, (num, den) in zip(tree.inst, tree.paths, _hull_roots(tree, I, K)):
+        if not den and X.columns[u][block[0]] != 0:  # X is constant on the atom
             raise RepresentationError(
                 "X not representable with this (g, mu): "
                 f"mass exhausted before instant index {u} but X is nonzero"
             )
-        return Fraction(num, den or 1)
-
-    S = _by_atom(problem, root)
+        roots.append(Fraction(num, den or 1))  # num is 0 where den is
+    S = _by_atom(problem, roots)
     if _forward(problem, S).columns != X.columns:
         raise RepresentationError("X not representable with this (g, mu): forward check failed")
     return S
 
 
-def _hull_roots(tree: _AtomTree, I, K) -> dict[tuple[int, int], tuple[int, int]]:
+def _hull_roots(tree: _AtomTree, I, K) -> list[tuple[int, int]]:
     """The least window root (num, den) of each node (u, paths) before TERMINAL,
-    keyed (u, mask); den 0 if no window after u has mass.  A time is the point
+    in node order; den 0 if no window after u has mass.  A time is the point
     (sum K, sum I) of its cells.  A node stops whole at its point (K_u, I_u) or
     passes on to its parts, which decide alone, so its upper hull is that of its
     point and the Minkowski sum of its parts' hulls (Bank & El Karoui 2004).  As
@@ -327,7 +323,7 @@ def _hull_roots(tree: _AtomTree, I, K) -> dict[tuple[int, int], tuple[int, int]]
     (b - K_u), least at a vertex of the parts' sum with b > K_u, unless a massless
     window has a > I_u, which no representable X has.  One pass over the
     nodes, children first, keeps each hull until its parent reads it."""
-    roots, hulls = {}, {}
+    roots, hulls = [], {}
     for j in range(len(tree.inst) - 1, -1, -1):
         i, paths = tree.inst[j], tree.paths[j]
         k, c = sum(K[i][p] for p in paths), sum(I[i][p] for p in paths)
@@ -339,9 +335,9 @@ def _hull_roots(tree: _AtomTree, I, K) -> dict[tuple[int, int], tuple[int, int]]
         for b, a in after:
             if b > k and (not den or (c - a) * den < num * (b - k)):
                 num, den = c - a, b - k
-        roots[i, tree.mask[j]] = num, den
+        roots.append((num, den))
         hulls[j] = _upper([(k, c), *after])
-    return roots
+    return roots[::-1]
 
 
 def _sum_hull(left: list, right: list) -> list[tuple[int, int]]:

@@ -110,16 +110,12 @@ class Scenario(_Record):
         g = self.g
         if g is None or self.mu is None:
             return None
-        validate_g(self.lattice, self.meyer, g)
-        if self.reward is not None:
-            return RepresentationProblem(
-                self.lattice, self.meyer, g, self.mu, X=self.processes[self.reward]
-            )
-        if self.signal is not None:
-            return RepresentationProblem(
-                self.lattice, self.meyer, g, self.mu, L=self.processes[self.signal]
-            )
-        return None
+        names = (self.reward, self.signal)
+        X, L = (None if name is None else self.processes[name] for name in names)
+        if X is None and L is None:
+            validate_g(self.lattice, self.meyer, g)  # a problem checks its g; none is built
+            return None
+        return RepresentationProblem(self.lattice, self.meyer, g, self.mu, X, L)
 
 
 def _parse_partition(raw: Any, ids: Sequence[str], where: str) -> Partition:

@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,7 @@ from meyerstop.lattice import (
     is_measurable,
     make_partition,
     reward_fault,
+    section_witness,
     to_divided_quadruple,
     validate_divided,
 )
@@ -2398,3 +2400,172 @@ def test_a_kernel_that_drops_one_path_weight_fails_every_coding(monkeypatch):
         if getattr(module, "_conditioned", None) is real:
             monkeypatch.setattr(module, "_conditioned", dropped)
     assert tree_coding_mismatches() == {"project", "snell_envelope", "mertens_decompose"}
+
+
+def with_terminal(lattice, meyer, kind):
+    """The fields of `kind` per instant index, and F_K for TERMINAL."""
+    return [*field_partitions(lattice, meyer, kind), lattice.filtration[-1]]
+
+
+def unions_of_atoms(events, fields) -> bool:
+    """Each event events[i] is a union of blocks of fields[i]."""
+    return all(not b & e or b <= e for i, e in events.items() for b in fields[i])
+
+
+def measurable_by_sets(lattice, meyer, process, kind) -> bool:
+    return all(
+        len({column[p] for p in block}) < 2
+        for column, part in zip(process.columns, with_terminal(lattice, meyer, kind))
+        for block in part
+    )
+
+
+def stopping_time_by_sets(lattice, meyer, idx, kind) -> bool:
+    n = lattice.n_instants
+    if len(idx) != lattice.n_paths or not all(0 <= i <= n for i in idx):
+        return False
+    events = {i: {p for p, t in enumerate(idx) if t <= i} for i in range(n)}
+    return unions_of_atoms(events, field_partitions(lattice, meyer, kind))
+
+
+def field_at_time_by_sets(lattice, meyer, idx, kind):
+    """Paths split by the value of T, then by the block of the field at that value."""
+    fields, groups = with_terminal(lattice, meyer, kind), {}
+    for p, i in enumerate(idx):
+        block = next(b for b in fields[i] if p in b)
+        groups.setdefault((i, block), set()).add(p)
+    return make_partition(groups.values())
+
+
+def section_by_sets(lattice, meyer, cells):
+    """The per-path earliest instant of `cells`, or None if a slice is not a Lambda-set."""
+    slices = {}
+    for p, i in cells:
+        slices.setdefault(i, set()).add(p)
+    if not unions_of_atoms(slices, field_partitions(lattice, meyer, Kind.LAMBDA)):
+        return None
+    n = lattice.n_instants
+    return tuple(min((i for q, i in cells if q == p), default=n) for p in range(lattice.n_paths))
+
+
+def g_measurable_by_sets(lattice, meyer, g) -> bool:
+    return all(
+        len({(g.a[p][i], g.b[p][i]) for p in block}) < 2
+        for i, part in enumerate(field_partitions(lattice, meyer, Kind.OPTIONAL))
+        for block in part
+    )
+
+
+def tree_reader_mismatches() -> tuple[set[str], Counter]:
+    """Which atom-tree readers differ from their set codings above on
+    generated seeds 0-11 × 3 regimes × 3 kinds, on random processes and g
+    slices (constant on the atoms, then one cell moved, or not) and random
+    index tuples (first hits of coins drawn per atom, then one index moved,
+    inside or outside 0..n_instants, or one path dropped), with the count of
+    each reader's answers."""
+    found, answers = set(), Counter()
+    for seed in range(12):
+        for regime in REGIMES:
+            params = RandomInstanceParams(seed=seed, epochs=2 + seed % 2, regime=regime)
+            sc = generate_instance(params)
+            lattice, meyer, rng = sc.lattice, sc.meyer, random.Random(seed)
+            n, paths = lattice.n_instants, lattice.n_paths
+
+            def per_atom(fields, draw):
+                columns = [[None] * paths for _ in fields]
+                for column, part in zip(columns, fields):
+                    for block in part:
+                        value = draw()
+                        for p in block:
+                            column[p] = value
+                if rng.random() < 0.5:
+                    rng.choice(columns)[rng.randrange(paths)] = draw()
+                return columns
+
+            for kind in Kind:
+                fields = with_terminal(lattice, meyer, kind)
+                for _ in range(12):
+                    columns = per_atom(fields, lambda: Fraction(rng.randint(0, 2)))
+                    process = LatticeProcess(tuple(map(tuple, columns)))
+                    want = measurable_by_sets(lattice, meyer, process, kind)
+                    if is_measurable(lattice, meyer, process, kind) != want:
+                        found.add("is_measurable")
+                    answers["is_measurable", want] += 1
+
+                    coins = per_atom(fields[:-1], lambda: rng.random() < 0.3)
+                    idx = [next((i for i in range(n) if coins[i][p]), n) for p in range(paths)]
+                    if rng.random() < 0.5:
+                        idx[rng.randrange(paths)] = rng.randint(-1, n + 1)
+                    if rng.random() < 0.1:
+                        idx.pop()
+                    T = RandomInstant(tuple(idx), n)
+                    want = stopping_time_by_sets(lattice, meyer, idx, kind)
+                    if is_lambda_stopping_time(lattice, meyer, T, kind) != want:
+                        found.add("is_lambda_stopping_time")
+                    answers["is_lambda_stopping_time", want] += 1
+                    fits = len(idx) == paths and all(0 <= i <= n for i in idx)
+                    try:
+                        got = field_at_time(lattice, meyer, T, kind)
+                    except LatticeError:
+                        got = None
+                    if got != (field_at_time_by_sets(lattice, meyer, idx, kind) if fits else None):
+                        found.add("field_at_time")
+                    answers["field_at_time", fits] += 1
+
+                    if kind is Kind.LAMBDA:
+                        cells = {(p, i) for i in range(n) for p in range(paths) if coins[i][p]}
+                        B = [(p, lattice.instant_at(i)) for p, i in sorted(cells)]
+                        try:
+                            got = section_witness(lattice, meyer, B).indices
+                        except LatticeError:
+                            got = None
+                        want = section_by_sets(lattice, meyer, cells)
+                        if got != want:
+                            found.add("section_witness")
+                        answers["section_witness", want is not None] += 1
+
+            optional = field_partitions(lattice, meyer, Kind.OPTIONAL)
+            for _ in range(6):
+                a = per_atom(optional, lambda: Fraction(rng.randint(0, 1)))
+                g = representation.GFamily.affine(list(zip(*a)), [[1] * n] * paths)
+                try:
+                    representation.validate_g(lattice, meyer, g)
+                    got = True
+                except LatticeError:
+                    got = False
+                want = g_measurable_by_sets(lattice, meyer, g)
+                if got != want:
+                    found.add("validate_g")
+                answers["validate_g", want] += 1
+    return found, answers
+
+
+TREE_READERS = {
+    "is_measurable",
+    "is_lambda_stopping_time",
+    "field_at_time",
+    "section_witness",
+    "validate_g",
+}
+
+
+def test_the_atom_tree_readers_match_their_set_codings():
+    found, answers = tree_reader_mismatches()
+    assert found == set()
+    # each reader says both yes and no (for field_at_time: a partition and a refusal)
+    assert {reader for reader, _ in answers} == TREE_READERS
+    assert all(answers[reader, yes] >= 5 for reader in TREE_READERS for yes in (True, False))
+
+
+def test_a_reader_on_the_wrong_kind_of_tree_fails_every_set_coding(monkeypatch):
+    # the mutant hands out the predictable tree for every kind: its grid
+    # fields F_{k-1} are coarser than G_k and F_k
+    real = lattice_module._atom_tree
+
+    def predictable(lattice, meyer, kind):
+        return real(lattice, meyer, Kind.PREDICTABLE)
+
+    for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "meyerstop"]:
+        if getattr(module, "_atom_tree", None) is real:
+            monkeypatch.setattr(module, "_atom_tree", predictable)
+    assert tree_reader_mismatches()[0] == TREE_READERS

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,8 +147,10 @@ def test_conditional_expectation_rejects_a_non_partition(three_path, blocks, mes
 @pytest.mark.parametrize("blocks, message", NON_PARTITIONS)
 @pytest.mark.parametrize("at", [0, 1])
 def test_project_rejects_a_field_that_is_not_a_partition(blocks, message, at):
-    # the atom tree checks each field once, as conditional_expectation checks
-    # its partition, whether the bad field is G_0 or F_1
+    # the atom tree is built only on a lattice that validate_lattice passes,
+    # and raises its problems, each naming its field and the reason that
+    # conditional_expectation gives for its partition, whether the bad field
+    # is G_0 or F_1
     fields = [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]]
     bad = [list(b) for b in blocks]
     lattice, meyer = build_lattice(
@@ -155,9 +158,11 @@ def test_project_rejects_a_field_that_is_not_a_partition(blocks, message, at):
         [bad if k == 1 and at else f for k, f in enumerate(fields)],
         [bad if k == 0 and not at else f for k, f in enumerate(fields)],
     )
+    problem = f"{'F_1' if at else 'G_0'} is not a partition of the path set: {message}"
+    assert validate_lattice(lattice, meyer).problems == (problem,)
     process = LatticeProcess.constant(lattice, 1)
     for _ in range(2):  # a refused tree is not kept
-        with pytest.raises(LatticeError, match=f"^{message}$"):
+        with pytest.raises(LatticeError, match=f"^{re.escape(problem)}$"):
             project(lattice, meyer, process, Kind.LAMBDA)
 
 
@@ -188,15 +193,15 @@ def test_the_atom_tree_refuses_a_field_that_does_not_refine_the_one_before():
         [[[0], [1], [2]], [[0, 1], [2]]],
         [[[0, 1, 2]], [[0, 1], [2]]],
     )
-    assert "F_1 does not refine F_0" in "; ".join(validate_lattice(lattice, meyer).problems)
-    message = r"^the {} field at instant index 2 does not refine the field before it"
+    problems = "; ".join(validate_lattice(lattice, meyer).problems)
+    assert problems.startswith("F_1 does not refine F_0 (offending atoms [[0, 1]])")
     zero = LatticeProcess.constant(lattice, 0)
     for kind in (Kind.LAMBDA, Kind.OPTIONAL):
-        with pytest.raises(LatticeError, match=message.format(kind.value)):
+        with pytest.raises(LatticeError, match=f"^{re.escape(problems)}$"):
             count_stopping_times(lattice, meyer, kind)
-        with pytest.raises(LatticeError, match=message.format(kind.value)):
+        with pytest.raises(LatticeError, match=f"^{re.escape(problems)}$"):
             project(lattice, meyer, zero, kind)
-    with pytest.raises(LatticeError, match=message.format("lambda") + r" \(atom \[0, 1\]\)$"):
+    with pytest.raises(LatticeError, match=f"^{re.escape(problems)}$"):
         snell_envelope(lattice, meyer, zero)
 
 
@@ -596,6 +601,44 @@ def test_a_g_off_the_lattice_shape_is_rejected():
             assert str(err.value) == message
 
 
+def test_a_problem_refuses_a_g_that_is_not_optional_measurable():
+    # built directly, not through its scenario, a problem checks its g as
+    # validate_g does; such a g was accepted and forward-evaluated
+    sc = _seed3()
+    problem = sc.build_problem()
+    first = field_partitions(sc.lattice, sc.meyer, Kind.OPTIONAL)[0]
+    a = [list(row) for row in problem.g.a]
+    a[min(next(block for block in first if len(block) > 1))][0] += 1
+    g = GFamily.affine(a, problem.g.b, problem.g.power)
+    message = "^g slice at instant index 0 is not optional-measurable$"
+    for given in ({"L": problem.L}, {"X": problem.reward}):
+        with pytest.raises(LatticeError, match=message):
+            RepresentationProblem(sc.lattice, sc.meyer, g, problem.mu, **given)
+
+
+@pytest.mark.parametrize(
+    "indices, n_instants, message",
+    [
+        ((-1,) * 4, 6, "random instant index -1 lies outside 0..6"),
+        ((7,) * 4, 6, "random instant index 7 lies outside 0..6"),
+        ((0,) * 3, 6, "RandomInstant(assignment=((0,AT), (0,AT), (0,AT)))"),
+        ((0,) * 4, 4, "RandomInstant(assignment=((0,AT), (0,AT), (0,AT), (0,AT)))"),
+    ],
+)
+def test_field_at_time_refuses_what_is_not_a_random_instant_of_the_lattice(
+    indices, n_instants, message
+):
+    # -1 was read as TERMINAL's field F_K, 7 raised a bare IndexError, and a T
+    # one path short gave ({0, 1, 2},), which is no partition of the 4 paths
+    sc = _seed3()
+    assert (sc.lattice.n_paths, sc.lattice.n_instants) == (4, 6)
+    if message.startswith("RandomInstant"):  # one path short, or 4 instants, not 6
+        message += " is not a random instant of this lattice"
+    for kind in Kind:
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            field_at_time(sc.lattice, sc.meyer, RandomInstant(indices, n_instants), kind)
+
+
 def _measurable_by_sets(lattice, meyer, process, kind):
     """The definition: each column takes at most one value on each block of
     its field, F_K for the terminal column."""
@@ -691,8 +734,11 @@ def test_measurability_keeps_its_shape_check_and_empty_blocks(branch):
     assert is_measurable(lattice, meyer, split_end, Kind.LAMBDA)
     blind, blind_meyer = build_lattice(["1/2", "1/2"], [[[0, 1]], [[0, 1]]], [[[0, 1]], [[0, 1]]])
     assert not is_measurable(blind, blind_meyer, split_end, Kind.LAMBDA)
-    # a block with no path constrains nothing, as under the set definition
+    # a field with an empty block is not a partition: measurability reads
+    # the atom tree, which validate_lattice's report refuses, as project does
     hollow = MeyerStructure(tuple(f + (frozenset(),) for f in blind_meyer.meyer_fields))
     flat = LatticeProcess(((2, 2),) * 5)
-    assert is_measurable(blind, hollow, flat, Kind.LAMBDA)
-    assert _measurable_by_sets(blind, hollow, flat, Kind.LAMBDA)
+    message = "G_0 is not a partition of the path set: partition has an empty block"
+    for refused in (is_measurable, project):
+        with pytest.raises(LatticeError, match=f"^{message}; G_1 "):
+            refused(blind, hollow, flat, Kind.LAMBDA)

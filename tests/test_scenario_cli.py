@@ -868,6 +868,26 @@ def test_each_command_builds_one_tree_per_kind(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_each_command_validates_its_lattice_once(monkeypatch, capsys):
+    # parse_scenario's validate_lattice report is kept on the lattice, and
+    # every tree build and the suite's lattice/valid row read it; a generated
+    # scenario is validated at its first tree
+    computed = []
+    real = lattice_module._structure_problems
+
+    def counted(lattice, meyer):
+        computed.append(meyer)
+        return real(lattice, meyer)
+
+    monkeypatch.setattr(lattice_module, "_structure_problems", counted)
+    for command in ("oracle", "suite", "validate"):
+        for source in (["--scenario", str(FIXTURES / "branch.scn")], ["--seed", "3"]):
+            computed.clear()
+            assert main([command, *source]) == 0, (command, source)
+            assert len(computed) == 1, (command, source, len(computed))
+    capsys.readouterr()
+
+
 def test_boolean_epochs_and_power_are_rejected():
     # JSON true is a Python int equal to 1, which is a valid epoch count and
     # an odd power; it would render back as "epochs": true

@@ -931,15 +931,18 @@ def test_the_root_entry_scan_sees_each_form():
 
 def _tree_builds(name: str, tree: ast.Module) -> list[str]:
     """Constructions of the atom tree, and reads of the lattice's tree cache,
-    other than the per-lattice cache's own, `lattice._atom_tree`."""
-    exempt = set()
+    other than the per-lattice cache's own, `lattice._atom_tree`; the cache
+    also keeps `lattice.validate_lattice`'s reports, which may read it."""
+    exempt = keeper = set()
     if name == "lattice.py":
         exempt = {id(node) for fn in _functions(tree, "_atom_tree") for node in ast.walk(fn)}
+        keeper = {id(node) for fn in _functions(tree, "validate_lattice") for node in ast.walk(fn)}
     found = [(c.lineno, "builds an _AtomTree") for c in _calls(tree, "_AtomTree") if id(c) not in exempt]
     found += [
         (node.lineno, "reads ._trees")
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_trees" and id(node) not in exempt
+        if isinstance(node, ast.Attribute) and node.attr == "_trees"
+        and id(node) not in exempt | keeper
     ]
     return [f"{name}:{line} {what}" for line, what in sorted(found)]
 
@@ -970,11 +973,15 @@ def test_the_tree_build_scan_sees_each_form():
         "steps = _AtomTree(lattice, meyer, kind)\n"
         "def _conditioned(lattice, meyer, kind):\n"
         "    return lattice._trees[meyer, kind]\n"
+        "def validate_lattice(lattice, meyer):\n"
+        "    report = lattice._trees.get(meyer)\n"
+        "    return report or _AtomTree(lattice, meyer, kind)\n"
     )
     assert _tree_builds("lattice.py", ast.parse(source)) == [
         "lattice.py:5 builds an _AtomTree",
         "lattice.py:6 builds an _AtomTree",
         "lattice.py:8 reads ._trees",
+        "lattice.py:11 builds an _AtomTree",
     ]
     assert _tree_builds("enumeration.py", ast.parse(source)) == [
         "enumeration.py:2 reads ._trees",
@@ -982,6 +989,102 @@ def test_the_tree_build_scan_sees_each_form():
         "enumeration.py:5 builds an _AtomTree",
         "enumeration.py:6 builds an _AtomTree",
         "enumeration.py:8 reads ._trees",
+        "enumeration.py:10 reads ._trees",
+        "enumeration.py:11 builds an _AtomTree",
+    ]
+
+
+# The engine reads a kind's atoms off its atom tree.  `field_partitions` is
+# read only where order or independence matters: the tree build, the
+# generator (whose draws follow the fields in order) and the independent
+# codings of projection/duality and of the right USC form.
+FIELD_READERS = {
+    ("lattice.py", "_AtomTree.__init__"),
+    ("scenario.py", "generate_instance"),
+    ("checks.py", "check_projection_duality"),
+    ("projection.py", "check_usc_sequence_equivalence"),
+}
+# What an atom tree build must not do again: its lattice passed validate_lattice.
+TREE_CHECKS = ("_owners", "validate_lattice", "_structure_problems", "is_union_of_atoms")
+
+
+def _field_reads(name: str, tree: ast.Module) -> list[str]:
+    """Reads of `field_partitions` outside the functions `FIELD_READERS` names."""
+    exempt = {
+        id(node)
+        for qualified, fn in _top_functions(tree)
+        if (name, qualified) in FIELD_READERS
+        for node in ast.walk(fn)
+    }
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None)) == "field_partitions"
+        and id(node) not in exempt
+    )
+    return [f"{name}:{line} reads field_partitions" for line in lines]
+
+
+def _tree_check_findings(name: str, tree: ast.Module) -> list[str]:
+    """Partition or refinement checks, and raises, inside `_AtomTree`."""
+    found = [
+        (node.lineno, f"calls {check}" if check else "raises")
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "_AtomTree"
+        for check in (*TREE_CHECKS, None)
+        for node in (_calls(cls, check) if check else ast.walk(cls))
+        if check or isinstance(node, ast.Raise)
+    ]
+    return [f"{name}:{line} _AtomTree {what}" for line, what in sorted(found)]
+
+
+def test_atoms_are_read_off_the_tree_and_checked_once():
+    # is_measurable, is_lambda_stopping_time, field_at_time, section_witness
+    # and validate_g read tree nodes; the tree build only numbers atoms, as
+    # validate_lattice's kept report vouches for the fields
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for finding in _field_reads(path.name, tree) + _tree_check_findings(path.name, tree)
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_field_and_tree_check_scans_see_each_form():
+    source = (
+        "class _AtomTree:\n"
+        "    def __init__(self, lattice, meyer, kind):\n"
+        "        fields = field_partitions(lattice, meyer, kind)\n"
+        "        owners = [_owners(part, n) for part in fields]\n"
+        "        lattice_module.validate_lattice(lattice, meyer)\n"
+        "        def inner():\n"
+        "            return _structure_problems(lattice, meyer) or is_union_of_atoms(s, p)\n"
+        "        raise LatticeError('does not refine')\n"
+        "def generate_instance(params):\n"
+        "    def per_atom(kind):\n"
+        "        return lattice.field_partitions(lattice, meyer, kind)\n"
+        "def is_measurable(lattice, meyer, process, kind):\n"
+        "    fields = [*map(field_partitions, [lattice]), _owners(part, n)]\n"
+        "    read = field_partitions\n"
+    )
+    assert _field_reads("lattice.py", ast.parse(source)) == [
+        "lattice.py:11 reads field_partitions",
+        "lattice.py:13 reads field_partitions",
+        "lattice.py:14 reads field_partitions",
+    ]
+    assert _field_reads("scenario.py", ast.parse(source)) == [
+        "scenario.py:3 reads field_partitions",
+        "scenario.py:13 reads field_partitions",
+        "scenario.py:14 reads field_partitions",
+    ]
+    assert _tree_check_findings("lattice.py", ast.parse(source)) == [
+        "lattice.py:4 _AtomTree calls _owners",
+        "lattice.py:5 _AtomTree calls validate_lattice",
+        "lattice.py:7 _AtomTree calls _structure_problems",
+        "lattice.py:7 _AtomTree calls is_union_of_atoms",
+        "lattice.py:8 _AtomTree raises",
     ]
 
 
