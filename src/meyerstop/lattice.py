@@ -499,7 +499,7 @@ def _node_columns(tree: _AtomTree, values) -> list[tuple]:
     return list(map(tuple, columns))
 
 
-class LatticeProcess(NamedTuple):
+class LatticeProcess(NamedTuple("_Columns", [("columns", tuple[tuple[Fraction, ...], ...])])):
     """A ladlag process on the instant chain and TERMINAL.
 
     `columns[i][p]` is the value on path p at instant index i, and column
@@ -507,10 +507,13 @@ class LatticeProcess(NamedTuple):
     (`from_rows`, `rows`) are the forms in which processes are read and
     rendered; the terminal slice of `from_rows` defaults to zero on every
     path (the usual convention for rewards).  `from_rows` keeps a cell
-    that is already a `Fraction` and wraps any other cell in one.
+    that is already a `Fraction` and wraps any other cell in one.  It is a
+    tuple of its one field whose instance `__dict__` holds `reward_fault`'s
+    answer; copies, pickles and `_replace` carry none.
     """
 
-    columns: tuple[tuple[Fraction, ...], ...]
+    def __getstate__(self) -> None:
+        return None
 
     @classmethod
     def from_rows(
@@ -610,11 +613,14 @@ class RandomInstant(_Record):
         return tuple(process.columns[i][p] for p, i in enumerate(self._reads(process)))
 
     def _reads(self, process: LatticeProcess) -> tuple[int, ...]:
-        """The indices, once they are column indices of `process`: each in
-        0..n_instants, and n_instants + 1 columns; a LatticeError if not."""
-        n, width = self.n_instants, len(process.columns)
+        """The indices, once they are column indices of `process`: one per
+        path, each in 0..n_instants, and n_instants + 1 columns; a
+        LatticeError if not."""
+        n, width, paths = self.n_instants, len(process.columns), len(self.indices)
         if width != n + 1:
             raise LatticeError(f"a random instant on {n} instants cannot read {width} columns")
+        if bad := [len(column) for column in process.columns if len(column) != paths]:
+            raise LatticeError(f"a random instant on {paths} paths cannot read {bad[0]} paths")
         if bad := [i for i in self.indices if not 0 <= i <= n]:
             raise LatticeError(f"random instant index {bad[0]} lies outside 0..{n}")
         return self.indices
@@ -655,15 +661,23 @@ def reward_fault(
     """Why `process` is not a reward, or None if it is one.
 
     A reward is Lambda-measurable, nonnegative and 0 at TERMINAL; the
-    engine raises the answer as a LatticeError.
+    engine raises the answer as a LatticeError.  The answer is kept on the
+    process, keyed by the Lambda atom tree it was decided on, so a process
+    is walked once per lattice and Meyer structure.
     """
-    if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
-        return "process is not Lambda-measurable"
-    if any(v < 0 for column in process.columns[:-1] for v in column):
-        return "process must be nonnegative"
-    if any(t != 0 for t in process.columns[-1]):
-        return "process must vanish at TERMINAL"
-    return None
+    _require_shape(lattice, process)
+    tree = _atom_tree(lattice, meyer, Kind.LAMBDA)
+    answers = vars(process).setdefault("_rewards", {})
+    if tree not in answers:
+        if not is_measurable(lattice, meyer, process, Kind.LAMBDA):
+            answers[tree] = "process is not Lambda-measurable"
+        elif any(v < 0 for column in process.columns[:-1] for v in column):
+            answers[tree] = "process must be nonnegative"
+        elif any(t != 0 for t in process.columns[-1]):
+            answers[tree] = "process must vanish at TERMINAL"
+        else:
+            answers[tree] = None
+    return answers[tree]
 
 
 def is_lambda_stopping_time(

@@ -89,11 +89,6 @@ def is_right_usc_in_expectation(
     """True iff Z >= Lambda-projection of the right envelope, everywhere."""
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    return _right_usc(lattice, meyer, process)
-
-
-def _right_usc(lattice, meyer, process) -> UscVerdict:
-    """`is_right_usc_in_expectation` on a process already checked as a reward."""
     right = envelope(lattice, process, Side.RIGHT)
     projected = project(lattice, meyer, right, Kind.LAMBDA)
     for idx in range(lattice.n_instants):
@@ -116,11 +111,6 @@ def is_left_usc_in_expectation(
     """
     if fault := reward_fault(lattice, meyer, process):
         raise LatticeError(fault)
-    return _left_usc(lattice, meyer, process)
-
-
-def _left_usc(lattice, meyer, process) -> UscVerdict:
-    """`is_left_usc_in_expectation` on a process already checked as a reward."""
     left = envelope(lattice, process, Side.LEFT)
     projected = project(lattice, meyer, process, Kind.PREDICTABLE)
     for idx in range(2, lattice.n_instants, 2):
@@ -197,11 +187,11 @@ def check_usc_sequence_equivalence(
     exactly when the maximum of E[(left envelope - Z)_T] is positive, one
     fold at any size.  A disagreement with the predicates is a
     counterexample, and only then is a witness built: one walk to the first
-    time that attains the maximum.  The process is tested as a reward once,
-    here; the predicates are read through their unchecked cores.
+    time that attains the maximum.  The predicates come first, as they test
+    the process as a reward; `reward_fault` walks it once.
     """
-    if fault := reward_fault(lattice, meyer, process):
-        raise LatticeError(fault)
+    right_pred = is_right_usc_in_expectation(lattice, meyer, process).ok
+    left_pred = is_left_usc_in_expectation(lattice, meyer, process).ok
     probs = lattice.probabilities
     n = lattice.n_instants
 
@@ -226,9 +216,6 @@ def check_usc_sequence_equivalence(
     )
     worst = _maximum(lattice, meyer, gap, Kind.PREDICTABLE, None)
     left_seq = worst.value <= 0
-
-    right_pred = _right_usc(lattice, meyer, process).ok
-    left_pred = _left_usc(lattice, meyer, process).ok
 
     counterexample = None
     if right_pred != right_seq:

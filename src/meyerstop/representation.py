@@ -51,7 +51,7 @@ from .lattice import (
     validate_divided,
 )
 from .snell import PreconditionError
-from .projection import _left_usc, _right_usc
+from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
 
 class RepresentationError(ValueError):
@@ -464,9 +464,9 @@ def universal_signal_check(problem: RepresentationProblem, ell_grid: Sequence) -
     X = problem.reward
     if fault := reward_fault(lattice, meyer, X):
         raise PreconditionError(f"X is not a reward: {fault}")
-    if not _left_usc(lattice, meyer, X).ok:
+    if not is_left_usc_in_expectation(lattice, meyer, X).ok:
         raise PreconditionError("is_left_usc_in_expectation failed for X")
-    right_ok = _right_usc(lattice, meyer, X).ok
+    right_ok = is_right_usc_in_expectation(lattice, meyer, X).ok
     I, K, D = problem.lines
     tree = _atom_tree(lattice, meyer, Kind.LAMBDA)
     cells, scale = _scaled(S.columns)

@@ -43,6 +43,7 @@ from .lattice import (
     _canonical_quadruple,
     _conditioned,
     _first_hits,
+    _instant_fault,
     _node_columns,
     expected_value,  # re-exported: callers read it as `snell.expected_value`
     is_lambda_stopping_time,
@@ -50,7 +51,7 @@ from .lattice import (
     reward_fault,
     to_divided_quadruple,
 )
-from .projection import _left_usc, _right_usc
+from .projection import is_left_usc_in_expectation, is_right_usc_in_expectation
 
 
 def snell_envelope(
@@ -277,6 +278,8 @@ def lambda_entry_time(
     envelope `zbar` of `process`."""
     if not (0 < lam < 1):
         raise LatticeError(f"lambda must lie in (0,1), got {lam}")
+    if fault := _instant_fault(lattice, S):
+        raise LatticeError(fault)
     env, reward = zbar.columns, process.columns
     hits = _first_hits(lattice, S.indices, lambda p, i: lam * env[i][p] <= reward[i][p])
     return RandomInstant(hits, lattice.n_instants)
@@ -301,6 +304,8 @@ def delta_stop(
     stabilized limit directly; the touch always happens by the last
     interval, where the envelope equals the reward.
     """
+    if fault := _instant_fault(lattice, S):
+        raise LatticeError(fault)
     env, reward = zbar.columns, process.columns
     hits = _first_hits(lattice, S.indices, lambda p, i: env[i][p] == reward[i][p])
     T = RandomInstant(hits, lattice.n_instants)
@@ -331,6 +336,8 @@ def sigma_stop(
     forbids the just-after part there, so K_plus joins the on-time part and
     the quadruple's `w_plus` is always empty.
     """
+    if fault := _instant_fault(lattice, S):
+        raise LatticeError(fault)
     a, b, bs = decomp.a, decomp.b, decomp.b_shifted
     # readings at S, TERMINAL included: nothing grows after a TERMINAL S
     a_at_s, b_minus_at_s = S.value_of(a), S.value_of(bs)
@@ -425,7 +432,7 @@ def smallest_largest_optimal(
 ) -> SmallestLargest:
     """Entry times of {Z = Zbar} and of {M != Zbar}, read off the envelope
     `zbar` of `process` and its decomposition `decomp`; optional structure, a
-    reward and both semicontinuity predicates (their unchecked cores) are required.
+    reward and both semicontinuity predicates, which test it as one, are required.
 
     Every optimal stopping time is sandwiched between the two pathwise; a
     ranked fold checks that at any size and names a time that escapes.
@@ -434,11 +441,9 @@ def smallest_largest_optimal(
         raise PreconditionError(
             "optional structure required: meyer fields must equal the filtration"
         )
-    if fault := reward_fault(lattice, meyer, process):
-        raise LatticeError(fault)
-    if not _right_usc(lattice, meyer, process).ok:
+    if not is_right_usc_in_expectation(lattice, meyer, process).ok:
         raise PreconditionError("is_right_usc_in_expectation failed")
-    if not _left_usc(lattice, meyer, process).ok:
+    if not is_left_usc_in_expectation(lattice, meyer, process).ok:
         raise PreconditionError("is_left_usc_in_expectation failed")
 
     zero = RandomInstant((0,) * lattice.n_paths, lattice.n_instants)

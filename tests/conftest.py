@@ -65,6 +65,21 @@ def full_divided_stops(lattice, meyer):
 
 
 @pytest.fixture
+def reward_walks(monkeypatch) -> list:
+    """The processes that `reward_fault` walks, in order: a walk starts with
+    the measurability test, which nothing else in `lattice` calls."""
+    walked = []
+    real = lattice_module.is_measurable
+
+    def counted(lattice, meyer, process, kind):
+        walked.append(process)
+        return real(lattice, meyer, process, kind)
+
+    monkeypatch.setattr(lattice_module, "is_measurable", counted)
+    return walked
+
+
+@pytest.fixture
 def branch():
     """Two equal paths, one branch at epoch 1, fully revealing structure."""
     return build_lattice(

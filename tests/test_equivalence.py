@@ -1798,8 +1798,8 @@ def test_usc_guard_bounds_the_predictable_fold():
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_usc_equivalence_names_a_counterexample_for_each_form(side, monkeypatch):
-    # the check reads the predicates through their unchecked cores
-    name = f"_{side}_usc"
+    # the check reads the public predicates
+    name = f"is_{side}_usc_in_expectation"
     real = getattr(projection, name)
     monkeypatch.setattr(
         projection, name, lambda *args: UscVerdict(ok=not real(*args).ok, witness=None)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -39,7 +41,16 @@ from meyerstop.enumeration import count_stopping_times, enumerate_stopping_times
 from meyerstop.projection import project
 from meyerstop.representation import GFamily, RandomMeasure, RepresentationProblem, validate_g
 from meyerstop.scenario import RandomInstanceParams, generate_instance, parse_scenario
-from meyerstop.snell import check_optimality, snell_brute_force, snell_envelope, stopped_process
+from meyerstop.snell import (
+    check_optimality,
+    delta_stop,
+    lambda_entry_time,
+    mertens_decompose,
+    sigma_stop,
+    snell_brute_force,
+    snell_envelope,
+    stopped_process,
+)
 
 from conftest import build_lattice
 
@@ -637,6 +648,117 @@ def test_field_at_time_refuses_what_is_not_a_random_instant_of_the_lattice(
     for kind in Kind:
         with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
             field_at_time(sc.lattice, sc.meyer, RandomInstant(indices, n_instants), kind)
+
+
+
+@pytest.mark.parametrize("indices", [(0, 0, 0), (0,) * 5], ids=["3 paths", "5 paths"])
+def test_a_time_reads_no_process_with_another_path_count(indices):
+    # (0, 0, 0) read paths 0-2 of the 4, and stopped_process built 3-path
+    # columns from it; (0,) * 5 raised a bare IndexError
+    sc = _seed3()
+    lattice, Z = sc.lattice, sc.processes["Z"]
+    T = RandomInstant(indices, lattice.n_instants)
+    message = f"^a random instant on {len(indices)} paths cannot read 4 paths$"
+    with pytest.raises(LatticeError, match=message):
+        T.value_of(Z)
+    with pytest.raises(LatticeError, match=message):
+        stopped_process(lattice, Z, T)
+
+
+@pytest.mark.parametrize("rule", ["lambda_entry_time", "delta_stop", "sigma_stop"])
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ((-1,) * 4, "random instant index -1 lies outside 0..6"),
+        (
+            (0,) * 3,
+            "RandomInstant(assignment=((0,AT), (0,AT), (0,AT)))"
+            " is not a random instant of this lattice",
+        ),
+        ((9,) * 4, "random instant index 9 lies outside 0..6"),
+    ],
+    ids=["index -1", "3 paths", "index 9"],
+)
+def test_a_stop_rule_refuses_a_start_off_the_lattice(
+    rule, indices, message
+):
+    # lambda_entry_time read S = (-1,) * 4 into a time with index -1,
+    # lambda_entry_time and sigma_stop gave 3-path times from a 3-path S,
+    # and delta_stop sent S = (9,) * 4 to TERMINAL
+    sc = _seed3()
+    lattice, meyer, Z = sc.lattice, sc.meyer, sc.processes["Z"]
+    zbar = snell_envelope(lattice, meyer, Z)
+    decomp = mertens_decompose(lattice, meyer, zbar)
+    S = RandomInstant(indices, lattice.n_instants)
+    calls = {
+        "lambda_entry_time": lambda: lambda_entry_time(lattice, Z, zbar, Fraction(1, 2), S),
+        "delta_stop": lambda: delta_stop(lattice, meyer, Z, S, zbar),
+        "sigma_stop": lambda: sigma_stop(lattice, S, decomp),
+    }
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        calls[rule]()
+
+
+def _branch_reward():
+    return parse_scenario((FIXTURES / "branch.scn").read_text(encoding="utf-8")).processes["Z"]
+
+
+def test_a_process_keeps_one_reward_answer_per_lattice_and_meyer_structure(
+    branch, branch_blind, reward_walks
+):
+    # Z tells its paths apart at (1, AT): a reward where G_1 reveals them, not
+    # Lambda-measurable where G_1 is blind.  The two lattices are equal but
+    # distinct, each with its own trees.  An answer kept for one pair never
+    # serves another, and each pair is walked once over both rounds.
+    Z = _branch_reward()
+    (lattice, meyer), (other, blind) = branch, branch_blind
+    assert lattice == other and lattice is not other
+    pairs = [
+        (lattice, meyer, None),
+        (lattice, blind, "process is not Lambda-measurable"),
+        (other, blind, "process is not Lambda-measurable"),
+        (other, meyer, None),
+    ]
+    for _ in range(2):
+        for lat, mey, answer in pairs:
+            assert reward_fault(lat, mey, Z) == answer
+    assert len(reward_walks) == 4 and all(p is Z for p in reward_walks)
+
+
+def test_a_replaced_or_copied_process_carries_no_reward_answer(branch, reward_walks):
+    lattice, meyer = branch
+    Z = _branch_reward()
+    assert reward_fault(lattice, meyer, Z) is None and len(reward_walks) == 1
+    twins = [
+        Z._replace(),
+        Z._replace(columns=Z.columns),
+        LatticeProcess(Z.columns),
+        copy.copy(Z),
+        copy.deepcopy(Z),
+        pickle.loads(pickle.dumps(Z)),
+    ]
+    for twin in twins:
+        assert twin == Z and twin is not Z
+        reward_walks.clear()
+        assert reward_fault(lattice, meyer, twin) is None
+        assert len(reward_walks) == 1 and reward_walks[0] is twin
+    negative = Z._replace(columns=tuple(tuple(-v for v in c) for c in Z.columns))
+    assert reward_fault(lattice, meyer, negative) == "process must be nonnegative"
+    assert reward_fault(lattice, meyer, Z) is None
+
+
+def test_a_tested_process_pickles_as_before(branch):
+    # the kept answer holds an atom tree, which no pickle or copy carries
+    lattice, meyer = branch
+    Z = _branch_reward()
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    before = [pickle.dumps(Z, protocol) for protocol in protocols]
+    assert reward_fault(lattice, meyer, Z) is None
+    assert [pickle.dumps(Z, protocol) for protocol in protocols] == before
+    assert before[-1] == pickle.dumps(LatticeProcess(Z.columns), protocols[-1])
+    assert repr(Z) == f"LatticeProcess(columns={Z.columns!r})"
+    assert Z == (Z.columns,) and hash(Z) == hash((Z.columns,))
+    assert LatticeProcess._fields == ("columns",)
 
 
 def _measurable_by_sets(lattice, meyer, process, kind):

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import meyerstop.cli as cli_module
 import meyerstop.lattice as lattice_module
-import meyerstop.projection as projection_module
 import meyerstop.representation as representation_module
 import meyerstop.scenario as scenario_module
 import meyerstop.snell as snell_module
@@ -498,57 +497,45 @@ def test_a_negative_representation_reward_skips_the_signal_row(tmp_path, capsys)
     assert capsys.readouterr() == ("", "error: X is not a reward: process must be nonnegative\n")
 
 
-def test_the_signal_check_tests_its_reward_once(monkeypatch):
-    # the check tests X as a reward and hands it to the unchecked cores of
-    # both USC predicates; the public predicates still test their input
-    tested = []
-    real = lattice_module.reward_fault
-
-    def counted(lattice, meyer, process):
-        tested.append(process)
-        return real(lattice, meyer, process)
-
-    for module in (lattice_module, projection_module, representation_module, snell_module):
-        monkeypatch.setattr(module, "reward_fault", counted)
+def test_the_signal_check_tests_its_reward_once(reward_walks):
+    # the check and both public USC predicates test X as a reward, and the
+    # answer kept on X serves every test after the first: one walk
     sc = load("signal_chain.scn")
     problem = sc.build_problem()
     assert checks.check_universal_signal(problem, sc.ell_grid) is None
-    X = forward_evaluate(problem)
-    assert tested == [X]
+    X = problem.reward
+    assert X == forward_evaluate(problem)
     assert is_left_usc_in_expectation(sc.lattice, sc.meyer, X).ok
     assert is_right_usc_in_expectation(sc.lattice, sc.meyer, X).ok
-    assert tested == [X] * 3
+    assert len(reward_walks) == 1 and reward_walks[0] is X
+    # a kept fault serves as well: both predicates refuse, after one walk
     negative = LatticeProcess(tuple(tuple(-v for v in column) for column in X.columns))
     for predicate in (is_left_usc_in_expectation, is_right_usc_in_expectation):
         with pytest.raises(LatticeError, match="process must be nonnegative"):
             predicate(sc.lattice, sc.meyer, negative)
+    assert len(reward_walks) == 2 and reward_walks[1] is negative
 
 
-@pytest.mark.parametrize("name, calls", [("branch.scn", 6), ("signal_chain.scn", 7)])
-def test_the_suite_tests_a_reward_once_per_row_that_needs_it(name, calls, monkeypatch):
-    # per reward: the suite's own test, the envelope's, the oracle's, the USC
-    # equivalence row's and the sandwich's (each of which hands the reward
-    # to the predicates' unchecked cores), plus the decomposition's test of
-    # the envelope and, on a bundle, the signal check's test of X
-    tested = []
-    real = lattice_module.reward_fault
-
-    def counted(lattice, meyer, process):
-        tested.append(process)
-        return real(lattice, meyer, process)
-
-    modules = (cli_module, lattice_module, projection_module, representation_module, snell_module)
-    for module in modules:
-        monkeypatch.setattr(module, "reward_fault", counted)
+@pytest.mark.parametrize("name, walks", [("branch.scn", 2), ("signal_chain.scn", 3)])
+def test_the_suite_tests_a_reward_once_per_row_that_needs_it(name, walks, reward_walks):
+    # every row that needs a reward tests it (the suite's own gate, the
+    # envelope, the oracle, the USC equivalence row, the sandwich and, on a
+    # bundle, the signal check), and the decomposition tests the envelope;
+    # the answer kept on each process serves all but its first test, so the
+    # suite walks each reward, the envelope and a bundle's X once
     sc = load(name)
     assert run_suite(sc)[0]["ok"]
-    assert len(tested) == calls, len(tested)
-    rewards = [p for p in sc.processes.values() if real(sc.lattice, sc.meyer, p) is None]
-    assert rewards
+    assert len(reward_walks) == len({id(p) for p in reward_walks}) == walks, reward_walks
+    # asked again, the suite's processes answer from what they keep
+    reward_fault = lattice_module.reward_fault
+    rewards = [p for p in sc.processes.values() if reward_fault(sc.lattice, sc.meyer, p) is None]
+    assert rewards and len(reward_walks) == walks
     for process in rewards:
-        tested.clear()
-        assert checks.check_usc_equivalence(sc.lattice, sc.meyer, process) is None
-        assert tested == [process]
+        # a `_replace`d copy carries no answer: the row walks it once
+        fresh = process._replace()
+        reward_walks.clear()
+        assert checks.check_usc_equivalence(sc.lattice, sc.meyer, fresh) is None
+        assert len(reward_walks) == 1 and reward_walks[0] is fresh
 
 
 @pytest.mark.parametrize(

@@ -1222,3 +1222,106 @@ def test_the_import_scan_sees_each_form():
         "m.py:13 imports inside a function",
         "m.py:16 imports inside a function",
     ]
+
+
+# `reward_fault` keeps its answer in the process's instance dict under this
+# name; nothing else reads, writes or reaches into that dict.
+KEPT_ANSWER = "_rewards"
+
+
+def _answer_findings(name: str, tree: ast.AST) -> list[str]:
+    """Reads and writes of the kept reward answer, by name, string, `vars`
+    or `__dict__`, outside `lattice.reward_fault`."""
+    exempt = set()
+    if name == "lattice.py":
+        exempt = {id(node) for fn in _functions(tree, "reward_fault") for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        said = getattr(node, "id", getattr(node, "attr", getattr(node, "value", None)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Constant)) and said == KEPT_ANSWER:
+            found.append((node.lineno, f"touches {KEPT_ANSWER}"))
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append((node.lineno, "reads __dict__"))
+    found += [(c.lineno, "calls vars") for c in _calls(tree, "vars") if id(c) not in exempt]
+    return [f"{name}:{line} {what}" for line, what in sorted(found)]
+
+
+def _usc_twins(name: str, tree: ast.AST) -> list[str]:
+    """Private functions, methods or module names that carry a USC check
+    beside the public predicates: any name that starts with `_` and says usc."""
+    defined = [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    defined += [
+        (target.lineno, target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    ]
+    return [
+        f"{name}:{line} defines {what}"
+        for line, what in sorted(defined)
+        if what.startswith("_") and "usc" in what.lower()
+    ]
+
+
+def test_a_process_is_tested_as_a_reward_through_one_door():
+    # only `reward_fault` keeps and reads a process's reward answer, and the
+    # USC predicates are the public ones, which test their input through it
+    found = [
+        finding
+        for path in sorted(PACKAGE.glob("*.py"))
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for finding in _answer_findings(path.name, tree) + _usc_twins(path.name, tree)
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_the_kept_answer_and_twin_scans_see_each_form():
+    source = (
+        "def reward_fault(lattice, meyer, process):\n"
+        "    return vars(process).setdefault('_rewards', {})\n"
+        "def is_right_usc_in_expectation(lattice, meyer, process):\n"
+        "    return process._rewards or _right_usc(lattice, meyer, process)\n"
+        "def stale(process):\n"
+        "    return process.__dict__['_rewards']\n"
+        "_rewards = {}\n"
+        "def _right_usc(lattice, meyer, process):\n"
+        "    pass\n"
+        "class Checker:\n"
+        "    def _left_usc_core(self):\n"
+        "        def _usc():\n"
+        "            pass\n"
+        "async def _USC_async():\n"
+        "    pass\n"
+        "_left_usc = is_left_usc_in_expectation\n"
+        "def check_usc_sequence_equivalence(lattice, meyer, process):\n"
+        "    return is_left_usc_in_expectation(lattice, meyer, process)\n"
+    )
+    tree = ast.parse(source)
+    assert _answer_findings("lattice.py", tree) == [
+        "lattice.py:4 touches _rewards",
+        "lattice.py:6 reads __dict__",
+        "lattice.py:6 touches _rewards",
+        "lattice.py:7 touches _rewards",
+    ]
+    assert _answer_findings("snell.py", tree) == [
+        "snell.py:2 calls vars",
+        "snell.py:2 touches _rewards",
+        "snell.py:4 touches _rewards",
+        "snell.py:6 reads __dict__",
+        "snell.py:6 touches _rewards",
+        "snell.py:7 touches _rewards",
+    ]
+    assert _usc_twins("projection.py", tree) == [
+        "projection.py:8 defines _right_usc",
+        "projection.py:11 defines _left_usc_core",
+        "projection.py:12 defines _usc",
+        "projection.py:14 defines _USC_async",
+        "projection.py:16 defines _left_usc",
+    ]
